@@ -34,6 +34,7 @@ from repro.traces import (
 )
 from repro.traces.store import load_or_generate_columnar
 from repro.traces.streams import daily_block_counts
+from repro.util.atomic import atomic_write, write_json_atomic
 
 
 def _positive_float(text: str) -> float:
@@ -646,8 +647,8 @@ def _write_metrics(path: Optional[str]) -> None:
         text = to_prometheus(snapshot)
     else:
         text = to_json(snapshot)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    with atomic_write(path) as handle:
+        handle.write(text.encode("utf-8"))
     print(f"metrics written to {path}")
 
 
@@ -1041,8 +1042,6 @@ def _cmd_shard_replay(args) -> int:
 
 
 def _run_shard_replay_cmd(args) -> int:
-    import json as json_module
-
     from repro.sim.parallel import run_sharded_replay
     from repro.sim.serialize import stats_to_dict
 
@@ -1104,9 +1103,7 @@ def _run_shard_replay_cmd(args) -> int:
             "shards": args.shards,
             "stats": stats_to_dict(run.stats),
         }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json_module.dump(payload, handle, indent=2)
-            handle.write("\n")
+        write_json_atomic(args.json, payload)
         print(f"merged stats written to {args.json}")
     return 0 if run.ok else 1
 
@@ -1189,7 +1186,6 @@ def _cmd_serve_bench(args) -> int:
 
 def _run_serve_bench_cmd(args, collect_metrics: bool) -> int:
     import contextlib
-    import json as json_module
     import tempfile
     from pathlib import Path
 
@@ -1272,9 +1268,7 @@ def _run_serve_bench_cmd(args, collect_metrics: bool) -> int:
                 "allocation_writes_saved": comparison["allocation_writes_saved"],
                 "allocation_write_ratio": comparison["allocation_write_ratio"],
             }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json_module.dump(payload, handle, indent=2)
-            handle.write("\n")
+        write_json_atomic(args.json, payload)
         print(f"report written to {args.json}")
     if args.manifest:
         manifest = report.manifest()
@@ -1285,9 +1279,7 @@ def _run_serve_bench_cmd(args, collect_metrics: bool) -> int:
                 "sieved": report.manifest(),
                 "baseline": comparison["unsieved"].manifest(),
             }
-        with open(args.manifest, "w", encoding="utf-8") as handle:
-            json_module.dump(manifest, handle, indent=2)
-            handle.write("\n")
+        write_json_atomic(args.manifest, manifest)
         print(f"run manifest written to {args.manifest}")
     return code
 

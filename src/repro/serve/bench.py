@@ -20,7 +20,10 @@ per client, raw results shipped back whole (latency percentiles do not
 compose from per-client summaries — see
 :func:`repro.serve.percentiles.merge_samples`), a
 ``BrokenProcessPool`` serial fallback, and a JSON manifest recording
-each client's execution.
+each client's execution.  It keeps its own small pool instead of
+:mod:`repro.util.fanout`: clients mutate a shared store, so neither
+"retry once" nor "re-run after a crash" means what it means for a pure
+replay.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
@@ -47,7 +51,7 @@ from repro.serve.store import (
     ShardedByteStore,
 )
 from repro.traces.columnar import ColumnarTrace
-from repro.util.atomic import atomic_write
+from repro.util.atomic import write_json_atomic
 from repro.util.hashing import stable_bucket
 
 #: Salt decorrelating client partitioning from store-shard placement.
@@ -149,12 +153,7 @@ class BenchReport:
         }
 
     def save_manifest(self, path: Union[str, Path]) -> None:
-        import json
-
-        with atomic_write(Path(path)) as handle:
-            handle.write(
-                (json.dumps(self.manifest(), indent=2) + "\n").encode()
-            )
+        write_json_atomic(path, self.manifest())
 
 
 def partition_by_address(columns: ColumnarTrace, clients: int) -> List[np.ndarray]:
@@ -290,8 +289,10 @@ def run_serve_bench(
     ``work_dir`` receives the per-client ``.npz`` trace shards (the
     same hand-off :mod:`repro.sim.parallel` uses — workers load columns
     from disk instead of unpickling arrays through the pool).  With
-    ``parallel=False`` (or a single client) everything runs in-process,
-    which is also the automatic fallback when the pool breaks.
+    ``parallel=False`` (or a single client) everything runs in-process.
+    When the pool breaks, finished clients keep their reports and only
+    the clients without one re-run in-process (``serial-fallback``),
+    each after its addresses are dropped from the store.
     """
     if options is None:
         options = BenchOptions()
@@ -307,8 +308,9 @@ def run_serve_bench(
         shard_paths.append(str(path))
 
     started = time.perf_counter()
-    reports: List[ClientReport]
-    if parallel and clients > 1:
+    collected: Dict[int, ClientReport] = {}
+    pooled = parallel and clients > 1
+    if pooled:
         try:
             with ProcessPoolExecutor(max_workers=clients) as pool:
                 futures = [
@@ -318,15 +320,22 @@ def run_serve_bench(
                     )
                     for client in range(clients)
                 ]
-                reports = [future.result() for future in futures]
+                for client, future in enumerate(futures):
+                    with suppress(BrokenProcessPool):
+                        collected[client] = future.result()
         except BrokenProcessPool:
-            reports = _run_serial(shard_paths, store_dir, options)
-            for report in reports:
-                report.executor = "serial-fallback"
-    else:
-        reports = _run_serial(shard_paths, store_dir, options)
-        for report in reports:
-            report.executor = "serial"
+            pass  # broke while submitting; every client re-runs below
+    reports: List[ClientReport] = []
+    for client, path in enumerate(shard_paths):
+        report = collected.get(client)
+        if report is None:
+            if pooled:
+                # The dead worker may have filled the store already; a
+                # re-run must start from what a clean run would see.
+                _forget_client(path, store_dir, options)
+            report = _run_client(client, path, str(store_dir), options)
+            report.executor = "serial-fallback" if pooled else "serial"
+        reports.append(report)
     wall_seconds = time.perf_counter() - started
 
     merged = _merge_reports(options.gate_kind, clients, reports, wall_seconds)
@@ -334,15 +343,22 @@ def run_serve_bench(
     return merged
 
 
-def _run_serial(
-    shard_paths: Sequence[str],
-    store_dir: Union[str, Path],
-    options: BenchOptions,
-) -> List[ClientReport]:
-    return [
-        _run_client(client, path, str(store_dir), options)
-        for client, path in enumerate(shard_paths)
-    ]
+def _forget_client(
+    shard_path: str, store_dir: Union[str, Path], options: BenchOptions
+) -> None:
+    """Drop one client's addresses from the store.
+
+    Addresses are client-private (see the module docs), so this undoes
+    exactly what that client's lost run may have written.
+    """
+    columns = ColumnarTrace.load_npz(shard_path)
+    with ShardedByteStore(
+        store_dir,
+        shards=options.store_shards,
+        inline_bytes=options.inline_bytes,
+    ) as store:
+        for address in np.unique(columns.address).tolist():
+            store.delete(address)
 
 
 def _adopt_metrics(reports: Sequence[ClientReport]) -> None:

@@ -34,6 +34,7 @@ import json
 import os
 import sqlite3
 import threading
+import time
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Union
 
@@ -147,11 +148,30 @@ class ShardedByteStore:
                 timeout=self._sqlite_timeout,
                 isolation_level=None,  # autocommit; explicit BEGIN when needed
             )
-            conn.execute("PRAGMA journal_mode = WAL")
+            self._enable_wal(conn)
             conn.execute("PRAGMA synchronous = NORMAL")
             conn.execute(_SCHEMA)
             pool[index] = conn
         return conn
+
+    def _enable_wal(self, conn: sqlite3.Connection) -> None:
+        """Switch a shard database to WAL, waiting out racing openers.
+
+        The switch needs an exclusive lock.  When two openers of a
+        brand-new database ask for it together, sqlite fails one of them
+        at once with "database is locked" — waiting could deadlock, so
+        the busy timeout is never consulted — hence the retry here, for
+        as long as that timeout.
+        """
+        deadline = time.monotonic() + self._sqlite_timeout
+        while True:
+            try:
+                conn.execute("PRAGMA journal_mode = WAL")
+                return
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() >= deadline:
+                    raise
+                time.sleep(0.001)
 
     # -- mapping operations ------------------------------------------------
     def get(self, key: int) -> Optional[bytes]:

@@ -2,62 +2,38 @@
 
 The Figure 5 suite replays the *same* trace through nine independent
 policy configurations; nothing flows between the runs, so they
-parallelize perfectly.  This module fans the runs across
-``concurrent.futures`` worker processes:
+parallelize perfectly.  This module defines the two task shapes the
+evaluation needs and hands both to the one fan-out driver,
+:func:`repro.util.fanout.run_tasks`, which owns retries, timeouts, the
+serial fallback, per-task metrics and ``SIEVESTORE_FAULT_INJECT``:
 
-* the parent serializes the columnar trace once to a temporary ``.npz``
-  file (a compact binary write, far cheaper than pickling object
-  traces per task);
-* each worker's initializer loads the file once and rebuilds the
-  :class:`~repro.sim.experiment.ExperimentContext` — per-day block
-  counts are recomputed vectorized from the columns, which the test
-  suite asserts is identical to the reference computation;
-* each task runs one policy and pickles its full
-  :class:`~repro.sim.engine.SimulationResult` back (benchmarks inspect
-  ``result.policy`` and ``result.cache``, not just the stats).
+* :func:`run_suite_parallel` — many policies over one trace.  The
+  parent serializes the columnar trace once to a temporary ``.npz``
+  file (far cheaper than pickling object traces per task); each worker
+  loads it once and rebuilds the
+  :class:`~repro.sim.experiment.ExperimentContext` (per-day block
+  counts recomputed vectorized, asserted identical to the reference by
+  the test suite); each task pickles its full
+  :class:`~repro.sim.engine.SimulationResult` back.
+* :func:`run_sharded_replay` — one policy over server-disjoint shards
+  of a segment store, workers opening the segments by path.
 
 Results are deterministic and equal to a serial run: every worker sees
-the same trace bytes, the same seeds, and the same oracle inputs.
-
-Fault tolerance and observability
----------------------------------
-
-Long-running multi-config sweeps cannot afford to lose every completed
-run to one sick worker, so :func:`run_suite_parallel` degrades instead
-of raising:
-
-* a task that raises (or exceeds ``task_timeout``) is retried **once**;
-  a second failure becomes a structured :class:`PolicyFailure` in the
-  returned :class:`SuiteRun` rather than an exception;
-* a dead worker process (``BrokenProcessPool``) routes every
-  not-yet-collected task through in-process **serial fallback**
-  execution against the parent's own context — completed pool results
-  are kept, and serial results are bit-identical to a serial run;
-* every task's engine used, wall seconds, retries, worker pid, and
-  outcome is recorded in a JSON-serializable **run manifest**
-  (:attr:`SuiteRun.manifest`, schema in the README).
-
-For CI and testing, the ``SIEVESTORE_FAULT_INJECT`` environment
-variable (format ``mode:policy[:arg]``) injects failures into the named
-policy's task: ``raise`` fails it every time, ``crash`` hard-kills the
-worker process (``os._exit``; in serial execution it degrades to a
-raise), ``flaky:policy:marker-path`` fails only the first execution
-(exercising the retry path), and ``hang:policy:seconds`` sleeps in the
-worker (exercising ``task_timeout``).  Unset means zero effect.
+the same trace bytes, the same seeds, and the same oracle inputs.  Each
+run carries a JSON-serializable **run manifest** recording every task's
+engine, wall seconds, retries, worker pid, and outcome (schema in the
+README).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 import time
 import warnings
 from collections import OrderedDict
 from collections.abc import Mapping
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Union
@@ -65,7 +41,18 @@ from typing import Dict, Iterator, List, Optional, Sequence, Union
 from repro.sim import engine as _engine
 from repro.sim.engine import DEFAULT_CHECKPOINT_EVERY, SimulationResult
 from repro.traces.columnar import ColumnarTrace
-from repro.util.atomic import atomic_write
+from repro.util.atomic import write_json_atomic
+from repro.util.fanout import (  # noqa: F401 - public names re-exported
+    FAULT_ENV_VAR,
+    MAX_ATTEMPTS,
+    FanoutRun,
+    InjectedWorkerFault,
+    PolicyFailure,
+    Task,
+    TaskRecord,
+    default_jobs,
+    run_tasks,
+)
 
 #: Bump on manifest layout changes; consumers refuse unknown versions.
 #: v2 added per-task ``fault_plan`` (plan fingerprint) and
@@ -77,90 +64,47 @@ MANIFEST_SCHEMA_VERSION = 2
 #: block.  Runs without observability keep emitting v2 byte-identically.
 MANIFEST_SCHEMA_VERSION_METRICS = 3
 
-#: Environment variable enabling fault injection (``mode:policy[:arg]``).
-FAULT_ENV_VAR = "SIEVESTORE_FAULT_INJECT"
+#: Bump on sharded-replay manifest layout changes; consumers refuse
+#: unknown versions.
+SHARD_MANIFEST_VERSION = 1
 
-#: Attempts per task: the initial run plus one bounded retry.
-MAX_ATTEMPTS = 2
-
-#: Per-process simulation context, installed by the pool initializer.
-_WORKER_CONTEXT = None
-
-
-class InjectedWorkerFault(RuntimeError):
-    """Raised by the fault-injection hook (testing/CI only)."""
+#: Key order of a run manifest; each kind of run emits the keys it has.
+_MANIFEST_KEYS = (
+    "schema", "kind", "policy", "shards", "requested", "names", "jobs",
+    "track_minutes", "fast_path", "chunk_rows", "task_timeout",
+    "pool_broken", "wall_seconds", "tasks", "metrics",
+)
 
 
-def _write_json_atomic(path: Union[str, Path], payload: dict) -> None:
-    """Publish ``payload`` as indented JSON all-or-nothing.
-
-    Manifests are polled by monitoring tooling while runs are live, so
-    a torn write must never be observable.
-    """
-    encoded = (json.dumps(payload, indent=2) + "\n").encode("utf-8")
-    with atomic_write(path) as handle:
-        handle.write(encoded)
-
-
-def _parse_fault_spec() -> Optional[tuple]:
-    spec = os.environ.get(FAULT_ENV_VAR)
-    if not spec:
-        return None
-    parts = spec.split(":", 2)
-    mode = parts[0].strip().lower()
-    policy = parts[1] if len(parts) > 1 else ""
-    arg = parts[2] if len(parts) > 2 else None
-    return mode, policy, arg
-
-
-def _maybe_inject_fault(name: str, in_worker: bool) -> None:
-    """Apply the ``SIEVESTORE_FAULT_INJECT`` spec to task ``name``.
-
-    No-op unless the env var is set and names this policy.  ``crash``
-    only hard-exits inside a worker process — in serial (parent)
-    execution it raises instead, so fault injection can never take the
-    caller's process down.
-    """
-    spec = _parse_fault_spec()
-    if spec is None:
-        return
-    mode, policy, arg = spec
-    if policy != name:
-        return
-    if mode == "crash":
-        if in_worker:
-            os._exit(70)
-        raise InjectedWorkerFault(
-            f"injected crash for {name!r} (serial execution)"
-        )
-    if mode == "raise":
-        raise InjectedWorkerFault(f"injected failure for {name!r}")
-    if mode == "flaky":
-        if not arg:
-            raise ValueError(
-                "flaky fault injection needs a marker path: "
-                "SIEVESTORE_FAULT_INJECT=flaky:policy:/path/to/marker"
-            )
-        try:
-            with open(arg, "x"):
-                pass
-        except FileExistsError:
-            return  # already fired once; succeed from now on
-        raise InjectedWorkerFault(f"injected one-shot failure for {name!r}")
-    if mode == "hang":
-        time.sleep(float(arg) if arg else 3600.0)
-        return
-    raise ValueError(f"unknown fault-injection mode {mode!r} in {FAULT_ENV_VAR}")
-
-
-def _init_worker(trace_path: str, days: int, scale: float, seed: int) -> None:
-    from repro.sim.experiment import context_for_trace
-
-    global _WORKER_CONTEXT
-    columns = ColumnarTrace.load_npz(trace_path)
-    # Set once per worker process by the pool initializer; workers only
-    # ever read it.  This is the sanctioned worker-global idiom.
-    _WORKER_CONTEXT = context_for_trace(columns, days=days, scale=scale, seed=seed)  # sievelint: disable=SVL008 -- initializer-set worker global, read-only afterwards
+def _build_manifest(
+    schema: int,
+    extra: dict,
+    run: FanoutRun,
+    jobs: int,
+    track_minutes: bool,
+    fast_path: bool,
+    task_timeout: Optional[float],
+    wall_seconds: float,
+) -> dict:
+    """The run manifest: the shared keys plus the caller's ``extra``."""
+    manifest = {
+        "schema": schema,
+        "names": list(run.records),
+        "jobs": jobs,
+        "track_minutes": track_minutes,
+        "fast_path": fast_path,
+        "task_timeout": task_timeout,
+        "pool_broken": run.pool_broken,
+        "wall_seconds": round(wall_seconds, 6),
+        "tasks": [record.to_dict() for record in run.records.values()],
+    }
+    if run.metrics is not None:
+        manifest["metrics"] = run.metrics.to_jsonable()
+    manifest.update(extra)
+    return {
+        key: manifest[key]
+        for key in sorted(manifest, key=_MANIFEST_KEYS.index)
+    }
 
 
 def _checkpoint_meta(checkpoint_dir, name: str, checkpoint_every) -> Optional[dict]:
@@ -177,125 +121,31 @@ def _checkpoint_meta(checkpoint_dir, name: str, checkpoint_every) -> Optional[di
     }
 
 
-def _run_one(
-    name: str,
-    track_minutes: bool,
-    fast_path: bool,
-    fault_plan=None,
-    epoch_seconds=None,
-    checkpoint_dir=None,
-    checkpoint_every=None,
-    collect_metrics: bool = False,
-):
+# ---------------------------------------------------------------------------
+# Policy suite: many policies, one shared trace.
+# ---------------------------------------------------------------------------
+
+
+def _init_worker(trace_path: str, days: int, scale: float, seed: int):
+    """Pool initializer: this worker's context, from the handed-off trace."""
+    from repro.sim.experiment import context_for_trace
+
+    columns = ColumnarTrace.load_npz(trace_path)
+    return context_for_trace(columns, days=days, scale=scale, seed=seed)
+
+
+def _run_one(ctx, name: str, options: dict):
+    """Suite task: run one policy against this process's context."""
     from repro.sim.experiment import run_policy
 
-    assert _WORKER_CONTEXT is not None, "worker initializer did not run"
-    # Warn-once state must not depend on what else ran in this worker
-    # process (workers execute several tasks back to back).
+    # Warn-once state must not depend on what else ran in this process
+    # (workers execute several tasks back to back).
     _engine._reset_fallback_warnings()
-    _maybe_inject_fault(name, in_worker=True)
-    meta = _checkpoint_meta(checkpoint_dir, name, checkpoint_every)
-    snapshot = None
-    started = time.perf_counter()
-    if collect_metrics:
-        from repro.obs.runtime import scoped_registry
-
-        with scoped_registry() as obs_context:
-            result = run_policy(
-                name, _WORKER_CONTEXT, track_minutes=track_minutes,
-                fast_path=fast_path, fault_plan=fault_plan,
-                epoch_seconds=epoch_seconds,
-                checkpoint_path=meta["path"] if meta else None,
-                checkpoint_every=checkpoint_every,
-            )
-            snapshot = obs_context.registry.snapshot()
-    else:
-        result = run_policy(
-            name, _WORKER_CONTEXT, track_minutes=track_minutes,
-            fast_path=fast_path, fault_plan=fault_plan,
-            epoch_seconds=epoch_seconds,
-            checkpoint_path=meta["path"] if meta else None,
-            checkpoint_every=checkpoint_every,
-        )
-    return name, os.getpid(), time.perf_counter() - started, result, snapshot
+    result = run_policy(name, ctx, **options)
+    return result.engine, result
 
 
-def default_jobs() -> int:
-    """Worker count when the caller asks for 'all cores'.
-
-    Prefers the process's scheduling affinity mask
-    (``os.sched_getaffinity``) over ``os.cpu_count()``: in
-    cgroup/affinity-limited containers and CI runners the machine may
-    expose many more cores than this process is allowed to run on, and
-    oversubscribing them just adds contention.  Falls back to
-    ``cpu_count`` on platforms without affinity support (macOS,
-    Windows).
-    """
-    getaffinity = getattr(os, "sched_getaffinity", None)
-    if getaffinity is not None:
-        try:
-            affinity = len(getaffinity(0))
-        except OSError:
-            affinity = 0
-        if affinity:
-            return affinity
-    return max(1, os.cpu_count() or 1)
-
-
-@dataclass
-class TaskRecord:
-    """One suite task's execution record (a manifest row)."""
-
-    policy: str
-    outcome: str  # "ok" | "failed" | "timeout"
-    engine: Optional[str]  # "fast" | "object"; None when the task failed
-    wall_seconds: float
-    retries: int
-    worker_pid: Optional[int]
-    executor: str  # "pool" | "serial" | "serial-fallback"
-    error: Optional[str] = None
-    #: fingerprint of the task's fault plan (None without a plan).
-    fault_plan: Optional[str] = None
-    #: checkpoint metadata ({"path", "every"}; None when not checkpointing).
-    checkpoint: Optional[dict] = None
-    #: JSON-safe metrics snapshot (manifest v3 only; None keeps the
-    #: manifest byte-identical to v2).
-    metrics: Optional[dict] = None
-
-    def to_dict(self) -> dict:
-        data = {
-            "policy": self.policy,
-            "outcome": self.outcome,
-            "engine": self.engine,
-            "wall_seconds": round(self.wall_seconds, 6),
-            "retries": self.retries,
-            "worker_pid": self.worker_pid,
-            "executor": self.executor,
-            "error": self.error,
-            "fault_plan": self.fault_plan,
-            "checkpoint": self.checkpoint,
-        }
-        if self.metrics is not None:
-            data["metrics"] = self.metrics
-        return data
-
-
-@dataclass
-class PolicyFailure:
-    """Structured record of a policy run that could not be completed."""
-
-    policy: str
-    error_type: str
-    message: str
-    retries: int
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"{self.policy}: {self.error_type}: {self.message} "
-            f"(after {self.retries} retr{'y' if self.retries == 1 else 'ies'})"
-        )
-
-
+@dataclass(eq=False, repr=False)
 class SuiteRun(Mapping):
     """Results of one policy-suite run, with partial-failure visibility.
 
@@ -315,17 +165,10 @@ class SuiteRun(Mapping):
     * :attr:`ok` is True when every requested policy produced a result.
     """
 
-    def __init__(
-        self,
-        results: "OrderedDict[str, SimulationResult]",
-        failures: Dict[str, PolicyFailure],
-        manifest: dict,
-        metrics=None,
-    ):
-        self.results = results
-        self.failures = failures
-        self.manifest = manifest
-        self.metrics = metrics
+    results: "OrderedDict[str, SimulationResult]"
+    failures: Dict[str, PolicyFailure]
+    manifest: dict
+    metrics: Optional[object] = None
 
     def __getitem__(self, name: str) -> SimulationResult:
         return self.results[name]
@@ -343,212 +186,68 @@ class SuiteRun(Mapping):
 
     def save_manifest(self, path: Union[str, Path]) -> None:
         """Write the run manifest as indented JSON (atomically)."""
-        _write_json_atomic(path, self.manifest)
+        write_json_atomic(path, self.manifest)
 
 
-def _build_manifest(
-    requested: Sequence[str],
-    names: Sequence[str],
-    records: Dict[str, TaskRecord],
-    jobs: int,
-    track_minutes: bool,
-    fast_path: bool,
-    task_timeout: Optional[float],
-    pool_broken: bool,
-    wall_seconds: float,
-    suite_metrics: Optional[dict] = None,
-) -> dict:
-    manifest = {
-        "schema": (
-            MANIFEST_SCHEMA_VERSION_METRICS
-            if suite_metrics is not None
-            else MANIFEST_SCHEMA_VERSION
-        ),
-        "requested": list(requested),
-        "names": list(names),
-        "jobs": jobs,
-        "track_minutes": track_minutes,
-        "fast_path": fast_path,
-        "task_timeout": task_timeout,
-        "pool_broken": pool_broken,
-        "wall_seconds": round(wall_seconds, 6),
-        "tasks": [records[name].to_dict() for name in names if name in records],
-    }
-    if suite_metrics is not None:
-        manifest["metrics"] = suite_metrics
-    return manifest
+def _run_suite(
+    ctx, names, jobs, task_timeout, checkpoint_dir, collect_metrics,
+    on_task_done, **options,
+) -> SuiteRun:
+    """One task per distinct policy name, through the fan-out driver.
 
-
-def _resolve_collect_metrics(collect_metrics: Optional[bool]) -> bool:
-    """``None`` means "whatever the process-wide obs switch says"."""
-    if collect_metrics is not None:
-        return collect_metrics
-    from repro.obs import runtime as obs_runtime
-
-    return obs_runtime.enabled()
-
-
-def _suite_observer(collect_metrics: bool):
-    """Fresh suite-level registry, or ``None`` when metrics are off."""
-    if not collect_metrics:
-        return None
-    from repro.obs.metrics import MetricsRegistry
-
-    return MetricsRegistry()
-
-
-#: Bounds for parent-side wait on one task's result (seconds).
-_WAIT_BUCKETS = (
-    0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 15.0, 60.0, 300.0, 1800.0,
-)
-
-
-def _note_task(
-    suite_registry,
-    record: TaskRecord,
-    waited: Optional[float] = None,
-    on_task_done=None,
-) -> None:
-    """Record one finished task in the suite registry + progress hook."""
-    if suite_registry is not None:
-        suite_registry.counter(
-            "suite_tasks_total",
-            "Suite tasks by outcome and executor",
-            ("outcome", "executor"),
-        ).inc(outcome=record.outcome, executor=record.executor)
-        if record.retries:
-            suite_registry.counter(
-                "suite_retries_total",
-                "Task retries (second submissions)",
-                ("policy",),
-            ).inc(record.retries, policy=record.policy)
-        if waited is not None:
-            suite_registry.histogram(
-                "suite_task_wait_seconds",
-                "Parent wall time waiting on one task's result",
-                ("executor",),
-                buckets=_WAIT_BUCKETS,
-            ).observe(waited, executor=record.executor)
-    if on_task_done is not None:
-        on_task_done(record)
-
-
-def _dedupe(names: Sequence[str]) -> List[str]:
-    """Unique names, first-occurrence order (duplicate work costs the
-    same result twice under dict keying — run each config once)."""
-    return list(dict.fromkeys(names))
-
-
-def _run_serial_task(
-    name: str,
-    ctx,
-    track_minutes: bool,
-    fast_path: bool,
-    executor: str,
-    attempts: int,
-    records: Dict[str, TaskRecord],
-    results: Dict[str, SimulationResult],
-    failures: Dict[str, PolicyFailure],
-    fault_plan=None,
-    epoch_seconds=None,
-    checkpoint_dir=None,
-    checkpoint_every=None,
-    collect_metrics: bool = False,
-    suite_registry=None,
-    on_task_done=None,
-    progress_every=None,
-    progress_hook=None,
-) -> None:
-    """Run one task in-process, recording outcome like a pool task."""
-    from repro.sim.experiment import run_policy
-
-    # Same per-task warn-once scope as worker execution.
-    _engine._reset_fallback_warnings()
-    plan_fp = fault_plan.fingerprint() if fault_plan is not None else None
-    meta = _checkpoint_meta(checkpoint_dir, name, checkpoint_every)
-    snapshot = None
+    ``options`` are the :func:`~repro.sim.experiment.run_policy` keyword
+    arguments every task shares.
+    """
     started = time.perf_counter()
-    try:
-        _maybe_inject_fault(name, in_worker=False)
-        if collect_metrics:
-            from repro.obs.runtime import scoped_registry
-
-            with scoped_registry() as obs_context:
-                result = run_policy(
-                    name, ctx, track_minutes=track_minutes,
-                    fast_path=fast_path, fault_plan=fault_plan,
-                    epoch_seconds=epoch_seconds,
-                    checkpoint_path=meta["path"] if meta else None,
-                    checkpoint_every=checkpoint_every,
-                    progress_every=progress_every,
-                    progress_hook=progress_hook,
-                )
-                snapshot = obs_context.registry.snapshot()
-        else:
-            result = run_policy(
-                name, ctx, track_minutes=track_minutes, fast_path=fast_path,
-                fault_plan=fault_plan, epoch_seconds=epoch_seconds,
-                checkpoint_path=meta["path"] if meta else None,
-                checkpoint_every=checkpoint_every,
-                progress_every=progress_every,
-                progress_hook=progress_hook,
+    requested = list(names)
+    # Duplicate work costs the same result twice under dict keying —
+    # run each config once, in first-occurrence order.
+    unique = list(dict.fromkeys(requested))
+    fault_plan = options["fault_plan"]
+    plan_fp = fault_plan.fingerprint() if fault_plan is not None else None
+    tasks = []
+    for name in unique:
+        meta = _checkpoint_meta(checkpoint_dir, name, options["checkpoint_every"])
+        path = meta["path"] if meta else None
+        tasks.append(Task(
+            name, (name, {**options, "checkpoint_path": path}),
+            fault_plan=plan_fp, checkpoint=meta,
+        ))
+    with ExitStack() as stack:
+        initargs: tuple = ()
+        if jobs > 1 and tasks:
+            # Pool workers rebuild the context from one trace hand-off.
+            tmpdir = stack.enter_context(
+                tempfile.TemporaryDirectory(prefix="sievestore-suite-")
             )
-    except Exception as exc:
-        wall = time.perf_counter() - started
-        records[name] = TaskRecord(
-            policy=name,
-            outcome="failed",
-            engine=None,
-            wall_seconds=wall,
-            retries=attempts - 1,
-            worker_pid=os.getpid(),
-            executor=executor,
-            error=f"{type(exc).__name__}: {exc}",
-            fault_plan=plan_fp,
-            checkpoint=meta,
+            trace_path = os.path.join(tmpdir, "trace.npz")
+            ctx.columnar_trace().save_npz(trace_path)
+            initargs = (trace_path, ctx.days, ctx.scale, ctx.seed)
+        run = run_tasks(
+            tasks,
+            worker=_run_one,
+            local_state=ctx,
+            initializer=_init_worker,
+            initargs=initargs,
+            jobs=jobs,
+            task_timeout=task_timeout,
+            collect_metrics=collect_metrics,
+            on_task_done=on_task_done,
+            noun=("policy", "policies"),
         )
-        failures[name] = PolicyFailure(
-            policy=name,
-            error_type=type(exc).__name__,
-            message=str(exc),
-            retries=attempts - 1,
-        )
-    else:
-        wall = time.perf_counter() - started
-        results[name] = result
-        records[name] = TaskRecord(
-            policy=name,
-            outcome="ok",
-            engine=result.engine,
-            wall_seconds=wall,
-            retries=attempts - 1,
-            worker_pid=os.getpid(),
-            executor=executor,
-            fault_plan=plan_fp,
-            checkpoint=meta,
-            metrics=snapshot.to_jsonable() if snapshot is not None else None,
-        )
-        if snapshot is not None and suite_registry is not None:
-            suite_registry.merge_snapshot(snapshot)
-    _note_task(
-        suite_registry,
-        records[name],
-        waited=records[name].wall_seconds,
-        on_task_done=on_task_done,
+    manifest_extra = {"requested": requested}
+    manifest = _build_manifest(
+        MANIFEST_SCHEMA_VERSION_METRICS
+        if run.metrics is not None
+        else MANIFEST_SCHEMA_VERSION,
+        manifest_extra, run, jobs=jobs,
+        track_minutes=options["track_minutes"],
+        fast_path=options["fast_path"], task_timeout=task_timeout,
+        wall_seconds=time.perf_counter() - started,
     )
-
-
-def _finish_suite_metrics(suite_registry):
-    """Snapshot the suite registry and fold it into the global one."""
-    if suite_registry is None:
-        return None
-    snapshot = suite_registry.snapshot()
-    from repro.obs import runtime as obs_runtime
-
-    parent = obs_runtime.get_registry()
-    if parent is not None:
-        parent.merge_snapshot(snapshot)
-    return snapshot
+    return SuiteRun(
+        OrderedDict(run.payloads), run.failures, manifest, metrics=run.metrics
+    )
 
 
 def run_suite_serial(
@@ -574,35 +273,13 @@ def run_suite_serial(
     ``progress_every`` / ``progress_hook`` (serial-only: hooks cannot
     cross the process boundary) forward to each run's engine loop.
     """
-    started = time.perf_counter()
-    requested = list(names)
-    unique = _dedupe(requested)
-    collect = _resolve_collect_metrics(collect_metrics)
-    suite_registry = _suite_observer(collect)
-    records: Dict[str, TaskRecord] = {}
-    results: Dict[str, SimulationResult] = {}
-    failures: Dict[str, PolicyFailure] = {}
-    for name in unique:
-        _run_serial_task(
-            name, ctx, track_minutes, fast_path,
-            executor="serial", attempts=1,
-            records=records, results=results, failures=failures,
-            fault_plan=fault_plan, epoch_seconds=epoch_seconds,
-            checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every,
-            collect_metrics=collect, suite_registry=suite_registry,
-            on_task_done=on_task_done,
-            progress_every=progress_every, progress_hook=progress_hook,
-        )
-    snapshot = _finish_suite_metrics(suite_registry)
-    manifest = _build_manifest(
-        requested, unique, records,
-        jobs=1, track_minutes=track_minutes, fast_path=fast_path,
-        task_timeout=None, pool_broken=False,
-        wall_seconds=time.perf_counter() - started,
-        suite_metrics=snapshot.to_jsonable() if snapshot is not None else None,
+    return _run_suite(
+        ctx, names, 1, None, checkpoint_dir, collect_metrics, on_task_done,
+        track_minutes=track_minutes, fast_path=fast_path,
+        fault_plan=fault_plan, epoch_seconds=epoch_seconds,
+        checkpoint_every=checkpoint_every,
+        progress_every=progress_every, progress_hook=progress_hook,
     )
-    ordered = OrderedDict((n, results[n]) for n in unique if n in results)
-    return SuiteRun(ordered, failures, manifest, metrics=snapshot)
 
 
 def run_suite_parallel(
@@ -658,231 +335,18 @@ def run_suite_parallel(
     timeouts degrade (retry once, then serial fallback / failure
     records) instead of discarding completed results.
     """
-    started = time.perf_counter()
-    requested = list(names)
-    unique = _dedupe(requested)
-    if jobs is None:
-        jobs = default_jobs()
-    if jobs < 1:
-        raise ValueError(f"jobs must be positive, got {jobs}")
-    collect = _resolve_collect_metrics(collect_metrics)
-    suite_registry = _suite_observer(collect)
-    if not unique:
-        snapshot = _finish_suite_metrics(suite_registry)
-        manifest = _build_manifest(
-            requested, unique, {}, jobs=jobs,
-            track_minutes=track_minutes, fast_path=fast_path,
-            task_timeout=task_timeout, pool_broken=False,
-            wall_seconds=time.perf_counter() - started,
-            suite_metrics=(
-                snapshot.to_jsonable() if snapshot is not None else None
-            ),
-        )
-        return SuiteRun(OrderedDict(), {}, manifest, metrics=snapshot)
-
-    records: Dict[str, TaskRecord] = {}
-    results: Dict[str, SimulationResult] = {}
-    failures: Dict[str, PolicyFailure] = {}
-    attempts: Dict[str, int] = {name: 0 for name in unique}
-    serial_queue: List[str] = []
-    pool_broken = False
-    timed_out = False
-    plan_fp = fault_plan.fingerprint() if fault_plan is not None else None
-
-    with tempfile.TemporaryDirectory(prefix="sievestore-suite-") as tmpdir:
-        trace_path = os.path.join(tmpdir, "trace.npz")
-        ctx.columnar_trace().save_npz(trace_path)
-        pool = ProcessPoolExecutor(
-            max_workers=min(jobs, len(unique)),
-            initializer=_init_worker,
-            initargs=(trace_path, ctx.days, ctx.scale, ctx.seed),
-        )
-        try:
-            futures = {}
-            try:
-                for name in unique:
-                    futures[name] = pool.submit(
-                        _run_one, name, track_minutes, fast_path,
-                        fault_plan, epoch_seconds,
-                        checkpoint_dir, checkpoint_every, collect,
-                    )
-                    attempts[name] += 1
-            except BrokenProcessPool:
-                pool_broken = True
-
-            def resubmit(name: str):
-                """One bounded retry through the pool; None if spent/broken."""
-                nonlocal pool_broken
-                if pool_broken or attempts[name] >= MAX_ATTEMPTS:
-                    return None
-                try:
-                    future = pool.submit(
-                        _run_one, name, track_minutes, fast_path,
-                        fault_plan, epoch_seconds,
-                        checkpoint_dir, checkpoint_every, collect,
-                    )
-                except BrokenProcessPool:
-                    pool_broken = True
-                    return None
-                attempts[name] += 1
-                return future
-
-            for name in unique:
-                if pool_broken:
-                    serial_queue.append(name)
-                    continue
-                future = futures.get(name)
-                if future is None:
-                    serial_queue.append(name)
-                    continue
-                collect_started = time.perf_counter()
-                while True:
-                    try:
-                        _rname, pid, wall, result, snapshot = future.result(
-                            timeout=task_timeout
-                        )
-                    except _FuturesTimeout:
-                        timed_out = True
-                        future.cancel()
-                        retry = resubmit(name)
-                        if retry is not None:
-                            future = retry
-                            collect_started = time.perf_counter()
-                            continue
-                        if pool_broken and attempts[name] < MAX_ATTEMPTS:
-                            serial_queue.append(name)
-                            break
-                        waited = time.perf_counter() - collect_started
-                        records[name] = TaskRecord(
-                            policy=name, outcome="timeout", engine=None,
-                            wall_seconds=waited,
-                            retries=attempts[name] - 1, worker_pid=None,
-                            executor="pool",
-                            error=f"task exceeded {task_timeout}s timeout",
-                            fault_plan=plan_fp,
-                            checkpoint=_checkpoint_meta(
-                                checkpoint_dir, name, checkpoint_every
-                            ),
-                        )
-                        failures[name] = PolicyFailure(
-                            policy=name, error_type="TimeoutError",
-                            message=f"task exceeded {task_timeout}s timeout",
-                            retries=attempts[name] - 1,
-                        )
-                        _note_task(
-                            suite_registry, records[name],
-                            waited=waited, on_task_done=on_task_done,
-                        )
-                        break
-                    except BrokenProcessPool:
-                        # The worker died (or the pool collapsed around
-                        # this future); the task's retry — and every
-                        # later task — runs serially in-process.
-                        pool_broken = True
-                        serial_queue.append(name)
-                        break
-                    except Exception as exc:
-                        retry = resubmit(name)
-                        if retry is not None:
-                            future = retry
-                            collect_started = time.perf_counter()
-                            continue
-                        if pool_broken and attempts[name] < MAX_ATTEMPTS:
-                            serial_queue.append(name)
-                            break
-                        waited = time.perf_counter() - collect_started
-                        records[name] = TaskRecord(
-                            policy=name, outcome="failed", engine=None,
-                            wall_seconds=waited,
-                            retries=attempts[name] - 1, worker_pid=None,
-                            executor="pool",
-                            error=f"{type(exc).__name__}: {exc}",
-                            fault_plan=plan_fp,
-                            checkpoint=_checkpoint_meta(
-                                checkpoint_dir, name, checkpoint_every
-                            ),
-                        )
-                        failures[name] = PolicyFailure(
-                            policy=name, error_type=type(exc).__name__,
-                            message=str(exc), retries=attempts[name] - 1,
-                        )
-                        _note_task(
-                            suite_registry, records[name],
-                            waited=waited, on_task_done=on_task_done,
-                        )
-                        break
-                    else:
-                        results[name] = result
-                        records[name] = TaskRecord(
-                            policy=name, outcome="ok", engine=result.engine,
-                            wall_seconds=wall, retries=attempts[name] - 1,
-                            worker_pid=pid, executor="pool",
-                            fault_plan=plan_fp,
-                            checkpoint=_checkpoint_meta(
-                                checkpoint_dir, name, checkpoint_every
-                            ),
-                            metrics=(
-                                snapshot.to_jsonable()
-                                if snapshot is not None
-                                else None
-                            ),
-                        )
-                        if snapshot is not None and suite_registry is not None:
-                            suite_registry.merge_snapshot(snapshot)
-                        _note_task(
-                            suite_registry, records[name],
-                            waited=time.perf_counter() - collect_started,
-                            on_task_done=on_task_done,
-                        )
-                        break
-        finally:
-            # A timed-out task is still running in its worker; don't
-            # block shutdown on it (the zombie exits when it finishes).
-            pool.shutdown(wait=not timed_out, cancel_futures=True)
-
-    if serial_queue:
-        warnings.warn(
-            f"worker pool broke; running {len(serial_queue)} remaining "
-            f"polic{'y' if len(serial_queue) == 1 else 'ies'} serially "
-            f"in-process: {', '.join(serial_queue)}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        for name in serial_queue:
-            attempts[name] += 1
-            _run_serial_task(
-                name, ctx, track_minutes, fast_path,
-                executor="serial-fallback", attempts=attempts[name],
-                records=records, results=results, failures=failures,
-                fault_plan=fault_plan, epoch_seconds=epoch_seconds,
-                checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every,
-                collect_metrics=collect, suite_registry=suite_registry,
-                on_task_done=on_task_done,
-            )
-
-    snapshot = _finish_suite_metrics(suite_registry)
-    manifest = _build_manifest(
-        requested, unique, records, jobs=jobs,
+    return _run_suite(
+        ctx, names, default_jobs() if jobs is None else jobs, task_timeout,
+        checkpoint_dir, collect_metrics, on_task_done,
         track_minutes=track_minutes, fast_path=fast_path,
-        task_timeout=task_timeout, pool_broken=pool_broken,
-        wall_seconds=time.perf_counter() - started,
-        suite_metrics=snapshot.to_jsonable() if snapshot is not None else None,
+        fault_plan=fault_plan, epoch_seconds=epoch_seconds,
+        checkpoint_every=checkpoint_every,
     )
-    ordered = OrderedDict((n, results[n]) for n in unique if n in results)
-    return SuiteRun(ordered, failures, manifest, metrics=snapshot)
 
 
 # ---------------------------------------------------------------------------
 # Shard-level replay: one policy, the trace partitioned across workers.
 # ---------------------------------------------------------------------------
-
-#: Bump on sharded-replay manifest layout changes; consumers refuse
-#: unknown versions.
-SHARD_MANIFEST_VERSION = 1
-
-#: Per-process segment store, installed by the shard-pool initializer.
-#: Workers open segments by path — the parent never pickles trace rows.
-_SHARD_STORE = None
 
 
 def shard_task_names(shards: int) -> List[str]:
@@ -895,13 +359,12 @@ def shard_task_names(shards: int) -> List[str]:
     return [f"shard-{index}" for index in range(shards)]
 
 
-def _init_shard_worker(store_dir: str) -> None:
+def _init_shard_worker(store_dir: str):
+    """Pool initializer: workers open segments by path — the parent
+    never pickles trace rows."""
     from repro.traces.segments import SegmentStore
 
-    global _SHARD_STORE
-    # Set once per worker process by the pool initializer; workers only
-    # ever read it.  This is the sanctioned worker-global idiom.
-    _SHARD_STORE = SegmentStore.open(store_dir)  # sievelint: disable=SVL008 -- initializer-set worker global, read-only afterwards
+    return SegmentStore.open(store_dir)
 
 
 def _replay_shard(
@@ -918,10 +381,8 @@ def _replay_shard(
     epoch_seconds: Optional[float],
     checkpoint_path: Optional[str],
     checkpoint_every: Optional[int],
-    progress_every: Optional[int] = None,
-    progress_hook=None,
-) -> SimulationResult:
-    """Replay one shard of the ensemble, resuming from its checkpoint.
+) -> tuple:
+    """Shard task: replay one shard, resuming from its checkpoint.
 
     Each shard is a closed sub-ensemble (every block of a server lives
     on exactly one shard), provisioned at ``scale / shards`` — the same
@@ -931,21 +392,25 @@ def _replay_shard(
     coordinator rerun after a crash — the run resumes from it instead
     of starting over; an unusable checkpoint falls back to a fresh run
     with a warning rather than failing the shard.
+
+    Ships back only the engine name and the per-shard
+    :class:`CacheStats` — the merged statistics are the product;
+    per-shard cache/policy objects never cross the process boundary.
     """
     from repro.sim.experiment import ExperimentContext, build_policy
     from repro.sim.serialize import CheckpointError
 
+    _engine._reset_fallback_warnings()
     view = store.shard(shard, shards)
     if checkpoint_path is not None and Path(checkpoint_path).exists():
         try:
-            return _engine.resume_simulation(
+            result = _engine.resume_simulation(
                 checkpoint_path,
                 view,
                 checkpoint_path=checkpoint_path,
                 chunk_rows=chunk_rows,
-                progress_every=progress_every,
-                progress_hook=progress_hook,
             )
+            return result.engine, result.stats
         except CheckpointError as exc:
             warnings.warn(
                 f"shard-{shard} checkpoint {checkpoint_path} is unusable "
@@ -964,7 +429,7 @@ def _replay_shard(
     extra = {}
     if epoch_seconds is not None:
         extra["epoch_seconds"] = epoch_seconds
-    return _engine.simulate(
+    result = _engine.simulate(
         view,
         policy,
         capacity_blocks=capacity,
@@ -975,154 +440,14 @@ def _replay_shard(
         checkpoint_every=checkpoint_every,
         label=policy_name,
         chunk_rows=chunk_rows,
-        progress_every=progress_every,
-        progress_hook=progress_hook,
         **extra,
     )
+    return result.engine, result.stats
 
 
-def _run_one_shard(
-    shard: int,
-    shards: int,
-    policy_name: str,
-    days: int,
-    scale: float,
-    seed: int,
-    track_minutes: bool,
-    fast_path: bool,
-    chunk_rows: Optional[int],
-    epoch_seconds: Optional[float],
-    checkpoint_dir,
-    checkpoint_every: Optional[int],
-    collect_metrics: bool,
-):
-    """Pool task: replay one shard against the worker's open store.
-
-    Ships back only the per-shard :class:`CacheStats` and engine name —
-    the merged statistics are the product; per-shard cache/policy
-    objects never cross the process boundary.
-    """
-    assert _SHARD_STORE is not None, "shard worker initializer did not run"
-    name = f"shard-{shard}"
-    _engine._reset_fallback_warnings()
-    _maybe_inject_fault(name, in_worker=True)
-    meta = _checkpoint_meta(checkpoint_dir, name, checkpoint_every)
-    snapshot = None
-    started = time.perf_counter()
-    if collect_metrics:
-        from repro.obs.runtime import scoped_registry
-
-        with scoped_registry() as obs_context:
-            result = _replay_shard(
-                _SHARD_STORE, shard, shards, policy_name, days, scale, seed,
-                track_minutes, fast_path, chunk_rows, epoch_seconds,
-                meta["path"] if meta else None, checkpoint_every,
-            )
-            snapshot = obs_context.registry.snapshot()
-    else:
-        result = _replay_shard(
-            _SHARD_STORE, shard, shards, policy_name, days, scale, seed,
-            track_minutes, fast_path, chunk_rows, epoch_seconds,
-            meta["path"] if meta else None, checkpoint_every,
-        )
-    wall = time.perf_counter() - started
-    return name, os.getpid(), wall, result.stats, result.engine, snapshot
 
 
-def _run_shard_serial(
-    store,
-    shard: int,
-    shards: int,
-    policy_name: str,
-    days: int,
-    scale: float,
-    seed: int,
-    track_minutes: bool,
-    fast_path: bool,
-    chunk_rows: Optional[int],
-    epoch_seconds: Optional[float],
-    checkpoint_dir,
-    checkpoint_every: Optional[int],
-    executor: str,
-    attempts: int,
-    records: Dict[str, TaskRecord],
-    shard_stats: Dict[str, "CacheStats"],
-    failures: Dict[str, PolicyFailure],
-    collect_metrics: bool = False,
-    suite_registry=None,
-    on_task_done=None,
-    progress_every=None,
-    progress_hook=None,
-) -> None:
-    """Run one shard in-process, recording outcome like a pool task."""
-    name = f"shard-{shard}"
-    _engine._reset_fallback_warnings()
-    meta = _checkpoint_meta(checkpoint_dir, name, checkpoint_every)
-    snapshot = None
-    started = time.perf_counter()
-    try:
-        _maybe_inject_fault(name, in_worker=False)
-        if collect_metrics:
-            from repro.obs.runtime import scoped_registry
-
-            with scoped_registry() as obs_context:
-                result = _replay_shard(
-                    store, shard, shards, policy_name, days, scale, seed,
-                    track_minutes, fast_path, chunk_rows, epoch_seconds,
-                    meta["path"] if meta else None, checkpoint_every,
-                    progress_every=progress_every, progress_hook=progress_hook,
-                )
-                snapshot = obs_context.registry.snapshot()
-        else:
-            result = _replay_shard(
-                store, shard, shards, policy_name, days, scale, seed,
-                track_minutes, fast_path, chunk_rows, epoch_seconds,
-                meta["path"] if meta else None, checkpoint_every,
-                progress_every=progress_every, progress_hook=progress_hook,
-            )
-    except Exception as exc:
-        wall = time.perf_counter() - started
-        records[name] = TaskRecord(
-            policy=name,
-            outcome="failed",
-            engine=None,
-            wall_seconds=wall,
-            retries=attempts - 1,
-            worker_pid=os.getpid(),
-            executor=executor,
-            error=f"{type(exc).__name__}: {exc}",
-            checkpoint=meta,
-        )
-        failures[name] = PolicyFailure(
-            policy=name,
-            error_type=type(exc).__name__,
-            message=str(exc),
-            retries=attempts - 1,
-        )
-    else:
-        wall = time.perf_counter() - started
-        shard_stats[name] = result.stats
-        records[name] = TaskRecord(
-            policy=name,
-            outcome="ok",
-            engine=result.engine,
-            wall_seconds=wall,
-            retries=attempts - 1,
-            worker_pid=os.getpid(),
-            executor=executor,
-            checkpoint=meta,
-            metrics=snapshot.to_jsonable() if snapshot is not None else None,
-        )
-        if snapshot is not None and suite_registry is not None:
-            suite_registry.merge_snapshot(snapshot)
-    _note_task(
-        suite_registry,
-        records[name],
-        waited=records[name].wall_seconds,
-        on_task_done=on_task_done,
-    )
-
-
+@dataclass(eq=False, repr=False)
 class ShardedReplayRun:
     """Result of one sharded replay: merged statistics plus provenance.
 
@@ -1137,21 +462,12 @@ class ShardedReplayRun:
     * :attr:`metrics` — merged metrics snapshot when collection was on.
     """
 
-    def __init__(
-        self,
-        policy_name: str,
-        stats,
-        shard_stats: "OrderedDict[str, CacheStats]",
-        failures: Dict[str, PolicyFailure],
-        manifest: dict,
-        metrics=None,
-    ):
-        self.policy_name = policy_name
-        self.stats = stats
-        self.shard_stats = shard_stats
-        self.failures = failures
-        self.manifest = manifest
-        self.metrics = metrics
+    policy_name: str
+    stats: Optional["CacheStats"]
+    shard_stats: "OrderedDict[str, CacheStats]"
+    failures: Dict[str, PolicyFailure]
+    manifest: dict
+    metrics: Optional[object] = None
 
     @property
     def ok(self) -> bool:
@@ -1160,41 +476,7 @@ class ShardedReplayRun:
 
     def save_manifest(self, path: Union[str, Path]) -> None:
         """Write the run manifest as indented JSON (atomically)."""
-        _write_json_atomic(path, self.manifest)
-
-
-def _build_shard_manifest(
-    policy_name: str,
-    shards: int,
-    names: Sequence[str],
-    records: Dict[str, TaskRecord],
-    jobs: int,
-    track_minutes: bool,
-    fast_path: bool,
-    chunk_rows: Optional[int],
-    task_timeout: Optional[float],
-    pool_broken: bool,
-    wall_seconds: float,
-    suite_metrics: Optional[dict] = None,
-) -> dict:
-    manifest = {
-        "schema": SHARD_MANIFEST_VERSION,
-        "kind": "sharded-replay",
-        "policy": policy_name,
-        "shards": shards,
-        "names": list(names),
-        "jobs": jobs,
-        "track_minutes": track_minutes,
-        "fast_path": fast_path,
-        "chunk_rows": chunk_rows,
-        "task_timeout": task_timeout,
-        "pool_broken": pool_broken,
-        "wall_seconds": round(wall_seconds, 6),
-        "tasks": [records[name].to_dict() for name in names if name in records],
-    }
-    if suite_metrics is not None:
-        manifest["metrics"] = suite_metrics
-    return manifest
+        write_json_atomic(path, self.manifest)
 
 
 def run_sharded_replay(
@@ -1253,213 +535,50 @@ def run_sharded_replay(
         store = SegmentStore.open(store)
     if jobs is None:
         jobs = default_jobs()
-    if jobs < 1:
-        raise ValueError(f"jobs must be positive, got {jobs}")
     names = shard_task_names(shards)
-    collect = _resolve_collect_metrics(collect_metrics)
-    suite_registry = _suite_observer(collect)
-
-    records: Dict[str, TaskRecord] = {}
-    shard_stats: Dict[str, CacheStats] = {}
-    failures: Dict[str, PolicyFailure] = {}
-    attempts: Dict[str, int] = {name: 0 for name in names}
-    serial_queue: List[int] = []
-    pool_broken = False
-    timed_out = False
-
-    def shard_args(shard: int) -> tuple:
-        return (
-            shard, shards, policy_name, days, scale, seed,
-            track_minutes, fast_path, chunk_rows, epoch_seconds,
-            checkpoint_dir, checkpoint_every, collect,
-        )
-
-    if jobs == 1:
-        for shard in range(shards):
-            attempts[names[shard]] += 1
-            _run_shard_serial(
-                store, shard, shards, policy_name, days, scale, seed,
+    tasks = []
+    for shard, name in enumerate(names):
+        meta = _checkpoint_meta(checkpoint_dir, name, checkpoint_every)
+        tasks.append(Task(
+            name,
+            (
+                shard, shards, policy_name, days, scale, seed,
                 track_minutes, fast_path, chunk_rows, epoch_seconds,
-                checkpoint_dir, checkpoint_every,
-                executor="serial", attempts=attempts[names[shard]],
-                records=records, shard_stats=shard_stats, failures=failures,
-                collect_metrics=collect, suite_registry=suite_registry,
-                on_task_done=on_task_done,
-            )
-    else:
-        pool = ProcessPoolExecutor(
-            max_workers=min(jobs, shards),
-            initializer=_init_shard_worker,
-            initargs=(str(store.directory),),
-        )
-        try:
-            futures = {}
-            try:
-                for shard in range(shards):
-                    futures[names[shard]] = pool.submit(
-                        _run_one_shard, *shard_args(shard)
-                    )
-                    attempts[names[shard]] += 1
-            except BrokenProcessPool:
-                pool_broken = True
-
-            def resubmit(shard: int):
-                """One bounded retry through the pool; None if spent/broken."""
-                nonlocal pool_broken
-                name = names[shard]
-                if pool_broken or attempts[name] >= MAX_ATTEMPTS:
-                    return None
-                try:
-                    future = pool.submit(_run_one_shard, *shard_args(shard))
-                except BrokenProcessPool:
-                    pool_broken = True
-                    return None
-                attempts[name] += 1
-                return future
-
-            for shard in range(shards):
-                name = names[shard]
-                if pool_broken:
-                    serial_queue.append(shard)
-                    continue
-                future = futures.get(name)
-                if future is None:
-                    serial_queue.append(shard)
-                    continue
-                collect_started = time.perf_counter()
-                while True:
-                    try:
-                        _rname, pid, wall, stats, engine, snapshot = (
-                            future.result(timeout=task_timeout)
-                        )
-                    except _FuturesTimeout:
-                        timed_out = True
-                        future.cancel()
-                        retry = resubmit(shard)
-                        if retry is not None:
-                            future = retry
-                            collect_started = time.perf_counter()
-                            continue
-                        if pool_broken and attempts[name] < MAX_ATTEMPTS:
-                            serial_queue.append(shard)
-                            break
-                        waited = time.perf_counter() - collect_started
-                        records[name] = TaskRecord(
-                            policy=name, outcome="timeout", engine=None,
-                            wall_seconds=waited,
-                            retries=attempts[name] - 1, worker_pid=None,
-                            executor="pool",
-                            error=f"task exceeded {task_timeout}s timeout",
-                            checkpoint=_checkpoint_meta(
-                                checkpoint_dir, name, checkpoint_every
-                            ),
-                        )
-                        failures[name] = PolicyFailure(
-                            policy=name, error_type="TimeoutError",
-                            message=f"task exceeded {task_timeout}s timeout",
-                            retries=attempts[name] - 1,
-                        )
-                        _note_task(
-                            suite_registry, records[name],
-                            waited=waited, on_task_done=on_task_done,
-                        )
-                        break
-                    except BrokenProcessPool:
-                        pool_broken = True
-                        serial_queue.append(shard)
-                        break
-                    except Exception as exc:
-                        retry = resubmit(shard)
-                        if retry is not None:
-                            future = retry
-                            collect_started = time.perf_counter()
-                            continue
-                        if pool_broken and attempts[name] < MAX_ATTEMPTS:
-                            serial_queue.append(shard)
-                            break
-                        waited = time.perf_counter() - collect_started
-                        records[name] = TaskRecord(
-                            policy=name, outcome="failed", engine=None,
-                            wall_seconds=waited,
-                            retries=attempts[name] - 1, worker_pid=None,
-                            executor="pool",
-                            error=f"{type(exc).__name__}: {exc}",
-                            checkpoint=_checkpoint_meta(
-                                checkpoint_dir, name, checkpoint_every
-                            ),
-                        )
-                        failures[name] = PolicyFailure(
-                            policy=name, error_type=type(exc).__name__,
-                            message=str(exc), retries=attempts[name] - 1,
-                        )
-                        _note_task(
-                            suite_registry, records[name],
-                            waited=waited, on_task_done=on_task_done,
-                        )
-                        break
-                    else:
-                        shard_stats[name] = stats
-                        records[name] = TaskRecord(
-                            policy=name, outcome="ok", engine=engine,
-                            wall_seconds=wall, retries=attempts[name] - 1,
-                            worker_pid=pid, executor="pool",
-                            checkpoint=_checkpoint_meta(
-                                checkpoint_dir, name, checkpoint_every
-                            ),
-                            metrics=(
-                                snapshot.to_jsonable()
-                                if snapshot is not None
-                                else None
-                            ),
-                        )
-                        if snapshot is not None and suite_registry is not None:
-                            suite_registry.merge_snapshot(snapshot)
-                        _note_task(
-                            suite_registry, records[name],
-                            waited=time.perf_counter() - collect_started,
-                            on_task_done=on_task_done,
-                        )
-                        break
-        finally:
-            pool.shutdown(wait=not timed_out, cancel_futures=True)
-
-    if serial_queue:
-        warnings.warn(
-            f"worker pool broke; running {len(serial_queue)} remaining "
-            f"shard{'' if len(serial_queue) == 1 else 's'} serially "
-            f"in-process: {', '.join(names[s] for s in serial_queue)}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        for shard in serial_queue:
-            attempts[names[shard]] += 1
-            _run_shard_serial(
-                store, shard, shards, policy_name, days, scale, seed,
-                track_minutes, fast_path, chunk_rows, epoch_seconds,
-                checkpoint_dir, checkpoint_every,
-                executor="serial-fallback", attempts=attempts[names[shard]],
-                records=records, shard_stats=shard_stats, failures=failures,
-                collect_metrics=collect, suite_registry=suite_registry,
-                on_task_done=on_task_done,
-            )
-
-    snapshot = _finish_suite_metrics(suite_registry)
-    manifest = _build_shard_manifest(
-        policy_name, shards, names, records, jobs=jobs,
+                meta["path"] if meta else None, checkpoint_every,
+            ),
+            checkpoint=meta,
+        ))
+    run = run_tasks(
+        tasks,
+        worker=_replay_shard,
+        local_state=store,
+        initializer=_init_shard_worker,
+        initargs=(str(store.directory),),
+        jobs=jobs,
+        task_timeout=task_timeout,
+        collect_metrics=collect_metrics,
+        on_task_done=on_task_done,
+        noun=("shard", "shards"),
+    )
+    manifest_extra = {
+        "kind": "sharded-replay",
+        "policy": policy_name,
+        "shards": shards,
+        "chunk_rows": chunk_rows,
+    }
+    manifest = _build_manifest(
+        SHARD_MANIFEST_VERSION, manifest_extra, run, jobs=jobs,
         track_minutes=track_minutes, fast_path=fast_path,
-        chunk_rows=chunk_rows, task_timeout=task_timeout,
-        pool_broken=pool_broken,
+        task_timeout=task_timeout,
         wall_seconds=time.perf_counter() - started,
-        suite_metrics=snapshot.to_jsonable() if snapshot is not None else None,
     )
-    ordered = OrderedDict(
-        (name, shard_stats[name]) for name in names if name in shard_stats
-    )
+    shard_stats = OrderedDict(run.payloads)
     merged = (
-        CacheStats.merged(list(ordered.values()))
-        if len(ordered) == shards
+        CacheStats.merged(list(shard_stats.values()))
+        if len(shard_stats) == shards
         else None
     )
     return ShardedReplayRun(
-        policy_name, merged, ordered, failures, manifest, metrics=snapshot
+        policy_name, merged, shard_stats, run.failures, manifest,
+        metrics=run.metrics,
     )

@@ -19,7 +19,8 @@ This module builds the project-wide view those rules need:
 * **boundary facts** annotated onto every node:
 
   - ``pool_entry`` / ``runs_in_pool_worker`` — the function is handed
-    to ``Executor.submit``/``.map`` or ``ProcessPoolExecutor(
+    to ``Executor.submit``/``.map``, ``ProcessPoolExecutor(
+    initializer=...)`` or ``repro.util.fanout.run_tasks(worker=...,
     initializer=...)``, or is reachable from one that is.  Code on
     this side of the fork sees copies of module state, not the
     parent's.
@@ -60,6 +61,14 @@ _POOL_CONSTRUCTORS = frozenset(
         "ThreadPoolExecutor",
     }
 )
+
+#: Keyword arguments that run in pool workers, per callee.  The fan-out
+#: driver submits its ``worker=`` parameter, an edge no resolver can
+#: follow, so its call sites name the entry points instead.
+_POOL_ENTRY_KEYWORDS: Dict[str, Tuple[str, ...]] = {
+    **{name: ("initializer",) for name in _POOL_CONSTRUCTORS},
+    "repro.util.fanout.run_tasks": ("worker", "initializer"),
+}
 
 #: Thread constructors whose ``target=`` runs in another thread.
 _THREAD_CONSTRUCTORS = frozenset(
@@ -216,9 +225,9 @@ class ProjectGraph:
             return
         resolved = ctx.imports.resolve(func)
         name = resolved or (func.id if isinstance(func, ast.Name) else "")
-        if name in _POOL_CONSTRUCTORS:
+        if name in _POOL_ENTRY_KEYWORDS:
             for kw in call.keywords:
-                if kw.arg == "initializer":
+                if kw.arg in _POOL_ENTRY_KEYWORDS[name]:
                     target = self._entry_target(ctx, fn, kw.value)
                     if target is not None:
                         self._pool_entries.add(target)

@@ -103,19 +103,19 @@ METRICS: Tuple[MetricSpec, ...] = (
         "suite_retries_total",
         "counter",
         ("policy",),
-        "repro.sim.parallel",
+        "repro.util.fanout",
     ),
     _m(
         "suite_task_wait_seconds",
         "histogram",
         ("executor",),
-        "repro.sim.parallel",
+        "repro.util.fanout",
     ),
     _m(
         "suite_tasks_total",
         "counter",
         ("outcome", "executor"),
-        "repro.sim.parallel",
+        "repro.util.fanout",
     ),
     _m(
         "trace_cache_requests_total",

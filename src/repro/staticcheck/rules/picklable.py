@@ -1,11 +1,13 @@
 """SVL003 — only picklable objects cross the process-pool boundary.
 
-``repro.sim.parallel`` ships tasks to worker processes; lambdas, local
-functions, open file handles, and locks all fail to pickle — but only
-at runtime, on the submit path, often after minutes of simulation.
-This rule rejects them at the call site: everything handed to
-``.submit(...)`` or to ``ProcessPoolExecutor(initializer=...)`` must be
-a module-level callable or plain data.
+``repro.sim.parallel`` ships tasks to worker processes through
+``repro.util.fanout``; lambdas, local functions, open file handles, and
+locks all fail to pickle — but only at runtime, on the submit path,
+often after minutes of simulation.  This rule rejects them at the call
+site: everything handed to ``.submit(...)``, to
+``ProcessPoolExecutor(initializer=...)`` or to
+``run_tasks(worker=..., initializer=...)`` must be a module-level
+callable or plain data.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from repro.staticcheck.findings import Finding, Severity
 from repro.staticcheck.registry import Rule, RuleMeta, register
 
 #: Modules whose submit sites are checked.
-SCOPED_MODULES = frozenset({"repro.sim.parallel"})
+SCOPED_MODULES = frozenset({"repro.sim.parallel", "repro.util.fanout"})
 
 #: Constructors whose instances hold OS state that cannot pickle.
 UNPICKLABLE_CONSTRUCTORS = frozenset(
@@ -35,7 +37,11 @@ UNPICKLABLE_CONSTRUCTORS = frozenset(
     }
 )
 
-POOL_KEYWORDS = ("initializer", "initargs")
+#: Keyword arguments pickled into worker processes, per callee name.
+POOL_KEYWORDS = {
+    "ProcessPoolExecutor": ("initializer", "initargs"),
+    "run_tasks": ("worker", "initializer", "initargs"),
+}
 
 
 @register
@@ -148,10 +154,9 @@ class PicklableRule(Rule):
                 if isinstance(call.func, ast.Name)
                 else ""
             )
-            if name == "ProcessPoolExecutor":
-                for kw in call.keywords:
-                    if kw.arg in POOL_KEYWORDS:
-                        payloads.append(kw.value)
+            for kw in call.keywords:
+                if kw.arg in POOL_KEYWORDS.get(name, ()):
+                    payloads.append(kw.value)
         return payloads
 
     def _classify(

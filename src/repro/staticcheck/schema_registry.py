@@ -179,7 +179,6 @@ SPECS: Tuple[SchemaSpec, ...] = (
         "_build_manifest",
         (
             "schema",
-            "requested",
             "names",
             "jobs",
             "track_minutes",
@@ -194,8 +193,22 @@ SPECS: Tuple[SchemaSpec, ...] = (
         (
             ("MANIFEST_SCHEMA_VERSION", 2),
             ("MANIFEST_SCHEMA_VERSION_METRICS", 3),
+            ("SHARD_MANIFEST_VERSION", 1),
         ),
         track_var="manifest",
+    ),
+    _spec(
+        "run-manifest-suite",
+        "repro.sim.parallel",
+        "dict",
+        "_run_suite",
+        ("requested",),
+        "repro.sim.parallel",
+        (
+            ("MANIFEST_SCHEMA_VERSION", 2),
+            ("MANIFEST_SCHEMA_VERSION_METRICS", 3),
+        ),
+        track_var="manifest_extra",
     ),
     _spec(
         "segment-entry",
@@ -244,26 +257,11 @@ SPECS: Tuple[SchemaSpec, ...] = (
         "shard-manifest",
         "repro.sim.parallel",
         "dict",
-        "_build_shard_manifest",
-        (
-            "schema",
-            "kind",
-            "policy",
-            "shards",
-            "names",
-            "jobs",
-            "track_minutes",
-            "fast_path",
-            "chunk_rows",
-            "task_timeout",
-            "pool_broken",
-            "wall_seconds",
-            "tasks",
-            "metrics",
-        ),
+        "run_sharded_replay",
+        ("kind", "policy", "shards", "chunk_rows"),
         "repro.sim.parallel",
         (("SHARD_MANIFEST_VERSION", 1),),
-        track_var="manifest",
+        track_var="manifest_extra",
     ),
     _spec(
         "staticcheck-finding",
@@ -306,7 +304,7 @@ SPECS: Tuple[SchemaSpec, ...] = (
     ),
     _spec(
         "task-record",
-        "repro.sim.parallel",
+        "repro.util.fanout",
         "dataclass",
         "TaskRecord",
         (

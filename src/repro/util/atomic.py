@@ -22,17 +22,21 @@ Two shapes are provided:
   *path*, for writers that insist on opening the file themselves
   (``numpy.savez``); the data fsync happens on a re-opened descriptor.
 
+:func:`write_json_atomic` publishes a JSON artifact (manifests,
+reports) through the first.
+
 On any exception inside the ``with`` block the destination is left
 untouched and the temp file is removed.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import BinaryIO, Iterator, Union
+from typing import Any, BinaryIO, Iterator, Union
 
 
 def fsync_directory(path: Union[str, Path]) -> None:
@@ -104,6 +108,17 @@ def atomic_write_path(path: Union[str, Path]) -> Iterator[Path]:
         _unlink_quietly(tmp_name)
         raise
     fsync_directory(path.parent)
+
+
+def write_json_atomic(path: Union[str, Path], payload: Any) -> None:
+    """Publish ``payload`` as indented JSON all-or-nothing.
+
+    Manifests are polled by monitoring tooling while runs are live, so
+    a torn write must never be observable.
+    """
+    encoded = (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+    with atomic_write(path) as handle:
+        handle.write(encoded)
 
 
 def _unlink_quietly(name: str) -> None:

@@ -150,6 +150,61 @@ class TestParallelBench:
         assert sieved.requests == unsieved.requests
 
 
+class DyingPool:
+    """An executor whose workers run their client to the end — filling
+    the shared store — but whose second worker dies before reporting."""
+
+    def __init__(self, max_workers):
+        self.submitted = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        future = Future()
+        report = fn(*args)
+        if self.submitted == 1:
+            future.set_exception(BrokenProcessPool("worker died"))
+        else:
+            future.set_result(report)
+        self.submitted += 1
+        return future
+
+
+class TestBrokenPoolFallback:
+    @pytest.mark.parametrize("gate_kind", ["sieve", "unsieved"])
+    def test_only_lost_clients_rerun_and_stats_match_a_clean_run(
+        self, tmp_path, monkeypatch, gate_kind
+    ):
+        from repro.serve import bench
+
+        columns = flash_crowd_trace(n=600)
+        options = BenchOptions(
+            gate_kind=gate_kind, miss_latency=0.0, payload_bytes=64,
+            t1=2, t2=1,
+        )
+        clean = run_serve_bench(
+            columns, tmp_path / "clean-store", tmp_path / "shards",
+            clients=4, options=options, parallel=False,
+        )
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", DyingPool)
+        report = run_serve_bench(
+            columns, tmp_path / "store", tmp_path / "shards",
+            clients=4, options=options, parallel=True,
+        )
+        executors = [c["executor"] for c in report.manifest()["clients"]]
+        assert executors == ["pool", "serial-fallback", "pool", "pool"]
+        assert report.requests == len(columns)
+        assert report.stats.to_dict() == clean.stats.to_dict()
+        assert report.stats.hits > 0 and report.allocation_writes > 0
+
+
 class TestObservability:
     def test_metrics_merge_across_clients(self, tmp_path):
         from repro.obs import runtime

@@ -164,3 +164,75 @@ class TestTorture:
         for thread in readers:
             thread.join(timeout=120)
         assert errors == []
+
+
+def _open_fresh_stores(index, base, rounds, openers, arrived):
+    errors = []
+    for round_no in range(rounds):
+        with ShardedByteStore(base / f"round-{round_no}", shards=1) as s:
+            # Connections open lazily: the first put is what creates the
+            # database file and switches it to WAL.  Spin, don't block —
+            # a waking barrier staggers the openers past the race window.
+            with arrived.get_lock():
+                arrived.value += 1
+            while arrived.value < (round_no + 1) * openers:
+                pass
+            try:
+                s.put(index, b"payload-%d" % index)
+            except Exception as exc:  # reported to the parent, not raised
+                errors.append(f"round {round_no}: {exc!r}")
+    (base / f"opener-{index}.log").write_text("\n".join(errors))
+
+
+class TestFreshStoreRace:
+    def test_processes_opening_one_new_store_all_succeed(self, tmp_path):
+        """Openers racing to switch a brand-new shard database to WAL
+        must all get through: that switch needs an exclusive lock, and
+        sqlite fails it at once instead of waiting out the busy timeout
+        when two openers ask for it together."""
+        import multiprocessing
+
+        openers, rounds = 4, 20
+        arrived = multiprocessing.Value("i", 0)
+        processes = [
+            multiprocessing.Process(
+                target=_open_fresh_stores,
+                args=(index, tmp_path, rounds, openers, arrived),
+            )
+            for index in range(openers)
+        ]
+        for process in processes:
+            process.start()
+        for process in processes:
+            process.join(timeout=120)
+        assert [p.exitcode for p in processes] == [0] * openers
+        for index in range(openers):
+            assert (tmp_path / f"opener-{index}.log").read_text() == ""
+        for round_no in range(rounds):
+            with ShardedByteStore(tmp_path / f"round-{round_no}") as s:
+                assert sorted(s.keys()) == list(range(openers))
+
+    def test_wal_switch_retries_within_the_sqlite_timeout(self, tmp_path):
+        """The race above, made deterministic: the loser of the lock
+        retries; a database that stays locked still fails after
+        ``sqlite_timeout``."""
+        import sqlite3
+
+        class Contended:
+            def __init__(self, failures):
+                self.failures = failures
+                self.calls = 0
+
+            def execute(self, sql):
+                assert sql == "PRAGMA journal_mode = WAL"
+                self.calls += 1
+                if self.calls <= self.failures:
+                    raise sqlite3.OperationalError("database is locked")
+
+        store = ShardedByteStore(tmp_path / "s", sqlite_timeout=0.05)
+        loser = Contended(failures=3)
+        store._enable_wal(loser)
+        assert loser.calls == 4
+        with pytest.raises(sqlite3.OperationalError, match="locked"):
+            store._enable_wal(Contended(failures=10**9))
+        store.close()

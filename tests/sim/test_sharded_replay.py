@@ -147,6 +147,63 @@ class TestFaultRecovery:
         assert len(run.shard_stats) == SHARDS - 1
 
 
+    def test_worker_crash_falls_back_to_serial_shards(
+        self, seg_store, serial_run, monkeypatch
+    ):
+        """A dead worker breaks the pool: every uncollected shard re-runs
+        in-process with statistics byte-identical to the serial run's.
+        The crashed shard itself cannot recover — in-process the injected
+        crash degrades to a raise — so no merged statistics are reported."""
+        monkeypatch.setenv(FAULT_ENV_VAR, "crash:shard-1")
+        with pytest.warns(RuntimeWarning, match="worker pool broke"):
+            run = run_sharded_replay(
+                seg_store, "sievestore-c", days=DAYS, scale=SCALE,
+                shards=SHARDS, jobs=2, track_minutes=False,
+                chunk_rows=CHUNK_ROWS,
+            )
+        assert run.manifest["pool_broken"] is True
+        assert not run.ok and run.stats is None
+        assert set(run.failures) == {"shard-1"}
+        records = {t["policy"]: t for t in run.manifest["tasks"]}
+        assert records["shard-1"]["executor"] == "serial-fallback"
+        assert records["shard-1"]["outcome"] == "failed"
+        assert records["shard-1"]["retries"] == 1
+        survivors = [n for n in shard_task_names(SHARDS) if n != "shard-1"]
+        assert list(run.shard_stats) == survivors
+        assert "serial-fallback" in {records[n]["executor"] for n in survivors}
+        for name in survivors:
+            assert stats_json(run.shard_stats[name]) == stats_json(
+                serial_run.shard_stats[name]
+            )
+        # With the reference's shard-1 the survivors merge to its total.
+        merged = CacheStats.merged([
+            run.shard_stats.get(name, serial_run.shard_stats[name])
+            for name in shard_task_names(SHARDS)
+        ])
+        assert stats_json(merged) == stats_json(serial_run.stats)
+
+    def test_hung_shard_times_out_with_failure_record(
+        self, seg_store, monkeypatch
+    ):
+        # The hang must outlast both timeout windows (first attempt +
+        # retry); the timeout leaves healthy shards room to start up.
+        monkeypatch.setenv(FAULT_ENV_VAR, "hang:shard-1:10.0")
+        run = run_sharded_replay(
+            seg_store, "sievestore-c", days=DAYS, scale=SCALE,
+            shards=2, jobs=2, track_minutes=False,
+            chunk_rows=CHUNK_ROWS, task_timeout=2.0,
+        )
+        assert run.stats is None
+        assert list(run.shard_stats) == ["shard-0"]
+        assert run.failures["shard-1"].error_type == "TimeoutError"
+        assert run.failures["shard-1"].retries == 1
+        record = next(
+            t for t in run.manifest["tasks"] if t["policy"] == "shard-1"
+        )
+        assert record["outcome"] == "timeout"
+        assert record["error"] == "task exceeded 2.0s timeout"
+
+
 class TestCheckpointResume:
     def test_coordinator_resumes_a_half_finished_shard(
         self, seg_store, serial_run, tmp_path

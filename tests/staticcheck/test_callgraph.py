@@ -162,3 +162,78 @@ def test_project_graph_is_lazy_and_cached():
     graph = project.graph
     assert graph is project.graph  # built once, cached
     assert "repro.demo.f" in graph.functions
+
+
+def test_fanout_driver_keywords_are_pool_entries():
+    """``run_tasks`` submits its ``worker=`` parameter — an edge no
+    resolver can follow — so its call sites name the entries."""
+    graph = _graph(
+        ("def run_tasks(tasks, *, worker, initializer):\n    pass\n",
+         "repro.util.fanout"),
+        (
+            "from repro.util.fanout import run_tasks\n"
+            "def leaf():\n"
+            "    pass\n"
+            "def _work(state, name):\n"
+            "    leaf()\n"
+            "def _init(path):\n"
+            "    pass\n"
+            "def run(tasks):\n"
+            "    return run_tasks(tasks, worker=_work, initializer=_init)\n",
+            "repro.demo",
+        ),
+    )
+    assert graph.function("repro.demo._work").pool_entry
+    assert graph.function("repro.demo._init").pool_entry
+    assert graph.function("repro.demo.leaf").runs_in_pool_worker
+    assert not graph.function("repro.demo.run").runs_in_pool_worker
+
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+def _real_project(patch=None):
+    contexts = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        source = path.read_text()
+        if patch is not None and path.name == patch[0]:
+            assert patch[1] in source
+            source = source.replace(patch[1], patch[2])
+        contexts.append(ModuleContext.from_source(source, path))
+    return Project(contexts)
+
+
+def test_real_suite_and_shard_workers_are_pool_entries():
+    graph = _real_project().graph
+    for qualname in (
+        "repro.sim.parallel._run_one",
+        "repro.sim.parallel._init_worker",
+        "repro.sim.parallel._replay_shard",
+        "repro.sim.parallel._init_shard_worker",
+        "repro.util.fanout._run_in_pool_worker",
+        "repro.util.fanout._init_pool_worker",
+    ):
+        assert graph.function(qualname).pool_entry, qualname
+    # ... and the fact still reaches the engines behind them.
+    assert graph.function("repro.sim.engine.simulate").runs_in_pool_worker
+
+
+def test_global_mutation_inside_a_real_worker_trips_svl008():
+    from repro.staticcheck.registry import all_rules
+
+    (rule,) = [r for r in all_rules() if r.meta.code == "SVL008"]
+    for anchor in (
+        "    from repro.sim.experiment import run_policy\n",
+        "    from repro.sim.experiment import ExperimentContext, build_policy\n",
+    ):
+        project = _real_project((
+            "parallel.py",
+            anchor,
+            anchor + "    global MANIFEST_SCHEMA_VERSION\n"
+            "    MANIFEST_SCHEMA_VERSION = 9\n",
+        ))
+        hits = [
+            f.symbol for f in rule.check_project(project)
+            if f.module == "repro.sim.parallel"
+        ]
+        assert len(hits) == 1 and hits[0].endswith(":MANIFEST_SCHEMA_VERSION")

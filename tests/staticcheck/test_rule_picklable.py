@@ -35,6 +35,7 @@ def test_rule_scoped_to_parallel_module():
     source = "def run(pool):\n    return pool.submit(lambda: 1)\n"
     assert _lines(source, module="repro.sim.engine") == []
     assert _lines(source) == [2]
+    assert _lines(source, module="repro.util.fanout") == [2]
 
 
 def test_pool_initializer_checked():
@@ -44,6 +45,19 @@ def test_pool_initializer_checked():
         "    return ProcessPoolExecutor(initializer=lambda: None)\n"
     )
     assert _lines(source) == [3]
+
+
+def test_fanout_driver_payloads_checked():
+    source = (
+        "from repro.util.fanout import run_tasks\n"
+        "def _init():\n"
+        "    pass\n"
+        "def run(tasks):\n"
+        "    def work(state):\n"
+        "        return None, state\n"
+        "    return run_tasks(tasks, worker=work, initializer=_init)\n"
+    )
+    assert _lines(source) == [7]
 
 
 def test_with_open_handle_flagged():
