@@ -888,15 +888,13 @@ def _cmd_simulate_segments(args, fault_plan) -> int:
             days=args.days,
             epoch_seconds=args.epoch_seconds or 86400.0,
         )
-    extra = {}
-    if args.epoch_seconds is not None:
-        extra["epoch_seconds"] = args.epoch_seconds
     result = simulate(
         store,
         policy,
         capacity_blocks=capacity,
         days=args.days,
         track_minutes=False,
+        epoch_seconds=args.epoch_seconds,
         fast_path=args.fast,
         fault_plan=fault_plan,
         checkpoint_path=args.checkpoint,
@@ -906,9 +904,7 @@ def _cmd_simulate_segments(args, fault_plan) -> int:
         chunk_rows=args.chunk_rows,
         progress_every=progress_every,
         progress_hook=progress_hook,
-        **extra,
     )
-    result.policy_name = name
     _print_simulation_report(name, result, len(store))
     if args.json:
         _save_result_json(result, args.json)

@@ -32,6 +32,7 @@ import time as _time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 from typing import List, Optional, Union
 
@@ -45,7 +46,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.traces.columnar import ColumnarTrace, as_columnar, as_object_trace
 from repro.traces.model import Trace
-from repro.traces.segments import ChunkSource, SegmentStore
+from repro.traces.segments import ChunkSource
 from repro.util.intervals import SECONDS_PER_DAY
 
 
@@ -141,185 +142,61 @@ def total_epoch_count(days: int, epoch_seconds: float) -> int:
     )
 
 
-def _fingerprint_object(object_trace: Trace) -> dict:
-    """Cheap identity check tying a checkpoint to its trace."""
-    requests = object_trace.requests
-    if not requests:
+def _trace_fingerprint(trace: Union[Trace, ColumnarTrace, ChunkSource]) -> dict:
+    """Cheap identity check tying a checkpoint to its trace.
+
+    Every trace form yields the same triple for the same requests, so a
+    checkpoint written against one form resumes against any other.
+    """
+    if isinstance(trace, ChunkSource):
+        return trace.fingerprint()
+    if not len(trace):
         return {"requests": 0, "first_issue": None, "last_issue": None}
+    if isinstance(trace, ColumnarTrace):
+        first, last = trace.issue_time[0], trace.issue_time[-1]
+    else:
+        first, last = trace.requests[0].issue_time, trace.requests[-1].issue_time
     return {
-        "requests": len(requests),
-        "first_issue": float(requests[0].issue_time),
-        "last_issue": float(requests[-1].issue_time),
+        "requests": len(trace),
+        "first_issue": float(first),
+        "last_issue": float(last),
     }
-
-
-def _fingerprint_columnar(columns: ColumnarTrace) -> dict:
-    n = len(columns.issue_time)
-    if not n:
-        return {"requests": 0, "first_issue": None, "last_issue": None}
-    return {
-        "requests": n,
-        "first_issue": float(columns.issue_time[0]),
-        "last_issue": float(columns.issue_time[-1]),
-    }
-
-
-def _checkpoint_config(
-    capacity_blocks: int,
-    days: int,
-    replacement: str,
-    replacement_seed: int,
-    track_minutes: bool,
-    batch_moves_staggered: bool,
-    write_mode: WriteMode,
-    epoch_seconds: float,
-    total_epochs: int,
-    checkpoint_every: int,
-) -> dict:
-    return {
-        "capacity_blocks": capacity_blocks,
-        "days": days,
-        "replacement": replacement,
-        "replacement_seed": replacement_seed,
-        "track_minutes": track_minutes,
-        "batch_moves_staggered": batch_moves_staggered,
-        "write_mode": write_mode.name,
-        "epoch_seconds": epoch_seconds,
-        "total_epochs": total_epochs,
-        "checkpoint_every": checkpoint_every,
-    }
-
-
-def _object_checkpointer(
-    target, appliance, config, fingerprint, context, started, base_elapsed
-):
-    """Checkpoint callback for the object engine: the whole appliance
-    (cache + policy + stats + dirty tracker + fault injector) pickles
-    as one graph, so a single field captures every piece of state."""
-    from repro.sim import serialize  # deferred: serialize imports this module
-
-    def checkpointer(cursor: int, current_epoch: int) -> None:
-        serialize.save_checkpoint(
-            {
-                "engine": "object",
-                "cursor": cursor,
-                "current_epoch": current_epoch,
-                "policy_name": appliance.policy.name,
-                "elapsed": base_elapsed + (_time.perf_counter() - started),
-                "config": config,
-                "trace_fingerprint": fingerprint,
-                "context": context,
-                "appliance": appliance,
-            },
-            target,
-        )
-
-    return checkpointer
-
-
-def _fast_checkpointer(
-    target, policy, cache, stats, config, fingerprint, context, started, base_elapsed
-):
-    """Checkpoint callback for the fast engine.  ``simulate_fast``
-    resyncs the cache's resident set before invoking it, so pickling
-    the three objects captures the exact reference-equivalent state."""
-    from repro.sim import serialize  # deferred: serialize imports this module
-
-    def checkpointer(cursor: int, current_epoch: int) -> None:
-        serialize.save_checkpoint(
-            {
-                "engine": "fast",
-                "cursor": cursor,
-                "current_epoch": current_epoch,
-                "policy_name": policy.name,
-                "elapsed": base_elapsed + (_time.perf_counter() - started),
-                "config": config,
-                "trace_fingerprint": fingerprint,
-                "context": context,
-                "policy": policy,
-                "cache": cache,
-                "stats": stats,
-            },
-            target,
-        )
-
-    return checkpointer
 
 
 def _run_object_loop(
-    appliance: SieveStoreAppliance,
-    requests,
-    epoch_seconds: float,
-    total_epochs: int,
-    days: int,
-    start_index: int = 0,
-    start_epoch: int = -1,
-    checkpoint_every: Optional[int] = None,
-    checkpointer=None,
-    boundary_hook=None,
-    progress_every: Optional[int] = None,
-    progress_hook=None,
-) -> None:
-    """The reference request loop, shared by fresh runs and resumes."""
-    current_epoch = start_epoch
-    for index in range(start_index, len(requests)):
-        request = requests[index]
-        request_epoch = int(request.issue_time // epoch_seconds)
-        while current_epoch < request_epoch:
-            current_epoch += 1
-            appliance.begin_day(current_epoch)
-            if boundary_hook is not None:
-                boundary_hook(current_epoch, index)
-        appliance.process_request(request)
-        if checkpoint_every is not None and (index + 1) % checkpoint_every == 0:
-            checkpointer(index + 1, current_epoch)
-        if progress_every is not None and (index + 1) % progress_every == 0:
-            progress_hook(index + 1, current_epoch)
-    # Fire any remaining boundaries so discrete policies finish their
-    # final epoch bookkeeping (no accesses follow, so no hits change).
-    while current_epoch < total_epochs - 1:
-        current_epoch += 1
-        appliance.begin_day(current_epoch)
-        if boundary_hook is not None:
-            boundary_hook(current_epoch, len(requests))
-    appliance.flush_dirty(time=float(days) * SECONDS_PER_DAY - 1.0)
-
-
-def _run_object_loop_chunks(
     appliance: SieveStoreAppliance,
     chunks,
     epoch_seconds: float,
     total_epochs: int,
     days: int,
-    start_cursor: int = 0,
-    start_epoch: int = -1,
-    checkpoint_every: Optional[int] = None,
-    checkpointer=None,
-    boundary_hook=None,
-    progress_every: Optional[int] = None,
-    progress_hook=None,
-    segment_hook=None,
+    start_cursor: int,
+    start_epoch: int,
+    checkpoint_every: Optional[int],
+    checkpointer,
+    boundary_hook,
+    progress_every: Optional[int],
+    progress_hook,
+    segment_hook,
 ) -> None:
-    """The reference loop over a stream of ``(base_row, columns)`` chunks.
+    """The reference request loop over ``(base_row, requests)`` chunks.
 
-    The out-of-core twin of :func:`_run_object_loop`: only one chunk's
-    worth of :class:`~repro.traces.model.IORequest` objects exists at a
-    time, so peak memory follows the chunk budget rather than the
-    trace.  Per-request processing, epoch boundaries, and checkpoint
-    cadence are byte-identical to the whole-trace loop — the appliance
-    cannot observe where one chunk ends and the next begins.
+    An in-RAM trace is one chunk holding its whole request list; an
+    out-of-core run yields one chunk's worth of
+    :class:`~repro.traces.model.IORequest` objects at a time, so peak
+    memory follows the chunk budget rather than the trace.  The
+    appliance cannot observe where one chunk ends and the next begins:
+    per-request processing, epoch boundaries, and checkpoint cadence
+    are the same either way.  Rows before ``start_cursor`` within the
+    first chunk are skipped (how a resume lands mid-chunk).
     ``segment_hook(cursor, current_epoch)`` fires after each chunk (the
     appliance pickles consistently at any request boundary), giving
     out-of-core runs a per-segment checkpoint site.
     """
     current_epoch = start_epoch
     cursor = start_cursor
-    for base, columns in chunks:
-        requests = columns.to_trace().requests
-        local_start = max(0, cursor - base)
-        for local in range(local_start, len(requests)):
-            index = base + local
-            request = requests[local]
+    for base, requests in chunks:
+        skip = max(0, cursor - base)
+        for index, request in enumerate(islice(requests, skip, None), base + skip):
             request_epoch = int(request.issue_time // epoch_seconds)
             while current_epoch < request_epoch:
                 current_epoch += 1
@@ -334,6 +211,8 @@ def _run_object_loop_chunks(
         cursor = max(cursor, base + len(requests))
         if segment_hook is not None:
             segment_hook(cursor, current_epoch)
+    # Fire any remaining boundaries so discrete policies finish their
+    # final epoch bookkeeping (no accesses follow, so no hits change).
     while current_epoch < total_epochs - 1:
         current_epoch += 1
         appliance.begin_day(current_epoch)
@@ -342,59 +221,32 @@ def _run_object_loop_chunks(
     appliance.flush_dirty(time=float(days) * SECONDS_PER_DAY - 1.0)
 
 
-def _convert_checkpoint_engine(payload: dict, target: str) -> dict:
-    """Rewrite a checkpoint payload in the other engine's layout.
+def _check_resume_engine(state: dict, target: str) -> None:
+    """Refuse an ``engine=`` override the checkpointed run cannot take.
 
-    The two engines snapshot the same logical state — policy metastate,
-    cache contents (resident set resynced before every checkpoint), and
-    statistics — in different containers: the object engine pickles the
-    whole appliance, the fast engine the three pieces.  Because both
-    produce bit-identical state at any request cursor, a checkpoint
-    written by one can seed the other: fast -> object wraps the pieces
-    in a fresh appliance (write-through means the dirty tracker is
-    empty and health starts HEALTHY), object -> fast extracts them,
-    refusing configurations the fast loop cannot replay.
+    Both loops leave bit-identical policy / cache / statistics at any
+    request cursor, so a state written by one seeds the other as is —
+    except that the fast loop replays only LRU write-through without
+    device faults.
     """
     from repro.sim.serialize import CheckpointError
 
-    source = payload["engine"]
-    if target == source:
-        return payload
-    config = payload["config"]
-    converted = dict(payload)
-    converted["engine"] = target
     if target == "object":
-        appliance = SieveStoreAppliance(
-            payload["cache"],
-            payload["policy"],
-            payload["stats"],
-            batch_moves_staggered=config["batch_moves_staggered"],
-            write_mode=WriteMode[config["write_mode"]],
-            epoch_seconds=config["epoch_seconds"],
-            faults=None,
-        )
-        for key in ("policy", "cache", "stats"):
-            del converted[key]
-        converted["appliance"] = appliance
-        return converted
+        return
     if target != "fast":
         raise CheckpointError(f"unknown resume engine {target!r}")
+    config = state["config"]
     if config["replacement"] != "lru" or config["write_mode"] != "WRITE_THROUGH":
         raise CheckpointError(
             "cannot resume on the fast engine: it supports only LRU "
             f"write-through, checkpoint has replacement="
             f"{config['replacement']!r}, write_mode={config['write_mode']!r}"
         )
-    appliance = payload["appliance"]
-    if appliance.faults is not None:
+    appliance = state["appliance"]
+    if appliance is not None and appliance.faults is not None:
         raise CheckpointError(
             "cannot resume a fault-injected run on the fast engine"
         )
-    del converted["appliance"]
-    converted["policy"] = appliance.policy
-    converted["cache"] = appliance.cache
-    converted["stats"] = appliance.stats
-    return converted
 
 
 def _finalize_faults(
@@ -428,22 +280,6 @@ class _EngineObs:
     def emit(self, event: str, **fields) -> None:
         if self.events is not None:
             self.events.emit(event, **fields)
-
-    def wrap_checkpointer(self, checkpointer):
-        """Log a ``checkpoint_saved`` event after each checkpoint write."""
-        if checkpointer is None or self.events is None:
-            return checkpointer
-
-        def wrapped(cursor: int, current_epoch: int) -> None:
-            checkpointer(cursor, current_epoch)
-            self.events.emit(
-                "checkpoint_saved",
-                policy=self.label,
-                cursor=cursor,
-                epoch=current_epoch,
-            )
-
-        return wrapped
 
     def finish(self, policy, requests: int, stats, wall: float) -> None:
         """Adopt the run's tallies into the registry, emit ``run_end``."""
@@ -492,6 +328,181 @@ def _engine_obs(policy, label: str, engine_name: str) -> Optional[_EngineObs]:
     )
 
 
+def _appliance(
+    policy: AllocationPolicy,
+    cache: BlockCache,
+    stats: CacheStats,
+    config: dict,
+    faults: Optional[FaultInjector],
+) -> SieveStoreAppliance:
+    """The object loop's appliance around one run's three state pieces."""
+    return SieveStoreAppliance(
+        cache,
+        policy,
+        stats,
+        batch_moves_staggered=config["batch_moves_staggered"],
+        write_mode=WriteMode[config["write_mode"]],
+        epoch_seconds=config["epoch_seconds"],
+        faults=faults,
+    )
+
+
+def _drive(
+    state: dict,
+    trace: Union[Trace, ColumnarTrace, ChunkSource],
+    checkpoint_target: Optional[str],
+    progress_every: Optional[int],
+    progress_hook,
+    chunk_rows: Optional[int],
+) -> SimulationResult:
+    """Replay ``trace`` from ``state`` to its end: the one run path.
+
+    ``state`` is a run's complete state in the checkpoint payload's
+    layout (built by :func:`simulate`, reloaded by
+    :func:`resume_simulation`), so a fresh run is simply a resume from
+    cursor 0 / epoch -1, and a checkpoint is ``state`` with the cursor,
+    epoch, and elapsed time of the moment written over it.
+    """
+    from repro.sim import serialize  # deferred: serialize imports this module
+
+    engine = state["engine"]
+    label = state["label"]
+    config = state["config"]
+    policy, cache, stats = state["policy"], state["cache"], state["stats"]
+    cursor = state["cursor"]
+    base_elapsed = state["elapsed"]
+    n_requests = state["trace_fingerprint"]["requests"]
+    days = config["days"]
+    epoch_seconds = config["epoch_seconds"]
+
+    # Device state (dirty tracker, fault injector, health) rides on the
+    # appliance, which only the object loop drives.  A state the fast
+    # loop wrote carries none: that loop only replays write-through
+    # without faults, which a new appliance around the same three
+    # pieces represents exactly.
+    if engine == "fast":
+        state["appliance"] = None
+    elif state["appliance"] is None:
+        state["appliance"] = _appliance(policy, cache, stats, config, None)
+    appliance = state["appliance"]
+
+    # An in-RAM trace is one chunk, handed to each loop in its native
+    # form (an object trace's request list is never round-tripped
+    # through columns); a chunk source streams from the cursor on.
+    segmented = isinstance(trace, ChunkSource)
+    if segmented:
+        chunks = trace.iter_chunks(chunk_rows, start_row=cursor)
+        if engine == "object":
+            chunks = (
+                (base, columns.to_trace().requests) for base, columns in chunks
+            )
+    elif engine == "fast":
+        chunks = [(0, as_columnar(trace))]
+    else:
+        chunks = [(0, as_object_trace(trace).requests)]
+
+    obs = _engine_obs(policy, label, engine)
+    if obs is not None:
+        if appliance is not None:
+            appliance.health_observer = obs.health_observer
+        if cursor:
+            obs.emit(
+                "run_resume",
+                policy=label,
+                engine=engine,
+                cursor=cursor,
+                requests=n_requests,
+            )
+        else:
+            obs.emit(
+                "run_start",
+                policy=label,
+                engine=engine,
+                requests=n_requests,
+                days=days,
+                epoch_seconds=epoch_seconds,
+            )
+
+    started = _time.perf_counter()
+    checkpointer = None
+    if checkpoint_target is not None:
+
+        def checkpointer(cursor: int, current_epoch: int) -> None:
+            # Both loops call this with policy / cache / stats already
+            # consistent (the fast loop resyncs the resident set and the
+            # sieve kernel first), so pickling them as they stand
+            # captures the exact reference-equivalent state.
+            serialize.save_checkpoint(
+                {
+                    **state,
+                    "cursor": cursor,
+                    "current_epoch": current_epoch,
+                    "elapsed": base_elapsed + (_time.perf_counter() - started),
+                },
+                checkpoint_target,
+            )
+            if obs is not None:
+                obs.emit(
+                    "checkpoint_saved",
+                    policy=label,
+                    cursor=cursor,
+                    epoch=current_epoch,
+                )
+
+    position_and_hooks = dict(
+        start_cursor=cursor,
+        start_epoch=state["current_epoch"],
+        checkpoint_every=config["checkpoint_every"],
+        checkpointer=checkpointer,
+        boundary_hook=obs.boundary_hook if obs is not None else None,
+        progress_every=progress_every,
+        progress_hook=progress_hook,
+        # Out-of-core runs also checkpoint at every chunk boundary: the
+        # state is already consistent there, and a resume then reopens
+        # only the segments past the cursor.
+        segment_hook=checkpointer if segmented else None,
+    )
+    if engine == "fast":
+        from repro.sim.fast_engine import simulate_fast_chunks
+
+        simulate_fast_chunks(
+            chunks,
+            policy,
+            capacity_blocks=config["capacity_blocks"],
+            days=days,
+            track_minutes=config["track_minutes"],
+            batch_moves_staggered=config["batch_moves_staggered"],
+            epoch_seconds=epoch_seconds,
+            total_epochs=config["total_epochs"],
+            stats=stats,
+            cache=cache,
+            **position_and_hooks,
+        )
+    else:
+        _run_object_loop(
+            appliance,
+            chunks,
+            epoch_seconds,
+            config["total_epochs"],
+            days,
+            **position_and_hooks,
+        )
+        _finalize_faults(stats, appliance.faults, days)
+    wall = base_elapsed + (_time.perf_counter() - started)
+
+    if obs is not None:
+        obs.finish(policy, n_requests, stats, wall)
+    stats.check_consistency()
+    return SimulationResult(
+        policy_name=label,
+        stats=stats,
+        cache=cache,
+        policy=policy,
+        wall_seconds=wall,
+        engine=engine,
+    )
+
+
 def simulate(
     trace: Union[Trace, ColumnarTrace, ChunkSource],
     policy: AllocationPolicy,
@@ -502,7 +513,7 @@ def simulate(
     batch_moves_staggered: bool = True,
     replacement_seed: int = 0,
     write_mode: WriteMode = WriteMode.WRITE_THROUGH,
-    epoch_seconds: float = float(SECONDS_PER_DAY),
+    epoch_seconds: Optional[float] = float(SECONDS_PER_DAY),
     fast_path: bool = False,
     fault_plan: Optional[FaultPlan] = None,
     checkpoint_path: Optional[Union[str, Path]] = None,
@@ -538,10 +549,11 @@ def simulate(
             :class:`~repro.core.appliance.SieveStoreAppliance`.  Dirty
             blocks are flushed at end of trace.
         epoch_seconds: period of the discrete policies' batch
-            boundaries.  The paper's epoch is one calendar day; shorter
-            or longer epochs drive the Section 5.1 epoch-length
-            sensitivity analysis.  Statistics stay calendar-day
-            bucketed regardless.
+            boundaries.  The paper's epoch is one calendar day (the
+            default, also what ``None`` means); shorter or longer
+            epochs drive the Section 5.1 epoch-length sensitivity
+            analysis.  Statistics stay calendar-day bucketed
+            regardless.
         fast_path: replay the columnar trace through the flat fast
             loop (bit-identical statistics).  Configurations the fast
             path does not cover — non-LRU replacement, write-back —
@@ -562,10 +574,12 @@ def simulate(
         checkpoint_context: opaque dict stored verbatim inside each
             checkpoint (the CLI records its trace arguments here so
             ``--resume`` can regenerate the trace).
-        label: name used for observability metric labels and events
-            (defaults to ``policy.name``; suite runners pass the
-            registry key so e.g. ``aod-16`` and ``aod-32`` stay
-            distinguishable).  Never affects simulation output.
+        label: the run's name — :attr:`SimulationResult.policy_name`,
+            observability metric labels and events, and what a
+            checkpoint carries so a resumed run keeps it (defaults to
+            ``policy.name``; suite runners pass the registry key so
+            e.g. ``aod-16`` and ``aod-32`` stay distinguishable).
+            Never affects the statistics.
         progress_every: invoke ``progress_hook(requests_done,
             current_epoch)`` every this many requests (the CLI's
             ``--progress`` heartbeat).  ``None`` disables it with zero
@@ -577,9 +591,10 @@ def simulate(
             :data:`~repro.traces.segments.DEFAULT_CHUNK_ROWS`; chunks
             never span segments).  Ignored for in-RAM traces.
     """
+    if epoch_seconds is None:
+        epoch_seconds = float(SECONDS_PER_DAY)
     if epoch_seconds <= 0:
         raise ValueError(f"epoch_seconds must be positive, got {epoch_seconds}")
-    total_epochs = total_epoch_count(days, epoch_seconds)
     if fault_plan is not None and fault_plan.is_empty:
         fault_plan = None
     if checkpoint_every is not None and checkpoint_every <= 0:
@@ -599,195 +614,49 @@ def simulate(
     )
     if fast_path and not use_fast:
         _warn_fast_path_fallback(replacement, write_mode, fault_plan)
-    segmented = isinstance(trace, ChunkSource)
-    if use_fast:
-        from repro.sim.fast_engine import simulate_fast_chunks
 
-        if segmented:
-            columns = None
-            fingerprint = trace.fingerprint()
-            n_requests = len(trace)
-        else:
-            columns = as_columnar(trace)
-            fingerprint = _fingerprint_columnar(columns)
-            n_requests = len(columns.issue_time)
-        stats = CacheStats(days=days, track_minutes=track_minutes)
-        cache = BlockCache(
-            capacity_blocks,
-            replacement=make_replacement(replacement, seed=replacement_seed),
-        )
-        obs = _engine_obs(policy, label or policy.name, "fast")
-        if obs is not None:
-            obs.emit(
-                "run_start",
-                policy=obs.label,
-                engine="fast",
-                requests=n_requests,
-                days=days,
-                epoch_seconds=epoch_seconds,
-            )
-        started = _time.perf_counter()
-        checkpointer = None
-        if checkpoint_path is not None:
-            checkpointer = _fast_checkpointer(
-                str(checkpoint_path),
-                policy,
-                cache,
-                stats,
-                _checkpoint_config(
-                    capacity_blocks,
-                    days,
-                    replacement,
-                    replacement_seed,
-                    track_minutes,
-                    batch_moves_staggered,
-                    write_mode,
-                    epoch_seconds,
-                    total_epochs,
-                    checkpoint_every,
-                ),
-                fingerprint,
-                checkpoint_context,
-                started,
-                0.0,
-            )
-        if obs is not None:
-            checkpointer = obs.wrap_checkpointer(checkpointer)
-        chunks = (
-            trace.iter_chunks(chunk_rows) if segmented else [(0, columns)]
-        )
-        stats, cache = simulate_fast_chunks(
-            chunks,
-            policy,
-            capacity_blocks=capacity_blocks,
-            days=days,
-            track_minutes=track_minutes,
-            batch_moves_staggered=batch_moves_staggered,
-            epoch_seconds=epoch_seconds,
-            total_epochs=total_epochs,
-            stats=stats,
-            cache=cache,
-            checkpoint_every=checkpoint_every,
-            checkpointer=checkpointer,
-            boundary_hook=obs.boundary_hook if obs is not None else None,
-            progress_every=progress_every,
-            progress_hook=progress_hook,
-            # Out-of-core runs also checkpoint at every chunk boundary:
-            # the state is already consistent there, and a resume then
-            # reopens only the segments past the cursor.
-            segment_hook=checkpointer if segmented else None,
-        )
-        wall = _time.perf_counter() - started
-        if obs is not None:
-            obs.finish(policy, n_requests, stats, wall)
-        stats.check_consistency()
-        return SimulationResult(
-            policy_name=policy.name,
-            stats=stats,
-            cache=cache,
-            policy=policy,
-            wall_seconds=wall,
-            engine="fast",
-        )
-
-    if segmented:
-        object_trace = None
-        fingerprint = trace.fingerprint()
-        n_requests = len(trace)
-    else:
-        object_trace = as_object_trace(trace)
-        fingerprint = _fingerprint_object(object_trace)
-        n_requests = len(object_trace.requests)
     stats = CacheStats(days=days, track_minutes=track_minutes)
     cache = BlockCache(
-        capacity_blocks, replacement=make_replacement(replacement, seed=replacement_seed)
+        capacity_blocks,
+        replacement=make_replacement(replacement, seed=replacement_seed),
     )
-    appliance = SieveStoreAppliance(
-        cache,
-        policy,
-        stats,
-        batch_moves_staggered=batch_moves_staggered,
-        write_mode=write_mode,
-        epoch_seconds=epoch_seconds,
-        faults=FaultInjector(fault_plan) if fault_plan is not None else None,
-    )
-    obs = _engine_obs(policy, label or policy.name, "object")
-    if obs is not None:
-        appliance.health_observer = obs.health_observer
-        obs.emit(
-            "run_start",
-            policy=obs.label,
-            engine="object",
-            requests=n_requests,
-            days=days,
-            epoch_seconds=epoch_seconds,
-        )
-
-    started = _time.perf_counter()
-    checkpointer = None
-    if checkpoint_path is not None:
-        checkpointer = _object_checkpointer(
-            str(checkpoint_path),
-            appliance,
-            _checkpoint_config(
-                capacity_blocks,
-                days,
-                replacement,
-                replacement_seed,
-                track_minutes,
-                batch_moves_staggered,
-                write_mode,
-                epoch_seconds,
-                total_epochs,
-                checkpoint_every,
-            ),
-            fingerprint,
-            checkpoint_context,
-            started,
-            0.0,
-        )
-    if obs is not None:
-        checkpointer = obs.wrap_checkpointer(checkpointer)
-    if segmented:
-        _run_object_loop_chunks(
-            appliance,
-            trace.iter_chunks(chunk_rows),
-            epoch_seconds,
-            total_epochs,
-            days,
-            checkpoint_every=checkpoint_every,
-            checkpointer=checkpointer,
-            boundary_hook=obs.boundary_hook if obs is not None else None,
-            progress_every=progress_every,
-            progress_hook=progress_hook,
-            segment_hook=checkpointer,
-        )
-    else:
-        _run_object_loop(
-            appliance,
-            object_trace.requests,
-            epoch_seconds,
-            total_epochs,
-            days,
-            checkpoint_every=checkpoint_every,
-            checkpointer=checkpointer,
-            boundary_hook=obs.boundary_hook if obs is not None else None,
-            progress_every=progress_every,
-            progress_hook=progress_hook,
-        )
-    wall = _time.perf_counter() - started
-
-    _finalize_faults(stats, appliance.faults, days)
-    if obs is not None:
-        obs.finish(policy, n_requests, stats, wall)
-    stats.check_consistency()
-    return SimulationResult(
-        policy_name=policy.name,
-        stats=stats,
-        cache=cache,
-        policy=policy,
-        wall_seconds=wall,
-        engine="object",
+    config = {
+        "capacity_blocks": capacity_blocks,
+        "days": days,
+        "replacement": replacement,
+        "replacement_seed": replacement_seed,
+        "track_minutes": track_minutes,
+        "batch_moves_staggered": batch_moves_staggered,
+        "write_mode": write_mode.name,
+        "epoch_seconds": epoch_seconds,
+        "total_epochs": total_epoch_count(days, epoch_seconds),
+        "checkpoint_every": checkpoint_every,
+    }
+    appliance = None
+    if not use_fast:
+        faults = FaultInjector(fault_plan) if fault_plan is not None else None
+        appliance = _appliance(policy, cache, stats, config, faults)
+    state = {
+        "engine": "fast" if use_fast else "object",
+        "cursor": 0,
+        "current_epoch": -1,
+        "label": label or policy.name,
+        "elapsed": 0.0,
+        "config": config,
+        "trace_fingerprint": _trace_fingerprint(trace),
+        "context": checkpoint_context,
+        "policy": policy,
+        "cache": cache,
+        "stats": stats,
+        "appliance": appliance,
+    }
+    return _drive(
+        state,
+        trace,
+        str(checkpoint_path) if checkpoint_path is not None else None,
+        progress_every,
+        progress_hook,
+        chunk_rows,
     )
 
 
@@ -834,166 +703,26 @@ def resume_simulation(
     """
     from repro.sim.serialize import CheckpointError, load_checkpoint
 
-    payload = load_checkpoint(path)
+    state = load_checkpoint(path)
     if trace is None:
         raise CheckpointError(
             "checkpoints do not embed the trace; pass the original trace "
             "(the CLI's --resume regenerates it from the checkpoint context)"
         )
-    if engine is not None:
-        payload = _convert_checkpoint_engine(payload, engine)
-    config = payload["config"]
-    days = config["days"]
-    epoch_seconds = config["epoch_seconds"]
-    total_epochs = config["total_epochs"]
-    checkpoint_every = config.get("checkpoint_every")
-    target = str(checkpoint_path) if checkpoint_path is not None else str(path)
-    engine_kind = payload["engine"]
-    expected = payload["trace_fingerprint"]
-
-    segmented = isinstance(trace, ChunkSource)
-    if segmented:
-        columns = object_trace = None
-        actual = trace.fingerprint()
-        n_requests = len(trace)
-    elif engine_kind == "fast":
-        columns = as_columnar(trace)
-        actual = _fingerprint_columnar(columns)
-        n_requests = len(columns.issue_time)
-    else:
-        object_trace = as_object_trace(trace)
-        actual = _fingerprint_object(object_trace)
-        n_requests = len(object_trace.requests)
+    expected = state["trace_fingerprint"]
+    actual = _trace_fingerprint(trace)
     if actual != expected:
         raise CheckpointError(
             f"trace does not match checkpoint: expected {expected}, got {actual}"
         )
-
-    base_elapsed = payload.get("elapsed", 0.0)
-    started = _time.perf_counter()
-    if engine_kind == "object":
-        appliance = payload["appliance"]
-        obs = _engine_obs(appliance.policy, payload["policy_name"], "object")
-        if obs is not None:
-            appliance.health_observer = obs.health_observer
-            obs.emit(
-                "run_resume",
-                policy=obs.label,
-                engine="object",
-                cursor=payload["cursor"],
-                requests=n_requests,
-            )
-        checkpointer = _object_checkpointer(
-            target,
-            appliance,
-            config,
-            expected,
-            payload.get("context"),
-            started,
-            base_elapsed,
-        )
-        if obs is not None:
-            checkpointer = obs.wrap_checkpointer(checkpointer)
-        if segmented:
-            _run_object_loop_chunks(
-                appliance,
-                trace.iter_chunks(chunk_rows, start_row=payload["cursor"]),
-                epoch_seconds,
-                total_epochs,
-                days,
-                start_cursor=payload["cursor"],
-                start_epoch=payload["current_epoch"],
-                checkpoint_every=checkpoint_every,
-                checkpointer=checkpointer,
-                boundary_hook=obs.boundary_hook if obs is not None else None,
-                progress_every=progress_every,
-                progress_hook=progress_hook,
-                segment_hook=checkpointer,
-            )
-        else:
-            _run_object_loop(
-                appliance,
-                object_trace.requests,
-                epoch_seconds,
-                total_epochs,
-                days,
-                start_index=payload["cursor"],
-                start_epoch=payload["current_epoch"],
-                checkpoint_every=checkpoint_every,
-                checkpointer=checkpointer,
-                boundary_hook=obs.boundary_hook if obs is not None else None,
-                progress_every=progress_every,
-                progress_hook=progress_hook,
-            )
-        stats = appliance.stats
-        cache = appliance.cache
-        policy = appliance.policy
-        _finalize_faults(stats, appliance.faults, days)
-    elif engine_kind == "fast":
-        from repro.sim.fast_engine import simulate_fast_chunks
-
-        policy = payload["policy"]
-        cache = payload["cache"]
-        stats = payload["stats"]
-        obs = _engine_obs(policy, payload["policy_name"], "fast")
-        if obs is not None:
-            obs.emit(
-                "run_resume",
-                policy=obs.label,
-                engine="fast",
-                cursor=payload["cursor"],
-                requests=n_requests,
-            )
-        checkpointer = _fast_checkpointer(
-            target,
-            policy,
-            cache,
-            stats,
-            config,
-            expected,
-            payload.get("context"),
-            started,
-            base_elapsed,
-        )
-        if obs is not None:
-            checkpointer = obs.wrap_checkpointer(checkpointer)
-        chunks = (
-            trace.iter_chunks(chunk_rows, start_row=payload["cursor"])
-            if segmented
-            else [(0, columns)]
-        )
-        stats, cache = simulate_fast_chunks(
-            chunks,
-            policy,
-            capacity_blocks=config["capacity_blocks"],
-            days=days,
-            track_minutes=config["track_minutes"],
-            batch_moves_staggered=config["batch_moves_staggered"],
-            epoch_seconds=epoch_seconds,
-            total_epochs=total_epochs,
-            stats=stats,
-            cache=cache,
-            start_cursor=payload["cursor"],
-            start_epoch=payload["current_epoch"],
-            checkpoint_every=checkpoint_every,
-            checkpointer=checkpointer,
-            boundary_hook=obs.boundary_hook if obs is not None else None,
-            progress_every=progress_every,
-            progress_hook=progress_hook,
-            segment_hook=checkpointer if segmented else None,
-        )
-    else:
-        raise CheckpointError(f"unknown checkpoint engine {engine_kind!r}")
-
-    wall = base_elapsed + (_time.perf_counter() - started)
-    if obs is not None:
-        obs.finish(policy, payload["trace_fingerprint"]["requests"], stats, wall)
-    stats.check_consistency()
-    return SimulationResult(
-        policy_name=payload["policy_name"],
-        stats=stats,
-        cache=cache,
-        policy=policy,
-        wall_seconds=wall,
-        engine=engine_kind,
+    if engine is not None:
+        _check_resume_engine(state, engine)
+        state["engine"] = engine
+    return _drive(
+        state,
+        trace,
+        str(checkpoint_path if checkpoint_path is not None else path),
+        progress_every,
+        progress_hook,
+        chunk_rows,
     )

@@ -206,25 +206,23 @@ def run_policy(
     progress_every: Optional[int] = None,
     progress_hook=None,
 ) -> SimulationResult:
-    """Build and simulate one configuration; result is renamed to ``name``.
+    """Build and simulate one configuration; the result is named ``name``.
 
     ``fault_plan`` (a :class:`~repro.faults.plan.FaultPlan`),
     ``epoch_seconds``, the checkpoint arguments, and the progress hook
     are forwarded to :func:`~repro.sim.engine.simulate` unchanged; the
-    configuration key doubles as the observability label so e.g.
-    ``aod-16`` and ``aod-32`` metrics stay distinguishable.
+    configuration key is the run's label, so e.g. ``aod-16`` and
+    ``aod-32`` results and metrics stay distinguishable.
     """
     policy, capacity = build_policy(name, ctx)
     trace = ctx.columnar_trace() if fast_path else ctx.object_trace()
-    extra = {}
-    if epoch_seconds is not None:
-        extra["epoch_seconds"] = epoch_seconds
-    result = simulate(
+    return simulate(
         trace,
         policy,
         capacity_blocks=capacity,
         days=ctx.days,
         track_minutes=track_minutes,
+        epoch_seconds=epoch_seconds,
         fast_path=fast_path,
         fault_plan=fault_plan,
         checkpoint_path=checkpoint_path,
@@ -233,10 +231,7 @@ def run_policy(
         label=name,
         progress_every=progress_every,
         progress_hook=progress_hook,
-        **extra,
     )
-    result.policy_name = name
-    return result
 
 
 def run_policy_suite(

@@ -53,7 +53,6 @@ from repro.core.sieve_kernel import subwindow_indices
 from repro.core.sieve_kernel import supports as _sieve_supported
 from repro.core.sievestore_d import SieveStoreD
 from repro.core.windows import COUNTER_SATURATION
-from repro.traces.columnar import ColumnarTrace
 from repro.util.intervals import SECONDS_PER_DAY
 
 # wants() specializations, resolved once per run by method identity.
@@ -155,68 +154,6 @@ def _sync_sieve_counters(
     policy.admissions = s_adms
 
 
-def simulate_fast(
-    columns: ColumnarTrace,
-    policy: AllocationPolicy,
-    capacity_blocks: int,
-    days: int,
-    track_minutes: bool,
-    batch_moves_staggered: bool,
-    epoch_seconds: float,
-    total_epochs: int,
-    stats: "CacheStats" = None,
-    cache: "BlockCache" = None,
-    start_index: int = 0,
-    start_epoch: int = -1,
-    checkpoint_every: int = None,
-    checkpointer=None,
-    boundary_hook=None,
-    progress_every: int = None,
-    progress_hook=None,
-) -> Tuple[CacheStats, BlockCache]:
-    """Replay ``columns`` through ``policy``; LRU + write-through only.
-
-    Returns ``(stats, cache)`` exactly as the reference path would have
-    left them (same counters, same resident set, same LRU order).
-
-    Checkpoint/resume: passing ``stats``/``cache``/``start_index``/
-    ``start_epoch`` (all restored from one checkpoint) continues a run
-    mid-trace; ``checkpointer(cursor, current_epoch)`` is invoked every
-    ``checkpoint_every`` requests with the cache's resident set already
-    resynced, so the callback can pickle ``policy``/``cache``/``stats``
-    as-is.  The driver for both is :mod:`repro.sim.engine`.
-
-    Observability: ``boundary_hook(epoch, cursor)`` fires after each
-    epoch boundary is applied; ``progress_hook(requests_done,
-    current_epoch)`` fires every ``progress_every`` requests.  Both are
-    telemetry-only — they must not mutate simulation state — and when
-    left ``None`` cost one predicate test per boundary/request.
-
-    This is the whole-trace entry point; it feeds the in-RAM columns to
-    :func:`simulate_fast_chunks` as a single chunk.  Out-of-core runs
-    hand that function a bounded chunk iterator instead.
-    """
-    return simulate_fast_chunks(
-        [(0, columns)],
-        policy,
-        capacity_blocks=capacity_blocks,
-        days=days,
-        track_minutes=track_minutes,
-        batch_moves_staggered=batch_moves_staggered,
-        epoch_seconds=epoch_seconds,
-        total_epochs=total_epochs,
-        stats=stats,
-        cache=cache,
-        start_cursor=start_index,
-        start_epoch=start_epoch,
-        checkpoint_every=checkpoint_every,
-        checkpointer=checkpointer,
-        boundary_hook=boundary_hook,
-        progress_every=progress_every,
-        progress_hook=progress_hook,
-    )
-
-
 def simulate_fast_chunks(
     chunks,
     policy: AllocationPolicy,
@@ -248,13 +185,27 @@ def simulate_fast_chunks(
     one chunk's columns are materialized as Python lists at a time:
     peak memory follows the chunk budget, not the trace.
 
-    All bucketing, ordering, and counter semantics are identical to the
-    single-chunk path — chunk boundaries are invisible in the results,
-    which the segmented-pipeline equivalence suite asserts byte for
-    byte.  ``segment_hook(cursor, current_epoch)`` fires after each
-    chunk with the cache's resident set resynced and (for the sieve
-    kernel) the policy object fully synced — the per-segment checkpoint
-    hook for out-of-core runs.
+    Chunk boundaries are invisible in the results — bucketing,
+    ordering, and counter semantics do not depend on them, which the
+    segmented-pipeline equivalence suite asserts byte for byte.
+    Returns ``(stats, cache)`` exactly as the reference path would have
+    left them (same counters, same resident set, same LRU order).
+
+    Checkpoint/resume: passing ``stats``/``cache``/``start_cursor``/
+    ``start_epoch`` (all restored from one checkpoint) continues a run
+    mid-trace; ``checkpointer(cursor, current_epoch)`` is invoked every
+    ``checkpoint_every`` requests, and ``segment_hook(cursor,
+    current_epoch)`` after each chunk (the per-segment checkpoint site
+    of out-of-core runs), both with the cache's resident set resynced
+    and (for the sieve kernel) the policy object fully synced, so the
+    callback can pickle ``policy``/``cache``/``stats`` as-is.  The
+    driver for both is :mod:`repro.sim.engine`.
+
+    Observability: ``boundary_hook(epoch, cursor)`` fires after each
+    epoch boundary is applied; ``progress_hook(requests_done,
+    current_epoch)`` fires every ``progress_every`` requests.  Both are
+    telemetry-only — they must not mutate simulation state — and when
+    left ``None`` cost one predicate test per boundary/request.
     """
     if stats is None:
         stats = CacheStats(days=days, track_minutes=track_minutes)

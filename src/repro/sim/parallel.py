@@ -426,21 +426,18 @@ def _replay_shard(
         seed=seed,
     )
     policy, capacity = build_policy(policy_name, ctx)
-    extra = {}
-    if epoch_seconds is not None:
-        extra["epoch_seconds"] = epoch_seconds
     result = _engine.simulate(
         view,
         policy,
         capacity_blocks=capacity,
         days=days,
         track_minutes=track_minutes,
+        epoch_seconds=epoch_seconds,
         fast_path=fast_path,
         checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every,
         label=policy_name,
         chunk_rows=chunk_rows,
-        **extra,
     )
     return result.engine, result.stats
 

@@ -15,12 +15,13 @@ Two concerns live here:
   bit-identical to the uninterrupted run (see
   :func:`repro.sim.engine.resume_simulation`).
 
-Checkpoint file format (version 2)::
+Checkpoint file format (version 3)::
 
     bytes 0..7   magic  b"SSCKPT\\x00\\n"
     bytes 8..11  schema version (big-endian uint32)
     bytes 12..43 SHA-256 digest of the payload
-    bytes 44..   pickle payload (a dict; see engine._checkpoint_payload)
+    bytes 44..   pickle payload (a dict: the run state built by
+                 engine.simulate, one layout for both engines)
 
 Compatibility policy: the loader refuses any unknown version — a
 checkpoint is a short-lived crash-recovery artifact, not an archive
@@ -47,9 +48,12 @@ SCHEMA_VERSION = 1
 CHECKPOINT_MAGIC = b"SSCKPT\x00\n"
 #: Version 2: SieveStoreC/ImpreciseMissCountTable pickles gained hoisted
 #: attributes (the sieve-kernel fast path), so version-1 policy payloads
-#: would rehydrate without them.  No migration — checkpoints are
+#: would rehydrate without them.  Version 3: one payload layout for
+#: both engines (policy / cache / stats always, the appliance beside
+#: them when the object loop runs) carrying the run's ``label`` in
+#: place of ``policy_name``.  No migration — checkpoints are
 #: short-lived crash-recovery artifacts.
-CHECKPOINT_SCHEMA_VERSION = 2
+CHECKPOINT_SCHEMA_VERSION = 3
 
 
 class CheckpointError(Exception):

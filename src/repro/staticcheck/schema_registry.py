@@ -74,10 +74,33 @@ def _spec(
 #: deterministic reporting.
 SPECS: Tuple[SchemaSpec, ...] = (
     _spec(
+        "checkpoint",
+        "repro.sim.engine",
+        "dict",
+        "simulate",
+        (
+            "engine",
+            "cursor",
+            "current_epoch",
+            "label",
+            "elapsed",
+            "config",
+            "trace_fingerprint",
+            "context",
+            "policy",
+            "cache",
+            "stats",
+            "appliance",
+        ),
+        "repro.sim.serialize",
+        (("CHECKPOINT_SCHEMA_VERSION", 3),),
+        track_var="state",
+    ),
+    _spec(
         "checkpoint-config",
         "repro.sim.engine",
         "dict",
-        "_checkpoint_config",
+        "simulate",
         (
             "capacity_blocks",
             "days",
@@ -91,47 +114,8 @@ SPECS: Tuple[SchemaSpec, ...] = (
             "checkpoint_every",
         ),
         "repro.sim.serialize",
-        (("CHECKPOINT_SCHEMA_VERSION", 2),),
-    ),
-    _spec(
-        "checkpoint-fast",
-        "repro.sim.engine",
-        "dict",
-        "_fast_checkpointer",
-        (
-            "engine",
-            "cursor",
-            "current_epoch",
-            "policy_name",
-            "elapsed",
-            "config",
-            "trace_fingerprint",
-            "context",
-            "policy",
-            "cache",
-            "stats",
-        ),
-        "repro.sim.serialize",
-        (("CHECKPOINT_SCHEMA_VERSION", 2),),
-    ),
-    _spec(
-        "checkpoint-object",
-        "repro.sim.engine",
-        "dict",
-        "_object_checkpointer",
-        (
-            "engine",
-            "cursor",
-            "current_epoch",
-            "policy_name",
-            "elapsed",
-            "config",
-            "trace_fingerprint",
-            "context",
-            "appliance",
-        ),
-        "repro.sim.serialize",
-        (("CHECKPOINT_SCHEMA_VERSION", 2),),
+        (("CHECKPOINT_SCHEMA_VERSION", 3),),
+        track_var="config",
     ),
     _spec(
         "day-stats",

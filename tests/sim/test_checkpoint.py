@@ -1,14 +1,17 @@
 """Crash-consistent checkpoint/resume and fault-plan simulation."""
 
 import json
+import struct
 
 import pytest
 
 from repro.faults import ErrorWindow, FaultPlan, OutageWindow
+from repro.obs import runtime
 from repro.sim import resume_simulation, simulate
 from repro.sim.experiment import build_policy
 from repro.sim.serialize import (
     CHECKPOINT_MAGIC,
+    CHECKPOINT_SCHEMA_VERSION,
     CheckpointError,
     load_checkpoint,
     save_checkpoint,
@@ -28,7 +31,8 @@ def run(ctx, policy_name="sievestore-d", fast=False, track_minutes=False,
     trace = ctx.columnar_trace() if fast else ctx.object_trace()
     return simulate(
         trace, policy, capacity_blocks=capacity, days=ctx.days,
-        track_minutes=track_minutes, fast_path=fast, **kwargs
+        track_minutes=track_minutes, fast_path=fast, label=policy_name,
+        **kwargs
     )
 
 
@@ -65,14 +69,19 @@ class TestCheckpointFileFormat:
         with pytest.raises(CheckpointError, match="checksum"):
             load_checkpoint(path)
 
+    # A version from the future, and the previous one (two per-engine
+    # payload layouts), which is not migrated.
     def test_refuses_unknown_schema_version(self, tmp_path):
         path = tmp_path / "c.ckpt"
-        save_checkpoint({"cursor": 1}, path)
-        raw = bytearray(path.read_bytes())
-        raw[len(CHECKPOINT_MAGIC) + 3] += 1  # bump the version field
-        path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match="schema version"):
-            load_checkpoint(path)
+        for version in (CHECKPOINT_SCHEMA_VERSION + 1, 2):
+            save_checkpoint({"cursor": 1}, path)
+            raw = bytearray(path.read_bytes())
+            struct.pack_into(">I", raw, len(CHECKPOINT_MAGIC), version)
+            path.write_bytes(bytes(raw))
+            with pytest.raises(
+                CheckpointError, match=f"schema version {version} "
+            ):
+                load_checkpoint(path)
 
     def test_rejects_nonpositive_cadence(self, tiny_context, tmp_path):
         with pytest.raises(ValueError, match="checkpoint_every"):
@@ -81,13 +90,20 @@ class TestCheckpointFileFormat:
 
 
 class TestResumeEquivalence:
-    @pytest.mark.parametrize("fast", [False, True],
-                             ids=["object-engine", "fast-engine"])
-    def test_resume_is_bit_identical(self, tiny_context, tmp_path, fast):
-        baseline = run(tiny_context, fast=fast, track_minutes=True)
+    # The last case runs under a label that differs from its policy's
+    # own name ("aod"): a resumed run must keep the run's label.
+    @pytest.mark.parametrize(
+        ("fast", "policy_name"),
+        [(False, "sievestore-d"), (True, "sievestore-d"), (True, "aod-32")],
+        ids=["object-engine", "fast-engine", "fast-engine-aod-32"],
+    )
+    def test_resume_is_bit_identical(self, tiny_context, tmp_path, fast,
+                                     policy_name):
+        baseline = run(tiny_context, policy_name, fast=fast,
+                       track_minutes=True)
         path = tmp_path / "mid.ckpt"
         checkpointed = run(
-            tiny_context, fast=fast, track_minutes=True,
+            tiny_context, policy_name, fast=fast, track_minutes=True,
             checkpoint_path=path, checkpoint_every=EVERY,
         )
         # Checkpointing itself must not perturb the run.
@@ -104,12 +120,17 @@ class TestResumeEquivalence:
             if fast
             else tiny_context.object_trace()
         )
-        resumed = resume_simulation(path, trace)
+        with runtime.scoped_registry() as metrics:
+            resumed = resume_simulation(path, trace)
         assert resumed.engine == ("fast" if fast else "object")
         assert stats_to_dict(resumed.stats) == stats_to_dict(baseline.stats)
         assert sorted(resumed.cache.residents()) == sorted(
             baseline.cache.residents()
         )
+        assert resumed.policy_name == baseline.policy_name == policy_name
+        assert metrics.registry.get("sim_requests_total").value(
+            policy=policy_name, engine=resumed.engine
+        ) == len(trace)
 
     def test_resume_accepts_either_trace_form(self, tiny_context, tmp_path):
         path = tmp_path / "c.ckpt"

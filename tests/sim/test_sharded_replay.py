@@ -1,6 +1,7 @@
 """Shard-level replay coordinator: equivalence, faults, checkpoints."""
 
 import json
+import struct
 
 import pytest
 
@@ -13,7 +14,11 @@ from repro.sim.parallel import (
     run_sharded_replay,
     shard_task_names,
 )
-from repro.sim.serialize import stats_to_dict
+from repro.sim.serialize import (
+    CHECKPOINT_MAGIC,
+    save_checkpoint,
+    stats_to_dict,
+)
 from repro.traces import tiny_config
 from repro.traces.segments import segment_columnar
 from repro.traces.synthetic import EnsembleTraceGenerator
@@ -260,11 +265,23 @@ class TestCheckpointResume:
         checkpoint_dir = tmp_path / "ckpts"
         checkpoint_dir.mkdir()
         (checkpoint_dir / "shard-0.ckpt").write_bytes(b"not a checkpoint")
-        with pytest.warns(RuntimeWarning, match="restarting the shard"):
+        # A well-formed file left behind by the previous schema version.
+        stale = checkpoint_dir / "shard-1.ckpt"
+        save_checkpoint({"cursor": 1}, stale)
+        raw = bytearray(stale.read_bytes())
+        struct.pack_into(">I", raw, len(CHECKPOINT_MAGIC), 2)
+        stale.write_bytes(bytes(raw))
+        with pytest.warns(RuntimeWarning, match="restarting the shard") as caught:
             run = run_sharded_replay(
                 seg_store, "sievestore-c", days=DAYS, scale=SCALE,
                 shards=SHARDS, jobs=1, track_minutes=False,
                 chunk_rows=CHUNK_ROWS, checkpoint_dir=checkpoint_dir,
             )
+        messages = sorted(
+            str(w.message) for w in caught if "restarting" in str(w.message)
+        )
+        assert len(messages) == 2
+        assert "shard-0" in messages[0] and "not a SieveStore" in messages[0]
+        assert "shard-1" in messages[1] and "schema version 2 " in messages[1]
         assert run.ok
         assert stats_json(run.stats) == stats_json(serial_run.stats)

@@ -8,11 +8,14 @@ statistics, the resident set, every sieve telemetry counter, the MCT's
 insert/eviction/peak accounting, and the full per-slot IMCT counter
 matrix — across default, aliased, saturated, single-tier, pruning, and
 sub-day-epoch configurations, and across SIGKILL-style checkpoint
-resume on either engine (including fast<->object conversion).
+resume on either engine, whichever engine wrote the checkpoint.
 """
+
+import shutil
 
 import pytest
 
+from repro.cache.write_policy import WriteMode
 from repro.core import SieveStoreC, SieveStoreCConfig, WindowSpec
 from repro.core.autotune import AdaptiveSieveStoreC
 from repro.core.windows import COUNTER_SATURATION
@@ -24,9 +27,33 @@ from repro.sim.serialize import (
     load_checkpoint,
     stats_to_dict,
 )
+from repro.traces.segments import segment_columnar
 
 #: Mid-trace checkpoint cadence (see tests/sim/test_checkpoint.py).
 EVERY = 997
+#: Segment / chunk sizes that put several boundaries inside the shared
+#: 37k-request trace, none of them on a checkpoint cursor.
+ROWS_PER_SEGMENT = 9000
+CHUNK_ROWS = 4000
+
+
+class Killed(RuntimeError):
+    """Raised by the killing progress hook to abort a run mid-trace."""
+
+
+def write_killed_checkpoint(ctx, policy, fast, path, kill_at, **kwargs):
+    """Abort a checkpointed run at ``kill_at`` requests, as SIGKILL would:
+    ``path`` is left holding the last periodic checkpoint before it."""
+
+    def killer(requests_done, _current_epoch):
+        if requests_done >= kill_at:
+            raise Killed(f"killed at {requests_done}")
+
+    with pytest.raises(Killed):
+        run_engine(
+            ctx, policy, fast, checkpoint_path=path, checkpoint_every=EVERY,
+            progress_every=1000, progress_hook=killer, **kwargs
+        )
 
 
 def run_engine(ctx, policy, fast, **kwargs):
@@ -192,23 +219,75 @@ class TestCheckpointResume:
             baseline.policy.metastate_entries()
         )
 
-    @pytest.mark.parametrize(
-        ("source_fast", "target"),
-        [(True, "object"), (False, "fast")],
-        ids=["fast-to-object", "object-to-fast"],
-    )
-    def test_cross_engine_resume(self, tiny_context, tmp_path,
-                                 source_fast, target):
-        baseline = self.baseline(tiny_context)
-        path = tmp_path / "cross.ckpt"
-        self.checkpointed(tiny_context, source_fast, path)
-        trace = (
-            tiny_context.columnar_trace()
-            if target == "fast"
-            else tiny_context.object_trace()
+    @pytest.fixture(scope="class")
+    def full_run(self, tiny_context):
+        return self.baseline(tiny_context)
+
+    @pytest.fixture(scope="class")
+    def killed_checkpoints(self, tiny_context, tmp_path_factory):
+        """One checkpoint per writer engine, each killed mid-trace."""
+        directory = tmp_path_factory.mktemp("killed")
+        paths = {}
+        for fast in (False, True):
+            policy, _capacity = build_policy("sievestore-c", tiny_context)
+            paths[fast] = directory / f"fast-{fast}.ckpt"
+            write_killed_checkpoint(
+                tiny_context, policy, fast, paths[fast], kill_at=30_000
+            )
+        return paths
+
+    @pytest.fixture(scope="class")
+    def store(self, tiny_context, tmp_path_factory):
+        return segment_columnar(
+            tiny_context.columnar_trace(),
+            tmp_path_factory.mktemp("cross-engine") / "store",
+            rows_per_segment=ROWS_PER_SEGMENT,
         )
-        resumed = resume_simulation(path, trace, engine=target)
+
+    # Every (writer engine, resume engine, trace form) cell is legal for
+    # an LRU write-through run without faults.
+    @pytest.mark.parametrize(
+        ("source_fast", "target", "segmented"),
+        [
+            (True, "object", False),
+            (False, "fast", False),
+            (True, "fast", False),
+            (False, "object", False),
+            (True, "object", True),
+            (False, "fast", True),
+            (True, "fast", True),
+            (False, "object", True),
+        ],
+        ids=[
+            "fast-to-object",
+            "object-to-fast",
+            "fast-to-fast",
+            "object-to-object",
+            "fast-to-object-store",
+            "object-to-fast-store",
+            "fast-to-fast-store",
+            "object-to-object-store",
+        ],
+    )
+    def test_cross_engine_resume(self, tiny_context, tmp_path, full_run,
+                                 killed_checkpoints, store,
+                                 source_fast, target, segmented):
+        baseline = full_run
+        path = tmp_path / "cross.ckpt"
+        shutil.copy(killed_checkpoints[source_fast], path)
+        cursor = load_checkpoint(path)["cursor"]
+        assert 0 < cursor < 30_000 and cursor % CHUNK_ROWS
+        if segmented:
+            trace = store
+        elif target == "fast":
+            trace = tiny_context.columnar_trace()
+        else:
+            trace = tiny_context.object_trace()
+        resumed = resume_simulation(
+            path, trace, engine=target, chunk_rows=CHUNK_ROWS
+        )
         assert resumed.engine == target
+        # Per-day and per-minute statistics both ride in this dict.
         assert stats_to_dict(resumed.stats) == stats_to_dict(baseline.stats)
         assert sorted(resumed.cache.residents()) == sorted(
             baseline.cache.residents()
@@ -224,6 +303,29 @@ class TestCheckpointResume:
             baseline.policy.metastate_entries()
         )
 
+    # The fast loop replays only LRU write-through without faults; an
+    # object-engine checkpoint of anything else must refuse to move
+    # (fault plans: test_fast_resume_refuses_fault_checkpoints below).
+    @pytest.mark.parametrize(
+        "config",
+        [{"replacement": "fifo"}, {"write_mode": WriteMode.WRITE_BACK}],
+        ids=["non-lru", "write-back"],
+    )
+    def test_illegal_cross_engine_cells_raise(self, tiny_context, tmp_path,
+                                              store, config):
+        policy, _capacity = build_policy("sievestore-c", tiny_context)
+        path = tmp_path / "illegal.ckpt"
+        write_killed_checkpoint(
+            tiny_context, policy, False, path, kill_at=2000, **config
+        )
+        for trace in (tiny_context.columnar_trace(), store):
+            with pytest.raises(
+                CheckpointError, match="cannot resume on the fast engine"
+            ):
+                resume_simulation(
+                    path, trace, engine="fast", chunk_rows=CHUNK_ROWS
+                )
+
     def test_resume_rejects_unknown_engine(self, tiny_context, tmp_path):
         path = tmp_path / "bad.ckpt"
         self.checkpointed(tiny_context, False, path)
@@ -233,7 +335,7 @@ class TestCheckpointResume:
             )
 
     def test_fast_resume_refuses_fault_checkpoints(self, tiny_context,
-                                                   tmp_path):
+                                                   tmp_path, store):
         from repro.faults import FaultPlan, OutageWindow
         from repro.util.intervals import SECONDS_PER_DAY
 
@@ -246,7 +348,6 @@ class TestCheckpointResume:
             tiny_context, policy, fast=False, fault_plan=plan,
             checkpoint_path=path, checkpoint_every=EVERY,
         )
-        with pytest.raises(CheckpointError, match="fault-injected"):
-            resume_simulation(
-                path, tiny_context.columnar_trace(), engine="fast"
-            )
+        for trace in (tiny_context.columnar_trace(), store):
+            with pytest.raises(CheckpointError, match="fault-injected"):
+                resume_simulation(path, trace, engine="fast")

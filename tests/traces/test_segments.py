@@ -57,9 +57,9 @@ class TestRoundTrip:
     def test_fingerprint_matches_columnar_fingerprint(
         self, seg_store, seg_columns
     ):
-        from repro.sim.engine import _fingerprint_columnar
+        from repro.sim.engine import _trace_fingerprint
 
-        assert seg_store.fingerprint() == _fingerprint_columnar(seg_columns)
+        assert seg_store.fingerprint() == _trace_fingerprint(seg_columns)
 
     def test_generator_streams_identical_store(
         self, tmp_path, seg_config, seg_columns
