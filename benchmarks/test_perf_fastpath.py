@@ -1,4 +1,4 @@
-"""Perf regression harness — columnar fast path vs the object reference.
+"""Columnar fast path vs the object reference, at bench scale.
 
 Runs two configurations over the shared bench trace through both
 simulation paths, records each in ``BENCH_perf.json``, and asserts the
@@ -6,48 +6,33 @@ paths produce bit-identical statistics (the fast path is an
 optimization, not an approximation):
 
 * AOD at 16 GB — engine-bound: every block goes through the
-  hit/miss/allocate machinery with no sieve-policy overhead.  At the
-  default ``small`` preset the fast path must clear a minimum
-  throughput multiple over the object path
-  (``SIEVESTORE_FASTPATH_MIN_SPEEDUP``, default 2x).
+  hit/miss/allocate machinery with no sieve-policy overhead.
 * SieveStore-C — sieve-bound: exercises the array-backed sieve kernel
   (:mod:`repro.core.sieve_kernel`, the fast engine's ``_W_SIEVE``
-  branch).  Its guard (``SIEVESTORE_SIEVE_MIN_SPEEDUP``, default 4x
-  over the object path) holds the kernel at AOD-class throughput.
+  branch).
 
-Each engine is timed as the best of two back-to-back runs — the
-standard damping for scheduler/frequency noise on a shared machine —
-and the repetitions double as a determinism check (identical per-day
-statistics run to run).  Both guards are skipped at smoke scales
-(trace too small for stable timing).
+The speed-up of one engine over the other is printed, not asserted: a
+wall-clock ratio depends on the machine.  Speed is judged by the repo
+benchmark (``python -m benchmarks.perf``, paired runs against the
+parent commit).  Each engine is timed as the best of two back-to-back
+runs, and the repetitions double as a determinism check (identical
+per-day statistics run to run).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import replace
 
 from repro.sim import run_policy
 from repro.sim.engine import SimulationResult
 
-from benchmarks.conftest import bench_scale, record_perf
+from benchmarks.conftest import record_perf
 
 #: Engine-bound configuration used for the throughput measurement.
 PERF_POLICY = "aod-16"
 
 #: Sieve-bound configuration exercising the array-backed sieve kernel.
 SIEVE_POLICY = "sievestore-c"
-
-#: Below this scale the trace is a smoke run — timings are noise.
-MIN_SCALE_FOR_GUARD = 1e-4
-
-
-def min_speedup() -> float:
-    return float(os.environ.get("SIEVESTORE_FASTPATH_MIN_SPEEDUP", "2.0"))
-
-
-def sieve_min_speedup() -> float:
-    return float(os.environ.get("SIEVESTORE_SIEVE_MIN_SPEEDUP", "4.0"))
 
 
 def best_of(name, ctx, fast_path, runs=2) -> SimulationResult:
@@ -79,7 +64,7 @@ def test_perf_fastpath_speedup(benchmark, bench_context, bench_config):
     record_perf(f"{PERF_POLICY}-fast", fast, bench_config.scale)
 
     # Both runs must have used the engine they were asked for — a
-    # silent fallback would turn the speedup guard into fast-vs-fast.
+    # silent fallback would turn the comparison into fast-vs-fast.
     assert slow.engine == "object"
     assert fast.engine == "fast"
 
@@ -94,11 +79,6 @@ def test_perf_fastpath_speedup(benchmark, bench_context, bench_config):
         f"fast {fast.wall_seconds:.2f}s ({speedup:.2f}x) over "
         f"{blocks:,} block accesses"
     )
-    if bench_scale() >= MIN_SCALE_FOR_GUARD:
-        assert speedup >= min_speedup(), (
-            f"fast path regressed: {speedup:.2f}x < {min_speedup():.1f}x "
-            f"minimum over the object path"
-        )
 
 
 def test_perf_sieve_kernel_speedup(benchmark, bench_context, bench_config):
@@ -130,8 +110,3 @@ def test_perf_sieve_kernel_speedup(benchmark, bench_context, bench_config):
         f"fast {fast.wall_seconds:.2f}s ({speedup:.2f}x) over "
         f"{blocks:,} block accesses"
     )
-    if bench_scale() >= MIN_SCALE_FOR_GUARD:
-        assert speedup >= sieve_min_speedup(), (
-            f"sieve kernel regressed: {speedup:.2f}x < "
-            f"{sieve_min_speedup():.1f}x minimum over the object path"
-        )

@@ -850,13 +850,7 @@ def _cmd_simulate_segments(args, fault_plan) -> int:
         return code
     name = (args.policies or ["sievestore-c"])[0]
     ctx = ExperimentContext(
-        trace=store,
-        days=args.days,
-        scale=args.scale,
-        daily_counts=store.daily_block_counts(
-            args.days, chunk_rows=args.chunk_rows
-        ),
-        seed=0,
+        trace=store, days=args.days, scale=args.scale, seed=0
     )
     policy, capacity = build_policy(name, ctx)
     checkpoint_context = None

@@ -58,11 +58,7 @@ from repro.core.autotune import (
     AdmissionBudget,
     AutoThresholdSieveStoreD,
 )
-from repro.core.sieve_kernel import (
-    ArrayIMCT,
-    SieveStoreCKernel,
-    mix64_array,
-)
+from repro.core.sieve_kernel import SieveStoreCKernel, mix64_array
 
 __all__ = [
     "DEFAULT_SUBWINDOWS",
@@ -97,7 +93,6 @@ __all__ = [
     "AdaptiveSieveStoreC",
     "AdmissionBudget",
     "AutoThresholdSieveStoreD",
-    "ArrayIMCT",
     "SieveStoreCKernel",
     "mix64_array",
 ]

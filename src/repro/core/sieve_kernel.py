@@ -1,49 +1,56 @@
 """Array-backed SieveStore-C sieve kernel (the fast engine's substrate).
 
-The object-model sieve (:class:`~repro.core.sievestore_c.SieveStoreC`
-over :class:`~repro.core.imct.ImpreciseMissCountTable`) spends its
-per-miss budget on Python calls: ``stable_bucket`` re-mixes the salt,
-``WindowSpec.subwindow_index`` re-divides, and every recording walks a
-``SubwindowCounter`` method chain.  This module re-expresses the same
-state machine over flat arrays so the fast engine
-(:mod:`repro.sim.fast_engine`) can run the sieve inline:
+The sieve throws almost every miss away, so what a replay pays per
+*rejected* block decides its speed.  The object-model sieve
+(:class:`~repro.core.sievestore_c.SieveStoreC`) pays a hash, a division
+and a counter ladder in Python for each; this module lets the fast
+engine (:mod:`repro.sim.fast_engine`) pay a few vectorized cycles
+instead, on the very memory the policy's
+:class:`~repro.core.imct.ImpreciseMissCountTable` owns — nothing is
+copied in at run start or written back at a checkpoint.
 
-* :class:`ArrayIMCT` — the IMCT as numpy state: a ``(slots, k)`` uint8
-  count matrix (saturating at :data:`~repro.core.windows.COUNTER_SATURATION`)
-  plus an int64 ``last_subwindow`` vector.  SplitMix64 is reimplemented
-  over uint64 arrays (:func:`mix64_array`) with the salt mix hoisted, so
-  slot indices for a whole columnar chunk come out of one vectorized
-  pass.  ``record_batch`` resolves a subwindow-homogeneous batch of
-  recordings with sort-by-slot + per-slot occurrence ordinals — the
-  fully batched primitive, validated against the object oracle.
+* :func:`mix64_array` / :func:`bucket_array` / :func:`subwindow_indices`
+  — SplitMix64 and the subwindow floor-division over whole columns,
+  bit-identical to their scalar twins.
 
-* :class:`SieveStoreCKernel` — the working form the engine's scalar
-  decision loop drives.  Admission decisions are order-dependent (a
-  hit depends on the LRU resident set, which every admission mutates,
-  and promotions move blocks between tiers mid-stream), so the
-  per-miss loop stays scalar; the kernel's job is to make each scalar
-  step a handful of flat-list operations on state the chunk pass
-  already indexed.  ``sync()`` writes the flat state back into the
-  policy's object tables, so checkpoints pickle the ordinary object
-  policy and stay engine-agnostic.
+* :class:`SieveStoreCKernel` — splits each chunk of requests into *runs*
+  sharing one subwindow index and, per run, classifies every touched
+  slot:
 
-Equivalence contract: driven over the same miss stream, the kernel's
+  - **cold** when ``live windowed total at the run's head + the run's
+    blocks hashing to the slot < t1``.  A recording adds at most one to
+    a slot's total, so no order of hits, misses, promotions or
+    admissions inside the run can make a recording on a cold slot
+    return ``>= t1``: every non-resident, non-MCT block on it is an IMCT
+    rejection.  Rejections change nothing but the slot's own cells, so
+    they commute, and the engine defers them to one vectorized
+    :meth:`~SieveStoreCKernel.flush` (it only notes, by block position,
+    the cold blocks that hit or went to tier 2 instead);
+  - **hot** otherwise: the engine walks those blocks through the scalar
+    ladder, in order, as before.  A slot is hot or cold for a whole run,
+    so the two never write the same cells.
+
+  Admission decisions stay order-dependent (a hit depends on the LRU
+  resident set, which every admission mutates), which is why only the
+  provably inert recordings are batched — and only on runs long enough
+  to repay it (:data:`_BATCH_MIN_BLOCKS`).
+
+Equivalence contract: driven over the same miss stream, the table's
 state and every telemetry counter are bit-identical to the object
-sieve's — the suite in ``tests/sim/test_sieve_equivalence.py`` enforces
-this against :class:`~repro.cache.stats.CacheStats` and the sieve
-metastate.
+sieve's — ``tests/sim/test_sieve_equivalence.py`` enforces this against
+:class:`~repro.cache.stats.CacheStats` and the sieve metastate, and
+``tests/core/test_sieve_kernel.py`` property-tests classify + flush
+against sequential ``record_miss`` calls.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.cache.allocation import AllocationPolicy
-from repro.core.imct import ImpreciseMissCountTable
 from repro.core.sievestore_c import SieveStoreC
-from repro.core.windows import COUNTER_SATURATION
 from repro.util.intervals import bucket_indices
 
 #: SplitMix64 constants as uint64 scalars; array ops against them wrap
@@ -55,6 +62,10 @@ _MULT2 = np.uint64(0x94D049BB133111EB)
 _SHIFT30 = np.uint64(30)
 _SHIFT27 = np.uint64(27)
 _SHIFT31 = np.uint64(31)
+
+#: Blocks a run needs before batching beats walking it (measured: ~85 us
+#: of per-run numpy overhead); either side leaves the same table state.
+_BATCH_MIN_BLOCKS = 128
 
 
 def mix64_array(values: np.ndarray) -> np.ndarray:
@@ -99,155 +110,6 @@ def subwindow_indices(times: np.ndarray, subwindow_seconds: float) -> np.ndarray
     return bucket_indices(times, subwindow_seconds)
 
 
-class ArrayIMCT:
-    """The IMCT's counters as a ``(slots, k)`` uint8 matrix.
-
-    Mirrors :class:`~repro.core.imct.ImpreciseMissCountTable` state
-    exactly: row ``s`` holds slot ``s``'s subwindow counts and
-    ``last_subwindow[s]`` its last-recorded subwindow (-1 when the slot
-    has never recorded, in which case the row is all zeros).
-    """
-
-    def __init__(self, slots: int, subwindows: int, salt: int = 0x13C7):
-        if slots <= 0:
-            raise ValueError(f"slots must be positive, got {slots}")
-        if subwindows <= 0:
-            raise ValueError(f"subwindows must be positive, got {subwindows}")
-        self.slots = slots
-        self.subwindows = subwindows
-        self.salt = salt
-        from repro.util.hashing import mix64
-
-        #: ``mix64(salt)``, hoisted: the per-address hash is one mix.
-        self.salted = mix64(salt)
-        self.counts = np.zeros((slots, subwindows), dtype=np.uint8)
-        self.last_subwindow = np.full(slots, -1, dtype=np.int64)
-        self.recorded_misses = 0
-
-    @classmethod
-    def from_table(cls, table: ImpreciseMissCountTable) -> "ArrayIMCT":
-        """Snapshot an object IMCT (fresh or checkpoint-restored).
-
-        A table that has never recorded (``recorded_misses == 0``) is
-        all zeros with every ``last_subwindow`` at -1 — counters only
-        become nonzero through ``record_miss``, which increments the
-        total — so the constructor's zero state already matches and the
-        per-slot snapshot loop is skipped.
-        """
-        array = cls(table.slots, table.window.subwindows, salt=table.salt)
-        if table.recorded_misses == 0:
-            return array
-        array.counts = np.array(
-            [counter._counts for counter in table._counters], dtype=np.uint8
-        ).reshape(table.slots, table.window.subwindows)
-        array.last_subwindow = np.fromiter(
-            (counter._last_subwindow for counter in table._counters),
-            dtype=np.int64,
-            count=table.slots,
-        )
-        array.recorded_misses = table.recorded_misses
-        return array
-
-    def write_back(self, table: ImpreciseMissCountTable) -> None:
-        """Copy array state into the object IMCT's counters.
-
-        After this, the object table is indistinguishable from one that
-        recorded the same miss stream itself — checkpoints pickle it
-        as-is and either engine can resume from the result.
-        """
-        if table.slots != self.slots or table.window.subwindows != self.subwindows:
-            raise ValueError(
-                f"shape mismatch: table is {table.slots}x"
-                f"{table.window.subwindows}, array is "
-                f"{self.slots}x{self.subwindows}"
-            )
-        # One flat row-major tolist plus a list slice per counter is
-        # several times cheaper than ``counts.tolist()``, which builds
-        # every row as its own Python list inside numpy.  Rebinding
-        # (not slice-copying) ``_counts`` is safe: nothing aliases a
-        # counter's list, and each slice here is freshly built.
-        flat = self.counts.reshape(-1).tolist()
-        lasts = self.last_subwindow.tolist()
-        k = self.subwindows
-        position = 0
-        for counter, last in zip(table._counters, lasts):
-            counter._counts = flat[position:position + k]
-            counter._last_subwindow = last
-            position += k
-        table.recorded_misses = self.recorded_misses
-
-    def slots_of(self, addresses: np.ndarray) -> np.ndarray:
-        """Vectorized slot index of each address (int64)."""
-        return bucket_array(addresses, self.slots, self.salted)
-
-    def row_totals(self) -> np.ndarray:
-        """Per-slot sum of stored counts (int64).
-
-        Equals each slot's windowed total as of its own last recording:
-        lazy advancement zeroes expired positions on record, so every
-        retained count lies within the window ending at
-        ``last_subwindow`` and never-written positions are zero.
-        """
-        return self.counts.sum(axis=1, dtype=np.int64)
-
-    # -- batched recording -------------------------------------------------
-    def _advance_slots(self, unique_slots: np.ndarray, subwindow: int) -> None:
-        """Roll the named slots forward to ``subwindow`` (expire stale)."""
-        k = self.subwindows
-        last = self.last_subwindow[unique_slots]
-        gaps = subwindow - last
-        stale = (last < 0) | (gaps >= k)
-        stale_rows = unique_slots[stale]
-        if stale_rows.size:
-            self.counts[stale_rows] = 0
-        for gap in range(1, k):
-            rows = unique_slots[(~stale) & (gaps == gap)]
-            if rows.size == 0:
-                continue
-            # Positions (last+1 .. subwindow) % k == (subwindow - g) % k
-            # for g in [0, gap): the same set the scalar _advance zeroes.
-            cols = np.array([(subwindow - g) % k for g in range(gap)], dtype=np.int64)
-            self.counts[rows[:, None], cols] = 0
-        self.last_subwindow[unique_slots] = subwindow
-
-    def record_batch(self, slot_indices: np.ndarray, subwindow: int) -> np.ndarray:
-        """Record one miss per entry of ``slot_indices``, all in
-        ``subwindow``; returns each recording's windowed slot total.
-
-        Bit-identical to sequentially calling ``SubwindowCounter.record``
-        on the corresponding object counters: repeated slots receive
-        their occurrence ordinal (sort-by-slot + cumulative position),
-        and counts saturate at :data:`COUNTER_SATURATION` exactly where
-        the sequential ``min`` would clamp them.
-        """
-        slot_indices = np.asarray(slot_indices, dtype=np.int64)
-        n = int(slot_indices.size)
-        self.recorded_misses += n
-        if n == 0:
-            return np.zeros(0, dtype=np.int64)
-        order = np.argsort(slot_indices, kind="stable")
-        sorted_slots = slot_indices[order]
-        is_first = np.empty(n, dtype=bool)
-        is_first[0] = True
-        np.not_equal(sorted_slots[1:], sorted_slots[:-1], out=is_first[1:])
-        group_starts = np.flatnonzero(is_first)
-        unique_slots = sorted_slots[group_starts]
-        self._advance_slots(unique_slots, subwindow)
-        group_sizes = np.diff(np.append(group_starts, n))
-        ordinal = np.arange(n, dtype=np.int64) - np.repeat(group_starts, group_sizes)
-        col = subwindow % self.subwindows
-        base = self.counts[sorted_slots, col].astype(np.int64)
-        rest = self.counts[sorted_slots].sum(axis=1, dtype=np.int64) - base
-        new_counts = np.minimum(base + ordinal + 1, COUNTER_SATURATION)
-        totals_sorted = rest + new_counts
-        self.counts[unique_slots, col] = np.minimum(
-            base[group_starts] + group_sizes, COUNTER_SATURATION
-        ).astype(np.uint8)
-        totals = np.empty(n, dtype=np.int64)
-        totals[order] = totals_sorted
-        return totals
-
-
 def supports(policy: AllocationPolicy) -> bool:
     """True if ``policy`` can be driven by :class:`SieveStoreCKernel`.
 
@@ -262,18 +124,18 @@ def supports(policy: AllocationPolicy) -> bool:
 
 
 class SieveStoreCKernel:
-    """Flat working state driving the fast engine's sieve branch.
+    """Per-run cold/hot classification and bulk recording for the fast engine.
 
-    Owns the IMCT state as flat Python lists for the duration of a run
-    (scalar list indexing beats numpy scalar indexing in a Python
-    loop), with ``totals`` maintaining each slot's running row sum so a
-    recording's windowed total is one addition.  The chunk pass
-    (:meth:`precompute_chunk`) vectorizes everything that does not
-    depend on decision order: per-block slot hashes and per-request
-    subwindow indices.  The MCT tier stays on the live object — only
-    IMCT-promoted blocks ever reach it, and calling the real
-    ``record_miss`` preserves its prune scheduling and insert counting
-    bit-identically.
+    Protocol, per window of requests: :meth:`precompute_chunk` hashes
+    the window's blocks once and finds its subwindow runs; then for each
+    run in turn :meth:`begin_run` classifies it and hands the engine its
+    per-request / per-block tables, the engine replays the run's
+    requests (appending to :attr:`skipped`), and :meth:`flush` records
+    the deferred cold-slot misses — wholly at the run's end, or up to a
+    block position at a mid-run checkpoint; partial flushes compose.
+    The MCT tier stays on the live object — only IMCT-promoted blocks
+    ever reach it, and calling the real ``record_miss`` preserves its
+    prune scheduling and insert counting bit-identically.
     """
 
     def __init__(self, policy: SieveStoreC):
@@ -282,57 +144,133 @@ class SieveStoreCKernel:
                 f"kernel requires a plain SieveStoreC, got {type(policy).__name__}"
             )
         self.policy = policy
-        imct = policy.imct
-        self.array = ArrayIMCT.from_table(imct)
-        self.k = imct.window.subwindows
-        self.n_slots = imct.slots
+        self.imct = policy.imct
+        self.k = self.imct.window.subwindows
+        self.n_slots = self.imct.slots
         #: W/k, hoisted (``WindowSpec.subwindow_seconds`` is a property
         #: the object path re-evaluates every miss).
-        self.subwindow_seconds = imct.window.subwindow_seconds
-        #: Column-major flat counts (cell ``col * n_slots + slot``): the
-        #: engine loop derives a block's slot from its precomputed cell
-        #: index with one subtraction (``ci - col * n_slots``), so no
-        #: separate per-block slot table is needed.
-        self.counts: List[int] = self.array.counts.T.reshape(-1).tolist()
-        self.last: List[int] = self.array.last_subwindow.tolist()
-        self.totals: List[int] = self.array.row_totals().tolist()
+        self.subwindow_seconds = self.imct.window.subwindow_seconds
+        #: Positions, within the current run's blocks, of cold-slot
+        #: blocks that were *not* IMCT misses (resident, or counted by
+        #: the MCT); the engine appends, :meth:`flush` leaves them out.
+        #: By position, not address: which of two equal addresses is
+        #: left out decides the collision count.
+        self.skipped: List[int] = []
+        #: The current run: per block, whether its slot is cold; and how
+        #: many blocks (by position) have been flushed.
+        self._cold = np.zeros(0, dtype=bool)
+        self._flushed = 0
 
     def precompute_chunk(
         self,
         addresses: np.ndarray,
         block_counts: np.ndarray,
         issue_times: np.ndarray,
-    ) -> Tuple[List[int], List[int]]:
-        """Vectorized per-chunk index tables.
+    ) -> int:
+        """Hash a window's blocks and split its requests into runs.
 
-        Returns ``(subs, cis)``: per *request* the subwindow index, and
-        per *block* (requests expanded to their consecutive block
-        addresses) the flat index of the block's count cell in the
-        column-major layout (``(sub % k) * n_slots + slot``).  The cell
-        index is the only per-block table the scalar loop needs — the
-        slot falls out by subtracting the request's column base.
+        Everything here is independent of decision order and done once
+        per window: requests expanded to their consecutive block
+        addresses, each block's IMCT slot, each request's subwindow.
+        Returns the number of runs (maximal stretches of requests
+        sharing a subwindow index) for :meth:`begin_run` to walk.
         """
         counts = block_counts.astype(np.int64)
-        total = int(counts.sum())
-        starts = np.cumsum(counts) - counts
+        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
         # blocks[i] = address-of-request + offset-within-request, via a
         # single repeat: repeat(addresses - starts) + arange.
-        blocks = np.repeat(addresses - starts, counts) + np.arange(
-            total, dtype=np.int64
+        self._blocks = np.repeat(addresses - offsets[:-1], counts) + np.arange(
+            int(offsets[-1]), dtype=np.int64
         )
-        slots = self.array.slots_of(blocks)
-        subs = subwindow_indices(issue_times, self.subwindow_seconds)
-        cis = np.repeat(subs % self.k, counts) * self.n_slots + slots
-        return subs.tolist(), cis.tolist()
+        self._slots = bucket_array(self._blocks, self.n_slots, self.imct._salted)
+        self._offsets = offsets
+        self._subs = subwindow_indices(issue_times, self.subwindow_seconds)
+        edges = np.flatnonzero(self._subs[1:] != self._subs[:-1]) + 1
+        rows = np.concatenate(([0], edges, [len(counts)]))
+        # A short run cannot repay classify + flush: it goes all-hot, and
+        # neighbours like it fuse into one stretch, so a trace of
+        # one-request subwindows costs what the scalar ladder costs.
+        short = np.diff(offsets[rows]) < _BATCH_MIN_BLOCKS
+        fused = np.flatnonzero(short[:-1] & short[1:]) + 1
+        self._run_rows = np.delete(rows, fused).tolist()
+        self._all_hot = np.delete(short, fused).tolist()
+        self._next_run = 0
+        return len(self._run_rows) - 1
+
+    def begin_run(
+        self,
+    ) -> Tuple[int, List[int], List[bool], List[int], List[int]]:
+        """Classify the window's next run; flushes the previous one.
+
+        Returns ``(requests, subs, lanes, starts, cis)``: the run's
+        request count; per request its subwindow index (one value
+        throughout, except over a stretch of fused short runs), whether
+        *all* its blocks sit on cold slots, and the position of its
+        first block (one extra entry closes the last request); per block
+        the flat index of its count cell, ``(sub % k) * n_slots + slot``,
+        or -1 on a cold slot.
+        """
+        self.flush()
+        run = self._next_run
+        row, end_row = self._run_rows[run:run + 2]
+        self._next_run += 1
+        starts = self._offsets[row:end_row + 1]
+        first_block, end_block = int(starts[0]), int(starts[-1])
+        starts = starts - first_block
+        subs = self._subs[row:end_row]
+        sub = int(subs[0])
+        slots = self._slots[first_block:end_block]
+        if self._all_hot[run]:
+            cold = np.zeros(len(slots), dtype=bool)
+            block_subs = np.repeat(subs, np.diff(starts))
+        else:
+            # Classify per distinct slot; each block gets its slot's flag.
+            unique, inverse, sizes = np.unique(
+                slots, return_inverse=True, return_counts=True
+            )
+            totals = self.imct.live_totals(unique, sub)
+            cold = (totals + sizes < self.policy.config.t1)[inverse]
+            block_subs = sub
+        self.skipped.clear()
+        self._sub = sub
+        self._run_slots = slots
+        self._cold = cold
+        self._addresses = self._blocks[first_block:end_block]
+        self._flushed = 0
+        lanes = np.logical_and.reduceat(cold, starts[:-1])
+        cis = np.where(cold, -1, block_subs % self.k * self.n_slots + slots)
+        columns = (subs, lanes, starts, cis)
+        return (end_row - row, *(column.tolist() for column in columns))
+
+    def flush(self, upto: Optional[int] = None) -> None:
+        """Record the current run's deferred cold-slot misses.
+
+        Covers block positions from the previous flush up to ``upto``
+        (default: the run's end), leaving out :attr:`skipped`.  Cold
+        slots take no scalar recording during their run, and each
+        deferred recording touches only its own slot, so the table ends
+        exactly as if every one had been recorded at its turn.
+        """
+        end = len(self._cold) if upto is None else upto
+        if end <= self._flushed:
+            return
+        recorded = self._cold.copy()
+        recorded[:self._flushed] = False
+        recorded[end:] = False
+        recorded[self.skipped] = False
+        self._flushed = end
+        slots = self._run_slots[recorded]
+        if self.imct._last_address is None:
+            self.imct.record_batch(np.sort(slots), self._sub)
+        else:
+            # Collision counting reads each slot's recordings in order.
+            order = np.argsort(slots, kind="stable")
+            self.imct.record_batch(
+                slots[order], self._sub, self._addresses[recorded][order]
+            )
 
     def sync(self) -> None:
-        """Write the flat IMCT state back into the policy's object table."""
-        array = self.array
-        # Transpose the column-major working list back to (slots, k).
-        array.counts = np.ascontiguousarray(
-            np.asarray(self.counts, dtype=np.uint8).reshape(
-                self.k, array.slots
-            ).T
-        )
-        array.last_subwindow = np.asarray(self.last, dtype=np.int64)
-        array.write_back(self.policy.imct)
+        """Flush whatever the current run still defers: afterwards the
+        policy's table reflects every request handed to the kernel."""
+        self.flush()

@@ -15,7 +15,7 @@ linear ``scale`` so the scaled experiments keep the paper's ratios:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.admission import build_admission_gate
@@ -32,6 +32,7 @@ from repro.util.units import BLOCK_BYTES, GIB
 
 if TYPE_CHECKING:
     from repro.sim.parallel import SuiteRun
+    from repro.traces.segments import ChunkSource
 
 #: Figure 5's configuration keys, in the paper's bar order.
 FIGURE5_POLICIES = (
@@ -53,30 +54,53 @@ UNSIEVED_LARGE_CACHE_GIB = 32.0
 FULL_SCALE_IMCT_SLOTS = 1.3e9
 
 
-@dataclass
 class ExperimentContext:
     """Shared inputs for building policies against one trace.
 
     ``daily_counts`` (per-day per-block access counts) doubles as the
-    ideal sieve's oracle knowledge and as the popularity analysis input;
-    compute it once per trace with :func:`context_for_trace`.
+    ideal sieve's oracle knowledge and as the popularity analysis input.
+    It costs a whole pass over the trace, so it is computed on first
+    read — only ``build_policy("ideal", ...)`` and the analyses pay for
+    it — unless the caller passes a list it already has.
 
-    ``trace`` may be held in either representation; use
-    :meth:`object_trace` / :meth:`columnar_trace` to get the form a
-    consumer needs (conversions are cached).
+    ``trace`` may be held in either in-RAM representation, or be a
+    chunk source (segment store / shard view) for streamed replays; use
+    :meth:`object_trace` / :meth:`columnar_trace` to get the in-RAM form
+    a consumer needs (conversions are cached).
     """
 
-    trace: Union[Trace, ColumnarTrace]
-    days: int
-    scale: float
-    daily_counts: List[Counter]
-    seed: int = 0
-    columnar: Optional[ColumnarTrace] = field(
-        default=None, repr=False, compare=False
-    )
-    _object_cache: Optional[Trace] = field(
-        default=None, repr=False, compare=False
-    )
+    def __init__(
+        self,
+        trace: Union[Trace, ColumnarTrace, "ChunkSource"],
+        days: int,
+        scale: float,
+        daily_counts: Optional[List[Counter]] = None,
+        seed: int = 0,
+        columnar: Optional[ColumnarTrace] = None,
+    ):
+        self.trace = trace
+        self.days = days
+        self.scale = scale
+        self.seed = seed
+        self.columnar = columnar
+        self._object_cache: Optional[Trace] = None
+        if daily_counts is not None:
+            self.daily_counts = daily_counts
+
+    @cached_property
+    def daily_counts(self) -> List[Counter]:
+        """Per-day block access counters, from whichever form is at hand.
+
+        Columns or a chunk source are counted vectorized; object-only
+        input takes the reference per-block walk — the two are asserted
+        identical by the test suite.  A chunk source is read at its
+        default chunk size; a caller with a tighter ``chunk_rows`` budget
+        counts it itself and passes the list in.
+        """
+        source = self.columnar if self.columnar is not None else self.trace
+        if isinstance(source, Trace):
+            return daily_block_counts(source, self.days)
+        return source.daily_block_counts(self.days)
 
     def object_trace(self) -> Trace:
         """The trace in object form (converted from columns if needed)."""
@@ -122,31 +146,16 @@ def context_for_trace(
     seed: int = 0,
     columnar: Optional[ColumnarTrace] = None,
 ) -> ExperimentContext:
-    """Build the shared context (computes daily block counts once).
+    """Build the shared context for an in-RAM trace.
 
     Accepts either trace representation; pass ``columnar`` alongside an
     object ``trace`` when both forms already exist so neither gets
-    re-derived.  The per-day counts are computed from whichever
-    columnar form is available (vectorized), falling back to the
-    reference per-block walk for object-only input — the two are
-    asserted identical by the test suite.
+    re-derived.
     """
     if isinstance(trace, ColumnarTrace):
-        columns: Optional[ColumnarTrace] = trace
-    else:
-        columns = columnar
-    daily = (
-        columns.daily_block_counts(days)
-        if columns is not None
-        else daily_block_counts(trace, days)
-    )
+        columnar = trace
     return ExperimentContext(
-        trace=trace,
-        days=days,
-        scale=scale,
-        daily_counts=daily,
-        seed=seed,
-        columnar=columns,
+        trace=trace, days=days, scale=scale, seed=seed, columnar=columnar
     )
 
 

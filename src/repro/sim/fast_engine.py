@@ -32,7 +32,7 @@ two paths produce bit-identical :class:`~repro.cache.stats.CacheStats`.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.cache.allocation import (
     AllocateOnDemand,
@@ -62,7 +62,8 @@ _W_NOT_WRITE = 2  # allocate read misses only (WMNA)
 _W_CALL = 3  # stateful/unknown: call policy.wants per miss
 _W_SIEVE = 4  # plain SieveStore-C: inline array-backed sieve kernel
 
-#: Requests per vectorized sieve-kernel precompute pass.
+#: Cap on the requests one sieve-kernel precompute pass hashes (and so
+#: on run length); the batching unit itself is the paper's subwindow.
 _SIEVE_CHUNK = 1 << 16
 
 # observe() specializations.
@@ -110,45 +111,28 @@ def _observe_mode(policy: AllocationPolicy) -> int:
 
 def _sync_sieve_counters(
     kernel,
+    upto: Optional[int],
     policy,
-    imct,
-    per_day,
-    single_tier: bool,
-    s_misses0: int,
-    s_recorded0: int,
-    s_imct_rej0: int,
-    s_promos0: int,
-    s_mct_rej0: int,
-    s_adms0: int,
-    s_collisions: int,
+    s_rejections_base: int,
     s_promos: int,
     s_mct_rej: int,
     s_adms: int,
 ) -> None:
-    """Flush kernel lists and counter locals into the policy object.
+    """Flush the kernel up to block ``upto`` of its run (``None``: all
+    of it) and write the loop's counter locals into the policy object.
 
-    Counter assignments come after ``sync()``: write_back restores a
-    stale ``recorded_misses`` from the kernel's init-time snapshot; the
-    locals are authoritative.  The derived counters (see the kernel
-    setup comment in the loop): this segment's stats misses split
-    exactly across the four sieve outcomes, of which only IMCT
-    rejections went uncounted in the loop, so the two hot-path totals
-    fall out of the deltas against the run-start baselines.  Idempotent
-    at any cursor, so checkpoint, segment-boundary, and end-of-run
-    sites all share it.
+    ``recorded_misses`` is counted where recordings happen (the flush
+    for cold slots, the scalar ladder for hot ones), and every IMCT
+    recording ends as a rejection unless it promoted (or, single tier,
+    admitted) its block, so the dominant outcome needs no counter of
+    its own.  Idempotent at any cursor, so checkpoint,
+    segment-boundary, and end-of-run sites all share it.
     """
-    kernel.sync()
-    misses = sum(d.accesses - d.read_hits - d.write_hits for d in per_day) - s_misses0
-    adms_d = s_adms - s_adms0
-    if single_tier:
-        recorded = misses
-        rejections = misses - adms_d
-    else:
-        recorded = misses - (s_mct_rej - s_mct_rej0) - adms_d
-        rejections = recorded - (s_promos - s_promos0)
-    imct.recorded_misses = s_recorded0 + recorded
-    imct.alias_collisions = s_collisions
-    policy.imct_rejections = s_imct_rej0 + rejections
+    kernel.flush(upto)
+    passed = s_adms if policy.config.single_tier_admission else s_promos
+    policy.imct_rejections = (
+        s_rejections_base + policy.imct.recorded_misses - passed
+    )
     policy.promotions = s_promos
     policy.mct_rejections = s_mct_rej
     policy.admissions = s_adms
@@ -238,55 +222,44 @@ def simulate_fast_chunks(
     may_allocate = wmode != _W_FALSE
 
     # -- sieve-kernel state (only when wmode == _W_SIEVE) -----------------
-    # The kernel owns the IMCT as flat lists for the run; every counter
-    # the object path maintains is tracked in plain locals (deliberately
-    # not a closure — cell variables would slow the per-miss increments)
-    # and written back into the policy object before any checkpoint
-    # pickle and at end of run, so the policy stays the engine-agnostic
-    # source of truth.
+    # The kernel and this loop work on the IMCT's own buffers; the
+    # counters the object path maintains are tracked in plain locals
+    # (deliberately not a closure — cell variables would slow the
+    # per-miss increments) and written into the policy object before
+    # any checkpoint pickle and at end of run, so the policy stays the
+    # engine-agnostic source of truth.
     kernel = None
     if wmode == _W_SIEVE:
         kernel = SieveStoreCKernel(policy)
-        s_counts = kernel.counts
-        s_last = kernel.last
-        s_totals = kernel.totals
+        skip = kernel.skipped.append
+        imct = policy.imct
+        s_counts = imct.counts
+        s_last = imct.last
         k_w = kernel.k
         n_slots = kernel.n_slots
+        zeros_w = bytes(k_w)
         saturation = COUNTER_SATURATION
-        imct = policy.imct
         s_lastaddr = imct._last_address  # None unless collision tracking
         tracking = s_lastaddr is not None
+        od_keys = od.keys()
         mct = policy.mct
         mct_counters = mct._counters
+        mct_keys = mct_counters.keys()
         mct_record = mct.record_miss
         mct_track = mct.track
         mct_forget = mct.forget
         single_tier = policy.config.single_tier_admission
         t1 = policy.config.t1
         t2 = policy.config.t2
-        s_collisions = imct.alias_collisions
         s_promos = policy.promotions
         s_mct_rej = policy.mct_rejections
         s_adms = policy.admissions
-        # imct_rejections (the dominant outcome by design) and
-        # recorded_misses are derived, not incremented per miss: every
-        # miss block ends in exactly one of {IMCT rejection, promotion,
-        # MCT rejection, admission}, the rare outcomes all keep
-        # counters, and the per-day stats already count misses — so the
-        # two hot-path totals fall out of the deltas at sync time and
-        # the hot loop saves an increment per sieved miss.
-        s_recorded0 = imct.recorded_misses
-        s_imct_rej0 = policy.imct_rejections
-        s_promos0 = s_promos
-        s_mct_rej0 = s_mct_rej
-        s_adms0 = s_adms
-        s_misses0 = sum(
-            d.accesses - d.read_hits - d.write_hits for d in per_day
+        # imct_rejections = recordings that did not pass tier 1, up to
+        # whatever offset the policy object came in with.
+        s_rejections_base = (
+            policy.imct_rejections - imct.recorded_misses
+            + (s_adms if single_tier else s_promos)
         )
-        # Precompute windows are chunk-local (sl_start/sl_end reset at
-        # every chunk head); these bindings just establish the types.
-        c_subs: List[int] = []
-        cis_iter: Iterator[int] = iter(())
 
     def apply_boundary(epoch: int) -> None:
         batch = policy.epoch_boundary(epoch)
@@ -335,9 +308,9 @@ def simulate_fast_chunks(
         local_start = cursor - base
         if local_start < 0:
             local_start = 0
-        # Sieve precompute windows never span chunks: reset so the
-        # first sieved request of this chunk repopulates them.
-        sl_start = sl_end = local_start
+        # Sieve precompute windows and runs never span chunks: reset so
+        # the first sieved request of this chunk starts new ones.
+        sl_end = run_end = local_start
         for jl in range(local_start, chunk_n):
             j = base + jl
             issue = issue_l[jl]
@@ -398,82 +371,90 @@ def simulate_fast_chunks(
                                 alloc_offsets.append(off)
             elif wmode == _W_SIEVE:
                 # Inline SieveStore-C: the two-tier sieve of
-                # SieveStoreC.wants unrolled over the kernel's flat lists.
-                # Decision order matches the reference exactly — hits move
-                # recency first, every miss is counted in exactly one tier,
-                # and the (rare) MCT tier calls the live object so prune
-                # timing and insert counting stay bit-identical.
-                if jl >= sl_end:
-                    sl_start = jl
-                    sl_end = jl + _SIEVE_CHUNK
-                    if sl_end > chunk_n:
-                        sl_end = chunk_n
-                    c_subs, c_cis = kernel.precompute_chunk(
-                        chunk_cols.address[sl_start:sl_end],
-                        chunk_cols.block_count[sl_start:sl_end],
-                        chunk_cols.issue_time[sl_start:sl_end],
+                # SieveStoreC.wants over the IMCT's buffers, one run of
+                # same-subwindow requests at a time (see
+                # repro.core.sieve_kernel for the cold/hot argument).
+                if jl >= run_end:
+                    if jl >= sl_end:
+                        sl_end = jl + _SIEVE_CHUNK
+                        if sl_end > chunk_n:
+                            sl_end = chunk_n
+                        kernel.precompute_chunk(
+                            chunk_cols.address[jl:sl_end],
+                            chunk_cols.block_count[jl:sl_end],
+                            chunk_cols.issue_time[jl:sl_end],
+                        )
+                    run_start = jl
+                    run_len, c_subs, c_lanes, c_starts, c_cis = (
+                        kernel.begin_run()
                     )
-                    # Blocks are consumed strictly in chunk order (every
-                    # request walks all k of its blocks), so one iterator
-                    # replaces per-block index arithmetic into c_cis.
-                    cis_iter = iter(c_cis)
-                # Completion-day bucketing is only consulted when a block is
-                # admitted (rare: that is the whole point of the sieve), so
-                # rct/same_day are computed lazily at the first admission of
-                # the request (d_rct == -1 marks "not yet computed";
-                # same_day is assigned there before its first read).
-                d_rct = -1
-                sub = c_subs[jl - sl_start]
-                # The request's column base in the column-major counts list;
-                # a block's slot is its precomputed cell index minus this.
-                colbase = sub % k_w * n_slots
-                if not tracking:
-                    # Dominant configuration: no collision diagnostics.
-                    # (The tracking copy below must mirror any change here.)
-                    for a, ci in zip(range(addr, end), cis_iter):
+                    run_end = jl + run_len
+                blocks = range(addr, end)
+                # Request-granular lane: when every block is a miss on a
+                # cold slot — an IMCT rejection the run's flush records —
+                # nothing is left but the statistics below.  Only a
+                # request with a hot slot, a hit or an MCT member walks
+                # its blocks.
+                if not (
+                    c_lanes[jl - run_start]
+                    and od_keys.isdisjoint(blocks)
+                    and mct_keys.isdisjoint(blocks)
+                ):
+                    # Completion-day bucketing is only consulted when a
+                    # block is admitted (rare: that is the whole point
+                    # of the sieve), so rct/same_day are computed lazily
+                    # at the request's first admission (d_rct == -1
+                    # marks "not yet computed").
+                    d_rct = -1
+                    start = c_starts[jl - run_start]
+                    sub = c_subs[jl - run_start]
+                    # Decision order matches the reference exactly — hits
+                    # move recency first, every miss is counted in
+                    # exactly one tier, and the (rare) MCT tier calls the
+                    # live object so prune timing and insert counting
+                    # stay bit-identical.
+                    for a, ci in zip(blocks, c_cis[start:start + k]):
                         if a in od:
                             od_move(a)
                             hit += 1
+                            if ci < 0:
+                                skip(start + a - addr)
                             continue
                         if a in mct_counters:
                             # Tier 2: exact counting (IMCT-promoted only).
+                            if ci < 0:
+                                skip(start + a - addr)
                             exact = mct_record(a, issue)
                             if exact < t2:
                                 s_mct_rej += 1
                                 continue
                             mct_forget(a)
                             s_adms += 1
+                        elif ci < 0:
+                            continue  # cold slot: recorded by the flush
                         else:
-                            # Tier 1: the IMCT recording, inlined.  Running
-                            # totals hold each slot's row sum, which equals
-                            # its windowed total after lazy advancement
-                            # (expired positions are zeroed on record,
-                            # untouched positions are zero).
-                            slot = ci - colbase
-                            if sub != s_last[slot]:
-                                ls = s_last[slot]
+                            # Tier 1 on a hot slot: the IMCT recording,
+                            # inlined (ImpreciseMissCountTable.record_miss
+                            # with the hash and subwindow precomputed).
+                            imct.recorded_misses += 1
+                            slot = ci % n_slots
+                            if tracking:
+                                prev = s_lastaddr[slot]
+                                if prev >= 0 and prev != a:
+                                    imct.alias_collisions += 1
+                                s_lastaddr[slot] = a
+                            ls = s_last[slot]
+                            if sub != ls:
                                 if ls < 0 or sub - ls >= k_w:
-                                    c = slot
-                                    for _ in range(k_w):
-                                        s_counts[c] = 0
-                                        c += n_slots
-                                    s_totals[slot] = 0
+                                    s_counts[slot::n_slots] = zeros_w
                                 else:
-                                    t = s_totals[slot]
                                     for g in range(ls + 1, sub + 1):
-                                        c = g % k_w * n_slots + slot
-                                        t -= s_counts[c]
-                                        s_counts[c] = 0
-                                    s_totals[slot] = t
+                                        s_counts[g % k_w * n_slots + slot] = 0
                                 s_last[slot] = sub
                             cv = s_counts[ci]
                             if cv < saturation:
                                 s_counts[ci] = cv + 1
-                                tot = s_totals[slot] + 1
-                                s_totals[slot] = tot
-                            else:
-                                tot = s_totals[slot]
-                            if tot < t1:
+                            if sum(s_counts[slot::n_slots]) < t1:
                                 continue
                             if not single_tier:
                                 mct_track(a)
@@ -481,87 +462,10 @@ def simulate_fast_chunks(
                                 continue
                             # Ablation: admit on tier 1 alone; the slot is
                             # reset exactly like imct.reset_slot.
-                            c = slot
-                            for _ in range(k_w):
-                                s_counts[c] = 0
-                                c += n_slots
-                            s_totals[slot] = 0
+                            s_counts[slot::n_slots] = zeros_w
                             s_last[slot] = -1
                             s_adms += 1
                         # Admission (either tier): install the block.
-                        if d_rct < 0:
-                            rct = rct_l[jl]
-                            d_rct = int(rct // day_seconds)
-                            if d_rct > last_day:
-                                d_rct = last_day
-                            same_day = d_rct == d_issue
-                        if len(od) >= capacity:
-                            od_pop(False)
-                        od[a] = None
-                        if same_day:
-                            allocated += 1
-                        elif alloc_offsets is None:
-                            alloc_offsets = [a - addr]
-                        else:
-                            alloc_offsets.append(a - addr)
-                else:
-                    # Collision-tracking copy: identical to the loop above
-                    # plus the per-recording last-address bookkeeping of
-                    # ImpreciseMissCountTable.enable_collision_tracking.
-                    for a, ci in zip(range(addr, end), cis_iter):
-                        if a in od:
-                            od_move(a)
-                            hit += 1
-                            continue
-                        if a in mct_counters:
-                            exact = mct_record(a, issue)
-                            if exact < t2:
-                                s_mct_rej += 1
-                                continue
-                            mct_forget(a)
-                            s_adms += 1
-                        else:
-                            slot = ci - colbase
-                            prev = s_lastaddr[slot]
-                            if prev is not None and prev != a:
-                                s_collisions += 1
-                            s_lastaddr[slot] = a
-                            if sub != s_last[slot]:
-                                ls = s_last[slot]
-                                if ls < 0 or sub - ls >= k_w:
-                                    c = slot
-                                    for _ in range(k_w):
-                                        s_counts[c] = 0
-                                        c += n_slots
-                                    s_totals[slot] = 0
-                                else:
-                                    t = s_totals[slot]
-                                    for g in range(ls + 1, sub + 1):
-                                        c = g % k_w * n_slots + slot
-                                        t -= s_counts[c]
-                                        s_counts[c] = 0
-                                    s_totals[slot] = t
-                                s_last[slot] = sub
-                            cv = s_counts[ci]
-                            if cv < saturation:
-                                s_counts[ci] = cv + 1
-                                tot = s_totals[slot] + 1
-                                s_totals[slot] = tot
-                            else:
-                                tot = s_totals[slot]
-                            if tot < t1:
-                                continue
-                            if not single_tier:
-                                mct_track(a)
-                                s_promos += 1
-                                continue
-                            c = slot
-                            for _ in range(k_w):
-                                s_counts[c] = 0
-                                c += n_slots
-                            s_totals[slot] = 0
-                            s_last[slot] = -1
-                            s_adms += 1
                         if d_rct < 0:
                             rct = rct_l[jl]
                             d_rct = int(rct // day_seconds)
@@ -666,11 +570,10 @@ def simulate_fast_chunks(
                 if may_allocate:
                     cache._resident = set(od)
                 if kernel is not None:
+                    # Mid-run: flush only the blocks replayed so far.
                     _sync_sieve_counters(
-                        kernel, policy, imct, per_day, single_tier,
-                        s_misses0, s_recorded0, s_imct_rej0, s_promos0,
-                        s_mct_rej0, s_adms0,
-                        s_collisions, s_promos, s_mct_rej, s_adms,
+                        kernel, c_starts[jl - run_start + 1], policy,
+                        s_rejections_base, s_promos, s_mct_rej, s_adms,
                     )
                 checkpointer(j + 1, current_epoch)
             if progress_every is not None and (j + 1) % progress_every == 0:
@@ -688,10 +591,8 @@ def simulate_fast_chunks(
                 cache._resident = set(od)
             if kernel is not None:
                 _sync_sieve_counters(
-                    kernel, policy, imct, per_day, single_tier,
-                    s_misses0, s_recorded0, s_imct_rej0, s_promos0,
-                    s_mct_rej0, s_adms0,
-                    s_collisions, s_promos, s_mct_rej, s_adms,
+                    kernel, None, policy,
+                    s_rejections_base, s_promos, s_mct_rej, s_adms,
                 )
             segment_hook(cursor, current_epoch)
 
@@ -707,9 +608,7 @@ def simulate_fast_chunks(
         # The policy object must reflect the run before the caller
         # samples sieve telemetry or pickles a final state.
         _sync_sieve_counters(
-            kernel, policy, imct, per_day, single_tier,
-            s_misses0, s_recorded0, s_imct_rej0, s_promos0,
-            s_mct_rej0, s_adms0,
-            s_collisions, s_promos, s_mct_rej, s_adms,
+            kernel, None, policy,
+            s_rejections_base, s_promos, s_mct_rej, s_adms,
         )
     return stats, cache

@@ -418,6 +418,9 @@ def _replay_shard(
                 RuntimeWarning,
                 stacklevel=2,
             )
+    # The shard's daily counts are still read up front (only `ideal`
+    # uses them): the repo benchmark's `traces.segments.daily_counts_s`
+    # layer metric times this pass and must see it on some workload.
     ctx = ExperimentContext(
         trace=view,
         days=days,
@@ -440,8 +443,6 @@ def _replay_shard(
         chunk_rows=chunk_rows,
     )
     return result.engine, result.stats
-
-
 
 
 @dataclass(eq=False, repr=False)

@@ -51,9 +51,11 @@ CHECKPOINT_MAGIC = b"SSCKPT\x00\n"
 #: would rehydrate without them.  Version 3: one payload layout for
 #: both engines (policy / cache / stats always, the appliance beside
 #: them when the object loop runs) carrying the run's ``label`` in
-#: place of ``policy_name``.  No migration — checkpoints are
-#: short-lived crash-recovery artifacts.
-CHECKPOINT_SCHEMA_VERSION = 3
+#: place of ``policy_name``.  Version 4: the pickled
+#: ImpreciseMissCountTable is two flat buffers (count cells + last
+#: subwindows) instead of one counter object per slot.  No migration —
+#: checkpoints are short-lived crash-recovery artifacts.
+CHECKPOINT_SCHEMA_VERSION = 4
 
 
 class CheckpointError(Exception):

@@ -73,7 +73,7 @@ class TestCheckpointFileFormat:
     # payload layouts), which is not migrated.
     def test_refuses_unknown_schema_version(self, tmp_path):
         path = tmp_path / "c.ckpt"
-        for version in (CHECKPOINT_SCHEMA_VERSION + 1, 2):
+        for version in (CHECKPOINT_SCHEMA_VERSION + 1, 3, 2):
             save_checkpoint({"cursor": 1}, path)
             raw = bytearray(path.read_bytes())
             struct.pack_into(">I", raw, len(CHECKPOINT_MAGIC), version)

@@ -7,8 +7,11 @@ same trace and demand *complete* state equality: per-day and per-minute
 statistics, the resident set, every sieve telemetry counter, the MCT's
 insert/eviction/peak accounting, and the full per-slot IMCT counter
 matrix — across default, aliased, saturated, single-tier, pruning, and
-sub-day-epoch configurations, and across SIGKILL-style checkpoint
-resume on either engine, whichever engine wrote the checkpoint.
+sub-day-epoch configurations, across chunk sizes down to one request
+and checkpoints that land mid-subwindow (the kernel batches recordings
+per run of same-subwindow requests, so both cut its runs), and across
+SIGKILL-style checkpoint resume on either engine, whichever engine
+wrote the checkpoint.
 """
 
 import shutil
@@ -68,10 +71,7 @@ def run_pair(ctx, config=None, collision_tracking=False, **kwargs):
     """Run the same SieveStore-C configuration on both engines."""
     results = []
     for fast in (False, True):
-        if config is None:
-            policy, _capacity = build_policy("sievestore-c", ctx)
-        else:
-            policy = SieveStoreC(config)
+        policy = make_policy(ctx, config)
         if collision_tracking:
             policy.imct.enable_collision_tracking()
         results.append(run_engine(ctx, policy, fast, **kwargs))
@@ -80,29 +80,76 @@ def run_pair(ctx, config=None, collision_tracking=False, **kwargs):
 
 def imct_matrix(policy):
     """The full per-slot IMCT state (counts + last subwindow)."""
-    return (
-        [list(c._counts) for c in policy.imct._counters],
-        [c._last_subwindow for c in policy.imct._counters],
+    return policy.imct.cells().T.tolist(), policy.imct.last.tolist()
+
+
+def assert_same_sieve_state(expected, actual):
+    """Statistics, resident set and the full sieve state, bit for bit."""
+    assert stats_to_dict(actual.stats) == stats_to_dict(expected.stats)
+    assert sorted(actual.cache.residents()) == sorted(
+        expected.cache.residents()
     )
+    want, got = expected.policy, actual.policy
+    for counter in ("admissions", "imct_rejections", "promotions",
+                    "mct_rejections"):
+        assert getattr(got, counter) == getattr(want, counter), counter
+    assert got.imct.recorded_misses == want.imct.recorded_misses
+    assert got.imct.alias_collisions == want.imct.alias_collisions
+    for counter in ("inserts", "evictions", "peak_entries"):
+        assert getattr(got.mct, counter) == getattr(want.mct, counter), counter
+    assert got.metastate_entries() == want.metastate_entries()
+    assert sorted(got.mct._counters) == sorted(want.mct._counters)
+    assert imct_matrix(got) == imct_matrix(want)
 
 
 def assert_sieve_identical(obj_result, fast_result):
     assert obj_result.engine == "object"
     assert fast_result.engine == "fast"
-    assert stats_to_dict(fast_result.stats) == stats_to_dict(obj_result.stats)
-    assert sorted(fast_result.cache.residents()) == sorted(
-        obj_result.cache.residents()
+    assert_same_sieve_state(obj_result, fast_result)
+
+
+def assert_conservation(stats, policy):
+    """Every miss block ends in exactly one of the four sieve outcomes,
+    and every tier-1 outcome is one IMCT recording."""
+    total = stats.total
+    assert total.accesses - total.read_hits - total.write_hits == (
+        policy.imct_rejections + policy.promotions
+        + policy.mct_rejections + policy.admissions
     )
-    obj, fast = obj_result.policy, fast_result.policy
-    for counter in ("admissions", "imct_rejections", "promotions",
-                    "mct_rejections"):
-        assert getattr(fast, counter) == getattr(obj, counter), counter
-    assert fast.imct.recorded_misses == obj.imct.recorded_misses
-    assert fast.imct.alias_collisions == obj.imct.alias_collisions
-    for counter in ("inserts", "evictions", "peak_entries"):
-        assert getattr(fast.mct, counter) == getattr(obj.mct, counter), counter
-    assert fast.metastate_entries() == obj.metastate_entries()
-    assert imct_matrix(fast) == imct_matrix(obj)
+    passed = (
+        policy.admissions
+        if policy.config.single_tier_admission
+        else policy.promotions
+    )
+    assert policy.imct.recorded_misses == policy.imct_rejections + passed
+
+
+#: The configurations the chunking / resume differential enumerates
+#: (``None``: the registry's scaled default).
+SIEVE_CONFIGS = {
+    "default": None,
+    "aliased": SieveStoreCConfig(imct_slots=257),
+    "single-tier": SieveStoreCConfig(single_tier_admission=True),
+    "t2-zero": SieveStoreCConfig(t2=0),
+    "small-window": SieveStoreCConfig(
+        window=WindowSpec(window_seconds=3600.0, subwindows=4)
+    ),
+}
+
+
+def make_policy(ctx, config):
+    if config is None:
+        return build_policy("sievestore-c", ctx)[0]
+    return SieveStoreC(config)
+
+
+@pytest.fixture(scope="module")
+def store(tiny_context, tmp_path_factory):
+    return segment_columnar(
+        tiny_context.columnar_trace(),
+        tmp_path_factory.mktemp("sieve-equivalence") / "store",
+        rows_per_segment=ROWS_PER_SEGMENT,
+    )
 
 
 class TestDispatch:
@@ -179,6 +226,71 @@ class TestEngineEquivalence:
         )
 
 
+class TestChunkingDifferential:
+    """Chunk and checkpoint boundaries cut the kernel's runs anywhere:
+    streamed fresh, and killed then resumed, both engines must land on
+    the in-RAM object run's exact state."""
+
+    #: Late enough that the one-request-chunk resumes stay cheap.
+    KILL_AT = 33_000
+
+    @pytest.mark.parametrize("name", list(SIEVE_CONFIGS))
+    def test_streamed_killed_resumed(self, tiny_context, store, tmp_path,
+                                     monkeypatch, name):
+        from repro.sim import serialize
+
+        ctx, config = tiny_context, SIEVE_CONFIGS[name]
+        baseline = run_engine(ctx, make_policy(ctx, config), fast=False)
+        assert_conservation(baseline.stats, baseline.policy)
+
+        # Every checkpoint — EVERY requests apart, so mid-subwindow, and
+        # at each chunk end — is a sync site: the law must hold there,
+        # on the state about to be pickled.
+        save = serialize.save_checkpoint
+        synced = []
+        write = True
+
+        def checked_save(payload, path):
+            assert_conservation(payload["stats"], payload["policy"])
+            synced.append(payload["cursor"])
+            if write:
+                save(payload, path)
+
+        monkeypatch.setattr(serialize, "save_checkpoint", checked_save)
+
+        def streamed(fast, path, **kwargs):
+            return simulate(
+                store, make_policy(ctx, config), ctx.sieved_capacity,
+                ctx.days, track_minutes=True, fast_path=fast,
+                checkpoint_path=path, checkpoint_every=EVERY, **kwargs
+            )
+
+        for chunk_rows in (5000, None):
+            fresh = streamed(True, tmp_path / "fresh.ckpt", chunk_rows=chunk_rows)
+            assert_sieve_identical(baseline, fresh)
+        assert any(cursor % EVERY for cursor in synced)  # chunk ends
+        assert any(cursor % EVERY == 0 for cursor in synced)
+
+        def killer(requests_done, _current_epoch):
+            if requests_done >= self.KILL_AT:
+                raise Killed(f"killed at {requests_done}")
+
+        for fast in (True, False):
+            killed = tmp_path / f"killed-{fast}.ckpt"
+            write = True
+            with pytest.raises(Killed):
+                streamed(fast, killed, chunk_rows=CHUNK_ROWS,
+                         progress_every=1000, progress_hook=killer)
+            assert 0 < load_checkpoint(killed)["cursor"] < self.KILL_AT
+            # One-request chunks sync after every request: check the
+            # state there, but spare the disk a file per request.
+            write = False
+            for chunk_rows in (1, 7, 5000, None):
+                resumed = resume_simulation(killed, store, chunk_rows=chunk_rows)
+                assert resumed.engine == ("fast" if fast else "object")
+                assert_same_sieve_state(baseline, resumed)
+
+
 class TestCheckpointResume:
     def baseline(self, ctx):
         policy, _capacity = build_policy("sievestore-c", ctx)
@@ -235,14 +347,6 @@ class TestCheckpointResume:
                 tiny_context, policy, fast, paths[fast], kill_at=30_000
             )
         return paths
-
-    @pytest.fixture(scope="class")
-    def store(self, tiny_context, tmp_path_factory):
-        return segment_columnar(
-            tiny_context.columnar_trace(),
-            tmp_path_factory.mktemp("cross-engine") / "store",
-            rows_per_segment=ROWS_PER_SEGMENT,
-        )
 
     # Every (writer engine, resume engine, trace form) cell is legal for
     # an LRU write-through run without faults.
