@@ -22,15 +22,12 @@ Performance knobs (all read once at session start):
   harness defaults to ``.sievestore-trace-cache`` at the repo root, so
   repeated bench sessions skip trace synthesis entirely).
 
-The session also writes ``BENCH_perf.json`` at the repo root: one entry
-per simulated policy configuration with its wall-clock seconds and
-block-simulation throughput, so perf regressions show up in review
-diffs rather than anecdotes.
+Speed is not measured here: ``python -m benchmarks.perf`` is the repo's
+one perf harness (see ``benchmarks/perf/README.md``).
 """
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
@@ -47,11 +44,6 @@ DAYS = 8
 OCCUPANCY_WINDOW_MINUTES = 30
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-PERF_REPORT_PATH = REPO_ROOT / "BENCH_perf.json"
-
-#: policy name -> {"wall_seconds", "blocks_per_sec", "scale"}; filled by
-#: record_perf() as results become available, dumped at session end.
-_PERF_RECORDS: dict = {}
 
 
 def bench_scale() -> float:
@@ -65,29 +57,6 @@ def bench_fast_path() -> bool:
 def bench_jobs():
     jobs = int(os.environ.get("SIEVESTORE_BENCH_JOBS", "1"))
     return None if jobs == 0 else jobs
-
-
-def record_perf(name: str, result, scale: float) -> None:
-    """Log one simulation's wall time / throughput for BENCH_perf.json."""
-    total_blocks = result.stats.total.accesses
-    wall = result.wall_seconds
-    _PERF_RECORDS[name] = {
-        "wall_seconds": round(wall, 6),
-        "blocks_per_sec": round(total_blocks / wall, 1) if wall > 0 else 0.0,
-        "scale": scale,
-        "engine": result.engine,
-    }
-
-
-def pytest_sessionfinish(session, exitstatus):
-    if not _PERF_RECORDS:
-        return
-    try:
-        PERF_REPORT_PATH.write_text(
-            json.dumps(_PERF_RECORDS, indent=2, sort_keys=True) + "\n"
-        )
-    except OSError:
-        pass
 
 
 @pytest.fixture(scope="session")
@@ -121,7 +90,7 @@ def bench_context(bench_trace, bench_columnar, bench_config):
 
 
 @pytest.fixture(scope="session")
-def bench_suite(bench_context, bench_config):
+def bench_suite(bench_context):
     """The Figure-5 policy suite, run once for the whole bench session."""
     results = run_policy_suite(
         bench_context, fast_path=bench_fast_path(), jobs=bench_jobs()
@@ -133,8 +102,6 @@ def bench_suite(bench_context, bench_config):
             "policy suite had failures: "
             + "; ".join(str(f) for f in results.failures.values())
         )
-    for name, result in results.items():
-        record_perf(name, result, bench_config.scale)
     return results
 
 

@@ -1,9 +1,8 @@
 """Columnar fast path vs the object reference, at bench scale.
 
 Runs two configurations over the shared bench trace through both
-simulation paths, records each in ``BENCH_perf.json``, and asserts the
-paths produce bit-identical statistics (the fast path is an
-optimization, not an approximation):
+simulation paths and asserts the paths produce bit-identical statistics
+(the fast path is an optimization, not an approximation):
 
 * AOD at 16 GB — engine-bound: every block goes through the
   hit/miss/allocate machinery with no sieve-policy overhead.
@@ -25,8 +24,6 @@ from dataclasses import replace
 
 from repro.sim import run_policy
 from repro.sim.engine import SimulationResult
-
-from benchmarks.conftest import record_perf
 
 #: Engine-bound configuration used for the throughput measurement.
 PERF_POLICY = "aod-16"
@@ -52,16 +49,13 @@ def best_of(name, ctx, fast_path, runs=2) -> SimulationResult:
     )
 
 
-def test_perf_fastpath_speedup(benchmark, bench_context, bench_config):
+def test_perf_fastpath_speedup(benchmark, bench_context):
     slow = best_of(PERF_POLICY, bench_context, fast_path=False)
     fast = benchmark.pedantic(
         lambda: best_of(PERF_POLICY, bench_context, fast_path=True),
         iterations=1,
         rounds=1,
     )
-
-    record_perf(f"{PERF_POLICY}-object", slow, bench_config.scale)
-    record_perf(f"{PERF_POLICY}-fast", fast, bench_config.scale)
 
     # Both runs must have used the engine they were asked for — a
     # silent fallback would turn the comparison into fast-vs-fast.
@@ -81,16 +75,13 @@ def test_perf_fastpath_speedup(benchmark, bench_context, bench_config):
     )
 
 
-def test_perf_sieve_kernel_speedup(benchmark, bench_context, bench_config):
+def test_perf_sieve_kernel_speedup(benchmark, bench_context):
     slow = best_of(SIEVE_POLICY, bench_context, fast_path=False)
     fast = benchmark.pedantic(
         lambda: best_of(SIEVE_POLICY, bench_context, fast_path=True),
         iterations=1,
         rounds=1,
     )
-
-    record_perf(f"{SIEVE_POLICY}-object", slow, bench_config.scale)
-    record_perf(f"{SIEVE_POLICY}-fast", fast, bench_config.scale)
 
     assert slow.engine == "object"
     assert fast.engine == "fast"

@@ -10,9 +10,17 @@ counts here are in 512-byte block units.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, Union
 
-from repro.util.intervals import day_of, minute_of
+import numpy as np
+
+from repro.util.intervals import (
+    SECONDS_PER_DAY,
+    SECONDS_PER_MINUTE,
+    bucket_indices,
+    day_of,
+    minute_of,
+)
 
 
 @dataclass
@@ -82,6 +90,14 @@ class MinuteIO:
 
     reads: int = 0
     writes: int = 0
+
+
+def _buckets(times: np.ndarray, bucket_seconds: int) -> np.ndarray:
+    """:func:`day_of` / :func:`minute_of` over a column: the same
+    indices, the same refusal of a negative timestamp."""
+    if len(times) and times.min() < 0:
+        raise ValueError(f"timestamp must be non-negative, got {times.min()}")
+    return bucket_indices(times, bucket_seconds)
 
 
 class CacheStats:
@@ -166,6 +182,76 @@ class CacheStats:
             entry.writes += io_units
         else:
             entry.reads += io_units
+
+    # -- whole requests, from columns ---------------------------------------
+    def record_rows(
+        self,
+        issue_time: np.ndarray,
+        completion_time: np.ndarray,
+        block_count: np.ndarray,
+        is_write: np.ndarray,
+        hits: np.ndarray,
+        allocating: Union[bool, np.ndarray] = False,
+    ) -> None:
+        """Record write-through requests, one per row, in a few passes.
+
+        Row ``i`` accessed ``block_count[i]`` blocks at ``issue_time[i]``
+        and ``hits[i]`` of them hit: :meth:`record_hit`,
+        :meth:`record_miss`, :meth:`record_backing_write` for a write's
+        every block, and :meth:`record_ssd_io` for the hits' 4-KB units.
+        Where ``allocating[i]`` is set, every miss of the row was also
+        allocated a frame, by a request completing within its issue day:
+        :meth:`record_allocation_write`, plus the insertion's units at
+        ``completion_time[i]``.  Any other allocation is the caller's to
+        record block by block.  The counters end exactly as those scalar
+        calls leave them, in however many pieces a chunk is recorded.
+        """
+        if not len(issue_time):
+            return
+        days = self.days
+        blocks = block_count.astype(np.int64)
+        allocated = (blocks - hits) * allocating
+        day = np.minimum(_buckets(issue_time, SECONDS_PER_DAY), days - 1)
+        kind = day * 2 + is_write
+        counted = np.column_stack([
+            np.bincount(kind, blocks, 2 * days).reshape(days, 2),
+            np.bincount(kind, hits, 2 * days).reshape(days, 2),
+            np.bincount(day, allocated, days),
+        ]).astype(np.int64)
+        for stats, (reads, writes, read_hits, write_hits, installed) in zip(
+            self.per_day, counted.tolist()
+        ):
+            stats.accesses += reads + writes
+            stats.read_hits += read_hits
+            stats.write_hits += write_hits
+            stats.read_misses += reads - read_hits
+            stats.write_misses += writes - write_hits
+            stats.backing_writes += writes
+            stats.allocation_writes += installed
+        if not self.track_minutes:
+            return
+        # record_ssd_io over both kinds of SSD operation at once; as
+        # there, a row without units touches no minute.
+        units = np.concatenate([(hits + 7) >> 3, (allocated + 7) >> 3])
+        busy = units > 0
+        times = np.concatenate([issue_time, completion_time])[busy]
+        kinds = np.concatenate([is_write, np.ones(len(blocks), dtype=bool)])
+        minutes, inverse = np.unique(
+            _buckets(times, SECONDS_PER_MINUTE), return_inverse=True
+        )
+        moved = np.bincount(
+            inverse * 2 + kinds[busy], units[busy], 2 * len(minutes)
+        ).astype(np.int64)
+        per_minute = self.per_minute
+        for minute, reads, writes in zip(
+            minutes.tolist(), moved[0::2].tolist(), moved[1::2].tolist()
+        ):
+            entry = per_minute.get(minute)
+            if entry is None:
+                per_minute[minute] = MinuteIO(reads, writes)
+            else:
+                entry.reads += reads
+                entry.writes += writes
 
     # -- merging ------------------------------------------------------------
     def merge(self, other: "CacheStats") -> "CacheStats":

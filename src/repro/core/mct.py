@@ -13,7 +13,7 @@ implements — entries whose whole window has expired are dropped.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List, Sequence
 
 from repro.core.windows import SubwindowCounter, WindowSpec
 
@@ -66,8 +66,7 @@ class MissCountTable:
         Returns the block's exact windowed miss count.  Opportunistically
         prunes stale entries on the configured interval.
         """
-        if time - self._last_prune >= self.prune_interval:
-            self.prune(time)
+        self.sweep(time)
         counter = self._counters.get(address)
         if counter is None:
             counter = SubwindowCounter(self.window.subwindows)
@@ -88,8 +87,17 @@ class MissCountTable:
         """Drop a block's counter (called when the block is allocated)."""
         self._counters.pop(address, None)
 
-    def prune(self, time: float) -> int:
-        """Remove entries whose whole window has expired; returns count.
+    def sweep(self, time: float) -> Sequence[int]:
+        """:meth:`prune` if the prune interval has elapsed since the last
+        sweep; returns the addresses dropped (none when not due)."""
+        if time - self._last_prune >= self.prune_interval:
+            return self.prune(time)
+        return ()
+
+    def prune(self, time: float) -> List[int]:
+        """Remove entries whose whole window has expired; returns their
+        addresses (the sweep's own list: a caller that indexes the
+        tracked blocks drops exactly these, without rescanning).
 
         This is the paper's periodic staleness sweep — it bounds the
         MCT's size to blocks that have missed within the last W.
@@ -104,4 +112,4 @@ class MissCountTable:
             del self._counters[address]
         self.evictions += len(stale)
         self._last_prune = time
-        return len(stale)
+        return stale

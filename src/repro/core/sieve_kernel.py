@@ -35,17 +35,30 @@ copied in at run start or written back at a checkpoint.
   provably inert recordings are batched — and only on runs long enough
   to repay it (:data:`_BATCH_MIN_BLOCKS`).
 
+  The engine *visits* a request only if one of its slots is hot or
+  **occupied** — the kernel counts, per slot, the resident and
+  MCT-tracked blocks hashing to it.  Within a run a block enters the
+  cache or the MCT only through a recording that reaches ``t1`` on its
+  own slot (never a cold one) or out of the MCT (counted already), and
+  removals only leave the count too high: a request whose slots are all
+  cold and unoccupied at the run's head meets nothing resident or
+  tracked anywhere in the run, and is left wholly to the flush.  The
+  count can only err towards "occupied" — the exact walk — saturation
+  included.
+
 Equivalence contract: driven over the same miss stream, the table's
 state and every telemetry counter are bit-identical to the object
 sieve's — ``tests/sim/test_sieve_equivalence.py`` enforces this against
 :class:`~repro.cache.stats.CacheStats` and the sieve metastate, and
 ``tests/core/test_sieve_kernel.py`` property-tests classify + flush
-against sequential ``record_miss`` calls.
+against sequential ``record_miss`` calls, and the visit list against a
+model cache and MCT.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from itertools import chain
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -66,6 +79,11 @@ _SHIFT31 = np.uint64(31)
 #: Blocks a run needs before batching beats walking it (measured: ~85 us
 #: of per-run numpy overhead); either side leaves the same table state.
 _BATCH_MIN_BLOCKS = 128
+
+#: Ceiling of a slot's one-byte occupancy count.  A slot that reaches it
+#: is never decremented again, so a count that overflowed cannot read
+#: zero with blocks still on the slot.
+_OCCUPANCY_SATURATED = 255
 
 
 def mix64_array(values: np.ndarray) -> np.ndarray:
@@ -130,15 +148,17 @@ class SieveStoreCKernel:
     the window's blocks once and finds its subwindow runs; then for each
     run in turn :meth:`begin_run` classifies it and hands the engine its
     per-request / per-block tables, the engine replays the run's
-    requests (appending to :attr:`skipped`), and :meth:`flush` records
-    the deferred cold-slot misses — wholly at the run's end, or up to a
-    block position at a mid-run checkpoint; partial flushes compose.
+    visited requests (appending to :attr:`skipped`, and reporting what
+    enters and leaves ``resident`` and the MCT through :meth:`occupy` /
+    :meth:`vacate`), and :meth:`flush` records the deferred cold-slot
+    misses — wholly at the run's end, or up to a block position at a
+    mid-run checkpoint; partial flushes compose.
     The MCT tier stays on the live object — only IMCT-promoted blocks
     ever reach it, and calling the real ``record_miss`` preserves its
     prune scheduling and insert counting bit-identically.
     """
 
-    def __init__(self, policy: SieveStoreC):
+    def __init__(self, policy: SieveStoreC, resident: Iterable[int] = ()):
         if not supports(policy):
             raise TypeError(
                 f"kernel requires a plain SieveStoreC, got {type(policy).__name__}"
@@ -160,6 +180,32 @@ class SieveStoreCKernel:
         #: many blocks (by position) have been flushed.
         self._cold = np.zeros(0, dtype=bool)
         self._flushed = 0
+        #: Per slot, how many ``resident`` or MCT-tracked blocks hash to
+        #: it.  Derived state: counted here, never checkpointed.
+        self.occupancy = bytearray(self.n_slots)
+        held = np.fromiter(chain(resident, policy.mct._counters), np.int64)
+        slots, counts = np.unique(
+            bucket_array(held, self.n_slots, self.imct._salted),
+            return_counts=True,
+        )
+        np.frombuffer(self.occupancy, dtype=np.uint8)[slots] = np.minimum(
+            counts, _OCCUPANCY_SATURATED
+        )
+
+    def occupy(self, slot: int) -> None:
+        """A block on ``slot`` entered the cache or the MCT from outside
+        both (a promotion, a single-tier admission; a tier-2 admission
+        only moves its block from one to the other)."""
+        count = self.occupancy[slot]
+        if count < _OCCUPANCY_SATURATED:
+            self.occupancy[slot] = count + 1
+
+    def vacate(self, address: int) -> None:
+        """``address`` left the cache (evicted) or the MCT (pruned)."""
+        slot = self.imct.slot_of(address)
+        count = self.occupancy[slot]
+        if count < _OCCUPANCY_SATURATED:
+            self.occupancy[slot] = count - 1
 
     def precompute_chunk(
         self,
@@ -200,13 +246,15 @@ class SieveStoreCKernel:
 
     def begin_run(
         self,
-    ) -> Tuple[int, List[int], List[bool], List[int], List[int]]:
+    ) -> Tuple[int, List[int], List[int], List[int], List[int]]:
         """Classify the window's next run; flushes the previous one.
 
-        Returns ``(requests, subs, lanes, starts, cis)``: the run's
+        Returns ``(requests, subs, visit, starts, cis)``: the run's
         request count; per request its subwindow index (one value
-        throughout, except over a stretch of fused short runs), whether
-        *all* its blocks sit on cold slots, and the position of its
+        throughout, except over a stretch of fused short runs); the
+        requests the engine must walk, ascending — those with a block on
+        a hot or an occupied slot, every other being nothing but
+        rejections the flush records; per request the position of its
         first block (one extra entry closes the last request); per block
         the flat index of its count cell, ``(sub % k) * n_slots + slot``,
         or -1 on a cold slot.
@@ -238,9 +286,12 @@ class SieveStoreCKernel:
         self._cold = cold
         self._addresses = self._blocks[first_block:end_block]
         self._flushed = 0
-        lanes = np.logical_and.reduceat(cold, starts[:-1])
+        occupied = np.frombuffer(self.occupancy, dtype=np.uint8)[slots] != 0
+        visit = np.flatnonzero(
+            np.logical_or.reduceat(~cold | occupied, starts[:-1])
+        )
         cis = np.where(cold, -1, block_subs % self.k * self.n_slots + slots)
-        columns = (subs, lanes, starts, cis)
+        columns = (subs, visit, starts, cis)
         return (end_row - row, *(column.tolist() for column in columns))
 
     def flush(self, upto: Optional[int] = None) -> None:
@@ -264,10 +315,13 @@ class SieveStoreCKernel:
         if self.imct._last_address is None:
             self.imct.record_batch(np.sort(slots), self._sub)
         else:
-            # Collision counting reads each slot's recordings in order.
-            order = np.argsort(slots, kind="stable")
+            # Collision counting reads each slot's recordings in order:
+            # (slot, position) sorted as one key, which any sort keeps
+            # stable (and numpy's plain one is ~4x its stable argsort).
+            n = slots.size
+            slots, order = np.divmod(np.sort(slots * n + np.arange(n)), n)
             self.imct.record_batch(
-                slots[order], self._sub, self._addresses[recorded][order]
+                slots, self._sub, self._addresses[recorded][order]
             )
 
     def sync(self) -> None:

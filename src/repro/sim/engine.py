@@ -221,6 +221,17 @@ def _run_object_loop(
     appliance.flush_dirty(time=float(days) * SECONDS_PER_DAY - 1.0)
 
 
+def _check_progress(progress_every: Optional[int], progress_hook) -> None:
+    """Refuse a heartbeat cadence no run could honour, before any
+    request is replayed (the loops step through trace rows by it)."""
+    if progress_every is None:
+        return
+    if progress_every <= 0:
+        raise ValueError(f"progress_every must be positive, got {progress_every}")
+    if progress_hook is None:
+        raise ValueError("progress_every needs a progress_hook to call")
+
+
 def _check_resume_engine(state: dict, target: str) -> None:
     """Refuse an ``engine=`` override the checkpointed run cannot take.
 
@@ -582,8 +593,8 @@ def simulate(
             Never affects the statistics.
         progress_every: invoke ``progress_hook(requests_done,
             current_epoch)`` every this many requests (the CLI's
-            ``--progress`` heartbeat).  ``None`` disables it with zero
-            hot-loop cost beyond one predicate test per request.
+            ``--progress`` heartbeat); must be positive and come with a
+            hook.  ``None`` disables it.
         progress_hook: callable receiving ``(requests_done,
             current_epoch)``; must not mutate simulation state.
         chunk_rows: row budget per streamed chunk when ``trace`` is a
@@ -595,6 +606,7 @@ def simulate(
         epoch_seconds = float(SECONDS_PER_DAY)
     if epoch_seconds <= 0:
         raise ValueError(f"epoch_seconds must be positive, got {epoch_seconds}")
+    _check_progress(progress_every, progress_hook)
     if fault_plan is not None and fault_plan.is_empty:
         fault_plan = None
     if checkpoint_every is not None and checkpoint_every <= 0:
@@ -703,6 +715,7 @@ def resume_simulation(
     """
     from repro.sim.serialize import CheckpointError, load_checkpoint
 
+    _check_progress(progress_every, progress_hook)
     state = load_checkpoint(path)
     if trace is None:
         raise CheckpointError(

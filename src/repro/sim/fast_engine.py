@@ -4,19 +4,27 @@
 :class:`~repro.core.appliance.SieveStoreAppliance` method call per
 request, one cache/policy/stats call per 512-byte block.  That chain of
 small Python calls dominates simulation wall-clock.  This module
-replays the same semantics as one flat loop over the columnar trace:
+replays the same semantics over the columnar trace, a chunk at a time:
 
+* the rows where anything but a request happens — an epoch boundary, a
+  checkpoint or progress tick, a request running past midnight — are
+  found per chunk in a few vectorized passes, and the stretches between
+  them are replayed by per-mode block loops that contain requests and
+  nothing else: their one output is a hit count per request;
 * the LRU metastate is driven directly through the cache's
   ``OrderedDict`` (membership test + ``move_to_end`` +
   ``popitem(last=False)``), with the cache's resident *set* resynced
-  only at epoch boundaries and at the end of the run;
-* per-day hit/miss/backing counters are bumped once per request
-  (every block of a request shares the request's issue time, so the
-  per-block recording of the reference path lands in the same bucket);
-* allocation-writes are counted in one step when the whole request
-  completes within one calendar day — the per-block interpolated
-  completion times are only materialized for the rare requests that
-  straddle a day boundary;
+  only at epoch boundaries, sync sites and the end of the run;
+* statistics are recorded from columns
+  (:meth:`~repro.cache.stats.CacheStats.record_rows`: every block of a
+  request shares the request's issue time, so the per-block recording
+  of the reference path lands in the same buckets), up to the cursor at
+  every site where someone can look — a checkpoint, a chunk's end.
+  Only the rare allocations stay scalar: a sieve admission, and the
+  per-block interpolated completion times of a request that straddles
+  a day boundary;
+* SieveStore-C does not even visit most requests: the sieve kernel
+  (:mod:`repro.core.sieve_kernel`) proves them to be rejections only;
 * the policy's ``wants``/``observe`` hooks are specialized by *method
   identity*: a policy whose ``wants`` is literally
   ``AllocateOnDemand.wants`` allocates every miss without a Python
@@ -32,6 +40,8 @@ two paths produce bit-identical :class:`~repro.cache.stats.CacheStats`.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from typing import List, Optional, Tuple
 
 from repro.cache.allocation import (
@@ -138,6 +148,20 @@ def _sync_sieve_counters(
     policy.admissions = s_adms
 
 
+def _record_allocations(
+    stats: CacheStats, issue: float, completion: float, blocks: int, offsets: List[int]
+) -> None:
+    """Allocation-writes of one request that installed its blocks at
+    ``offsets`` — the events too rare to batch (a sieve admission, a
+    request running past midnight) — recorded as the reference does:
+    each block at its own interpolated completion time, so the
+    insertions of a day-straddling request split across the boundary."""
+    span = completion - issue
+    for off in offsets:
+        stats.record_allocation_write(issue + span * ((off + 1) / blocks))
+    stats.record_ssd_io(completion, (len(offsets) + 7) >> 3, True)
+
+
 def simulate_fast_chunks(
     chunks,
     policy: AllocationPolicy,
@@ -180,16 +204,18 @@ def simulate_fast_chunks(
     mid-trace; ``checkpointer(cursor, current_epoch)`` is invoked every
     ``checkpoint_every`` requests, and ``segment_hook(cursor,
     current_epoch)`` after each chunk (the per-segment checkpoint site
-    of out-of-core runs), both with the cache's resident set resynced
-    and (for the sieve kernel) the policy object fully synced, so the
-    callback can pickle ``policy``/``cache``/``stats`` as-is.  The
-    driver for both is :mod:`repro.sim.engine`.
+    of out-of-core runs), both with the cache's resident set resynced,
+    the statistics recorded up to the cursor and (for the sieve kernel)
+    the policy object fully synced, so the callback can pickle
+    ``policy``/``cache``/``stats`` as-is.  The driver for both is
+    :mod:`repro.sim.engine`.
 
     Observability: ``boundary_hook(epoch, cursor)`` fires after each
     epoch boundary is applied; ``progress_hook(requests_done,
     current_epoch)`` fires every ``progress_every`` requests.  Both are
-    telemetry-only — they must not mutate simulation state — and when
-    left ``None`` cost one predicate test per boundary/request.
+    telemetry-only — they must not mutate simulation state, and the
+    statistics trail the cursor between sync sites.  The rows they fire
+    at are found per chunk: they cost the request loops nothing.
     """
     if stats is None:
         stats = CacheStats(days=days, track_minutes=track_minutes)
@@ -200,16 +226,14 @@ def simulate_fast_chunks(
     od = replacement._order
     od_move = od.move_to_end
     od_pop = od.popitem
-    per_day = stats.per_day
-    record_ssd_io = stats.record_ssd_io
     capacity = capacity_blocks
-    last_day = days - 1
     day_seconds = float(SECONDS_PER_DAY)
 
     wmode = _wants_mode(policy)
     omode = _observe_mode(policy)
     wants = policy.wants
     observe = policy.observe
+    do_observe = omode != _O_NONE
     # Specialized observe targets; these containers are *replaced* by
     # their policies at epoch boundaries, so they are rebound after
     # every boundary below.
@@ -220,6 +244,11 @@ def simulate_fast_chunks(
     # their cache._resident stays valid between boundaries.  Allocating
     # modes mutate the OrderedDict only; resync before batches/at end.
     may_allocate = wmode != _W_FALSE
+    general = wmode == _W_CALL or omode == _O_CALL
+    # Every (WMNA: read) miss allocated and nothing to call per block:
+    # the allocation-writes, too, are recorded from columns.
+    bulk = not general and wmode in (_W_TRUE, _W_NOT_WRITE)
+    admitted: List[int] = []  # block offsets the request in hand installed
 
     # -- sieve-kernel state (only when wmode == _W_SIEVE) -----------------
     # The kernel and this loop work on the IMCT's own buffers; the
@@ -230,8 +259,10 @@ def simulate_fast_chunks(
     # engine-agnostic source of truth.
     kernel = None
     if wmode == _W_SIEVE:
-        kernel = SieveStoreCKernel(policy)
+        kernel = SieveStoreCKernel(policy, od)
         skip = kernel.skipped.append
+        occupy = kernel.occupy
+        vacate = kernel.vacate
         imct = policy.imct
         s_counts = imct.counts
         s_last = imct.last
@@ -241,10 +272,9 @@ def simulate_fast_chunks(
         saturation = COUNTER_SATURATION
         s_lastaddr = imct._last_address  # None unless collision tracking
         tracking = s_lastaddr is not None
-        od_keys = od.keys()
         mct = policy.mct
         mct_counters = mct._counters
-        mct_keys = mct_counters.keys()
+        mct_sweep = mct.sweep
         mct_record = mct.record_miss
         mct_track = mct.track
         mct_forget = mct.forget
@@ -272,83 +302,85 @@ def simulate_fast_chunks(
         if inserted:
             # Batch allocation-writes belong to the calendar day
             # containing the epoch boundary (boundary k fires at
-            # k * epoch_seconds); identical expression to the reference
-            # path's begin_day for bit-identity.
+            # k * epoch_seconds): the reference path's begin_day calls.
             boundary_time = float(epoch) * epoch_seconds
-            day = int(boundary_time // day_seconds)
-            if day > last_day:
-                day = last_day
-            per_day[day].allocation_writes += inserted
+            stats.record_allocation_write(boundary_time, inserted)
             if not batch_moves_staggered:
-                record_ssd_io(boundary_time, (inserted + 7) >> 3, True)
+                stats.record_ssd_io(boundary_time, (inserted + 7) >> 3, True)
 
     current_epoch = start_epoch
     cursor = start_cursor
-    general = wmode == _W_CALL or omode == _O_CALL
     for base, chunk_cols in chunks:
-        issue_l = chunk_cols.issue_time.tolist()
-        rct_l = chunk_cols.completion_time.tolist()
+        issue_times = chunk_cols.issue_time
+        completion_times = chunk_cols.completion_time
+        issue_l = issue_times.tolist()
         addr_l = chunk_cols.address.tolist()
         count_l = chunk_cols.block_count.tolist()
         write_l = chunk_cols.is_write.tolist()
         chunk_n = len(issue_l)
-        # Per-request epoch and calendar-day indices, floor-divided in
-        # one vectorized pass with Python `//` boundary semantics
-        # (subwindow_indices is that generic primitive — the
-        # ColumnarTrace.issue_days contract) instead of two float
-        # divisions per request in the loop.  Day indices are
-        # pre-capped.  Both are elementwise, so chunk boundaries cannot
-        # change a value.
-        epoch_l = subwindow_indices(chunk_cols.issue_time, epoch_seconds).tolist()
-        d_issue_l = np.minimum(
-            subwindow_indices(chunk_cols.issue_time, day_seconds), last_day
-        ).tolist()
+        # Hits per request: all the loops below put out.  Statistics
+        # are recorded from it and the columns, rows [recorded, upto) at
+        # every sync site (CacheStats.record_rows).
+        hits = array("q", bytes(8 * chunk_n))
+        recorded_columns = [
+            issue_times, completion_times, chunk_cols.block_count,
+            chunk_cols.is_write, np.frombuffer(hits, dtype=np.int64),
+        ]
         # Rows the cursor already covers are skipped (a resume can land
         # mid-chunk when the chunk iterator is coarser than the cursor).
-        local_start = cursor - base
-        if local_start < 0:
-            local_start = 0
+        recorded = local_start = min(max(cursor - base, 0), chunk_n)
+        # The rows where something other than a request happens, found
+        # in vectorized passes with Python `//` boundary semantics
+        # (subwindow_indices is that generic primitive); all elementwise,
+        # so chunk boundaries cannot move one.
+        epochs = subwindow_indices(issue_times, epoch_seconds)
+        stops = {local_start, chunk_n}
+        stops.update((np.flatnonzero(epochs[1:] != epochs[:-1]) + 1).tolist())
+        for every in (checkpoint_every, progress_every):
+            if every is not None:
+                first = local_start + every - (base + local_start) % every
+                stops.update(range(first, chunk_n + 1, every))
+        scalar_rows = ()
+        if bulk:
+            # A request running past midnight spreads its allocations
+            # over two days, block by block: the scalar road (days
+            # uncapped — past the last day it leads to the same sums).
+            straddles = subwindow_indices(
+                issue_times, day_seconds
+            ) != subwindow_indices(completion_times, day_seconds)
+            allocates = ~chunk_cols.is_write if wmode == _W_NOT_WRITE else True
+            recorded_columns.append(~straddles & allocates)
+            scalar_rows = set(np.flatnonzero(straddles & allocates).tolist())
+            stops.update(scalar_rows)
+        stops = sorted(stops)
+        stops = stops[stops.index(local_start):]
         # Sieve precompute windows and runs never span chunks: reset so
         # the first sieved request of this chunk starts new ones.
         sl_end = run_end = local_start
-        for jl in range(local_start, chunk_n):
-            j = base + jl
-            issue = issue_l[jl]
-            epoch = epoch_l[jl]
+        for lo, hi in zip(stops, stops[1:]):
+            epoch = int(epochs[lo])
             if epoch > current_epoch:
                 while current_epoch < epoch:
                     current_epoch += 1
                     apply_boundary(current_epoch)
                     if boundary_hook is not None:
-                        boundary_hook(current_epoch, j)
+                        boundary_hook(current_epoch, base + lo)
                 if omode == _O_COUNTER:
                     counts = policy._epoch_counts
                 elif omode == _O_SET:
                     seen = policy._seen_this_epoch
 
-            addr = addr_l[jl]
-            k = count_l[jl]
-            w = write_l[jl]
-            end = addr + k
-            hit = 0
-            allocated = 0
-            alloc_offsets: Optional[List[int]] = None
-
-            d_issue = d_issue_l[jl]
-
-            if general:
-                # Reference-order general body: observe every block, ask
-                # wants() on every miss (stateful sieves consume the miss
-                # stream in exactly this order).
-                rct = rct_l[jl]
-                d_rct = int(rct // day_seconds)
-                if d_rct > last_day:
-                    d_rct = last_day
-                same_day = d_rct == d_issue
-                do_observe = omode != _O_NONE
-                alloc_offsets = []
-                for off in range(k):
-                    a = addr + off
+            # Reference-order general body: observe every block, ask
+            # wants() on every miss (stateful sieves consume the miss
+            # stream in exactly this order).  The bulk modes send it
+            # their day-straddling requests, for the blocks' offsets.
+            head = hi if general else lo + (lo in scalar_rows)
+            for jl in range(lo, head):
+                issue = issue_l[jl]
+                addr = addr_l[jl]
+                w = write_l[jl]
+                hit = 0
+                for a in range(addr, addr + count_l[jl]):
                     if a in od:
                         od_move(a)
                         if do_observe:
@@ -365,224 +397,198 @@ def simulate_fast_chunks(
                             if len(od) >= capacity:
                                 od_pop(False)
                             od[a] = None
-                            if same_day:
-                                allocated += 1
-                            else:
-                                alloc_offsets.append(off)
-            elif wmode == _W_SIEVE:
+                            admitted.append(a - addr)
+                hits[jl] = hit
+                if admitted:
+                    _record_allocations(
+                        stats, issue, completion_times[jl].item(),
+                        count_l[jl], admitted,
+                    )
+                    admitted.clear()
+
+            if wmode == _W_SIEVE:
                 # Inline SieveStore-C: the two-tier sieve of
                 # SieveStoreC.wants over the IMCT's buffers, one run of
-                # same-subwindow requests at a time (see
-                # repro.core.sieve_kernel for the cold/hot argument).
-                if jl >= run_end:
-                    if jl >= sl_end:
-                        sl_end = jl + _SIEVE_CHUNK
-                        if sl_end > chunk_n:
-                            sl_end = chunk_n
-                        kernel.precompute_chunk(
-                            chunk_cols.address[jl:sl_end],
-                            chunk_cols.block_count[jl:sl_end],
-                            chunk_cols.issue_time[jl:sl_end],
+                # same-subwindow requests at a time, and of a run only
+                # the requests the kernel cannot prove to be rejections
+                # (repro.core.sieve_kernel: cold/hot, occupancy).
+                jl = lo
+                while jl < hi:
+                    if jl >= run_end:
+                        if jl >= sl_end:
+                            sl_end = min(jl + _SIEVE_CHUNK, chunk_n)
+                            kernel.precompute_chunk(
+                                chunk_cols.address[jl:sl_end],
+                                chunk_cols.block_count[jl:sl_end],
+                                issue_times[jl:sl_end],
+                            )
+                        run_start = jl
+                        run_len, c_subs, c_visit, c_starts, c_cis = (
+                            kernel.begin_run()
                         )
-                    run_start = jl
-                    run_len, c_subs, c_lanes, c_starts, c_cis = (
-                        kernel.begin_run()
-                    )
-                    run_end = jl + run_len
-                blocks = range(addr, end)
-                # Request-granular lane: when every block is a miss on a
-                # cold slot — an IMCT rejection the run's flush records —
-                # nothing is left but the statistics below.  Only a
-                # request with a hot slot, a hit or an MCT member walks
-                # its blocks.
-                if not (
-                    c_lanes[jl - run_start]
-                    and od_keys.isdisjoint(blocks)
-                    and mct_keys.isdisjoint(blocks)
-                ):
-                    # Completion-day bucketing is only consulted when a
-                    # block is admitted (rare: that is the whole point
-                    # of the sieve), so rct/same_day are computed lazily
-                    # at the request's first admission (d_rct == -1
-                    # marks "not yet computed").
-                    d_rct = -1
-                    start = c_starts[jl - run_start]
-                    sub = c_subs[jl - run_start]
-                    # Decision order matches the reference exactly — hits
-                    # move recency first, every miss is counted in
-                    # exactly one tier, and the (rare) MCT tier calls the
-                    # live object so prune timing and insert counting
-                    # stay bit-identical.
-                    for a, ci in zip(blocks, c_cis[start:start + k]):
-                        if a in od:
-                            od_move(a)
-                            hit += 1
-                            if ci < 0:
-                                skip(start + a - addr)
-                            continue
-                        if a in mct_counters:
-                            # Tier 2: exact counting (IMCT-promoted only).
-                            if ci < 0:
-                                skip(start + a - addr)
-                            exact = mct_record(a, issue)
-                            if exact < t2:
-                                s_mct_rej += 1
+                        run_end = jl + run_len
+                        visited = 0
+                    jl = min(run_end, hi)
+                    upto = bisect_left(c_visit, jl - run_start, visited)
+                    for r in c_visit[visited:upto]:
+                        row = run_start + r
+                        issue = issue_l[row]
+                        addr = addr_l[row]
+                        k = count_l[row]
+                        start = c_starts[r]
+                        sub = c_subs[r]
+                        hit = 0
+                        # Decision order matches the reference exactly —
+                        # hits move recency first, every miss is counted
+                        # in exactly one tier, and the (rare) MCT tier
+                        # calls the live object so prune timing and
+                        # insert counting stay bit-identical.
+                        for a, ci in zip(
+                            range(addr, addr + k), c_cis[start:start + k]
+                        ):
+                            if a in od:
+                                od_move(a)
+                                hit += 1
+                                if ci < 0:
+                                    skip(start + a - addr)
                                 continue
-                            mct_forget(a)
-                            s_adms += 1
-                        elif ci < 0:
-                            continue  # cold slot: recorded by the flush
-                        else:
-                            # Tier 1 on a hot slot: the IMCT recording,
-                            # inlined (ImpreciseMissCountTable.record_miss
-                            # with the hash and subwindow precomputed).
-                            imct.recorded_misses += 1
-                            slot = ci % n_slots
-                            if tracking:
-                                prev = s_lastaddr[slot]
-                                if prev >= 0 and prev != a:
-                                    imct.alias_collisions += 1
-                                s_lastaddr[slot] = a
-                            ls = s_last[slot]
-                            if sub != ls:
-                                if ls < 0 or sub - ls >= k_w:
-                                    s_counts[slot::n_slots] = zeros_w
-                                else:
-                                    for g in range(ls + 1, sub + 1):
-                                        s_counts[g % k_w * n_slots + slot] = 0
-                                s_last[slot] = sub
-                            cv = s_counts[ci]
-                            if cv < saturation:
-                                s_counts[ci] = cv + 1
-                            if sum(s_counts[slot::n_slots]) < t1:
-                                continue
-                            if not single_tier:
-                                mct_track(a)
-                                s_promos += 1
-                                continue
-                            # Ablation: admit on tier 1 alone; the slot is
-                            # reset exactly like imct.reset_slot.
-                            s_counts[slot::n_slots] = zeros_w
-                            s_last[slot] = -1
-                            s_adms += 1
-                        # Admission (either tier): install the block.
-                        if d_rct < 0:
-                            rct = rct_l[jl]
-                            d_rct = int(rct // day_seconds)
-                            if d_rct > last_day:
-                                d_rct = last_day
-                            same_day = d_rct == d_issue
-                        if len(od) >= capacity:
-                            od_pop(False)
-                        od[a] = None
-                        if same_day:
-                            allocated += 1
-                        elif alloc_offsets is None:
-                            alloc_offsets = [a - addr]
-                        else:
-                            alloc_offsets.append(a - addr)
+                            if a in mct_counters:
+                                # Tier 2: exact counting (IMCT-promoted
+                                # only).  The sweep record_miss is about
+                                # to make is made here, for its list; it
+                                # may drop ``a``, which is tracked anew.
+                                if ci < 0:
+                                    skip(start + a - addr)
+                                for stale in mct_sweep(issue):
+                                    if stale != a:
+                                        vacate(stale)
+                                exact = mct_record(a, issue)
+                                if exact < t2:
+                                    s_mct_rej += 1
+                                    continue
+                                mct_forget(a)
+                                s_adms += 1
+                            elif ci < 0:
+                                continue  # cold slot: recorded by the flush
+                            else:
+                                # Tier 1 on a hot slot: the IMCT recording,
+                                # inlined (ImpreciseMissCountTable.record_miss
+                                # with the hash and subwindow precomputed).
+                                imct.recorded_misses += 1
+                                slot = ci % n_slots
+                                if tracking:
+                                    prev = s_lastaddr[slot]
+                                    if prev >= 0 and prev != a:
+                                        imct.alias_collisions += 1
+                                    s_lastaddr[slot] = a
+                                ls = s_last[slot]
+                                if sub != ls:
+                                    if ls < 0 or sub - ls >= k_w:
+                                        s_counts[slot::n_slots] = zeros_w
+                                    else:
+                                        for g in range(ls + 1, sub + 1):
+                                            s_counts[g % k_w * n_slots + slot] = 0
+                                    s_last[slot] = sub
+                                cv = s_counts[ci]
+                                if cv < saturation:
+                                    s_counts[ci] = cv + 1
+                                if sum(s_counts[slot::n_slots]) < t1:
+                                    continue
+                                occupy(slot)
+                                if not single_tier:
+                                    mct_track(a)
+                                    s_promos += 1
+                                    continue
+                                # Ablation: admit on tier 1 alone; the slot is
+                                # reset exactly like imct.reset_slot.
+                                s_counts[slot::n_slots] = zeros_w
+                                s_last[slot] = -1
+                                s_adms += 1
+                            # Admission (either tier): install the block.
+                            if len(od) >= capacity:
+                                vacate(od_pop(False)[0])
+                            od[a] = None
+                            admitted.append(a - addr)
+                        hits[row] = hit
+                        if admitted:
+                            _record_allocations(
+                                stats, issue, completion_times[row].item(),
+                                k, admitted,
+                            )
+                            admitted.clear()
+                    visited = upto
             elif wmode == _W_FALSE:
                 if omode == _O_COUNTER:
-                    for a in range(addr, end):
-                        counts[a] += 1
-                        if a in od:
-                            od_move(a)
-                            hit += 1
+                    for jl in range(head, hi):
+                        addr = addr_l[jl]
+                        hit = 0
+                        for a in range(addr, addr + count_l[jl]):
+                            counts[a] += 1
+                            if a in od:
+                                od_move(a)
+                                hit += 1
+                        hits[jl] = hit
                 elif omode == _O_SET:
-                    for a in range(addr, end):
-                        seen.add(a)
-                        if a in od:
-                            od_move(a)
-                            hit += 1
+                    for jl in range(head, hi):
+                        addr = addr_l[jl]
+                        hit = 0
+                        for a in range(addr, addr + count_l[jl]):
+                            seen.add(a)
+                            if a in od:
+                                od_move(a)
+                                hit += 1
+                        hits[jl] = hit
                 else:
-                    for a in range(addr, end):
-                        if a in od:
-                            od_move(a)
-                            hit += 1
+                    for jl in range(head, hi):
+                        addr = addr_l[jl]
+                        hit = 0
+                        for a in range(addr, addr + count_l[jl]):
+                            if a in od:
+                                od_move(a)
+                                hit += 1
+                        hits[jl] = hit
             else:
-                # Allocating specializations (wants is a known constant and
-                # observe is the no-op).
-                rct = rct_l[jl]
-                d_rct = int(rct // day_seconds)
-                if d_rct > last_day:
-                    d_rct = last_day
-                if wmode == _W_NOT_WRITE and w:
-                    for a in range(addr, end):
-                        if a in od:
-                            od_move(a)
-                            hit += 1
-                elif d_rct == d_issue:
-                    for a in range(addr, end):
-                        if a in od:
-                            od_move(a)
-                            hit += 1
-                        else:
-                            if len(od) >= capacity:
-                                od_pop(False)
-                            od[a] = None
-                    allocated = k - hit
-                else:
-                    alloc_offsets = []
-                    for off in range(k):
-                        a = addr + off
-                        if a in od:
-                            od_move(a)
-                            hit += 1
-                        else:
-                            if len(od) >= capacity:
-                                od_pop(False)
-                            od[a] = None
-                            alloc_offsets.append(off)
+                # Allocating specializations (wants is a known constant
+                # and observe is the no-op); allocated = blocks - hits.
+                for jl in range(head, hi):
+                    addr = addr_l[jl]
+                    hit = 0
+                    if wmode == _W_NOT_WRITE and write_l[jl]:
+                        for a in range(addr, addr + count_l[jl]):
+                            if a in od:
+                                od_move(a)
+                                hit += 1
+                    else:
+                        for a in range(addr, addr + count_l[jl]):
+                            if a in od:
+                                od_move(a)
+                                hit += 1
+                            else:
+                                if len(od) >= capacity:
+                                    od_pop(False)
+                                od[a] = None
+                    hits[jl] = hit
 
-            # -- per-request statistics (identical bucketing to the
-            # reference path: all blocks of a request share its issue time).
-            ds = per_day[d_issue]
-            ds.accesses += k
-            if w:
-                ds.write_hits += hit
-                ds.write_misses += k - hit
-                ds.backing_writes += k  # write-through: every write block
-            else:
-                ds.read_hits += hit
-                ds.read_misses += k - hit
-
-            if allocated:
-                ds.allocation_writes += allocated
-            elif alloc_offsets:
-                # Day-straddling request: interpolate each allocated
-                # block's completion, as the reference per-block loop does.
-                span = rct - issue
-                for off in alloc_offsets:
-                    completion = issue + span * ((off + 1) / k)
-                    day = int(completion // day_seconds)
-                    if day > last_day:
-                        day = last_day
-                    per_day[day].allocation_writes += 1
-                allocated = len(alloc_offsets)
-
-            if track_minutes:
-                if allocated:
-                    record_ssd_io(rct_l[jl], (allocated + 7) >> 3, True)
-                if hit:
-                    record_ssd_io(issue, (hit + 7) >> 3, w)
-
-            if checkpoint_every is not None and (j + 1) % checkpoint_every == 0:
+            done = base + hi
+            if checkpoint_every is not None and done % checkpoint_every == 0:
                 if may_allocate:
                     cache._resident = set(od)
                 if kernel is not None:
                     # Mid-run: flush only the blocks replayed so far.
                     _sync_sieve_counters(
-                        kernel, c_starts[jl - run_start + 1], policy,
+                        kernel, c_starts[hi - run_start], policy,
                         s_rejections_base, s_promos, s_mct_rej, s_adms,
                     )
-                checkpointer(j + 1, current_epoch)
-            if progress_every is not None and (j + 1) % progress_every == 0:
-                progress_hook(j + 1, current_epoch)
+                stats.record_rows(*(c[recorded:hi] for c in recorded_columns))
+                recorded = hi
+                checkpointer(done, current_epoch)
+            if progress_every is not None and done % progress_every == 0:
+                progress_hook(done, current_epoch)
 
-
-        # End of chunk: advance the cursor (max() so a chunk wholly
-        # behind a resume cursor can never move it backwards) and give
-        # the caller a consistent state to checkpoint against.
+        # End of chunk: record the rest of it, advance the cursor (max()
+        # so a chunk wholly behind a resume cursor can never move it
+        # backwards) and give the caller a consistent state to checkpoint.
+        stats.record_rows(*(c[recorded:] for c in recorded_columns))
         chunk_end_row = base + chunk_n
         if chunk_end_row > cursor:
             cursor = chunk_end_row

@@ -539,13 +539,14 @@ def _load_npz_mmap(path: Path) -> Optional[ColumnarTrace]:
 
     ``numpy.savez`` stores members with ``ZIP_STORED``, so each member
     is its raw ``.npy`` bytes at a known offset: parse the npy header
-    there and hand the data range to ``numpy.memmap``.  Returns None
-    when any member is compressed (fall back to a full load); raises
-    the usual zip/format exceptions on corruption, which
+    there and view the data range of one map of the whole file (opened
+    once, for the zip directory, the headers and the map alike).
+    Returns None when any member is compressed (fall back to a full
+    load); raises the usual zip/format exceptions on corruption, which
     :meth:`SegmentStore.load_segment` converts to :class:`SegmentError`.
     """
     arrays: Dict[str, np.ndarray] = {}
-    with zipfile.ZipFile(path) as archive:
+    with open(path, "rb") as raw, zipfile.ZipFile(raw) as archive:
         # Tiny members are read (and CRC-checked) outright; this also
         # validates the embedded format version exactly like load_npz.
         version = int(np.load(io.BytesIO(archive.read("format_version.npy"))))
@@ -555,28 +556,28 @@ def _load_npz_mmap(path: Path) -> Optional[ColumnarTrace]:
                 f"(expected {NPZ_FORMAT_VERSION})"
             )
         description = str(np.load(io.BytesIO(archive.read("description.npy"))))
-        with open(path, "rb") as raw:
-            for name in _COLUMNS:
-                info = archive.getinfo(f"{name}.npy")
-                if info.compress_type != zipfile.ZIP_STORED:
-                    return None
-                raw.seek(info.header_offset)
-                local_header = raw.read(30)
-                if len(local_header) != 30 or local_header[:4] != b"PK\x03\x04":
-                    raise ValueError(f"bad local zip header for {name}.npy")
-                name_len = int.from_bytes(local_header[26:28], "little")
-                extra_len = int.from_bytes(local_header[28:30], "little")
-                raw.seek(info.header_offset + 30 + name_len + extra_len)
-                magic = np.lib.format.read_magic(raw)
-                if magic == (1, 0):
-                    shape, fortran, dtype = np.lib.format.read_array_header_1_0(raw)
-                elif magic == (2, 0):
-                    shape, fortran, dtype = np.lib.format.read_array_header_2_0(raw)
-                else:
-                    return None
-                if fortran or len(shape) != 1:
-                    raise ValueError(f"unexpected npy layout for {name}.npy")
-                arrays[name] = np.memmap(
-                    path, dtype=dtype, mode="r", offset=raw.tell(), shape=shape
-                )
+        mapped = np.memmap(raw, dtype=np.uint8, mode="r")
+        for name in _COLUMNS:
+            info = archive.getinfo(f"{name}.npy")
+            if info.compress_type != zipfile.ZIP_STORED:
+                return None
+            raw.seek(info.header_offset)
+            local_header = raw.read(30)
+            if len(local_header) != 30 or local_header[:4] != b"PK\x03\x04":
+                raise ValueError(f"bad local zip header for {name}.npy")
+            name_len = int.from_bytes(local_header[26:28], "little")
+            extra_len = int.from_bytes(local_header[28:30], "little")
+            raw.seek(info.header_offset + 30 + name_len + extra_len)
+            magic = np.lib.format.read_magic(raw)
+            if magic == (1, 0):
+                shape, fortran, dtype = np.lib.format.read_array_header_1_0(raw)
+            elif magic == (2, 0):
+                shape, fortran, dtype = np.lib.format.read_array_header_2_0(raw)
+            else:
+                return None
+            if fortran or len(shape) != 1:
+                raise ValueError(f"unexpected npy layout for {name}.npy")
+            arrays[name] = np.frombuffer(
+                mapped, dtype=dtype, count=shape[0], offset=raw.tell()
+            )
     return ColumnarTrace(description=description, **arrays)

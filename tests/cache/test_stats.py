@@ -1,6 +1,8 @@
 """Cache statistics accounting (per-day and per-minute)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cache.stats import CacheStats, DayStats
 from repro.util.intervals import SECONDS_PER_DAY
@@ -142,3 +144,109 @@ class TestMerge:
         loud.record_ssd_io(0.0, 2, is_write=False)
         assert CacheStats.merged([silent, loud]).per_minute[0].reads == 2
         assert not CacheStats.merged([silent, silent]).track_minutes
+
+
+DAYS = 3
+
+
+def times_near(bucket_seconds):
+    """Timestamps on, one ulp off, and within 1e-9 s of a bucket
+    boundary — where a vectorized floor could part ways with ``//``."""
+
+    def nudged(index, nudge):
+        boundary = float(index * bucket_seconds)
+        if abs(nudge) == np.inf:
+            return max(0.0, float(np.nextafter(boundary, nudge)))
+        return max(0.0, boundary + nudge)
+
+    return st.builds(
+        nudged,
+        st.integers(0, (DAYS + 2) * SECONDS_PER_DAY // bucket_seconds),
+        st.sampled_from([0.0, 1e-9, -1e-9, 3e-10, -3e-10, np.inf, -np.inf]),
+    )
+
+
+@st.composite
+def request_rows(draw):
+    """Request rows, some of them past the last day: ``(issue,
+    completion, blocks, is_write, hits, allocating)``."""
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        issue = draw(st.one_of(
+            times_near(60), times_near(SECONDS_PER_DAY),
+            st.floats(0.0, (DAYS + 2.0) * SECONDS_PER_DAY),
+        ))
+        completion = issue + draw(
+            st.sampled_from([0.0, 1e-9, 0.004, 59.9999999995, 60.0, 4000.0])
+        )
+        blocks = draw(st.integers(1, 40))
+        hits = draw(st.sampled_from([0, blocks, draw(st.integers(0, blocks))]))
+        # The columnar contract: a row is only marked when the request
+        # completes within its (capped) issue day.
+        same_day = min(completion // SECONDS_PER_DAY, DAYS - 1) == min(
+            issue // SECONDS_PER_DAY, DAYS - 1
+        )
+        rows.append((issue, completion, blocks, draw(st.booleans()), hits,
+                     same_day and draw(st.booleans())))
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=4)))
+    pieces = list(zip([0, *cuts], [*cuts, len(rows)]))
+    return rows, draw(st.permutations(pieces))
+
+
+def record_scalar(stats, rows):
+    """The reference: the scalar calls the engines make per request."""
+    for issue, completion, blocks, is_write, hits, allocating in rows:
+        misses = blocks - hits
+        stats.record_hit(issue, is_write, hits)
+        stats.record_miss(issue, is_write, misses)
+        if is_write:
+            stats.record_backing_write(issue, blocks)
+        if allocating:
+            stats.record_allocation_write(completion, misses)
+            stats.record_ssd_io(completion, (misses + 7) >> 3, True)
+        stats.record_ssd_io(issue, (hits + 7) >> 3, is_write)
+
+
+def record_columnar(stats, rows, pieces, with_allocations):
+    columns = [
+        np.array([row[i] for row in rows], dtype=dtype)
+        for i, dtype in enumerate(
+            (np.float64, np.float64, np.int32, np.bool_, np.int64, np.bool_)
+        )
+    ]
+    if not with_allocations:
+        columns.pop()
+    for lo, hi in pieces:
+        stats.record_rows(*(column[lo:hi] for column in columns))
+
+
+class TestRecordRows:
+    """``record_rows`` against the scalar recording calls, row for row."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(request_rows(), st.booleans(), st.booleans())
+    def test_matches_scalar_recording(self, drawn, track_minutes, allocations):
+        rows, pieces = drawn
+        if not allocations:  # the sieve's call: no allocating column
+            rows = [(*row[:5], False) for row in rows]
+        scalar = CacheStats(DAYS, track_minutes=track_minutes)
+        columnar = CacheStats(DAYS, track_minutes=track_minutes)
+        record_scalar(scalar, rows)
+        record_columnar(columnar, rows, pieces, allocations)
+        assert columnar.per_day == scalar.per_day
+        assert columnar.per_minute == scalar.per_minute
+        if not track_minutes:
+            assert columnar.per_minute == {}
+        columnar.check_consistency()
+        # Plain ints throughout: the counters are pickled and JSON-dumped.
+        for counters in (*columnar.per_day, *columnar.per_minute.values()):
+            assert all(type(v) is int for v in vars(counters).values())
+
+    def test_negative_timestamp_refused_before_anything_is_recorded(self):
+        rows = [(5.0, 5.1, 4, False, 2, False), (-1.0, 0.5, 4, False, 2, False)]
+        stats = CacheStats(DAYS)
+        with pytest.raises(ValueError, match="non-negative"):
+            record_columnar(stats, rows, [(0, 2)], False)
+        assert stats.total == DayStats() and stats.per_minute == {}
+        with pytest.raises(ValueError, match="non-negative"):
+            record_scalar(CacheStats(DAYS), rows)

@@ -99,9 +99,16 @@ class TestPruning:
         mct = make_mct(window_seconds=40.0)
         mct.record_miss(1, 0.0)
         mct.record_miss(2, 55.0)
-        removed = mct.prune(60.0)
-        assert removed == 1
+        # The sweep hands back what it dropped, not just how many.
+        assert mct.prune(60.0) == [1]
         assert 1 not in mct and 2 in mct
+
+    def test_sweep_prunes_only_when_due(self):
+        mct = make_mct(window_seconds=40.0, prune_interval=100.0)
+        mct.record_miss(1, 0.0)
+        assert mct.sweep(99.0) == () and 1 in mct
+        assert mct.sweep(100.0) == [1] and 1 not in mct
+        assert mct.sweep(150.0) == ()  # the interval restarts at a sweep
 
     def test_opportunistic_prune_on_interval(self):
         mct = make_mct(window_seconds=40.0, prune_interval=100.0)

@@ -5,14 +5,18 @@ oracle: ``mix64_array`` against ``mix64``, ``bucket_array`` against
 ``stable_bucket``, ``subwindow_indices`` against
 ``WindowSpec.subwindow_index`` (including float boundary adversaries),
 the table's scalar and batched recording against sequential
-``SubwindowCounter.record`` calls, and the kernel's classify + flush
+``SubwindowCounter.record`` calls, the kernel's classify + flush
 (with skipped blocks, partial flushes and collision tracking) against
-sequential ``record_miss`` calls.  Engine-level equivalence lives in
+sequential ``record_miss`` calls, and its visit list (cold/hot plus the
+per-slot occupancy count) against a model cache and MCT walked request
+by request.  Engine-level equivalence lives in
 ``tests/sim/test_sieve_equivalence.py``.
 """
 
 import sys
 from array import array
+from collections import Counter, OrderedDict
+from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -288,7 +292,8 @@ class TestSieveStoreCKernel:
         k = policy.imct.window.subwindows
         runs = [kernel.begin_run(), kernel.begin_run()]
         assert [run[:2] for run in runs] == [(2, [0, 0]), (1, [3])]
-        assert [run[2] for run in runs] == [[False, False], [False]]
+        # Hot slots: every request is walked.
+        assert [run[2] for run in runs] == [[0, 1], [0]]
         # Per request the position of its first block (plus the end) ...
         assert [run[3] for run in runs] == [[0, 1, 4], [0, 2]]
         # ... and per block its flat count-cell index in the column-major
@@ -306,20 +311,22 @@ class TestSieveStoreCKernel:
         kernel = SieveStoreCKernel(policy)
         one = np.ones(1, dtype=np.int64)
 
-        def lanes_of(blocks, time):
+        def visit_of(blocks, time):
             kernel.precompute_chunk(one, blocks * one, np.array([time]))
-            _, _, lanes, _, cis = kernel.begin_run()
-            assert [ci < 0 for ci in cis] == lanes * blocks
+            _, _, visit, _, cis = kernel.begin_run()
+            # Nothing resident or tracked: the one request is walked
+            # exactly when its slot is hot.
+            assert [ci < 0 for ci in cis] == [not visit] * blocks
             kernel.skipped.extend(range(blocks))  # leave the table alone
-            return lanes
+            return visit
 
         # 6 live + 2 blocks < 9: no recording can reach t1; 6 + 3 could.
-        assert lanes_of(2, 0.0) == [True]
-        assert lanes_of(3, 0.0) == [False]
+        assert visit_of(2, 0.0) == []
+        assert visit_of(3, 0.0) == [0]
         # The six stay live through subwindow 3 of the four-subwindow
         # window (two hours each) and are gone by subwindow 4.
-        assert lanes_of(3, 3 * 7200.0) == [False]
-        assert lanes_of(3, 4 * 7200.0) == [True]
+        assert visit_of(3, 3 * 7200.0) == [0]
+        assert visit_of(3, 4 * 7200.0) == []
         assert policy.imct.recorded_misses == 6
 
     def test_sync_writes_flat_state_back(self):
@@ -337,7 +344,7 @@ class TestSieveStoreCKernel:
         time = 40 * 3600.0
         kernel.precompute_chunk(addresses, np.ones(3, dtype=np.int64),
                                 np.full(3, time))
-        assert kernel.begin_run()[2] == [True, True, True]
+        assert kernel.begin_run()[2] == []  # all cold, nothing to walk
         assert sieve_state(policy.imct) == sieve_state(twin.imct)
         kernel.sync()
         for address in addresses.tolist():
@@ -364,7 +371,7 @@ def test_short_runs_fuse_into_all_hot_stretches(monkeypatch):
     ) == 3
     runs = [kernel.begin_run() for _ in range(3)]
     assert [run[1] for run in runs] == [[0, 1], [2], [3, 5]]
-    assert [run[2] for run in runs] == [[False, False], [True], [False, False]]
+    assert [run[2] for run in runs] == [[0, 1], [], [0, 1]]
     k, n_slots = kernel.k, kernel.n_slots
     assert runs[0][4] == [
         sub % k * n_slots + policy.imct.slot_of(block)
@@ -437,16 +444,18 @@ class TestClassifyFlushProperty:
             )
         pending = iter(requests)
         for _ in range(runs):
-            n_requests, subs, lanes, starts, cis = kernel.begin_run()
+            n_requests, subs, visit, starts, cis = kernel.begin_run()
             # Only a stretch of fused short runs spans subwindows, and
             # it defers nothing.
-            assert len(set(subs)) == 1 or not any(lanes)
+            assert len(set(subs)) == 1 or visit == list(range(n_requests))
             for r in range(n_requests):
                 address, blocks, sub, skips, flush_after = next(pending)
                 assert sub == subs[r]
                 mine = cis[starts[r]:starts[r + 1]]
                 assert len(mine) == blocks
-                assert lanes[r] == all(ci < 0 for ci in mine)
+                # With nothing resident or tracked, only hot slots
+                # put a request on the visit list.
+                assert (r in visit) == any(ci >= 0 for ci in mine)
                 time = 10.0 * sub + 1.0
                 for offset, (ci, skipped) in enumerate(zip(mine, skips)):
                     if skipped:  # a hit / an MCT member: never recorded
@@ -468,3 +477,127 @@ class TestClassifyFlushProperty:
         assert next(pending, None) is None
         kernel.sync()
         assert sieve_state(table) == sieve_state(oracle)
+
+
+@st.composite
+def occupancy_scripts(draw):
+    """A sieve small enough that occupied-but-cold slots are the common
+    case, a cache small enough to evict, a cache and an MCT to start
+    from, and requests whose subwindow jumps expire MCT entries."""
+    slots = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 4))
+    t1 = draw(st.sampled_from([1, 2, 3, 5]))
+    t2 = draw(st.integers(0, 2))
+    single_tier = draw(st.booleans())
+    capacity = draw(st.integers(1, 6))
+    # A low ceiling makes saturation, too, a common case.
+    saturated = draw(st.sampled_from([2, 3, 255]))
+    min_blocks = draw(st.sampled_from([0, 0, 0, 6]))
+    addresses = st.integers(0, 24)
+    resident = draw(st.lists(addresses, unique=True, max_size=capacity))
+    tracked = draw(st.lists(addresses, unique=True, max_size=6))
+    requests = []
+    subwindow = 0
+    for _ in range(draw(st.integers(1, 14))):
+        subwindow += draw(st.sampled_from([0, 0, 0, 1, 1, k, k + 2]))
+        requests.append(
+            (draw(addresses), draw(st.integers(1, 5)), subwindow)
+        )
+    return (slots, k, t1, t2, single_tier, capacity, saturated, min_blocks,
+            resident, tracked, requests)
+
+
+class TestVisitProperty:
+    """A request off the visit list is nothing but cold-slot rejections,
+    whatever promotions, admissions, evictions and prunes the run makes."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(occupancy_scripts())
+    def test_unvisited_requests_meet_nothing(self, script):
+        (slots, k, t1, t2, single_tier, capacity, saturated, min_blocks,
+         resident, tracked, requests) = script
+        config = SieveStoreCConfig(
+            imct_slots=slots, t1=t1, t2=t2, window=WindowSpec(10.0 * k, k),
+            single_tier_admission=single_tier,
+        )
+        policy = SieveStoreC(config)
+        table, mct = policy.imct, policy.mct
+        mct.prune_interval = 15.0  # a sweep every other subwindow
+        for address in tracked:
+            mct.track(address)
+        od = OrderedDict.fromkeys(resident)
+        with mock.patch.object(
+            sieve_kernel, "_OCCUPANCY_SATURATED", saturated
+        ), mock.patch.object(sieve_kernel, "_BATCH_MIN_BLOCKS", min_blocks):
+            kernel = SieveStoreCKernel(policy, od)
+            self.walk(kernel, od, capacity, saturated, requests)
+
+    @staticmethod
+    def walk(kernel, od, capacity, saturated, requests):
+        """The fast engine's sieve loop over model state, checking every
+        request — visited or not — at its own turn."""
+        policy = kernel.policy
+        table, mct, config = policy.imct, policy.mct, policy.config
+
+        def check_occupancy(previous):
+            # Exact against a recount of the blocks themselves, or
+            # saturated; and saturated once is saturated for good.
+            recount = Counter(
+                table.slot_of(a) for a in chain(od, mct._counters)
+            )
+            now = list(kernel.occupancy)
+            for slot, (count, before) in enumerate(zip(now, previous)):
+                assert count == saturated or count == recount[slot]
+                assert count == saturated or before != saturated
+            return now
+
+        def install(address):
+            if len(od) >= capacity:
+                kernel.vacate(od.popitem(last=False)[0])
+            od[address] = None
+
+        occupancy = check_occupancy([0] * table.slots)
+        runs = kernel.precompute_chunk(
+            np.array([r[0] for r in requests], dtype=np.int64),
+            np.array([r[1] for r in requests], dtype=np.int32),
+            np.array([10.0 * r[2] + 1.0 for r in requests]),
+        )
+        pending = iter(requests)
+        for _ in range(runs):
+            n_requests, _subs, visit, starts, cis = kernel.begin_run()
+            assert visit == sorted(set(visit))
+            for r in range(n_requests):
+                address, blocks, sub = next(pending)
+                time = 10.0 * sub + 1.0
+                mine = cis[starts[r]:starts[r + 1]]
+                if r not in visit:
+                    for a, ci in zip(range(address, address + blocks), mine):
+                        assert a not in od and a not in mct and ci < 0
+                    continue
+                for position, (a, ci) in enumerate(
+                    zip(range(address, address + blocks), mine), starts[r]
+                ):
+                    if a in od:
+                        od.move_to_end(a)
+                        if ci < 0:
+                            kernel.skipped.append(position)
+                    elif a in mct:
+                        if ci < 0:
+                            kernel.skipped.append(position)
+                        for stale in mct.sweep(time):
+                            if stale != a:
+                                kernel.vacate(stale)
+                        if mct.record_miss(a, time) >= config.t2:
+                            mct.forget(a)
+                            install(a)
+                    elif ci >= 0 and table.record_miss(a, time) >= config.t1:
+                        kernel.occupy(table.slot_of(a))
+                        if config.single_tier_admission:
+                            table.reset_slot(a)
+                            install(a)
+                        else:
+                            mct.track(a)
+                    occupancy = check_occupancy(occupancy)
+            kernel.sync()
+            occupancy = check_occupancy(occupancy)
+        assert next(pending, None) is None

@@ -7,7 +7,7 @@ import pytest
 import repro.sim.engine as engine_module
 from repro.cache.allocation import AllocateOnDemand, NeverAllocate, StaticSet
 from repro.core.sievestore_d import SieveStoreD, SieveStoreDConfig
-from repro.sim.engine import simulate, total_epoch_count
+from repro.sim.engine import resume_simulation, simulate, total_epoch_count
 from repro.traces.model import IOKind, IORequest, Trace
 from repro.util.intervals import SECONDS_PER_DAY
 
@@ -104,6 +104,48 @@ class TestCustomEpochs:
         policy = SieveStoreD()
         simulate(Trace([req(0, 1.0)]), policy, 16, days=2)
         assert policy.epochs_completed == 2
+
+
+class TestProgressCadence:
+    """``progress_every`` is checked at entry, like ``checkpoint_every``:
+    a bad cadence used to surface mid-replay (modulo by zero, a ``None``
+    hook called after N requests) or fire on a schedule nobody asked for."""
+
+    BAD = [
+        pytest.param({"progress_every": 0, "progress_hook": print},
+                     "must be positive", id="zero"),
+        pytest.param({"progress_every": -5, "progress_hook": print},
+                     "must be positive", id="negative"),
+        pytest.param({"progress_every": 10}, "needs a progress_hook",
+                     id="no-hook"),
+    ]
+
+    @pytest.mark.parametrize("fast", [False, True], ids=["object", "fast"])
+    @pytest.mark.parametrize(("kwargs", "message"), BAD)
+    def test_simulate_rejects_bad_cadence(self, fast, kwargs, message):
+        trace = Trace([req(0, float(i)) for i in range(20)])
+        with pytest.raises(ValueError, match=message):
+            simulate(trace, AllocateOnDemand(), 16, days=1, fast_path=fast,
+                     **kwargs)
+
+    @pytest.mark.parametrize("fast", [False, True], ids=["object", "fast"])
+    @pytest.mark.parametrize(("kwargs", "message"), BAD)
+    def test_resume_rejects_bad_cadence(self, tmp_path, fast, kwargs, message):
+        trace = Trace([req(0, float(i)) for i in range(20)])
+        path = tmp_path / "run.ckpt"
+        simulate(trace, AllocateOnDemand(), 16, days=1, fast_path=fast,
+                 checkpoint_path=path, checkpoint_every=7)
+        with pytest.raises(ValueError, match=message):
+            resume_simulation(path, trace, **kwargs)
+
+    @pytest.mark.parametrize("fast", [False, True], ids=["object", "fast"])
+    def test_hook_fires_on_the_cadence(self, fast):
+        trace = Trace([req(0, float(i)) for i in range(20)])
+        seen = []
+        simulate(trace, AllocateOnDemand(), 16, days=1, fast_path=fast,
+                 progress_every=6,
+                 progress_hook=lambda done, epoch: seen.append((done, epoch)))
+        assert seen == [(6, 0), (12, 0), (18, 0)]
 
 
 class TestEpochCount:

@@ -59,11 +59,11 @@ def write_killed_checkpoint(ctx, policy, fast, path, kill_at, **kwargs):
         )
 
 
-def run_engine(ctx, policy, fast, **kwargs):
+def run_engine(ctx, policy, fast, capacity=None, **kwargs):
     trace = ctx.columnar_trace() if fast else ctx.object_trace()
     return simulate(
-        trace, policy, capacity_blocks=ctx.sieved_capacity, days=ctx.days,
-        track_minutes=True, fast_path=fast, **kwargs
+        trace, policy, capacity_blocks=capacity or ctx.sieved_capacity,
+        days=ctx.days, track_minutes=True, fast_path=fast, **kwargs
     )
 
 
@@ -134,7 +134,13 @@ SIEVE_CONFIGS = {
     "small-window": SieveStoreCConfig(
         window=WindowSpec(window_seconds=3600.0, subwindows=4)
     ),
+    # The default sieve over a cache so small that most admissions
+    # evict (see CAPACITIES): slots empty as fast as they fill.
+    "tiny-cache": None,
 }
+
+#: Cache capacities that differ from the context's scaled default.
+CAPACITIES = {"tiny-cache": 64}
 
 
 def make_policy(ctx, config):
@@ -240,8 +246,14 @@ class TestChunkingDifferential:
         from repro.sim import serialize
 
         ctx, config = tiny_context, SIEVE_CONFIGS[name]
-        baseline = run_engine(ctx, make_policy(ctx, config), fast=False)
+        capacity = CAPACITIES.get(name, ctx.sieved_capacity)
+        baseline = run_engine(
+            ctx, make_policy(ctx, config), fast=False, capacity=capacity
+        )
         assert_conservation(baseline.stats, baseline.policy)
+        if name == "tiny-cache":
+            assert len(baseline.cache) == capacity
+            assert baseline.policy.admissions > 2 * capacity
 
         # Every checkpoint — EVERY requests apart, so mid-subwindow, and
         # at each chunk end — is a sync site: the law must hold there,
@@ -260,7 +272,7 @@ class TestChunkingDifferential:
 
         def streamed(fast, path, **kwargs):
             return simulate(
-                store, make_policy(ctx, config), ctx.sieved_capacity,
+                store, make_policy(ctx, config), capacity,
                 ctx.days, track_minutes=True, fast_path=fast,
                 checkpoint_path=path, checkpoint_every=EVERY, **kwargs
             )
