@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Dict, Iterator, Optional, Union
 
 from repro.util.atomic import atomic_write
-from repro.util.hashing import stable_bucket
+from repro.util.hashing import mix64
 
 #: Bump when the on-disk layout changes; opening refuses other versions.
 STORE_LAYOUT_VERSION = 1
@@ -93,6 +93,9 @@ class ShardedByteStore:
         self._local = threading.local()
         self.directory.mkdir(parents=True, exist_ok=True)
         self.shards = self._adopt_layout(shards)
+        #: ``mix64(salt)`` hoisted out of :meth:`shard_of`, which is then
+        #: a single mix, bit-identical to ``stable_bucket(key, shards, salt)``.
+        self._salted = mix64(_SHARD_SALT)
         for index in range(self.shards):
             self._shard_dir(index).mkdir(exist_ok=True)
 
@@ -131,7 +134,7 @@ class ShardedByteStore:
 
     def shard_of(self, key: int) -> int:
         """Deterministic shard index for a key (stable across processes)."""
-        return stable_bucket(key, self.shards, salt=_SHARD_SALT)
+        return mix64(key ^ self._salted) % self.shards
 
     # -- connections -------------------------------------------------------
     def _connection(self, index: int) -> sqlite3.Connection:

@@ -208,7 +208,8 @@ class ColumnarTrace:
             ramp = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
             expanded = np.repeat(bases, counts) + ramp
             unique, per_block = np.unique(expanded, return_counts=True)
-            counters[day] = Counter(dict(zip(unique.tolist(), per_block.tolist())))
+            # Filled as a plain dict: Counter.update would count the pairs.
+            dict.update(counters[day], zip(unique.tolist(), per_block.tolist()))
         return counters
 
     # -- structural operations --------------------------------------------

@@ -26,15 +26,18 @@ materialized wholesale just to be sliced.  :meth:`SegmentStore.iter_chunks`
 yields ``(base_row, columns)`` pieces bounded by a row budget; peak
 resident memory is proportional to the chunk budget, not the trace.
 
-Integrity: the manifest records each segment's byte size (truncation is
-caught at open time without reading data), the zip structure and the
-embedded ``format_version`` are checked per segment, and any
+Integrity: the manifest records each segment's byte size and issue-time
+range (truncation and out-of-order segments are caught at open time
+without reading data), the zip structure and the embedded
+``format_version`` are checked per segment — parsed once per store, then
+re-verified on every load by a digest of the parsed bytes — and any
 unreadable segment raises :class:`SegmentError` — the trace cache
 (:mod:`repro.traces.store`) evicts the whole directory and regenerates.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import zipfile
@@ -65,6 +68,9 @@ _COLUMNS = (
     "is_write",
     "aligned_4k",
 )
+
+#: A parsed segment: per column ``(name, dtype, rows, data offset)``.
+_Layout = Tuple[Tuple[str, np.dtype, int, int], ...]
 
 
 class SegmentError(Exception):
@@ -126,7 +132,8 @@ class SegmentWriter:
     ) -> None:
         """Write ``columns`` as one segment (or several of ``<= max_rows``).
 
-        Rows must continue the store's issue-time order; zero-row
+        Rows must continue the store's issue-time order (equal times
+        are fine) — anything else raises :class:`SegmentError`; zero-row
         chunks are skipped.  Appending after :meth:`finalize` is an
         error.
         """
@@ -136,6 +143,16 @@ class SegmentWriter:
             return
         if max_rows is not None and max_rows <= 0:
             raise ValueError(f"max_rows must be positive, got {max_rows}")
+        issue = columns.issue_time
+        if self._segments and issue[0] < self._segments[-1].last_issue:
+            raise SegmentError(
+                f"chunk starts at issue time {issue[0]}, before the store's "
+                f"last ({self._segments[-1].last_issue})"
+            )
+        try:
+            columns.validate()
+        except ValueError as exc:
+            raise SegmentError(f"chunk not in issue-time order: {exc}") from exc
         step = max_rows or len(columns)
         for start in range(0, len(columns), step):
             piece = _slice_columns(columns, start, min(start + step, len(columns)))
@@ -190,6 +207,9 @@ class SegmentStore(ChunkSource):
         self.description = description
         self.config_fingerprint = config_fingerprint
         self.segments: Tuple[SegmentInfo, ...] = tuple(segments)
+        #: Per segment index, its last parse sealed with a digest of the
+        #: bytes read: ``(description, layout, seal)`` — no map, no handle.
+        self._layouts: Dict[int, Tuple[str, _Layout, bytes]] = {}
 
     @classmethod
     def open(cls, directory: Union[str, Path]) -> "SegmentStore":
@@ -198,7 +218,8 @@ class SegmentStore(ChunkSource):
         Validation is cheap by design: the manifest must parse with the
         expected versions, and every listed segment file must exist
         with exactly its recorded byte size (catching truncation before
-        any data is read).  Per-row corruption surfaces later, when
+        any data is read) and continue the issue-time order of the one
+        before it.  Per-row corruption surfaces later, when
         :meth:`load_segment` parses the zip structure.
         """
         directory = Path(directory)
@@ -235,7 +256,14 @@ class SegmentStore(ChunkSource):
                 f"segment manifest {manifest_path} total_rows disagrees "
                 "with its per-segment row counts"
             )
+        previous_last = float("-inf")
         for segment in segments:
+            if not previous_last <= segment.first_issue <= segment.last_issue:
+                raise SegmentError(
+                    f"segment manifest {manifest_path} lists {segment.file} "
+                    "out of issue-time order"
+                )
+            previous_last = segment.last_issue
             path = directory / segment.file
             try:
                 size = path.stat().st_size
@@ -280,7 +308,7 @@ class SegmentStore(ChunkSource):
         entry = self.segments[index]
         path = self.directory / entry.file
         try:
-            columns = _load_npz_mmap(path) if mmap else None
+            columns = self._map_segment(index, path) if mmap else None
             if columns is None:
                 columns = ColumnarTrace.load_npz(path)
         except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
@@ -294,6 +322,30 @@ class SegmentStore(ChunkSource):
             )
         _note_segment_open(entry.rows)
         return columns
+
+    def _map_segment(self, index: int, path: Path) -> Optional[ColumnarTrace]:
+        """View a segment's columns in one fresh map of the whole file.
+
+        The file is parsed on the store's first load of it and whenever
+        its :func:`_seal`, retaken from the new map on every load, is not
+        the remembered one: a hit has re-verified byte for byte all a
+        parse reads, and a replaced, truncated or header-damaged file can
+        only miss.  Column data was never checksummed and is served as
+        mapped.  Returns None for a compressed segment (never remembered).
+        """
+        with open(path, "rb") as raw:
+            mapped = np.memmap(raw, dtype=np.uint8, mode="r")
+            memo = self._layouts.get(index)
+            if memo is None or _seal(mapped, memo[1]) != memo[2]:
+                parsed = _parse_segment(raw)
+                if parsed is None:
+                    return None
+                memo = self._layouts[index] = (*parsed, _seal(mapped, parsed[1]))
+        description, layout, _ = memo
+        return ColumnarTrace(description=description, **{
+            name: np.frombuffer(mapped, dtype=dtype, count=rows, offset=offset)
+            for name, dtype, rows, offset in layout
+        })
 
     def iter_chunks(
         self,
@@ -486,7 +538,9 @@ def _streamed_daily_counts(
     merged = [Counter() for _ in range(days)]
     for _, columns in chunks:
         for day, counts in enumerate(columns.daily_block_counts(days)):
-            if counts:
+            if not merged[day]:  # the chunk's counter is fresh: keep it
+                merged[day] = counts
+            elif counts:  # the day spans chunks: sum them
                 merged[day].update(counts)
     return merged
 
@@ -534,19 +588,19 @@ def _slice_columns(columns: ColumnarTrace, lo: int, hi: int) -> ColumnarTrace:
     )
 
 
-def _load_npz_mmap(path: Path) -> Optional[ColumnarTrace]:
-    """Map a segment's columns directly out of the uncompressed zip.
+def _parse_segment(raw) -> Optional[Tuple[str, _Layout]]:
+    """Parse an open segment file: ``(description, column layout)``.
 
     ``numpy.savez`` stores members with ``ZIP_STORED``, so each member
-    is its raw ``.npy`` bytes at a known offset: parse the npy header
-    there and view the data range of one map of the whole file (opened
-    once, for the zip directory, the headers and the map alike).
-    Returns None when any member is compressed (fall back to a full
-    load); raises the usual zip/format exceptions on corruption, which
-    :meth:`SegmentStore.load_segment` converts to :class:`SegmentError`.
+    is its raw ``.npy`` bytes at a known offset: check the column's
+    local header and parse the npy header there, which leaves the offset
+    its data is viewed at.  Returns None when any member is compressed
+    (fall back to a full load); raises the usual zip/format exceptions
+    on corruption, which :meth:`SegmentStore.load_segment` converts to
+    :class:`SegmentError`.
     """
-    arrays: Dict[str, np.ndarray] = {}
-    with open(path, "rb") as raw, zipfile.ZipFile(raw) as archive:
+    layout = []
+    with zipfile.ZipFile(raw) as archive:
         # Tiny members are read (and CRC-checked) outright; this also
         # validates the embedded format version exactly like load_npz.
         version = int(np.load(io.BytesIO(archive.read("format_version.npy"))))
@@ -556,7 +610,6 @@ def _load_npz_mmap(path: Path) -> Optional[ColumnarTrace]:
                 f"(expected {NPZ_FORMAT_VERSION})"
             )
         description = str(np.load(io.BytesIO(archive.read("description.npy"))))
-        mapped = np.memmap(raw, dtype=np.uint8, mode="r")
         for name in _COLUMNS:
             info = archive.getinfo(f"{name}.npy")
             if info.compress_type != zipfile.ZIP_STORED:
@@ -577,7 +630,19 @@ def _load_npz_mmap(path: Path) -> Optional[ColumnarTrace]:
                 return None
             if fortran or len(shape) != 1:
                 raise ValueError(f"unexpected npy layout for {name}.npy")
-            arrays[name] = np.frombuffer(
-                mapped, dtype=dtype, count=shape[0], offset=raw.tell()
-            )
-    return ColumnarTrace(description=description, **arrays)
+            layout.append((name, dtype, shape[0], raw.tell()))
+    return description, tuple(layout)
+
+
+def _seal(mapped: np.ndarray, layout: _Layout) -> bytes:
+    """Digest of every byte of a mapped segment outside its column data:
+    all a parse reads (local zip headers, npy headers, the two small
+    members, the central directory), so one seal means one layout."""
+    view = memoryview(mapped)
+    digest = hashlib.blake2b(len(view).to_bytes(8, "little"), digest_size=16)
+    start = 0
+    for _, dtype, rows, offset in sorted(layout, key=lambda column: column[3]):
+        digest.update(view[start:offset])
+        start = offset + rows * dtype.itemsize
+    digest.update(view[start:])
+    return digest.digest()

@@ -1,17 +1,22 @@
 """The sharded byte store (repro.serve.store) — including the
 concurrent reader/writer torture test."""
 
+import tempfile
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve.backend import EnsembleBackend
 from repro.serve.store import (
+    _SHARD_SALT,
     DEFAULT_SHARDS,
     STORE_LAYOUT_VERSION,
     ShardedByteStore,
     StoreError,
 )
+from repro.util.hashing import stable_bucket
 
 
 @pytest.fixture
@@ -106,6 +111,19 @@ class TestLayout:
         assert all(first.shard_of(k) == second.shard_of(k) for k in range(200))
         first.close()
         second.close()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        shards=st.integers(1, 12),
+        keys=st.lists(st.integers(-(2**63), 2**64), min_size=1, max_size=50),
+    )
+    def test_shard_of_is_the_salted_stable_bucket(self, shards, keys):
+        with tempfile.TemporaryDirectory() as scratch:
+            with ShardedByteStore(scratch, shards=shards) as store:
+                for key in keys:
+                    assert store.shard_of(key) == stable_bucket(
+                        key, shards, salt=_SHARD_SALT
+                    )
 
 
 class TestCrossInstance:

@@ -1,17 +1,28 @@
 """Segment stores: round-trips, manifest validation, shard views."""
 
 import json
+import os
+import pickle
+import tempfile
+import zipfile
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.traces import segments as segments_module
 from repro.traces import tiny_config
 from repro.traces.columnar import ColumnarTrace
+from repro.traces.model import pack_address
 from repro.traces.segments import (
     MANIFEST_NAME,
     SEGMENT_MANIFEST_VERSION,
     SegmentError,
     SegmentStore,
+    SegmentWriter,
     ShardView,
     segment_columnar,
     shard_of_servers,
@@ -292,3 +303,287 @@ class TestStreamedDailyCounts:
         assert seg_store.daily_block_counts(
             seg_config.days, chunk_rows=CHUNK_ROWS
         ) == seg_columns.daily_block_counts(seg_config.days)
+
+
+def _column_bytes(columns):
+    return [
+        (name, getattr(columns, name).dtype, getattr(columns, name).tobytes())
+        for name in segments_module._COLUMNS
+    ] + [columns.description]
+
+
+def _count_parses(monkeypatch):
+    """Count calls to the parse half of a segment load."""
+    calls = []
+    real = segments_module._parse_segment
+
+    def counting(raw):
+        calls.append(raw.name)
+        return real(raw)
+
+    monkeypatch.setattr(segments_module, "_parse_segment", counting)
+    return calls
+
+
+def _unmemoized(store):
+    """A store over the same manifest that has parsed nothing yet."""
+    return SegmentStore(
+        store.directory, store.description, store.config_fingerprint,
+        store.segments,
+    )
+
+
+def _outcome(store, index=0):
+    try:
+        return _column_bytes(store.load_segment(index))
+    except SegmentError as exc:
+        return str(exc)
+
+
+class TestLayoutMemo:
+    @pytest.fixture()
+    def store(self, tmp_path, seg_columns):
+        return segment_columnar(
+            seg_columns, tmp_path / "memo", rows_per_segment=ROWS_PER_SEGMENT
+        )
+
+    def test_second_load_maps_without_parsing(self, store, monkeypatch):
+        calls = _count_parses(monkeypatch)
+        first = store.load_segment(0)
+        assert len(calls) == 1
+        second = store.load_segment(0)
+        assert len(calls) == 1
+        assert _column_bytes(second) == _column_bytes(first)
+        assert _column_bytes(second) == _column_bytes(
+            store.load_segment(0, mmap=False)
+        )
+        assert len(calls) == 1  # the unmapped load neither parses nor memoizes
+
+    def test_two_stores_on_one_directory_do_not_share_a_memo(
+        self, store, monkeypatch
+    ):
+        calls = _count_parses(monkeypatch)
+        store.load_segment(0)
+        SegmentStore.open(store.directory).load_segment(0)
+        assert len(calls) == 2
+
+    def test_shard_views_share_their_stores_memo(self, store, monkeypatch):
+        calls = _count_parses(monkeypatch)
+        for shard in range(4):
+            list(store.shard(shard, 4).iter_chunks(CHUNK_ROWS))
+        assert len(calls) == store.num_segments
+
+    def test_a_loaded_store_still_pickles(self, store, monkeypatch):
+        store.load_all()
+        clone = pickle.loads(pickle.dumps(store))
+        calls = _count_parses(monkeypatch)
+        assert _outcome(clone) == _outcome(store)
+        assert calls == []  # the memo travelled with it
+
+    # -- a memoized layout never outlives the bytes it was parsed from ------
+    def _first_column_offsets(self, path):
+        """(local header, npy header, column data, central directory)."""
+        with zipfile.ZipFile(path) as archive:
+            local = archive.getinfo("issue_time.npy").header_offset
+            start_dir = archive.start_dir
+        with open(path, "rb") as raw:
+            raw.seek(local + 26)
+            name_len = int.from_bytes(raw.read(2), "little")
+            extra_len = int.from_bytes(raw.read(2), "little")
+            npy = local + 30 + name_len + extra_len
+            raw.seek(npy)
+            assert np.lib.format.read_magic(raw) == (1, 0)
+            np.lib.format.read_array_header_1_0(raw)
+            return local, npy, raw.tell(), start_dir
+
+    def _flip_in_place(self, path, offset):
+        """Flip one byte, restoring size, mtime and inode."""
+        before = path.stat()
+        with open(path, "r+b") as handle:
+            handle.seek(offset)
+            byte = handle.read(1)
+            handle.seek(offset)
+            handle.write(bytes([byte[0] ^ 0x01]))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_size, after.st_mtime_ns, after.st_ino) == (
+            before.st_size, before.st_mtime_ns, before.st_ino
+        )
+
+    def _damage(self, kind, path):
+        local, npy, _, start_dir = self._first_column_offsets(path)
+        raw = path.read_bytes()
+        if kind == "truncated":
+            path.write_bytes(raw[:-16])
+        elif kind == "deleted":
+            path.unlink()
+        elif kind == "local-header":
+            self._flip_in_place(path, local)
+        elif kind == "npy-header-shape":
+            # last digit of the shape: a *valid* header for other rows
+            self._flip_in_place(path, raw.index(b",)", npy) - 1)
+        elif kind == "central-directory":
+            self._flip_in_place(path, start_dir)
+        elif kind == "format-version":
+            member = raw.index(b"format_version.npy")  # its local header
+            self._flip_in_place(path, raw.index(b"\n", member) + 1)
+        else:
+            raise AssertionError(kind)
+
+    @pytest.mark.parametrize("kind", [
+        "truncated", "deleted", "local-header", "npy-header-shape",
+        "central-directory", "format-version",
+    ])
+    def test_damaged_file_fails_as_it_does_for_a_fresh_store(
+        self, store, monkeypatch, kind
+    ):
+        store.load_segment(0)
+        self._damage(kind, store.directory / store.segments[0].file)
+        expected = _outcome(_unmemoized(store))
+        assert isinstance(expected, str)  # every one of these is an error
+        calls = _count_parses(monkeypatch)
+        assert _outcome(store) == expected
+        assert len(calls) == (0 if kind == "deleted" else 1)  # never a hit
+        assert isinstance(_outcome(store, 1), list)  # others unaffected
+
+    def test_replaced_file_is_served_fresh(self, store, monkeypatch):
+        old = store.load_segment(0)
+        replacement = ColumnarTrace(
+            issue_time=old.issue_time,
+            completion_time=old.completion_time,
+            address=old.address + 8,
+            block_count=old.block_count,
+            is_write=~old.is_write,
+            aligned_4k=old.aligned_4k,
+            description="replacement",
+        )
+        path = store.directory / store.segments[0].file
+        staged = path.with_suffix(".new")
+        replacement.save_npz(staged)
+        os.replace(staged, path)
+        calls = _count_parses(monkeypatch)
+        assert _column_bytes(store.load_segment(0)) == _column_bytes(replacement)
+        assert len(calls) == 1
+        assert _outcome(store) == _outcome(_unmemoized(store))
+
+    def test_flipped_data_byte_is_served_as_mapped(self, store, monkeypatch):
+        """Column data was never checksummed: a hit, like a parse, maps it."""
+        before = float(store.load_segment(0).issue_time[0])
+        path = store.directory / store.segments[0].file
+        self._flip_in_place(path, self._first_column_offsets(path)[2])
+        calls = _count_parses(monkeypatch)
+        after = store.load_segment(0)
+        assert calls == []
+        assert float(after.issue_time[0]) != before
+        assert _column_bytes(after) == _outcome(_unmemoized(store))
+
+
+def _rows(issue_times):
+    n = len(issue_times)
+    return ColumnarTrace(
+        issue_time=np.asarray(issue_times, dtype=np.float64),
+        completion_time=np.asarray(issue_times, dtype=np.float64) + 0.5,
+        address=np.arange(n, dtype=np.int64) * 8,
+        block_count=np.ones(n, dtype=np.int32),
+        is_write=np.zeros(n, dtype=np.bool_),
+        aligned_4k=np.ones(n, dtype=np.bool_),
+    )
+
+
+class TestIssueOrder:
+    def test_append_refuses_a_chunk_from_the_past(self, tmp_path):
+        writer = SegmentWriter(tmp_path / "store")
+        writer.append(_rows([100, 101, 102, 103]))
+        with pytest.raises(SegmentError, match="before the store's last"):
+            writer.append(_rows([5, 6, 7, 8]))
+
+    def test_append_refuses_unsorted_rows(self, tmp_path):
+        writer = SegmentWriter(tmp_path / "store")
+        with pytest.raises(SegmentError, match="issue-time order"):
+            writer.append(_rows([1, 3, 2, 4]))
+        with pytest.raises(SegmentError, match="issue-time order"):
+            writer.append(_rows([1, 2, 3, 0]), max_rows=2)
+
+    def test_equal_times_across_a_boundary_are_legal(self, tmp_path):
+        writer = SegmentWriter(tmp_path / "store")
+        writer.append(_rows([1, 2, 2]))
+        writer.append(_rows([2, 2, 3]), max_rows=1)
+        store = writer.finalize()
+        assert store.load_all().issue_time.tolist() == [1, 2, 2, 2, 2, 3]
+
+    def test_open_refuses_a_manifest_that_runs_backwards(self, tmp_path):
+        writer = SegmentWriter(tmp_path / "store")
+        writer.append(_rows([1, 2, 3]))
+        writer.append(_rows([4, 5, 6]))
+        writer.finalize()
+        manifest = tmp_path / "store" / MANIFEST_NAME
+        payload = json.loads(manifest.read_text())
+        payload["segments"][1]["first_issue"] = 2.5
+        manifest.write_text(json.dumps(payload))
+        with pytest.raises(SegmentError, match="out of issue-time order"):
+            SegmentStore.open(tmp_path / "store")
+
+
+@st.composite
+def _drawn_stores(draw):
+    """(columns, rows_per_segment, chunk_rows): few blocks, many repeats."""
+    n = draw(st.integers(1, 24))
+    gaps = draw(st.lists(
+        st.sampled_from([0.0, 1.0, 20000.0, 50000.0]), min_size=n, max_size=n
+    ))
+    issue = np.cumsum(gaps)
+    servers = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    offsets = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    blocks = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    columns = ColumnarTrace(
+        issue_time=issue,
+        completion_time=issue + 0.25,
+        address=[pack_address(s, 0, o) for s, o in zip(servers, offsets)],
+        block_count=blocks,
+        is_write=draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+        aligned_4k=np.zeros(n, dtype=np.bool_),
+    )
+    rows_per_segment = draw(st.integers(1, n))
+    chunk_rows = draw(st.one_of(st.none(), st.integers(1, n)))
+    return columns, rows_per_segment, chunk_rows
+
+
+class TestStreamedDailyCountsProperty:
+    SHARDS = 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(_drawn_stores())
+    def test_streamed_counts_equal_the_whole_traces(self, drawn):
+        columns, rows_per_segment, chunk_rows = drawn
+        days = int(columns.issue_time[-1] // 86400) + 1
+        with tempfile.TemporaryDirectory() as scratch:
+            store = segment_columnar(
+                columns, Path(scratch) / "store", rows_per_segment
+            )
+            whole = store.load_all()
+            sources = [(store, whole)]
+            for shard in range(self.SHARDS):
+                mask = shard_of_servers(whole.server_ids, self.SHARDS) == shard
+                sources.append((
+                    store.shard(shard, self.SHARDS),
+                    whole.take(np.flatnonzero(mask)),
+                ))
+            for source, materialized in sources:
+                expected = materialized.daily_block_counts(days)
+                first = source.daily_block_counts(days, chunk_rows)
+                second = source.daily_block_counts(days, chunk_rows)
+                assert first == expected and second == expected
+                assert all(type(c) is Counter for c in first)
+                # Equal but independent: a caller may consume its result.
+                for counter in first:
+                    counter.update(counter)
+                    counter[-1] = 1
+                assert second == expected
+                assert source.daily_block_counts(days, chunk_rows) == expected
+
+    def test_a_day_spanning_chunks_is_summed(self, tmp_path):
+        columns = _rows([10, 20, 30, 40])
+        columns.address[:] = 8  # one block, touched by every chunk
+        store = segment_columnar(columns, tmp_path / "store", 2)
+        assert store.daily_block_counts(1, chunk_rows=1) == [Counter({8: 4})]
+        assert store.shard(0, 1).daily_block_counts(1) == [Counter({8: 4})]
