@@ -83,7 +83,7 @@ def volume_gini(trace: Trace, server_id: int, days: int) -> Dict[int, float]:
         if request.server_id != server_id:
             continue
         counter = counters.setdefault(request.volume_id, Counter())
-        base = next(request.addresses())
+        base = request.first_address
         for i in range(request.block_count):
             counter[base + i] += 1
     return {vol: gini_coefficient(c) for vol, c in counters.items()}

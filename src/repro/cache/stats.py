@@ -128,23 +128,27 @@ class CacheStats:
             day = self.days - 1
         return self.per_day[day]
 
+    def record_accesses(
+        self, time: float, is_write: bool, hits: int, misses: int
+    ) -> None:
+        """Count one request's blocks, all issued at ``time``: ``hits``
+        served by the cache and ``misses`` not (512-byte blocks)."""
+        stats = self._day(time)
+        stats.accesses += hits + misses
+        if is_write:
+            stats.write_hits += hits
+            stats.write_misses += misses
+        else:
+            stats.read_hits += hits
+            stats.read_misses += misses
+
     def record_hit(self, time: float, is_write: bool, blocks: int = 1) -> None:
         """Count cache hits for ``blocks`` 512-byte blocks."""
-        stats = self._day(time)
-        stats.accesses += blocks
-        if is_write:
-            stats.write_hits += blocks
-        else:
-            stats.read_hits += blocks
+        self.record_accesses(time, is_write, blocks, 0)
 
     def record_miss(self, time: float, is_write: bool, blocks: int = 1) -> None:
         """Count cache misses for ``blocks`` 512-byte blocks."""
-        stats = self._day(time)
-        stats.accesses += blocks
-        if is_write:
-            stats.write_misses += blocks
-        else:
-            stats.read_misses += blocks
+        self.record_accesses(time, is_write, 0, blocks)
 
     def record_allocation_write(self, time: float, blocks: int = 1) -> None:
         """Record insertion writes; does not count as an access."""
@@ -196,9 +200,9 @@ class CacheStats:
         """Record write-through requests, one per row, in a few passes.
 
         Row ``i`` accessed ``block_count[i]`` blocks at ``issue_time[i]``
-        and ``hits[i]`` of them hit: :meth:`record_hit`,
-        :meth:`record_miss`, :meth:`record_backing_write` for a write's
-        every block, and :meth:`record_ssd_io` for the hits' 4-KB units.
+        and ``hits[i]`` of them hit: :meth:`record_accesses`,
+        :meth:`record_backing_write` for a write's every block, and
+        :meth:`record_ssd_io` for the hits' 4-KB units.
         Where ``allocating[i]`` is set, every miss of the row was also
         allocated a frame, by a request completing within its issue day:
         :meth:`record_allocation_write`, plus the insertion's units at

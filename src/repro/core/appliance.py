@@ -198,24 +198,25 @@ class SieveStoreAppliance:
         issue = request.issue_time
         span = request.completion_time - issue
         n = request.block_count
+        base = request.first_address
+        observe = self._observe_hook()
 
         write_back = self.write_mode is WriteMode.WRITE_BACK
         hit_blocks = 0
         allocated = 0
         backing_writes = 0
-        for offset, address in enumerate(request.addresses()):
+        for offset, address in enumerate(range(base, base + n)):
             hit = cache.access(address)
-            policy.observe(address, is_write, issue, hit)
+            if observe is not None:
+                observe(address, is_write, issue, hit)
             if hit:
                 hit_blocks += 1
-                stats.record_hit(issue, is_write)
                 if is_write:
                     if write_back:
                         self.dirty.mark(address)
                     else:
                         backing_writes += 1
                 continue
-            stats.record_miss(issue, is_write)
             allocate = policy.wants(address, is_write, issue)
             if allocate and not cache.peek(address):
                 completion = issue + span * ((offset + 1) / n)
@@ -236,6 +237,8 @@ class SieveStoreAppliance:
                 # write-through) reach the backing ensemble directly.
                 backing_writes += 1
 
+        # Every block of a request shares its issue time: one tally.
+        stats.record_accesses(issue, is_write, hit_blocks, n - hit_blocks)
         if backing_writes:
             stats.record_backing_write(issue, blocks=backing_writes)
 
@@ -257,6 +260,13 @@ class SieveStoreAppliance:
             miss_blocks=n - hit_blocks,
             allocated_blocks=allocated,
         )
+
+    def _observe_hook(self):
+        """``policy.observe``, or None when it is the base class's no-op
+        (the identity test :mod:`repro.sim.fast_engine` dispatches on)."""
+        if type(self.policy).observe is AllocationPolicy.observe:
+            return None
+        return self.policy.observe
 
     def _update_health(self, time: float) -> None:
         """Walk the device-health state machine at ``time``.
@@ -291,6 +301,8 @@ class SieveStoreAppliance:
         issue = request.issue_time
         span = request.completion_time - issue
         n = request.block_count
+        base = request.first_address
+        observe = self._observe_hook()
 
         self._update_health(issue)
 
@@ -298,11 +310,12 @@ class SieveStoreAppliance:
             # Pass-through: every block misses the (empty) cache.  The
             # sieve still observes and miss-counts so blocks re-earn
             # allocation after recovery, but nothing is installed.
-            for address in request.addresses():
-                policy.observe(address, is_write, issue, False)
-                stats.record_miss(issue, is_write)
+            for address in range(base, base + n):
+                if observe is not None:
+                    observe(address, is_write, issue, False)
                 policy.wants(address, is_write, issue)
-                stats.record_bypass_access(issue)
+            stats.record_accesses(issue, is_write, 0, n)
+            stats.record_bypass_access(issue, n)
             if is_write:
                 stats.record_backing_write(issue, blocks=n)
             return RequestOutcome(
@@ -314,32 +327,34 @@ class SieveStoreAppliance:
         hit_blocks = 0
         allocated = 0
         backing_writes = 0
-        for offset, address in enumerate(request.addresses()):
+        for offset, address in enumerate(range(base, base + n)):
             hit = cache.access(address)
             if hit and degraded:
+                # An errored resident block is not tallied as a hit, so
+                # it is recorded with the request's misses below.
                 if is_write and faults.write_fails(issue):
                     # The frame no longer holds valid data: invalidate
                     # it and let the ensemble take the write (the new
                     # data supersedes any dirty content block-wholly).
                     stats.record_write_error(issue)
-                    stats.record_miss(issue, is_write)
                     cache.discard(address)
                     if write_back:
                         self.dirty.clean(address)
-                    policy.observe(address, is_write, issue, False)
+                    if observe is not None:
+                        observe(address, is_write, issue, False)
                     backing_writes += 1
                     continue
                 if not is_write and faults.read_fails(issue):
                     # Fall back to the backing ensemble; the block stays
                     # resident and may serve the next access.
                     stats.record_read_error(issue)
-                    stats.record_miss(issue, is_write)
-                    policy.observe(address, is_write, issue, False)
+                    if observe is not None:
+                        observe(address, is_write, issue, False)
                     continue
-            policy.observe(address, is_write, issue, hit)
+            if observe is not None:
+                observe(address, is_write, issue, hit)
             if hit:
                 hit_blocks += 1
-                stats.record_hit(issue, is_write)
                 if is_write:
                     faults.record_ssd_write(issue, 1)
                     if write_back:
@@ -347,7 +362,6 @@ class SieveStoreAppliance:
                     else:
                         backing_writes += 1
                 continue
-            stats.record_miss(issue, is_write)
             allocate = policy.wants(address, is_write, issue)
             if allocate and not cache.peek(address):
                 completion = issue + span * ((offset + 1) / n)
@@ -371,6 +385,7 @@ class SieveStoreAppliance:
             if is_write:
                 backing_writes += 1
 
+        stats.record_accesses(issue, is_write, hit_blocks, n - hit_blocks)
         if backing_writes:
             stats.record_backing_write(issue, blocks=backing_writes)
         if allocated:

@@ -19,6 +19,11 @@ DEGRADED→BYPASS transition lands deterministically at the same request
 for every run), while operation *latency* is whatever real wall time
 the caller measures around the call.
 
+Residency is decided from an in-memory tag directory, as in the
+paper's appliance (all metastate in memory; the SSD is charged only for
+hits and allocation-writes): a miss — the bulk of a sieved run — never
+costs the device an operation.
+
 Every public operation returns the payload bytes, so callers can (and
 the tests do) verify content end to end against the deterministic
 backend.  :class:`ServeStats` is plain picklable data and merges across
@@ -103,7 +108,19 @@ class ServeStats:
 
 
 class ServingCache:
-    """Byte-serving cache: store + admission gate + fault machinery."""
+    """Byte-serving cache: store + admission gate + fault machinery.
+
+    The addresses resident on the device are held in memory (the tag
+    directory), read once from ``store.keys()`` on open — so a reopened
+    store keeps serving what it held — and kept current by every
+    admission, failed update and self-healed read that goes through
+    this cache.
+
+    Ownership rule: one ``ServingCache`` per address partition.  Nothing
+    else may add or remove this cache's addresses in the store while it
+    is open — the rule :mod:`repro.serve.bench` already imposes so that
+    each client's private sieve sees its addresses' whole miss history.
+    """
 
     def __init__(
         self,
@@ -118,6 +135,8 @@ class ServingCache:
         self.injector = injector
         self.stats = ServeStats()
         self._last_health = DeviceHealth.HEALTHY
+        #: the tag directory: every address with a value on the device.
+        self._tags = set(store.keys())
 
     # -- health ------------------------------------------------------------
     def _health(self, time: float) -> DeviceHealth:
@@ -153,11 +172,18 @@ class ServingCache:
             self.stats.bypassed += 1
             self._observe_op("read", "bypass")
             return self.backend.read(address)
+        value = None
+        # The fault draw comes first, resident or not: the fault RNG is
+        # stateful, so where it is consulted is part of the statistics.
         if health is DeviceHealth.DEGRADED and self.injector.read_fails(time):
-            self.stats.read_faults += 1
-            value = None  # the device read errored; fall back to the ensemble
-        else:
+            self.stats.read_faults += 1  # errored: fall back to the ensemble
+        elif address in self._tags:
             value = self.store.get(address)
+            self._observe_device_op("get")
+            if value is None:
+                # The store dropped a row whose spilled file was torn
+                # or missing; from here on this is an ordinary miss.
+                self._tags.discard(address)
         if value is not None:
             self.stats.hits += 1
             self._observe_op("read", "hit")
@@ -178,16 +204,19 @@ class ServingCache:
             self.stats.bypassed += 1
             self._observe_op("write", "bypass")
             return value
-        if self.store.contains(address):
+        if address in self._tags:
             # Resident block: the device copy must be refreshed or
             # dropped — a failed update may never leave stale bytes.
             self.stats.hits += 1
             if health is DeviceHealth.DEGRADED and self.injector.write_fails(time):
                 self.stats.write_faults += 1
                 self.store.delete(address)
+                self._tags.discard(address)
+                self._observe_device_op("delete")
                 self._observe_op("write", "fault")
             else:
                 self.store.put(address, value)
+                self._observe_device_op("put")
                 self.stats.update_writes += 1
                 self._record_device_write(time, value)
                 self._observe_op("write", "hit")
@@ -212,6 +241,8 @@ class ServingCache:
             self.stats.write_faults += 1
             return
         self.store.put(address, value)
+        self._tags.add(address)
+        self._observe_device_op("put")
         self.stats.allocation_writes += 1
         self._record_device_write(time, value)
         registry = runtime.get_registry()
@@ -235,6 +266,16 @@ class ServingCache:
                 "Serving-cache operations by outcome",
                 ("op", "outcome"),
             ).inc(op=op, outcome=outcome)
+
+    @staticmethod
+    def _observe_device_op(op: str) -> None:
+        registry = runtime.get_registry()
+        if registry is not None:
+            registry.counter(
+                "serve_device_ops_total",
+                "Store operations the serving cache issued to the device",
+                ("op",),
+            ).inc(op=op)
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:

@@ -39,6 +39,7 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.admission import build_admission_gate, gate_allocation_writes
+from repro.core.sieve_kernel import bucket_array
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.obs import runtime
@@ -52,7 +53,7 @@ from repro.serve.store import (
 )
 from repro.traces.columnar import ColumnarTrace
 from repro.util.atomic import write_json_atomic
-from repro.util.hashing import stable_bucket
+from repro.util.hashing import mix64
 
 #: Salt decorrelating client partitioning from store-shard placement.
 _CLIENT_SALT = 0xC11E27
@@ -165,14 +166,7 @@ def partition_by_address(columns: ColumnarTrace, clients: int) -> List[np.ndarra
     """
     if clients < 1:
         raise ValueError(f"clients must be >= 1, got {clients}")
-    buckets = np.fromiter(
-        (
-            stable_bucket(int(address), clients, salt=_CLIENT_SALT)
-            for address in columns.address.tolist()
-        ),
-        dtype=np.int64,
-        count=len(columns),
-    )
+    buckets = bucket_array(columns.address, clients, mix64(_CLIENT_SALT))
     return [np.flatnonzero(buckets == index) for index in range(clients)]
 
 

@@ -139,11 +139,10 @@ class ShardedByteStore:
     # -- connections -------------------------------------------------------
     def _connection(self, index: int) -> sqlite3.Connection:
         """This thread's connection to one shard (opened lazily)."""
-        pool: Dict[int, sqlite3.Connection] = getattr(
-            self._local, "connections", None
-        ) or {}
-        if not hasattr(self._local, "connections"):
-            self._local.connections = pool
+        try:
+            pool: Dict[int, sqlite3.Connection] = self._local.connections
+        except AttributeError:
+            pool = self._local.connections = {}
         conn = pool.get(index)
         if conn is None:
             conn = sqlite3.connect(

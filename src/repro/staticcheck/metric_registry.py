@@ -58,6 +58,7 @@ METRICS: Tuple[MetricSpec, ...] = (
         (),
         "repro.serve.appliance",
     ),
+    _m("serve_device_ops_total", "counter", ("op",), "repro.serve.appliance"),
     _m(
         "serve_health_transitions_total",
         "counter",

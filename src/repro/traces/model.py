@@ -140,9 +140,15 @@ class IORequest:
     def is_write(self) -> bool:
         return self.kind.is_write
 
+    @property
+    def first_address(self) -> int:
+        """Packed global address of the request's first block; the rest
+        follow consecutively."""
+        return pack_address(self.server_id, self.volume_id, self.block_offset)
+
     def addresses(self) -> Iterator[int]:
         """Yield the packed global address of every block the request touches."""
-        base = pack_address(self.server_id, self.volume_id, self.block_offset)
+        base = self.first_address
         for i in range(self.block_count):
             yield base + i
 
@@ -155,7 +161,7 @@ class IORequest:
         completion times for individual blocks in cases of large,
         multi-block requests" (Section 4).
         """
-        base = pack_address(self.server_id, self.volume_id, self.block_offset)
+        base = self.first_address
         n = self.block_count
         span = self.completion_time - self.issue_time
         for i in range(n):

@@ -48,7 +48,7 @@ def daily_block_counts(trace: Trace, days: int) -> List[Counter]:
         if day >= days:
             continue
         counter = counters[day]
-        base = next(request.addresses())
+        base = request.first_address
         for i in range(request.block_count):
             counter[base + i] += 1
     return counters
@@ -96,7 +96,7 @@ def per_server_daily_counts(
         if day >= days:
             continue
         counter = result[request.server_id][day]
-        base = next(request.addresses())
+        base = request.first_address
         for i in range(request.block_count):
             counter[base + i] += 1
     return dict(result)

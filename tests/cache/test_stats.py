@@ -64,6 +64,38 @@ class TestCacheStats:
         assert total.read_hits == 2
         assert total.read_misses == 3
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        requests=st.lists(
+            st.tuples(
+                st.floats(0, 3 * SECONDS_PER_DAY, allow_nan=False),
+                st.booleans(),
+                st.integers(0, 12),
+                st.integers(0, 12),
+            ),
+            max_size=12,
+        )
+    )
+    def test_record_accesses_is_the_per_block_calls(self, requests):
+        tallied, per_block = CacheStats(days=2), CacheStats(days=2)
+        expected = [DayStats(), DayStats()]
+        for time, is_write, hits, misses in requests:
+            tallied.record_accesses(time, is_write, hits, misses)
+            for _ in range(hits):
+                per_block.record_hit(time, is_write)
+            for _ in range(misses):
+                per_block.record_miss(time, is_write)
+            day = expected[min(int(time // SECONDS_PER_DAY), 1)]
+            day.accesses += hits + misses
+            if is_write:
+                day.write_hits += hits
+                day.write_misses += misses
+            else:
+                day.read_hits += hits
+                day.read_misses += misses
+        assert tallied.per_day == per_block.per_day == expected
+        tallied.check_consistency()
+
 
 class TestMinuteTracking:
     def test_records_io_units_per_minute(self):

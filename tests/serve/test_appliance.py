@@ -1,5 +1,8 @@
 """The serving cache (repro.serve.appliance) + backend determinism."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from repro.core.admission import build_admission_gate
@@ -10,10 +13,12 @@ from repro.serve.backend import EnsembleBackend
 from repro.serve.store import ShardedByteStore
 
 
-def make_cache(tmp_path, gate_kind="unsieved", plan=None, **gate_kwargs):
+def make_cache(
+    tmp_path, gate_kind="unsieved", plan=None, payload_bytes=32, **gate_kwargs
+):
     store = ShardedByteStore(tmp_path / "store", shards=2, inline_bytes=64)
     gate = build_admission_gate(gate_kind, **gate_kwargs)
-    backend = EnsembleBackend(payload_bytes=32, seed=3)
+    backend = EnsembleBackend(payload_bytes=payload_bytes, seed=3)
     injector = FaultInjector(plan) if plan is not None else None
     return ServingCache(store, gate, backend, injector)
 
@@ -131,6 +136,146 @@ class TestBypassServing:
         assert cache.injector.worn_out
         cache.write(2, time=1.0)
         assert cache.stats.bypassed == 1
+
+
+class CountingStore:
+    """A store proxy tallying the operations that reach the device."""
+
+    def __init__(self, store):
+        self._store = store
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        attribute = getattr(self._store, name)
+        if name not in ("get", "put", "delete", "contains", "keys"):
+            return attribute
+
+        def counted(*args):
+            self.calls[name] += 1
+            return attribute(*args)
+
+        return counted
+
+
+def counting_cache(tmp_path, gate_kind="unsieved", **kwargs):
+    """A cache whose store calls are tallied from the open on."""
+    cache = make_cache(tmp_path, gate_kind, **kwargs)
+    cache.store = CountingStore(cache.store)
+    return cache
+
+
+class StoreTags:
+    """Residency asked of the device: the rule before the tag directory."""
+
+    def __init__(self, store):
+        self._store = store
+
+    def __contains__(self, address):
+        return self._store.contains(address)
+
+    def add(self, address):
+        pass
+
+    discard = add
+
+
+class TestTagDirectory:
+    def test_a_rejected_read_never_touches_the_device(self, tmp_path):
+        cache = counting_cache(tmp_path, "sieve", imct_slots=64, t1=9, t2=4)
+        with cache:
+            cache.read(5, time=0.0)
+            assert cache.stats.misses == 1
+            assert not cache.store.calls
+
+    def test_misses_make_no_get_or_contains_call(self, tmp_path):
+        with counting_cache(tmp_path) as cache:  # unsieved: a miss admits
+            cache.read(5, time=0.0)
+            cache.write(6, time=1.0)
+            assert cache.stats.misses == 2
+            assert cache.store.calls == {"put": 2}
+            cache.read(6, time=2.0)
+            cache.write(5, time=3.0)
+            assert cache.stats.hits == 2
+            assert cache.store.calls == {"put": 3, "get": 1}
+
+    def test_a_reopened_store_hits_on_the_first_read(self, tmp_path):
+        with make_cache(tmp_path) as first:
+            first.read(5, time=0.0)
+            first.write(6, time=1.0)
+        with make_cache(tmp_path) as second:
+            assert second.read(5, time=2.0) == second.backend.payload(5)
+            second.write(6, time=3.0)
+            assert second.stats.hits == 2
+            assert second.stats.update_writes == 1
+            assert second.backend.reads == 0
+
+    def test_a_lost_spill_file_reads_as_a_miss_and_drops_the_tag(self, tmp_path):
+        gate = dict(imct_slots=64, t1=1, t2=3)  # admits every fourth miss
+        with counting_cache(tmp_path, "sieve", payload_bytes=128, **gate) as cache:
+            for t in range(4):
+                cache.read(5, time=float(t))
+            assert cache.stats.allocation_writes == 1
+            shard = cache.store._shard_dir(cache.store.shard_of(5))
+            (shard / f"{5:016x}.val").unlink()
+            assert cache.read(5, time=4.0) == cache.backend.payload(5)
+            assert cache.stats.hits == 0
+            assert cache.stats.misses == 5
+            assert not cache.store.contains(5)
+            # The tag went with the row: the next read asks the device nothing.
+            cache.store.calls.clear()
+            cache.read(5, time=5.0)
+            assert cache.stats.misses == 6
+            assert not cache.store.calls
+
+    @pytest.mark.parametrize("payload_bytes", [32, 128])  # inline, spilled
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            None,
+            FaultPlan(
+                errors=(
+                    ErrorWindow(100.0, 300.0, "read", probability=0.3),
+                    ErrorWindow(150.0, 350.0, "write", probability=0.3),
+                ),
+                seed=11,
+            ),
+            FaultPlan(outages=(OutageWindow(120.0, 260.0),), seed=11),
+        ],
+        ids=["no-plan", "error-windows", "outage"],
+    )
+    @pytest.mark.parametrize("gate_kind", ["sieve", "unsieved"])
+    def test_tags_agree_with_probing_the_device(
+        self, tmp_path, gate_kind, plan, payload_bytes
+    ):
+        rng = random.Random(payload_bytes)
+        trace = [
+            (rng.randrange(40), rng.random() < 0.3, float(step))
+            for step in range(400)
+        ]
+        outcomes = []
+        for name, probing in (("tags", False), ("probe", True)):
+            cache = make_cache(
+                tmp_path / name, gate_kind, plan, payload_bytes,
+                imct_slots=64, t1=2, t2=1,
+            )
+            if probing:
+                cache._tags = StoreTags(cache.store)
+            with cache:
+                served = [
+                    cache.write(address, time) if is_write
+                    else cache.read(address, time)
+                    for address, is_write, time in trace
+                ]
+                outcomes.append(
+                    (cache.stats.to_dict(), served, sorted(cache.store.keys()))
+                )
+        assert outcomes[0] == outcomes[1]
+        stats = outcomes[0][0]
+        assert stats["hits"] and stats["allocation_writes"]
+        if plan is not None and plan.errors:
+            assert stats["read_faults"] and stats["write_faults"]
+        if plan is not None and plan.outages:
+            assert stats["bypassed"]
 
 
 class TestServeStats:

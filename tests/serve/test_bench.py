@@ -7,12 +7,14 @@ import pytest
 
 from repro.faults.plan import ErrorWindow, FaultPlan, OutageWindow
 from repro.serve.bench import (
+    _CLIENT_SALT,
     BenchOptions,
     partition_by_address,
     run_serve_bench,
     run_sieve_comparison,
 )
 from repro.traces.columnar import ColumnarTrace
+from repro.util.hashing import stable_bucket
 
 
 def flash_crowd_trace(n=1200, hot_addresses=24, seed=5):
@@ -51,6 +53,22 @@ class TestPartition:
         for client, indices in enumerate(parts):
             for address in columns.address[indices].tolist():
                 assert owner.setdefault(address, client) == client
+
+    def test_matches_the_scalar_hash(self):
+        # The vectorized bucket is stable_bucket(address, clients, salt)
+        # row for row: a trace's partition is part of its results.
+        columns = flash_crowd_trace(n=400)
+        for clients in (2, 3, 4):
+            expected = [
+                stable_bucket(address, clients, salt=_CLIENT_SALT)
+                for address in columns.address.tolist()
+            ]
+            owner = np.empty(len(columns), dtype=np.int64)
+            for client, indices in enumerate(
+                partition_by_address(columns, clients)
+            ):
+                owner[indices] = client
+            assert owner.tolist() == expected
 
     def test_single_client_gets_everything(self):
         columns = flash_crowd_trace(n=50)

@@ -1,6 +1,7 @@
 """The sharded byte store (repro.serve.store) — including the
 concurrent reader/writer torture test."""
 
+import sqlite3
 import tempfile
 import threading
 
@@ -73,6 +74,18 @@ class TestBasicOperations:
     def test_non_bytes_rejected(self, store):
         with pytest.raises(TypeError, match="bytes-like"):
             store.put(1, "text")
+
+    def test_connections_are_pooled_again_after_close(self, store):
+        store.put(1, b"payload")
+        store.close()
+        # An emptied pool is still the pool: one connection per shard,
+        # reused, and closed by the next close().
+        conn = store._connection(0)
+        assert store._connection(0) is conn
+        assert store.get(1) == b"payload"
+        store.close()
+        with pytest.raises(sqlite3.ProgrammingError):
+            conn.execute("SELECT 1")
 
 
 class TestLayout:
