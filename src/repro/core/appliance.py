@@ -24,7 +24,7 @@ paper's accounting:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.cache.allocation import AllocationPolicy
 from repro.cache.block_cache import BlockCache
@@ -189,17 +189,36 @@ class SieveStoreAppliance:
         Returns the per-request outcome; statistics are accumulated into
         ``self.stats`` as a side effect.
         """
+        hits, allocated = self.process_row(
+            request.first_address, request.block_count, request.is_write,
+            request.issue_time, request.completion_time, self._observe_hook(),
+        )
+        return RequestOutcome(hits, request.block_count - hits, allocated)
+
+    def process_row(
+        self, base: int, n: int, is_write: bool, issue: float,
+        completion: float, observe, slots=None, first: int = 0,
+        subwindow: int = 0,
+    ) -> Tuple[int, int]:
+        """:meth:`process_request` for a request given as fields: the
+        ``n`` blocks from packed address ``base``.
+
+        ``observe`` is :meth:`_observe_hook`'s answer, resolved once by
+        the caller.  A caller that hashed the request's blocks for a
+        plain SieveStore-C passes block ``i``'s IMCT slot at
+        ``slots[first + i]`` and the request's ``subwindow``; each miss
+        then takes the policy's ``wants_hashed`` instead of ``wants``.
+        Returns ``(hit_blocks, allocated_blocks)``.
+        """
         if self.faults is not None:
-            return self._process_request_faulty(request)
+            return self._process_row_faulty(
+                base, n, is_write, issue, completion, observe,
+                slots, first, subwindow,
+            )
         cache = self.cache
         policy = self.policy
         stats = self.stats
-        is_write = request.is_write
-        issue = request.issue_time
-        span = request.completion_time - issue
-        n = request.block_count
-        base = request.first_address
-        observe = self._observe_hook()
+        span = completion - issue
 
         write_back = self.write_mode is WriteMode.WRITE_BACK
         hit_blocks = 0
@@ -217,16 +236,19 @@ class SieveStoreAppliance:
                     else:
                         backing_writes += 1
                 continue
-            allocate = policy.wants(address, is_write, issue)
+            if slots is None:
+                allocate = policy.wants(address, is_write, issue)
+            else:
+                allocate = policy.wants_hashed(
+                    address, slots[first + offset], subwindow, issue
+                )
             if allocate and not cache.peek(address):
-                completion = issue + span * ((offset + 1) / n)
+                done = issue + span * ((offset + 1) / n)
                 victim = cache.insert(address)
                 allocated += 1
-                stats.record_allocation_write(completion)
+                stats.record_allocation_write(done)
                 if victim is not None and self.dirty.clean(victim):
-                    stats.record_backing_write(
-                        completion, is_writeback=True
-                    )
+                    stats.record_backing_write(done, is_writeback=True)
                 if is_write and write_back:
                     # The allocated frame holds the new data; the
                     # ensemble has not seen this write yet.
@@ -248,18 +270,12 @@ class SieveStoreAppliance:
             # charged when the fetched data is available (request
             # completion).
             stats.record_ssd_io(
-                request.completion_time,
-                blocks_to_io_units(allocated),
-                is_write=True,
+                completion, blocks_to_io_units(allocated), is_write=True
             )
         if hit_blocks:
             io_units = blocks_to_io_units(hit_blocks)
             stats.record_ssd_io(issue, io_units, is_write=is_write)
-        return RequestOutcome(
-            hit_blocks=hit_blocks,
-            miss_blocks=n - hit_blocks,
-            allocated_blocks=allocated,
-        )
+        return hit_blocks, allocated
 
     def _observe_hook(self):
         """``policy.observe``, or None when it is the base class's no-op
@@ -286,23 +302,21 @@ class SieveStoreAppliance:
             self.health_observer(time, self.health, new)
         self.health = new
 
-    def _process_request_faulty(self, request) -> RequestOutcome:
-        """Fault-aware twin of :meth:`process_request`.
+    def _process_row_faulty(
+        self, base, n, is_write, issue, completion, observe,
+        slots, first, subwindow,
+    ) -> Tuple[int, int]:
+        """Fault-aware twin of :meth:`process_row`.
 
         Kept as a separate method so the no-fault hot path above stays
-        textually untouched: a run without a fault plan is guaranteed
+        free of health checks: a run without a fault plan is guaranteed
         byte-identical to earlier revisions.
         """
         faults = self.faults
         cache = self.cache
         policy = self.policy
         stats = self.stats
-        is_write = request.is_write
-        issue = request.issue_time
-        span = request.completion_time - issue
-        n = request.block_count
-        base = request.first_address
-        observe = self._observe_hook()
+        span = completion - issue
 
         self._update_health(issue)
 
@@ -310,17 +324,20 @@ class SieveStoreAppliance:
             # Pass-through: every block misses the (empty) cache.  The
             # sieve still observes and miss-counts so blocks re-earn
             # allocation after recovery, but nothing is installed.
-            for address in range(base, base + n):
+            for offset, address in enumerate(range(base, base + n)):
                 if observe is not None:
                     observe(address, is_write, issue, False)
-                policy.wants(address, is_write, issue)
+                if slots is None:
+                    policy.wants(address, is_write, issue)
+                else:
+                    policy.wants_hashed(
+                        address, slots[first + offset], subwindow, issue
+                    )
             stats.record_accesses(issue, is_write, 0, n)
             stats.record_bypass_access(issue, n)
             if is_write:
                 stats.record_backing_write(issue, blocks=n)
-            return RequestOutcome(
-                hit_blocks=0, miss_blocks=n, allocated_blocks=0
-            )
+            return 0, 0
 
         degraded = self.health is DeviceHealth.DEGRADED
         write_back = self.write_mode is WriteMode.WRITE_BACK
@@ -362,23 +379,26 @@ class SieveStoreAppliance:
                     else:
                         backing_writes += 1
                 continue
-            allocate = policy.wants(address, is_write, issue)
+            if slots is None:
+                allocate = policy.wants(address, is_write, issue)
+            else:
+                allocate = policy.wants_hashed(
+                    address, slots[first + offset], subwindow, issue
+                )
             if allocate and not cache.peek(address):
-                completion = issue + span * ((offset + 1) / n)
-                if degraded and faults.write_fails(completion):
+                done = issue + span * ((offset + 1) / n)
+                if degraded and faults.write_fails(done):
                     # The allocation write errored: suppress the insert;
                     # the sieve keeps observing, so the block can earn a
                     # frame again once the device behaves.
-                    stats.record_write_error(completion)
+                    stats.record_write_error(done)
                 else:
                     victim = cache.insert(address)
                     allocated += 1
-                    stats.record_allocation_write(completion)
-                    faults.record_ssd_write(completion, 1)
+                    stats.record_allocation_write(done)
+                    faults.record_ssd_write(done, 1)
                     if victim is not None and self.dirty.clean(victim):
-                        stats.record_backing_write(
-                            completion, is_writeback=True
-                        )
+                        stats.record_backing_write(done, is_writeback=True)
                     if is_write and write_back:
                         self.dirty.mark(address)
                         continue
@@ -390,19 +410,13 @@ class SieveStoreAppliance:
             stats.record_backing_write(issue, blocks=backing_writes)
         if allocated:
             stats.record_ssd_io(
-                request.completion_time,
-                blocks_to_io_units(allocated),
-                is_write=True,
+                completion, blocks_to_io_units(allocated), is_write=True
             )
         if hit_blocks:
             stats.record_ssd_io(
                 issue, blocks_to_io_units(hit_blocks), is_write=is_write
             )
-        return RequestOutcome(
-            hit_blocks=hit_blocks,
-            miss_blocks=n - hit_blocks,
-            allocated_blocks=allocated,
-        )
+        return hit_blocks, allocated
 
     def flush_dirty(self, time: float) -> int:
         """Write every dirty block back to the ensemble (shutdown path).

@@ -157,7 +157,8 @@ class AdaptiveSieveStoreC(SieveStoreC):
     def _wants_with_t2(self, address: int, is_write: bool, time: float) -> bool:
         """Tier logic with the controller's t2 instead of the config's."""
         if self.config.single_tier_admission:
-            return self._tier1_only(address, time)
+            # No t2 in the single-tier ablation: the base sieve's ladder.
+            return super().wants(address, is_write, time)
         if address in self.mct:
             return self._adaptive_tier2(address, time)
         slot_count = self.imct.record_miss(address, time)

@@ -101,16 +101,23 @@ class ImpreciseMissCountTable:
     def record_miss(self, address: int, time: float) -> int:
         """Count a miss for the address's slot; returns the slot's
         windowed total (including any aliased contributions)."""
+        return self.record(
+            self.slot_of(address), self.window.subwindow_index(time), address
+        )
+
+    def record(self, slot: int, subwindow: int, address: int) -> int:
+        """:meth:`record_miss` with the address's slot and the miss's
+        subwindow already worked out — by :meth:`slot_of` and
+        :meth:`~repro.core.windows.WindowSpec.subwindow_index`, or by
+        their vector twins in :mod:`repro.core.sieve_kernel`."""
         self.recorded_misses += 1
         slots = self.slots
-        slot = self.slot_of(address)
         tracked = self._last_address
         if tracked is not None:
             previous = tracked[slot]
             if previous >= 0 and previous != address:
                 self.alias_collisions += 1
             tracked[slot] = address
-        subwindow = self.window.subwindow_index(time)
         counts = self.counts
         k = self.window.subwindows
         last = self.last[slot]

@@ -11,7 +11,10 @@ copied in at run start or written back at a checkpoint.
 
 * :func:`mix64_array` / :func:`bucket_array` / :func:`subwindow_indices`
   — SplitMix64 and the subwindow floor-division over whole columns,
-  bit-identical to their scalar twins.
+  bit-identical to their scalar twins; :func:`hash_requests` applies
+  them to a window of requests, for this kernel and for the object
+  engine's row windows (whose misses then take
+  :meth:`~repro.core.sievestore_c.SieveStoreC.wants_hashed`).
 
 * :class:`SieveStoreCKernel` — splits each chunk of requests into *runs*
   sharing one subwindow index and, per run, classifies every touched
@@ -128,6 +131,43 @@ def subwindow_indices(times: np.ndarray, subwindow_seconds: float) -> np.ndarray
     return bucket_indices(times, subwindow_seconds)
 
 
+def hash_requests(
+    policy: SieveStoreC,
+    addresses: np.ndarray,
+    block_counts: np.ndarray,
+    issue_times: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Everything a window of requests asks of the sieve's hash, at once.
+
+    Returns ``(blocks, offsets, slots, subs)``: the requests expanded to
+    their consecutive block addresses; per request the position of its
+    first block (one extra entry closes the last); each block's IMCT
+    slot; each request's subwindow — ``slot_of`` and
+    ``subwindow_index`` of the scalar sieve, bit-identical, and like the
+    latter refusing a negative time (:func:`subwindow_indices` itself
+    does not check).
+    """
+    negative = issue_times < 0
+    if negative.any():
+        time = float(issue_times[negative.argmax()])
+        raise ValueError(f"time must be non-negative, got {time}")
+    counts = block_counts.astype(np.int64)
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    # blocks[i] = address-of-request + offset-within-request, via a
+    # single repeat: repeat(addresses - starts) + arange.
+    blocks = np.repeat(addresses - offsets[:-1], counts) + np.arange(
+        int(offsets[-1]), dtype=np.int64
+    )
+    imct = policy.imct
+    return (
+        blocks,
+        offsets,
+        bucket_array(blocks, imct.slots, imct._salted),
+        subwindow_indices(issue_times, imct.window.subwindow_seconds),
+    )
+
+
 def supports(policy: AllocationPolicy) -> bool:
     """True if ``policy`` can be driven by :class:`SieveStoreCKernel`.
 
@@ -167,9 +207,6 @@ class SieveStoreCKernel:
         self.imct = policy.imct
         self.k = self.imct.window.subwindows
         self.n_slots = self.imct.slots
-        #: W/k, hoisted (``WindowSpec.subwindow_seconds`` is a property
-        #: the object path re-evaluates every miss).
-        self.subwindow_seconds = self.imct.window.subwindow_seconds
         #: Positions, within the current run's blocks, of cold-slot
         #: blocks that were *not* IMCT misses (resident, or counted by
         #: the MCT); the engine appends, :meth:`flush` leaves them out.
@@ -221,19 +258,12 @@ class SieveStoreCKernel:
         Returns the number of runs (maximal stretches of requests
         sharing a subwindow index) for :meth:`begin_run` to walk.
         """
-        counts = block_counts.astype(np.int64)
-        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        # blocks[i] = address-of-request + offset-within-request, via a
-        # single repeat: repeat(addresses - starts) + arange.
-        self._blocks = np.repeat(addresses - offsets[:-1], counts) + np.arange(
-            int(offsets[-1]), dtype=np.int64
+        self._blocks, offsets, self._slots, self._subs = hash_requests(
+            self.policy, addresses, block_counts, issue_times
         )
-        self._slots = bucket_array(self._blocks, self.n_slots, self.imct._salted)
         self._offsets = offsets
-        self._subs = subwindow_indices(issue_times, self.subwindow_seconds)
         edges = np.flatnonzero(self._subs[1:] != self._subs[:-1]) + 1
-        rows = np.concatenate(([0], edges, [len(counts)]))
+        rows = np.concatenate(([0], edges, [len(block_counts)]))
         # A short run cannot repay classify + flush: it goes all-hot, and
         # neighbours like it fuse into one stretch, so a trace of
         # one-request subwindows costs what the scalar ladder costs.

@@ -38,6 +38,10 @@ DEFAULT_T1 = 9
 #: The paper's tuned tier-2 (MCT) threshold.
 DEFAULT_T2 = 4
 
+_MASK64 = (1 << 64) - 1
+#: Attributes :meth:`SieveStoreC._derive` rebuilds instead of pickling.
+_DERIVED = ("_salted", "_slots", "_subwindow_seconds", "_mct_counters")
+
 
 @dataclass(frozen=True)
 class SieveStoreCConfig:
@@ -91,6 +95,26 @@ class SieveStoreC(AllocationPolicy):
         self.promotions = 0
         #: misses rejected at tier 2
         self.mct_rejections = 0
+        self._derive()
+
+    def _derive(self) -> None:
+        """Hoist what every miss reads from the tables.  Derived state:
+        left out of pickles (:meth:`__getstate__`) and rebuilt on load,
+        so a checkpoint carries exactly the tables and counters."""
+        self._salted = self.imct._salted
+        self._slots = self.imct.slots
+        self._subwindow_seconds = self.config.window.subwindow_seconds
+        self._mct_counters = self.mct._counters
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in _DERIVED:
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._derive()
 
     def wants(self, address: int, is_write: bool, time: float) -> bool:
         """Apply the two-tier sieve to one miss.
@@ -100,12 +124,30 @@ class SieveStoreC(AllocationPolicy):
         (imprecise counting).  A block is admitted when its MCT count
         reaches t2 — i.e. on the t2-th exact miss after promotion.
         """
+        if time < 0:
+            raise ValueError(f"time must be non-negative, got {time}")
+        # The IMCT's slot_of, with repro.util.hashing.mix64 inlined.
+        z = ((address ^ self._salted) + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return self.wants_hashed(
+            address,
+            (z ^ (z >> 31)) % self._slots,
+            int(time // self._subwindow_seconds),
+            time,
+        )
+
+    def wants_hashed(
+        self, address: int, slot: int, subwindow: int, time: float
+    ) -> bool:
+        """:meth:`wants` given the block's IMCT slot and the miss's
+        subwindow — what a caller that hashed many blocks at once
+        (:func:`repro.core.sieve_kernel.hash_requests`) passes in."""
         if self._single_tier:
-            return self._tier1_only(address, time)
-        if address in self.mct:
+            return self._tier1_only(address, slot, subwindow)
+        if address in self._mct_counters:
             return self._tier2(address, time)
-        slot_count = self.imct.record_miss(address, time)
-        if slot_count < self._t1:
+        if self.imct.record(slot, subwindow, address) < self._t1:
             self.imct_rejections += 1
             return False
         # Promotion: the block graduates to exact counting with a zero
@@ -126,10 +168,9 @@ class SieveStoreC(AllocationPolicy):
         self.admissions += 1
         return True
 
-    def _tier1_only(self, address: int, time: float) -> bool:
+    def _tier1_only(self, address: int, slot: int, subwindow: int) -> bool:
         """Single-tier ablation: admit on the IMCT threshold alone."""
-        slot_count = self.imct.record_miss(address, time)
-        if slot_count < self._t1:
+        if self.imct.record(slot, subwindow, address) < self._t1:
             self.imct_rejections += 1
             return False
         self.imct.reset_slot(address)

@@ -7,17 +7,23 @@ fails, and reports every SSD write so endurance wear-out can trip.  All
 state — the RNG for probabilistic error draws, cumulative bytes
 written, the wear-out instant — is plain picklable Python, so an
 injector rides inside crash-consistent simulation checkpoints and
-resumes bit-identically.
+resumes bit-identically (what it remembers to answer health queries
+fast is derived from the plan, and rebuilt on load rather than pickled).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import random
+from bisect import bisect_right
 from typing import Optional, Tuple
 
 from repro.faults.plan import READ, WRITE, FaultPlan, total_seconds
 from repro.util.units import BLOCK_BYTES
+
+#: A health span no time lies in: the next query scans.
+_NO_SPAN = (0.0, 0.0, None)
 
 
 class DeviceHealth(enum.Enum):
@@ -50,6 +56,27 @@ class FaultInjector:
         #: operation-level error tallies (mirrored into CacheStats)
         self.read_errors = 0
         self.write_errors = 0
+        self._derive()
+
+    def _derive(self) -> None:
+        """Derived state, never pickled: every window start and end
+        (health is constant between two adjacent ones), and the
+        half-open span ``[lo, hi)`` around the last answer with that
+        answer — empty until the first query."""
+        windows = (*self.plan.errors, *self.plan.latency, *self.plan.outages)
+        edges = {w.start for w in windows}
+        edges.update(w.end for w in windows if w.end is not None)
+        self._edges = sorted(edges)
+        self._span = _NO_SPAN
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_edges"], state["_span"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._derive()
 
     # -- health -----------------------------------------------------------
     @property
@@ -57,7 +84,27 @@ class FaultInjector:
         return self.worn_out_at is not None
 
     def health_at(self, time: float) -> DeviceHealth:
-        """Device health the appliance should assume at ``time``."""
+        """Device health the appliance should assume at ``time``.
+
+        O(1) while ``time`` stays between the same two window edges as
+        the last query; otherwise the windows are scanned and the span
+        between the edges around ``time`` remembered.
+        """
+        lo, hi, health = self._span
+        if lo <= time < hi:
+            return health
+        health = self._scan_health(time)
+        if self.worn_out:
+            lo, hi = -math.inf, math.inf
+        else:
+            edges = self._edges
+            i = bisect_right(edges, time)
+            lo = edges[i - 1] if i else -math.inf
+            hi = edges[i] if i < len(edges) else math.inf
+        self._span = (lo, hi, health)
+        return health
+
+    def _scan_health(self, time: float) -> DeviceHealth:
         if self.worn_out or any(w.contains(time) for w in self.plan.outages):
             return DeviceHealth.BYPASS
         if any(w.contains(time) for w in self.plan.errors) or any(
@@ -111,6 +158,7 @@ class FaultInjector:
             and self.ssd_bytes_written >= self.plan.wearout_bytes
         ):
             self.worn_out_at = time
+            self._span = _NO_SPAN
 
     # -- end-of-run accounting --------------------------------------------
     def time_in_states(self, duration: float) -> Tuple[float, float]:

@@ -12,17 +12,19 @@ allocated at its interpolated completion time.
 
 Two execution paths produce identical results:
 
-* the **object path** (default) walks :class:`~repro.traces.model.Trace`
-  request objects through the appliance — the readable reference
-  implementation;
-* the **fast path** (``fast_path=True``) replays the columnar form of
-  the trace through :mod:`repro.sim.fast_engine`'s flat loop, several
-  times faster.  It covers LRU replacement with write-through
-  accounting (every figure's configuration); other configurations
-  transparently use the object path, so ``fast_path=True`` is always
-  safe — the engine actually used is recorded in
-  :attr:`SimulationResult.engine`, and the first such fallback per
-  process emits a :class:`RuntimeWarning`.
+* the **object path** (default) hands the trace's rows, one request at
+  a time, to the appliance and its cache / policy / statistics objects
+  — the readable reference implementation.  It reads the same columns
+  as the fast path (an object trace is columnarized first) in bounded
+  row windows, and for a plain SieveStore-C hashes each window's blocks
+  at once with the fast path's own primitives;
+* the **fast path** (``fast_path=True``) replays the columns through
+  :mod:`repro.sim.fast_engine`'s flat loop, several times faster.  It
+  covers LRU replacement with write-through accounting (every figure's
+  configuration); other configurations transparently use the object
+  path, so ``fast_path=True`` is always safe — the engine actually used
+  is recorded in :attr:`SimulationResult.engine`, and the first such
+  fallback per process emits a :class:`RuntimeWarning`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import time as _time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import repeat
 from pathlib import Path
 from typing import List, Optional, Union
 
@@ -41,10 +43,11 @@ from repro.cache.block_cache import BlockCache
 from repro.cache.replacement import make_replacement
 from repro.cache.stats import CacheStats
 from repro.cache.write_policy import WriteMode
+from repro.core import sieve_kernel
 from repro.core.appliance import SieveStoreAppliance
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.traces.columnar import ColumnarTrace, as_columnar, as_object_trace
+from repro.traces.columnar import ColumnarTrace, as_columnar
 from repro.traces.model import Trace
 from repro.traces.segments import ChunkSource
 from repro.util.intervals import SECONDS_PER_DAY
@@ -60,6 +63,12 @@ _FALLBACK_WARNED = False
 #: Default request interval between checkpoints when a checkpoint path
 #: is given without an explicit cadence.
 DEFAULT_CHECKPOINT_EVERY = 100_000
+
+#: Rows the object loop reads, and hashes for the sieve, at once.
+#: Bounded so per-block slots never exist for more than a window
+#: (hashing a whole in-RAM trace at once raised the `faulted-replay`
+#: benchmark's peak RSS from 121 to 178 MiB).
+_ROW_WINDOW = 4096
 
 
 def _reset_fallback_warnings() -> None:
@@ -178,37 +187,72 @@ def _run_object_loop(
     progress_hook,
     segment_hook,
 ) -> None:
-    """The reference request loop over ``(base_row, requests)`` chunks.
+    """The reference request loop over ``(base_row, columns)`` chunks.
 
-    An in-RAM trace is one chunk holding its whole request list; an
-    out-of-core run yields one chunk's worth of
-    :class:`~repro.traces.model.IORequest` objects at a time, so peak
-    memory follows the chunk budget rather than the trace.  The
-    appliance cannot observe where one chunk ends and the next begins:
-    per-request processing, epoch boundaries, and checkpoint cadence
-    are the same either way.  Rows before ``start_cursor`` within the
-    first chunk are skipped (how a resume lands mid-chunk).
-    ``segment_hook(cursor, current_epoch)`` fires after each chunk (the
-    appliance pickles consistently at any request boundary), giving
-    out-of-core runs a per-segment checkpoint site.
+    An in-RAM trace is one chunk holding all its columns; an
+    out-of-core run yields one chunk's worth of columns at a time, so
+    peak memory follows the chunk budget rather than the trace.  Each
+    chunk is walked in windows of :data:`_ROW_WINDOW` rows, read as
+    lists and handed to the appliance one row at a time (no request
+    object is built); for a plain SieveStore-C a window's blocks are
+    hashed at once (:func:`~repro.core.sieve_kernel.hash_requests`), so
+    each miss takes the sieve's slot-taking ladder.  The appliance
+    cannot observe where a chunk or a window ends: per-request
+    processing, epoch boundaries, and checkpoint cadence are the same
+    either way.  Rows before ``start_cursor`` within the first chunk are
+    skipped (how a resume lands mid-chunk).  ``segment_hook(cursor,
+    current_epoch)`` fires after each chunk (the appliance pickles
+    consistently at any request boundary), giving out-of-core runs a
+    per-segment checkpoint site.
     """
+    policy = appliance.policy
+    hashed = sieve_kernel.supports(policy)
+    observe = appliance._observe_hook()
+    process = appliance.process_row
     current_epoch = start_epoch
     cursor = start_cursor
-    for base, requests in chunks:
-        skip = max(0, cursor - base)
-        for index, request in enumerate(islice(requests, skip, None), base + skip):
-            request_epoch = int(request.issue_time // epoch_seconds)
-            while current_epoch < request_epoch:
-                current_epoch += 1
-                appliance.begin_day(current_epoch)
-                if boundary_hook is not None:
-                    boundary_hook(current_epoch, index)
-            appliance.process_request(request)
-            if checkpoint_every is not None and (index + 1) % checkpoint_every == 0:
-                checkpointer(index + 1, current_epoch)
-            if progress_every is not None and (index + 1) % progress_every == 0:
-                progress_hook(index + 1, current_epoch)
-        cursor = max(cursor, base + len(requests))
+    for base, columns in chunks:
+        rows = len(columns)
+        for lo in range(min(max(cursor - base, 0), rows), rows, _ROW_WINDOW):
+            hi = min(lo + _ROW_WINDOW, rows)
+            issues = columns.issue_time[lo:hi]
+            addresses = columns.address[lo:hi]
+            counts = columns.block_count[lo:hi]
+            if hashed:
+                _, starts, slots, subs = sieve_kernel.hash_requests(
+                    policy, addresses, counts, issues
+                )
+                starts, slots, subs = starts.tolist(), slots.tolist(), subs.tolist()
+            else:
+                starts, slots, subs = repeat(0), None, repeat(0)
+            rows_in_window = zip(
+                range(base + lo, base + hi),
+                issues.tolist(),
+                columns.completion_time[lo:hi].tolist(),
+                addresses.tolist(),
+                counts.tolist(),
+                columns.is_write[lo:hi].tolist(),
+                starts,
+                subs,
+            )
+            for index, issue, completion, address, n, is_write, first, sub in (
+                rows_in_window
+            ):
+                request_epoch = int(issue // epoch_seconds)
+                while current_epoch < request_epoch:
+                    current_epoch += 1
+                    appliance.begin_day(current_epoch)
+                    if boundary_hook is not None:
+                        boundary_hook(current_epoch, index)
+                process(
+                    address, n, is_write, issue, completion, observe,
+                    slots, first, sub,
+                )
+                if checkpoint_every is not None and (index + 1) % checkpoint_every == 0:
+                    checkpointer(index + 1, current_epoch)
+                if progress_every is not None and (index + 1) % progress_every == 0:
+                    progress_hook(index + 1, current_epoch)
+        cursor = max(cursor, base + rows)
         if segment_hook is not None:
             segment_hook(cursor, current_epoch)
     # Fire any remaining boundaries so discrete policies finish their
@@ -397,20 +441,13 @@ def _drive(
         state["appliance"] = _appliance(policy, cache, stats, config, None)
     appliance = state["appliance"]
 
-    # An in-RAM trace is one chunk, handed to each loop in its native
-    # form (an object trace's request list is never round-tripped
-    # through columns); a chunk source streams from the cursor on.
+    # Both loops read columns: an in-RAM trace is one chunk, a chunk
+    # source streams from the cursor on.
     segmented = isinstance(trace, ChunkSource)
     if segmented:
         chunks = trace.iter_chunks(chunk_rows, start_row=cursor)
-        if engine == "object":
-            chunks = (
-                (base, columns.to_trace().requests) for base, columns in chunks
-            )
-    elif engine == "fast":
-        chunks = [(0, as_columnar(trace))]
     else:
-        chunks = [(0, as_object_trace(trace).requests)]
+        chunks = [(0, as_columnar(trace))]
 
     obs = _engine_obs(policy, label, engine)
     if obs is not None:
@@ -540,9 +577,9 @@ def simulate(
     Args:
         trace: chronological ensemble trace — object :class:`Trace`,
             :class:`ColumnarTrace`, or an on-disk
-            :class:`~repro.traces.segments.SegmentStore`.  In-RAM forms
-            are converted as the execution path requires; a segment
-            store is streamed chunk by chunk through either engine
+            :class:`~repro.traces.segments.SegmentStore`.  Both engines
+            read columns (an object trace is columnarized once); a
+            segment store is streamed chunk by chunk through either engine
             (bounded peak memory, bit-identical statistics, and a
             checkpoint after every chunk when checkpointing is on).
         policy: the allocation policy / sieve under test.

@@ -64,9 +64,9 @@ class ExperimentContext:
     it — unless the caller passes a list it already has.
 
     ``trace`` may be held in either in-RAM representation, or be a
-    chunk source (segment store / shard view) for streamed replays; use
-    :meth:`object_trace` / :meth:`columnar_trace` to get the in-RAM form
-    a consumer needs (conversions are cached).
+    chunk source (segment store / shard view) for streamed replays.
+    Both engines replay :meth:`columnar_trace`; :meth:`object_trace`
+    serves callers that want request objects (conversions are cached).
     """
 
     def __init__(
@@ -224,9 +224,8 @@ def run_policy(
     ``aod-32`` results and metrics stay distinguishable.
     """
     policy, capacity = build_policy(name, ctx)
-    trace = ctx.columnar_trace() if fast_path else ctx.object_trace()
     return simulate(
-        trace,
+        ctx.columnar_trace(),
         policy,
         capacity_blocks=capacity,
         days=ctx.days,
@@ -328,7 +327,7 @@ def sievestore_d_with_threshold(
         SieveStoreDConfig(threshold=threshold, capacity_blocks=ctx.sieved_capacity)
     )
     result = simulate(
-        ctx.object_trace(), policy, ctx.sieved_capacity, ctx.days, track_minutes=False
+        ctx.columnar_trace(), policy, ctx.sieved_capacity, ctx.days, track_minutes=False
     )
     result.policy_name = f"sievestore-d(t={threshold})"
     return result
@@ -352,7 +351,7 @@ def sievestore_d_with_epoch(
         )
     )
     result = _simulate(
-        ctx.object_trace(),
+        ctx.columnar_trace(),
         policy,
         ctx.sieved_capacity,
         ctx.days,
@@ -382,7 +381,7 @@ def sievestore_c_with_window(
     )
     policy = SieveStoreC(config)
     result = simulate(
-        ctx.object_trace(), policy, ctx.sieved_capacity, ctx.days, track_minutes=False
+        ctx.columnar_trace(), policy, ctx.sieved_capacity, ctx.days, track_minutes=False
     )
     label = f"sievestore-c(W={window_hours}h,t1={config.t1},t2={config.t2}"
     if single_tier:

@@ -2,6 +2,8 @@
 
 import pickle
 
+from hypothesis import given, settings, strategies as st
+
 from repro.faults import (
     DeviceHealth,
     ErrorWindow,
@@ -134,3 +136,82 @@ class TestTimeInStates:
         injector.record_ssd_write(60.0, 1)
         degraded, bypass = injector.time_in_states(100.0)
         assert (degraded, bypass) == (0.0, 40.0)
+
+
+def brute_force_health(plan, worn_out, time):
+    """The definition ``health_at`` must keep: scan every window."""
+    if worn_out or any(
+        w.start <= time and (w.end is None or time < w.end)
+        for w in plan.outages
+    ):
+        return DeviceHealth.BYPASS
+    if any(w.start <= time < w.end for w in (*plan.errors, *plan.latency)):
+        return DeviceHealth.DEGRADED
+    return DeviceHealth.HEALTHY
+
+
+# Window edges on a coarse grid, so queries land exactly on them often.
+spans = st.tuples(st.integers(0, 30), st.integers(1, 10)).map(
+    lambda span: (float(span[0]), float(span[0] + span[1]))
+)
+plans = st.builds(
+    lambda errors, latency, outages, wearout: FaultPlan(
+        errors=tuple(ErrorWindow(s, e, kind) for (s, e), kind in errors),
+        latency=tuple(LatencyWindow(s, e) for s, e in latency),
+        outages=tuple(
+            OutageWindow(s, None if forever else e)
+            for (s, e), forever in outages
+        ),
+        wearout_bytes=wearout,
+    ),
+    st.lists(st.tuples(spans, st.sampled_from(["read", "write"])), max_size=3),
+    st.lists(spans, max_size=2),
+    st.lists(st.tuples(spans, st.booleans()), max_size=2),
+    st.one_of(st.none(), st.integers(1, 6).map(lambda b: b * BLOCK_BYTES)),
+)
+moments = st.one_of(
+    st.integers(-2, 45).map(float), st.floats(-2.0, 45.0, allow_nan=False)
+)
+# Queries at non-monotone times, SSD writes that may trip wear-out
+# mid-run, and pickle round trips (the remembered span is not pickled).
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("query"), moments),
+        st.tuples(st.just("write"), moments, st.integers(1, 4)),
+        st.tuples(st.just("pickle")),
+    ),
+    max_size=60,
+)
+
+
+class TestHealthSpan:
+    @settings(max_examples=200, deadline=None)
+    @given(plan=plans, ops=operations)
+    def test_matches_the_brute_force_definition(self, plan, ops):
+        injector = FaultInjector(plan)
+        for op in ops:
+            if op[0] == "query":
+                assert injector.health_at(op[1]) is brute_force_health(
+                    plan, injector.worn_out, op[1]
+                )
+            elif op[0] == "write":
+                injector.record_ssd_write(op[1], op[2])
+            else:
+                injector = pickle.loads(pickle.dumps(injector))
+
+    def test_wearout_drops_a_remembered_healthy_span(self):
+        injector = make_injector(
+            errors=(ErrorWindow(50.0, 60.0, "read"),), wearout_bytes=1.0
+        )
+        assert injector.health_at(10.0) is DeviceHealth.HEALTHY
+        injector.record_ssd_write(11.0, 1)
+        assert injector.health_at(10.0) is DeviceHealth.BYPASS
+
+    def test_remembered_span_is_not_pickled(self):
+        injector = make_injector(outages=(OutageWindow(10.0, 20.0),))
+        injector.health_at(15.0)
+        state = injector.__getstate__()
+        assert "_span" not in state and "_edges" not in state
+        assert pickle.loads(pickle.dumps(injector)).health_at(
+            15.0
+        ) is DeviceHealth.BYPASS
