@@ -29,11 +29,11 @@ from repro.sim.experiment import FIGURE5_POLICIES, run_policy_suite
 from repro.ssd.device import INTEL_X25E
 from repro.ssd.occupancy import coverage_table, occupancy_from_stats
 from repro.traces import (
+    ColumnarTrace,
     SyntheticTraceConfig,
     read_msr_csv,
 )
 from repro.traces.store import load_or_generate_columnar
-from repro.traces.streams import daily_block_counts
 from repro.util.atomic import atomic_write, write_json_atomic
 
 
@@ -414,15 +414,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_trace(args):
-    """Returns ``(object_trace, days, columnar_or_None)``.
+    """Returns ``(columns, days)``: the trace as a ``ColumnarTrace``.
 
     Synthetic traces go through the on-disk trace cache (columnar
     ``.npz`` keyed by a config content hash) unless ``--no-trace-cache``
     or the ``SIEVESTORE_TRACE_CACHE`` environment variable disables it.
     """
     if args.msr_csv:
-        trace = read_msr_csv(args.msr_csv)
-        return trace, args.days, None
+        return ColumnarTrace.from_trace(read_msr_csv(args.msr_csv)), args.days
     config = SyntheticTraceConfig(
         scale=args.scale, days=args.days, seed=args.seed
     )
@@ -432,7 +431,7 @@ def _load_trace(args):
         columns = EnsembleTraceGenerator(config).generate_columnar()
     else:
         columns = load_or_generate_columnar(config)
-    return columns.to_trace(), config.days, columns
+    return columns, config.days
 
 
 def _print_simulation_report(name: str, result, requests: int) -> None:
@@ -625,13 +624,6 @@ def _make_task_progress(total_tasks: int):
     return on_task_done
 
 
-def _total_blocks(trace, columns) -> int:
-    """Block-access count of a trace, vectorized when columns exist."""
-    if columns is not None:
-        return int(columns.block_count.sum())
-    return sum(request.block_count for request in trace.requests)
-
-
 def _write_metrics(path: Optional[str]) -> None:
     """Export the active registry to ``path`` (format by suffix)."""
     if not path:
@@ -738,18 +730,17 @@ def _cmd_resume(args) -> int:
         )
         return 2
     chunk_rows = trace_args.pop("chunk_rows", None)
-    if trace_args.pop("segments", False):
+    streamed = trace_args.pop("segments", False)
+    if streamed:
         # The checkpointed run streamed a segment store; resume does too.
-        store, code = _segment_store_for(argparse.Namespace(**trace_args))
+        resume_trace, code = _segment_store_for(
+            argparse.Namespace(**trace_args)
+        )
         if code is not None:
             return code
-        trace = columns = None
-        resume_trace = store
-        n_requests = len(store)
     else:
-        trace, _days, columns = _load_trace(argparse.Namespace(**trace_args))
-        resume_trace = columns if columns is not None else trace
-        n_requests = len(trace)
+        resume_trace, _days = _load_trace(argparse.Namespace(**trace_args))
+    n_requests = len(resume_trace)
     progress_every = progress_hook = None
     if args.progress is not None:
         config = payload["config"]
@@ -759,8 +750,8 @@ def _cmd_resume(args) -> int:
             total_requests=n_requests,
             total_blocks=(
                 _streamed_total_blocks(resume_trace, chunk_rows)
-                if trace is None
-                else _total_blocks(trace, columns)
+                if streamed
+                else int(resume_trace.block_count.sum())
             ),
             days=config["days"],
             epoch_seconds=config["epoch_seconds"],
@@ -803,7 +794,7 @@ def _cmd_checkpointed_simulate(args, ctx, name, fault_plan, requests) -> int:
         progress_hook = _make_heartbeat(
             args.progress,
             total_requests=requests,
-            total_blocks=_total_blocks(None, ctx.columnar_trace()),
+            total_blocks=int(ctx.columnar_trace().block_count.sum()),
             days=ctx.days,
             epoch_seconds=args.epoch_seconds or 86400.0,
         )
@@ -913,11 +904,9 @@ def _run_simulate(args) -> int:
         return code
     if args.segments or args.segments_dir is not None:
         return _cmd_simulate_segments(args, fault_plan)
-    trace, days, columns = _load_trace(args)
+    columns, days = _load_trace(args)
     names = list(dict.fromkeys(args.policies or ["sievestore-c"]))
-    ctx = context_for_trace(
-        trace, days=days, scale=args.scale, columnar=columns
-    )
+    ctx = context_for_trace(columns, days=days, scale=args.scale)
     if args.checkpoint:
         if len(names) != 1 or args.jobs != 1:
             print(
@@ -927,7 +916,7 @@ def _run_simulate(args) -> int:
             )
             return 2
         return _cmd_checkpointed_simulate(
-            args, ctx, names[0], fault_plan, len(trace)
+            args, ctx, names[0], fault_plan, len(columns)
         )
     jobs = None if args.jobs == 0 else args.jobs
     on_task_done = progress_every = progress_hook = None
@@ -937,8 +926,8 @@ def _run_simulate(args) -> int:
             progress_every = _PROGRESS_CHECK_EVERY
             progress_hook = _make_heartbeat(
                 args.progress,
-                total_requests=len(trace),
-                total_blocks=_total_blocks(trace, columns),
+                total_requests=len(columns),
+                total_blocks=int(columns.block_count.sum()),
                 days=days,
                 epoch_seconds=args.epoch_seconds or 86400.0,
             )
@@ -951,7 +940,7 @@ def _run_simulate(args) -> int:
     )
     for name in names:
         if name in results:
-            _print_simulation_report(name, results[name], len(trace))
+            _print_simulation_report(name, results[name], len(columns))
     if jobs != 1 or results.failures:
         _print_outcome_table(results)
     for failure in results.failures.values():
@@ -1180,14 +1169,11 @@ def _run_serve_bench_cmd(args, collect_metrics: bool) -> int:
     from pathlib import Path
 
     from repro.serve import BenchOptions, run_serve_bench, run_sieve_comparison
-    from repro.traces.columnar import as_columnar
 
     fault_plan, code = _load_fault_plan(args)
     if code is not None:
         return code
-    trace, _days, columns = _load_trace(args)
-    if columns is None:
-        columns = as_columnar(trace)
+    columns, _days = _load_trace(args)
     options = BenchOptions(
         gate_kind=args.gate,
         miss_latency=args.miss_latency,
@@ -1277,8 +1263,8 @@ def _run_serve_bench_cmd(args, collect_metrics: bool) -> int:
 def _cmd_summarize(args) -> int:
     from repro.analysis.summary import summarize_trace, summary_rows
 
-    trace, _days, _columns = _load_trace(args)
-    summary = summarize_trace(trace)
+    columns, _days = _load_trace(args)
+    summary = summarize_trace(columns.to_trace())
     print(render_table(
         ["server", "requests", "blocks", "traffic share", "read fraction"],
         summary_rows(summary),
@@ -1298,8 +1284,8 @@ def _cmd_summarize(args) -> int:
 def _cmd_validate(args) -> int:
     from repro.traces.validation import validate_trace
 
-    trace, days, _columns = _load_trace(args)
-    report = validate_trace(trace, days=days)
+    columns, days = _load_trace(args)
+    report = validate_trace(columns.to_trace(), days=days)
     print(render_table(
         ["check", "measured", "accepted band", "status"],
         report.rows(),
@@ -1313,14 +1299,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_skew(args) -> int:
-    trace, days, columns = _load_trace(args)
-    counts = (
-        columns.daily_block_counts(days)
-        if columns is not None
-        else daily_block_counts(trace, days)
-    )
+    columns, days = _load_trace(args)
     rows = []
-    for day, table in enumerate(counts):
+    for day, table in enumerate(columns.daily_block_counts(days)):
         q = access_count_quantiles(table)
         rows.append([
             day, q["blocks"], q["accesses"], round(q["top1_share"], 3),
@@ -1336,8 +1317,8 @@ def _cmd_skew(args) -> int:
 
 
 def _cmd_drives(args) -> int:
-    trace, days, columns = _load_trace(args)
-    ctx = context_for_trace(trace, days=days, scale=args.scale, columnar=columns)
+    columns, days = _load_trace(args)
+    ctx = context_for_trace(columns, days=days, scale=args.scale)
     result = run_policy(args.policy, ctx, track_minutes=True)
     device = INTEL_X25E.scaled(args.scale)
     series = occupancy_from_stats(

@@ -80,8 +80,8 @@ class SieveStoreAppliance:
             are identical in both modes.
         faults: optional :class:`~repro.faults.injector.FaultInjector`
             driving the device-health state machine.  With ``None`` (the
-            default) every fault path is skipped entirely and the
-            appliance behaves byte-identically to earlier revisions.
+            default) the device stays HEALTHY: health is never
+            evaluated and no wear is recorded.
 
     Device-health state machine (``faults`` present):
 
@@ -209,15 +209,37 @@ class SieveStoreAppliance:
         ``slots[first + i]`` and the request's ``subwindow``; each miss
         then takes the policy's ``wants_hashed`` instead of ``wants``.
         Returns ``(hit_blocks, allocated_blocks)``.
+
+        Without a fault plan the device is always healthy: nothing is
+        degraded and no wear is recorded.
         """
-        if self.faults is not None:
-            return self._process_row_faulty(
-                base, n, is_write, issue, completion, observe,
-                slots, first, subwindow,
-            )
+        faults = self.faults
         cache = self.cache
         policy = self.policy
         stats = self.stats
+        degraded = False
+        if faults is not None:
+            self._update_health(issue)
+            if self.health is DeviceHealth.BYPASS:
+                # Pass-through: every block misses the (empty) cache.
+                # The sieve still observes and miss-counts so blocks
+                # re-earn allocation after recovery, but nothing is
+                # installed.
+                for offset, address in enumerate(range(base, base + n)):
+                    if observe is not None:
+                        observe(address, is_write, issue, False)
+                    if slots is None:
+                        policy.wants(address, is_write, issue)
+                    else:
+                        policy.wants_hashed(
+                            address, slots[first + offset], subwindow, issue
+                        )
+                stats.record_accesses(issue, is_write, 0, n)
+                stats.record_bypass_access(issue, n)
+                if is_write:
+                    stats.record_backing_write(issue, blocks=n)
+                return 0, 0
+            degraded = self.health is DeviceHealth.DEGRADED
         span = completion - issue
 
         write_back = self.write_mode is WriteMode.WRITE_BACK
@@ -226,11 +248,35 @@ class SieveStoreAppliance:
         backing_writes = 0
         for offset, address in enumerate(range(base, base + n)):
             hit = cache.access(address)
+            if hit and degraded:
+                # An errored resident block is not tallied as a hit, so
+                # it is recorded with the request's misses below.
+                if is_write and faults.write_fails(issue):
+                    # The frame no longer holds valid data: invalidate
+                    # it and let the ensemble take the write (the new
+                    # data supersedes any dirty content block-wholly).
+                    stats.record_write_error(issue)
+                    cache.discard(address)
+                    if write_back:
+                        self.dirty.clean(address)
+                    if observe is not None:
+                        observe(address, is_write, issue, False)
+                    backing_writes += 1
+                    continue
+                if not is_write and faults.read_fails(issue):
+                    # Fall back to the backing ensemble; the block stays
+                    # resident and may serve the next access.
+                    stats.record_read_error(issue)
+                    if observe is not None:
+                        observe(address, is_write, issue, False)
+                    continue
             if observe is not None:
                 observe(address, is_write, issue, hit)
             if hit:
                 hit_blocks += 1
                 if is_write:
+                    if faults is not None:
+                        faults.record_ssd_write(issue, 1)
                     if write_back:
                         self.dirty.mark(address)
                     else:
@@ -244,16 +290,24 @@ class SieveStoreAppliance:
                 )
             if allocate and not cache.peek(address):
                 done = issue + span * ((offset + 1) / n)
-                victim = cache.insert(address)
-                allocated += 1
-                stats.record_allocation_write(done)
-                if victim is not None and self.dirty.clean(victim):
-                    stats.record_backing_write(done, is_writeback=True)
-                if is_write and write_back:
-                    # The allocated frame holds the new data; the
-                    # ensemble has not seen this write yet.
-                    self.dirty.mark(address)
-                    continue
+                if degraded and faults.write_fails(done):
+                    # The allocation write errored: suppress the insert;
+                    # the sieve keeps observing, so the block can earn a
+                    # frame again once the device behaves.
+                    stats.record_write_error(done)
+                else:
+                    victim = cache.insert(address)
+                    allocated += 1
+                    stats.record_allocation_write(done)
+                    if faults is not None:
+                        faults.record_ssd_write(done, 1)
+                    if victim is not None and self.dirty.clean(victim):
+                        stats.record_backing_write(done, is_writeback=True)
+                    if is_write and write_back:
+                        # The allocated frame holds the new data; the
+                        # ensemble has not seen this write yet.
+                        self.dirty.mark(address)
+                        continue
             if is_write:
                 # Write misses (and write-allocations under
                 # write-through) reach the backing ensemble directly.
@@ -301,122 +355,6 @@ class SieveStoreAppliance:
         if self.health_observer is not None:
             self.health_observer(time, self.health, new)
         self.health = new
-
-    def _process_row_faulty(
-        self, base, n, is_write, issue, completion, observe,
-        slots, first, subwindow,
-    ) -> Tuple[int, int]:
-        """Fault-aware twin of :meth:`process_row`.
-
-        Kept as a separate method so the no-fault hot path above stays
-        free of health checks: a run without a fault plan is guaranteed
-        byte-identical to earlier revisions.
-        """
-        faults = self.faults
-        cache = self.cache
-        policy = self.policy
-        stats = self.stats
-        span = completion - issue
-
-        self._update_health(issue)
-
-        if self.health is DeviceHealth.BYPASS:
-            # Pass-through: every block misses the (empty) cache.  The
-            # sieve still observes and miss-counts so blocks re-earn
-            # allocation after recovery, but nothing is installed.
-            for offset, address in enumerate(range(base, base + n)):
-                if observe is not None:
-                    observe(address, is_write, issue, False)
-                if slots is None:
-                    policy.wants(address, is_write, issue)
-                else:
-                    policy.wants_hashed(
-                        address, slots[first + offset], subwindow, issue
-                    )
-            stats.record_accesses(issue, is_write, 0, n)
-            stats.record_bypass_access(issue, n)
-            if is_write:
-                stats.record_backing_write(issue, blocks=n)
-            return 0, 0
-
-        degraded = self.health is DeviceHealth.DEGRADED
-        write_back = self.write_mode is WriteMode.WRITE_BACK
-        hit_blocks = 0
-        allocated = 0
-        backing_writes = 0
-        for offset, address in enumerate(range(base, base + n)):
-            hit = cache.access(address)
-            if hit and degraded:
-                # An errored resident block is not tallied as a hit, so
-                # it is recorded with the request's misses below.
-                if is_write and faults.write_fails(issue):
-                    # The frame no longer holds valid data: invalidate
-                    # it and let the ensemble take the write (the new
-                    # data supersedes any dirty content block-wholly).
-                    stats.record_write_error(issue)
-                    cache.discard(address)
-                    if write_back:
-                        self.dirty.clean(address)
-                    if observe is not None:
-                        observe(address, is_write, issue, False)
-                    backing_writes += 1
-                    continue
-                if not is_write and faults.read_fails(issue):
-                    # Fall back to the backing ensemble; the block stays
-                    # resident and may serve the next access.
-                    stats.record_read_error(issue)
-                    if observe is not None:
-                        observe(address, is_write, issue, False)
-                    continue
-            if observe is not None:
-                observe(address, is_write, issue, hit)
-            if hit:
-                hit_blocks += 1
-                if is_write:
-                    faults.record_ssd_write(issue, 1)
-                    if write_back:
-                        self.dirty.mark(address)
-                    else:
-                        backing_writes += 1
-                continue
-            if slots is None:
-                allocate = policy.wants(address, is_write, issue)
-            else:
-                allocate = policy.wants_hashed(
-                    address, slots[first + offset], subwindow, issue
-                )
-            if allocate and not cache.peek(address):
-                done = issue + span * ((offset + 1) / n)
-                if degraded and faults.write_fails(done):
-                    # The allocation write errored: suppress the insert;
-                    # the sieve keeps observing, so the block can earn a
-                    # frame again once the device behaves.
-                    stats.record_write_error(done)
-                else:
-                    victim = cache.insert(address)
-                    allocated += 1
-                    stats.record_allocation_write(done)
-                    faults.record_ssd_write(done, 1)
-                    if victim is not None and self.dirty.clean(victim):
-                        stats.record_backing_write(done, is_writeback=True)
-                    if is_write and write_back:
-                        self.dirty.mark(address)
-                        continue
-            if is_write:
-                backing_writes += 1
-
-        stats.record_accesses(issue, is_write, hit_blocks, n - hit_blocks)
-        if backing_writes:
-            stats.record_backing_write(issue, blocks=backing_writes)
-        if allocated:
-            stats.record_ssd_io(
-                completion, blocks_to_io_units(allocated), is_write=True
-            )
-        if hit_blocks:
-            stats.record_ssd_io(
-                issue, blocks_to_io_units(hit_blocks), is_write=is_write
-            )
-        return hit_blocks, allocated
 
     def flush_dirty(self, time: float) -> int:
         """Write every dirty block back to the ensemble (shutdown path).

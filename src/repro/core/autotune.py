@@ -135,60 +135,38 @@ class AdaptiveSieveStoreC(SieveStoreC):
         self.budget = budget or AdmissionBudget.cache_turnovers(capacity_blocks)
         self.adjust_interval = adjust_interval
         self.t2_bounds = t2_bounds
-        self._t2 = self.config.t2
         self._interval_start = 0.0
         self._interval_admissions = 0
         #: (time, t2) control trajectory for reporting
-        self.t2_history: List[Tuple[float, int]] = [(0.0, self._t2)]
+        self.t2_history: List[Tuple[float, int]] = [(0.0, self.current_t2)]
 
     @property
     def current_t2(self) -> int:
         """The controller's current exact-tier threshold."""
-        return self._t2
+        return self._tier2_threshold
 
     def wants(self, address: int, is_write: bool, time: float) -> bool:
         self._maybe_adjust(time)
-        before = self.admissions
-        admitted = self._wants_with_t2(address, is_write, time)
-        if self.admissions > before:
-            self._interval_admissions += self.admissions - before
+        admitted = super().wants(address, is_write, time)
+        if admitted:
+            self._interval_admissions += 1
         return admitted
 
-    def _wants_with_t2(self, address: int, is_write: bool, time: float) -> bool:
-        """Tier logic with the controller's t2 instead of the config's."""
-        if self.config.single_tier_admission:
-            # No t2 in the single-tier ablation: the base sieve's ladder.
-            return super().wants(address, is_write, time)
-        if address in self.mct:
-            return self._adaptive_tier2(address, time)
-        slot_count = self.imct.record_miss(address, time)
-        if slot_count < self.config.t1:
-            self.imct_rejections += 1
-            return False
-        self.mct.track(address)
-        self.promotions += 1
-        return False
-
-    def _adaptive_tier2(self, address: int, time: float) -> bool:
-        exact = self.mct.record_miss(address, time)
-        if exact < self._t2:
-            self.mct_rejections += 1
-            return False
-        self.mct.forget(address)
-        self.admissions += 1
-        return True
-
     def _maybe_adjust(self, time: float) -> None:
+        """Move the base ladder's tier-2 threshold against the budget
+        once per ``adjust_interval``."""
         if time - self._interval_start < self.adjust_interval:
             return
         intervals_per_day = 86400.0 / self.adjust_interval
         budget = self.budget.per_day / intervals_per_day
         lo, hi = self.t2_bounds
-        if self._interval_admissions > budget and self._t2 < hi:
-            self._t2 += 1
-        elif self._interval_admissions < budget / 4 and self._t2 > lo:
-            self._t2 -= 1
-        if self.t2_history[-1][1] != self._t2:
-            self.t2_history.append((time, self._t2))
+        t2 = self._tier2_threshold
+        if self._interval_admissions > budget and t2 < hi:
+            t2 += 1
+        elif self._interval_admissions < budget / 4 and t2 > lo:
+            t2 -= 1
+        if self.t2_history[-1][1] != t2:
+            self.t2_history.append((time, t2))
+        self._tier2_threshold = t2
         self._interval_start = time
         self._interval_admissions = 0

@@ -29,9 +29,10 @@ copied in at run start or written back at a checkpoint.
     they commute, and the engine defers them to one vectorized
     :meth:`~SieveStoreCKernel.flush` (it only notes, by block position,
     the cold blocks that hit or went to tier 2 instead);
-  - **hot** otherwise: the engine walks those blocks through the scalar
-    ladder, in order, as before.  A slot is hot or cold for a whole run,
-    so the two never write the same cells.
+  - **hot** otherwise: the engine walks those blocks, in order, through
+    the policy's own ladder
+    (:meth:`~repro.core.sievestore_c.SieveStoreC.tier1`).  A slot is hot
+    or cold for a whole run, so the two never write the same cells.
 
   Admission decisions stay order-dependent (a hit depends on the LRU
   resident set, which every admission mutates), which is why only the
@@ -171,11 +172,12 @@ def hash_requests(
 def supports(policy: AllocationPolicy) -> bool:
     """True if ``policy`` can be driven by :class:`SieveStoreCKernel`.
 
-    Exact-type check on purpose: a subclass may override tier internals
-    (``_tier2``, ``wants``) without the method-identity dispatch in
-    :mod:`repro.sim.fast_engine` noticing — e.g.
-    :class:`~repro.core.autotune.AdaptiveSieveStoreC` mutates its t2
-    mid-run — so anything but a plain :class:`SieveStoreC` takes the
+    Exact-type check on purpose: a subclass may add work around the
+    ladder (:class:`~repro.core.autotune.AdaptiveSieveStoreC` runs its
+    controller on every ``wants``) that the kernel's direct
+    :meth:`~repro.core.sievestore_c.SieveStoreC.tier1` /
+    :meth:`~repro.core.sievestore_c.SieveStoreC.tier2` calls would
+    skip, so anything but a plain :class:`SieveStoreC` takes the
     general per-miss-call path.
     """
     return type(policy) is SieveStoreC
@@ -193,9 +195,11 @@ class SieveStoreCKernel:
     :meth:`vacate`), and :meth:`flush` records the deferred cold-slot
     misses — wholly at the run's end, or up to a block position at a
     mid-run checkpoint; partial flushes compose.
-    The MCT tier stays on the live object — only IMCT-promoted blocks
-    ever reach it, and calling the real ``record_miss`` preserves its
-    prune scheduling and insert counting bit-identically.
+    Every decision the kernel cannot batch is the policy's own: hot-slot
+    misses take :meth:`~repro.core.sievestore_c.SieveStoreC.tier1`, MCT
+    members :meth:`~repro.core.sievestore_c.SieveStoreC.tier2`, and the
+    flush keeps ``imct_rejections`` current, so the policy object is
+    the whole sieve state after any flush.
     """
 
     def __init__(self, policy: SieveStoreC, resident: Iterable[int] = ()):
@@ -266,7 +270,7 @@ class SieveStoreCKernel:
         rows = np.concatenate(([0], edges, [len(block_counts)]))
         # A short run cannot repay classify + flush: it goes all-hot, and
         # neighbours like it fuse into one stretch, so a trace of
-        # one-request subwindows costs what the scalar ladder costs.
+        # one-request subwindows costs what SieveStoreC.tier1 costs.
         short = np.diff(offsets[rows]) < _BATCH_MIN_BLOCKS
         fused = np.flatnonzero(short[:-1] & short[1:]) + 1
         self._run_rows = np.delete(rows, fused).tolist()
@@ -331,7 +335,9 @@ class SieveStoreCKernel:
         (default: the run's end), leaving out :attr:`skipped`.  Cold
         slots take no scalar recording during their run, and each
         deferred recording touches only its own slot, so the table ends
-        exactly as if every one had been recorded at its turn.
+        exactly as if every one had been recorded at its turn.  By the
+        cold bound each recording is a tier-1 rejection, and the
+        policy's ``imct_rejections`` counts it as one.
         """
         end = len(self._cold) if upto is None else upto
         if end <= self._flushed:
@@ -342,6 +348,7 @@ class SieveStoreCKernel:
         recorded[self.skipped] = False
         self._flushed = end
         slots = self._run_slots[recorded]
+        self.policy.imct_rejections += int(slots.size)
         if self.imct._last_address is None:
             self.imct.record_batch(np.sort(slots), self._sub)
         else:

@@ -81,9 +81,9 @@ class SieveStoreC(AllocationPolicy):
             slots=self.config.imct_slots, window=self.config.window
         )
         self.mct = MissCountTable(window=self.config.window)
-        # Config is frozen, so the per-miss mode/threshold lookups are
-        # hoisted out of wants().  Named to stay clear of the mutable
-        # controller state AdaptiveSieveStoreC layers on top (its _t2).
+        # The per-miss mode/threshold lookups, hoisted out of wants().
+        # The config is frozen; the tier-2 threshold alone may move
+        # mid-run (AdaptiveSieveStoreC's controller writes it).
         self._single_tier = self.config.single_tier_admission
         self._t1 = self.config.t1
         self._tier2_threshold = self.config.t2
@@ -143,13 +143,25 @@ class SieveStoreC(AllocationPolicy):
         """:meth:`wants` given the block's IMCT slot and the miss's
         subwindow — what a caller that hashed many blocks at once
         (:func:`repro.core.sieve_kernel.hash_requests`) passes in."""
-        if self._single_tier:
-            return self._tier1_only(address, slot, subwindow)
         if address in self._mct_counters:
-            return self._tier2(address, time)
+            return self.tier2(address, time)
+        return self.tier1(address, slot, subwindow)
+
+    def tier1(self, address: int, slot: int, subwindow: int) -> bool:
+        """Count a miss of a block outside the MCT in its IMCT ``slot``.
+
+        Below t1 the miss is rejected.  Reaching t1 promotes the block
+        to the MCT — or, under ``single_tier_admission``, admits it.
+        Returns whether the block was admitted.
+        """
         if self.imct.record(slot, subwindow, address) < self._t1:
             self.imct_rejections += 1
             return False
+        if self._single_tier:
+            # Ablation: admit on the IMCT threshold alone.
+            self.imct.reset_slot(address)
+            self.admissions += 1
+            return True
         # Promotion: the block graduates to exact counting with a zero
         # MCT count — the paper requires t2 *additional* misses after
         # passing tier 1.  The aliased IMCT slot is deliberately left
@@ -159,21 +171,14 @@ class SieveStoreC(AllocationPolicy):
         self.promotions += 1
         return False
 
-    def _tier2(self, address: int, time: float) -> bool:
+    def tier2(self, address: int, time: float) -> bool:
+        """Count a miss of an MCT-tracked block exactly; admit it once
+        its windowed count reaches t2.  Returns whether it was admitted."""
         exact = self.mct.record_miss(address, time)
         if exact < self._tier2_threshold:
             self.mct_rejections += 1
             return False
         self.mct.forget(address)
-        self.admissions += 1
-        return True
-
-    def _tier1_only(self, address: int, slot: int, subwindow: int) -> bool:
-        """Single-tier ablation: admit on the IMCT threshold alone."""
-        if self.imct.record(slot, subwindow, address) < self._t1:
-            self.imct_rejections += 1
-            return False
-        self.imct.reset_slot(address)
         self.admissions += 1
         return True
 

@@ -191,7 +191,10 @@ class ServingCache:
         self.stats.misses += 1
         self._observe_op("read", "miss")
         value = self.backend.read(address)
-        self._maybe_admit(address, False, time, value)
+        # A faulted read of a resident block is no sieve miss: the block
+        # is still on the device, so there is nothing to admit.
+        if address not in self._tags:
+            self._maybe_admit(address, False, time, value)
         return value
 
     def write(self, address: int, time: float) -> bytes:

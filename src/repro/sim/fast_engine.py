@@ -24,7 +24,12 @@ replays the same semantics over the columnar trace, a chunk at a time:
   per-block interpolated completion times of a request that straddles
   a day boundary;
 * SieveStore-C does not even visit most requests: the sieve kernel
-  (:mod:`repro.core.sieve_kernel`) proves them to be rejections only;
+  (:mod:`repro.core.sieve_kernel`) proves them to be rejections only,
+  and records them in one batch; the misses it cannot decide go
+  through the policy's own ladder
+  (:meth:`~repro.core.sievestore_c.SieveStoreC.tier1` /
+  :meth:`~repro.core.sievestore_c.SieveStoreC.tier2`), the one copy
+  the object engine runs too;
 * the policy's ``wants``/``observe`` hooks are specialized by *method
   identity*: a policy whose ``wants`` is literally
   ``AllocateOnDemand.wants`` allocates every miss without a Python
@@ -42,7 +47,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.cache.allocation import (
     AllocateOnDemand,
@@ -62,7 +67,6 @@ from repro.core.sieve_kernel import SieveStoreCKernel
 from repro.core.sieve_kernel import subwindow_indices
 from repro.core.sieve_kernel import supports as _sieve_supported
 from repro.core.sievestore_d import SieveStoreD
-from repro.core.windows import COUNTER_SATURATION
 from repro.util.intervals import SECONDS_PER_DAY
 
 # wants() specializations, resolved once per run by method identity.
@@ -70,7 +74,7 @@ _W_TRUE = 0  # allocate every miss (AOD)
 _W_FALSE = 1  # never allocate continuously (discrete sieves, oracles)
 _W_NOT_WRITE = 2  # allocate read misses only (WMNA)
 _W_CALL = 3  # stateful/unknown: call policy.wants per miss
-_W_SIEVE = 4  # plain SieveStore-C: inline array-backed sieve kernel
+_W_SIEVE = 4  # plain SieveStore-C: sieve kernel + the policy's tiers
 
 #: Cap on the requests one sieve-kernel precompute pass hashes (and so
 #: on run length); the batching unit itself is the paper's subwindow.
@@ -117,35 +121,6 @@ def _observe_mode(policy: AllocationPolicy) -> int:
     if observe is RandSieveBlkD.observe:
         return _O_SET
     return _O_CALL
-
-
-def _sync_sieve_counters(
-    kernel,
-    upto: Optional[int],
-    policy,
-    s_rejections_base: int,
-    s_promos: int,
-    s_mct_rej: int,
-    s_adms: int,
-) -> None:
-    """Flush the kernel up to block ``upto`` of its run (``None``: all
-    of it) and write the loop's counter locals into the policy object.
-
-    ``recorded_misses`` is counted where recordings happen (the flush
-    for cold slots, the scalar ladder for hot ones), and every IMCT
-    recording ends as a rejection unless it promoted (or, single tier,
-    admitted) its block, so the dominant outcome needs no counter of
-    its own.  Idempotent at any cursor, so checkpoint,
-    segment-boundary, and end-of-run sites all share it.
-    """
-    kernel.flush(upto)
-    passed = s_adms if policy.config.single_tier_admission else s_promos
-    policy.imct_rejections = (
-        s_rejections_base + policy.imct.recorded_misses - passed
-    )
-    policy.promotions = s_promos
-    policy.mct_rejections = s_mct_rej
-    policy.admissions = s_adms
 
 
 def _record_allocations(
@@ -251,45 +226,20 @@ def simulate_fast_chunks(
     admitted: List[int] = []  # block offsets the request in hand installed
 
     # -- sieve-kernel state (only when wmode == _W_SIEVE) -----------------
-    # The kernel and this loop work on the IMCT's own buffers; the
-    # counters the object path maintains are tracked in plain locals
-    # (deliberately not a closure — cell variables would slow the
-    # per-miss increments) and written into the policy object before
-    # any checkpoint pickle and at end of run, so the policy stays the
-    # engine-agnostic source of truth.
+    # The kernel batches the cold-slot rejections; every other decision
+    # is the policy's own tier1/tier2, so after a flush the policy object
+    # is the whole sieve state, ready to pickle.
     kernel = None
     if wmode == _W_SIEVE:
         kernel = SieveStoreCKernel(policy, od)
         skip = kernel.skipped.append
         occupy = kernel.occupy
         vacate = kernel.vacate
-        imct = policy.imct
-        s_counts = imct.counts
-        s_last = imct.last
-        k_w = kernel.k
         n_slots = kernel.n_slots
-        zeros_w = bytes(k_w)
-        saturation = COUNTER_SATURATION
-        s_lastaddr = imct._last_address  # None unless collision tracking
-        tracking = s_lastaddr is not None
-        mct = policy.mct
-        mct_counters = mct._counters
-        mct_sweep = mct.sweep
-        mct_record = mct.record_miss
-        mct_track = mct.track
-        mct_forget = mct.forget
-        single_tier = policy.config.single_tier_admission
-        t1 = policy.config.t1
-        t2 = policy.config.t2
-        s_promos = policy.promotions
-        s_mct_rej = policy.mct_rejections
-        s_adms = policy.admissions
-        # imct_rejections = recordings that did not pass tier 1, up to
-        # whatever offset the policy object came in with.
-        s_rejections_base = (
-            policy.imct_rejections - imct.recorded_misses
-            + (s_adms if single_tier else s_promos)
-        )
+        tier1 = policy.tier1
+        tier2 = policy.tier2
+        mct_counters = policy.mct._counters
+        mct_sweep = policy.mct.sweep
 
     def apply_boundary(epoch: int) -> None:
         batch = policy.epoch_boundary(epoch)
@@ -407,11 +357,10 @@ def simulate_fast_chunks(
                     admitted.clear()
 
             if wmode == _W_SIEVE:
-                # Inline SieveStore-C: the two-tier sieve of
-                # SieveStoreC.wants over the IMCT's buffers, one run of
-                # same-subwindow requests at a time, and of a run only
-                # the requests the kernel cannot prove to be rejections
-                # (repro.core.sieve_kernel: cold/hot, occupancy).
+                # SieveStore-C: one run of same-subwindow requests at a
+                # time, and of a run only the requests the kernel cannot
+                # prove to be rejections (repro.core.sieve_kernel:
+                # cold/hot, occupancy).
                 jl = lo
                 while jl < hi:
                     if jl >= run_end:
@@ -439,10 +388,8 @@ def simulate_fast_chunks(
                         sub = c_subs[r]
                         hit = 0
                         # Decision order matches the reference exactly —
-                        # hits move recency first, every miss is counted
-                        # in exactly one tier, and the (rare) MCT tier
-                        # calls the live object so prune timing and
-                        # insert counting stay bit-identical.
+                        # hits move recency first, and every miss is
+                        # counted in exactly one tier.
                         for a, ci in zip(
                             range(addr, addr + k), c_cis[start:start + k]
                         ):
@@ -453,57 +400,26 @@ def simulate_fast_chunks(
                                     skip(start + a - addr)
                                 continue
                             if a in mct_counters:
-                                # Tier 2: exact counting (IMCT-promoted
-                                # only).  The sweep record_miss is about
-                                # to make is made here, for its list; it
-                                # may drop ``a``, which is tracked anew.
+                                # Tier 2 (IMCT-promoted blocks only).  The
+                                # sweep its record_miss is about to make is
+                                # made here, for its list; it may drop
+                                # ``a``, which is tracked anew.
                                 if ci < 0:
                                     skip(start + a - addr)
                                 for stale in mct_sweep(issue):
                                     if stale != a:
                                         vacate(stale)
-                                exact = mct_record(a, issue)
-                                if exact < t2:
-                                    s_mct_rej += 1
+                                if not tier2(a, issue):
                                     continue
-                                mct_forget(a)
-                                s_adms += 1
                             elif ci < 0:
                                 continue  # cold slot: recorded by the flush
                             else:
-                                # Tier 1 on a hot slot: the IMCT recording,
-                                # inlined (ImpreciseMissCountTable.record_miss
-                                # with the hash and subwindow precomputed).
-                                imct.recorded_misses += 1
                                 slot = ci % n_slots
-                                if tracking:
-                                    prev = s_lastaddr[slot]
-                                    if prev >= 0 and prev != a:
-                                        imct.alias_collisions += 1
-                                    s_lastaddr[slot] = a
-                                ls = s_last[slot]
-                                if sub != ls:
-                                    if ls < 0 or sub - ls >= k_w:
-                                        s_counts[slot::n_slots] = zeros_w
-                                    else:
-                                        for g in range(ls + 1, sub + 1):
-                                            s_counts[g % k_w * n_slots + slot] = 0
-                                    s_last[slot] = sub
-                                cv = s_counts[ci]
-                                if cv < saturation:
-                                    s_counts[ci] = cv + 1
-                                if sum(s_counts[slot::n_slots]) < t1:
+                                admit = tier1(a, slot, sub)
+                                if admit or a in mct_counters:
+                                    occupy(slot)  # admitted or promoted
+                                if not admit:
                                     continue
-                                occupy(slot)
-                                if not single_tier:
-                                    mct_track(a)
-                                    s_promos += 1
-                                    continue
-                                # Ablation: admit on tier 1 alone; the slot is
-                                # reset exactly like imct.reset_slot.
-                                s_counts[slot::n_slots] = zeros_w
-                                s_last[slot] = -1
-                                s_adms += 1
                             # Admission (either tier): install the block.
                             if len(od) >= capacity:
                                 vacate(od_pop(False)[0])
@@ -575,10 +491,7 @@ def simulate_fast_chunks(
                     cache._resident = set(od)
                 if kernel is not None:
                     # Mid-run: flush only the blocks replayed so far.
-                    _sync_sieve_counters(
-                        kernel, c_starts[hi - run_start], policy,
-                        s_rejections_base, s_promos, s_mct_rej, s_adms,
-                    )
+                    kernel.flush(c_starts[hi - run_start])
                 stats.record_rows(*(c[recorded:hi] for c in recorded_columns))
                 recorded = hi
                 checkpointer(done, current_epoch)
@@ -596,10 +509,7 @@ def simulate_fast_chunks(
             if may_allocate:
                 cache._resident = set(od)
             if kernel is not None:
-                _sync_sieve_counters(
-                    kernel, None, policy,
-                    s_rejections_base, s_promos, s_mct_rej, s_adms,
-                )
+                kernel.sync()
             segment_hook(cursor, current_epoch)
 
     # Trailing epoch boundaries (discrete policies close their books).
@@ -613,8 +523,5 @@ def simulate_fast_chunks(
     if kernel is not None:
         # The policy object must reflect the run before the caller
         # samples sieve telemetry or pickles a final state.
-        _sync_sieve_counters(
-            kernel, None, policy,
-            s_rejections_base, s_promos, s_mct_rej, s_adms,
-        )
+        kernel.sync()
     return stats, cache

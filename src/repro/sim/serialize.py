@@ -15,7 +15,7 @@ Two concerns live here:
   bit-identical to the uninterrupted run (see
   :func:`repro.sim.engine.resume_simulation`).
 
-Checkpoint file format (version 3)::
+Checkpoint file format (version 5)::
 
     bytes 0..7   magic  b"SSCKPT\\x00\\n"
     bytes 8..11  schema version (big-endian uint32)
@@ -53,9 +53,11 @@ CHECKPOINT_MAGIC = b"SSCKPT\x00\n"
 #: them when the object loop runs) carrying the run's ``label`` in
 #: place of ``policy_name``.  Version 4: the pickled
 #: ImpreciseMissCountTable is two flat buffers (count cells + last
-#: subwindows) instead of one counter object per slot.  No migration —
+#: subwindows) instead of one counter object per slot.  Version 5: a
+#: pickled AdaptiveSieveStoreC keeps its controller's threshold in the
+#: base ladder's ``_tier2_threshold`` (no ``_t2``).  No migration —
 #: checkpoints are short-lived crash-recovery artifacts.
-CHECKPOINT_SCHEMA_VERSION = 4
+CHECKPOINT_SCHEMA_VERSION = 5
 
 
 class CheckpointError(Exception):

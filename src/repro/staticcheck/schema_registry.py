@@ -93,7 +93,7 @@ SPECS: Tuple[SchemaSpec, ...] = (
             "appliance",
         ),
         "repro.sim.serialize",
-        (("CHECKPOINT_SCHEMA_VERSION", 4),),
+        (("CHECKPOINT_SCHEMA_VERSION", 5),),
         track_var="state",
     ),
     _spec(
@@ -114,7 +114,7 @@ SPECS: Tuple[SchemaSpec, ...] = (
             "checkpoint_every",
         ),
         "repro.sim.serialize",
-        (("CHECKPOINT_SCHEMA_VERSION", 4),),
+        (("CHECKPOINT_SCHEMA_VERSION", 5),),
         track_var="config",
     ),
     _spec(

@@ -6,6 +6,8 @@ each miss's slot and subwindow to ``wants_hashed``.  Driven over the
 same miss stream, the two must leave every piece of sieve state
 identical: the IMCT's count cells and last-subwindow stamps (and its
 collision shadow), the MCT's counters, and all five telemetry counters.
+The adaptive sieve runs the same ladder: pinned to one t2, it must
+match the base sieve in the same way.
 """
 
 import pickle
@@ -15,17 +17,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import SieveStoreC, SieveStoreCConfig, WindowSpec
+from repro.core.autotune import AdaptiveSieveStoreC, AdmissionBudget
 from repro.core.sieve_kernel import hash_requests
 
 #: 10-second subwindows, k = 4.
 WINDOW = WindowSpec(window_seconds=40.0, subwindows=4)
 
 
-def make_policy(slots, t1, t2, single_tier, tracking):
-    policy = SieveStoreC(SieveStoreCConfig(
+def make_policy(slots, t1, t2, single_tier, tracking, cls=SieveStoreC,
+                **kwargs):
+    policy = cls(SieveStoreCConfig(
         imct_slots=slots, t1=t1, t2=t2, window=WINDOW,
         single_tier_admission=single_tier,
-    ))
+    ), **kwargs)
     if tracking:
         policy.imct.enable_collision_tracking()
     return policy
@@ -97,6 +101,38 @@ def test_wants_hashed_matches_wants(requests, slots, t1, t2, single_tier,
             )
             assert got == expected
     assert sieve_state(hashed) == sieve_state(scalar)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    requests=requests_strategy,
+    slots=st.integers(1, 8),
+    t1=st.integers(1, 5),
+    t2=st.integers(1, 3),
+    single_tier=st.booleans(),
+    tracking=st.booleans(),
+    budget=st.sampled_from([0.0, 1.0, 1e9]),
+)
+def test_pinned_adaptive_sieve_is_the_base_ladder(
+    requests, slots, t1, t2, single_tier, tracking, budget
+):
+    base = make_policy(slots, t1, t2, single_tier, tracking)
+    # A controller that runs every 5 s against a budget it always
+    # misses one way or the other, but may not move t2.
+    adaptive = make_policy(
+        slots, t1, t2, single_tier, tracking, cls=AdaptiveSieveStoreC,
+        budget=AdmissionBudget(per_day=budget), adjust_interval=5.0,
+        t2_bounds=(t2, t2),
+    )
+    time = 0.0
+    for address, count, gap in requests:
+        time += gap
+        for block in range(address, address + count):
+            assert adaptive.wants(block, False, time) == base.wants(
+                block, False, time
+            )
+    assert sieve_state(adaptive) == sieve_state(base)
+    assert adaptive.t2_history == [(0.0, t2)]
 
 
 def test_hash_requests_matches_the_scalar_hash():

@@ -90,6 +90,21 @@ class TestDegradedServing:
         assert cache.backend.reads == 2
         assert cache.stats.health_transitions == {"healthy->degraded": 1}
 
+    def test_failed_read_of_a_resident_block_admits_nothing(self, tmp_path):
+        plan = FaultPlan(
+            errors=(ErrorWindow(100.0, 200.0, "read", probability=1.0),)
+        )
+        cache = make_cache(tmp_path, plan=plan)
+        cache.read(4, time=0.0)  # admitted while healthy
+        wear = cache.injector.ssd_bytes_written
+        for time in (110.0, 120.0, 130.0):
+            assert cache.read(4, time=time) == cache.backend.payload(4)
+        assert cache.stats.read_faults == 3
+        assert cache.stats.allocation_writes == 1
+        assert cache.injector.ssd_bytes_written == wear
+        assert cache.read(4, time=250.0) == cache.backend.payload(4)
+        assert cache.stats.hits == 1  # the copy stayed resident
+
     def test_failed_resident_write_drops_the_stale_copy(self, tmp_path):
         plan = FaultPlan(
             errors=(ErrorWindow(10.0, 20.0, "write", probability=1.0),)
