@@ -113,8 +113,8 @@ class ServingCache:
     The addresses resident on the device are held in memory (the tag
     directory), read once from ``store.keys()`` on open — so a reopened
     store keeps serving what it held — and kept current by every
-    admission, failed update and self-healed read that goes through
-    this cache.
+    admission, failed or bypassed update and self-healed read that goes
+    through this cache.
 
     Ownership rule: one ``ServingCache`` per address partition.  Nothing
     else may add or remove this cache's addresses in the store while it
@@ -205,6 +205,12 @@ class ServingCache:
         health = self._health(time)
         if health is DeviceHealth.BYPASS:
             self.stats.bypassed += 1
+            if address in self._tags:
+                # The ensemble moved on without the device: its copy is
+                # stale now and must not serve once the device returns.
+                self.store.delete(address)
+                self._tags.discard(address)
+                self._observe_device_op("delete")
             self._observe_op("write", "bypass")
             return value
         if address in self._tags:

@@ -66,6 +66,7 @@ METRICS: Tuple[MetricSpec, ...] = (
         "repro.serve.appliance",
     ),
     _m("serve_ops_total", "counter", ("op", "outcome"), "repro.serve.appliance"),
+    _m("serve_store_commits_total", "counter", (), "repro.serve.store"),
     _m("sieve_admissions_total", "counter", ("policy",), "repro.obs.instrument"),
     _m("sieve_promotions_total", "counter", ("policy",), "repro.obs.instrument"),
     _m(

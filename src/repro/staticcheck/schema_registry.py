@@ -235,7 +235,7 @@ SPECS: Tuple[SchemaSpec, ...] = (
         "_adopt_layout",
         ("layout_version", "shards"),
         "repro.serve.store",
-        (("STORE_LAYOUT_VERSION", 1),),
+        (("STORE_LAYOUT_VERSION", 2),),
     ),
     _spec(
         "shard-manifest",

@@ -23,6 +23,22 @@ def make_cache(
     return ServingCache(store, gate, backend, injector)
 
 
+class VersionedBackend(EnsembleBackend):
+    """A backend whose every write makes a new version of the block."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.versions = Counter()
+
+    def payload(self, address):
+        prefix = b"%d:" % self.versions[address]
+        return prefix + super().payload(address)[len(prefix):]
+
+    def write(self, address):
+        self.versions[address] += 1
+        return super().write(address)
+
+
 class TestBackend:
     def test_payloads_deterministic_across_instances(self):
         a = EnsembleBackend(payload_bytes=48, seed=9)
@@ -143,6 +159,20 @@ class TestBypassServing:
             "healthy->bypass": 1,
             "bypass->healthy": 1,
         }
+
+    def test_a_write_during_an_outage_drops_the_stale_copy(self, tmp_path):
+        plan = FaultPlan(outages=(OutageWindow(10.0, 20.0),))
+        cache = make_cache(tmp_path, plan=plan)
+        cache.backend = VersionedBackend(payload_bytes=32, seed=3)
+        first = cache.write(4, time=0.0)  # version 1 admitted
+        second = cache.write(4, time=15.0)  # version 2 reaches the ensemble only
+        assert first != second
+        assert not cache.store.contains(4)
+        # Device back: the read misses and serves the ensemble's version.
+        assert cache.read(4, time=25.0) == second
+        assert cache.stats.hits == 0
+        assert cache.stats.update_writes == 0
+        assert cache.stats.allocation_writes == 2  # version 1, then the re-admission
 
     def test_wearout_is_permanent_bypass(self, tmp_path):
         plan = FaultPlan(wearout_bytes=64.0)

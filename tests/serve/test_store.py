@@ -1,18 +1,24 @@
 """The sharded byte store (repro.serve.store) — including the
 concurrent reader/writer torture test."""
 
+import os
+import random
+import signal
 import sqlite3
 import tempfile
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import runtime
 from repro.serve.backend import EnsembleBackend
 from repro.serve.store import (
     _SHARD_SALT,
     DEFAULT_SHARDS,
+    STAGE_ENTRIES,
     STORE_LAYOUT_VERSION,
     ShardedByteStore,
     StoreError,
@@ -145,10 +151,201 @@ class TestCrossInstance:
         b = ShardedByteStore(tmp_path / "s", shards=2, inline_bytes=16)
         a.put(1, b"from-a" * 10)
         b.put(2, b"from-b")
+        # A put is visible to other instances from its shard's commit on.
+        assert b.get(1) is None and not b.contains(1)
+        assert a.get(2) is None
+        a.flush()
+        b.flush()
         assert b.get(1) == b"from-a" * 10
         assert a.get(2) == b"from-b"
         a.close()
         b.close()
+
+    def test_close_commits_and_leaves_no_intent_log(self, tmp_path):
+        with ShardedByteStore(tmp_path / "s", shards=2, inline_bytes=16) as a:
+            a.put(1, b"inline")
+            a.put(2, b"spilled" * 10)
+            assert _intent_logs(tmp_path / "s")
+        assert _intent_logs(tmp_path / "s") == []
+        with ShardedByteStore(tmp_path / "s") as b:
+            assert b.get(1) == b"inline"
+            assert b.get(2) == b"spilled" * 10
+
+
+def _intent_logs(directory):
+    return sorted(directory.glob("shard-*/intent-*.log"))
+
+
+def _keys_in_shard(store, index, count):
+    keys = (key for key in range(10**6) if store.shard_of(key) == index)
+    return [next(keys) for _ in range(count)]
+
+
+def _commits(registry):
+    metric = registry.get("serve_store_commits_total")
+    return 0 if metric is None else metric.value()
+
+
+class TestStaging:
+    @pytest.mark.parametrize("value", [b"tiny", b"s" * 100], ids=["inline", "spilled"])
+    def test_a_staged_key_reads_back_before_its_commit(self, store, value):
+        store.put(7, value)
+        assert store._stages[store.shard_of(7)]  # still staged
+        assert store.get(7) == value
+        assert store.contains(7) and 7 in store
+
+    def test_delete_of_a_staged_key(self, store):
+        store.put(8, b"staged")
+        assert store.delete(8) is True
+        assert store.get(8) is None and not store.contains(8)
+        assert store.delete(8) is False
+
+    def test_delete_of_a_staged_update_drops_the_committed_row_too(self, tmp_path):
+        with ShardedByteStore(tmp_path / "s", shards=2, inline_bytes=32) as a:
+            a.put(9, b"old" * 20)
+            a.flush()
+            a.put(9, b"new")
+            assert a.delete(9) is True
+            assert a.get(9) is None
+            with ShardedByteStore(tmp_path / "s") as b:
+                assert b.get(9) is None
+            assert list((tmp_path / "s").rglob("*.val")) == []
+
+    def test_delete_commits_the_rest_of_the_stage(self, tmp_path):
+        with ShardedByteStore(tmp_path / "s", shards=1) as a:
+            a.put(1, b"one")
+            a.put(2, b"two")
+            a.delete(1)
+            with ShardedByteStore(tmp_path / "s") as b:
+                assert b.get(2) == b"two"
+
+    def test_spill_replaced_inline_in_one_stage_leaves_no_orphan(self, store):
+        store.put(10, b"v" * 100)
+        path = store._shard_dir(store.shard_of(10)) / f"{10:016x}.val"
+        assert path.exists()
+        store.put(10, b"small")
+        assert not path.exists()
+        store.flush()
+        assert store.get(10) == b"small"
+        assert list(store.directory.rglob("*.val")) == []
+
+    @pytest.mark.parametrize("puts", [1, 63, 64, 65, 200])
+    def test_puts_to_one_shard_commit_once_per_stage(self, tmp_path, puts):
+        with runtime.observability() as obs:
+            with ShardedByteStore(tmp_path / "s", shards=4) as store:
+                keys = _keys_in_shard(store, 2, puts)
+                for key in keys:
+                    store.put(key, b"payload")
+                store.flush()
+                assert _commits(obs.registry) == -(-puts // STAGE_ENTRIES)
+                assert sorted(store.keys()) == sorted(keys)
+            assert _commits(obs.registry) == -(-puts // STAGE_ENTRIES)
+
+    def test_a_key_sqlite_cannot_hold_is_refused_at_the_put(self, store):
+        with pytest.raises(OverflowError, match="sqlite INTEGER"):
+            store.put(2**64, b"v")
+        store.put(1, b"v")
+        store.flush()
+        assert store.get(1) == b"v"
+
+
+def _versioned(key, version, length):
+    """``key‖version``, padded so its length picks inline or spilled."""
+    return (b"%d:%d:" % (key, version)).ljust(length, b".")
+
+
+def _crashing_writer(directory, seed, first_version, pipe):
+    """Put (and now and then delete) versioned values until killed,
+    reporting each operation over ``pipe`` before and after the call."""
+    rng = random.Random(seed)
+    version = first_version
+    with ShardedByteStore(directory, shards=2, inline_bytes=64) as store:
+        while True:
+            key = rng.randrange(CRASH_KEYS)
+            version += 1
+            if rng.random() < 0.05:
+                pipe.send(("delete", key, version))
+                store.delete(key)
+            else:
+                length = 200 if rng.random() < 0.15 else 32
+                pipe.send(("put", key, version))
+                store.put(key, _versioned(key, version, length))
+            pipe.send(("ack", key, version))
+
+
+CRASH_KEYS = 300  # over 2 shards: stages fill and commit between kills
+
+
+class TestCrashConsistency:
+    def test_sigkill_never_leaves_a_stale_version(self, tmp_path):
+        """A writer SIGKILLed at seeded points, reopened after each kill:
+        every key is absent or holds its last acknowledged or in-flight
+        version, every row's spill file exists, every spill file is
+        named by a row, and no intent log survives the reopen."""
+        import multiprocessing
+
+        directory = tmp_path / "store"
+        rng = random.Random(27)
+        acked = {}  # key -> last acknowledged version (None: deleted)
+        deadline = time.monotonic() + 10
+        rounds = 0
+        while rounds < 20 and time.monotonic() < deadline:
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            writer = multiprocessing.Process(
+                target=_crashing_writer,
+                args=(directory, rounds, rounds * 10**6, sender),
+            )
+            writer.start()
+            sender.close()
+            in_flight = None
+            messages = rng.randrange(20, 1500)
+            received = 0
+            while True:
+                if received == messages:
+                    os.kill(writer.pid, signal.SIGKILL)
+                    writer.join()
+                try:
+                    op, key, version = receiver.recv()
+                except EOFError:
+                    break
+                received += 1
+                if op == "ack":
+                    acked[key] = in_flight[2]
+                    in_flight = None
+                else:
+                    in_flight = (key, op, version if op == "put" else None)
+            writer.join()
+            assert writer.exitcode == -signal.SIGKILL, "writer exited on its own"
+            receiver.close()
+            rounds += 1
+
+            with ShardedByteStore(directory) as store:
+                assert _intent_logs(directory) == []
+                named = set()
+                for index in range(store.shards):
+                    shard = store._shard_dir(index)
+                    rows = store._connection(index).execute(
+                        "SELECT key, filename FROM cache"
+                    ).fetchall()
+                    for key, filename in rows:
+                        if filename is not None:
+                            assert (shard / filename).exists(), (key, filename)
+                            named.add(shard / filename)
+                assert set(directory.rglob("*.val")) == named
+                for key in range(CRASH_KEYS):
+                    allowed = {None, acked.get(key)}
+                    if in_flight is not None and in_flight[0] == key:
+                        allowed.add(in_flight[2])
+                    value = store.get(key)
+                    version = None
+                    if value is not None:
+                        stored_key, version, _ = value.split(b":", 2)
+                        assert int(stored_key) == key
+                        version = int(version)
+                        assert value == _versioned(key, version, len(value))
+                    assert version in allowed, (key, version, allowed)
+            assert _intent_logs(directory) == []
+        assert rounds >= 10
 
 
 class TestTorture:
