@@ -36,11 +36,21 @@ Day 0 models the paper's partial first calendar day (tracing started at
 reproducing the paper's observation that on day 1 only a sliver of
 blocks reach 10+ accesses (which is why SieveStore-D starts weakly on
 day 2).
+
+Generation runs one day at a time in two steps.  A *draw step* per
+(server, volume) makes that volume-day's random draws from its own
+seeded generators, in a fixed order and sizes, computing only what sizes
+a later draw.  One *assembly* per day then turns all volumes' draws into
+the day's request columns with array operations over the whole day:
+extent expansion, arrival times, read flags, latencies, completion times
+and packed addresses, written directly in (server, volume) order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
@@ -208,6 +218,112 @@ class _VolumeHotPool:
         self.slots[victims] = fresh
 
 
+@dataclass(frozen=True)
+class _VolumePlan:
+    """The day-invariant facts of one (server, volume)."""
+
+    server: ServerProfile
+    volume: VolumeProfile
+    total_slots: int
+    #: mean daily footprint in blocks (at least 1)
+    mean_fp: float
+    #: hot-set size at the mean footprint; 0 means no hot extent on any day
+    hot_base: int
+    read_fraction: float
+    #: packed address of the volume's block 0
+    address_base: int
+
+
+class _DayDraws:
+    """One day's draws for every (server, volume), in (server, volume) order.
+
+    ``arrays[name]`` holds one array per volume that drew ``name``; the
+    per-volume lists hold the sizes the day's assembly needs to line the
+    concatenated draws up again.
+    """
+
+    def __init__(self) -> None:
+        self.arrays: Dict[str, List[np.ndarray]] = defaultdict(list)
+        self.n_hot: List[int] = []
+        self.n_tail: List[int] = []
+        self.n_top: List[int] = []
+        self.n_sessions: List[int] = []
+        self.n_requests: List[int] = []
+        self.floor_minute: List[float] = []
+
+    def add(self, **arrays: np.ndarray) -> None:
+        for name, values in arrays.items():
+            self.arrays[name].append(values)
+
+    def cat(self, name: str, dtype=np.float64) -> np.ndarray:
+        """Every volume's ``name`` draws, concatenated in volume order."""
+        parts = self.arrays.get(name)
+        return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+
+
+def _choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF ``Generator.choice(len(p), p=p)`` samples by.
+
+    ``cdf.searchsorted(rng.random(n), side="right")`` makes the very
+    draws ``rng.choice(len(p), size=n, p=p)`` makes and leaves ``rng`` in
+    the same state, without re-checking and re-summing ``p`` per call.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+#: Cumulative tail-count distribution (see :func:`_choice_cdf`).
+_TAIL_CDF = _choice_cdf(_TAIL_PROBS)
+
+#: Block lengths of non-4KB-aligned extents.
+_ODD_LENGTHS = np.array([1, 3, 5, 7])
+
+#: Mean blocks per extent (see :func:`_extent_geometry`).
+_MEAN_EXTENT_BLOCKS = 9.0
+
+_NO_INTS = np.zeros(0, dtype=np.int64)
+_NO_INTS.setflags(write=False)
+
+
+@functools.lru_cache(maxsize=64)
+def _diurnal_profile(server_id: int) -> np.ndarray:
+    """A server's (read-only) diurnal intensity sinusoid, one value a minute."""
+    minutes = np.arange(1440)
+    phase = (server_id * 97) % 1440
+    profile = 1.0 + 0.45 * np.sin(2 * np.pi * (minutes - phase) / 1440)
+    profile.setflags(write=False)
+    return profile
+
+
+def _starts(sizes: np.ndarray) -> np.ndarray:
+    """Start offset of each run when runs of ``sizes`` lie end to end."""
+    starts = np.zeros(len(sizes), dtype=np.int64)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    return starts
+
+
+def _extent_geometry(
+    unaligned: np.ndarray,
+    length_draws: np.ndarray,
+    odd_choice: np.ndarray,
+    odd_offset: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-extent (offset-within-slot, block length, 4K-aligned flag).
+
+    ~94% of extents are 4-KB aligned with lengths of 8 or 16 blocks;
+    the rest start at odd in-slot offsets with short odd lengths,
+    reproducing the paper's ~6% of non-4KB-aligned I/O.  The inputs are
+    :meth:`EnsembleTraceGenerator._draw_geometry`'s, for any number of
+    volumes laid end to end.
+    """
+    lengths = np.where(length_draws < 0.8, 8, 16).astype(np.int64)
+    offsets = np.zeros(len(lengths), dtype=np.int64)
+    lengths[unaligned] = _ODD_LENGTHS[odd_choice]
+    offsets[unaligned] = odd_offset
+    return offsets, lengths, ~unaligned
+
+
 class EnsembleTraceGenerator:
     """Generates the synthetic ensemble trace described in the module docs.
 
@@ -218,21 +334,22 @@ class EnsembleTraceGenerator:
         columns = gen.generate_columnar() # same trace as parallel arrays
         per_server = gen.per_server_traces()  # same requests, split by server
 
-    The generator produces columns natively (one
-    :class:`~repro.traces.columnar.ColumnarTrace` chunk per volume-day);
-    the object representations are materialized from those columns on
-    demand, so both views describe bit-for-bit the same requests.
+    The generator produces columns natively, one trace day at a time: a
+    draw step per (server, volume) makes that volume-day's seeded random
+    draws, and one assembly turns the whole day's draws into the day's
+    columns, in (server, volume) order.  The object representations are
+    materialized from those columns on demand, so every view describes
+    bit-for-bit the same requests.
     """
 
     def __init__(self, config: SyntheticTraceConfig):
         self.config = config
-        self._rng = np.random.default_rng(config.seed)
         self._hot_pools: Dict[Tuple[int, int], _VolumeHotPool] = {}
         self._trace: Optional[Trace] = None
         self._columnar: Optional[ColumnarTrace] = None
         self._per_server_columns: Optional[Dict[int, ColumnarTrace]] = None
         self._per_server: Optional[Dict[int, Trace]] = None
-        self._day_streamed = False
+        self._consumed = False
 
     # ------------------------------------------------------------------
     # public API
@@ -273,19 +390,6 @@ class EnsembleTraceGenerator:
             }
         return self._per_server
 
-    # ------------------------------------------------------------------
-    # generation internals
-    # ------------------------------------------------------------------
-    def _per_server_columnar(self) -> Dict[int, ColumnarTrace]:
-        """Per-server columnar traces, generated exactly once.
-
-        Generation is stateful (the hot pools drift day over day), so
-        this must not run twice for one generator instance.
-        """
-        if self._per_server_columns is None:
-            self._per_server_columns = self._generate_all()
-        return self._per_server_columns
-
     def iter_day_columnar(self) -> "Iterator[Tuple[int, ColumnarTrace]]":
         """Yield ``(day, columns)`` per trace day without holding the week.
 
@@ -300,20 +404,11 @@ class EnsembleTraceGenerator:
         generator instance can run either this or the whole-trace path,
         once; a second generation attempt raises ``RuntimeError``.
         """
-        if self._per_server_columns is not None or self._day_streamed:
-            raise RuntimeError(
-                "generator already consumed (hot-pool drift is stateful); "
-                "create a fresh EnsembleTraceGenerator"
-            )
-        self._day_streamed = True
-        cfg = self.config
+        plans = self._consume()
         day_footprints = self._daily_footprint_blocks()
-        for day in range(cfg.days):
-            chunks = [c for _, c in self._generate_day_chunks(day, day_footprints)]
-            merged = ColumnarTrace.concatenate(
-                chunks, description=f"synthetic ensemble day {day}"
-            )
-            yield day, merged.sorted_by_issue()
+        for day in range(self.config.days):
+            columns, _ = self._day_columns(plans, day, day_footprints)
+            yield day, columns.sorted_by_issue()
 
     def generate_segments(
         self,
@@ -344,57 +439,131 @@ class EnsembleTraceGenerator:
             writer.append(day_columns, max_rows=rows_per_segment)
         return writer.finalize()
 
-    def _generate_day_chunks(
-        self, day: int, day_footprints: List[float]
-    ) -> List[Tuple[int, ColumnarTrace]]:
-        """One day's ``(server_id, chunk)`` list in (server, volume) order.
+    # ------------------------------------------------------------------
+    # generation internals
+    # ------------------------------------------------------------------
+    def _per_server_columnar(self) -> Dict[int, ColumnarTrace]:
+        """Per-server columnar traces, generated exactly once."""
+        if self._per_server_columns is None:
+            plans = self._consume()
+            cfg = self.config
+            day_footprints = self._daily_footprint_blocks()
+            parts: Dict[int, List[ColumnarTrace]] = {s.server_id: [] for s in cfg.servers}
+            for day in range(cfg.days):
+                columns, bounds = self._day_columns(plans, day, day_footprints)
+                for server, lo, hi in zip(cfg.servers, bounds[:-1], bounds[1:]):
+                    parts[server.server_id].append(columns.take(slice(lo, hi)))
+            self._per_server_columns = {
+                server.server_id: ColumnarTrace.concatenate(
+                    parts[server.server_id], description=f"synthetic server {server.key}"
+                ).sorted_by_issue()
+                for server in cfg.servers
+            }
+        return self._per_server_columns
 
-        Must be called with strictly increasing ``day`` values on one
-        instance: the hot pools drift sequentially.
+    def _consume(self) -> List[_VolumePlan]:
+        """Claim this instance's one generation; the volumes' plans.
+
+        Generation is stateful (the hot pools drift sequentially day
+        over day), so it must not run twice on one instance.
         """
-        cfg = self.config
-        day_factor = self._hot_share_day_factor(day)
-        mean_blocks = cfg.mean_daily_footprint_gb * GIB / BLOCK_BYTES * cfg.scale
-        chunks: List[Tuple[int, ColumnarTrace]] = []
-        for server in cfg.servers:
-            server_footprint = day_footprints[day] * server.activity_share
-            server_mean = mean_blocks * server.activity_share
-            minute_weights = self._minute_weights(server, day)
-            for volume in server.volumes:
-                chunk = self._generate_volume_day(
-                    server=server,
-                    volume=volume,
-                    day=day,
-                    footprint_blocks=server_footprint * volume.access_share,
-                    mean_footprint_blocks=server_mean * volume.access_share,
-                    day_factor=day_factor,
-                    minute_weights=minute_weights,
-                )
-                chunks.append((server.server_id, chunk))
-        return chunks
-
-    def _generate_all(self) -> Dict[int, ColumnarTrace]:
-        if self._day_streamed:
+        if self._consumed:
             raise RuntimeError(
                 "generator already consumed (hot-pool drift is stateful); "
                 "create a fresh EnsembleTraceGenerator"
             )
+        self._consumed = True
         cfg = self.config
-        day_footprints = self._daily_footprint_blocks()
-        per_server_chunks: Dict[int, List[ColumnarTrace]] = {
-            s.server_id: [] for s in cfg.servers
-        }
-        for day in range(cfg.days):
-            for server_id, chunk in self._generate_day_chunks(day, day_footprints):
-                per_server_chunks[server_id].append(chunk)
-        traces = {}
+        mean_blocks = cfg.mean_daily_footprint_gb * GIB / BLOCK_BYTES * cfg.scale
+        plans = []
         for server in cfg.servers:
-            combined = ColumnarTrace.concatenate(
-                per_server_chunks[server.server_id],
-                description=f"synthetic server {server.key}",
-            )
-            traces[server.server_id] = combined.sorted_by_issue()
-        return traces
+            server_mean = mean_blocks * server.activity_share
+            for volume in server.volumes:
+                if not 0 <= volume.volume_id <= MAX_VOLUME_ID:
+                    raise ValueError(f"volume_id out of range: {volume.volume_id}")
+                volume_blocks = max(
+                    SLOT_BLOCKS * 64, int(volume.size_gb * GIB / BLOCK_BYTES * cfg.scale)
+                )
+                mean_fp = max(server_mean * volume.access_share, 1.0)
+                # The hot-set size tracks the geometric mean of the day's
+                # and the volume's mean footprint: stable enough across
+                # days that yesterday's counts predict today's hot set
+                # (O2 / SieveStore-D's premise), yet scaling with the
+                # day's traffic so the hot band stays below the top
+                # percentile on light days.  Probabilistic rounding keeps
+                # the expected hot fraction right even when a volume-day
+                # has under one hot extent; deterministic max(1, ...)
+                # would inflate the hot share badly at small scales.  The
+                # fractional part of the *mean* target is resolved once
+                # per volume (so a small volume's hot-set size never
+                # flips between 0 and 1 across days — that would look
+                # like spurious hot-set churn); _draw_volume scales it
+                # mildly by each day's footprint.
+                mean_target = (mean_fp / _MEAN_EXTENT_BLOCKS) * cfg.hot_fraction
+                round_rng = np.random.default_rng(
+                    cfg.seed ^ (server.server_id << 10) ^ volume.volume_id ^ 0x407
+                )
+                hot_base = int(mean_target) + (
+                    1 if round_rng.random() < mean_target % 1.0 else 0
+                )
+                plans.append(
+                    _VolumePlan(
+                        server=server,
+                        volume=volume,
+                        total_slots=volume_blocks // SLOT_BLOCKS,
+                        mean_fp=mean_fp,
+                        hot_base=hot_base,
+                        read_fraction=(
+                            cfg.read_fraction_override
+                            if cfg.read_fraction_override is not None
+                            else server.read_fraction
+                        ),
+                        address_base=(
+                            (server.server_id << (_VOLUME_BITS + _OFFSET_BITS))
+                            | (volume.volume_id << _OFFSET_BITS)
+                        ),
+                    )
+                )
+        return plans
+
+    def _day_columns(
+        self, plans: List[_VolumePlan], day: int, day_footprints: List[float]
+    ) -> Tuple[ColumnarTrace, np.ndarray]:
+        """One day's requests in (server, volume) order, not yet sorted.
+
+        Returns the columns and the row bounds of each server's rows
+        (``len(servers) + 1`` offsets).  Must be called with strictly
+        increasing ``day`` values on one instance: the hot pools drift
+        sequentially.
+        """
+        draws = _DayDraws()
+        day_factor = self._hot_share_day_factor(day)
+        server_rows = [0]
+        plan_iter = iter(plans)
+        for server in self.config.servers:
+            server_footprint = day_footprints[day] * server.activity_share
+            minute_weights = self._minute_weights(server, day)
+            minute_cdf = _choice_cdf(minute_weights)
+            # Partial day 0: keep clustered and session arrivals inside
+            # the traced window.
+            floor_minute = 0.0
+            if minute_weights[: 1440 // 2].sum() == 0.0:
+                floor_minute = float(np.argmax(minute_weights > 0))
+            for _ in server.volumes:
+                plan = next(plan_iter)
+                self._draw_volume(
+                    draws,
+                    plan,
+                    day,
+                    footprint_blocks=server_footprint * plan.volume.access_share,
+                    day_factor=day_factor,
+                    minute_cdf=minute_cdf,
+                )
+                draws.floor_minute.append(floor_minute)
+            server_rows.append(len(draws.n_requests))
+        columns = self._assemble_day(plans, draws, day)
+        volume_rows = np.concatenate([[0], np.cumsum(draws.n_requests)])
+        return columns, volume_rows[server_rows]
 
     def _daily_footprint_blocks(self) -> List[float]:
         """Unique blocks accessed per day for the whole ensemble."""
@@ -452,9 +621,7 @@ class EnsembleTraceGenerator:
         rng = np.random.default_rng(
             cfg.seed ^ (server.server_id << 20) ^ (day << 4) ^ 0xB0
         )
-        minutes = np.arange(1440)
-        phase = (server.server_id * 97) % 1440
-        weights = 1.0 + 0.45 * np.sin(2 * np.pi * (minutes - phase) / 1440)
+        weights = _diurnal_profile(server.server_id).copy()
         for _ in range(cfg.burst_minutes_per_server_day):
             weights[int(rng.integers(0, 1440))] *= cfg.burst_intensity
         if day == 0 and cfg.partial_day0:
@@ -501,77 +668,159 @@ class EnsembleTraceGenerator:
             pool.slots = np.concatenate([pool.slots, np.asarray(extra, dtype=pool.slots.dtype)])
         return pool.slots[:n_hot]
 
-    def _generate_volume_day(
+    def _draw_volume(
         self,
-        server: ServerProfile,
-        volume: VolumeProfile,
+        draws: _DayDraws,
+        plan: _VolumePlan,
         day: int,
         footprint_blocks: float,
-        mean_footprint_blocks: float,
         day_factor: float,
-        minute_weights: np.ndarray,
-    ) -> ColumnarTrace:
-        """Generate all requests for one (server, volume, day) as columns."""
+        minute_cdf: np.ndarray,
+    ) -> None:
+        """Make one (server, volume, day)'s random draws into ``draws``.
+
+        The draws come from the volume-day's own seeded generators, in a
+        fixed order and sizes; beyond them this computes only what sizes
+        a later draw (the access counts, the hot extents' cluster counts,
+        how many extents are unaligned, isolated or single-access).
+        :meth:`_assemble_day` does everything else, for all volumes of
+        the day at once.
+        """
         cfg = self.config
+        server, volume = plan.server, plan.volume
         rng = np.random.default_rng(
             cfg.seed ^ (server.server_id << 24) ^ (volume.volume_id << 16) ^ (day << 2)
         )
-        volume_blocks = max(
-            SLOT_BLOCKS * 64, int(volume.size_gb * GIB / BLOCK_BYTES * cfg.scale)
-        )
-        total_slots = volume_blocks // SLOT_BLOCKS
-
-        mean_extent_blocks = 9.0  # see _extent_geometry
-        n_extents = max(4, int(footprint_blocks / mean_extent_blocks))
-        n_extents = min(n_extents, max(4, int(total_slots * 0.5)))
-        # The hot-set size tracks the geometric mean of the day's and the
-        # volume's mean footprint: stable enough across days that
-        # yesterday's counts predict today's hot set (O2 / SieveStore-D's
-        # premise), yet scaling with the day's traffic so the hot band
-        # stays below the top percentile on light days.  Probabilistic
-        # rounding keeps the expected hot fraction right even when a
-        # volume-day has under one hot extent; deterministic max(1, ...)
-        # would inflate the hot share badly at small scales.
-        mean_fp = max(mean_footprint_blocks, 1.0)
-        mean_target = (mean_fp / mean_extent_blocks) * cfg.hot_fraction
-        # Resolve the fractional part of the *mean* target with a
-        # volume-stable draw (so a small volume's hot-set size never
-        # flips between 0 and 1 across days — that would look like
-        # spurious hot-set churn), then scale mildly by the day's
-        # footprint so the hot band stays below the top percentile on
-        # light days without destabilizing the set.
-        round_rng = np.random.default_rng(
-            cfg.seed ^ (server.server_id << 10) ^ volume.volume_id ^ 0x407
-        )
-        base = int(mean_target) + (1 if round_rng.random() < mean_target % 1.0 else 0)
-        day_ratio = (max(footprint_blocks, 1.0) / mean_fp) ** 0.3
-        n_hot = int(round(base * day_ratio))
-        if base > 0:
+        n_extents = max(4, int(footprint_blocks / _MEAN_EXTENT_BLOCKS))
+        n_extents = min(n_extents, max(4, int(plan.total_slots * 0.5)))
+        day_ratio = (max(footprint_blocks, 1.0) / plan.mean_fp) ** 0.3
+        n_hot = int(round(plan.hot_base * day_ratio))
+        if plan.hot_base > 0:
             n_hot = max(n_hot, 1)
         n_hot = min(n_hot, n_extents - 1)
         n_tail = n_extents - n_hot
 
         # --- access counts -------------------------------------------------
-        tail_counts = rng.choice(_TAIL_COUNTS, size=n_tail, p=_TAIL_PROBS)
-        skew = self._effective_skew(server, volume, day)
-        hot_share = self._hot_access_share(skew, day_factor)
+        tail_counts = _TAIL_COUNTS[_TAIL_CDF.searchsorted(rng.random(n_tail), side="right")]
         tail_accesses = int(tail_counts.sum())
-        hot_accesses = int(tail_accesses * hot_share / (1.0 - hot_share))
-        hot_counts, n_top = self._zipf_head_counts(rng, n_hot, hot_accesses, skew)
-        if day == 0 and cfg.partial_day0:
-            # Partial day: hot blocks see proportionally fewer accesses, so
-            # very few cross SieveStore-D's threshold (paper Section 5.1).
-            hot_counts = np.maximum((hot_counts * DAY0_INTENSITY).astype(np.int64), 2)
+        n_single = int(np.count_nonzero(tail_counts == 1))
+        hot_counts, n_top, hot_slots = _NO_INTS, 0, _NO_INTS
+        if n_hot:
+            # n_hot is 0 on every day of a volume or on none, so a volume
+            # without hot extents never needs its skew or hot pool.
+            skew = self._effective_skew(server, volume, day)
+            hot_share = self._hot_access_share(skew, day_factor)
+            hot_accesses = int(tail_accesses * hot_share / (1.0 - hot_share))
+            hot_counts, n_top = self._zipf_head_counts(rng, n_hot, hot_accesses, skew)
+            if day == 0 and cfg.partial_day0:
+                # Partial day: hot blocks see proportionally fewer
+                # accesses, so very few cross SieveStore-D's threshold
+                # (paper Section 5.1).
+                hot_counts = np.maximum((hot_counts * DAY0_INTENSITY).astype(np.int64), 2)
+            hot_slots = self._hot_pool(server, volume, day, n_hot, plan.total_slots)
 
         # --- extent placement ---------------------------------------------
-        hot_slots = self._hot_pool(server, volume, day, n_hot, total_slots)
-        tail_slots = self._sample_tail_slots(rng, total_slots, n_tail, set(hot_slots.tolist()))
+        tail_slots = self._sample_tail_slots(rng, plan.total_slots, n_tail, hot_slots)
+        unaligned, length_draws, odd_choice, odd_offset = self._draw_geometry(
+            rng, n_extents
+        )
+        draws.add(
+            counts=hot_counts,
+            slots=hot_slots,
+            unaligned=unaligned,
+            length_draws=length_draws,
+            odd_choice=odd_choice,
+            odd_offset=odd_offset,
+        )
+        draws.add(counts=tail_counts, slots=tail_slots)
 
-        slots = np.concatenate([hot_slots, tail_slots])
-        counts = np.concatenate([hot_counts, tail_counts]).astype(np.int64)
-        offsets, lengths, aligned = self._extent_geometry(rng, len(slots))
+        # --- arrival times (see _assemble_day) ------------------------------
+        n_hot_req = int(hot_counts.sum())
+        if n_hot_req:
+            spread = cfg.hot_cluster_mean * 0.4
+            mean_cluster = rng.uniform(
+                cfg.hot_cluster_mean - spread, cfg.hot_cluster_mean + spread, size=n_hot
+            )
+            clusters = np.maximum(
+                1, np.round(hot_counts * (1.0 - cfg.hot_isolated_fraction) / mean_cluster)
+            ).astype(np.int64)
+            centers = minute_cdf.searchsorted(rng.random(int(clusters.sum())), side="right")
+            pick = rng.random(n_hot_req)
+            jitter = rng.normal(0.0, 3.0, size=n_hot_req)
+            isolated = rng.random(n_hot_req) < cfg.hot_isolated_fraction
+            n_isolated = int(np.count_nonzero(isolated))
+            if n_isolated:
+                draws.add(
+                    isolated_minute=minute_cdf.searchsorted(
+                        rng.random(n_isolated), side="right"
+                    )
+                )
+            draws.add(
+                clusters=clusters,
+                cluster_minute=centers,
+                cluster_pick=pick,
+                cluster_jitter=jitter,
+                isolated=isolated,
+                hot_second=rng.uniform(0, SECONDS_PER_MINUTE, size=n_hot_req),
+            )
+        n_spread = tail_accesses - n_single
+        if n_spread:
+            draws.add(
+                phase=rng.random(n_extents),
+                spread_jitter=rng.uniform(-0.3, 0.3, size=n_spread),
+            )
+        else:
+            draws.add(phase=np.zeros(n_extents))  # keeps phases extent-aligned
+        n_sessions = 0
+        if n_single:
+            n_sessions = max(3, n_single // 400)
+            draws.add(
+                session_minute=minute_cdf.searchsorted(
+                    rng.random(n_sessions), side="right"
+                ),
+                session_width=rng.uniform(10.0, 30.0, size=n_sessions),
+                session_of=rng.integers(0, n_sessions, size=n_single),
+                session_offset=rng.uniform(-0.5, 0.5, size=n_single),
+                session_second=rng.uniform(0, 60.0, size=n_single),
+            )
 
-        # --- request emission -----------------------------------------------
+        # --- request kinds and service times --------------------------------
+        if n_hot and cfg.write_hot_fraction > 0:
+            draws.add(write_hot=rng.random(n_hot))
+        n_requests = n_hot_req + tail_accesses
+        draws.add(
+            read=rng.random(n_requests),
+            latency=rng.exponential(0.003, size=n_requests),
+        )
+        draws.n_hot.append(n_hot)
+        draws.n_tail.append(n_tail)
+        draws.n_top.append(n_top)
+        draws.n_sessions.append(n_sessions)
+        draws.n_requests.append(n_requests)
+
+    def _assemble_day(
+        self, plans: List[_VolumePlan], draws: _DayDraws, day: int
+    ) -> ColumnarTrace:
+        """Turn one day's draws into its request columns, all volumes at once.
+
+        Each volume's extents are its hot extents (ranked hot -> cold)
+        then its tail extents; an extent's requests are consecutive rows,
+        and volumes follow each other in (server, volume) order.  Every
+        expression is the per-volume one applied to the concatenated
+        draws, so the columns are the same bytes volume by volume.
+        """
+        cfg = self.config
+        cat = draws.cat
+        n_hot = np.asarray(draws.n_hot, dtype=np.int64)
+        n_extents = n_hot + np.asarray(draws.n_tail, dtype=np.int64)
+        volume_of = np.repeat(np.arange(len(plans)), n_extents)
+        rank = np.arange(len(volume_of)) - _starts(n_extents)[volume_of]
+        is_hot = rank < n_hot[volume_of]
+        counts = cat("counts", np.int64)
+        hot_counts = counts[is_hot]
+        extent_idx = np.repeat(np.arange(len(counts)), counts)
+        n_requests = len(extent_idx)
+
         # Three arrival patterns, matching how block traffic below a
         # buffer cache actually behaves:
         #   * hot extents: accessed throughout the (diurnal) day;
@@ -584,101 +833,95 @@ class EnsembleTraceGenerator:
         # The sessions plus the spread-out tail reuse are what make the
         # unsieved baselines lose: a sieve never admits the junk, so its
         # resident hot set survives every burst.
-        extent_idx = np.repeat(np.arange(len(slots)), counts)
-        n_requests = len(extent_idx)
-        hot_req = extent_idx < n_hot
-        single_mask = counts == 1
-        single_mask[:n_hot] = False
-        burst_req = single_mask[extent_idx]
+        hot_req = is_hot[extent_idx]
+        burst_req = ((counts == 1) & ~is_hot)[extent_idx]
         spread_req = ~hot_req & ~burst_req
+        floor_minute = None
+        if any(draws.floor_minute):
+            floor_minute = np.asarray(draws.floor_minute)[volume_of[extent_idx]]
         times = np.empty(n_requests)
-
-        n_hot_req = int(hot_req.sum())
-        if n_hot_req:
+        if len(hot_counts):
             times[hot_req] = self._clustered_hot_times(
-                rng, extent_idx[hot_req], counts[:n_hot], minute_weights
+                draws,
+                hot_counts,
+                None if floor_minute is None else floor_minute[hot_req],
             )
-        n_spread = int(spread_req.sum())
+        n_spread = int(np.count_nonzero(spread_req))
         if n_spread:
             # Multi-access tail extents: touches *stratified* around the
             # clock (periodic re-reads, cron-style activity), so every
             # re-access gap is hours — far beyond any demand-filled
             # cache's residency.
-            first = np.concatenate([[0], np.cumsum(counts)[:-1]])
-            occurrence = np.arange(n_requests) - first[extent_idx]
+            spread_extent = extent_idx[spread_req]
+            occurrence = np.flatnonzero(spread_req) - _starts(counts)[spread_extent]
             span = SECONDS_PER_DAY
             start = 0.0
             if day == 0 and cfg.partial_day0:
                 span = SECONDS_PER_DAY * DAY0_INTENSITY
                 start = SECONDS_PER_DAY - span
-            c_req = counts[extent_idx[spread_req]].astype(float)
-            phase = rng.random(n_tail + n_hot)[extent_idx[spread_req]]
+            c_req = counts[spread_extent].astype(float)
             slot_pos = (
-                occurrence[spread_req] + phase + rng.uniform(-0.3, 0.3, size=n_spread)
+                occurrence + cat("phase")[spread_extent] + cat("spread_jitter")
             ) % c_req
             times[spread_req] = start + slot_pos / c_req * span
-        n_burst = int(burst_req.sum())
-        if n_burst:
-            burst_extents = extent_idx[burst_req]
-            # Re-index burst extents densely for session assignment.
-            unique_ids, dense = np.unique(burst_extents, return_inverse=True)
+        if burst_req.any():
             times[burst_req] = self._session_times(
-                rng, dense, len(unique_ids), minute_weights
+                draws,
+                volume_of[extent_idx[burst_req]],
+                None if floor_minute is None else floor_minute[burst_req],
             )
         times += day * SECONDS_PER_DAY
-        read_fraction = (
-            cfg.read_fraction_override
-            if cfg.read_fraction_override is not None
-            else server.read_fraction
-        )
+
         # Per-extent read probability: most extents follow the server's
         # read fraction, but a slice of the hot set is write-hot.
-        extent_read_p = np.full(len(slots), read_fraction)
-        if n_hot and cfg.write_hot_fraction > 0:
+        read_fraction = np.array([plan.read_fraction for plan in plans])
+        extent_read_p = read_fraction[volume_of]
+        if len(hot_counts) and cfg.write_hot_fraction > 0:
             # Write-hot extents come from the modest-count part of the
             # hot band only: logs and metadata are written tens of times
             # a day, while the mega-hot blocks are read-dominated.
             # Keeping the heavy hitters read-mostly also keeps the SSD's
             # daily write volume within the paper's ~500M-blocks/day
             # envelope (Section 5.1).
-            write_hot = rng.random(n_hot) < cfg.write_hot_fraction
-            write_hot[:n_top] = False
+            n_top = np.asarray(draws.n_top, dtype=np.int64)
+            write_hot = cat("write_hot") < cfg.write_hot_fraction
+            write_hot &= rank[is_hot] >= n_top[volume_of[is_hot]]
             write_hot &= hot_counts <= 120
-            extent_read_p[:n_hot][write_hot] = cfg.write_hot_read_fraction
-        is_read = rng.random(n_requests) < extent_read_p[extent_idx]
-        latency = 0.005 + rng.exponential(0.003, size=n_requests)
+            extent_read_p[np.flatnonzero(is_hot)[write_hot]] = cfg.write_hot_read_fraction
+        is_read = cat("read") < extent_read_p[extent_idx]
+        latency = 0.005 + cat("latency")
 
         # Column assembly.  The completion-time expression keeps the
         # same left-to-right float association the scalar reference used
         # (``(issue + latency) + transfer``), so the columnar and object
         # pipelines agree bit for bit.
-        base_offsets = slots * SLOT_BLOCKS
-        block_offset = (base_offsets + offsets)[extent_idx].astype(np.int64)
-        lengths_req = lengths[extent_idx].astype(np.int64)
-        completion = times + latency + lengths_req * BLOCK_BYTES / 80e6
-        if not 0 <= volume.volume_id <= MAX_VOLUME_ID:
-            raise ValueError(f"volume_id out of range: {volume.volume_id}")
-        if n_requests and int(block_offset.max()) > MAX_BLOCK_OFFSET:
-            raise ValueError("block offset exceeds packed-address capacity")
-        address_base = (server.server_id << (_VOLUME_BITS + _OFFSET_BITS)) | (
-            volume.volume_id << _OFFSET_BITS
+        offsets, lengths, aligned = _extent_geometry(
+            cat("unaligned", np.bool_),
+            cat("length_draws"),
+            cat("odd_choice", np.int64),
+            cat("odd_offset", np.int64),
         )
+        block_offset = cat("slots", np.int64) * SLOT_BLOCKS + offsets
+        if len(block_offset) and int(block_offset.max()) > MAX_BLOCK_OFFSET:
+            raise ValueError("block offset exceeds packed-address capacity")
+        address_base = np.array([plan.address_base for plan in plans], dtype=np.int64)
+        lengths_req = lengths[extent_idx]
+        completion = times + latency + lengths_req * BLOCK_BYTES / 80e6
         return ColumnarTrace(
             issue_time=times,
             completion_time=completion,
-            address=address_base + block_offset,
+            address=(address_base[volume_of] + block_offset)[extent_idx],
             block_count=lengths_req,
             is_write=~is_read,
             aligned_4k=aligned[extent_idx],
-            description=f"synthetic {server.key} vol{volume.volume_id} day{day}",
+            description=f"synthetic ensemble day {day}",
         )
 
     def _clustered_hot_times(
         self,
-        rng: np.random.Generator,
-        hot_access_extent: np.ndarray,
+        draws: _DayDraws,
         hot_counts: np.ndarray,
-        minute_weights: np.ndarray,
+        floor_minute: Optional[np.ndarray],
     ) -> np.ndarray:
         """Second-of-day timestamps for hot-extent requests.
 
@@ -691,80 +934,56 @@ class EnsembleTraceGenerator:
         demand-filled LRU caching (the block is evicted between
         clusters and refaults on every return) while leaving sieved
         caches untouched (once admitted, the block stays resident and
-        every later cluster hits).
+        every later cluster hits).  A share of the accesses arrive
+        *isolated* instead, at a minute drawn independently from the
+        diurnal profile: gaps far beyond any demand-filled cache's
+        residency.
+
+        ``hot_counts`` are the day's hot extents' counts, volume after
+        volume; rows come out in the same order.
         """
-        n_hot = len(hot_counts)
-        if n_hot == 0:
-            return np.zeros(0)
-        n_accesses = len(hot_access_extent)
-        spread = self.config.hot_cluster_mean * 0.4
-        clustered_share = 1.0 - self.config.hot_isolated_fraction
-        mean_cluster = rng.uniform(
-            self.config.hot_cluster_mean - spread,
-            self.config.hot_cluster_mean + spread,
-            size=n_hot,
-        )
-        clusters_per_extent = np.maximum(
-            1, np.round(hot_counts * clustered_share / mean_cluster)
-        ).astype(np.int64)
-        first_cluster = np.concatenate(
-            [[0], np.cumsum(clusters_per_extent)[:-1]]
-        )
-        total_clusters = int(clusters_per_extent.sum())
-        centers = rng.choice(1440, size=total_clusters, p=minute_weights).astype(float)
-        # Pick a uniformly random cluster of the owning extent per access.
-        pick = (
-            rng.random(n_accesses) * clusters_per_extent[hot_access_extent]
-        ).astype(np.int64)
-        cluster_id = first_cluster[hot_access_extent] + pick
+        cat = draws.cat
+        clusters = cat("clusters", np.int64)
+        hot_extent = np.repeat(np.arange(len(hot_counts)), hot_counts)
+        # A uniformly random cluster of the owning extent per access.
+        pick = (cat("cluster_pick") * clusters[hot_extent]).astype(np.int64)
+        cluster_id = _starts(clusters)[hot_extent] + pick
         minutes = np.clip(
-            centers[cluster_id] + rng.normal(0.0, 3.0, size=n_accesses),
+            cat("cluster_minute", np.int64).astype(float)[cluster_id]
+            + cat("cluster_jitter"),
             0.0,
             1439.0,
         )
-        # Isolated accesses: re-draw their minute independently from the
-        # diurnal profile, giving them gaps far beyond any demand-filled
-        # cache's residency.
-        isolated = rng.random(n_accesses) < self.config.hot_isolated_fraction
-        n_isolated = int(isolated.sum())
-        if n_isolated:
-            minutes[isolated] = rng.choice(
-                1440, size=n_isolated, p=minute_weights
-            ).astype(float)
-        if minute_weights[: 1440 // 2].sum() == 0.0:
-            first_minute = int(np.argmax(minute_weights > 0))
-            minutes = np.maximum(minutes, first_minute)
-        return minutes * SECONDS_PER_MINUTE + rng.uniform(
-            0, SECONDS_PER_MINUTE, size=len(cluster_id)
-        )
+        minutes[cat("isolated", np.bool_)] = cat("isolated_minute", np.int64).astype(float)
+        if floor_minute is not None:
+            minutes = np.maximum(minutes, floor_minute)
+        return minutes * SECONDS_PER_MINUTE + cat("hot_second")
 
     def _session_times(
         self,
-        rng: np.random.Generator,
-        tail_extent_idx: np.ndarray,
-        n_tail: int,
-        minute_weights: np.ndarray,
+        draws: _DayDraws,
+        volume_of_row: np.ndarray,
+        floor_minute: Optional[np.ndarray],
     ) -> np.ndarray:
-        """Second-of-day timestamps for tail-extent requests.
+        """Second-of-day timestamps for single-access tail requests.
 
         Tail extents are partitioned into scan sessions; every access of
         an extent lands inside its session's window, so all the reuse a
         low-count block has is confined to one burst (as it would be for
         a scan re-reading a region).  Session centers follow the same
-        diurnal weights as hot traffic.
+        diurnal weights as hot traffic.  ``volume_of_row`` maps each row
+        to its volume, whose sessions are its own.
         """
-        n_sessions = max(3, n_tail // 400)
-        centers = rng.choice(1440, size=n_sessions, p=minute_weights).astype(float)
-        widths = rng.uniform(10.0, 30.0, size=n_sessions)  # minutes
-        session_of_extent = rng.integers(0, n_sessions, size=n_tail)
-        session = session_of_extent[tail_extent_idx]
-        offsets = rng.uniform(-0.5, 0.5, size=len(session)) * widths[session]
-        minutes = np.clip(centers[session] + offsets, 0.0, 1439.0)
-        if minute_weights[: 1440 // 2].sum() == 0.0:
-            # Partial day 0: keep sessions inside the traced window.
-            first_minute = int(np.argmax(minute_weights > 0))
-            minutes = np.maximum(minutes, first_minute)
-        return minutes * SECONDS_PER_MINUTE + rng.uniform(0, 60.0, size=len(session))
+        cat = draws.cat
+        session_base = _starts(np.asarray(draws.n_sessions, dtype=np.int64))
+        session = cat("session_of", np.int64) + session_base[volume_of_row]
+        offsets = cat("session_offset") * cat("session_width")[session]
+        minutes = np.clip(
+            cat("session_minute", np.int64).astype(float)[session] + offsets, 0.0, 1439.0
+        )
+        if floor_minute is not None:
+            minutes = np.maximum(minutes, floor_minute)
+        return minutes * SECONDS_PER_MINUTE + cat("session_second")
 
     def _zipf_head_counts(
         self, rng: np.random.Generator, n_hot: int, hot_accesses: int, skew: float
@@ -849,48 +1068,50 @@ class EnsembleTraceGenerator:
 
     @staticmethod
     def _sample_tail_slots(
-        rng: np.random.Generator, total_slots: int, n_tail: int, excluded: set
+        rng: np.random.Generator, total_slots: int, n_tail: int, excluded: np.ndarray
     ) -> np.ndarray:
-        """Sample distinct tail slots avoiding the hot set."""
-        if n_tail <= 0:
-            return np.zeros(0, dtype=np.int64)
-        # Oversample and deduplicate; footprints are sparse relative to
-        # the slot grid so a couple of rounds always suffice.
-        chosen: List[int] = []
-        seen = set(excluded)
+        """Sample ``n_tail`` distinct tail slots avoiding ``excluded`` (the hot set).
+
+        Oversample and deduplicate; footprints are sparse relative to the
+        slot grid so a couple of rounds always suffice.  A round keeps,
+        in draw order, the first occurrence of each candidate not taken
+        yet, up to what is still needed: the very candidates a
+        one-at-a-time scan of the round would accept.  One stable sort
+        of the taken slots followed by the round finds them: a candidate
+        is kept iff no equal value precedes it.
+        """
+        chosen = _NO_INTS
         while len(chosen) < n_tail:
             need = n_tail - len(chosen)
             candidates = rng.integers(0, total_slots, size=max(need * 2, 16))
-            for c in candidates:
-                ci = int(c)
-                if ci not in seen:
-                    seen.add(ci)
-                    chosen.append(ci)
-                    if len(chosen) == n_tail:
-                        break
-        return np.asarray(chosen, dtype=np.int64)
+            pool = np.concatenate([excluded, chosen, candidates])
+            order = pool.argsort(kind="stable")
+            ordered = pool[order]
+            first = np.empty(len(pool), dtype=np.bool_)
+            first[0] = True
+            np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+            is_first = np.empty_like(first)
+            is_first[order] = first
+            fresh = candidates[is_first[len(pool) - len(candidates):]]
+            chosen = np.concatenate([chosen, fresh[:need]])
+        return chosen
 
-    def _extent_geometry(
+    def _draw_geometry(
         self, rng: np.random.Generator, n_extents: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-extent (offset-within-slot, block length, 4K-aligned flag).
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Draw ``n_extents`` extents' geometry for :func:`_extent_geometry`.
 
-        ~94% of extents are 4-KB aligned with lengths of 8 or 16 blocks;
-        the rest start at odd in-slot offsets with short odd lengths,
-        reproducing the paper's ~6% of non-4KB-aligned I/O.
+        Returns the unaligned mask, the 8-or-16 length draws, and for
+        the unaligned extents only, the odd-length choice (an index into
+        ``_ODD_LENGTHS``) and the in-slot offset.
         """
         unaligned = rng.random(n_extents) < self.config.unaligned_fraction
-        lengths = np.where(
-            rng.random(n_extents) < 0.8, 8, 16
-        ).astype(np.int64)
-        offsets = np.zeros(n_extents, dtype=np.int64)
-        n_unaligned = int(unaligned.sum())
-        if n_unaligned:
-            odd_lengths = rng.choice([1, 3, 5, 7], size=n_unaligned)
-            odd_offsets = rng.integers(1, 8, size=n_unaligned)
-            lengths[unaligned] = odd_lengths
-            offsets[unaligned] = odd_offsets
-        return offsets, lengths, ~unaligned
+        length_draws = rng.random(n_extents)
+        n_unaligned = int(np.count_nonzero(unaligned))
+        if not n_unaligned:
+            return unaligned, length_draws, _NO_INTS, _NO_INTS
+        odd_choice = rng.integers(0, len(_ODD_LENGTHS), size=n_unaligned)
+        return unaligned, length_draws, odd_choice, rng.integers(1, 8, size=n_unaligned)
 
 
 def generate_ensemble_trace(config: Optional[SyntheticTraceConfig] = None) -> Trace:

@@ -158,6 +158,25 @@ class TestStructuralOps:
         offsets = [r.block_offset for r in columns.to_trace().requests]
         assert offsets == [0, 1, 2]
 
+    @pytest.mark.parametrize("distinct", [5, 10**6, None])
+    def test_sorted_by_issue_matches_a_stable_sort(self, distinct):
+        # Many rows: ties (few distinct times), no ties, and NaNs.
+        rng = np.random.default_rng(4)
+        n = 5000
+        issue = rng.random(n) if distinct is None else rng.integers(0, distinct, n) * 1.0
+        if distinct is None:
+            issue[rng.integers(0, n, 40)] = np.nan
+        columns = ColumnarTrace(
+            issue_time=issue,
+            completion_time=issue,
+            address=np.arange(n),
+            block_count=np.ones(n),
+            is_write=np.zeros(n, dtype=bool),
+            aligned_4k=np.ones(n, dtype=bool),
+        )
+        order = np.argsort(issue, kind="stable")
+        assert np.array_equal(columns.sorted_by_issue().address, order)
+
     def test_validate_flags_disorder(self):
         columns = ColumnarTrace.from_trace(Trace([req(5.0), req(1.0)]))
         with pytest.raises(ValueError):

@@ -13,8 +13,11 @@ from repro.traces.synthetic import (
     EnsembleTraceGenerator,
     SLOT_BLOCKS,
     SyntheticTraceConfig,
+    _TAIL_CDF,
     _TAIL_COUNTS,
     _TAIL_PROBS,
+    _choice_cdf,
+    _extent_geometry,
 )
 
 
@@ -35,6 +38,14 @@ class TestTailDistribution:
 
     def test_probabilities_normalized(self):
         assert _TAIL_PROBS.sum() == pytest.approx(1.0)
+
+    def test_cdf_draws_are_weighted_choice_draws(self):
+        for seed in range(30):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            chosen = a.choice(_TAIL_COUNTS, size=37, p=_TAIL_PROBS)
+            drawn = _TAIL_COUNTS[_TAIL_CDF.searchsorted(b.random(37), side="right")]
+            assert np.array_equal(chosen, drawn)
+            assert a.random() == b.random()
 
 
 class TestHeadCounts:
@@ -101,6 +112,17 @@ class TestMinuteWeights:
         weights = generator._minute_weights(PAPER_SERVERS[0], 2)
         assert (weights > 0).all()
 
+    def test_cdf_draws_are_weighted_choice_draws(self, generator):
+        for day in (0, 3):
+            weights = generator._minute_weights(PAPER_SERVERS[4], day)
+            cdf = _choice_cdf(weights)
+            for seed in range(30):
+                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                chosen = a.choice(1440, size=50, p=weights)
+                drawn = cdf.searchsorted(b.random(50), side="right")
+                assert np.array_equal(chosen, drawn)
+                assert a.random() == b.random()
+
 
 class TestHotShareMapping:
     def test_clipped_to_sane_band(self, generator):
@@ -130,19 +152,85 @@ class TestEffectiveSkew:
         assert len(values) > 4
 
 
+def _geometry(generator, seed, n_extents):
+    rng = np.random.default_rng(seed)
+    return _extent_geometry(*generator._draw_geometry(rng, n_extents))
+
+
 class TestGeometry:
     def test_extent_fits_slot(self, generator):
-        rng = np.random.default_rng(0)
-        offsets, lengths, aligned = generator._extent_geometry(rng, 2000)
+        offsets, lengths, aligned = _geometry(generator, 0, 2000)
         assert ((offsets + lengths) <= SLOT_BLOCKS).all()
 
     def test_aligned_extents_start_at_slot(self, generator):
-        rng = np.random.default_rng(0)
-        offsets, lengths, aligned = generator._extent_geometry(rng, 2000)
+        offsets, lengths, aligned = _geometry(generator, 0, 2000)
         assert (offsets[aligned] == 0).all()
         assert np.isin(lengths[aligned], (8, 16)).all()
 
     def test_unaligned_fraction(self, generator):
-        rng = np.random.default_rng(0)
-        _, _, aligned = generator._extent_geometry(rng, 5000)
+        _, _, aligned = _geometry(generator, 0, 5000)
         assert 0.03 < (~aligned).mean() < 0.10
+
+    def test_volumes_laid_end_to_end(self, generator):
+        # The day's assembly runs the geometry once over every volume's
+        # draws concatenated: that must equal running it per volume.
+        rng = np.random.default_rng(3)
+        draws = [generator._draw_geometry(rng, n) for n in (40, 1, 300, 7)]
+        whole = _extent_geometry(
+            *(np.concatenate([d[i] for d in draws]) for i in range(4))
+        )
+        apart = [_extent_geometry(*d) for d in draws]
+        for i in range(3):
+            assert np.array_equal(whole[i], np.concatenate([a[i] for a in apart]))
+
+
+def _scan_tail_slots(rng, total_slots, n_tail, excluded):
+    """One candidate at a time: the definition the sampler must match."""
+    chosen, seen, rounds = [], set(excluded), 0
+    while len(chosen) < n_tail:
+        rounds += 1
+        need = n_tail - len(chosen)
+        for candidate in rng.integers(0, total_slots, size=max(need * 2, 16)).tolist():
+            if candidate not in seen:
+                seen.add(candidate)
+                chosen.append(candidate)
+                if len(chosen) == n_tail:
+                    break
+    return chosen, rounds
+
+
+class TestTailSlots:
+    sample = staticmethod(EnsembleTraceGenerator._sample_tail_slots)
+
+    def test_distinct_slots_avoiding_the_hot_set(self):
+        excluded = np.array([0, 5, 7, 11, 30], dtype=np.int64)
+        for seed in range(50):
+            slots = self.sample(np.random.default_rng(seed), 48, 20, excluded)
+            assert len(slots) == 20
+            assert len(set(slots.tolist())) == 20
+            assert not set(slots.tolist()) & set(excluded.tolist())
+            assert ((slots >= 0) & (slots < 48)).all()
+
+    def test_colliding_rounds_match_a_one_at_a_time_scan(self):
+        # 18 of 40 slots with 3 excluded: candidates collide with each
+        # other and with the hot set, and some seeds need a second round.
+        excluded = np.array([1, 2, 3], dtype=np.int64)
+        multi_round = 0
+        for seed in range(200):
+            want, rounds = _scan_tail_slots(
+                np.random.default_rng(seed), 40, 18, excluded.tolist()
+            )
+            rng = np.random.default_rng(seed)
+            got = self.sample(rng, 40, 18, excluded)
+            assert got.tolist() == want
+            # ... leaving the generator where the scan leaves it.
+            after = np.random.default_rng(seed)
+            _scan_tail_slots(after, 40, 18, excluded.tolist())
+            assert rng.random() == after.random()
+            multi_round += rounds > 1
+        assert multi_round > 0
+
+    def test_nothing_to_sample(self):
+        rng = np.random.default_rng(0)
+        assert len(self.sample(rng, 64, 0, np.array([4], dtype=np.int64))) == 0
+        assert rng.random() == np.random.default_rng(0).random()
