@@ -9,11 +9,12 @@ behind observation O1.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
+
+from repro.traces.columnar import BlockCounts
 
 #: The paper's bin count: each bin holds 0.01% of the day's blocks.
 PAPER_BINS = 10_000
@@ -60,7 +61,7 @@ class SkewProfile:
         return float(np.interp(percentile, self.percentiles, self.mean_counts))
 
 
-def skew_profile(counts: Counter, bins: int = PAPER_BINS) -> SkewProfile:
+def skew_profile(counts: BlockCounts, bins: int = PAPER_BINS) -> SkewProfile:
     """Bin a block->count table into a :class:`SkewProfile`.
 
     Blocks are sorted by descending count and split into ``bins``
@@ -69,7 +70,7 @@ def skew_profile(counts: Counter, bins: int = PAPER_BINS) -> SkewProfile:
     """
     if bins <= 0:
         raise ValueError(f"bins must be positive, got {bins}")
-    values = np.sort(np.fromiter(counts.values(), dtype=np.int64))[::-1]
+    values = np.sort(counts.counts)[::-1]
     n = len(values)
     if n == 0:
         return SkewProfile((), (), (), 0, 0)
@@ -97,20 +98,20 @@ def skew_profile(counts: Counter, bins: int = PAPER_BINS) -> SkewProfile:
 
 
 def daily_skew_profiles(
-    daily_counts: Sequence[Counter], bins: int = PAPER_BINS
+    daily_counts: Sequence[BlockCounts], bins: int = PAPER_BINS
 ) -> List[SkewProfile]:
     """Figure 2's per-day profiles for a whole trace."""
     return [skew_profile(counts, bins=bins) for counts in daily_counts]
 
 
-def access_count_quantiles(counts: Counter) -> dict:
+def access_count_quantiles(counts: BlockCounts) -> dict:
     """O1's headline statistics for one day's counts.
 
     Returns the fractions of blocks with <=4 and <=10 accesses, the
     fraction accessed exactly once, and the top-1% access share — the
     numbers the paper quotes in Section 2.
     """
-    values = np.fromiter(counts.values(), dtype=np.int64)
+    values = counts.counts
     if len(values) == 0:
         return {
             "blocks": 0,

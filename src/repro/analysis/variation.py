@@ -9,16 +9,15 @@ shifts over the week — observation O2, the case for ensemble-level
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Union
 
 import numpy as np
 
-from repro.core.ideal import top_fraction_blocks
-from repro.traces.model import Trace, server_of_address
+from repro.traces.columnar import BlockCounts, ColumnarTrace, as_columnar
+from repro.traces.model import Trace
 
 
-def cumulative_access_curve(counts: Counter, points: int = 100) -> List[dict]:
+def cumulative_access_curve(counts: BlockCounts, points: int = 100) -> List[dict]:
     """Normalized cumulative-access curve for one block-count table.
 
     Returns ``points`` samples of (block_fraction, access_fraction) with
@@ -28,7 +27,7 @@ def cumulative_access_curve(counts: Counter, points: int = 100) -> List[dict]:
     """
     if points <= 0:
         raise ValueError(f"points must be positive, got {points}")
-    values = np.sort(np.fromiter(counts.values(), dtype=np.int64))[::-1]
+    values = np.sort(counts.counts)[::-1]
     if len(values) == 0:
         return []
     total = values.sum()
@@ -45,7 +44,7 @@ def cumulative_access_curve(counts: Counter, points: int = 100) -> List[dict]:
     ]
 
 
-def gini_coefficient(counts: Counter) -> float:
+def gini_coefficient(counts: BlockCounts) -> float:
     """Gini coefficient of the access-count distribution.
 
     A scalar skew summary: 0 means every block is equally accessed
@@ -53,7 +52,7 @@ def gini_coefficient(counts: Counter) -> float:
     accesses (Prxy-like).  Used to *quantify* Figure 3's visual
     contrasts in the benches.
     """
-    values = np.sort(np.fromiter(counts.values(), dtype=np.float64))
+    values = np.sort(counts.counts.astype(np.float64))
     n = len(values)
     if n == 0:
         return 0.0
@@ -76,21 +75,20 @@ def server_day_gini(
     return result
 
 
-def volume_gini(trace: Trace, server_id: int, days: int) -> Dict[int, float]:
+def volume_gini(
+    trace: Union[Trace, ColumnarTrace], server_id: int, days: int
+) -> Dict[int, float]:
     """Whole-trace Gini per volume of one server (Figure 3(b))."""
-    counters: Dict[int, Counter] = {}
-    for request in trace:
-        if request.server_id != server_id:
-            continue
-        counter = counters.setdefault(request.volume_id, Counter())
-        base = request.first_address
-        for i in range(request.block_count):
-            counter[base + i] += 1
-    return {vol: gini_coefficient(c) for vol, c in counters.items()}
+    columns = as_columnar(trace).filter(server_id=server_id)
+    by_volume: Dict[int, float] = {}
+    for volume in np.unique(columns.volume_ids).tolist():
+        blocks = columns.filter(volume_id=volume).expand_block_addresses()
+        by_volume[volume] = gini_coefficient(BlockCounts.of_accesses(blocks))
+    return by_volume
 
 
 def top_set_server_composition(
-    daily_counts: Sequence[Counter], fraction: float = 0.01
+    daily_counts: Sequence[BlockCounts], fraction: float = 0.01
 ) -> List[Dict[int, float]]:
     """Figure 3(d): per-day share of the ensemble top-``fraction`` block
     set contributed by each server.
@@ -101,15 +99,9 @@ def top_set_server_composition(
     """
     composition: List[Dict[int, float]] = []
     for counts in daily_counts:
-        top = top_fraction_blocks(counts, fraction)
-        per_server: Counter = Counter()
-        for address in top:
-            per_server[server_of_address(address)] += 1
-        total = sum(per_server.values())
+        top = counts.top(fraction)
         composition.append(
-            {server: n / total for server, n in sorted(per_server.items())}
-            if total
-            else {}
+            {server: len(table) / len(top) for server, table in top.by_server().items()}
         )
     return composition
 

@@ -41,6 +41,9 @@ class AllocationPolicy(abc.ABC):
 
     #: short identifier used in experiment tables
     name: str = "base"
+    #: True for a policy whose epoch ``k`` means calendar day ``k``; the
+    #: engine refuses to replay it with any other epoch length.
+    daily_epochs_only: bool = False
 
     def epoch_boundary(self, day: int) -> Optional[Iterable[int]]:
         """Batch of addresses to install at the start of ``day``, or None."""

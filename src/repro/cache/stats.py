@@ -9,7 +9,7 @@ counts here are in 512-byte block units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 from typing import Dict, List, Tuple, Union
 
 import numpy as np
@@ -120,6 +120,46 @@ class CacheStats:
         #: windows; always 0.0 on fault-free runs).
         self.degraded_seconds: float = 0.0
         self.bypass_seconds: float = 0.0
+
+    # -- pickling -----------------------------------------------------------
+    # Stats travel in every checkpoint and every shard result, so they
+    # pickle as a few int64 columns rather than one object per day and
+    # per minute.
+    def __getstate__(self) -> dict:
+        minutes = self.per_minute
+        return {
+            "days": self.days,
+            "track_minutes": self.track_minutes,
+            "per_day": np.array(
+                [astuple(day) for day in self.per_day], dtype=np.int64
+            ),
+            "minutes": np.fromiter(minutes, dtype=np.int64, count=len(minutes)),
+            "minute_reads": np.fromiter(
+                (entry.reads for entry in minutes.values()),
+                dtype=np.int64, count=len(minutes),
+            ),
+            "minute_writes": np.fromiter(
+                (entry.writes for entry in minutes.values()),
+                dtype=np.int64, count=len(minutes),
+            ),
+            "degraded_seconds": self.degraded_seconds,
+            "bypass_seconds": self.bypass_seconds,
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self.days = state["days"]
+        self.track_minutes = state["track_minutes"]
+        self.per_day = [DayStats(*row) for row in state["per_day"].tolist()]
+        self.per_minute = {
+            minute: MinuteIO(reads, writes)
+            for minute, reads, writes in zip(
+                state["minutes"].tolist(),
+                state["minute_reads"].tolist(),
+                state["minute_writes"].tolist(),
+            )
+        }
+        self.degraded_seconds = state["degraded_seconds"]
+        self.bypass_seconds = state["bypass_seconds"]
 
     # -- block-level recording -------------------------------------------
     def _day(self, time: float) -> DayStats:

@@ -18,34 +18,27 @@ Two oracles from the paper:
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from typing import Iterable, List, Optional, Sequence, Set
 
 from repro.cache.allocation import AllocationPolicy
+from repro.traces.columnar import BlockCounts
 
 
-def top_fraction_blocks(counts: Counter, fraction: float = 0.01) -> Set[int]:
-    """The most-accessed ``fraction`` of blocks in ``counts``.
+def top_fraction_blocks(counts: BlockCounts, fraction: float = 0.01) -> Set[int]:
+    """Addresses of the most-accessed ``fraction`` of blocks in ``counts``.
 
     The set size is ``ceil(fraction * unique_blocks)`` (at least 1 for a
-    non-empty counter).  Ties at the boundary are broken by address for
-    determinism.
+    non-empty table).  Ties at the boundary are broken by address for
+    determinism (see :meth:`BlockCounts.top`).
     """
-    if not 0 < fraction <= 1:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    if not counts:
-        return set()
-    k = max(1, math.ceil(len(counts) * fraction))
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return {address for address, _ in ranked[:k]}
+    return set(counts.top(fraction).addresses.tolist())
 
 
 class IdealDailySieve(AllocationPolicy):
     """Oracle: installs each day's top-1% block set at the day's start.
 
     Args:
-        daily_counts: per-day block access counters for the trace this
+        daily_counts: per-day block access counts for the trace this
             policy will be run against (the oracle's future knowledge).
         fraction: popularity cut (the paper uses the top 1%).
         capacity_blocks: cache capacity; the selection is truncated to
@@ -53,35 +46,32 @@ class IdealDailySieve(AllocationPolicy):
     """
 
     name = "ideal"
+    #: Epoch ``k`` installs day ``k``'s top set, so the oracle is only
+    #: right when every epoch is one calendar day.
+    daily_epochs_only = True
 
     def __init__(
         self,
-        daily_counts: Sequence[Counter],
+        daily_counts: Sequence[BlockCounts],
         fraction: float = 0.01,
         capacity_blocks: Optional[int] = None,
     ):
         self.daily_counts = list(daily_counts)
         self.fraction = fraction
         self.capacity_blocks = capacity_blocks
-        #: allocation-writes implied by each day's batch (set by engine
-        #: accounting; the ideal policy itself only selects sets)
 
     def epoch_boundary(self, day: int) -> Optional[Iterable[int]]:
         if day >= len(self.daily_counts):
             return set()
-        selected = top_fraction_blocks(self.daily_counts[day], self.fraction)
-        if self.capacity_blocks is not None and len(selected) > self.capacity_blocks:
-            counts = self.daily_counts[day]
-            ranked = sorted(selected, key=lambda a: (-counts[a], a))
-            selected = set(ranked[: self.capacity_blocks])
-        return selected
+        top = self.daily_counts[day].top(self.fraction, limit=self.capacity_blocks)
+        return set(top.addresses.tolist())
 
     def wants(self, address: int, is_write: bool, time: float) -> bool:
         return False
 
 
 def ideal_capture_shares(
-    daily_counts: Sequence[Counter], fraction: float = 0.01
+    daily_counts: Sequence[BlockCounts], fraction: float = 0.01
 ) -> List[float]:
     """Fraction of each day's accesses falling in that day's top set.
 
@@ -91,10 +81,6 @@ def ideal_capture_shares(
     """
     shares = []
     for counts in daily_counts:
-        total = sum(counts.values())
-        if total == 0:
-            shares.append(0.0)
-            continue
-        top = top_fraction_blocks(counts, fraction)
-        shares.append(sum(counts[a] for a in top) / total)
+        total = counts.total()
+        shares.append(counts.top(fraction).total() / total if total else 0.0)
     return shares

@@ -19,12 +19,12 @@ SieveStore against *ideal* per-server configurations:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from repro.core.ideal import top_fraction_blocks
+from repro.core.ideal import ideal_capture_shares
 from repro.ensemble.topology import per_server_daily_counts_from_ensemble
+from repro.traces.columnar import BlockCounts
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class CaptureComparison:
 
 
 def per_server_ideal_shares(
-    daily_counts: Sequence[Counter], fraction: float = 0.01
+    daily_counts: Sequence[BlockCounts], fraction: float = 0.01
 ) -> List[float]:
     """Daily capture of the iso-capacity per-server ideal configuration.
 
@@ -61,40 +61,26 @@ def per_server_ideal_shares(
     day; the day's capture is the captured accesses of all servers over
     the ensemble's total accesses.
     """
-    per_server = per_server_daily_counts_from_ensemble(daily_counts)
-    days = len(daily_counts)
     shares: List[float] = []
-    for day in range(days):
-        total = sum(daily_counts[day].values())
-        if total == 0:
-            shares.append(0.0)
-            continue
-        captured = 0
-        for _server, counters in sorted(per_server.items()):
-            counts = counters[day]
-            for address in top_fraction_blocks(counts, fraction):
-                captured += counts[address]
-        shares.append(captured / total)
+    for counts in daily_counts:
+        total = counts.total()
+        captured = sum(
+            table.top(fraction).total() for table in counts.by_server().values()
+        )
+        shares.append(captured / total if total else 0.0)
     return shares
 
 
 def ensemble_ideal_shares(
-    daily_counts: Sequence[Counter], fraction: float = 0.01
+    daily_counts: Sequence[BlockCounts], fraction: float = 0.01
 ) -> List[float]:
-    """Daily capture of the shared ensemble-level ideal top-fraction cache."""
-    shares: List[float] = []
-    for counts in daily_counts:
-        total = sum(counts.values())
-        if total == 0:
-            shares.append(0.0)
-            continue
-        top = top_fraction_blocks(counts, fraction)
-        shares.append(sum(counts[a] for a in top) / total)
-    return shares
+    """Daily capture of the shared ensemble-level ideal top-fraction cache
+    (the ideal sieve's closed form, :func:`ideal_capture_shares`)."""
+    return ideal_capture_shares(daily_counts, fraction)
 
 
 def compare_ensemble_vs_per_server(
-    daily_counts: Sequence[Counter], fraction: float = 0.01
+    daily_counts: Sequence[BlockCounts], fraction: float = 0.01
 ) -> CaptureComparison:
     """The Section 5.3 iso-capacity comparison (same total capacity)."""
     return CaptureComparison(
@@ -118,7 +104,7 @@ class DriveCostRow:
 
 
 def whole_drive_cost_comparison(
-    daily_counts: Sequence[Counter],
+    daily_counts: Sequence[BlockCounts],
     server_count: int,
     ensemble_drives: int,
     fraction: float = 0.01,
@@ -149,7 +135,7 @@ def whole_drive_cost_comparison(
 
 
 def per_server_capacity_blocks(
-    daily_counts: Sequence[Counter], fraction: float = 0.01
+    daily_counts: Sequence[BlockCounts], fraction: float = 0.01
 ) -> Dict[int, int]:
     """Elastic per-server capacity: peak daily top-set size per server.
 
@@ -160,7 +146,7 @@ def per_server_capacity_blocks(
     per_server = per_server_daily_counts_from_ensemble(daily_counts)
     return {
         server: max(
-            (len(top_fraction_blocks(c, fraction)) for c in counters),
+            (len(table.top(fraction)) for table in counters),
             default=0,
         )
         for server, counters in per_server.items()

@@ -16,12 +16,10 @@ what buys headroom.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
-from repro.core.ideal import top_fraction_blocks
-from repro.traces.model import server_of_address
+from repro.traces.columnar import BlockCounts
 
 
 def partition_servers(server_ids: Sequence[int], nodes: int) -> List[List[int]]:
@@ -44,7 +42,7 @@ def partition_servers(server_ids: Sequence[int], nodes: int) -> List[List[int]]:
 
 
 def partitioned_ideal_shares(
-    daily_counts: Sequence[Counter],
+    daily_counts: Sequence[BlockCounts],
     partitions: Sequence[Sequence[int]],
     fraction: float = 0.01,
 ) -> List[float]:
@@ -56,27 +54,14 @@ def partitioned_ideal_shares(
     ensemble ideal; with one partition per server it is the Section 5.3
     per-server baseline.
     """
-    node_of_server: Dict[int, int] = {}
-    for node, servers in enumerate(partitions):
-        for server in servers:
-            node_of_server[server] = node
-
     shares: List[float] = []
     for counts in daily_counts:
-        total = sum(counts.values())
-        if total == 0:
-            shares.append(0.0)
-            continue
-        per_node: List[Counter] = [Counter() for _ in partitions]
-        for address, count in counts.items():
-            node = node_of_server.get(server_of_address(address))
-            if node is not None:
-                per_node[node][address] = count
-        captured = 0
-        for node_counts in per_node:
-            for address in top_fraction_blocks(node_counts, fraction):
-                captured += node_counts[address]
-        shares.append(captured / total)
+        total = counts.total()
+        captured = sum(
+            counts.of_servers(servers).top(fraction).total()
+            for servers in partitions
+        )
+        shares.append(captured / total if total else 0.0)
     return shares
 
 
@@ -93,7 +78,7 @@ class ScalingPoint:
 
 
 def scaling_profile(
-    daily_counts: Sequence[Counter],
+    daily_counts: Sequence[BlockCounts],
     server_ids: Sequence[int],
     node_counts: Sequence[int] = (1, 2, 4, 13),
     fraction: float = 0.01,
@@ -112,22 +97,12 @@ def scaling_profile(
 
         # Traffic split: how much of the ensemble's accesses each node
         # fields (the busiest node bounds per-node IOPS needs).
-        node_of_server = {
-            server: node
-            for node, servers in enumerate(partitions)
-            for server in servers
-        }
-        peak_shares = []
-        for counts in daily_counts:
-            total = sum(counts.values())
-            if total == 0:
-                continue
-            per_node = [0] * nodes
-            for address, count in counts.items():
-                node = node_of_server.get(server_of_address(address))
-                if node is not None:
-                    per_node[node] += count
-            peak_shares.append(max(per_node) / total)
+        peak_shares = [
+            max(counts.of_servers(servers).total() for servers in partitions)
+            / counts.total()
+            for counts in daily_counts
+            if counts.total()
+        ]
         profile.append(
             ScalingPoint(
                 nodes=nodes,

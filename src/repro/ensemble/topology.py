@@ -9,11 +9,10 @@ per-server partitioning look like) for the Section 5.3 comparison.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from repro.traces.model import server_of_address
+from repro.traces.columnar import BlockCounts
 from repro.traces.servers import ServerProfile
 
 
@@ -47,27 +46,27 @@ class EnsembleTopology:
 
 
 def per_server_daily_counts_from_ensemble(
-    daily_counts: Sequence[Counter],
-) -> Dict[int, List[Counter]]:
+    daily_counts: Sequence[BlockCounts],
+) -> Dict[int, List[BlockCounts]]:
     """Split ensemble per-day block counts into per-server tables.
 
     Works from the packed global addresses, so it can run on the same
     ``daily_counts`` the experiment context already computed (no second
-    pass over the trace).
+    pass over the trace).  A server absent on some day gets an empty
+    table for it.
     """
-    result: Dict[int, List[Counter]] = {}
+    result: Dict[int, List[BlockCounts]] = {}
     days = len(daily_counts)
     for day, counts in enumerate(daily_counts):
-        for address, count in counts.items():
-            server = server_of_address(address)
+        for server, table in counts.by_server().items():
             if server not in result:
-                result[server] = [Counter() for _ in range(days)]
-            result[server][day][address] = count
+                result[server] = [BlockCounts.empty() for _ in range(days)]
+            result[server][day] = table
     return result
 
 
 def daily_unique_blocks_by_server(
-    daily_counts: Sequence[Counter],
+    daily_counts: Sequence[BlockCounts],
 ) -> Dict[int, List[int]]:
     """Per-server, per-day unique block counts (per-server sizing input)."""
     per_server = per_server_daily_counts_from_ensemble(daily_counts)

@@ -429,6 +429,11 @@ def _drive(
     n_requests = state["trace_fingerprint"]["requests"]
     days = config["days"]
     epoch_seconds = config["epoch_seconds"]
+    if policy.daily_epochs_only and epoch_seconds != SECONDS_PER_DAY:
+        raise ValueError(
+            f"policy {label!r} installs one calendar day's oracle per epoch; "
+            f"it cannot replay with epoch_seconds={epoch_seconds}"
+        )
 
     # Device state (dirty tracker, fault injector, health) rides on the
     # appliance, which only the object loop drives.  A state the fast

@@ -14,7 +14,6 @@ linear ``scale`` so the scaled experiments keep the paper's ratios:
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
 
@@ -25,7 +24,7 @@ from repro.core.sievestore_c import SieveStoreC, SieveStoreCConfig
 from repro.core.sievestore_d import SieveStoreD, SieveStoreDConfig
 from repro.core.windows import WindowSpec
 from repro.sim.engine import SimulationResult, simulate
-from repro.traces.columnar import ColumnarTrace
+from repro.traces.columnar import BlockCounts, ColumnarTrace
 from repro.traces.model import Trace
 from repro.traces.streams import daily_block_counts
 from repro.util.units import BLOCK_BYTES, GIB
@@ -74,7 +73,7 @@ class ExperimentContext:
         trace: Union[Trace, ColumnarTrace, "ChunkSource"],
         days: int,
         scale: float,
-        daily_counts: Optional[List[Counter]] = None,
+        daily_counts: Optional[List[BlockCounts]] = None,
         seed: int = 0,
         columnar: Optional[ColumnarTrace] = None,
     ):
@@ -88,8 +87,8 @@ class ExperimentContext:
             self.daily_counts = daily_counts
 
     @cached_property
-    def daily_counts(self) -> List[Counter]:
-        """Per-day block access counters, from whichever form is at hand.
+    def daily_counts(self) -> List[BlockCounts]:
+        """Per-day block access counts, from whichever form is at hand.
 
         Columns or a chunk source are counted vectorized; object-only
         input takes the reference per-block walk — the two are asserted

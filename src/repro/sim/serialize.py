@@ -55,9 +55,12 @@ CHECKPOINT_MAGIC = b"SSCKPT\x00\n"
 #: ImpreciseMissCountTable is two flat buffers (count cells + last
 #: subwindows) instead of one counter object per slot.  Version 5: a
 #: pickled AdaptiveSieveStoreC keeps its controller's threshold in the
-#: base ladder's ``_tier2_threshold`` (no ``_t2``).  No migration —
-#: checkpoints are short-lived crash-recovery artifacts.
-CHECKPOINT_SCHEMA_VERSION = 5
+#: base ladder's ``_tier2_threshold`` (no ``_t2``).  Version 6: a
+#: pickled IdealDailySieve holds one BlockCounts (address and count
+#: arrays) per day instead of a Counter, and CacheStats pickles as int64
+#: columns.  No migration — checkpoints are short-lived crash-recovery
+#: artifacts.
+CHECKPOINT_SCHEMA_VERSION = 6
 
 
 class CheckpointError(Exception):

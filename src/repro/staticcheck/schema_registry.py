@@ -93,7 +93,7 @@ SPECS: Tuple[SchemaSpec, ...] = (
             "appliance",
         ),
         "repro.sim.serialize",
-        (("CHECKPOINT_SCHEMA_VERSION", 5),),
+        (("CHECKPOINT_SCHEMA_VERSION", 6),),
         track_var="state",
     ),
     _spec(
@@ -114,8 +114,26 @@ SPECS: Tuple[SchemaSpec, ...] = (
             "checkpoint_every",
         ),
         "repro.sim.serialize",
-        (("CHECKPOINT_SCHEMA_VERSION", 5),),
+        (("CHECKPOINT_SCHEMA_VERSION", 6),),
         track_var="config",
+    ),
+    _spec(
+        "cache-stats-pickle",
+        "repro.cache.stats",
+        "dict",
+        "__getstate__",
+        (
+            "days",
+            "track_minutes",
+            "per_day",
+            "minutes",
+            "minute_reads",
+            "minute_writes",
+            "degraded_seconds",
+            "bypass_seconds",
+        ),
+        "repro.sim.serialize",
+        (("CHECKPOINT_SCHEMA_VERSION", 6),),
     ),
     _spec(
         "day-stats",
@@ -136,7 +154,8 @@ SPECS: Tuple[SchemaSpec, ...] = (
             "bypass_accesses",
         ),
         "repro.sim.serialize",
-        (("SCHEMA_VERSION", 1),),
+        # The stats pickle stores each day as a row in field order.
+        (("SCHEMA_VERSION", 1), ("CHECKPOINT_SCHEMA_VERSION", 6)),
     ),
     _spec(
         "fault-plan",

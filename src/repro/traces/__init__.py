@@ -8,6 +8,7 @@ ensemble characteristics (see :mod:`repro.traces.synthetic`).
 """
 
 from repro.traces.columnar import (
+    BlockCounts,
     ColumnarTrace,
     as_columnar,
     as_object_trace,
@@ -57,6 +58,7 @@ from repro.traces.validation import Check, ValidationReport, validate_trace
 
 __all__ = [
     "BlockAccess",
+    "BlockCounts",
     "ColumnarTrace",
     "as_columnar",
     "as_object_trace",

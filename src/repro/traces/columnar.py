@@ -31,14 +31,20 @@ object path rather than for approximate agreement.
 Columnar traces also serialize to ``.npz`` in one call, which is what
 the on-disk trace cache (:mod:`repro.traces.store`) and the parallel
 policy-suite workers (:mod:`repro.sim.parallel`) share.
+
+:class:`BlockCounts` is the columnar form of one day's popularity — the
+distinct block addresses touched and how often — and the only one: every
+producer (the columns, a segment store or shard view, the object walk)
+returns it, and every consumer (the ideal sieve, the skew and ensemble
+analyses) reads its two arrays.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -59,6 +65,128 @@ from repro.util.intervals import SECONDS_PER_DAY, bucket_indices
 NPZ_FORMAT_VERSION = 1
 
 _SERVER_SHIFT = _VOLUME_BITS + _OFFSET_BITS
+
+
+@dataclass(eq=False)
+class BlockCounts:
+    """One day's per-block access counts, as two parallel int64 columns.
+
+    ``addresses`` holds each distinct packed block address once, in
+    ascending order; ``counts[i]`` is how many 512-byte block accesses
+    ``addresses[i]`` received.  Because a packed address carries its
+    server in the high bits, ascending addresses group each server's
+    blocks into one contiguous run.  Equality compares both columns.
+    """
+
+    addresses: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.addresses = np.asarray(self.addresses, dtype=np.int64)
+        self.counts = np.asarray(self.counts, dtype=np.int64)
+        if self.addresses.shape != self.counts.shape:
+            raise ValueError(
+                f"{self.addresses.shape[0]} addresses but "
+                f"{self.counts.shape[0]} counts"
+            )
+
+    @classmethod
+    def empty(cls) -> "BlockCounts":
+        """A table of no blocks."""
+        return cls(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+    @classmethod
+    def of_accesses(cls, blocks: np.ndarray) -> "BlockCounts":
+        """Count a column holding one block address per access."""
+        addresses, counts = np.unique(blocks, return_counts=True)
+        return cls(addresses, counts)
+
+    @classmethod
+    def from_mapping(cls, table: Mapping[int, int]) -> "BlockCounts":
+        """Columns of an ``address -> count`` mapping."""
+        addresses = np.fromiter(table.keys(), dtype=np.int64, count=len(table))
+        counts = np.fromiter(table.values(), dtype=np.int64, count=len(table))
+        order = np.argsort(addresses)
+        return cls(addresses[order], counts[order])
+
+    @classmethod
+    def merge(cls, parts: Sequence["BlockCounts"]) -> "BlockCounts":
+        """Sum tables of the same day counted over disjoint row ranges."""
+        parts = [part for part in parts if len(part)]
+        if len(parts) <= 1:
+            return parts[0] if parts else cls.empty()
+        addresses, inverse = np.unique(
+            np.concatenate([part.addresses for part in parts]),
+            return_inverse=True,
+        )
+        # float64 weights are exact below 2**53 accesses per block.
+        counts = np.bincount(
+            inverse,
+            weights=np.concatenate([part.counts for part in parts]),
+            minlength=len(addresses),
+        )
+        return cls(addresses, counts.astype(np.int64))
+
+    def __len__(self) -> int:
+        return int(self.addresses.shape[0])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BlockCounts):
+            return NotImplemented
+        return bool(
+            np.array_equal(self.addresses, other.addresses)
+            and np.array_equal(self.counts, other.counts)
+        )
+
+    def total(self) -> int:
+        """All block accesses in the table."""
+        return int(self.counts.sum())
+
+    def as_dict(self) -> Dict[int, int]:
+        """The table as an ``address -> count`` dict, ascending by address."""
+        return dict(zip(self.addresses.tolist(), self.counts.tolist()))
+
+    def _rows(self, index: Union[slice, np.ndarray]) -> "BlockCounts":
+        return BlockCounts(self.addresses[index], self.counts[index])
+
+    def top(self, fraction: float, limit: Optional[int] = None) -> "BlockCounts":
+        """The most-accessed ``fraction`` of the table's blocks.
+
+        Keeps ``ceil(fraction * len(self))`` blocks (at least one of a
+        non-empty table, at most ``limit``), ranked by descending count
+        with ties broken by ascending address.  The result is itself a
+        table, in ascending address order.
+        """
+        if not 0 < fraction <= 1:
+            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+        keep = max(1, math.ceil(len(self) * fraction)) if len(self) else 0
+        if limit is not None:
+            keep = min(keep, limit)
+        # Addresses ascend, so a stable sort on descending count breaks
+        # every tie by address.
+        ranked = np.argsort(-self.counts, kind="stable")[:keep]
+        return self._rows(np.sort(ranked))
+
+    @property
+    def server_ids(self) -> np.ndarray:
+        """Server id of each block (non-decreasing), from its address."""
+        return self.addresses >> _SERVER_SHIFT
+
+    def by_server(self) -> Dict[int, "BlockCounts"]:
+        """Split into one table per server that has blocks here."""
+        servers = self.server_ids
+        if not len(servers):
+            return {}
+        starts = np.flatnonzero(np.diff(servers)) + 1
+        bounds = zip([0, *starts.tolist()], [*starts.tolist(), len(servers)])
+        return {
+            int(servers[lo]): self._rows(slice(lo, hi)) for lo, hi in bounds
+        }
+
+    def of_servers(self, server_ids: Iterable[int]) -> "BlockCounts":
+        """The blocks owned by any of ``server_ids``."""
+        wanted = np.fromiter(server_ids, dtype=np.int64)
+        return self._rows(np.isin(self.server_ids, wanted))
 
 
 @dataclass(eq=False)
@@ -169,18 +297,18 @@ class ColumnarTrace:
         ramp = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
         return np.repeat(self.address, counts) + ramp
 
-    def daily_block_counts(self, days: int) -> List[Counter]:
+    def daily_block_counts(self, days: int) -> List[BlockCounts]:
         """Vectorized twin of :func:`repro.traces.streams.daily_block_counts`.
 
-        Returns identical per-day ``Counter`` objects (same keys, same
-        counts) without the per-block Python loop.  Requests issued past
-        the last requested day are dropped, as in the reference.
+        Returns identical per-day tables without the per-block Python
+        loop.  Requests issued past the last requested day are dropped,
+        as in the reference.
         """
         if days <= 0:
             raise ValueError(f"days must be positive, got {days}")
-        counters: List[Counter] = [Counter() for _ in range(days)]
+        tables = [BlockCounts.empty() for _ in range(days)]
         if len(self) == 0:
-            return counters
+            return tables
         day_index = self.issue_days()
         counts64 = self.block_count.astype(np.int64)
         # Rows are sorted by issue time (the class contract), so the
@@ -206,11 +334,8 @@ class ColumnarTrace:
             total = int(counts.sum())
             starts = np.cumsum(counts) - counts
             ramp = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-            expanded = np.repeat(bases, counts) + ramp
-            unique, per_block = np.unique(expanded, return_counts=True)
-            # Filled as a plain dict: Counter.update would count the pairs.
-            dict.update(counters[day], zip(unique.tolist(), per_block.tolist()))
-        return counters
+            tables[day] = BlockCounts.of_accesses(np.repeat(bases, counts) + ramp)
+        return tables
 
     # -- structural operations --------------------------------------------
     def filter(

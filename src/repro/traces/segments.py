@@ -47,7 +47,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Un
 
 import numpy as np
 
-from repro.traces.columnar import NPZ_FORMAT_VERSION, ColumnarTrace
+from repro.traces.columnar import NPZ_FORMAT_VERSION, BlockCounts, ColumnarTrace
 from repro.util.atomic import atomic_write, atomic_write_path
 
 #: Bump when the manifest layout changes; loaders refuse other values.
@@ -380,14 +380,16 @@ class SegmentStore(ChunkSource):
         parts = [self.load_segment(i) for i in range(self.num_segments)]
         return ColumnarTrace.concatenate(parts, description=self.description)
 
-    def daily_block_counts(self, days: int, chunk_rows: Optional[int] = None):
-        """Per-day per-block access Counters, streamed chunk by chunk.
+    def daily_block_counts(
+        self, days: int, chunk_rows: Optional[int] = None
+    ) -> List[BlockCounts]:
+        """Per-day per-block access counts, streamed chunk by chunk.
 
         Identical to
         :meth:`~repro.traces.columnar.ColumnarTrace.daily_block_counts`
         on the materialized trace — the computation is a pure per-row
-        aggregation, so per-chunk Counters sum to the whole-trace
-        Counters — without ever holding more than one chunk's columns.
+        aggregation, so per-chunk tables sum to the whole-trace tables —
+        without ever holding more than one chunk's columns.
         """
         return _streamed_daily_counts(self.iter_chunks(chunk_rows), days)
 
@@ -500,9 +502,11 @@ class ShardView(ChunkSource):
             self._scan = (total, first, last)
         return self._scan
 
-    def daily_block_counts(self, days: int, chunk_rows: Optional[int] = None):
-        """The shard's per-day per-block Counters (streamed; the ideal
-        policy's oracle for a shard run)."""
+    def daily_block_counts(
+        self, days: int, chunk_rows: Optional[int] = None
+    ) -> List[BlockCounts]:
+        """The shard's per-day per-block access counts (streamed; the
+        ideal policy's oracle for a shard run)."""
         return _streamed_daily_counts(self.iter_chunks(chunk_rows), days)
 
 
@@ -531,18 +535,14 @@ def _note_segment_open(rows: int) -> None:
 
 def _streamed_daily_counts(
     chunks: Iterable[Tuple[int, ColumnarTrace]], days: int
-):
-    """Merge per-chunk daily block counts into whole-stream Counters."""
-    from collections import Counter
-
-    merged = [Counter() for _ in range(days)]
+) -> List[BlockCounts]:
+    """Count each chunk's days, then sum the days that span chunks."""
+    parts: List[List[BlockCounts]] = [[] for _ in range(days)]
     for _, columns in chunks:
         for day, counts in enumerate(columns.daily_block_counts(days)):
-            if not merged[day]:  # the chunk's counter is fresh: keep it
-                merged[day] = counts
-            elif counts:  # the day spans chunks: sum them
-                merged[day].update(counts)
-    return merged
+            if len(counts):
+                parts[day].append(counts)
+    return [BlockCounts.merge(day_parts) for day_parts in parts]
 
 
 def write_segments(

@@ -4,6 +4,11 @@ The paper analyses everything "on a calendar day basis" (Section 2);
 these helpers split traces by day and compute the per-day per-block
 access counts that drive both the skew analysis (Figure 2) and the
 sieving mechanisms.
+
+The block counts here are the readable reference: a per-block walk over
+request objects, converted once at the end to the
+:class:`~repro.traces.columnar.BlockCounts` every vectorized producer
+returns, against which the tests check them.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from typing import Dict, Iterator, List, Tuple
 
+from repro.traces.columnar import BlockCounts
 from repro.traces.model import IORequest, Trace
 from repro.util.intervals import SECONDS_PER_DAY, day_of
 
@@ -36,8 +42,8 @@ def split_by_day(trace: Trace, days: int) -> List[Trace]:
     ]
 
 
-def daily_block_counts(trace: Trace, days: int) -> List[Counter]:
-    """Per-day ``Counter`` of block-address -> access count.
+def daily_block_counts(trace: Trace, days: int) -> List[BlockCounts]:
+    """Per-day block-address -> access count tables.
 
     Every 512-byte block touched by a request contributes one access, so
     a 16-block request adds one access to each of its 16 blocks.
@@ -51,7 +57,7 @@ def daily_block_counts(trace: Trace, days: int) -> List[Counter]:
         base = request.first_address
         for i in range(request.block_count):
             counter[base + i] += 1
-    return counters
+    return [BlockCounts.from_mapping(counter) for counter in counters]
 
 
 def daily_access_totals(trace: Trace, days: int) -> List[int]:
@@ -86,8 +92,8 @@ def iter_day_requests(trace: Trace, day: int) -> Iterator[IORequest]:
 
 def per_server_daily_counts(
     trace: Trace, days: int
-) -> Dict[int, List[Counter]]:
-    """Per-server, per-day block access counters (for Figure 3 analyses)."""
+) -> Dict[int, List[BlockCounts]]:
+    """Per-server, per-day block access counts (for Figure 3 analyses)."""
     result: Dict[int, List[Counter]] = defaultdict(
         lambda: [Counter() for _ in range(days)]
     )
@@ -99,4 +105,7 @@ def per_server_daily_counts(
         base = request.first_address
         for i in range(request.block_count):
             counter[base + i] += 1
-    return dict(result)
+    return {
+        server: [BlockCounts.from_mapping(counter) for counter in counters]
+        for server, counters in result.items()
+    }

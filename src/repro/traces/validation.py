@@ -103,8 +103,8 @@ def validate_trace(
     single: List[float] = []
     predicted: List[float] = []
     drift: List[float] = []
-    for day in range(days):
-        values = np.fromiter(counts[day].values(), dtype=np.int64)
+    for day, table in enumerate(counts):
+        values = table.counts
         if len(values) == 0:
             top1_shares.append(float("nan"))
             le10.append(float("nan"))
@@ -117,17 +117,17 @@ def validate_trace(
         le10.append(float((values <= 10).mean()))
         le4.append(float((values <= 4).mean()))
         single.append(float((values == 1).mean()))
-        if day >= 1 and counts[day - 1]:
-            prev_hot = {a for a, c in counts[day - 1].items() if c > 10}
-            today_hot = {a for a, c in counts[day].items() if c > 10}
-            captured = sum(c for a, c in counts[day].items() if a in prev_hot)
+        if day >= 1 and len(counts[day - 1]):
+            previous = counts[day - 1]
+            prev_hot = previous.addresses[previous.counts > 10]
+            today_hot = table.addresses[values > 10]
+            captured = int(values[np.isin(table.addresses, prev_hot)].sum())
             ideal = float(top.sum())
             if ideal > 0:
                 predicted.append(captured / ideal)
-            if prev_hot and today_hot:
-                drift.append(
-                    1.0 - len(prev_hot & today_hot) / max(len(today_hot), 1)
-                )
+            if len(prev_hot) and len(today_hot):
+                shared = len(np.intersect1d(prev_hot, today_hot))
+                drift.append(1.0 - shared / max(len(today_hot), 1))
 
     reads = sum(r.block_count for r in trace if r.is_read)
     total_blocks = max(1, trace.total_blocks())

@@ -4,6 +4,8 @@ from collections import Counter
 
 import pytest
 
+from repro.traces.columnar import BlockCounts
+
 from repro.analysis.skew import (
     access_count_quantiles,
     daily_skew_profiles,
@@ -12,12 +14,16 @@ from repro.analysis.skew import (
 
 
 def zipf_counter(n=1000, alpha=1.0):
-    return Counter({i: max(1, int(1000 / (i + 1) ** alpha)) for i in range(n)})
+    return table({i: max(1, int(1000 / (i + 1) ** alpha)) for i in range(n)})
+
+
+def table(mapping=()):
+    return BlockCounts.from_mapping(Counter(mapping))
 
 
 class TestSkewProfile:
     def test_empty_counter(self):
-        profile = skew_profile(Counter())
+        profile = skew_profile(table())
         assert profile.unique_blocks == 0
         assert profile.share_of_top(0.01) == 0.0
 
@@ -31,24 +37,24 @@ class TestSkewProfile:
         assert profile.cumulative_share[-1] == pytest.approx(1.0)
 
     def test_totals(self):
-        counter = Counter({1: 5, 2: 3})
+        counter = table({1: 5, 2: 3})
         profile = skew_profile(counter, bins=10)
         assert profile.unique_blocks == 2
         assert profile.total_accesses == 8
 
     def test_fewer_blocks_than_bins(self):
-        profile = skew_profile(Counter({1: 4, 2: 2, 3: 1}), bins=10000)
+        profile = skew_profile(table({1: 4, 2: 2, 3: 1}), bins=10000)
         assert len(profile.percentiles) == 3
 
     def test_share_of_top_interpolates(self):
         # Uniform counts: top x% holds ~x% of accesses.
-        uniform = Counter({i: 10 for i in range(1000)})
+        uniform = table({i: 10 for i in range(1000)})
         profile = skew_profile(uniform, bins=100)
         assert profile.share_of_top(0.10) == pytest.approx(0.10, abs=0.02)
 
     def test_skewed_top_share_dominates_uniform(self):
         skewed = skew_profile(zipf_counter(alpha=1.5), bins=100)
-        uniform = skew_profile(Counter({i: 10 for i in range(1000)}), bins=100)
+        uniform = skew_profile(table({i: 10 for i in range(1000)}), bins=100)
         assert skewed.share_of_top(0.01) > 3 * uniform.share_of_top(0.01)
 
     def test_count_at_percentile_monotone(self):
@@ -57,25 +63,25 @@ class TestSkewProfile:
 
     def test_rejects_bad_bins(self):
         with pytest.raises(ValueError):
-            skew_profile(Counter({1: 1}), bins=0)
+            skew_profile(table({1: 1}), bins=0)
 
     def test_rejects_bad_fraction(self):
         with pytest.raises(ValueError):
-            skew_profile(Counter({1: 1})).share_of_top(0.0)
+            skew_profile(table({1: 1})).share_of_top(0.0)
 
 
 class TestQuantiles:
     def test_known_distribution(self):
         counter = Counter({0: 100})
         counter.update({i: 1 for i in range(1, 100)})
-        q = access_count_quantiles(counter)
+        q = access_count_quantiles(BlockCounts.from_mapping(counter))
         assert q["blocks"] == 100
         assert q["fraction_le_4"] == pytest.approx(0.99)
         assert q["fraction_single"] == pytest.approx(0.99)
         assert q["top1_share"] == pytest.approx(100 / 199)
 
     def test_empty(self):
-        q = access_count_quantiles(Counter())
+        q = access_count_quantiles(table())
         assert q["blocks"] == 0 and q["top1_share"] == 0.0
 
 

@@ -4,6 +4,8 @@ from collections import Counter
 
 import pytest
 
+from repro.traces.columnar import BlockCounts
+
 from repro.analysis.variation import (
     composition_variation,
     cumulative_access_curve,
@@ -15,50 +17,54 @@ from repro.analysis.variation import (
 from repro.traces.servers import PAPER_SERVERS
 
 
+def table(mapping=()):
+    return BlockCounts.from_mapping(Counter(mapping))
+
+
 class TestGini:
     def test_uniform_is_zero(self):
-        assert gini_coefficient(Counter({i: 5 for i in range(100)})) == pytest.approx(
+        assert gini_coefficient(table({i: 5 for i in range(100)})) == pytest.approx(
             0.0, abs=1e-9
         )
 
     def test_concentrated_is_near_one(self):
         counter = Counter({0: 100000})
         counter.update({i: 1 for i in range(1, 1000)})
-        assert gini_coefficient(counter) > 0.95
+        assert gini_coefficient(BlockCounts.from_mapping(counter)) > 0.95
 
     def test_empty_is_zero(self):
-        assert gini_coefficient(Counter()) == 0.0
+        assert gini_coefficient(table()) == 0.0
 
     def test_scale_invariant(self):
-        base = Counter({1: 2, 2: 4, 3: 8})
-        scaled = Counter({1: 20, 2: 40, 3: 80})
+        base = table({1: 2, 2: 4, 3: 8})
+        scaled = table({1: 20, 2: 40, 3: 80})
         assert gini_coefficient(base) == pytest.approx(gini_coefficient(scaled))
 
 
 class TestCumulativeCurve:
     def test_ends_at_one_one(self):
-        curve = cumulative_access_curve(Counter({1: 5, 2: 5, 3: 10}))
+        curve = cumulative_access_curve(table({1: 5, 2: 5, 3: 10}))
         assert curve[-1]["block_fraction"] == pytest.approx(1.0)
         assert curve[-1]["access_fraction"] == pytest.approx(1.0)
 
     def test_monotone(self):
-        curve = cumulative_access_curve(Counter({i: i + 1 for i in range(50)}))
+        curve = cumulative_access_curve(table({i: i + 1 for i in range(50)}))
         fractions = [point["access_fraction"] for point in curve]
         assert all(a <= b for a, b in zip(fractions, fractions[1:]))
 
     def test_skewed_curve_above_diagonal(self):
         counter = Counter({0: 1000})
         counter.update({i: 1 for i in range(1, 100)})
-        curve = cumulative_access_curve(counter)
+        curve = cumulative_access_curve(BlockCounts.from_mapping(counter))
         early = curve[len(curve) // 10]
         assert early["access_fraction"] > 2 * early["block_fraction"]
 
     def test_empty(self):
-        assert cumulative_access_curve(Counter()) == []
+        assert cumulative_access_curve(table()) == []
 
     def test_rejects_bad_points(self):
         with pytest.raises(ValueError):
-            cumulative_access_curve(Counter({1: 1}), points=0)
+            cumulative_access_curve(table({1: 1}), points=0)
 
 
 class TestFigure3OnSyntheticTrace:

@@ -1,5 +1,7 @@
 """Cache statistics accounting (per-day and per-minute)."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -282,3 +284,35 @@ class TestRecordRows:
         assert stats.total == DayStats() and stats.per_minute == {}
         with pytest.raises(ValueError, match="non-negative"):
             record_scalar(CacheStats(DAYS), rows)
+
+
+class TestPickle:
+    """Stats pickle as columns and come back as the same objects."""
+
+    def test_round_trip_keeps_every_counter(self):
+        stats = CacheStats(days=3)
+        stats.record_hit(10.0, is_write=False, blocks=3)
+        stats.record_miss(SECONDS_PER_DAY + 5.0, is_write=True, blocks=2)
+        stats.record_allocation_write(SECONDS_PER_DAY + 6.0, blocks=2)
+        stats.record_backing_write(5.0, blocks=4, is_writeback=True)
+        stats.record_read_error(7.0, blocks=1)
+        stats.record_write_error(2 * SECONDS_PER_DAY, blocks=5)
+        stats.record_bypass_access(2 * SECONDS_PER_DAY + 1.0, blocks=6)
+        stats.record_ssd_io(600.0, 3, is_write=True)
+        stats.record_ssd_io(60.0, 2, is_write=False)  # minutes out of order
+        stats.degraded_seconds = 12.5
+        stats.bypass_seconds = 3.25
+        copy = pickle.loads(pickle.dumps(stats))
+        assert (copy.days, copy.track_minutes) == (3, True)
+        assert copy.per_day == stats.per_day
+        assert list(copy.per_minute.items()) == list(stats.per_minute.items())
+        assert (copy.degraded_seconds, copy.bypass_seconds) == (12.5, 3.25)
+        for counters in (*copy.per_day, *copy.per_minute.values()):
+            assert all(type(v) is int for v in vars(counters).values())
+
+    def test_round_trip_without_minutes(self):
+        stats = CacheStats(days=1, track_minutes=False)
+        stats.record_hit(1.0, is_write=True)
+        copy = pickle.loads(pickle.dumps(stats))
+        assert not copy.track_minutes and copy.per_minute == {}
+        assert copy.per_day == stats.per_day

@@ -11,6 +11,7 @@ from repro.ensemble.per_server import (
     per_server_ideal_shares,
     whole_drive_cost_comparison,
 )
+from repro.traces.columnar import BlockCounts
 from repro.traces.model import pack_address
 
 
@@ -28,7 +29,7 @@ def skewed_vs_flat_day():
         counts[pack_address(1, 0, i)] = 1
     for i in range(10000):
         counts[pack_address(2, 0, i)] = 1
-    return counts
+    return BlockCounts.from_mapping(counts)
 
 
 class TestIdealShares:
@@ -61,8 +62,8 @@ class TestIdealShares:
             assert 0.0 <= share <= 1.0
 
     def test_empty_day(self):
-        assert ensemble_ideal_shares([Counter()]) == [0.0]
-        assert per_server_ideal_shares([Counter()]) == [0.0]
+        assert ensemble_ideal_shares([BlockCounts.empty()]) == [0.0]
+        assert per_server_ideal_shares([BlockCounts.empty()]) == [0.0]
 
 
 class TestWholeDriveComparison:
@@ -86,8 +87,12 @@ class TestWholeDriveComparison:
 
 class TestPerServerCapacity:
     def test_capacity_is_peak_top_set(self):
-        day0 = Counter({pack_address(1, 0, i): 10 for i in range(100)})
-        day1 = Counter({pack_address(1, 0, i): 10 for i in range(300)})
+        day0 = BlockCounts.from_mapping(
+            {pack_address(1, 0, i): 10 for i in range(100)}
+        )
+        day1 = BlockCounts.from_mapping(
+            {pack_address(1, 0, i): 10 for i in range(300)}
+        )
         capacities = per_server_capacity_blocks([day0, day1])
         assert capacities[1] == 3  # 1% of 300
 

@@ -1,7 +1,5 @@
 """Multi-appliance scaling (Section 7 extension)."""
 
-from collections import Counter
-
 import pytest
 
 from repro.ensemble.scaling import (
@@ -9,6 +7,7 @@ from repro.ensemble.scaling import (
     partitioned_ideal_shares,
     scaling_profile,
 )
+from repro.traces.columnar import BlockCounts
 
 
 class TestPartitioning:
@@ -59,7 +58,7 @@ class TestPartitionedShares:
         assert sum(one) >= sum(thirteen)
 
     def test_empty_day(self):
-        assert partitioned_ideal_shares([Counter()], [[0]]) == [0.0]
+        assert partitioned_ideal_shares([BlockCounts.empty()], [[0]]) == [0.0]
 
 
 class TestScalingProfile:

@@ -1,7 +1,5 @@
 """Ensemble topology helpers."""
 
-from collections import Counter
-
 import pytest
 
 from repro.ensemble.topology import (
@@ -9,6 +7,7 @@ from repro.ensemble.topology import (
     daily_unique_blocks_by_server,
     per_server_daily_counts_from_ensemble,
 )
+from repro.traces.columnar import BlockCounts
 from repro.traces.model import pack_address
 from repro.traces.servers import paper_ensemble
 
@@ -35,7 +34,7 @@ class TestEnsembleTopology:
 
 class TestPerServerSplit:
     def test_splits_by_packed_address(self):
-        day0 = Counter(
+        day0 = BlockCounts.from_mapping(
             {
                 pack_address(1, 0, 5): 3,
                 pack_address(2, 0, 5): 7,
@@ -43,19 +42,17 @@ class TestPerServerSplit:
             }
         )
         split = per_server_daily_counts_from_ensemble([day0])
-        assert sum(split[1][0].values()) == 5
-        assert sum(split[2][0].values()) == 7
+        assert split[1][0].total() == 5
+        assert split[2][0].total() == 7
 
     def test_preserves_total_mass(self, tiny_context):
         split = per_server_daily_counts_from_ensemble(tiny_context.daily_counts)
         for day in range(tiny_context.days):
-            total = sum(
-                sum(counters[day].values()) for counters in split.values()
-            )
-            assert total == sum(tiny_context.daily_counts[day].values())
+            total = sum(counters[day].total() for counters in split.values())
+            assert total == tiny_context.daily_counts[day].total()
 
     def test_daily_unique_blocks(self):
-        day0 = Counter({pack_address(1, 0, i): 1 for i in range(10)})
-        day1 = Counter({pack_address(1, 0, i): 1 for i in range(3)})
+        day0 = BlockCounts.from_mapping({pack_address(1, 0, i): 1 for i in range(10)})
+        day1 = BlockCounts.from_mapping({pack_address(1, 0, i): 1 for i in range(3)})
         uniques = daily_unique_blocks_by_server([day0, day1])
         assert uniques[1] == [10, 3]

@@ -5,7 +5,6 @@ import os
 import pickle
 import tempfile
 import zipfile
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.traces import segments as segments_module
 from repro.traces import tiny_config
-from repro.traces.columnar import ColumnarTrace
+from repro.traces.columnar import BlockCounts, ColumnarTrace
 from repro.traces.model import pack_address
 from repro.traces.segments import (
     MANIFEST_NAME,
@@ -573,11 +572,10 @@ class TestStreamedDailyCountsProperty:
                 first = source.daily_block_counts(days, chunk_rows)
                 second = source.daily_block_counts(days, chunk_rows)
                 assert first == expected and second == expected
-                assert all(type(c) is Counter for c in first)
+                assert all(type(c) is BlockCounts for c in first)
                 # Equal but independent: a caller may consume its result.
-                for counter in first:
-                    counter.update(counter)
-                    counter[-1] = 1
+                for table in first:
+                    table.counts += 1
                 assert second == expected
                 assert source.daily_block_counts(days, chunk_rows) == expected
 
@@ -585,5 +583,5 @@ class TestStreamedDailyCountsProperty:
         columns = _rows([10, 20, 30, 40])
         columns.address[:] = 8  # one block, touched by every chunk
         store = segment_columnar(columns, tmp_path / "store", 2)
-        assert store.daily_block_counts(1, chunk_rows=1) == [Counter({8: 4})]
-        assert store.shard(0, 1).daily_block_counts(1) == [Counter({8: 4})]
+        assert store.daily_block_counts(1, chunk_rows=1) == [BlockCounts([8], [4])]
+        assert store.shard(0, 1).daily_block_counts(1) == [BlockCounts([8], [4])]

@@ -59,19 +59,17 @@ class TestDailyBlockCounts:
     def test_counts_every_block_of_request(self):
         trace = Trace([request_at(0, blocks=4)])
         counts = daily_block_counts(trace, 1)
-        assert sum(counts[0].values()) == 4
-        assert all(v == 1 for v in counts[0].values())
+        assert counts[0].total() == 4
+        assert all(v == 1 for v in counts[0].counts)
 
     def test_repeat_accesses_accumulate(self):
         trace = Trace([request_at(0, 1.0), request_at(0, 2.0)])
         counts = daily_block_counts(trace, 1)
-        assert all(v == 2 for v in counts[0].values())
+        assert all(v == 2 for v in counts[0].counts)
 
     def test_days_are_independent(self, three_day_trace):
         counts = daily_block_counts(three_day_trace, 3)
-        assert sum(counts[0].values()) == 4
-        assert sum(counts[1].values()) == 4
-        assert sum(counts[2].values()) == 1
+        assert [table.total() for table in counts] == [4, 4, 1]
 
 
 class TestTotalsAndSplits:
@@ -103,5 +101,5 @@ class TestPerServerDailyCounts:
         result = per_server_daily_counts(trace, 1)
         assert set(result) == {1, 2}
         for server_id, counters in result.items():
-            for address in counters[0]:
+            for address in counters[0].addresses.tolist():
                 assert address >> 48 == server_id
