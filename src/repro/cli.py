@@ -24,7 +24,12 @@ from typing import List, Optional
 from repro.analysis.report import render_table
 from repro.analysis.skew import access_count_quantiles
 from repro.analysis.tables import table2_rows
-from repro.sim import context_for_trace, run_policy
+from repro.sim import (
+    ExperimentContext,
+    PolicyFailure,
+    context_for_trace,
+    run_policy,
+)
 from repro.sim.experiment import FIGURE5_POLICIES, run_policy_suite
 from repro.ssd.device import INTEL_X25E
 from repro.ssd.occupancy import coverage_table, occupancy_from_stats
@@ -116,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: sievestore-c)",
     )
     sim.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_nonnegative_int, default=1, metavar="N",
         help="run the policies across N worker processes sharing one "
         "serialized columnar trace (0 = all cores)",
     )
@@ -434,12 +439,13 @@ def _load_trace(args):
     return columns, config.days
 
 
-def _print_simulation_report(name: str, result, requests: int) -> None:
+def _print_day_table(stats, title: str) -> None:
+    """Per-day capture and allocation writes, with an ``all`` row."""
     rows = [
         [day, d.accesses, round(d.hit_ratio, 3), d.allocation_writes]
-        for day, d in enumerate(result.stats.per_day)
+        for day, d in enumerate(stats.per_day)
     ]
-    total = result.stats.total
+    total = stats.total
     rows.append(
         ["all", total.accesses, round(total.hit_ratio, 3),
          total.allocation_writes]
@@ -447,8 +453,13 @@ def _print_simulation_report(name: str, result, requests: int) -> None:
     print(render_table(
         ["day", "block accesses", "capture", "allocation-writes"],
         rows,
-        title=f"{name} over {requests:,} requests",
+        title=title,
     ))
+
+
+def _print_simulation_report(name: str, result, requests: int) -> None:
+    _print_day_table(result.stats, f"{name} over {requests:,} requests")
+    total = result.stats.total
     blocks_per_sec = (
         total.accesses / result.wall_seconds if result.wall_seconds > 0 else 0.0
     )
@@ -516,6 +527,7 @@ def _validate_simulate_flags(args) -> Optional[int]:
             file=sys.stderr,
         )
         return 2
+    several = args.policies and len(dict.fromkeys(args.policies)) > 1
     segmented = args.segments or args.segments_dir is not None
     if not segmented:
         for flag, value in (
@@ -544,13 +556,19 @@ def _validate_simulate_flags(args) -> Optional[int]:
                 file=sys.stderr,
             )
             return 2
-        if args.policies and len(dict.fromkeys(args.policies)) > 1:
+        if several:
             print(
                 "error: --segments runs a single --policy per "
                 "invocation",
                 file=sys.stderr,
             )
             return 2
+    if args.checkpoint and not args.resume and (several or args.jobs != 1):
+        print(
+            "error: --checkpoint requires a single --policy and --jobs 1",
+            file=sys.stderr,
+        )
+        return 2
     for flag, path in (
         ("--metrics-out", args.metrics_out),
         ("--events-out", args.events_out),
@@ -569,16 +587,32 @@ def _validate_simulate_flags(args) -> Optional[int]:
 _PROGRESS_CHECK_EVERY = 1000
 
 
-def _make_heartbeat(
-    interval: float,
-    total_requests: int,
-    total_blocks: int,
+def _heartbeat(
+    interval: Optional[float],
+    trace,
     days: int,
-    epoch_seconds: float,
-):
-    """Per-request heartbeat: day, blocks/sec, and ETA to stderr."""
+    epoch_seconds: Optional[float],
+    chunk_rows: Optional[int] = None,
+) -> dict:
+    """A run's ``progress_every`` / ``progress_hook`` arguments: day,
+    blocks/sec and ETA to stderr at least ``interval`` seconds apart
+    (none when ``interval`` is None).  ``trace`` is the replayed
+    columns or chunk source, whose blocks are counted up front."""
+    if interval is None:
+        return {}
     import time as _time_mod
 
+    from repro.traces.segments import ChunkSource
+
+    total_requests = len(trace)
+    if isinstance(trace, ChunkSource):
+        total_blocks = sum(
+            columns.total_blocks()
+            for _base, columns in trace.iter_chunks(chunk_rows)
+        )
+    else:
+        total_blocks = trace.total_blocks()
+    epoch_seconds = epoch_seconds or 86400.0
     start = _time_mod.perf_counter()
     state = {"last": start}
 
@@ -603,7 +637,7 @@ def _make_heartbeat(
             flush=True,
         )
 
-    return hook
+    return {"progress_every": _PROGRESS_CHECK_EVERY, "progress_hook": hook}
 
 
 def _make_task_progress(total_tasks: int):
@@ -693,14 +727,6 @@ def _segment_store_for(args):
     return store, None
 
 
-def _streamed_total_blocks(store, chunk_rows) -> int:
-    """Block-access count of a segment store, one bounded chunk at a time."""
-    return sum(
-        int(columns.block_count.sum())
-        for _base, columns in store.iter_chunks(chunk_rows)
-    )
-
-
 def _cmd_resume(args) -> int:
     """``simulate --resume``: finish a checkpointed run."""
     import os
@@ -740,74 +766,23 @@ def _cmd_resume(args) -> int:
             return code
     else:
         resume_trace, _days = _load_trace(argparse.Namespace(**trace_args))
-    n_requests = len(resume_trace)
-    progress_every = progress_hook = None
-    if args.progress is not None:
-        config = payload["config"]
-        progress_every = _PROGRESS_CHECK_EVERY
-        progress_hook = _make_heartbeat(
-            args.progress,
-            total_requests=n_requests,
-            total_blocks=(
-                _streamed_total_blocks(resume_trace, chunk_rows)
-                if streamed
-                else int(resume_trace.block_count.sum())
-            ),
-            days=config["days"],
-            epoch_seconds=config["epoch_seconds"],
-        )
+    config = payload["config"]
     try:
         result = resume_simulation(
             args.resume,
             resume_trace,
             checkpoint_path=args.checkpoint,
-            progress_every=progress_every,
-            progress_hook=progress_hook,
             engine=args.resume_engine,
             chunk_rows=chunk_rows,
+            **_heartbeat(
+                args.progress, resume_trace, config["days"],
+                config["epoch_seconds"], chunk_rows,
+            ),
         )
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _print_simulation_report(result.policy_name, result, n_requests)
-    if args.json:
-        _save_result_json(result, args.json)
-    return 0
-
-
-def _cmd_checkpointed_simulate(args, ctx, name, fault_plan, requests) -> int:
-    """``simulate --checkpoint``: single-policy run with checkpointing."""
-    context = {
-        "trace": {
-            "msr_csv": args.msr_csv,
-            "scale": args.scale,
-            "days": args.days,
-            "seed": args.seed,
-            "no_trace_cache": args.no_trace_cache,
-        },
-        "policy": name,
-        "fault_plan": fault_plan.to_dict() if fault_plan is not None else None,
-    }
-    progress_every = progress_hook = None
-    if args.progress is not None:
-        progress_every = _PROGRESS_CHECK_EVERY
-        progress_hook = _make_heartbeat(
-            args.progress,
-            total_requests=requests,
-            total_blocks=int(ctx.columnar_trace().block_count.sum()),
-            days=ctx.days,
-            epoch_seconds=args.epoch_seconds or 86400.0,
-        )
-    result = run_policy(
-        name, ctx, track_minutes=False, fast_path=args.fast,
-        fault_plan=fault_plan, epoch_seconds=args.epoch_seconds,
-        checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_context=context,
-        progress_every=progress_every,
-        progress_hook=progress_hook,
-    )
-    _print_simulation_report(name, result, requests)
+    _print_simulation_report(result.policy_name, result, len(resume_trace))
     if args.json:
         _save_result_json(result, args.json)
     return 0
@@ -831,66 +806,56 @@ def _cmd_simulate(args) -> int:
         obs_runtime.disable()
 
 
-def _cmd_simulate_segments(args, fault_plan) -> int:
-    """``simulate --segments``: stream one policy out-of-core."""
-    from repro.sim.engine import simulate
-    from repro.sim.experiment import ExperimentContext, build_policy
+def _simulate_single(args, name: str, fault_plan, streamed: bool) -> int:
+    """One checkpointed or streamed run: a single policy, ``--jobs 1``.
 
-    store, code = _segment_store_for(args)
-    if code is not None:
-        return code
-    name = (args.policies or ["sievestore-c"])[0]
-    ctx = ExperimentContext(
-        trace=store, days=args.days, scale=args.scale, seed=0
-    )
-    policy, capacity = build_policy(name, ctx)
-    checkpoint_context = None
-    if args.checkpoint:
-        checkpoint_context = {
-            "trace": {
-                "msr_csv": args.msr_csv,
-                "scale": args.scale,
-                "days": args.days,
-                "seed": args.seed,
-                "no_trace_cache": args.no_trace_cache,
-                "segments": True,
-                "segments_dir": args.segments_dir,
-                "rows_per_segment": args.rows_per_segment,
-                "chunk_rows": args.chunk_rows,
-            },
-            "policy": name,
-            "fault_plan": (
-                fault_plan.to_dict() if fault_plan is not None else None
-            ),
-        }
-    progress_every = progress_hook = None
-    if args.progress is not None:
-        progress_every = _PROGRESS_CHECK_EVERY
-        progress_hook = _make_heartbeat(
-            args.progress,
-            total_requests=len(store),
-            total_blocks=_streamed_total_blocks(store, args.chunk_rows),
-            days=args.days,
-            epoch_seconds=args.epoch_seconds or 86400.0,
+    A failed run is reported as the suite reports one: a ``FAILED``
+    line on stderr and exit 1.
+    """
+    trace_args = {
+        "msr_csv": args.msr_csv,
+        "scale": args.scale,
+        "days": args.days,
+        "seed": args.seed,
+        "no_trace_cache": args.no_trace_cache,
+    }
+    if streamed:
+        trace, code = _segment_store_for(args)
+        if code is not None:
+            return code
+        trace_args.update(
+            segments=True,
+            segments_dir=args.segments_dir,
+            rows_per_segment=args.rows_per_segment,
+            chunk_rows=args.chunk_rows,
         )
-    result = simulate(
-        store,
-        policy,
-        capacity_blocks=capacity,
-        days=args.days,
-        track_minutes=False,
-        epoch_seconds=args.epoch_seconds,
-        fast_path=args.fast,
-        fault_plan=fault_plan,
-        checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_context=checkpoint_context,
-        label=name,
-        chunk_rows=args.chunk_rows,
-        progress_every=progress_every,
-        progress_hook=progress_hook,
-    )
-    _print_simulation_report(name, result, len(store))
+    else:
+        trace, _days = _load_trace(args)
+    ctx = ExperimentContext(trace=trace, days=args.days, scale=args.scale)
+    try:
+        result = run_policy(
+            name, ctx, track_minutes=False, fast_path=args.fast,
+            fault_plan=fault_plan, epoch_seconds=args.epoch_seconds,
+            checkpoint_path=args.checkpoint,
+            checkpoint_every=args.checkpoint_every,
+            checkpoint_context={
+                "trace": trace_args,
+                "policy": name,
+                "fault_plan": (
+                    fault_plan.to_dict() if fault_plan is not None else None
+                ),
+            },
+            chunk_rows=args.chunk_rows,
+            **_heartbeat(
+                args.progress, trace, args.days, args.epoch_seconds,
+                args.chunk_rows,
+            ),
+        )
+    except Exception as exc:
+        failure = PolicyFailure(name, type(exc).__name__, str(exc), 0)
+        print(f"FAILED {failure}", file=sys.stderr)
+        return 1
+    _print_simulation_report(name, result, len(trace))
     if args.json:
         _save_result_json(result, args.json)
     return 0
@@ -902,41 +867,25 @@ def _run_simulate(args) -> int:
     fault_plan, code = _load_fault_plan(args)
     if code is not None:
         return code
-    if args.segments or args.segments_dir is not None:
-        return _cmd_simulate_segments(args, fault_plan)
-    columns, days = _load_trace(args)
     names = list(dict.fromkeys(args.policies or ["sievestore-c"]))
+    streamed = args.segments or args.segments_dir is not None
+    if streamed or args.checkpoint:
+        return _simulate_single(args, names[0], fault_plan, streamed)
+    columns, days = _load_trace(args)
     ctx = context_for_trace(columns, days=days, scale=args.scale)
-    if args.checkpoint:
-        if len(names) != 1 or args.jobs != 1:
-            print(
-                "error: --checkpoint requires a single --policy and "
-                "--jobs 1",
-                file=sys.stderr,
-            )
-            return 2
-        return _cmd_checkpointed_simulate(
-            args, ctx, names[0], fault_plan, len(columns)
-        )
     jobs = None if args.jobs == 0 else args.jobs
-    on_task_done = progress_every = progress_hook = None
-    if args.progress is not None:
-        on_task_done = _make_task_progress(len(names))
-        if jobs == 1:
-            progress_every = _PROGRESS_CHECK_EVERY
-            progress_hook = _make_heartbeat(
-                args.progress,
-                total_requests=len(columns),
-                total_blocks=int(columns.block_count.sum()),
-                days=days,
-                epoch_seconds=args.epoch_seconds or 86400.0,
-            )
+    on_task_done = (
+        _make_task_progress(len(names)) if args.progress is not None else None
+    )
     results = run_policy_suite(
         ctx, names, track_minutes=False, fast_path=args.fast, jobs=jobs,
         task_timeout=args.task_timeout,
         fault_plan=fault_plan, epoch_seconds=args.epoch_seconds,
         on_task_done=on_task_done,
-        progress_every=progress_every, progress_hook=progress_hook,
+        **_heartbeat(
+            args.progress if jobs == 1 else None, columns, days,
+            args.epoch_seconds,
+        ),
     )
     for name in names:
         if name in results:
@@ -1049,21 +998,11 @@ def _run_shard_replay_cmd(args) -> int:
         on_task_done=on_task_done,
     )
     if run.stats is not None:
-        rows = [
-            [day, d.accesses, round(d.hit_ratio, 3), d.allocation_writes]
-            for day, d in enumerate(run.stats.per_day)
-        ]
-        total = run.stats.total
-        rows.append(
-            ["all", total.accesses, round(total.hit_ratio, 3),
-             total.allocation_writes]
-        )
-        print(render_table(
-            ["day", "block accesses", "capture", "allocation-writes"],
-            rows,
-            title=f"{args.policy} merged over {args.shards} shards "
+        _print_day_table(
+            run.stats,
+            f"{args.policy} merged over {args.shards} shards "
             f"({len(store):,} requests)",
-        ))
+        )
         print()
     _print_outcome_table(run)
     for failure in run.failures.values():

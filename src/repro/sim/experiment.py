@@ -26,12 +26,12 @@ from repro.core.windows import WindowSpec
 from repro.sim.engine import SimulationResult, simulate
 from repro.traces.columnar import BlockCounts, ColumnarTrace
 from repro.traces.model import Trace
+from repro.traces.segments import ChunkSource
 from repro.traces.streams import daily_block_counts
 from repro.util.units import BLOCK_BYTES, GIB
 
 if TYPE_CHECKING:
     from repro.sim.parallel import SuiteRun
-    from repro.traces.segments import ChunkSource
 
 #: Figure 5's configuration keys, in the paper's bar order.
 FIGURE5_POLICIES = (
@@ -64,13 +64,14 @@ class ExperimentContext:
 
     ``trace`` may be held in either in-RAM representation, or be a
     chunk source (segment store / shard view) for streamed replays.
-    Both engines replay :meth:`columnar_trace`; :meth:`object_trace`
-    serves callers that want request objects (conversions are cached).
+    Runs replay a chunk source as is and an in-RAM trace as
+    :meth:`columnar_trace`; :meth:`object_trace` serves callers that
+    want request objects (conversions are cached).
     """
 
     def __init__(
         self,
-        trace: Union[Trace, ColumnarTrace, "ChunkSource"],
+        trace: Union[Trace, ColumnarTrace, ChunkSource],
         days: int,
         scale: float,
         daily_counts: Optional[List[BlockCounts]] = None,
@@ -201,6 +202,14 @@ def build_policy(name: str, ctx: ExperimentContext) -> tuple:
     return factories[name]()
 
 
+def _replayed(ctx: ExperimentContext) -> Union[ColumnarTrace, ChunkSource]:
+    """What a run over ``ctx`` replays: a chunk source streamed as is,
+    an in-RAM trace as columns."""
+    if isinstance(ctx.trace, ChunkSource):
+        return ctx.trace
+    return ctx.columnar_trace()
+
+
 def run_policy(
     name: str,
     ctx: ExperimentContext,
@@ -213,18 +222,23 @@ def run_policy(
     checkpoint_context: Optional[dict] = None,
     progress_every: Optional[int] = None,
     progress_hook=None,
+    chunk_rows: Optional[int] = None,
 ) -> SimulationResult:
     """Build and simulate one configuration; the result is named ``name``.
 
-    ``fault_plan`` (a :class:`~repro.faults.plan.FaultPlan`),
-    ``epoch_seconds``, the checkpoint arguments, and the progress hook
-    are forwarded to :func:`~repro.sim.engine.simulate` unchanged; the
+    The one way a configuration is run: the suite, the shard workers
+    and the CLI all come through here.  A chunk-source context streams
+    its store in ``chunk_rows``-row chunks; an in-RAM one replays
+    :meth:`ExperimentContext.columnar_trace`.  ``fault_plan`` (a
+    :class:`~repro.faults.plan.FaultPlan`), ``epoch_seconds``, the
+    checkpoint arguments, the progress hook and ``chunk_rows`` are
+    forwarded to :func:`~repro.sim.engine.simulate` unchanged; the
     configuration key is the run's label, so e.g. ``aod-16`` and
     ``aod-32`` results and metrics stay distinguishable.
     """
     policy, capacity = build_policy(name, ctx)
     return simulate(
-        ctx.columnar_trace(),
+        _replayed(ctx),
         policy,
         capacity_blocks=capacity,
         days=ctx.days,
@@ -238,6 +252,7 @@ def run_policy(
         label=name,
         progress_every=progress_every,
         progress_hook=progress_hook,
+        chunk_rows=chunk_rows,
     )
 
 
@@ -262,8 +277,11 @@ def run_policy_suite(
     ``jobs`` fans the (independent) policy runs across worker processes
     sharing one serialized columnar trace: ``1`` (default) runs
     serially in-process, ``N > 1`` uses N workers, ``None`` uses all
-    cores (affinity-aware).  Results are identical to a serial run in
-    every mode.
+    cores (affinity-aware); anything below 1 is a ``ValueError``.
+    Results are identical to a serial run in every mode.  A context
+    over a chunk source runs serially only (``jobs > 1`` is refused up
+    front); :func:`~repro.sim.parallel.run_sharded_replay` fans one
+    policy out across a store's shards instead.
 
     Both modes return a :class:`~repro.sim.parallel.SuiteRun`: a
     mapping of policy name to :class:`SimulationResult` for every run
@@ -290,30 +308,23 @@ def run_policy_suite(
     worker process boundary; parallel runs report per task via
     ``on_task_done``.
     """
-    if jobs is None or jobs > 1:
-        from repro.sim.parallel import run_suite_parallel
+    from repro.sim.parallel import _run_suite, default_jobs
 
-        return run_suite_parallel(
-            ctx,
-            names,
-            track_minutes=track_minutes,
-            fast_path=fast_path,
-            jobs=jobs,
-            task_timeout=task_timeout,
-            fault_plan=fault_plan,
-            epoch_seconds=epoch_seconds,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every=checkpoint_every,
-            collect_metrics=collect_metrics,
-            on_task_done=on_task_done,
-        )
-    from repro.sim.parallel import run_suite_serial
-
-    return run_suite_serial(
-        ctx, names, track_minutes=track_minutes, fast_path=fast_path,
+    if jobs == 1:
+        task_timeout = None  # nothing times out an in-process task
+    else:
+        if isinstance(ctx.trace, ChunkSource) and (jobs is None or jobs > 1):
+            raise ValueError(
+                "a chunk-source context runs its suite serially (jobs=1); "
+                "fan one policy out over its shards with run_sharded_replay"
+            )
+        progress_every = progress_hook = None
+    return _run_suite(
+        ctx, names, default_jobs() if jobs is None else jobs, task_timeout,
+        checkpoint_dir, collect_metrics, on_task_done,
+        track_minutes=track_minutes, fast_path=fast_path,
         fault_plan=fault_plan, epoch_seconds=epoch_seconds,
-        checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every,
-        collect_metrics=collect_metrics, on_task_done=on_task_done,
+        checkpoint_every=checkpoint_every,
         progress_every=progress_every, progress_hook=progress_hook,
     )
 
@@ -326,7 +337,7 @@ def sievestore_d_with_threshold(
         SieveStoreDConfig(threshold=threshold, capacity_blocks=ctx.sieved_capacity)
     )
     result = simulate(
-        ctx.columnar_trace(), policy, ctx.sieved_capacity, ctx.days, track_minutes=False
+        _replayed(ctx), policy, ctx.sieved_capacity, ctx.days, track_minutes=False
     )
     result.policy_name = f"sievestore-d(t={threshold})"
     return result
@@ -341,16 +352,14 @@ def sievestore_d_with_epoch(
     shorter epoch does not just demand the daily count inside it (the
     paper's t = 10 is 'per day').
     """
-    from repro.sim.engine import simulate as _simulate
-
     scaled_threshold = max(1, round(threshold * epoch_hours / 24.0))
     policy = SieveStoreD(
         SieveStoreDConfig(
             threshold=scaled_threshold, capacity_blocks=ctx.sieved_capacity
         )
     )
-    result = _simulate(
-        ctx.columnar_trace(),
+    result = simulate(
+        _replayed(ctx),
         policy,
         ctx.sieved_capacity,
         ctx.days,
@@ -380,7 +389,7 @@ def sievestore_c_with_window(
     )
     policy = SieveStoreC(config)
     result = simulate(
-        ctx.columnar_trace(), policy, ctx.sieved_capacity, ctx.days, track_minutes=False
+        _replayed(ctx), policy, ctx.sieved_capacity, ctx.days, track_minutes=False
     )
     label = f"sievestore-c(W={window_hours}h,t1={config.t1},t2={config.t2}"
     if single_tier:

@@ -7,10 +7,10 @@ evaluation needs and hands both to the one fan-out driver,
 :func:`repro.util.fanout.run_tasks`, which owns retries, timeouts, the
 serial fallback, per-task metrics and ``SIEVESTORE_FAULT_INJECT``:
 
-* :func:`run_suite_parallel` — many policies over one trace.  The
-  parent serializes the columnar trace once to a temporary ``.npz``
-  file (far cheaper than pickling object traces per task); each worker
-  loads it once and rebuilds the
+* :func:`~repro.sim.experiment.run_policy_suite` — many policies over
+  one trace.  The parent serializes the columnar trace once to a
+  temporary ``.npz`` file (far cheaper than pickling object traces per
+  task); each worker loads it once and rebuilds the
   :class:`~repro.sim.experiment.ExperimentContext` (per-day block
   counts recomputed vectorized, asserted identical to the reference by
   the test suite); each task pickles its full
@@ -36,7 +36,7 @@ from collections.abc import Mapping
 from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Union
 
 from repro.sim import engine as _engine
 from repro.sim.engine import DEFAULT_CHECKPOINT_EVERY, SimulationResult
@@ -193,7 +193,8 @@ def _run_suite(
     ctx, names, jobs, task_timeout, checkpoint_dir, collect_metrics,
     on_task_done, **options,
 ) -> SuiteRun:
-    """One task per distinct policy name, through the fan-out driver.
+    """One task per distinct policy name, through the fan-out driver:
+    the body of :func:`~repro.sim.experiment.run_policy_suite`.
 
     ``options`` are the :func:`~repro.sim.experiment.run_policy` keyword
     arguments every task shares.
@@ -250,100 +251,6 @@ def _run_suite(
     )
 
 
-def run_suite_serial(
-    ctx,
-    names: Sequence[str],
-    track_minutes: bool = True,
-    fast_path: bool = False,
-    fault_plan=None,
-    epoch_seconds=None,
-    checkpoint_dir=None,
-    checkpoint_every=None,
-    collect_metrics: Optional[bool] = None,
-    on_task_done=None,
-    progress_every=None,
-    progress_hook=None,
-) -> SuiteRun:
-    """In-process reference execution of a policy suite.
-
-    Same partial-result semantics and manifest as
-    :func:`run_suite_parallel` (executor ``"serial"``, no retries), so
-    callers can treat ``jobs=1`` and ``jobs=N`` runs uniformly.
-    ``collect_metrics`` / ``on_task_done`` also behave identically.
-    ``progress_every`` / ``progress_hook`` (serial-only: hooks cannot
-    cross the process boundary) forward to each run's engine loop.
-    """
-    return _run_suite(
-        ctx, names, 1, None, checkpoint_dir, collect_metrics, on_task_done,
-        track_minutes=track_minutes, fast_path=fast_path,
-        fault_plan=fault_plan, epoch_seconds=epoch_seconds,
-        checkpoint_every=checkpoint_every,
-        progress_every=progress_every, progress_hook=progress_hook,
-    )
-
-
-def run_suite_parallel(
-    ctx,
-    names: Sequence[str],
-    track_minutes: bool = True,
-    fast_path: bool = True,
-    jobs: Optional[int] = None,
-    task_timeout: Optional[float] = None,
-    fault_plan=None,
-    epoch_seconds=None,
-    checkpoint_dir=None,
-    checkpoint_every=None,
-    collect_metrics: Optional[bool] = None,
-    on_task_done=None,
-) -> SuiteRun:
-    """Run the named policy configurations across worker processes.
-
-    Args:
-        ctx: the parent's :class:`ExperimentContext`; only its columnar
-            trace and scalar parameters cross the process boundary.
-        names: policy configuration keys (see
-            :func:`repro.sim.experiment.build_policy`).  Duplicates are
-            deduplicated up front (first-occurrence order); an empty
-            sequence returns an empty :class:`SuiteRun` without
-            spinning up a pool.
-        track_minutes: forwarded to every run.
-        fast_path: forwarded to every run (defaults on — the whole
-            point of fanning out is throughput).
-        jobs: worker processes; ``None`` uses :func:`default_jobs`
-            (affinity-aware core count).
-        task_timeout: seconds to wait for one task's result before
-            retrying it (and, on a second timeout, recording a
-            ``"timeout"`` failure).  ``None`` waits forever.
-        fault_plan: a :class:`~repro.faults.plan.FaultPlan` applied to
-            every run (picklable; its fingerprint is recorded per task).
-        checkpoint_dir: when set, each task writes crash-consistent
-            checkpoints to ``<dir>/<policy>.ckpt`` (metadata recorded
-            per task in the manifest).
-        checkpoint_every: requests between checkpoints (engine default
-            when None).
-        collect_metrics: gather per-task metrics snapshots (each task
-            runs under a fresh scoped registry, snapshots ship back and
-            merge) and emit a v3 manifest.  ``None`` (default) follows
-            the process-wide observability switch, so runs with
-            observability off stay byte-identical to v2.
-        on_task_done: optional callable receiving each finished task's
-            :class:`TaskRecord` as it completes (CLI progress).
-
-    Returns a :class:`SuiteRun`: a mapping of successful results in
-    ``names`` order, plus :attr:`~SuiteRun.failures` and the run
-    :attr:`~SuiteRun.manifest`.  Worker death, task exceptions, and
-    timeouts degrade (retry once, then serial fallback / failure
-    records) instead of discarding completed results.
-    """
-    return _run_suite(
-        ctx, names, default_jobs() if jobs is None else jobs, task_timeout,
-        checkpoint_dir, collect_metrics, on_task_done,
-        track_minutes=track_minutes, fast_path=fast_path,
-        fault_plan=fault_plan, epoch_seconds=epoch_seconds,
-        checkpoint_every=checkpoint_every,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Shard-level replay: one policy, the trace partitioned across workers.
 # ---------------------------------------------------------------------------
@@ -397,7 +304,7 @@ def _replay_shard(
     :class:`CacheStats` — the merged statistics are the product;
     per-shard cache/policy objects never cross the process boundary.
     """
-    from repro.sim.experiment import ExperimentContext, build_policy
+    from repro.sim.experiment import ExperimentContext, run_policy
     from repro.sim.serialize import CheckpointError
 
     _engine._reset_fallback_warnings()
@@ -428,18 +335,14 @@ def _replay_shard(
         daily_counts=view.daily_block_counts(days, chunk_rows=chunk_rows),
         seed=seed,
     )
-    policy, capacity = build_policy(policy_name, ctx)
-    result = _engine.simulate(
-        view,
-        policy,
-        capacity_blocks=capacity,
-        days=days,
+    result = run_policy(
+        policy_name,
+        ctx,
         track_minutes=track_minutes,
-        epoch_seconds=epoch_seconds,
         fast_path=fast_path,
+        epoch_seconds=epoch_seconds,
         checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every,
-        label=policy_name,
         chunk_rows=chunk_rows,
     )
     return result.engine, result.stats
@@ -497,9 +400,10 @@ def run_sharded_replay(
 ) -> ShardedReplayRun:
     """Replay **one** policy with the ensemble partitioned across workers.
 
-    The dual of :func:`run_suite_parallel`: instead of many policies
-    over one shared trace, one policy over many disjoint shards of the
-    trace.  The coordinator slices the segment store by server id
+    The dual of :func:`~repro.sim.experiment.run_policy_suite`:
+    instead of many policies over one shared trace, one policy over
+    many disjoint shards of the trace.  The coordinator slices the
+    segment store by server id
     (:func:`repro.traces.segments.shard_of_servers` — every block of a
     server lands on exactly one shard, so shards are closed
     subsystems), fans the shards across worker processes that open the

@@ -1,5 +1,7 @@
 """Experiment registry: configuration keys and scaled sizing."""
 
+import json
+
 import pytest
 
 from repro.cache.allocation import AllocateOnDemand, WriteMissNoAllocate
@@ -9,11 +11,16 @@ from repro.core.sievestore_c import SieveStoreC
 from repro.core.sievestore_d import SieveStoreD
 from repro.sim.experiment import (
     FIGURE5_POLICIES,
+    ExperimentContext,
     build_policy,
     run_policy,
+    run_policy_suite,
     sievestore_c_with_window,
+    sievestore_d_with_epoch,
     sievestore_d_with_threshold,
 )
+from repro.sim.serialize import stats_to_dict
+from repro.traces.segments import segment_columnar
 from repro.util.units import GIB
 
 
@@ -89,3 +96,87 @@ class TestRunners:
         )
         assert result.policy.config.single_tier_admission
         assert "single-tier" in result.policy_name
+
+
+def stats_digest(result) -> str:
+    return json.dumps(stats_to_dict(result.stats), sort_keys=True)
+
+
+@pytest.fixture(scope="module")
+def tiny_store(tiny_context, tmp_path_factory):
+    """The shared trace as an on-disk segment store (several segments)."""
+    directory = tmp_path_factory.mktemp("context-store") / "store"
+    return segment_columnar(
+        tiny_context.columnar_trace(), directory, rows_per_segment=8000
+    )
+
+
+@pytest.fixture(params=["segment-store", "shard-view"])
+def store_context(request, tiny_store, tiny_context):
+    """A context over a chunk source: the whole store, or its one shard."""
+    source = tiny_store if request.param == "segment-store" else (
+        tiny_store.shard(0, 1)
+    )
+    return ExperimentContext(
+        trace=source, days=tiny_context.days, scale=tiny_context.scale
+    )
+
+
+class TestStoreBackedContext:
+    """A chunk-source context runs wherever an in-RAM context does, with
+    the same statistics."""
+
+    @pytest.mark.parametrize(
+        "name,fast_path",
+        [
+            ("ideal", True),
+            ("sievestore-c", True),
+            ("sievestore-c", False),
+            ("wmna-16", True),
+        ],
+    )
+    def test_run_policy_matches_columns(
+        self, tiny_context, store_context, name, fast_path
+    ):
+        expected = run_policy(
+            name, tiny_context, track_minutes=False, fast_path=fast_path
+        )
+        streamed = run_policy(
+            name, store_context, track_minutes=False, fast_path=fast_path,
+            chunk_rows=2500,
+        )
+        assert streamed.policy_name == name
+        assert stats_digest(streamed) == stats_digest(expected)
+
+    def test_serial_suite_matches_columns(self, tiny_context, store_context):
+        names = ("ideal", "aod-16")
+        expected = run_policy_suite(
+            tiny_context, names, track_minutes=False, fast_path=True, jobs=1
+        )
+        suite = run_policy_suite(
+            store_context, names, track_minutes=False, fast_path=True, jobs=1
+        )
+        assert suite.ok, suite.failures
+        for name in names:
+            assert stats_digest(suite[name]) == stats_digest(expected[name])
+
+    def test_sensitivity_helper_matches_columns(
+        self, tiny_context, store_context
+    ):
+        expected = sievestore_d_with_epoch(tiny_context, epoch_hours=12.0)
+        streamed = sievestore_d_with_epoch(store_context, epoch_hours=12.0)
+        assert streamed.policy_name == expected.policy_name
+        assert stats_digest(streamed) == stats_digest(expected)
+
+    @pytest.mark.parametrize("jobs", [2, None])
+    def test_parallel_suite_refused_before_any_pool(
+        self, store_context, jobs, monkeypatch
+    ):
+        from repro.sim import parallel
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(parallel, "run_tasks", no_pool)
+        with pytest.raises(ValueError, match="run_sharded_replay"):
+            run_policy_suite(store_context, ("aod-16",), jobs=jobs)

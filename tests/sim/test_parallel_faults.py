@@ -20,8 +20,6 @@ from repro.sim.parallel import (
     PolicyFailure,
     SuiteRun,
     default_jobs,
-    run_suite_parallel,
-    run_suite_serial,
 )
 
 SUITE = ("ideal", "sievestore-d", "aod-16")
@@ -29,8 +27,8 @@ SUITE = ("ideal", "sievestore-d", "aod-16")
 
 @pytest.fixture(scope="module")
 def serial_reference(tiny_context):
-    return run_suite_serial(
-        tiny_context, SUITE, track_minutes=True, fast_path=True
+    return run_policy_suite(
+        tiny_context, SUITE, track_minutes=True, fast_path=True, jobs=1
     )
 
 
@@ -45,7 +43,7 @@ class TestInjectedTaskFailure:
         self, tiny_context, serial_reference, monkeypatch
     ):
         monkeypatch.setenv(FAULT_ENV_VAR, "raise:sievestore-d")
-        run = run_suite_parallel(
+        run = run_policy_suite(
             tiny_context, SUITE, track_minutes=True, fast_path=True, jobs=2
         )
         assert set(run) == {"ideal", "aod-16"}
@@ -67,7 +65,7 @@ class TestInjectedWorkerCrash:
     ):
         monkeypatch.setenv(FAULT_ENV_VAR, "crash:sievestore-d")
         with pytest.warns(RuntimeWarning, match="worker pool broke"):
-            run = run_suite_parallel(
+            run = run_policy_suite(
                 tiny_context, SUITE, track_minutes=True, fast_path=True,
                 jobs=2,
             )
@@ -88,7 +86,7 @@ class TestFlakyTaskRetry:
     ):
         marker = tmp_path / "flaky-marker"
         monkeypatch.setenv(FAULT_ENV_VAR, f"flaky:aod-16:{marker}")
-        run = run_suite_parallel(
+        run = run_policy_suite(
             tiny_context, SUITE, track_minutes=True, fast_path=True, jobs=2
         )
         assert run.ok
@@ -109,7 +107,7 @@ class TestTaskTimeout:
         # retry), and the timeout must leave the healthy task plenty of
         # room for worker startup on a loaded single-core machine.
         monkeypatch.setenv(FAULT_ENV_VAR, "hang:aod-16:10.0")
-        run = run_suite_parallel(
+        run = run_policy_suite(
             tiny_context, ("ideal", "aod-16"), track_minutes=False,
             fast_path=True, jobs=2, task_timeout=2.0,
         )
@@ -123,9 +121,9 @@ class TestTaskTimeout:
 
 class TestNamesHygiene:
     def test_duplicates_deduped_preserving_order(self, tiny_context):
-        run = run_suite_parallel(
+        run = run_policy_suite(
             tiny_context, ("aod-16", "aod-16", "ideal", "aod-16"),
-            track_minutes=False, jobs=2,
+            track_minutes=False, fast_path=True, jobs=2,
         )
         assert list(run) == ["aod-16", "ideal"]
         assert run.manifest["requested"] == [
@@ -135,7 +133,7 @@ class TestNamesHygiene:
         assert len(run.manifest["tasks"]) == 2
 
     def test_empty_names_returns_empty_without_pool(self, tiny_context):
-        run = run_suite_parallel(tiny_context, (), jobs=4)
+        run = run_policy_suite(tiny_context, (), fast_path=True, jobs=4)
         assert len(run) == 0
         assert run.ok
         assert run.manifest["tasks"] == []
@@ -164,7 +162,7 @@ class TestDefaultJobs:
 
 class TestManifest:
     def test_schema_and_save(self, tiny_context, tmp_path):
-        run = run_suite_parallel(
+        run = run_policy_suite(
             tiny_context, ("aod-16",), track_minutes=False,
             fast_path=True, jobs=2,
         )
@@ -184,7 +182,7 @@ class TestManifest:
         assert task["wall_seconds"] > 0
 
     def test_engine_records_object_path(self, tiny_context):
-        run = run_suite_parallel(
+        run = run_policy_suite(
             tiny_context, ("aod-16",), track_minutes=False,
             fast_path=False, jobs=2,
         )
@@ -208,8 +206,9 @@ class TestSerialSuiteRun:
         self, tiny_context, monkeypatch
     ):
         monkeypatch.setenv(FAULT_ENV_VAR, "raise:aod-16")
-        run = run_suite_serial(
-            tiny_context, ("ideal", "aod-16"), track_minutes=False
+        run = run_policy_suite(
+            tiny_context, ("ideal", "aod-16"), track_minutes=False,
+            fast_path=False, jobs=1,
         )
         assert "ideal" in run
         assert run.failures["aod-16"].error_type == "InjectedWorkerFault"

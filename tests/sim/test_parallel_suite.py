@@ -6,11 +6,7 @@ import pytest
 
 from repro.faults import FaultPlan, OutageWindow
 from repro.sim.experiment import run_policy_suite
-from repro.sim.parallel import (
-    MANIFEST_SCHEMA_VERSION,
-    default_jobs,
-    run_suite_parallel,
-)
+from repro.sim.parallel import MANIFEST_SCHEMA_VERSION, default_jobs
 
 #: A small but representative slice: oracle, discrete sieve, unsieved.
 SUITE = ("ideal", "sievestore-d", "aod-16")
@@ -62,15 +58,21 @@ def test_object_path_through_workers(tiny_context):
 
 def test_results_keyed_in_request_order(tiny_context):
     names = ("aod-16", "ideal")
-    results = run_suite_parallel(
-        tiny_context, names, track_minutes=False, jobs=2
+    results = run_policy_suite(
+        tiny_context, names, track_minutes=False, fast_path=True, jobs=2
     )
     assert list(results) == list(names)
 
 
 def test_invalid_jobs_rejected(tiny_context):
     with pytest.raises(ValueError):
-        run_suite_parallel(tiny_context, SUITE, jobs=-1)
+        run_policy_suite(tiny_context, SUITE, fast_path=True, jobs=-1)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_nonpositive_jobs_rejected_not_run_serially(tiny_context, jobs):
+    with pytest.raises(ValueError, match="jobs must be positive"):
+        run_policy_suite(tiny_context, ("aod-16",), jobs=jobs)
 
 
 def test_default_jobs_positive():
@@ -104,6 +106,15 @@ class TestManifestMetadata:
             }
         # The per-task checkpoint files were actually written.
         assert (tmp_path / "aod-16.ckpt").exists()
+
+    def test_serial_run_records_no_task_timeout(self, tiny_context):
+        # Nothing times out an in-process task, so the serial manifest
+        # says so whatever the caller passed.
+        results = run_policy_suite(
+            tiny_context, ("aod-16",), track_minutes=False, jobs=1,
+            task_timeout=60.0,
+        )
+        assert results.manifest["task_timeout"] is None
 
     def test_manifest_serialization_round_trip(self, tiny_context, tmp_path):
         plan = FaultPlan(outages=(OutageWindow(1e9,),))

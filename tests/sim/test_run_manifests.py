@@ -9,12 +9,8 @@ import json
 
 import pytest
 
-from repro.sim.parallel import (
-    FAULT_ENV_VAR,
-    run_sharded_replay,
-    run_suite_parallel,
-    run_suite_serial,
-)
+from repro.sim.experiment import run_policy_suite
+from repro.sim.parallel import FAULT_ENV_VAR, run_sharded_replay
 from repro.traces import tiny_config
 from repro.traces.segments import segment_columnar
 from repro.traces.synthetic import EnsembleTraceGenerator
@@ -55,9 +51,9 @@ def task(policy, executor="pool", retries=0, checkpoint=None, **changes):
 
 
 def test_suite_manifest_schema_2_bytes(tiny_context, tmp_path):
-    run = run_suite_parallel(
+    run = run_policy_suite(
         tiny_context, ("ideal", "aod-16", "ideal"), track_minutes=False,
-        jobs=2, task_timeout=60.0, checkpoint_dir=tmp_path,
+        fast_path=True, jobs=2, task_timeout=60.0, checkpoint_dir=tmp_path,
         checkpoint_every=5000,
     )
     expected = {
@@ -82,7 +78,10 @@ def test_suite_manifest_schema_2_bytes(tiny_context, tmp_path):
 
 def test_serial_suite_failure_manifest_bytes(tiny_context, monkeypatch):
     monkeypatch.setenv(FAULT_ENV_VAR, "raise:aod-16")
-    run = run_suite_serial(tiny_context, ("aod-16",), track_minutes=False)
+    run = run_policy_suite(
+        tiny_context, ("aod-16",), track_minutes=False, fast_path=False,
+        jobs=1,
+    )
     expected = {
         "schema": 2,
         "requested": ["aod-16"],
@@ -102,9 +101,9 @@ def test_serial_suite_failure_manifest_bytes(tiny_context, monkeypatch):
 
 
 def test_suite_manifest_schema_3_layout(tiny_context):
-    run = run_suite_parallel(
+    run = run_policy_suite(
         tiny_context, ("aod-16", "sievestore-c"), track_minutes=False,
-        jobs=2, collect_metrics=True,
+        fast_path=True, jobs=2, collect_metrics=True,
     )
     manifest = run.manifest
     assert manifest["schema"] == 3

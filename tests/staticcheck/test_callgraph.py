@@ -224,7 +224,7 @@ def test_global_mutation_inside_a_real_worker_trips_svl008():
     (rule,) = [r for r in all_rules() if r.meta.code == "SVL008"]
     for anchor in (
         "    from repro.sim.experiment import run_policy\n",
-        "    from repro.sim.experiment import ExperimentContext, build_policy\n",
+        "    from repro.sim.experiment import ExperimentContext, run_policy\n",
     ):
         project = _real_project((
             "parallel.py",

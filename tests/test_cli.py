@@ -15,6 +15,18 @@ def isolated_trace_cache(tmp_path_factory, monkeypatch):
     monkeypatch.setenv("SIEVESTORE_TRACE_CACHE", str(cache))
 
 
+#: The two single-run trace routes: the in-RAM columns and a segment
+#: store streamed from ``<tmp>/segments``.
+ROUTES = ("ram", "segments")
+
+
+def route_args(route: str, tmp_path) -> list:
+    """``simulate`` flags that select ``route``."""
+    if route == "segments":
+        return ["--segments-dir", str(tmp_path / "segments")]
+    return []
+
+
 def stable_lines(out: str) -> str:
     """Drop wall-clock timing lines, which legitimately vary run to run."""
     return "\n".join(
@@ -120,6 +132,12 @@ class TestInputValidation:
         assert exc.value.code == 2
         assert "--epoch-seconds" in capsys.readouterr().err
 
+    def test_rejects_negative_jobs(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", *TINY, "--jobs", "-2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
     def test_rejects_nonpositive_checkpoint_cadence(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--checkpoint-every", "0"])
@@ -196,9 +214,13 @@ class TestFaultAndCheckpointFlows:
         assert "device health:" in out
         assert "bypass 86,400s" in out
 
-    def test_checkpoint_then_resume_matches_uninterrupted(self, tmp_path,
-                                                          capsys):
-        base_args = ["simulate", *TINY, "--policy", "sievestore-d"]
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_checkpoint_then_resume_matches_uninterrupted(self, route,
+                                                          tmp_path, capsys):
+        base_args = [
+            "simulate", *TINY, "--policy", "sievestore-d",
+            *route_args(route, tmp_path),
+        ]
         assert main(base_args) == 0
         baseline = capsys.readouterr().out
         ckpt = tmp_path / "run.ckpt"
@@ -212,6 +234,46 @@ class TestFaultAndCheckpointFlows:
         assert main(["simulate", "--resume", str(ckpt)]) == 0
         resumed = capsys.readouterr().out
         assert stable_lines(resumed) == stable_lines(baseline)
+
+
+    def test_single_run_routes_write_the_same_stats(self, tmp_path,
+                                                    capsys):
+        import json
+
+        segments = ["--segments-dir", str(tmp_path / "segments")]
+        runs = {
+            "columns": ["simulate", *TINY, "--fast"],
+            "streamed": ["simulate", *TINY, "--fast", *segments],
+            "sharded": [
+                "shard-replay", *TINY, "--shards", "1", "--jobs", "1",
+                *segments,
+            ],
+        }
+        payloads = {}
+        for label, args in runs.items():
+            target = tmp_path / f"{label}.json"
+            assert main([*args, "--json", str(target)]) == 0
+            payloads[label] = json.loads(target.read_text())["stats"]
+        capsys.readouterr()
+        assert payloads["streamed"] == payloads["columns"]
+        assert payloads["sharded"] == payloads["columns"]
+
+    @pytest.mark.parametrize("route", ["suite", "checkpoint", "segments"])
+    def test_failed_policy_reports_without_traceback(self, route, tmp_path,
+                                                     capsys):
+        # `ideal` refuses a non-daily epoch before it replays.
+        extra = {
+            "suite": [],
+            "checkpoint": ["--checkpoint", str(tmp_path / "run.ckpt")],
+            "segments": route_args("segments", tmp_path),
+        }[route]
+        assert main([
+            "simulate", *TINY, "--policy", "ideal",
+            "--epoch-seconds", "43200", *extra,
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "FAILED ideal: ValueError: " in err
+        assert "Traceback" not in err
 
 
 class TestObservabilityOutputs:
