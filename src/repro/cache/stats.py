@@ -9,7 +9,8 @@ counts here are in 512-byte block units.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Dict, List, Tuple, Union
 
 import numpy as np
@@ -80,6 +81,11 @@ class DayStats:
         return self.write_hits + self.allocation_writes
 
 
+#: One day's counters as a tuple, in field order (what ``astuple``
+#: gives, without its deep copy of every field).
+_day_row = attrgetter(*(field.name for field in fields(DayStats)))
+
+
 @dataclass
 class MinuteIO:
     """Per-minute SSD read/write op counts, in 4-KB I/O units.
@@ -131,7 +137,7 @@ class CacheStats:
             "days": self.days,
             "track_minutes": self.track_minutes,
             "per_day": np.array(
-                [astuple(day) for day in self.per_day], dtype=np.int64
+                [_day_row(day) for day in self.per_day], dtype=np.int64
             ),
             "minutes": np.fromiter(minutes, dtype=np.int64, count=len(minutes)),
             "minute_reads": np.fromiter(

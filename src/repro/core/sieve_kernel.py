@@ -17,52 +17,56 @@ copied in at run start or written back at a checkpoint.
   :meth:`~repro.core.sievestore_c.SieveStoreC.wants_hashed`).
 
 * :class:`SieveStoreCKernel` — splits each chunk of requests into *runs*
-  sharing one subwindow index and, per run, classifies every touched
-  slot:
+  sharing one subwindow index and settles each run in one vectorized
+  pass at its head.  A touched slot is
 
   - **cold** when ``live windowed total at the run's head + the run's
     blocks hashing to the slot < t1``.  A recording adds at most one to
     a slot's total, so no order of hits, misses, promotions or
     admissions inside the run can make a recording on a cold slot
-    return ``>= t1``: every non-resident, non-MCT block on it is an IMCT
-    rejection.  Rejections change nothing but the slot's own cells, so
-    they commute, and the engine defers them to one vectorized
-    :meth:`~SieveStoreCKernel.flush` (it only notes, by block position,
-    the cold blocks that hit or went to tier 2 instead);
-  - **hot** otherwise: the engine walks those blocks, in order, through
-    the policy's own ladder
-    (:meth:`~repro.core.sievestore_c.SieveStoreC.tier1`).  A slot is hot
-    or cold for a whole run, so the two never write the same cells.
+    return ``>= t1``;
+  - **hot** otherwise.  A slot is hot or cold for a whole run.
 
-  Admission decisions stay order-dependent (a hit depends on the LRU
-  resident set, which every admission mutates), which is why only the
-  provably inert recordings are batched — and only on runs long enough
-  to repay it (:data:`_BATCH_MIN_BLOCKS`).
+  and, against sorted snapshots of the cache's resident addresses and
+  the MCT's keys, every block of the run is exactly one of
 
-  The engine *visits* a request only if one of its slots is hot or
-  **occupied** — the kernel counts, per slot, the resident and
-  MCT-tracked blocks hashing to it.  Within a run a block enters the
-  cache or the MCT only through a recording that reaches ``t1`` on its
-  own slot (never a cold one) or out of the MCT (counted already), and
-  removals only leave the count too high: a request whose slots are all
-  cold and unoccupied at the run's head meets nothing resident or
-  tracked anywhere in the run, and is left wholly to the flush.  The
-  count can only err towards "occupied" — the exact walk — saturation
-  included.
+  - a **hit**: resident at the run's head.  The kernel counts each
+    request's hits and hands the engine their addresses, in access
+    order, for the recency moves;
+  - a **cold rejection**: on a cold slot, neither resident nor
+    MCT-tracked.  Nothing in the run can make it either (entering the
+    cache or the MCT takes a recording that reaches ``t1`` on the
+    block's own slot), so it is an IMCT rejection whatever happens
+    around it.  Rejections change nothing but their slot's own cells,
+    so they commute, and :meth:`~SieveStoreCKernel.flush` records them
+    in one vectorized pass;
+  - an **event**: not resident, and on a hot slot or MCT-tracked.  The
+    engine walks the events, in order, through the policy's own ladder
+    (:meth:`~repro.core.sievestore_c.SieveStoreC.tier1` /
+    :meth:`~repro.core.sievestore_c.SieveStoreC.tier2`).
+
+  Only an eviction can unsettle the head's verdict: a block evicted
+  mid-run stops being a hit for the rest of it, so
+  :meth:`~SieveStoreCKernel.evict` rewrites its later accesses — into
+  rejections on a cold slot (the cold bound already counts every block
+  of the run), into events on a hot one.  A block admitted mid-run was
+  an event at every access of the run, so the ladder sees its hits.
+  Runs too short to repay the pass (:data:`_BATCH_MIN_BLOCKS`) are
+  classified all-hot: every block not resident is an event.
 
 Equivalence contract: driven over the same miss stream, the table's
 state and every telemetry counter are bit-identical to the object
-sieve's — ``tests/sim/test_sieve_equivalence.py`` enforces this against
-:class:`~repro.cache.stats.CacheStats` and the sieve metastate, and
-``tests/core/test_sieve_kernel.py`` property-tests classify + flush
-against sequential ``record_miss`` calls, and the visit list against a
-model cache and MCT.
+sieve's — ``tests/sim/test_sieve_equivalence.py`` and
+``tests/sim/test_sieve_differential.py`` enforce this against
+:class:`~repro.cache.stats.CacheStats`, the LRU order and the sieve
+metastate, and ``tests/core/test_sieve_kernel.py`` property-tests
+classify + flush against sequential ``record_miss`` calls, and the
+classes against a model cache and MCT.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Iterable, List, Optional, Tuple
+from typing import Collection, List, Optional, Tuple
 
 import numpy as np
 
@@ -83,11 +87,6 @@ _SHIFT31 = np.uint64(31)
 #: Blocks a run needs before batching beats walking it (measured: ~85 us
 #: of per-run numpy overhead); either side leaves the same table state.
 _BATCH_MIN_BLOCKS = 128
-
-#: Ceiling of a slot's one-byte occupancy count.  A slot that reaches it
-#: is never decremented again, so a count that overflowed cannot read
-#: zero with blocks still on the slot.
-_OCCUPANCY_SATURATED = 255
 
 
 def mix64_array(values: np.ndarray) -> np.ndarray:
@@ -183,70 +182,47 @@ def supports(policy: AllocationPolicy) -> bool:
     return type(policy) is SieveStoreC
 
 
+def _members(values: np.ndarray, keys: Collection[int]) -> np.ndarray:
+    """Per entry of ``values``, whether it is one of ``keys``: one sort
+    of a snapshot of the keys, then one binary search per value."""
+    if not len(keys):
+        return np.zeros(len(values), dtype=bool)
+    snapshot = np.sort(np.fromiter(keys, np.int64, len(keys)))
+    at = np.minimum(np.searchsorted(snapshot, values), len(snapshot) - 1)
+    return snapshot[at] == values
+
+
 class SieveStoreCKernel:
-    """Per-run cold/hot classification and bulk recording for the fast engine.
+    """Per-run classification and bulk recording for the fast engine.
 
     Protocol, per window of requests: :meth:`precompute_chunk` hashes
     the window's blocks once and finds its subwindow runs; then for each
-    run in turn :meth:`begin_run` classifies it and hands the engine its
-    per-request / per-block tables, the engine replays the run's
-    visited requests (appending to :attr:`skipped`, and reporting what
-    enters and leaves ``resident`` and the MCT through :meth:`occupy` /
-    :meth:`vacate`), and :meth:`flush` records the deferred cold-slot
-    misses — wholly at the run's end, or up to a block position at a
-    mid-run checkpoint; partial flushes compose.
-    Every decision the kernel cannot batch is the policy's own: hot-slot
-    misses take :meth:`~repro.core.sievestore_c.SieveStoreC.tier1`, MCT
-    members :meth:`~repro.core.sievestore_c.SieveStoreC.tier2`, and the
+    run in turn :meth:`begin_run` flushes the previous run and sorts
+    this one's blocks into hits, cold rejections and events, and the
+    engine walks :meth:`events` through the ladder.  Before anything it
+    does reorders the cache it moves the hits that came first
+    (:meth:`recency`); it reports each eviction to :meth:`evict` and
+    each cold event the ladder turned away to :meth:`reject`; and
+    :meth:`flush` records the rejections — wholly at the run's end, or
+    up to a block position at a mid-run stop; partial flushes compose.
+    Every decision the kernel cannot batch is the policy's own, and the
     flush keeps ``imct_rejections`` current, so the policy object is
     the whole sieve state after any flush.
     """
 
-    def __init__(self, policy: SieveStoreC, resident: Iterable[int] = ()):
+    def __init__(self, policy: SieveStoreC, resident: Collection[int] = ()):
         if not supports(policy):
             raise TypeError(
                 f"kernel requires a plain SieveStoreC, got {type(policy).__name__}"
             )
         self.policy = policy
         self.imct = policy.imct
-        self.k = self.imct.window.subwindows
-        self.n_slots = self.imct.slots
-        #: Positions, within the current run's blocks, of cold-slot
-        #: blocks that were *not* IMCT misses (resident, or counted by
-        #: the MCT); the engine appends, :meth:`flush` leaves them out.
-        #: By position, not address: which of two equal addresses is
-        #: left out decides the collision count.
-        self.skipped: List[int] = []
-        #: The current run: per block, whether its slot is cold; and how
-        #: many blocks (by position) have been flushed.
-        self._cold = np.zeros(0, dtype=bool)
+        #: The cache's resident addresses (live), snapshotted per run.
+        self.resident = resident
+        #: The current run, per block: whether the flush records it;
+        #: and how many blocks (by position) have been flushed.
+        self._rejected = np.zeros(0, dtype=bool)
         self._flushed = 0
-        #: Per slot, how many ``resident`` or MCT-tracked blocks hash to
-        #: it.  Derived state: counted here, never checkpointed.
-        self.occupancy = bytearray(self.n_slots)
-        held = np.fromiter(chain(resident, policy.mct._counters), np.int64)
-        slots, counts = np.unique(
-            bucket_array(held, self.n_slots, self.imct._salted),
-            return_counts=True,
-        )
-        np.frombuffer(self.occupancy, dtype=np.uint8)[slots] = np.minimum(
-            counts, _OCCUPANCY_SATURATED
-        )
-
-    def occupy(self, slot: int) -> None:
-        """A block on ``slot`` entered the cache or the MCT from outside
-        both (a promotion, a single-tier admission; a tier-2 admission
-        only moves its block from one to the other)."""
-        count = self.occupancy[slot]
-        if count < _OCCUPANCY_SATURATED:
-            self.occupancy[slot] = count + 1
-
-    def vacate(self, address: int) -> None:
-        """``address`` left the cache (evicted) or the MCT (pruned)."""
-        slot = self.imct.slot_of(address)
-        count = self.occupancy[slot]
-        if count < _OCCUPANCY_SATURATED:
-            self.occupancy[slot] = count - 1
 
     def precompute_chunk(
         self,
@@ -278,20 +254,13 @@ class SieveStoreCKernel:
         self._next_run = 0
         return len(self._run_rows) - 1
 
-    def begin_run(
-        self,
-    ) -> Tuple[int, List[int], List[int], List[int], List[int]]:
+    def begin_run(self) -> Tuple[int, np.ndarray, np.ndarray]:
         """Classify the window's next run; flushes the previous one.
 
-        Returns ``(requests, subs, visit, starts, cis)``: the run's
-        request count; per request its subwindow index (one value
-        throughout, except over a stretch of fused short runs); the
-        requests the engine must walk, ascending — those with a block on
-        a hot or an occupied slot, every other being nothing but
-        rejections the flush records; per request the position of its
-        first block (one extra entry closes the last request); per block
-        the flat index of its count cell, ``(sub % k) * n_slots + slot``,
-        or -1 on a cold slot.
+        Returns ``(requests, starts, hits)``: the run's request count;
+        per request the position of its first block (one extra entry
+        closes the last); per request its hits — blocks resident at the
+        run's head, which :meth:`evict` may yet take back.
         """
         self.flush()
         run = self._next_run
@@ -300,57 +269,100 @@ class SieveStoreCKernel:
         starts = self._offsets[row:end_row + 1]
         first_block, end_block = int(starts[0]), int(starts[-1])
         starts = starts - first_block
+        # One subwindow throughout, except over a stretch of fused
+        # short runs, which is all-hot and defers nothing.
         subs = self._subs[row:end_row]
-        sub = int(subs[0])
         slots = self._slots[first_block:end_block]
+        addresses = self._blocks[first_block:end_block]
         if self._all_hot[run]:
             cold = np.zeros(len(slots), dtype=bool)
-            block_subs = np.repeat(subs, np.diff(starts))
         else:
-            # Classify per distinct slot; each block gets its slot's flag.
-            unique, inverse, sizes = np.unique(
-                slots, return_inverse=True, return_counts=True
-            )
-            totals = self.imct.live_totals(unique, sub)
-            cold = (totals + sizes < self.policy.config.t1)[inverse]
-            block_subs = sub
-        self.skipped.clear()
-        self._sub = sub
-        self._run_slots = slots
-        self._cold = cold
-        self._addresses = self._blocks[first_block:end_block]
-        self._flushed = 0
-        occupied = np.frombuffer(self.occupancy, dtype=np.uint8)[slots] != 0
-        visit = np.flatnonzero(
-            np.logical_or.reduceat(~cold | occupied, starts[:-1])
-        )
-        cis = np.where(cold, -1, block_subs % self.k * self.n_slots + slots)
-        columns = (subs, visit, starts, cis)
-        return (end_row - row, *(column.tolist() for column in columns))
+            # Each block against its slot's head total plus the run's
+            # blocks on the slot.
+            sizes = np.bincount(slots)[slots]
+            totals = self.imct.live_totals(slots, int(subs[0]))
+            cold = totals + sizes < self.policy.config.t1
+        hit = _members(addresses, self.resident)
+        tracked = _members(addresses, self.policy.mct._counters)
+        self._rejected = cold & ~hit & ~tracked
+        self._event = ~(hit | self._rejected)
+        self._hit, self._cold, self._starts = hit, cold, starts
+        self._run_subs, self._run_slots, self._addresses = subs, slots, addresses
+        self._flushed = self._moved = 0
+        self._index_hits()
+        return end_row - row, starts, np.diff(self._hit_at.searchsorted(starts))
+
+    def _index_hits(self) -> None:
+        """Positions and addresses of the run's hits."""
+        self._hit_at = np.flatnonzero(self._hit)
+        self._hit_addresses = self._addresses[self._hit_at]
+
+    def events(self, after: int = -1) -> List[Tuple[int, int, int, int, int]]:
+        """The run's events past block position ``after``, in access
+        order: per event its position, address, IMCT slot (-1 on a cold
+        slot, where it is an MCT member), subwindow, and request (index
+        within the run)."""
+        at = np.flatnonzero(self._event[after + 1:]) + (after + 1)
+        requests = np.searchsorted(self._starts, at, side="right") - 1
+        slots = np.where(self._cold[at], -1, self._run_slots[at])
+        return list(zip(
+            at.tolist(), self._addresses[at].tolist(), slots.tolist(),
+            self._run_subs[requests].tolist(), requests.tolist(),
+        ))
+
+    def recency(self, upto: int) -> List[int]:
+        """The hits before block position ``upto`` not handed out yet,
+        by address in access order: the engine moves each to the most
+        recent end of the LRU before it reorders the cache otherwise."""
+        start, self._moved = self._moved, int(self._hit_at.searchsorted(upto))
+        return self._hit_addresses[start:self._moved].tolist()
+
+    def evict(self, address: int, position: int) -> np.ndarray:
+        """``address`` left the cache at block ``position``, the hits
+        before it handed out: its later accesses in the run stop being
+        hits — on a cold slot each becomes a rejection the flush
+        records, on a hot slot (or of an MCT member) an event.  Returns
+        per rewritten access its request (index within the run), whose
+        hit count loses one; if any, :meth:`events` past ``position``
+        changed."""
+        pending = slice(self._moved, None)
+        later = self._hit_at[pending][self._hit_addresses[pending] == address]
+        if later.size:
+            self._hit[later] = False
+            cold = self._cold[later] & (address not in self.policy.mct)
+            self._rejected[later[cold]] = True
+            self._event[later[~cold]] = True
+            self._index_hits()
+        return np.searchsorted(self._starts, later, side="right") - 1
+
+    def reject(self, position: int) -> None:
+        """The ladder turned the cold-slot event at ``position`` away
+        (an MCT member at the run's head, pruned since): the flush
+        records its tier-1 rejection."""
+        self._rejected[position] = True
 
     def flush(self, upto: Optional[int] = None) -> None:
-        """Record the current run's deferred cold-slot misses.
+        """Record the current run's rejections.
 
         Covers block positions from the previous flush up to ``upto``
-        (default: the run's end), leaving out :attr:`skipped`.  Cold
-        slots take no scalar recording during their run, and each
-        deferred recording touches only its own slot, so the table ends
-        exactly as if every one had been recorded at its turn.  By the
-        cold bound each recording is a tier-1 rejection, and the
-        policy's ``imct_rejections`` counts it as one.
+        (default: the run's end).  Cold slots take no scalar recording
+        during their run, and each deferred recording touches only its
+        own slot, so the table ends exactly as if every one had been
+        recorded at its turn.  By the cold bound each recording is a
+        tier-1 rejection, and the policy's ``imct_rejections`` counts it
+        as one.
         """
-        end = len(self._cold) if upto is None else upto
-        if end <= self._flushed:
+        start = self._flushed
+        end = len(self._rejected) if upto is None else upto
+        if end <= start:
             return
-        recorded = self._cold.copy()
-        recorded[:self._flushed] = False
-        recorded[end:] = False
-        recorded[self.skipped] = False
         self._flushed = end
-        slots = self._run_slots[recorded]
+        recorded = self._rejected[start:end]
+        slots = self._run_slots[start:end][recorded]
         self.policy.imct_rejections += int(slots.size)
+        sub = int(self._run_subs[0])
         if self.imct._last_address is None:
-            self.imct.record_batch(np.sort(slots), self._sub)
+            self.imct.record_batch(np.sort(slots), sub)
         else:
             # Collision counting reads each slot's recordings in order:
             # (slot, position) sorted as one key, which any sort keeps
@@ -358,7 +370,7 @@ class SieveStoreCKernel:
             n = slots.size
             slots, order = np.divmod(np.sort(slots * n + np.arange(n)), n)
             self.imct.record_batch(
-                slots, self._sub, self._addresses[recorded][order]
+                slots, sub, self._addresses[start:end][recorded][order]
             )
 
     def sync(self) -> None:

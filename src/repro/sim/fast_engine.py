@@ -23,9 +23,10 @@ replays the same semantics over the columnar trace, a chunk at a time:
   Only the rare allocations stay scalar: a sieve admission, and the
   per-block interpolated completion times of a request that straddles
   a day boundary;
-* SieveStore-C does not even visit most requests: the sieve kernel
-  (:mod:`repro.core.sieve_kernel`) proves them to be rejections only,
-  and records them in one batch; the misses it cannot decide go
+* SieveStore-C walks events, not blocks: at each run's head the sieve
+  kernel (:mod:`repro.core.sieve_kernel`) settles every hit (counted
+  per request, its recency moved in bulk) and every cold rejection
+  (recorded in one batch), and only the misses it cannot decide go
   through the policy's own ladder
   (:meth:`~repro.core.sievestore_c.SieveStoreC.tier1` /
   :meth:`~repro.core.sievestore_c.SieveStoreC.tier2`), the one copy
@@ -46,7 +47,8 @@ two paths produce bit-identical :class:`~repro.cache.stats.CacheStats`.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from itertools import groupby
+from operator import itemgetter
 from typing import List, Tuple
 
 from repro.cache.allocation import (
@@ -226,20 +228,17 @@ def simulate_fast_chunks(
     admitted: List[int] = []  # block offsets the request in hand installed
 
     # -- sieve-kernel state (only when wmode == _W_SIEVE) -----------------
-    # The kernel batches the cold-slot rejections; every other decision
-    # is the policy's own tier1/tier2, so after a flush the policy object
-    # is the whole sieve state, ready to pickle.
+    # The kernel settles each run's hits and cold-slot rejections; every
+    # other decision is the policy's own tier1/tier2, so after a flush the
+    # policy object is the whole sieve state, ready to pickle.
     kernel = None
     if wmode == _W_SIEVE:
         kernel = SieveStoreCKernel(policy, od)
-        skip = kernel.skipped.append
-        occupy = kernel.occupy
-        vacate = kernel.vacate
-        n_slots = kernel.n_slots
+        recency = kernel.recency
         tier1 = policy.tier1
         tier2 = policy.tier2
         mct_counters = policy.mct._counters
-        mct_sweep = policy.mct.sweep
+        installed: List[Tuple[int, int]] = []  # (row, block offset)
 
     def apply_boundary(epoch: int) -> None:
         batch = policy.epoch_boundary(epoch)
@@ -272,9 +271,10 @@ def simulate_fast_chunks(
         # are recorded from it and the columns, rows [recorded, upto) at
         # every sync site (CacheStats.record_rows).
         hits = array("q", bytes(8 * chunk_n))
+        hit_column = np.frombuffer(hits, dtype=np.int64)
         recorded_columns = [
             issue_times, completion_times, chunk_cols.block_count,
-            chunk_cols.is_write, np.frombuffer(hits, dtype=np.int64),
+            chunk_cols.is_write, hit_column,
         ]
         # Rows the cursor already covers are skipped (a resume can land
         # mid-chunk when the chunk iterator is coarser than the cursor).
@@ -357,10 +357,10 @@ def simulate_fast_chunks(
                     admitted.clear()
 
             if wmode == _W_SIEVE:
-                # SieveStore-C: one run of same-subwindow requests at a
-                # time, and of a run only the requests the kernel cannot
-                # prove to be rejections (repro.core.sieve_kernel:
-                # cold/hot, occupancy).
+                # SieveStore-C, one run of same-subwindow requests at a
+                # time: the kernel settles its hits and cold rejections
+                # at the run's head (repro.core.sieve_kernel), and only
+                # the events meet the policy's ladder, in order.
                 jl = lo
                 while jl < hi:
                     if jl >= run_end:
@@ -372,67 +372,53 @@ def simulate_fast_chunks(
                                 issue_times[jl:sl_end],
                             )
                         run_start = jl
-                        run_len, c_subs, c_visit, c_starts, c_cis = (
-                            kernel.begin_run()
-                        )
+                        run_len, c_starts, head_hits = kernel.begin_run()
                         run_end = jl + run_len
-                        visited = 0
+                        hit_column[jl:run_end] = head_hits
+                        events = kernel.events()
+                        walked = 0
                     jl = min(run_end, hi)
-                    upto = bisect_left(c_visit, jl - run_start, visited)
-                    for r in c_visit[visited:upto]:
+                    stop = int(c_starts[jl - run_start])
+                    while walked < len(events) and events[walked][0] < stop:
+                        at, a, slot, sub, r = events[walked]
+                        walked += 1
                         row = run_start + r
-                        issue = issue_l[row]
-                        addr = addr_l[row]
-                        k = count_l[row]
-                        start = c_starts[r]
-                        sub = c_subs[r]
-                        hit = 0
-                        # Decision order matches the reference exactly —
-                        # hits move recency first, and every miss is
-                        # counted in exactly one tier.
-                        for a, ci in zip(
-                            range(addr, addr + k), c_cis[start:start + k]
-                        ):
-                            if a in od:
-                                od_move(a)
-                                hit += 1
-                                if ci < 0:
-                                    skip(start + a - addr)
+                        # Decision order matches the reference exactly:
+                        # the hits before a block move recency before it
+                        # does, and every miss is counted in one tier.
+                        if a in od:  # admitted earlier in the run
+                            for b in recency(at):
+                                od_move(b)
+                            od_move(a)
+                            hits[row] += 1
+                            continue
+                        if a in mct_counters:
+                            if not tier2(a, issue_l[row]):
                                 continue
-                            if a in mct_counters:
-                                # Tier 2 (IMCT-promoted blocks only).  The
-                                # sweep its record_miss is about to make is
-                                # made here, for its list; it may drop
-                                # ``a``, which is tracked anew.
-                                if ci < 0:
-                                    skip(start + a - addr)
-                                for stale in mct_sweep(issue):
-                                    if stale != a:
-                                        vacate(stale)
-                                if not tier2(a, issue):
-                                    continue
-                            elif ci < 0:
-                                continue  # cold slot: recorded by the flush
-                            else:
-                                slot = ci % n_slots
-                                admit = tier1(a, slot, sub)
-                                if admit or a in mct_counters:
-                                    occupy(slot)  # admitted or promoted
-                                if not admit:
-                                    continue
-                            # Admission (either tier): install the block.
-                            if len(od) >= capacity:
-                                vacate(od_pop(False)[0])
-                            od[a] = None
-                            admitted.append(a - addr)
-                        hits[row] = hit
-                        if admitted:
-                            _record_allocations(
-                                stats, issue, completion_times[row].item(),
-                                k, admitted,
-                            )
-                            admitted.clear()
-                    visited = upto
+                        elif slot < 0:
+                            kernel.reject(at)  # tracked at the head, pruned since
+                            continue
+                        elif not tier1(a, slot, sub):
+                            continue
+                        # Admission (either tier): install the block.
+                        for b in recency(at):
+                            od_move(b)
+                        if len(od) >= capacity:
+                            lost = kernel.evict(od_pop(False)[0], at)
+                            if lost.size:
+                                np.subtract.at(hit_column, run_start + lost, 1)
+                                events = kernel.events(at)
+                                walked = 0
+                        od[a] = None
+                        installed.append((row, a - addr_l[row]))
+                    for b in recency(stop):
+                        od_move(b)
+                    for row, group in groupby(installed, itemgetter(0)):
+                        _record_allocations(
+                            stats, issue_l[row], completion_times[row].item(),
+                            count_l[row], [offset for _, offset in group],
+                        )
+                    installed.clear()
             elif wmode == _W_FALSE:
                 if omode == _O_COUNTER:
                     for jl in range(head, hi):
@@ -491,7 +477,7 @@ def simulate_fast_chunks(
                     cache._resident = set(od)
                 if kernel is not None:
                     # Mid-run: flush only the blocks replayed so far.
-                    kernel.flush(c_starts[hi - run_start])
+                    kernel.flush(stop)
                 stats.record_rows(*(c[recorded:hi] for c in recorded_columns))
                 recorded = hi
                 checkpointer(done, current_epoch)

@@ -1,6 +1,7 @@
 """Cache statistics accounting (per-day and per-minute)."""
 
 import pickle
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -286,22 +287,46 @@ class TestRecordRows:
             record_scalar(CacheStats(DAYS), rows)
 
 
+def populated_stats():
+    """Three days with every per-day counter and two minutes non-zero."""
+    stats = CacheStats(days=3)
+    stats.record_hit(10.0, is_write=False, blocks=3)
+    stats.record_miss(SECONDS_PER_DAY + 5.0, is_write=True, blocks=2)
+    stats.record_allocation_write(SECONDS_PER_DAY + 6.0, blocks=2)
+    stats.record_backing_write(5.0, blocks=4, is_writeback=True)
+    stats.record_read_error(7.0, blocks=1)
+    stats.record_write_error(2 * SECONDS_PER_DAY, blocks=5)
+    stats.record_bypass_access(2 * SECONDS_PER_DAY + 1.0, blocks=6)
+    stats.record_ssd_io(600.0, 3, is_write=True)
+    stats.record_ssd_io(60.0, 2, is_write=False)  # minutes out of order
+    stats.degraded_seconds = 12.5
+    stats.bypass_seconds = 3.25
+    return stats
+
+
 class TestPickle:
     """Stats pickle as columns and come back as the same objects."""
 
+    def test_day_matrix_is_astuple_rows(self):
+        # The per-day column is what ``astuple`` rows give, in field
+        # order, built without its deep copies: the same state arrays
+        # and the same pickle bytes.
+        stats = populated_stats()
+        state = stats.__getstate__()
+        expected = np.array(
+            [astuple(day) for day in stats.per_day], dtype=np.int64
+        )
+        days = state["per_day"]
+        assert days.dtype == expected.dtype
+        assert days.shape == (3, len(fields(DayStats)))
+        assert days.tobytes() == expected.tobytes()
+        assert pickle.dumps(state) == pickle.dumps(dict(state, per_day=expected))
+        assert pickle.dumps(stats) == pickle.dumps(
+            pickle.loads(pickle.dumps(stats))
+        )
+
     def test_round_trip_keeps_every_counter(self):
-        stats = CacheStats(days=3)
-        stats.record_hit(10.0, is_write=False, blocks=3)
-        stats.record_miss(SECONDS_PER_DAY + 5.0, is_write=True, blocks=2)
-        stats.record_allocation_write(SECONDS_PER_DAY + 6.0, blocks=2)
-        stats.record_backing_write(5.0, blocks=4, is_writeback=True)
-        stats.record_read_error(7.0, blocks=1)
-        stats.record_write_error(2 * SECONDS_PER_DAY, blocks=5)
-        stats.record_bypass_access(2 * SECONDS_PER_DAY + 1.0, blocks=6)
-        stats.record_ssd_io(600.0, 3, is_write=True)
-        stats.record_ssd_io(60.0, 2, is_write=False)  # minutes out of order
-        stats.degraded_seconds = 12.5
-        stats.bypass_seconds = 3.25
+        stats = populated_stats()
         copy = pickle.loads(pickle.dumps(stats))
         assert (copy.days, copy.track_minutes) == (3, True)
         assert copy.per_day == stats.per_day

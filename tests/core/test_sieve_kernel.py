@@ -6,17 +6,17 @@ oracle: ``mix64_array`` against ``mix64``, ``bucket_array`` against
 ``WindowSpec.subwindow_index`` (including float boundary adversaries),
 the table's scalar and batched recording against sequential
 ``SubwindowCounter.record`` calls, the kernel's classify + flush
-(with skipped blocks, partial flushes and collision tracking) against
-sequential ``record_miss`` calls, and its visit list (cold/hot plus the
-per-slot occupancy count) against a model cache and MCT walked request
-by request.  Engine-level equivalence lives in
+(with resident and tracked blocks, partial flushes and collision
+tracking) against sequential ``record_miss`` calls, and its per-block
+classes (hit / cold rejection / event, and the eviction rewrites)
+against the reference ladder over a twin cache and MCT, block by
+block.  Engine-level equivalence lives in
 ``tests/sim/test_sieve_equivalence.py``.
 """
 
 import sys
 from array import array
-from collections import Counter, OrderedDict
-from itertools import chain
+from collections import OrderedDict
 from unittest import mock
 
 import numpy as np
@@ -280,8 +280,8 @@ def batch_every_run(monkeypatch):
 @pytest.mark.usefixtures("batch_every_run")
 class TestSieveStoreCKernel:
     def test_precompute_chunk_expands_blocks(self):
-        # t1 = 1 makes every touched slot hot, so every block keeps its
-        # cell index.
+        # t1 = 1 makes every touched slot hot, and nothing is resident,
+        # so every block is an event.
         policy = SieveStoreC(SieveStoreCConfig(imct_slots=64, t1=1))
         kernel = SieveStoreCKernel(policy)
         addresses = np.array([10, 900, 7], dtype=np.int64)
@@ -289,45 +289,51 @@ class TestSieveStoreCKernel:
         issue_times = np.array([0.0, 3600.0, 6.5 * 3600.0])
         # Two-hour subwindows: the first two requests share one.
         assert kernel.precompute_chunk(addresses, block_counts, issue_times) == 2
-        k = policy.imct.window.subwindows
-        runs = [kernel.begin_run(), kernel.begin_run()]
-        assert [run[:2] for run in runs] == [(2, [0, 0]), (1, [3])]
-        # Hot slots: every request is walked.
-        assert [run[2] for run in runs] == [[0, 1], [0]]
-        # Per request the position of its first block (plus the end) ...
-        assert [run[3] for run in runs] == [[0, 1, 4], [0, 2]]
-        # ... and per block its flat count-cell index in the column-major
-        # layout: the run's subwindow column base plus the block's slot.
-        for (_, subs, _, _, cis), blocks in zip(runs, ([10, 900, 901, 902], [7, 8])):
-            assert cis == [
-                subs[0] % k * kernel.n_slots + policy.imct.slot_of(b)
-                for b in blocks
-            ]
+        runs, events = [], []
+        for _ in range(2):
+            n_requests, starts, hits = kernel.begin_run()
+            runs.append((n_requests, starts.tolist(), hits.tolist()))
+            events.append(kernel.events())
+        # Per request the position of its first block (plus the end),
+        # and no hits.
+        assert runs == [(2, [0, 1, 4], [0, 0]), (1, [0, 2], [0])]
+        # Per event its position, address, slot, subwindow and request.
+        slot_of = policy.imct.slot_of
+        assert events == [
+            [(0, 10, slot_of(10), 0, 0)]
+            + [(p, b, slot_of(b), 0, 1) for p, b in ((1, 900), (2, 901), (3, 902))],
+            [(0, 7, slot_of(7), 3, 0), (1, 8, slot_of(8), 3, 0)],
+        ]
 
     def test_cold_bound_is_head_total_plus_run_blocks(self):
-        policy = SieveStoreC(SieveStoreCConfig(imct_slots=1, t1=9))
-        for _ in range(6):
-            policy.imct.record_miss(0, 0.0)
-        kernel = SieveStoreCKernel(policy)
         one = np.ones(1, dtype=np.int64)
 
-        def visit_of(blocks, time):
+        def events_of(blocks, time):
+            # Six live recordings in the one slot, nothing resident or
+            # tracked: the request is all events exactly when its slot is
+            # hot, and all cold rejections — which only the flush
+            # records — otherwise.
+            policy = SieveStoreC(SieveStoreCConfig(imct_slots=1, t1=9))
+            for _ in range(6):
+                policy.imct.record_miss(0, 0.0)
+            kernel = SieveStoreCKernel(policy)
             kernel.precompute_chunk(one, blocks * one, np.array([time]))
-            _, _, visit, _, cis = kernel.begin_run()
-            # Nothing resident or tracked: the one request is walked
-            # exactly when its slot is hot.
-            assert [ci < 0 for ci in cis] == [not visit] * blocks
-            kernel.skipped.extend(range(blocks))  # leave the table alone
-            return visit
+            assert kernel.begin_run()[2].tolist() == [0]
+            events = [event[0] for event in kernel.events()]
+            kernel.sync()
+            rejected = policy.imct.recorded_misses - 6
+            assert rejected == policy.imct_rejections
+            assert sorted(events) == events
+            assert (len(events), rejected) in ((blocks, 0), (0, blocks))
+            return len(events)
 
         # 6 live + 2 blocks < 9: no recording can reach t1; 6 + 3 could.
-        assert visit_of(2, 0.0) == []
-        assert visit_of(3, 0.0) == [0]
+        assert events_of(2, 0.0) == 0
+        assert events_of(3, 0.0) == 3
         # The six stay live through subwindow 3 of the four-subwindow
         # window (two hours each) and are gone by subwindow 4.
-        assert visit_of(3, 3 * 7200.0) == [0]
-        assert visit_of(3, 4 * 7200.0) == []
-        assert policy.imct.recorded_misses == 6
+        assert events_of(3, 3 * 7200.0) == 3
+        assert events_of(3, 4 * 7200.0) == 0
 
     def test_sync_writes_flat_state_back(self):
         # Cold-slot recordings are deferred: the policy's table moves
@@ -344,7 +350,8 @@ class TestSieveStoreCKernel:
         time = 40 * 3600.0
         kernel.precompute_chunk(addresses, np.ones(3, dtype=np.int64),
                                 np.full(3, time))
-        assert kernel.begin_run()[2] == []  # all cold, nothing to walk
+        assert kernel.begin_run()[2].tolist() == [0, 0, 0]
+        assert kernel.events() == []  # all cold rejections, nothing to walk
         assert sieve_state(policy.imct) == sieve_state(twin.imct)
         kernel.sync()
         for address in addresses.tolist():
@@ -356,9 +363,9 @@ class TestSieveStoreCKernel:
 
 def test_short_runs_fuse_into_all_hot_stretches(monkeypatch):
     # Runs of 2, 1, 4, 1, 1 blocks with batching worth it from 3 blocks:
-    # the 4-block run is classified, its short neighbours are walked on
-    # the scalar ladder, adjacent ones as one stretch with each
-    # request's own subwindow in its cell indices.
+    # the 4-block run is classified, its short neighbours are all
+    # events, adjacent ones as one stretch with each request's own
+    # subwindow on its events.
     monkeypatch.setattr(sieve_kernel, "_BATCH_MIN_BLOCKS", 3)
     policy = SieveStoreC(SieveStoreCConfig(imct_slots=64))
     kernel = SieveStoreCKernel(policy)
@@ -369,15 +376,17 @@ def test_short_runs_fuse_into_all_hot_stretches(monkeypatch):
         block_counts,
         np.array([7200.0 * sub for sub in subwindows]),
     ) == 3
-    runs = [kernel.begin_run() for _ in range(3)]
-    assert [run[1] for run in runs] == [[0, 1], [2], [3, 5]]
-    assert [run[2] for run in runs] == [[0, 1], [], [0, 1]]
-    k, n_slots = kernel.k, kernel.n_slots
-    assert runs[0][4] == [
-        sub % k * n_slots + policy.imct.slot_of(block)
-        for sub, block in ((0, 0), (0, 1), (1, 100))
+    runs = []
+    for _ in range(3):
+        runs.append(kernel.begin_run()[0])
+        runs.append(kernel.events())
+    slot_of = policy.imct.slot_of
+    assert runs == [
+        2, [(0, 0, slot_of(0), 0, 0), (1, 1, slot_of(1), 0, 0),
+            (2, 100, slot_of(100), 1, 1)],
+        1, [],  # the classified run: four cold rejections
+        2, [(0, 300, slot_of(300), 3, 0), (1, 400, slot_of(400), 5, 1)],
     ]
-    assert runs[1][4] == [-1] * 4
     kernel.sync()
     assert policy.imct.recorded_misses == 4  # the classified run's only
 
@@ -385,8 +394,8 @@ def test_short_runs_fuse_into_all_hot_stretches(monkeypatch):
 @st.composite
 def kernel_scripts(draw):
     """A table shape, a pre-loaded state, the run length below which
-    runs go all-hot, and a window of requests with per-block skip marks
-    and per-request partial-flush marks."""
+    runs go all-hot, resident and MCT-tracked addresses, and a window of
+    requests with per-request partial-flush marks."""
     slots = draw(st.integers(1, 8))
     k = draw(st.integers(1, 5))
     # Small thresholds mix hot and cold slots; huge ones keep slots cold
@@ -402,19 +411,21 @@ def kernel_scripts(draw):
                            min_size=k, max_size=k)),
         max_size=4,
     ))
+    addresses = st.integers(0, 35)
+    resident = draw(st.lists(addresses, unique=True, max_size=8))
+    tracked = draw(st.lists(addresses, unique=True, max_size=4))
     requests = []
     subwindow = 6
     for _ in range(draw(st.integers(1, 12))):
         subwindow += draw(st.sampled_from([0, 0, 0, 1, 1, 2, k - 1, k, k + 2]))
-        blocks = draw(st.integers(1, 6))
         requests.append((
             draw(st.integers(0, 30)),
-            blocks,
+            draw(st.integers(1, 6)),
             subwindow,
-            draw(st.lists(st.booleans(), min_size=blocks, max_size=blocks)),
             draw(st.booleans()),
         ))
-    return slots, k, t1, tracking, min_blocks, preload, requests
+    return (slots, k, t1, tracking, min_blocks, preload, resident, tracked,
+            requests)
 
 
 class TestClassifyFlushProperty:
@@ -423,7 +434,8 @@ class TestClassifyFlushProperty:
     @settings(max_examples=300, deadline=None)
     @given(kernel_scripts())
     def test_matches_sequential_record_miss(self, script):
-        slots, k, t1, tracking, min_blocks, preload, requests = script
+        (slots, k, t1, tracking, min_blocks, preload, resident, tracked,
+         requests) = script
         window = WindowSpec(10.0 * k, k)
         config = SieveStoreCConfig(imct_slots=slots, t1=t1, window=window)
         policy, reference = SieveStoreC(config), SieveStoreC(config)
@@ -435,7 +447,9 @@ class TestClassifyFlushProperty:
         if tracking:
             table.enable_collision_tracking()
             oracle.enable_collision_tracking()
-        kernel = SieveStoreCKernel(policy)
+        for address in tracked:
+            policy.mct.track(address)
+        kernel = SieveStoreCKernel(policy, set(resident))
         with mock.patch.object(sieve_kernel, "_BATCH_MIN_BLOCKS", min_blocks):
             runs = kernel.precompute_chunk(
                 np.array([r[0] for r in requests], dtype=np.int64),
@@ -444,119 +458,118 @@ class TestClassifyFlushProperty:
             )
         pending = iter(requests)
         for _ in range(runs):
-            n_requests, subs, visit, starts, cis = kernel.begin_run()
+            n_requests, starts, hits = kernel.begin_run()
+            events = {event[0]: event for event in kernel.events()}
+            mine = [next(pending) for _ in range(n_requests)]
             # Only a stretch of fused short runs spans subwindows, and
-            # it defers nothing.
-            assert len(set(subs)) == 1 or visit == list(range(n_requests))
-            for r in range(n_requests):
-                address, blocks, sub, skips, flush_after = next(pending)
-                assert sub == subs[r]
-                mine = cis[starts[r]:starts[r + 1]]
-                assert len(mine) == blocks
-                # With nothing resident or tracked, only hot slots
-                # put a request on the visit list.
-                assert (r in visit) == any(ci >= 0 for ci in mine)
+            # it defers nothing: every block not resident is an event.
+            if len({sub for _, _, sub, _ in mine}) > 1:
+                assert len(events) == starts[-1] - hits.sum()
+            for r, (address, blocks, sub, flush_after) in enumerate(mine):
+                assert starts[r + 1] - starts[r] == blocks
+                blocks_of = range(address, address + blocks)
+                assert hits[r] == sum(a in resident for a in blocks_of)
                 time = 10.0 * sub + 1.0
-                for offset, (ci, skipped) in enumerate(zip(mine, skips)):
-                    if skipped:  # a hit / an MCT member: never recorded
-                        if ci < 0:
-                            kernel.skipped.append(starts[r] + offset)
-                        continue
-                    total = oracle.record_miss(address + offset, time)
-                    if ci < 0:
+                for position, a in enumerate(blocks_of, starts[r]):
+                    # Exactly one class per block: a hit, an event, or a
+                    # cold rejection.
+                    if a in resident:  # a hit: never recorded
+                        assert position not in events
+                    elif position in events:
+                        _, address_, slot, sub_, request = events[position]
+                        assert (address_, sub_, request) == (a, sub, r)
+                        if a in tracked:  # tier 2: not an IMCT recording
+                            assert slot in (-1, table.slot_of(a))
+                            continue
+                        assert slot == table.slot_of(a)
+                        assert table.record_miss(a, time) == (
+                            oracle.record_miss(a, time)
+                        )
+                    else:
                         # The cold bound: deferral is only sound if no
                         # recording here could have reached t1.
-                        assert total < t1
-                    else:
-                        assert ci == sub % k * slots + table.slot_of(
-                            address + offset
-                        )
-                        assert table.record_miss(address + offset, time) == total
+                        assert a not in tracked
+                        assert oracle.record_miss(a, time) < t1
                 if flush_after:
-                    kernel.flush(starts[r + 1])
+                    kernel.flush(int(starts[r + 1]))
         assert next(pending, None) is None
         kernel.sync()
         assert sieve_state(table) == sieve_state(oracle)
 
 
 @st.composite
-def occupancy_scripts(draw):
-    """A sieve small enough that occupied-but-cold slots are the common
-    case, a cache small enough to evict, a cache and an MCT to start
-    from, and requests whose subwindow jumps expire MCT entries."""
-    slots = draw(st.integers(1, 8))
+def event_scripts(draw):
+    """A sieve small enough that hot slots and MCT members are the
+    common case, a cache small enough to evict, a cache and an MCT to
+    start from, and requests whose subwindow jumps expire MCT entries."""
+    # Few slots make hot ones; many, cold ones under resident blocks.
+    slots = draw(st.sampled_from([1, 2, 3, 5, 8, 32]))
     k = draw(st.integers(1, 4))
-    t1 = draw(st.sampled_from([1, 2, 3, 5]))
+    t1 = draw(st.sampled_from([1, 2, 3, 5, 9]))
     t2 = draw(st.integers(0, 2))
     single_tier = draw(st.booleans())
     capacity = draw(st.integers(1, 6))
-    # A low ceiling makes saturation, too, a common case.
-    saturated = draw(st.sampled_from([2, 3, 255]))
     min_blocks = draw(st.sampled_from([0, 0, 0, 6]))
-    addresses = st.integers(0, 24)
+    addresses = st.integers(0, 16)
     resident = draw(st.lists(addresses, unique=True, max_size=capacity))
     tracked = draw(st.lists(addresses, unique=True, max_size=6))
     requests = []
     subwindow = 0
     for _ in range(draw(st.integers(1, 14))):
-        subwindow += draw(st.sampled_from([0, 0, 0, 1, 1, k, k + 2]))
+        subwindow += draw(st.sampled_from([0, 0, 0, 0, 0, 1, 1, k, k + 2]))
         requests.append(
             (draw(addresses), draw(st.integers(1, 5)), subwindow)
         )
-    return (slots, k, t1, t2, single_tier, capacity, saturated, min_blocks,
+    return (slots, k, t1, t2, single_tier, capacity, min_blocks,
             resident, tracked, requests)
 
 
-class TestVisitProperty:
-    """A request off the visit list is nothing but cold-slot rejections,
-    whatever promotions, admissions, evictions and prunes the run makes."""
+def mct_state(mct):
+    return (
+        {a: (c._counts, c._last_subwindow) for a, c in mct._counters.items()},
+        mct.inserts, mct.evictions, mct.peak_entries, mct._last_prune,
+    )
+
+
+class TestEventProperty:
+    """Every block of a run is exactly one of hit / cold rejection /
+    event at the run's head, and only an eviction rewrites a hit; a
+    block that is not an event never reaches the ladder — whatever
+    promotions, admissions, evictions and prunes the run makes."""
 
     @settings(max_examples=400, deadline=None)
-    @given(occupancy_scripts())
-    def test_unvisited_requests_meet_nothing(self, script):
-        (slots, k, t1, t2, single_tier, capacity, saturated, min_blocks,
-         resident, tracked, requests) = script
+    @given(event_scripts())
+    def test_non_events_never_reach_the_ladder(self, script):
+        (slots, k, t1, t2, single_tier, capacity, min_blocks, resident,
+         tracked, requests) = script
         config = SieveStoreCConfig(
             imct_slots=slots, t1=t1, t2=t2, window=WindowSpec(10.0 * k, k),
             single_tier_admission=single_tier,
         )
-        policy = SieveStoreC(config)
-        table, mct = policy.imct, policy.mct
-        mct.prune_interval = 15.0  # a sweep every other subwindow
-        for address in tracked:
-            mct.track(address)
+        policy, twin = SieveStoreC(config), SieveStoreC(config)
+        for each in (policy, twin):
+            each.mct.prune_interval = 15.0  # a sweep every other subwindow
+            for address in tracked:
+                each.mct.track(address)
         od = OrderedDict.fromkeys(resident)
-        with mock.patch.object(
-            sieve_kernel, "_OCCUPANCY_SATURATED", saturated
-        ), mock.patch.object(sieve_kernel, "_BATCH_MIN_BLOCKS", min_blocks):
+        with mock.patch.object(sieve_kernel, "_BATCH_MIN_BLOCKS", min_blocks):
             kernel = SieveStoreCKernel(policy, od)
-            self.walk(kernel, od, capacity, saturated, requests)
+            self.walk(kernel, od, twin, OrderedDict(od), capacity, requests)
 
     @staticmethod
-    def walk(kernel, od, capacity, saturated, requests):
-        """The fast engine's sieve loop over model state, checking every
-        request — visited or not — at its own turn."""
+    def walk(kernel, od, twin, twin_od, capacity, requests):
+        """The fast engine's sieve loop over a model cache, beside the
+        reference ladder over a twin, checking every block at its turn
+        and the whole state at every run's end."""
         policy = kernel.policy
-        table, mct, config = policy.imct, policy.mct, policy.config
 
-        def check_occupancy(previous):
-            # Exact against a recount of the blocks themselves, or
-            # saturated; and saturated once is saturated for good.
-            recount = Counter(
-                table.slot_of(a) for a in chain(od, mct._counters)
-            )
-            now = list(kernel.occupancy)
-            for slot, (count, before) in enumerate(zip(now, previous)):
-                assert count == saturated or count == recount[slot]
-                assert count == saturated or before != saturated
-            return now
+        def install(cache, address):
+            evicted = None
+            if len(cache) >= capacity:
+                evicted = cache.popitem(last=False)[0]
+            cache[address] = None
+            return evicted
 
-        def install(address):
-            if len(od) >= capacity:
-                kernel.vacate(od.popitem(last=False)[0])
-            od[address] = None
-
-        occupancy = check_occupancy([0] * table.slots)
         runs = kernel.precompute_chunk(
             np.array([r[0] for r in requests], dtype=np.int64),
             np.array([r[1] for r in requests], dtype=np.int32),
@@ -564,40 +577,68 @@ class TestVisitProperty:
         )
         pending = iter(requests)
         for _ in range(runs):
-            n_requests, _subs, visit, starts, cis = kernel.begin_run()
-            assert visit == sorted(set(visit))
+            n_requests, starts, hits = kernel.begin_run()
+            hits = hits.tolist()
+            events, walked = kernel.events(), 0
             for r in range(n_requests):
                 address, blocks, sub = next(pending)
                 time = 10.0 * sub + 1.0
-                mine = cis[starts[r]:starts[r + 1]]
-                if r not in visit:
-                    for a, ci in zip(range(address, address + blocks), mine):
-                        assert a not in od and a not in mct and ci < 0
-                    continue
-                for position, (a, ci) in enumerate(
-                    zip(range(address, address + blocks), mine), starts[r]
-                ):
+                twin_hits = 0
+                for at, a in enumerate(range(address, address + blocks),
+                                       int(starts[r])):
+                    # The reference: one ladder call per miss.
+                    resident, member = a in twin_od, a in twin.mct
+                    rejections = twin.imct_rejections
+                    if resident:
+                        twin_od.move_to_end(a)
+                        twin_hits += 1
+                    elif twin.wants_hashed(a, twin.imct.slot_of(a), sub, time):
+                        install(twin_od, a)
+                    # The kernel's class of the block at its turn.
+                    if kernel._hit[at]:
+                        assert resident
+                        continue
+                    if kernel._rejected[at]:
+                        assert not resident and not member
+                        assert twin.imct_rejections == rejections + 1
+                        continue
+                    assert kernel._event[at]
+                    position, a_, slot, sub_, request = events[walked]
+                    walked += 1
+                    assert (position, a_, sub_, request) == (at, a, sub, r)
                     if a in od:
+                        for b in kernel.recency(at):
+                            od.move_to_end(b)
                         od.move_to_end(a)
-                        if ci < 0:
-                            kernel.skipped.append(position)
-                    elif a in mct:
-                        if ci < 0:
-                            kernel.skipped.append(position)
-                        for stale in mct.sweep(time):
-                            if stale != a:
-                                kernel.vacate(stale)
-                        if mct.record_miss(a, time) >= config.t2:
-                            mct.forget(a)
-                            install(a)
-                    elif ci >= 0 and table.record_miss(a, time) >= config.t1:
-                        kernel.occupy(table.slot_of(a))
-                        if config.single_tier_admission:
-                            table.reset_slot(a)
-                            install(a)
-                        else:
-                            mct.track(a)
-                    occupancy = check_occupancy(occupancy)
+                        hits[r] += 1
+                        continue
+                    if a in policy.mct:
+                        admit = policy.tier2(a, time)
+                    elif slot < 0:
+                        kernel.reject(at)
+                        admit = False
+                    else:
+                        assert slot == policy.imct.slot_of(a)
+                        admit = policy.tier1(a, slot, sub)
+                    if admit:
+                        for b in kernel.recency(at):
+                            od.move_to_end(b)
+                        if len(od) >= capacity:
+                            lost = kernel.evict(od.popitem(last=False)[0], at)
+                            for request in lost.tolist():
+                                hits[request] -= 1
+                            if lost.size:
+                                events, walked = kernel.events(at), 0
+                        od[a] = None
+                assert hits[r] == twin_hits
+            assert walked == len(events)
+            for b in kernel.recency(int(starts[-1])):
+                od.move_to_end(b)
             kernel.sync()
-            occupancy = check_occupancy(occupancy)
+            assert list(od) == list(twin_od)
+            assert sieve_state(policy.imct) == sieve_state(twin.imct)
+            assert mct_state(policy.mct) == mct_state(twin.mct)
+            for counter in ("admissions", "imct_rejections", "promotions",
+                            "mct_rejections"):
+                assert getattr(policy, counter) == getattr(twin, counter)
         assert next(pending, None) is None
