@@ -72,6 +72,7 @@ import numpy as np
 
 from repro.cache.allocation import AllocationPolicy
 from repro.core.sievestore_c import SieveStoreC
+from repro.traces.columnar import expand_blocks
 from repro.util.intervals import bucket_indices
 
 #: SplitMix64 constants as uint64 scalars; array ops against them wrap
@@ -151,14 +152,7 @@ def hash_requests(
     if negative.any():
         time = float(issue_times[negative.argmax()])
         raise ValueError(f"time must be non-negative, got {time}")
-    counts = block_counts.astype(np.int64)
-    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    # blocks[i] = address-of-request + offset-within-request, via a
-    # single repeat: repeat(addresses - starts) + arange.
-    blocks = np.repeat(addresses - offsets[:-1], counts) + np.arange(
-        int(offsets[-1]), dtype=np.int64
-    )
+    blocks, offsets = expand_blocks(addresses, block_counts)
     imct = policy.imct
     return (
         blocks,

@@ -452,7 +452,11 @@ def _drive(
     if segmented:
         chunks = trace.iter_chunks(chunk_rows, start_row=cursor)
     else:
-        chunks = [(0, as_columnar(trace))]
+        # Both engines refuse the same rows (a segment store's were
+        # checked when written).
+        columns = as_columnar(trace)
+        columns.validate()
+        chunks = [(0, columns)]
 
     obs = _engine_obs(policy, label, engine)
     if obs is not None:

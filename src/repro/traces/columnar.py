@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -65,6 +65,26 @@ from repro.util.intervals import SECONDS_PER_DAY, bucket_indices
 NPZ_FORMAT_VERSION = 1
 
 _SERVER_SHIFT = _VOLUME_BITS + _OFFSET_BITS
+
+
+def expand_blocks(
+    addresses: np.ndarray, block_counts: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Requests expanded to their block accesses, in issue order.
+
+    Returns ``(blocks, offsets)``: the packed address of every block
+    (a request of ``k`` blocks contributes ``k`` consecutive addresses,
+    mirroring :meth:`IORequest.addresses`), and per request the position
+    of its first block, one extra entry closing the last.
+    """
+    counts = np.asarray(block_counts).astype(np.int64)
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    # One repeat: blocks[i] = (address - start) of i's request + i.
+    blocks = np.repeat(addresses - offsets[:-1], counts) + np.arange(
+        int(offsets[-1]), dtype=np.int64
+    )
+    return blocks, offsets
 
 
 @dataclass(eq=False)
@@ -236,16 +256,29 @@ class ColumnarTrace:
         return float(self.completion_time.max())
 
     def validate(self) -> None:
-        """Raise ``ValueError`` if requests are not in issue-time order."""
-        issue = self.issue_time
-        if len(self) >= 2:
-            bad = np.nonzero(np.diff(issue) < 0)[0]
-            if bad.size:
-                index = int(bad[0]) + 1
-                raise ValueError(
-                    f"request {index} out of order: "
-                    f"{issue[index]} < {issue[index - 1]}"
-                )
+        """Raise ``ValueError`` naming the first row that breaks a
+        request invariant: rows in issue-time order, and each row one
+        :class:`~repro.traces.model.IORequest` would accept (a positive
+        ``block_count``, ``completion_time`` not before ``issue_time``)."""
+        issue, completion = self.issue_time, self.completion_time
+        problems = (
+            (np.append(False, issue[1:] < issue[:-1]), lambda i: (
+                f"out of issue-time order: {issue[i]} < {issue[i - 1]}"
+            )),
+            (self.block_count <= 0, lambda i: (
+                f"block_count must be positive, got {self.block_count[i]}"
+            )),
+            (completion < issue, lambda i: (
+                "completion_time precedes issue_time: "
+                f"{completion[i]} < {issue[i]}"
+            )),
+        )
+        first = [
+            (int(bad.argmax()), describe) for bad, describe in problems if bad.any()
+        ]
+        if first:
+            index, describe = min(first, key=lambda found: found[0])
+            raise ValueError(f"request {index}: {describe(index)}")
 
     def equals(self, other: "ColumnarTrace") -> bool:
         """Exact (bitwise) equality of all columns; ignores description."""
@@ -291,11 +324,7 @@ class ColumnarTrace:
         A request of ``k`` blocks contributes ``k`` consecutive
         addresses, mirroring :meth:`IORequest.addresses`.
         """
-        counts = self.block_count.astype(np.int64)
-        total = int(counts.sum())
-        starts = np.cumsum(counts) - counts
-        ramp = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-        return np.repeat(self.address, counts) + ramp
+        return expand_blocks(self.address, self.block_count)[0]
 
     def daily_block_counts(self, days: int) -> List[BlockCounts]:
         """Vectorized twin of :func:`repro.traces.streams.daily_block_counts`.
@@ -310,7 +339,6 @@ class ColumnarTrace:
         if len(self) == 0:
             return tables
         day_index = self.issue_days()
-        counts64 = self.block_count.astype(np.int64)
         # Rows are sorted by issue time (the class contract), so the
         # day column is non-decreasing and each day is one contiguous
         # slice: locate all day boundaries with a single binary-search
@@ -330,11 +358,8 @@ class ColumnarTrace:
             bases = self.address[rows]
             if bases.size == 0:
                 continue
-            counts = counts64[rows]
-            total = int(counts.sum())
-            starts = np.cumsum(counts) - counts
-            ramp = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-            tables[day] = BlockCounts.of_accesses(np.repeat(bases, counts) + ramp)
+            blocks, _ = expand_blocks(bases, self.block_count[rows])
+            tables[day] = BlockCounts.of_accesses(blocks)
         return tables
 
     # -- structural operations --------------------------------------------

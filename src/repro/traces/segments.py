@@ -152,7 +152,7 @@ class SegmentWriter:
         try:
             columns.validate()
         except ValueError as exc:
-            raise SegmentError(f"chunk not in issue-time order: {exc}") from exc
+            raise SegmentError(f"chunk refused: {exc}") from exc
         step = max_rows or len(columns)
         for start in range(0, len(columns), step):
             piece = _slice_columns(columns, start, min(start + step, len(columns)))

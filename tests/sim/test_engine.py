@@ -2,12 +2,15 @@
 
 import warnings
 
+import numpy as np
 import pytest
 
 import repro.sim.engine as engine_module
 from repro.cache.allocation import AllocateOnDemand, NeverAllocate, StaticSet
+from repro.core import SieveStoreC
 from repro.core.sievestore_d import SieveStoreD, SieveStoreDConfig
 from repro.sim.engine import resume_simulation, simulate, total_epoch_count
+from repro.traces.columnar import ColumnarTrace
 from repro.traces.model import IOKind, IORequest, Trace
 from repro.util.intervals import SECONDS_PER_DAY
 
@@ -246,3 +249,46 @@ class TestDailyCapture:
         )
         assert with_minutes.stats.per_minute
         assert not without.stats.per_minute
+
+
+def _columns(issue, completion, blocks):
+    n = len(issue)
+    return ColumnarTrace(
+        issue_time=issue,
+        completion_time=completion,
+        address=np.arange(n, dtype=np.int64) * 8,
+        block_count=blocks,
+        is_write=np.zeros(n, dtype=bool),
+        aligned_4k=np.zeros(n, dtype=bool),
+    )
+
+
+#: In-RAM traces no IORequest list could hold, and what both engines say.
+BAD_ROWS = {
+    "empty-and-negative-counts": (
+        _columns([0.0, 1.0, 2.0], [0.1, 1.1, 2.1], [2, 0, -1]),
+        "request 1: block_count must be positive, got 0",
+    ),
+    "completes-before-issue": (
+        _columns([0.0, 1.0, 2.0], [0.1, 0.5, 2.1], [1, 1, 1]),
+        "request 1: completion_time precedes issue_time: 0.5 < 1.0",
+    ),
+    "out-of-order": (
+        _columns([0.0, 2.0, 1.0], [0.1, 2.1, 1.1], [1, 1, 1]),
+        "request 2: out of issue-time order: 1.0 < 2.0",
+    ),
+}
+
+
+class TestRowInvariants:
+    """Every route into simulate() refuses the rows IORequest refuses."""
+
+    @pytest.mark.parametrize("fast", [False, True], ids=["object", "fast"])
+    @pytest.mark.parametrize("policy", ["aod", "sievestore-c"])
+    @pytest.mark.parametrize("bad", list(BAD_ROWS))
+    def test_refused_alike(self, bad, policy, fast):
+        columns, message = BAD_ROWS[bad]
+        gate = AllocateOnDemand() if policy == "aod" else SieveStoreC()
+        with pytest.raises(ValueError) as refused:
+            simulate(columns, gate, 16, days=1, fast_path=fast)
+        assert str(refused.value) == message

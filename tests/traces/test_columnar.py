@@ -182,6 +182,28 @@ class TestStructuralOps:
         with pytest.raises(ValueError):
             columns.validate()
 
+    def test_validate_names_the_first_bad_row(self):
+        # Row 2 runs backwards and row 1 has no blocks: row 1 is named.
+        columns = ColumnarTrace(
+            issue_time=[0.0, 3.0, 2.0, 4.0],
+            completion_time=[0.0, 3.0, 1.0, 4.0],
+            address=np.arange(4),
+            block_count=[1, 0, 1, -1],
+            is_write=np.zeros(4, dtype=bool),
+            aligned_4k=np.zeros(4, dtype=bool),
+        )
+        with pytest.raises(ValueError, match=r"^request 1: block_count"):
+            columns.validate()
+        columns.block_count[1] = 1
+        with pytest.raises(ValueError, match=r"^request 2: out of issue-time"):
+            columns.validate()
+        columns.issue_time[2] = 3.5
+        with pytest.raises(ValueError, match=r"^request 2: completion_time"):
+            columns.validate()
+        columns.completion_time[2] = 3.5
+        with pytest.raises(ValueError, match=r"^request 3: block_count"):
+            columns.validate()
+
     def test_concatenate_and_empty(self, mixed_trace):
         columns = ColumnarTrace.from_trace(mixed_trace)
         joined = ColumnarTrace.concatenate([columns, columns])
