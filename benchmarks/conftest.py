@@ -13,9 +13,6 @@ smoke run, 1e-3 for a heavier one).
 
 Performance knobs (all read once at session start):
 
-* ``SIEVESTORE_BENCH_FAST``  — ``0`` runs the suite through the
-  reference object-trace path instead of the columnar fast path
-  (default: fast path on; the two are bit-identical);
 * ``SIEVESTORE_BENCH_JOBS``  — worker processes for the policy suite
   (default 1 = serial in-process, 0 = all cores);
 * ``SIEVESTORE_TRACE_CACHE`` — trace-cache directory override (the
@@ -48,10 +45,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 def bench_scale() -> float:
     return float(os.environ.get("SIEVESTORE_BENCH_SCALE", "1e-4"))
-
-
-def bench_fast_path() -> bool:
-    return os.environ.get("SIEVESTORE_BENCH_FAST", "1") != "0"
 
 
 def bench_jobs():
@@ -92,9 +85,7 @@ def bench_context(bench_trace, bench_columnar, bench_config):
 @pytest.fixture(scope="session")
 def bench_suite(bench_context):
     """The Figure-5 policy suite, run once for the whole bench session."""
-    results = run_policy_suite(
-        bench_context, fast_path=bench_fast_path(), jobs=bench_jobs()
-    )
+    results = run_policy_suite(bench_context, jobs=bench_jobs())
     if results.failures:
         # Figures 5-9 all read this suite; a partial run would make
         # every downstream bench silently wrong, so fail loudly here.

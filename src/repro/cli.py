@@ -126,11 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "serialized columnar trace (0 = all cores)",
     )
     sim.add_argument(
-        "--fast", action="store_true",
-        help="use the columnar fast simulation path (bit-identical "
-        "statistics, several times faster)",
-    )
-    sim.add_argument(
         "--json", metavar="FILE", default=None,
         help="also write the result (stats + policy name) as JSON; "
         "with several policies, FILE gains a per-policy suffix",
@@ -834,7 +829,7 @@ def _simulate_single(args, name: str, fault_plan, streamed: bool) -> int:
     ctx = ExperimentContext(trace=trace, days=args.days, scale=args.scale)
     try:
         result = run_policy(
-            name, ctx, track_minutes=False, fast_path=args.fast,
+            name, ctx, track_minutes=False,
             fault_plan=fault_plan, epoch_seconds=args.epoch_seconds,
             checkpoint_path=args.checkpoint,
             checkpoint_every=args.checkpoint_every,
@@ -878,7 +873,7 @@ def _run_simulate(args) -> int:
         _make_task_progress(len(names)) if args.progress is not None else None
     )
     results = run_policy_suite(
-        ctx, names, track_minutes=False, fast_path=args.fast, jobs=jobs,
+        ctx, names, track_minutes=False, jobs=jobs,
         task_timeout=args.task_timeout,
         fault_plan=fault_plan, epoch_seconds=args.epoch_seconds,
         on_task_done=on_task_done,

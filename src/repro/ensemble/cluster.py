@@ -11,16 +11,16 @@ and exposes per-node statistics for load analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.cache.allocation import AllocationPolicy
-from repro.cache.block_cache import BlockCache
-from repro.cache.replacement import make_replacement
 from repro.cache.stats import CacheStats, DayStats
-from repro.core.appliance import SieveStoreAppliance
 from repro.ensemble.scaling import partition_servers
+from repro.sim.engine import simulate
+from repro.traces.columnar import ColumnarTrace, as_columnar
 from repro.traces.model import Trace
-from repro.util.intervals import SECONDS_PER_DAY
 
 #: Builds a fresh allocation policy for one node (one per appliance —
 #: sieve metastate must not be shared across nodes).
@@ -34,32 +34,17 @@ class ClusterResult:
     nodes: int
     partitions: List[List[int]]
     node_stats: List[CacheStats]
+    #: Engine each node's replay ran on (see ``SimulationResult.engine``).
+    engines: List[str]
 
     @property
     def total(self) -> DayStats:
         """Whole-cluster totals across all nodes."""
-        combined = DayStats()
-        for stats in self.node_stats:
-            total = stats.total
-            combined.accesses += total.accesses
-            combined.read_hits += total.read_hits
-            combined.write_hits += total.write_hits
-            combined.read_misses += total.read_misses
-            combined.write_misses += total.write_misses
-            combined.allocation_writes += total.allocation_writes
-            combined.backing_writes += total.backing_writes
-            combined.writebacks += total.writebacks
-        return combined
+        return CacheStats.merged(self.node_stats).total
 
     def daily_capture(self) -> List[float]:
         """Cluster-wide per-day hit fraction."""
-        days = self.node_stats[0].days if self.node_stats else 0
-        captures = []
-        for day in range(days):
-            hits = sum(s.per_day[day].hits for s in self.node_stats)
-            accesses = sum(s.per_day[day].accesses for s in self.node_stats)
-            captures.append(hits / accesses if accesses else 0.0)
-        return captures
+        return [day.hit_ratio for day in CacheStats.merged(self.node_stats).per_day]
 
     def node_access_shares(self) -> List[float]:
         """Each node's share of the cluster's block accesses."""
@@ -70,12 +55,12 @@ class ClusterResult:
     @property
     def mean_capture(self) -> float:
         """Mean daily cluster-wide capture."""
-        captures = [c for c in self.daily_capture() if c > 0 or True]
+        captures = self.daily_capture()
         return sum(captures) / len(captures) if captures else 0.0
 
 
 def simulate_cluster(
-    trace: Trace,
+    trace: Union[Trace, ColumnarTrace],
     policy_factory: PolicyFactory,
     total_capacity_blocks: int,
     days: int,
@@ -86,60 +71,43 @@ def simulate_cluster(
 ) -> ClusterResult:
     """Run a K-node appliance cluster over one ensemble trace.
 
+    The nodes cache disjoint server sets, so they never share a block:
+    the cluster is one :func:`~repro.sim.engine.simulate` per node over
+    its servers' rows.
+
     Args:
-        trace: the chronological ensemble trace.
+        trace: the chronological ensemble trace (object or columnar).
         policy_factory: called once per node (with the node index) to
             build that node's allocation policy.
         total_capacity_blocks: cluster-wide cache capacity; each node
             gets an equal share (at least one frame).
         days: calendar days in the trace.
         nodes: appliance count.
-        server_ids: servers to partition (default: those in the trace).
+        server_ids: servers to partition (default: those in the trace);
+            requests of any other server are not replayed.
         replacement: per-node replacement policy name.
         track_minutes: collect per-minute SSD I/O per node.
     """
-    if nodes <= 0:
-        raise ValueError(f"nodes must be positive, got {nodes}")
+    columns = as_columnar(trace)
+    servers = columns.server_ids
     if server_ids is None:
-        server_ids = sorted({request.server_id for request in trace})
+        server_ids = np.unique(servers).tolist()
     partitions = partition_servers(server_ids, nodes)
-    node_of_server: Dict[int, int] = {
-        server: node
-        for node, servers in enumerate(partitions)
-        for server in servers
-    }
-
     per_node_capacity = max(1, total_capacity_blocks // nodes)
-    appliances: List[SieveStoreAppliance] = []
-    node_stats: List[CacheStats] = []
-    for node in range(nodes):
-        stats = CacheStats(days=days, track_minutes=track_minutes)
-        cache = BlockCache(
-            per_node_capacity, replacement=make_replacement(replacement)
+    runs = [
+        simulate(
+            columns.take(np.flatnonzero(np.isin(servers, partition))),
+            policy_factory(node),
+            per_node_capacity,
+            days,
+            replacement=replacement,
+            track_minutes=track_minutes,
         )
-        appliances.append(
-            SieveStoreAppliance(cache, policy_factory(node), stats)
-        )
-        node_stats.append(stats)
-
-    current_day = -1
-    for request in trace:
-        request_day = int(request.issue_time // SECONDS_PER_DAY)
-        while current_day < request_day:
-            current_day += 1
-            for appliance in appliances:
-                appliance.begin_day(current_day)
-        node = node_of_server.get(request.server_id)
-        if node is None:
-            continue  # server outside the configured partition set
-        appliances[node].process_request(request)
-    while current_day < days - 1:
-        current_day += 1
-        for appliance in appliances:
-            appliance.begin_day(current_day)
-
-    for stats in node_stats:
-        stats.check_consistency()
+        for node, partition in enumerate(partitions)
+    ]
     return ClusterResult(
-        nodes=nodes, partitions=partitions, node_stats=node_stats
+        nodes=nodes,
+        partitions=partitions,
+        node_stats=[run.stats for run in runs],
+        engines=[run.engine for run in runs],
     )

@@ -10,28 +10,32 @@ allocation-writes" (Section 4): every 512-byte block of every request
 is individually looked up, counted, and — if the sieve admits it —
 allocated at its interpolated completion time.
 
-Two execution paths produce identical results:
+Two execution paths produce identical results, and :func:`simulate`
+picks between them from the configuration alone:
 
-* the **object path** (default) hands the trace's rows, one request at
-  a time, to the appliance and its cache / policy / statistics objects
-  — the readable reference implementation.  It reads the same columns
-  as the fast path (an object trace is columnarized first) in bounded
-  row windows, and for a plain SieveStore-C hashes each window's blocks
-  at once with the fast path's own primitives;
-* the **fast path** (``fast_path=True``) replays the columns through
+* the **fast path** replays the columns through
   :mod:`repro.sim.fast_engine`'s flat loop, several times faster.  It
-  covers LRU replacement with write-through accounting (every figure's
-  configuration); other configurations transparently use the object
-  path, so ``fast_path=True`` is always safe — the engine actually used
-  is recorded in :attr:`SimulationResult.engine`, and the first such
-  fallback per process emits a :class:`RuntimeWarning`.
+  runs every configuration it covers — LRU replacement, write-through
+  accounting, no device faults (every figure's configuration);
+* the **object path** hands the trace's rows, one request at a time, to
+  the appliance and its cache / policy / statistics objects — the
+  readable reference implementation, and the engine for everything
+  else (write-back, other replacement policies, fault plans).  It
+  reads the same columns as the fast path in bounded row windows, and
+  for a plain SieveStore-C hashes each window's blocks at once with
+  the fast path's own primitives.  ``fast_path=False`` forces it, which
+  is how the equivalence tests get their reference.
+
+Either way the trace reaches the loop in row chunks — a segment store's
+as it streams them, an in-RAM trace's as views — so peak memory follows
+the chunk budget.  The engine that ran is recorded in
+:attr:`SimulationResult.engine`.
 """
 
 from __future__ import annotations
 
 import math
 import time as _time
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -49,16 +53,9 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.traces.columnar import ColumnarTrace, as_columnar
 from repro.traces.model import Trace
-from repro.traces.segments import ChunkSource
+from repro.traces.segments import DEFAULT_CHUNK_ROWS, ChunkSource, _slice_columns
 from repro.util.intervals import SECONDS_PER_DAY
 
-
-#: Set once the first silent fast-path fallback has been reported, so a
-#: sweep over many unsupported configurations warns exactly once per
-#: reset scope.  The suite runners reset it per task (see
-#: :func:`_reset_fallback_warnings`), so whether a run warns never
-#: depends on what happened to execute earlier in the same process.
-_FALLBACK_WARNED = False
 
 #: Default request interval between checkpoints when a checkpoint path
 #: is given without an explicit cadence.
@@ -71,42 +68,6 @@ DEFAULT_CHECKPOINT_EVERY = 100_000
 _ROW_WINDOW = 4096
 
 
-def _reset_fallback_warnings() -> None:
-    """Forget that the fast-path fallback already warned.
-
-    The warn-once latch is process-global; without a reset, whether a
-    given ``simulate(fast_path=True)`` call warns depends on execution
-    order — a test passing alone could go silent inside the full suite,
-    and the first task of a policy suite would mute every later one.
-    ``run_policy_suite`` resets per task; tests asserting on the warning
-    call this directly.
-    """
-    global _FALLBACK_WARNED
-    _FALLBACK_WARNED = False  # sievelint: disable=SVL008 -- warn-once latch is deliberately per-process
-
-
-def _warn_fast_path_fallback(
-    replacement: str,
-    write_mode: WriteMode,
-    fault_plan: Optional[FaultPlan] = None,
-) -> None:
-    global _FALLBACK_WARNED
-    if _FALLBACK_WARNED:
-        return
-    _FALLBACK_WARNED = True  # sievelint: disable=SVL008 -- warn-once latch is deliberately per-process
-    detail = f"replacement={replacement!r}, write_mode={write_mode.name}"
-    if fault_plan is not None:
-        detail += ", fault plan active"
-    warnings.warn(
-        "fast_path=True fell back to the reference object engine "
-        f"({detail}); "
-        "results are identical but slower.  Check SimulationResult.engine "
-        "to see which engine ran — further fallbacks will not warn.",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
 @dataclass
 class SimulationResult:
     """Everything a benchmark needs from one policy run."""
@@ -116,9 +77,8 @@ class SimulationResult:
     cache: BlockCache
     policy: AllocationPolicy
     wall_seconds: float
-    #: Execution path actually used: ``"fast"`` (columnar loop) or
-    #: ``"object"`` (reference engine).  ``fast_path=True`` requests
-    #: with an unsupported configuration land here as ``"object"``.
+    #: Execution path used: ``"fast"`` (columnar loop) or ``"object"``
+    #: (reference engine), as :func:`simulate` chose it.
     engine: str = "object"
 
     @property
@@ -189,9 +149,8 @@ def _run_object_loop(
 ) -> None:
     """The reference request loop over ``(base_row, columns)`` chunks.
 
-    An in-RAM trace is one chunk holding all its columns; an
-    out-of-core run yields one chunk's worth of columns at a time, so
-    peak memory follows the chunk budget rather than the trace.  Each
+    Chunks come one at a time (see :func:`_chunks`), so peak memory
+    follows the chunk budget rather than the trace.  Each
     chunk is walked in windows of :data:`_ROW_WINDOW` rows, read as
     lists and handed to the appliance one row at a time (no request
     object is built); for a plain SieveStore-C a window's blocks are
@@ -263,6 +222,30 @@ def _run_object_loop(
         if boundary_hook is not None:
             boundary_hook(current_epoch, cursor)
     appliance.flush_dirty(time=float(days) * SECONDS_PER_DAY - 1.0)
+
+
+def _chunks(
+    trace: Union[Trace, ColumnarTrace, ChunkSource],
+    chunk_rows: Optional[int],
+    start_row: int,
+):
+    """``(base_row, columns)`` chunks of ``trace`` from ``start_row`` on,
+    of at most ``chunk_rows`` rows: a chunk source streams its own, an
+    in-RAM trace is cut into row views (checked first, so both engines
+    refuse the same rows; a segment store's were checked when written).
+    """
+    if chunk_rows is not None and chunk_rows <= 0:
+        raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")
+    if isinstance(trace, ChunkSource):
+        return trace.iter_chunks(chunk_rows, start_row=start_row)
+    columns = as_columnar(trace)
+    columns.validate()
+    budget = chunk_rows or DEFAULT_CHUNK_ROWS
+    rows = len(columns)
+    return (
+        (lo, _slice_columns(columns, lo, min(lo + budget, rows)))
+        for lo in range(start_row, rows, budget)
+    )
 
 
 def _check_progress(progress_every: Optional[int], progress_hook) -> None:
@@ -446,17 +429,7 @@ def _drive(
         state["appliance"] = _appliance(policy, cache, stats, config, None)
     appliance = state["appliance"]
 
-    # Both loops read columns: an in-RAM trace is one chunk, a chunk
-    # source streams from the cursor on.
-    segmented = isinstance(trace, ChunkSource)
-    if segmented:
-        chunks = trace.iter_chunks(chunk_rows, start_row=cursor)
-    else:
-        # Both engines refuse the same rows (a segment store's were
-        # checked when written).
-        columns = as_columnar(trace)
-        columns.validate()
-        chunks = [(0, columns)]
+    chunks = _chunks(trace, chunk_rows, cursor)
 
     obs = _engine_obs(policy, label, engine)
     if obs is not None:
@@ -517,7 +490,7 @@ def _drive(
         # Out-of-core runs also checkpoint at every chunk boundary: the
         # state is already consistent there, and a resume then reopens
         # only the segments past the cursor.
-        segment_hook=checkpointer if segmented else None,
+        segment_hook=checkpointer if isinstance(trace, ChunkSource) else None,
     )
     if engine == "fast":
         from repro.sim.fast_engine import simulate_fast_chunks
@@ -525,14 +498,12 @@ def _drive(
         simulate_fast_chunks(
             chunks,
             policy,
+            stats,
+            cache,
             capacity_blocks=config["capacity_blocks"],
-            days=days,
-            track_minutes=config["track_minutes"],
             batch_moves_staggered=config["batch_moves_staggered"],
             epoch_seconds=epoch_seconds,
             total_epochs=config["total_epochs"],
-            stats=stats,
-            cache=cache,
             **position_and_hooks,
         )
     else:
@@ -571,7 +542,7 @@ def simulate(
     replacement_seed: int = 0,
     write_mode: WriteMode = WriteMode.WRITE_THROUGH,
     epoch_seconds: Optional[float] = float(SECONDS_PER_DAY),
-    fast_path: bool = False,
+    fast_path: bool = True,
     fault_plan: Optional[FaultPlan] = None,
     checkpoint_path: Optional[Union[str, Path]] = None,
     checkpoint_every: Optional[int] = None,
@@ -611,12 +582,12 @@ def simulate(
             epochs drive the Section 5.1 epoch-length sensitivity
             analysis.  Statistics stay calendar-day bucketed
             regardless.
-        fast_path: replay the columnar trace through the flat fast
-            loop (bit-identical statistics).  Configurations the fast
-            path does not cover — non-LRU replacement, write-back —
-            transparently fall back to the object path; the fallback is
-            recorded in :attr:`SimulationResult.engine` and warned
-            about once per process.
+        fast_path: replay on the fast loop whenever the configuration
+            allows it (LRU, write-through, no fault plan), on the object
+            engine otherwise; the statistics are bit-identical either
+            way.  ``False`` forces the object engine, the reference the
+            equivalence tests compare against.  The engine that ran is
+            :attr:`SimulationResult.engine`.
         fault_plan: optional device-fault schedule
             (:class:`~repro.faults.plan.FaultPlan`).  An empty plan is
             treated exactly like ``None`` (byte-identical output); a
@@ -643,10 +614,10 @@ def simulate(
             hook.  ``None`` disables it.
         progress_hook: callable receiving ``(requests_done,
             current_epoch)``; must not mutate simulation state.
-        chunk_rows: row budget per streamed chunk when ``trace`` is a
-            :class:`~repro.traces.segments.SegmentStore` (default
-            :data:`~repro.traces.segments.DEFAULT_CHUNK_ROWS`; chunks
-            never span segments).  Ignored for in-RAM traces.
+        chunk_rows: row budget per chunk the loops replay (default
+            :data:`~repro.traces.segments.DEFAULT_CHUNK_ROWS`): in-RAM
+            traces are cut into row views of it, segment-store chunks
+            never span segments.  Chunk edges never move a statistic.
     """
     if epoch_seconds is None:
         epoch_seconds = float(SECONDS_PER_DAY)
@@ -670,8 +641,6 @@ def simulate(
         and write_mode is WriteMode.WRITE_THROUGH
         and fault_plan is None
     )
-    if fast_path and not use_fast:
-        _warn_fast_path_fallback(replacement, write_mode, fault_plan)
 
     stats = CacheStats(days=days, track_minutes=track_minutes)
     cache = BlockCache(
@@ -744,8 +713,7 @@ def resume_simulation(
             with in-RAM checkpoints (and vice versa): segment
             fingerprints round-trip exactly, and segments wholly behind
             the checkpoint cursor are never opened.
-        chunk_rows: per-chunk row budget when ``trace`` is a segment
-            store; ignored otherwise.
+        chunk_rows: per-chunk row budget, as in :func:`simulate`.
         checkpoint_path: where to keep writing checkpoints (defaults to
             overwriting ``path``).
         engine: resume on this engine (``"fast"`` or ``"object"``)

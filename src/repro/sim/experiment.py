@@ -214,7 +214,7 @@ def run_policy(
     name: str,
     ctx: ExperimentContext,
     track_minutes: bool = True,
-    fast_path: bool = False,
+    fast_path: bool = True,
     fault_plan=None,
     epoch_seconds: Optional[float] = None,
     checkpoint_path=None,
@@ -228,8 +228,9 @@ def run_policy(
 
     The one way a configuration is run: the suite, the shard workers
     and the CLI all come through here.  A chunk-source context streams
-    its store in ``chunk_rows``-row chunks; an in-RAM one replays
-    :meth:`ExperimentContext.columnar_trace`.  ``fault_plan`` (a
+    its store, an in-RAM one replays
+    :meth:`ExperimentContext.columnar_trace`, both in ``chunk_rows``-row
+    chunks.  ``fast_path``, ``fault_plan`` (a
     :class:`~repro.faults.plan.FaultPlan`), ``epoch_seconds``, the
     checkpoint arguments, the progress hook and ``chunk_rows`` are
     forwarded to :func:`~repro.sim.engine.simulate` unchanged; the
@@ -260,7 +261,7 @@ def run_policy_suite(
     ctx: ExperimentContext,
     names: Sequence[str] = FIGURE5_POLICIES,
     track_minutes: bool = True,
-    fast_path: bool = False,
+    fast_path: bool = True,
     jobs: Optional[int] = 1,
     task_timeout: Optional[float] = None,
     fault_plan=None,

@@ -15,12 +15,13 @@ replays the same semantics over the columnar trace, a chunk at a time:
   block hits iff fewer than ``capacity`` distinct blocks came between
   it and its previous access, and
   :func:`~repro.cache.replacement.lru_pass` settles every row since
-  the last stop that reads the cache (any stop but a progress tick)
-  with one sort, after which the cache's ``OrderedDict`` is rebuilt
-  once, in place.  WMNA (whose write misses allocate nothing, so its
-  block stream depends on the state) and the per-miss-call modes drive
-  that ``OrderedDict`` directly (membership test + ``move_to_end`` +
-  ``popitem(last=False)``).  Either way the cache's resident *set* is
+  the last stop that reads the cache or the hit column (any stop but a
+  progress tick) with one sort; the cache's ``OrderedDict`` is rebuilt
+  from the resulting order, in place, only where the cache is read (a
+  chunk's end reads only the hit column).  WMNA (whose write misses
+  allocate nothing, so its block stream depends on the state) and the
+  per-miss-call modes drive that ``OrderedDict`` directly (membership
+  test + ``move_to_end`` + ``popitem(last=False)``).  Either way the cache's resident *set* is
   resynced only at epoch boundaries, sync sites and the end of the run;
 * statistics are recorded from columns
   (:meth:`~repro.cache.stats.CacheStats.record_rows`: every block of a
@@ -66,7 +67,7 @@ from repro.cache.allocation import (
     WriteMissNoAllocate,
 )
 from repro.cache.block_cache import BlockCache
-from repro.cache.replacement import LRUReplacement, lru_pass
+from repro.cache.replacement import lru_pass
 from repro.cache.stats import CacheStats
 from repro.core.ideal import IdealDailySieve
 from repro.core.random_sieve import RandSieveBlkD
@@ -164,16 +165,16 @@ def _every_rows(every: int, base: int, lo: int, hi: int) -> range:
 
 
 def _replay_lru(
-    od,
+    order: np.ndarray,
     capacity: int,
     addresses: np.ndarray,
     block_counts: np.ndarray,
     out: np.ndarray,
-) -> None:
+) -> np.ndarray:
     """Replay a stretch of requests through an allocate-every-miss LRU
-    cache whose recency order is ``od``: each request's hit count goes
-    to ``out``, and ``od`` is rebuilt in place, once, in the order the
-    per-block walk would have left it.
+    cache whose recency order (least recent first) is ``order``: each
+    request's hit count goes to ``out``, and the order the per-block
+    walk would have left is returned.
 
     The stretch is cut between requests into passes of about 4 times
     the capacity, clamped to ``[_LRU_CHUNK, _LRU_CHUNK_MAX]`` blocks (a
@@ -181,7 +182,6 @@ def _replay_lru(
     the next."""
     span = min(max(_LRU_CHUNK, 4 * capacity), _LRU_CHUNK_MAX)
     ends = np.cumsum(block_counts, dtype=np.int64)
-    order = np.fromiter(od, dtype=np.int64, count=len(od))
     rows, lo, done = len(ends), 0, 0
     while lo < rows:
         hi = max(int(np.searchsorted(ends, done + span, "right")), lo + 1)
@@ -192,21 +192,18 @@ def _replay_lru(
         np.cumsum(hit, out=running[1:])
         out[lo:hi] = running[offsets[1:]] - running[offsets[:-1]]
         lo, done = hi, int(ends[hi - 1])
-    od.clear()
-    od.update(dict.fromkeys(order.tolist()))
+    return order
 
 
 def simulate_fast_chunks(
     chunks,
     policy: AllocationPolicy,
+    stats: CacheStats,
+    cache: BlockCache,
     capacity_blocks: int,
-    days: int,
-    track_minutes: bool,
     batch_moves_staggered: bool,
     epoch_seconds: float,
     total_epochs: int,
-    stats: "CacheStats" = None,
-    cache: "BlockCache" = None,
     start_cursor: int = 0,
     start_epoch: int = -1,
     checkpoint_every: int = None,
@@ -215,13 +212,14 @@ def simulate_fast_chunks(
     progress_every: int = None,
     progress_hook=None,
     segment_hook=None,
-) -> Tuple[CacheStats, BlockCache]:
-    """Replay a stream of columnar chunks through ``policy``.
+) -> None:
+    """Replay a stream of columnar chunks through ``policy`` into
+    ``stats`` and ``cache`` (an LRU cache).
 
     ``chunks`` yields ``(base_row, columns)`` pieces of one trace in
     issue order — contiguous, ascending, never overlapping (a
     :meth:`~repro.traces.segments.SegmentStore.iter_chunks` iterator,
-    or one in-RAM trace as a single chunk).  Rows before
+    or an in-RAM trace's row views).  Rows before
     ``start_cursor`` within the first chunk are skipped, so resuming
     mid-chunk and resuming with a pre-trimmed iterator both work.  Only
     one chunk's columns are materialized as Python lists at a time:
@@ -230,8 +228,8 @@ def simulate_fast_chunks(
     Chunk boundaries are invisible in the results — bucketing,
     ordering, and counter semantics do not depend on them, which the
     segmented-pipeline equivalence suite asserts byte for byte.
-    Returns ``(stats, cache)`` exactly as the reference path would have
-    left them (same counters, same resident set, same LRU order).
+    Leaves ``stats`` and ``cache`` exactly as the reference path would
+    have (same counters, same resident set, same LRU order).
 
     Checkpoint/resume: passing ``stats``/``cache``/``start_cursor``/
     ``start_epoch`` (all restored from one checkpoint) continues a run
@@ -252,13 +250,7 @@ def simulate_fast_chunks(
     cursor between sync sites.  The rows they fire
     at are found per chunk: they cost the request loops nothing.
     """
-    if stats is None:
-        stats = CacheStats(days=days, track_minutes=track_minutes)
-    if cache is None:
-        cache = BlockCache(capacity_blocks, replacement=LRUReplacement())
-    replacement = cache.replacement
-
-    od = replacement._order
+    od = cache.replacement._order
     od_move = od.move_to_end
     od_pop = od.popitem
     capacity = capacity_blocks
@@ -298,12 +290,25 @@ def simulate_fast_chunks(
         mct_counters = policy.mct._counters
         installed: List[Tuple[int, int]] = []  # (row, block offset)
 
+    # AOD's LRU order while ``od`` lags behind it (see _replay_lru).
+    lru_order = None
+
+    def resync() -> None:
+        """Bring the cache up to the replay: ``od`` from AOD's order,
+        the resident set from ``od``."""
+        nonlocal lru_order
+        if lru_order is not None:
+            od.clear()
+            od.update(dict.fromkeys(lru_order.tolist()))
+            lru_order = None
+        if may_allocate:
+            cache._resident = set(od)
+
     def apply_boundary(epoch: int) -> None:
         batch = policy.epoch_boundary(epoch)
         if batch is None:
             return
-        if may_allocate:
-            cache._resident = set(od)
+        resync()
         new_set = set(batch)
         inserted, _removed = cache.replace_contents(new_set)
         if inserted:
@@ -385,6 +390,8 @@ def simulate_fast_chunks(
             # stream in exactly this order).  The bulk modes send it
             # their day-straddling requests, for the blocks' offsets.
             head = hi if general else lo + (lo in scalar_rows)
+            if head > lo and lru_order is not None:
+                resync()
             for jl in range(lo, head):
                 issue = issue_l[jl]
                 addr = addr_l[jl]
@@ -518,8 +525,11 @@ def simulate_fast_chunks(
                     lru_from = head
                 if hi in settle_rows:
                     if lru_from < hi:
-                        _replay_lru(
-                            od, capacity, chunk_cols.address[lru_from:hi],
+                        if lru_order is None:
+                            lru_order = np.fromiter(od, np.int64, len(od))
+                        lru_order = _replay_lru(
+                            lru_order, capacity,
+                            chunk_cols.address[lru_from:hi],
                             chunk_cols.block_count[lru_from:hi],
                             hit_column[lru_from:hi],
                         )
@@ -549,8 +559,7 @@ def simulate_fast_chunks(
 
             done = base + hi
             if checkpoint_every is not None and done % checkpoint_every == 0:
-                if may_allocate:
-                    cache._resident = set(od)
+                resync()
                 if kernel is not None:
                     # Mid-run: flush only the blocks replayed so far.
                     kernel.flush(stop)
@@ -568,8 +577,7 @@ def simulate_fast_chunks(
         if chunk_end_row > cursor:
             cursor = chunk_end_row
         if segment_hook is not None:
-            if may_allocate:
-                cache._resident = set(od)
+            resync()
             if kernel is not None:
                 kernel.sync()
             segment_hook(cursor, current_epoch)
@@ -580,10 +588,8 @@ def simulate_fast_chunks(
         apply_boundary(current_epoch)
         if boundary_hook is not None:
             boundary_hook(current_epoch, cursor)
-    if may_allocate:
-        cache._resident = set(od)
+    resync()
     if kernel is not None:
         # The policy object must reflect the run before the caller
         # samples sieve telemetry or pickles a final state.
         kernel.sync()
-    return stats, cache

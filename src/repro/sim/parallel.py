@@ -138,9 +138,6 @@ def _run_one(ctx, name: str, options: dict):
     """Suite task: run one policy against this process's context."""
     from repro.sim.experiment import run_policy
 
-    # Warn-once state must not depend on what else ran in this process
-    # (workers execute several tasks back to back).
-    _engine._reset_fallback_warnings()
     result = run_policy(name, ctx, **options)
     return result.engine, result
 
@@ -307,7 +304,6 @@ def _replay_shard(
     from repro.sim.experiment import ExperimentContext, run_policy
     from repro.sim.serialize import CheckpointError
 
-    _engine._reset_fallback_warnings()
     view = store.shard(shard, shards)
     if checkpoint_path is not None and Path(checkpoint_path).exists():
         try:

@@ -73,32 +73,32 @@ class TestEngineAgainstReference:
     @settings(max_examples=60, deadline=None)
     @given(trace=random_traces(), capacity=st.integers(min_value=1, max_value=16))
     def test_aod_matches_bruteforce_lru(self, trace, capacity):
-        result = simulate(
-            trace, AllocateOnDemand(), capacity, days=1, track_minutes=False
-        )
-        hits, misses, allocs = reference_lru_aod(trace, capacity)
-        total = result.stats.total
-        assert (total.hits, total.misses, total.allocation_writes) == (
-            hits,
-            misses,
-            allocs,
-        )
+        expected = reference_lru_aod(trace, capacity)
+        for fast_path, engine in ((False, "object"), (True, "fast")):
+            result = simulate(
+                trace, AllocateOnDemand(), capacity, days=1,
+                track_minutes=False, fast_path=fast_path,
+            )
+            assert result.engine == engine
+            total = result.stats.total
+            assert (
+                total.hits, total.misses, total.allocation_writes
+            ) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(trace=random_traces(), capacity=st.integers(min_value=1, max_value=16))
     def test_wmna_matches_bruteforce(self, trace, capacity):
-        result = simulate(
-            trace, WriteMissNoAllocate(), capacity, days=1, track_minutes=False
-        )
-        hits, misses, allocs = reference_lru_aod(
-            trace, capacity, write_allocate=False
-        )
-        total = result.stats.total
-        assert (total.hits, total.misses, total.allocation_writes) == (
-            hits,
-            misses,
-            allocs,
-        )
+        expected = reference_lru_aod(trace, capacity, write_allocate=False)
+        for fast_path, engine in ((False, "object"), (True, "fast")):
+            result = simulate(
+                trace, WriteMissNoAllocate(), capacity, days=1,
+                track_minutes=False, fast_path=fast_path,
+            )
+            assert result.engine == engine
+            total = result.stats.total
+            assert (
+                total.hits, total.misses, total.allocation_writes
+            ) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(trace=random_traces())

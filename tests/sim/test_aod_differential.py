@@ -94,7 +94,10 @@ def cases(draw):
 @given(cases())
 def test_fast_matches_object_full_end_state(case):
     trace, days, capacity, cuts = case
-    expected = end_state(replay(trace, capacity, days, False))
+    chunk_rows = cuts["chunk_rows"]
+    expected = end_state(
+        replay(trace, capacity, days, False, chunk_rows=chunk_rows)
+    )
     kill_at = cuts["kill_at"]
 
     def killer(requests_done, _current_epoch):
@@ -108,7 +111,7 @@ def test_fast_matches_object_full_end_state(case):
         patch.setattr(fast_engine, "_LRU_CHUNK", cuts["lru_chunk"])
         patch.setattr(fast_engine, "_LRU_CHUNK_MAX", cuts["lru_chunk_max"])
         in_ram = replay(
-            trace, capacity, days, True,
+            trace, capacity, days, True, chunk_rows=chunk_rows,
             progress_every=cuts["progress_every"],
             progress_hook=lambda _done, _epoch: None,
         )
@@ -122,13 +125,17 @@ def test_fast_matches_object_full_end_state(case):
         with pytest.raises(Killed):
             replay(
                 store, capacity, days, True,
-                chunk_rows=cuts["chunk_rows"],
+                chunk_rows=chunk_rows,
                 checkpoint_path=checkpoint,
                 checkpoint_every=cuts["checkpoint_every"],
                 progress_every=kill_at, progress_hook=killer,
             )
-        resumed = resume_simulation(
-            checkpoint, store, chunk_rows=cuts["chunk_rows"]
-        )
-        assert resumed.engine == "fast"
-        assert end_state(resumed) == expected
+        # The same checkpoint, resumed in RAM (chunked from the cursor)
+        # and from the store.
+        in_ram_checkpoint = Path(work) / "in-ram.ckpt"
+        for source, target in ((trace, in_ram_checkpoint), (store, checkpoint)):
+            resumed = resume_simulation(
+                checkpoint, source, chunk_rows=chunk_rows, checkpoint_path=target
+            )
+            assert resumed.engine == "fast"
+            assert end_state(resumed) == expected

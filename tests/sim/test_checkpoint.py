@@ -2,6 +2,7 @@
 
 import json
 import struct
+import warnings
 
 import pytest
 
@@ -205,11 +206,9 @@ class TestFaultSimulation:
         assert "degraded_seconds" not in payload
         assert all("read_errors" not in day for day in payload["per_day"])
 
-    def test_fault_plan_forces_object_engine(self, tiny_context, monkeypatch):
-        import repro.sim.engine as engine_module
-
-        monkeypatch.setattr(engine_module, "_FALLBACK_WARNED", False)
+    def test_fault_plan_forces_object_engine(self, tiny_context):
         plan = FaultPlan(outages=(OutageWindow(0.0, 1.0),))
-        with pytest.warns(RuntimeWarning, match="fault plan active"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             result = run(tiny_context, fast=True, fault_plan=plan)
         assert result.engine == "object"

@@ -1,4 +1,4 @@
-"""The fast path's contract: bit-identical statistics, or a visible fallback.
+"""The fast path's contract: bit-identical statistics on every configuration it runs.
 
 ``simulate(..., fast_path=True)`` is an optimization, not an
 approximation — for every supported configuration it must produce the
@@ -14,6 +14,8 @@ allocate-on-demand baselines.
 import pytest
 
 from repro.cache.write_policy import WriteMode
+from repro.core.autotune import AdaptiveSieveStoreC, AutoThresholdSieveStoreD
+from repro.core.sievestore_c import SieveStoreCConfig
 from repro.sim.engine import simulate
 from repro.sim.experiment import build_policy, context_for_trace
 from repro.traces.columnar import ColumnarTrace
@@ -29,27 +31,54 @@ EQUIVALENCE_POLICIES = (
 )
 
 
+#: Subclasses the fast loop replays through its general per-miss-call
+#: body: built outside the Figure-5 registry, one per run.
+EXTENSION_POLICIES = {
+    "sievestore-c-adaptive": lambda ctx: (
+        AdaptiveSieveStoreC(
+            SieveStoreCConfig(imct_slots=ctx.imct_slots),
+            capacity_blocks=ctx.sieved_capacity,
+        ),
+        ctx.sieved_capacity,
+    ),
+    "sievestore-d-auto": lambda ctx: (
+        AutoThresholdSieveStoreD(capacity_blocks=ctx.sieved_capacity),
+        ctx.sieved_capacity,
+    ),
+}
+
+
+def make_policy(name, ctx):
+    if name in EXTENSION_POLICIES:
+        return EXTENSION_POLICIES[name](ctx)
+    return build_policy(name, ctx)
+
+
 def run_both(name, ctx, **kwargs):
-    policy_slow, capacity = build_policy(name, ctx)
-    policy_fast, _ = build_policy(name, ctx)
+    policy_slow, capacity = make_policy(name, ctx)
+    policy_fast, _ = make_policy(name, ctx)
     slow = simulate(
         ctx.object_trace(), policy_slow, capacity, ctx.days,
         fast_path=False, **kwargs,
     )
+    # Several chunks on the fast side: chunk edges must not show.
     fast = simulate(
         ctx.columnar_trace(), policy_fast, capacity, ctx.days,
-        fast_path=True, **kwargs,
+        fast_path=True, chunk_rows=5000, **kwargs,
     )
     return slow, fast
 
 
 def assert_identical(slow, fast):
+    assert (slow.engine, fast.engine) == ("object", "fast")
     assert fast.stats.per_day == slow.stats.per_day
     assert fast.stats.per_minute == slow.stats.per_minute
     assert fast.cache.resident_set() == slow.cache.resident_set()
 
 
-@pytest.mark.parametrize("name", EQUIVALENCE_POLICIES)
+@pytest.mark.parametrize(
+    "name", EQUIVALENCE_POLICIES + tuple(EXTENSION_POLICIES)
+)
 def test_fast_path_bit_identical(name, tiny_context):
     slow, fast = run_both(name, tiny_context)
     assert_identical(slow, fast)
@@ -74,6 +103,7 @@ def test_fast_path_accepts_object_trace(tiny_context):
         tiny_context.columnar_trace(), policy2, capacity, tiny_context.days,
         fast_path=True,
     )
+    assert (via_object.engine, via_columns.engine) == ("fast", "fast")
     assert via_object.stats.per_day == via_columns.stats.per_day
 
 
@@ -86,7 +116,9 @@ def test_object_path_accepts_columnar_trace(tiny_context):
     policy2, _ = build_policy("aod-16", tiny_context)
     reference = simulate(
         tiny_context.object_trace(), policy2, capacity, tiny_context.days,
+        fast_path=False,
     )
+    assert (result.engine, reference.engine) == ("object", "object")
     assert result.stats.per_day == reference.stats.per_day
 
 
@@ -99,19 +131,20 @@ def test_object_path_accepts_columnar_trace(tiny_context):
     ids=["fifo", "write-back"],
 )
 def test_unsupported_configs_fall_back(kwargs, tiny_context):
-    # fast_path=True uses the reference engine for configurations the
-    # fast loop does not specialize — same stats, warned once per
-    # process and recorded in SimulationResult.engine.
+    # Configurations the fast loop does not cover run on the reference
+    # engine whatever fast_path says — same stats, recorded in
+    # SimulationResult.engine.
     policy_slow, capacity = build_policy("aod-16", tiny_context)
     policy_fast, _ = build_policy("aod-16", tiny_context)
     reference = simulate(
         tiny_context.object_trace(), policy_slow, capacity,
-        tiny_context.days, **kwargs,
+        tiny_context.days, fast_path=False, **kwargs,
     )
     fallback = simulate(
         tiny_context.columnar_trace(), policy_fast, capacity,
         tiny_context.days, fast_path=True, **kwargs,
     )
+    assert (reference.engine, fallback.engine) == ("object", "object")
     assert fallback.stats.per_day == reference.stats.per_day
     assert fallback.stats.per_minute == reference.stats.per_minute
 

@@ -5,10 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-import repro.sim.engine as engine_module
 from repro.cache.allocation import AllocateOnDemand, NeverAllocate, StaticSet
+from repro.cache.write_policy import WriteMode
 from repro.core import SieveStoreC
 from repro.core.sievestore_d import SieveStoreD, SieveStoreDConfig
+from repro.faults.plan import FaultPlan, OutageWindow
 from repro.sim.engine import resume_simulation, simulate, total_epoch_count
 from repro.traces.columnar import ColumnarTrace
 from repro.traces.model import IOKind, IORequest, Trace
@@ -103,6 +104,12 @@ class TestCustomEpochs:
         with pytest.raises(ValueError):
             simulate(Trace([]), AllocateOnDemand(), 4, days=1, epoch_seconds=0)
 
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_rejects_bad_chunk_budget(self, fast):
+        with pytest.raises(ValueError, match="chunk_rows must be positive"):
+            simulate(Trace([req(0, 1.0)]), AllocateOnDemand(), 4, days=1,
+                     fast_path=fast, chunk_rows=0)
+
     def test_default_epoch_is_one_day(self):
         policy = SieveStoreD()
         simulate(Trace([req(0, 1.0)]), policy, 16, days=2)
@@ -187,42 +194,24 @@ class TestEngineField:
 
     def test_object_path_recorded(self):
         trace = Trace([req(0, 1.0)])
-        result = simulate(trace, AllocateOnDemand(), 16, days=1)
+        result = simulate(trace, AllocateOnDemand(), 16, days=1, fast_path=False)
         assert result.engine == "object"
 
-    def test_fallback_records_object_and_warns_once(self, monkeypatch):
-        monkeypatch.setattr(engine_module, "_FALLBACK_WARNED", False)
+    def test_configuration_picks_the_engine(self):
         trace = Trace([req(0, 1.0)])
-        with pytest.warns(RuntimeWarning, match="fell back"):
-            result = simulate(
-                trace, AllocateOnDemand(), 16, days=1,
-                fast_path=True, replacement="fifo",
-            )
-        assert result.engine == "object"
-        # Second fallback in the same process: no further warning.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            simulate(
-                trace, AllocateOnDemand(), 16, days=1,
-                fast_path=True, replacement="fifo",
-            )
-
-    def test_fallback_warning_state_is_resettable(self, monkeypatch):
-        monkeypatch.setattr(engine_module, "_FALLBACK_WARNED", False)
-        trace = Trace([req(0, 1.0)])
-        with pytest.warns(RuntimeWarning, match="fell back"):
-            simulate(
-                trace, AllocateOnDemand(), 16, days=1,
-                fast_path=True, replacement="fifo",
-            )
-        # The suite runner resets per task so each task's first
-        # fallback warns again, no matter what ran before it.
-        engine_module._reset_fallback_warnings()
-        with pytest.warns(RuntimeWarning, match="fell back"):
-            simulate(
-                trace, AllocateOnDemand(), 16, days=1,
-                fast_path=True, replacement="fifo",
-            )
+        # What the fast loop does not cover runs on the object engine,
+        # silently: the result records it.
+        for kwargs in (
+            {"fault_plan": FaultPlan(outages=(OutageWindow(0.0, 10.0),))},
+            {"write_mode": WriteMode.WRITE_BACK},
+            {"replacement": "fifo"},
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                result = simulate(trace, AllocateOnDemand(), 16, days=1, **kwargs)
+            assert result.engine == "object", kwargs
+        # A plain run takes the fast loop.
+        assert simulate(trace, AllocateOnDemand(), 16, days=1).engine == "fast"
 
 
 class TestDailyCapture:

@@ -65,7 +65,7 @@ class TestSevenHourEpochsOverEightDays:
 
     def run(self, fast_path):
         trace = self.build_trace()
-        return simulate(
+        result = simulate(
             trace if not fast_path else ColumnarTrace.from_trace(trace),
             admit_everything(),
             1 << 20,
@@ -73,6 +73,8 @@ class TestSevenHourEpochsOverEightDays:
             epoch_seconds=SEVEN_HOURS,
             fast_path=fast_path,
         )
+        assert result.engine == ("fast" if fast_path else "object")
+        return result
 
     def test_reference_path_buckets_by_boundary_day(self):
         result = self.run(fast_path=False)
@@ -120,6 +122,7 @@ class TestEnginesAgreeOnSharedTrace:
             tiny_context.columnar_trace(), policy_fast, capacity,
             tiny_context.days, epoch_seconds=SEVEN_HOURS, fast_path=True,
         )
+        assert (slow.engine, fast.engine) == ("object", "fast")
         assert fast.stats.per_day == slow.stats.per_day
         assert fast.stats.per_minute == slow.stats.per_minute
         # Totals are conserved: bucketing moves writes between days,

@@ -9,6 +9,7 @@ from repro.core.ideal import IdealDailySieve
 from repro.core.random_sieve import RandSieveBlkD, RandSieveC
 from repro.core.sievestore_c import SieveStoreC
 from repro.core.sievestore_d import SieveStoreD
+from repro.ensemble.cluster import simulate_cluster
 from repro.sim.experiment import (
     FIGURE5_POLICIES,
     ExperimentContext,
@@ -96,6 +97,27 @@ class TestRunners:
         )
         assert result.policy.config.single_tier_admission
         assert "single-tier" in result.policy_name
+
+    def test_default_routes_take_the_fast_loop(self, tiny_context):
+        suite = run_policy_suite(
+            tiny_context, ("aod-16", "sievestore-c"), track_minutes=False
+        )
+        results = [
+            run_policy("sievestore-c", tiny_context, track_minutes=False),
+            *suite.values(),
+            sievestore_d_with_threshold(tiny_context, threshold=15),
+            sievestore_d_with_epoch(tiny_context, epoch_hours=12.0),
+            sievestore_c_with_window(tiny_context, window_hours=2.0),
+        ]
+        assert [result.engine for result in results] == ["fast"] * 6
+        assert [task["engine"] for task in suite.manifest["tasks"]] == [
+            "fast", "fast"
+        ]
+        cluster = simulate_cluster(
+            tiny_context.columnar_trace(), lambda node: AllocateOnDemand(),
+            tiny_context.sieved_capacity, tiny_context.days, nodes=2,
+        )
+        assert cluster.engines == ["fast", "fast"]
 
 
 def stats_digest(result) -> str:

@@ -44,9 +44,10 @@ def stats_json(stats):
 
 
 def replay(ctx, trace, **kwargs):
+    """A SieveStore-C run on the object engine."""
     return simulate(
         trace, sieve(ctx), capacity_blocks=ctx.sieved_capacity,
-        days=ctx.days, track_minutes=True, **kwargs
+        days=ctx.days, track_minutes=True, fast_path=False, **kwargs
     )
 
 
@@ -61,6 +62,7 @@ def test_resume_inside_a_row_window_is_bit_identical(tiny_context, tmp_path,
         tiny_context, columns, fault_plan=plan,
         checkpoint_path=path, checkpoint_every=EVERY,
     )
+    assert (baseline.engine, checkpointed.engine) == ("object", "object")
     assert stats_json(checkpointed.stats) == stats_json(baseline.stats)
     cursor = load_checkpoint(path)["cursor"]
     assert cursor % engine._ROW_WINDOW != 0
@@ -89,13 +91,9 @@ def no_request_objects(monkeypatch):
     monkeypatch.setattr(model.IORequest, "__post_init__", refuse)
 
 
-@pytest.mark.filterwarnings("ignore:fast_path=True fell back")
 def test_columnar_replay_builds_no_request_objects(tiny_context,
                                                    no_request_objects):
-    result = replay(
-        tiny_context, tiny_context.columnar_trace(), fault_plan=PLAN,
-        fast_path=True,
-    )
+    result = replay(tiny_context, tiny_context.columnar_trace(), fault_plan=PLAN)
     assert result.engine == "object"
     assert result.stats.total.bypass_accesses > 0
 
@@ -107,7 +105,7 @@ def test_segmented_replay_builds_no_request_objects(tiny_context, tmp_path,
                              rows_per_segment=5000)
     streamed = replay(tiny_context, store, fault_plan=PLAN, chunk_rows=3000)
     in_ram = replay(tiny_context, columns, fault_plan=PLAN)
-    assert streamed.engine == "object"
+    assert (streamed.engine, in_ram.engine) == ("object", "object")
     assert stats_json(streamed.stats) == stats_json(in_ram.stats)
 
 

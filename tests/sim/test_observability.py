@@ -53,6 +53,7 @@ class TestDisabledIsByteIdentical:
         observed = run_suite(tiny_context)
         runtime.disable()
         for name in SUITE:
+            assert observed[name].engine == baseline[name].engine == "fast"
             assert json.dumps(stats_to_dict(observed[name].stats)) == (
                 json.dumps(stats_to_dict(baseline[name].stats))
             )
@@ -111,7 +112,10 @@ class TestEnabledCollectsMetrics:
 
     def test_run_policy_uses_config_name_as_label(self, tiny_context):
         runtime.enable()
-        run_policy("aod-32", tiny_context, track_minutes=False, fast_path=True)
+        result = run_policy(
+            "aod-32", tiny_context, track_minutes=False, fast_path=True
+        )
+        assert result.engine == "fast"
         counter = runtime.get_registry().get("sim_requests_total")
         assert counter.value(policy="aod-32", engine="fast") == len(
             tiny_context.trace.requests
@@ -119,7 +123,10 @@ class TestEnabledCollectsMetrics:
 
     def test_object_engine_labels_engine_dimension(self, tiny_context):
         runtime.enable()
-        run_policy("aod-16", tiny_context, track_minutes=False, fast_path=False)
+        result = run_policy(
+            "aod-16", tiny_context, track_minutes=False, fast_path=False
+        )
+        assert result.engine == "object"
         counter = runtime.get_registry().get("sim_requests_total")
         assert counter.value(policy="aod-16", engine="object") > 0
         assert counter.value(policy="aod-16", engine="fast") == 0

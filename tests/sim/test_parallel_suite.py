@@ -23,6 +23,7 @@ def assert_suites_equal(parallel, serial):
     assert set(parallel) == set(serial)
     for name in serial:
         assert parallel[name].policy_name == serial[name].policy_name
+        assert (serial[name].engine, parallel[name].engine) == ("fast", "fast")
         assert parallel[name].stats.per_day == serial[name].stats.per_day
         assert (
             parallel[name].stats.per_minute == serial[name].stats.per_minute
@@ -50,6 +51,9 @@ def test_object_path_through_workers(tiny_context):
     )
     parallel = run_policy_suite(
         tiny_context, ("aod-16",), track_minutes=False, fast_path=False, jobs=2
+    )
+    assert (serial["aod-16"].engine, parallel["aod-16"].engine) == (
+        "object", "object"
     )
     assert (
         parallel["aod-16"].stats.per_day == serial["aod-16"].stats.per_day

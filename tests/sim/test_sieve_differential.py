@@ -127,12 +127,15 @@ class TestFastMatchesObject:
     def test_full_end_state(self, case):
         trace, config, capacity, tracking, cuts = case
         days = 2
-        expected = end_state(
-            replay(trace, config, capacity, days, False, tracking)
-        )
-        assert end_state(
-            replay(trace, config, capacity, days, True, tracking)
-        ) == expected
+        chunk_rows = cuts["chunk_rows"]
+        expected = end_state(replay(
+            trace, config, capacity, days, False, tracking,
+            chunk_rows=chunk_rows,
+        ))
+        assert end_state(replay(
+            trace, config, capacity, days, True, tracking,
+            chunk_rows=chunk_rows,
+        )) == expected
 
         kill_at = cuts["kill_at"]
 
@@ -149,16 +152,20 @@ class TestFastMatchesObject:
             with pytest.raises(Killed):
                 replay(
                     store, config, capacity, days, True, tracking,
-                    chunk_rows=cuts["chunk_rows"],
+                    chunk_rows=chunk_rows,
                     checkpoint_path=checkpoint,
                     checkpoint_every=cuts["checkpoint_every"],
                     progress_every=kill_at, progress_hook=killer,
                 )
-            resumed = resume_simulation(
-                checkpoint, store, chunk_rows=cuts["chunk_rows"]
-            )
-            assert resumed.engine == "fast"
-            assert end_state(resumed) == expected
+            # The same checkpoint, resumed in RAM (chunked from the
+            # cursor) and from the store.
+            in_ram_checkpoint = Path(work) / "in-ram.ckpt"
+            for source, target in ((trace, in_ram_checkpoint), (store, checkpoint)):
+                resumed = resume_simulation(
+                    checkpoint, source, chunk_rows=chunk_rows, checkpoint_path=target
+                )
+                assert resumed.engine == "fast"
+                assert end_state(resumed) == expected
 
 
 #: One resident block X, evicted mid-run by Y's admission (capacity 1,

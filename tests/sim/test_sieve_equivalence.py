@@ -306,7 +306,9 @@ class TestChunkingDifferential:
 class TestCheckpointResume:
     def baseline(self, ctx):
         policy, _capacity = build_policy("sievestore-c", ctx)
-        return run_engine(ctx, policy, fast=False)
+        result = run_engine(ctx, policy, fast=False)
+        assert result.engine == "object"
+        return result
 
     def checkpointed(self, ctx, fast, path):
         policy, _capacity = build_policy("sievestore-c", ctx)
@@ -324,6 +326,7 @@ class TestCheckpointResume:
         if fast:
             assert_sieve_identical(baseline, checkpointed)
         else:
+            assert checkpointed.engine == "object"
             assert stats_to_dict(checkpointed.stats) == stats_to_dict(
                 baseline.stats
             )

@@ -87,18 +87,35 @@ class TestSimulateCommand:
         assert "aod-16 over" in out
         assert "sievestore-d over" in out
 
-    def test_fast_path_matches_reference(self, capsys):
-        main(["simulate", *TINY, "--policy", "aod-16"])
-        slow = capsys.readouterr().out
-        main(["simulate", *TINY, "--policy", "aod-16", "--fast"])
-        fast = capsys.readouterr().out
-        assert stable_lines(fast) == stable_lines(slow)
+    def test_fast_path_matches_reference(self, tmp_path, capsys):
+        import json
+
+        from repro.sim.experiment import context_for_trace, run_policy
+        from repro.sim.serialize import stats_to_dict
+        from repro.traces import SyntheticTraceConfig
+        from repro.traces.synthetic import EnsembleTraceGenerator
+
+        target = tmp_path / "aod-16.json"
+        main(["simulate", *TINY, "--policy", "aod-16", "--json", str(target)])
+        capsys.readouterr()
+        payload = json.loads(target.read_text())
+        columns = EnsembleTraceGenerator(
+            SyntheticTraceConfig(scale=4e-6, days=3)
+        ).generate_columnar()
+        reference = run_policy(
+            "aod-16", context_for_trace(columns, days=3, scale=4e-6),
+            track_minutes=False, fast_path=False,
+        )
+        assert (payload["engine"], reference.engine) == ("fast", "object")
+        assert payload["stats"] == json.loads(
+            json.dumps(stats_to_dict(reference.stats))
+        )
 
     def test_jobs_match_serial(self, capsys):
         args = ["simulate", *TINY, "--policy", "aod-16", "--policy", "ideal"]
         main(args)
         serial = capsys.readouterr().out
-        main([*args, "--jobs", "2", "--fast"])
+        main([*args, "--jobs", "2"])
         parallel = capsys.readouterr().out
         # Parallel runs append a per-policy outcome table after the
         # reports; the reports themselves must match the serial run.
@@ -242,8 +259,8 @@ class TestFaultAndCheckpointFlows:
 
         segments = ["--segments-dir", str(tmp_path / "segments")]
         runs = {
-            "columns": ["simulate", *TINY, "--fast"],
-            "streamed": ["simulate", *TINY, "--fast", *segments],
+            "columns": ["simulate", *TINY],
+            "streamed": ["simulate", *TINY, *segments],
             "sharded": [
                 "shard-replay", *TINY, "--shards", "1", "--jobs", "1",
                 *segments,
