@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Dict, List, Tuple, Union
+from types import MappingProxyType
+from typing import List, Mapping, Tuple, Union
 
 import numpy as np
 
@@ -81,9 +82,13 @@ class DayStats:
         return self.write_hits + self.allocation_writes
 
 
+#: Minute-array width per trace day.
+_MINUTES_PER_DAY = SECONDS_PER_DAY // SECONDS_PER_MINUTE
+
 #: One day's counters as a tuple, in field order (what ``astuple``
 #: gives, without its deep copy of every field).
-_day_row = attrgetter(*(field.name for field in fields(DayStats)))
+_DAY_FIELDS = tuple(field.name for field in fields(DayStats))
+_day_row = attrgetter(*_DAY_FIELDS)
 
 
 @dataclass
@@ -110,8 +115,11 @@ class CacheStats:
     """Accumulates block-level cache statistics for a simulation run.
 
     Per-day counters feed Figures 5-7; per-minute 4-KB I/O-unit counters
-    feed the drive-occupancy analysis of Figures 8-9.  Minute-level
-    accounting can be disabled for analyses that do not need it.
+    feed the drive-occupancy analysis of Figures 8-9, from one dense
+    int64 ``(2, minutes)`` array (row 0 reads, row 1 writes), ``days ×
+    1440`` wide and grown by days for completion times past the last;
+    :attr:`per_minute` and :meth:`minute_series` read it.  Minute-level
+    accounting can be disabled (the array is then zero-width).
     """
 
     def __init__(self, days: int, track_minutes: bool = True):
@@ -120,50 +128,61 @@ class CacheStats:
         self.days = days
         self.track_minutes = track_minutes
         self.per_day: List[DayStats] = [DayStats() for _ in range(days)]
-        self.per_minute: Dict[int, MinuteIO] = {}
+        width = days * _MINUTES_PER_DAY if track_minutes else 0
+        self._minute_units = np.zeros((2, width), dtype=np.int64)
         #: wall of simulated seconds spent in DEGRADED / BYPASS device
         #: health (assigned once at end of run from the fault plan's
         #: windows; always 0.0 on fault-free runs).
         self.degraded_seconds: float = 0.0
         self.bypass_seconds: float = 0.0
 
+    def _grown(self, width: int) -> np.ndarray:
+        """The minute array, grown by whole days to at least ``width``."""
+        units = self._minute_units
+        if units.shape[1] < width:
+            days = -(-width // _MINUTES_PER_DAY)
+            self._minute_units = np.zeros((2, days * _MINUTES_PER_DAY), dtype=np.int64)
+            self._minute_units[:, : units.shape[1]] = units
+        return self._minute_units
+
+    def minute_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The minutes with traffic, ascending, and their read and write
+        units: int64 columns sliced from the minute array."""
+        units = self._minute_units
+        minutes = np.flatnonzero(units.any(axis=0))
+        return minutes, units[0, minutes], units[1, minutes]
+
+    def load_minutes(
+        self, minutes: np.ndarray, reads: np.ndarray, writes: np.ndarray
+    ) -> None:
+        """Set these minutes' units (each minute once, in any order)."""
+        units = self._grown(int(minutes.max(initial=-1)) + 1)
+        units[0, minutes] = reads
+        units[1, minutes] = writes
+
     # -- pickling -----------------------------------------------------------
     # Stats travel in every checkpoint and every shard result, so they
     # pickle as a few int64 columns rather than one object per day and
-    # per minute.
+    # per minute: the busy minutes, ascending, with their units.
     def __getstate__(self) -> dict:
-        minutes = self.per_minute
+        minutes, reads, writes = self.minute_columns()
         return {
             "days": self.days,
             "track_minutes": self.track_minutes,
             "per_day": np.array(
                 [_day_row(day) for day in self.per_day], dtype=np.int64
             ),
-            "minutes": np.fromiter(minutes, dtype=np.int64, count=len(minutes)),
-            "minute_reads": np.fromiter(
-                (entry.reads for entry in minutes.values()),
-                dtype=np.int64, count=len(minutes),
-            ),
-            "minute_writes": np.fromiter(
-                (entry.writes for entry in minutes.values()),
-                dtype=np.int64, count=len(minutes),
-            ),
+            "minutes": minutes,
+            "minute_reads": reads,
+            "minute_writes": writes,
             "degraded_seconds": self.degraded_seconds,
             "bypass_seconds": self.bypass_seconds,
         }
 
     def __setstate__(self, state: dict) -> None:
-        self.days = state["days"]
-        self.track_minutes = state["track_minutes"]
+        self.__init__(state["days"], state["track_minutes"])
         self.per_day = [DayStats(*row) for row in state["per_day"].tolist()]
-        self.per_minute = {
-            minute: MinuteIO(reads, writes)
-            for minute, reads, writes in zip(
-                state["minutes"].tolist(),
-                state["minute_reads"].tolist(),
-                state["minute_writes"].tolist(),
-            )
-        }
+        self.load_minutes(state["minutes"], state["minute_reads"], state["minute_writes"])
         self.degraded_seconds = state["degraded_seconds"]
         self.bypass_seconds = state["bypass_seconds"]
 
@@ -227,11 +246,11 @@ class CacheStats:
         """Record SSD traffic in 4-KB units for occupancy costing."""
         if not self.track_minutes or io_units <= 0:
             return
-        entry = self.per_minute.setdefault(minute_of(time), MinuteIO())
-        if is_write:
-            entry.writes += io_units
-        else:
-            entry.reads += io_units
+        minute = minute_of(time)
+        units = self._minute_units
+        if minute >= units.shape[1]:
+            units = self._grown(minute + 1)
+        units[1 if is_write else 0, minute] += io_units
 
     # -- whole requests, from columns ---------------------------------------
     def record_rows(
@@ -254,7 +273,9 @@ class CacheStats:
         :meth:`record_allocation_write`, plus the insertion's units at
         ``completion_time[i]``.  Any other allocation is the caller's to
         record block by block.  The counters end exactly as those scalar
-        calls leave them, in however many pieces a chunk is recorded.
+        calls leave them, in however many pieces a chunk is recorded:
+        the per-day ones from a few ``bincount`` passes, the 4-KB units
+        with one ``bincount`` into the minute array.
         """
         if not len(issue_time):
             return
@@ -286,22 +307,12 @@ class CacheStats:
         busy = units > 0
         times = np.concatenate([issue_time, completion_time])[busy]
         kinds = np.concatenate([is_write, np.ones(len(blocks), dtype=bool)])
-        minutes, inverse = np.unique(
-            _buckets(times, SECONDS_PER_MINUTE), return_inverse=True
-        )
-        moved = np.bincount(
-            inverse * 2 + kinds[busy], units[busy], 2 * len(minutes)
-        ).astype(np.int64)
-        per_minute = self.per_minute
-        for minute, reads, writes in zip(
-            minutes.tolist(), moved[0::2].tolist(), moved[1::2].tolist()
-        ):
-            entry = per_minute.get(minute)
-            if entry is None:
-                per_minute[minute] = MinuteIO(reads, writes)
-            else:
-                entry.reads += reads
-                entry.writes += writes
+        minutes = _buckets(times, SECONDS_PER_MINUTE)
+        minute_units = self._grown(int(minutes.max(initial=-1)) + 1)
+        width = minute_units.shape[1]
+        minute_units += np.bincount(
+            kinds[busy] * width + minutes, units[busy], 2 * width
+        ).astype(np.int64).reshape(2, width)
 
     # -- merging ------------------------------------------------------------
     def merge(self, other: "CacheStats") -> "CacheStats":
@@ -321,21 +332,10 @@ class CacheStats:
                 f"over {self.days} days"
             )
         for mine, theirs in zip(self.per_day, other.per_day):
-            mine.accesses += theirs.accesses
-            mine.read_hits += theirs.read_hits
-            mine.write_hits += theirs.write_hits
-            mine.read_misses += theirs.read_misses
-            mine.write_misses += theirs.write_misses
-            mine.allocation_writes += theirs.allocation_writes
-            mine.backing_writes += theirs.backing_writes
-            mine.writebacks += theirs.writebacks
-            mine.read_errors += theirs.read_errors
-            mine.write_errors += theirs.write_errors
-            mine.bypass_accesses += theirs.bypass_accesses
-        for minute, entry in other.per_minute.items():
-            mine_entry = self.per_minute.setdefault(minute, MinuteIO())
-            mine_entry.reads += entry.reads
-            mine_entry.writes += entry.writes
+            for name in _DAY_FIELDS:
+                setattr(mine, name, getattr(mine, name) + getattr(theirs, name))
+        theirs = other._minute_units
+        self._grown(theirs.shape[1])[:, : theirs.shape[1]] += theirs
         self.degraded_seconds += other.degraded_seconds
         self.bypass_seconds += other.bypass_seconds
         return self
@@ -345,10 +345,7 @@ class CacheStats:
         """Merge a non-empty sequence of stats into a fresh instance."""
         if not parts:
             raise ValueError("cannot merge an empty sequence of stats")
-        result = cls(
-            days=parts[0].days,
-            track_minutes=any(p.track_minutes for p in parts),
-        )
+        result = cls(parts[0].days, any(p.track_minutes for p in parts))
         for part in parts:
             result.merge(part)
         return result
@@ -357,24 +354,19 @@ class CacheStats:
     @property
     def total(self) -> DayStats:
         """Whole-run totals as a single DayStats."""
-        total = DayStats()
-        for day in self.per_day:
-            total.accesses += day.accesses
-            total.read_hits += day.read_hits
-            total.write_hits += day.write_hits
-            total.read_misses += day.read_misses
-            total.write_misses += day.write_misses
-            total.allocation_writes += day.allocation_writes
-            total.backing_writes += day.backing_writes
-            total.writebacks += day.writebacks
-            total.read_errors += day.read_errors
-            total.write_errors += day.write_errors
-            total.bypass_accesses += day.bypass_accesses
-        return total
+        return DayStats(*map(sum, zip(*map(_day_row, self.per_day))))
 
     def minute_series(self) -> List[Tuple[int, MinuteIO]]:
-        """(minute, MinuteIO) pairs in chronological order."""
-        return sorted(self.per_minute.items())
+        """(minute, MinuteIO) pairs in chronological order, for every
+        minute with traffic."""
+        minutes, reads, writes = self.minute_columns()
+        ios = map(MinuteIO, reads.tolist(), writes.tolist())
+        return list(zip(minutes.tolist(), ios))
+
+    @property
+    def per_minute(self) -> Mapping[int, MinuteIO]:
+        """Read-only ``{minute: MinuteIO}`` view of :meth:`minute_series`."""
+        return MappingProxyType(dict(self.minute_series()))
 
     def check_consistency(self) -> None:
         """Internal invariant: hits + misses == accesses, every day."""

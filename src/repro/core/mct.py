@@ -13,7 +13,7 @@ implements — entries whose whole window has expired are dropped.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict
 
 from repro.core.windows import SubwindowCounter, WindowSpec
 
@@ -87,17 +87,14 @@ class MissCountTable:
         """Drop a block's counter (called when the block is allocated)."""
         self._counters.pop(address, None)
 
-    def sweep(self, time: float) -> Sequence[int]:
+    def sweep(self, time: float) -> None:
         """:meth:`prune` if the prune interval has elapsed since the last
-        sweep; returns the addresses dropped (none when not due)."""
+        sweep."""
         if time - self._last_prune >= self.prune_interval:
-            return self.prune(time)
-        return ()
+            self.prune(time)
 
-    def prune(self, time: float) -> List[int]:
-        """Remove entries whose whole window has expired; returns their
-        addresses (the sweep's own list: a caller that indexes the
-        tracked blocks drops exactly these, without rescanning).
+    def prune(self, time: float) -> None:
+        """Remove entries whose whole window has expired.
 
         This is the paper's periodic staleness sweep — it bounds the
         MCT's size to blocks that have missed within the last W.
@@ -112,4 +109,3 @@ class MissCountTable:
             del self._counters[address]
         self.evictions += len(stale)
         self._last_prune = time
-        return stale

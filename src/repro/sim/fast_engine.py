@@ -537,7 +537,9 @@ def simulate_fast_chunks(
             else:
                 # WMNA (observe is the no-op): a write miss allocates
                 # nothing, so the block stream depends on the state;
-                # allocated = read blocks - read hits.
+                # allocated = read blocks - read hits.  Free frames are
+                # counted once per stretch, not on every read miss.
+                free = capacity - len(od)
                 for jl in range(head, hi):
                     addr = addr_l[jl]
                     hit = 0
@@ -552,7 +554,9 @@ def simulate_fast_chunks(
                                 od_move(a)
                                 hit += 1
                             else:
-                                if len(od) >= capacity:
+                                if free > 0:
+                                    free -= 1
+                                else:
                                     od_pop(False)
                                 od[a] = None
                     hits[jl] = hit

@@ -37,7 +37,9 @@ import struct
 from pathlib import Path
 from typing import Union
 
-from repro.cache.stats import CacheStats, DayStats, MinuteIO
+import numpy as np
+
+from repro.cache.stats import CacheStats, DayStats
 from repro.sim.engine import SimulationResult
 from repro.util.atomic import atomic_write
 
@@ -90,8 +92,8 @@ def stats_to_dict(stats: CacheStats) -> dict:
             for d in stats.per_day
         ],
         "per_minute": {
-            str(minute): [io.reads, io.writes]
-            for minute, io in sorted(stats.per_minute.items())
+            str(minute): [reads, writes]
+            for minute, reads, writes in zip(*(c.tolist() for c in stats.minute_columns()))
         },
     }
     for entry, day in zip(payload["per_day"], stats.per_day):
@@ -113,8 +115,11 @@ def stats_from_dict(payload: dict) -> CacheStats:
     stats = CacheStats(days=payload["days"])
     for index, day in enumerate(payload["per_day"]):
         stats.per_day[index] = DayStats(**day)
-    for minute, (reads, writes) in payload.get("per_minute", {}).items():
-        stats.per_minute[int(minute)] = MinuteIO(reads=reads, writes=writes)
+    minutes = payload.get("per_minute", {})
+    stats.load_minutes(
+        np.fromiter(map(int, minutes), np.int64, len(minutes)),
+        *np.array(list(minutes.values()), dtype=np.int64).reshape(-1, 2).T,
+    )
     stats.degraded_seconds = payload.get("degraded_seconds", 0.0)
     stats.bypass_seconds = payload.get("bypass_seconds", 0.0)
     stats.check_consistency()

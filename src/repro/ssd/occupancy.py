@@ -106,11 +106,11 @@ def occupancy_from_stats(
     windows = (total_minutes + window_minutes - 1) // window_minutes
     occupancy = [0.0] * windows
     window_seconds = 60.0 * window_minutes
-    for minute, io in stats.per_minute.items():
+    for minute, reads, writes in zip(*(c.tolist() for c in stats.minute_columns())):
         if minute >= total_minutes:
             minute = total_minutes - 1
         occupancy[minute // window_minutes] += (
-            device.occupancy_seconds(io.reads, io.writes) / window_seconds
+            device.occupancy_seconds(reads, writes) / window_seconds
         )
     return OccupancySeries(
         minutes=tuple(w * window_minutes for w in range(windows)),

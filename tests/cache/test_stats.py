@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.stats import CacheStats, DayStats
+from repro.cache.stats import CacheStats, DayStats, MinuteIO
+from repro.sim.serialize import stats_from_dict, stats_to_dict
 from repro.util.intervals import SECONDS_PER_DAY
 
 
@@ -341,3 +342,130 @@ class TestPickle:
         copy = pickle.loads(pickle.dumps(stats))
         assert not copy.track_minutes and copy.per_minute == {}
         assert copy.per_day == stats.per_day
+
+
+class MinuteModel:
+    """Per-minute 4-KB units as dict-backed stats kept them: ``minute ->
+    [reads, writes]`` in first-touch order, one entry per minute that
+    ever moved a unit."""
+
+    def __init__(self, track_minutes):
+        self.track_minutes = track_minutes
+        self.units = {}
+
+    def ssd_io(self, time, io_units, is_write):
+        if self.track_minutes and io_units > 0:
+            entry = self.units.setdefault(int(time // 60), [0, 0])
+            entry[int(is_write)] += io_units
+
+    def rows(self, rows):
+        for issue, completion, blocks, is_write, hits, allocating in rows:
+            misses = blocks - hits
+            if allocating:
+                self.ssd_io(completion, (misses + 7) >> 3, True)
+            self.ssd_io(issue, (hits + 7) >> 3, is_write)
+
+    def merge(self, other):
+        for minute, (reads, writes) in other.units.items():
+            entry = self.units.setdefault(minute, [0, 0])
+            entry[0] += reads
+            entry[1] += writes
+
+    def per_minute(self):
+        return {minute: MinuteIO(*units) for minute, units in self.units.items()}
+
+
+@st.composite
+def minute_parts(draw):
+    """1-3 stats' worth of recording: request rows cut into pieces and
+    scalar ``record_ssd_io`` calls, interleaved, some past the last day."""
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows, pieces = draw(request_rows())
+        calls = draw(st.lists(
+            st.tuples(
+                st.one_of(times_near(60), st.floats(0.0, (DAYS + 3.0) * SECONDS_PER_DAY)),
+                st.integers(0, 9),
+                st.booleans(),
+            ),
+            max_size=8,
+        ))
+        steps = draw(st.permutations(
+            [("rows", piece) for piece in pieces] + [("io", call) for call in calls]
+        ))
+        parts.append((draw(st.booleans()), rows, steps))
+    return parts
+
+
+def assert_minutes(stats, model):
+    """``stats`` holds the model's minutes, through every reader."""
+    expected = model.per_minute()
+    assert stats.per_minute == expected
+    assert stats.minute_series() == sorted(expected.items())
+    assert list(stats_to_dict(stats)["per_minute"]) == [
+        str(minute) for minute in sorted(expected)
+    ]
+    for _, counters in stats.minute_series():
+        assert type(counters.reads) is int and type(counters.writes) is int
+
+
+class TestMinuteColumns:
+    """The dense minute array against the dict it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(minute_parts())
+    def test_matches_the_dict_model(self, parts):
+        stats, models = [], []
+        for track_minutes, rows, steps in parts:
+            part = CacheStats(DAYS, track_minutes=track_minutes)
+            model = MinuteModel(track_minutes)
+            columns = [
+                np.array([row[i] for row in rows], dtype=dtype)
+                for i, dtype in enumerate(
+                    (np.float64, np.float64, np.int32, np.bool_, np.int64, np.bool_)
+                )
+            ]
+            for kind, step in steps:
+                if kind == "rows":
+                    lo, hi = step
+                    part.record_rows(*(column[lo:hi] for column in columns))
+                    model.rows(rows[lo:hi])
+                else:
+                    part.record_ssd_io(*step)
+                    model.ssd_io(*step)
+            assert_minutes(part, model)
+            if not track_minutes:
+                assert part.per_minute == {}
+            stats.append(part)
+            models.append(model)
+
+        merged = CacheStats.merged(stats)
+        merged_model = MinuteModel(any(m.track_minutes for m in models))
+        for model in models:
+            merged_model.merge(model)
+        assert merged.track_minutes == merged_model.track_minutes
+        assert_minutes(merged, merged_model)
+        # In place, whatever either side tracks (an untracked receiver
+        # still takes the other's minutes, as the dict did).
+        stats[0].merge(stats[-1])
+        models[0].merge(models[-1])
+        assert_minutes(stats[0], models[0])
+
+        for part, model in zip([*stats, merged], [*models, merged_model]):
+            copy = pickle.loads(pickle.dumps(part))
+            assert copy.track_minutes == part.track_minutes
+            assert stats_to_dict(copy) == stats_to_dict(part)
+            assert_minutes(copy, model)
+            # A checkpoint state written from the dict, minutes in its
+            # first-touch order, scatters back to the same stats.
+            state = part.__getstate__()
+            state.update(
+                minutes=np.array(list(model.units), dtype=np.int64),
+                minute_reads=np.array([u[0] for u in model.units.values()], dtype=np.int64),
+                minute_writes=np.array([u[1] for u in model.units.values()], dtype=np.int64),
+            )
+            loaded = CacheStats.__new__(CacheStats)
+            loaded.__setstate__(state)
+            assert stats_to_dict(loaded) == stats_to_dict(part)
+            assert_minutes(loaded, model)
+            assert stats_to_dict(stats_from_dict(stats_to_dict(part))) == stats_to_dict(part)

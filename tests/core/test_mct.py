@@ -99,16 +99,21 @@ class TestPruning:
         mct = make_mct(window_seconds=40.0)
         mct.record_miss(1, 0.0)
         mct.record_miss(2, 55.0)
-        # The sweep hands back what it dropped, not just how many.
-        assert mct.prune(60.0) == [1]
-        assert 1 not in mct and 2 in mct
+        mct.prune(60.0)
+        assert 1 not in mct and 2 in mct and mct.evictions == 1
 
     def test_sweep_prunes_only_when_due(self):
         mct = make_mct(window_seconds=40.0, prune_interval=100.0)
         mct.record_miss(1, 0.0)
-        assert mct.sweep(99.0) == () and 1 in mct
-        assert mct.sweep(100.0) == [1] and 1 not in mct
-        assert mct.sweep(150.0) == ()  # the interval restarts at a sweep
+        mct.sweep(99.0)
+        assert 1 in mct and mct.evictions == 0
+        mct.sweep(100.0)
+        assert 1 not in mct and mct.evictions == 1
+        mct.record_miss(2, 105.0)  # stale by 150, but no sweep is due:
+        mct.sweep(150.0)  # the interval restarts at a sweep
+        assert 2 in mct and mct.evictions == 1
+        mct.prune(150.0)
+        assert 2 not in mct and mct.evictions == 2
 
     def test_opportunistic_prune_on_interval(self):
         mct = make_mct(window_seconds=40.0, prune_interval=100.0)
