@@ -57,6 +57,10 @@ def build_admission_gate(
     ``single_tier_admission``) apply only to ``kind="sieve"``; the
     other kinds take no parameters.  Defaults follow
     :class:`SieveStoreCConfig` (the paper's t1=9, t2=4, W=8h, k=4).
+
+    A gate takes non-decreasing times: the sieve's IMCT keeps one clock
+    for all its slots, and a ``wants`` behind it raises ``time moved
+    backwards`` whatever the address.
     """
     if kind == "sieve":
         config_kwargs: dict = {

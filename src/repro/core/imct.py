@@ -14,12 +14,24 @@ alone decided admission (the paper found exactly this).  The
 ``single_tier_admission`` flag in :class:`~repro.core.sievestore_c.SieveStoreC`
 exists to reproduce that pathology in the ablation bench.
 
-The table is array-native: its whole state is two flat buffers (``k``
-one-byte count cells plus one 8-byte last-subwindow stamp per slot), the
-discretized-window scheme of :class:`~repro.core.windows.SubwindowCounter`
-applied to them in place.  The scalar methods serve the object engine
-and the live serving gate; the vectorized ones
-(:meth:`~ImpreciseMissCountTable.live_totals`,
+The table is array-native: its whole state is two flat buffers and one
+clock — ``k`` one-byte count cells per slot, a per-slot windowed total,
+and the latest subwindow recorded.  The paper keeps a last-update stamp
+per counter group and zeroes a group's stale counters lazily, at its
+next miss (the scheme of :class:`~repro.core.windows.SubwindowCounter`).
+A stamp only ever decides which of a group's counters are still in the
+window, and subwindow ``g``'s counter is live at subwindow ``t`` exactly
+when ``t - k < g <= t`` — for every slot alike.  So one table clock does
+the stamps' work: when a recording moves the clock forward, the columns
+of the subwindows leaving the window are zeroed for all slots at once,
+and the totals lowered by them.  Every live (slot, subwindow) count,
+hence every windowed total and every saturation point, equals the lazy
+table's; only cells no read can see differ.  The price is a narrower
+ordering contract: time must not go backwards across the whole table,
+not merely per slot.
+
+The scalar methods serve the object engine and the live serving gate;
+the vectorized ones (:meth:`~ImpreciseMissCountTable.live_totals`,
 :meth:`~ImpreciseMissCountTable.record_batch`) serve the fast engine's
 :class:`~repro.core.sieve_kernel.SieveStoreCKernel`, on the same memory.
 """
@@ -33,16 +45,6 @@ import numpy as np
 
 from repro.core.windows import COUNTER_SATURATION, WindowSpec
 from repro.util.hashing import mix64
-
-
-def _unset(slots: int) -> array:
-    """``slots`` int64 stamps of -1.  Built by repeating a block:
-    ``array`` repetition copies one operand at a time, so a one-item
-    operand makes a paper-scale table take seconds to construct."""
-    block = array("q", [-1]) * min(slots, 4096)
-    stamps = block * (slots // len(block))
-    stamps.extend(block[:slots - len(stamps)])
-    return stamps
 
 
 class ImpreciseMissCountTable:
@@ -66,13 +68,18 @@ class ImpreciseMissCountTable:
         #: :meth:`slot_of` is a single mix, bit-identical to
         #: :func:`repro.util.hashing.stable_bucket`.
         self._salted = mix64(salt)
+        k = window.subwindows
         #: Count cells, column-major: slot ``s``'s count for subwindow
         #: ``g`` lives at ``(g % k) * slots + s``, saturating at
-        #: :data:`~repro.core.windows.COUNTER_SATURATION`.
-        self.counts = bytearray(window.subwindows * slots)
-        #: Per slot, the last subwindow recorded (-1: never, all cells 0).
-        #: Cells are expired lazily, on the slot's next recording.
-        self.last = _unset(slots)
+        #: :data:`~repro.core.windows.COUNTER_SATURATION`.  The cells
+        #: hold subwindows ``(clock - k, clock]``; older ones are zeroed.
+        self.counts = bytearray(k * slots)
+        #: Per slot, the sum of its cells: its windowed total as of the
+        #: clock.  Two bytes a slot while ``k * COUNTER_SATURATION`` fits.
+        typecode = "H" if k * COUNTER_SATURATION <= 0xFFFF else "I"
+        self.totals = array(typecode, bytes(array(typecode).itemsize * slots))
+        #: The latest subwindow recorded (-1: none yet).
+        self.clock = -1
         self.recorded_misses = 0
         #: aliased recordings observed (only counted while collision
         #: tracking is enabled; see :meth:`enable_collision_tracking`).
@@ -92,7 +99,8 @@ class ImpreciseMissCountTable:
         only the telemetry layer wants it quantified.
         """
         if self._last_address is None:
-            self._last_address = _unset(self.slots)
+            # All-ones bytes: -1 in every int64.
+            self._last_address = array("q", b"\xff" * (8 * self.slots))
 
     def slot_of(self, address: int) -> int:
         """Table slot an address maps to (many-to-one)."""
@@ -110,8 +118,9 @@ class ImpreciseMissCountTable:
         subwindow already worked out — by :meth:`slot_of` and
         :meth:`~repro.core.windows.WindowSpec.subwindow_index`, or by
         their vector twins in :mod:`repro.core.sieve_kernel`."""
+        if subwindow != self.clock:
+            self._advance(subwindow)
         self.recorded_misses += 1
-        slots = self.slots
         tracked = self._last_address
         if tracked is not None:
             previous = tracked[slot]
@@ -119,53 +128,52 @@ class ImpreciseMissCountTable:
                 self.alias_collisions += 1
             tracked[slot] = address
         counts = self.counts
-        k = self.window.subwindows
-        last = self.last[slot]
-        if subwindow != last:
-            if subwindow < last:
-                raise ValueError(
-                    f"time moved backwards: subwindow {subwindow} < {last}"
-                )
-            if last < 0 or subwindow - last >= k:
-                # "If ... the current time window is larger than the
-                # last-updated counter by k or more, then all counters
-                # are inferred to be stale and zeroed out."
-                counts[slot::slots] = bytes(k)
-            else:
-                for stale in range(last + 1, subwindow + 1):
-                    counts[stale % k * slots + slot] = 0
-            self.last[slot] = subwindow
-        cell = subwindow % k * slots + slot
+        cell = subwindow % self.window.subwindows * self.slots + slot
         if counts[cell] < COUNTER_SATURATION:
             counts[cell] += 1
-        # Expired cells were just zeroed, so the slot's cells sum to its
-        # windowed total.
-        return sum(counts[slot::slots])
+            self.totals[slot] += 1
+        return self.totals[slot]
 
     def count(self, address: int, time: float) -> int:
         """Current windowed count of the address's slot (read-only)."""
-        subwindow = self.window.subwindow_index(time)
         slot = self.slot_of(address)
         k = self.window.subwindows
-        last = self.last[slot]
-        if last < 0 or subwindow - last >= k:
-            return 0
-        if subwindow < last:
-            raise ValueError(
-                f"time moved backwards: subwindow {subwindow} < {last}"
-            )
-        # Cells of subwindows (subwindow - k, last] are still in the
-        # window; older ones are ignored without being zeroed.
-        return sum(
-            self.counts[live % k * self.slots + slot]
-            for live in range(subwindow - k + 1, last + 1)
+        return self.totals[slot] - sum(
+            self.counts[step % k * self.slots + slot]
+            for step in self._expiring(self.window.subwindow_index(time))
         )
 
     def reset_slot(self, address: int) -> None:
         """Zero the slot an address maps to (after promotion/allocation)."""
         slot = self.slot_of(address)
         self.counts[slot::self.slots] = bytes(self.window.subwindows)
-        self.last[slot] = -1
+        self.totals[slot] = 0
+
+    def _expiring(self, subwindow: int) -> range:
+        """The steps from the clock to ``subwindow`` whose columns then
+        leave the window — at most ``k``, the columns' residues; refuses
+        a ``subwindow`` behind the clock."""
+        clock = self.clock
+        if subwindow < clock:
+            raise ValueError(
+                f"time moved backwards: subwindow {subwindow} < "
+                f"table clock {clock}"
+            )
+        last = min(subwindow, clock + self.window.subwindows)
+        return range(clock + 1, last + 1)
+
+    def _advance(self, subwindow: int) -> None:
+        """Move the clock to ``subwindow``, expiring for every slot the
+        columns that leave the window: "If ... the current time window
+        is larger than the last-updated counter by k or more, then all
+        counters are inferred to be stale and zeroed out." """
+        k = self.window.subwindows
+        cells, totals = self.cells(), self.total_counts()
+        for step in self._expiring(subwindow):
+            column = cells[step % k]
+            totals -= column
+            column[:] = 0
+        self.clock = subwindow
 
     # -- vectorized access (same memory, no copies) ------------------------
     def cells(self) -> np.ndarray:
@@ -174,31 +182,22 @@ class ImpreciseMissCountTable:
             self.window.subwindows, self.slots
         )
 
-    def last_subwindows(self) -> np.ndarray:
-        """The per-slot last-recorded subwindows as a writable int64 view."""
-        return np.frombuffer(self.last, dtype=np.int64)
-
-    def _gaps(self, slots: np.ndarray, subwindow: int) -> np.ndarray:
-        """Subwindows since each slot's last recording (never: > 0)."""
-        gaps = subwindow - self.last_subwindows()[slots]
-        if (gaps < 0).any():
-            raise ValueError(f"time moved backwards: subwindow {subwindow}")
-        return gaps
+    def total_counts(self) -> np.ndarray:
+        """The per-slot totals as a writable unsigned view."""
+        return np.frombuffer(self.totals, dtype=f"u{self.totals.itemsize}")
 
     def live_totals(self, slots: np.ndarray, subwindow: int) -> np.ndarray:
         """Windowed totals of ``slots`` as of ``subwindow`` (read-only).
 
-        The vector twin of :meth:`count`, by slot index.  The column of
-        subwindow ``subwindow - age`` still holds that subwindow's count
-        iff the slot was last recorded no earlier — ``gap <= age`` —
-        and otherwise a count the window has left behind.
+        The vector twin of :meth:`count`, by slot index: the stored
+        totals less the columns a clock moved to ``subwindow`` would
+        expire.  The clock itself stays.
         """
         k = self.window.subwindows
-        gaps = self._gaps(slots, subwindow)
         cells = self.cells()
-        totals = np.zeros(len(slots), dtype=np.int64)
-        for age in range(k):
-            totals += cells[(subwindow - age) % k][slots] * (gaps <= age)
+        totals = self.total_counts()[slots].astype(np.int64)
+        for step in self._expiring(subwindow):
+            totals -= cells[step % k][slots]
         return totals
 
     def record_batch(
@@ -211,39 +210,29 @@ class ImpreciseMissCountTable:
 
         ``slots`` must arrive grouped (equal slots adjacent, e.g. sorted)
         with each group in recording order.  Leaves the table exactly as
-        the same sequence of :meth:`record_miss` calls would: stale cells
+        the same sequence of :meth:`record_miss` calls would: columns
         expired, counts saturated where the sequential clamp would stop
         them, and — given the recordings' ``addresses`` while collision
         tracking is on — the same collision count and last addresses.
-        A ``subwindow`` behind a slot's last one raises, as there, before
+        A ``subwindow`` behind the clock raises, as there, before
         anything is written.
         """
         n = int(slots.size)
         if n == 0:
             return
+        if subwindow != self.clock:
+            self._advance(subwindow)
+        self.recorded_misses += n
         first = np.empty(n, dtype=bool)
         first[0] = True
         np.not_equal(slots[1:], slots[:-1], out=first[1:])
         starts = np.flatnonzero(first)
         ends = np.append(starts[1:], n)
         unique = slots[starts]
-        k = self.window.subwindows
-        cells = self.cells()
-        last = self.last_subwindows()
-        # Expire what the scalar advance would: the columns of the
-        # subwindows after the slot's last one (all k of them once the
-        # gap reaches k; a never-recorded slot holds zeros already).
-        gaps = self._gaps(unique, subwindow)
-        self.recorded_misses += n
-        for age in range(1, k):
-            lapsed = unique[gaps > age]
-            if lapsed.size:
-                cells[(subwindow - age) % k][lapsed] = 0
-        column = cells[subwindow % k]
-        column[unique] = np.minimum(
-            column[unique] * (gaps == 0) + (ends - starts), COUNTER_SATURATION
-        )
-        last[unique] = subwindow
+        column = self.cells()[subwindow % self.window.subwindows]
+        before = column[unique]
+        column[unique] = np.minimum(before + (ends - starts), COUNTER_SATURATION)
+        self.total_counts()[unique] += column[unique] - before
         if self._last_address is not None and addresses is not None:
             tracked = np.frombuffer(self._last_address, dtype=np.int64)
             stored = tracked[unique]
@@ -255,12 +244,14 @@ class ImpreciseMissCountTable:
             tracked[unique] = addresses[ends - 1]
 
     def memory_bytes_estimate(self) -> int:
-        """Bytes of table state: what :attr:`counts` and :attr:`last` hold.
+        """Bytes of table state: what :attr:`counts` and :attr:`totals` hold.
 
-        One byte per subwindow cell plus an 8-byte last-subwindow stamp
-        per slot — ``slots * (k + 8)``, with no per-slot object behind
-        it.  (A hardware table would narrow the stamp to a couple of
-        bytes; :mod:`repro.core.metastate` budgets that realization.)
-        Collision tracking, when enabled, shadows another 8 bytes/slot.
+        One byte per subwindow cell plus a two-byte total per slot —
+        ``slots * (k + 2)`` (``k + 4`` past ``k = 257``), with no
+        per-slot object and no per-slot stamp behind it: the one clock
+        stands in for the paper's per-group last-update stamps.
+        (:mod:`repro.core.metastate` budgets the paper's hardware
+        realization, stamps included.)  Collision tracking, when
+        enabled, shadows another 8 bytes/slot.
         """
-        return len(self.counts) + self.last.itemsize * len(self.last)
+        return len(self.counts) + self.totals.itemsize * len(self.totals)

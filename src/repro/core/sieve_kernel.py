@@ -37,9 +37,11 @@ copied in at run start or written back at a checkpoint.
     MCT-tracked.  Nothing in the run can make it either (entering the
     cache or the MCT takes a recording that reaches ``t1`` on the
     block's own slot), so it is an IMCT rejection whatever happens
-    around it.  Rejections change nothing but their slot's own cells,
-    so they commute, and :meth:`~SieveStoreCKernel.flush` records them
-    in one vectorized pass;
+    around it.  Rejections change nothing but their slot's own cell
+    (and the table's clock, which any recording of the run moves to
+    the run's subwindow), so they commute, and
+    :meth:`~SieveStoreCKernel.flush` records them in one vectorized
+    pass;
   - an **event**: not resident, and on a hot slot or MCT-tracked.  The
     engine walks the events, in order, through the policy's own ladder
     (:meth:`~repro.core.sievestore_c.SieveStoreC.tier1` /
@@ -85,9 +87,11 @@ _SHIFT30 = np.uint64(30)
 _SHIFT27 = np.uint64(27)
 _SHIFT31 = np.uint64(31)
 
-#: Blocks a run needs before batching beats walking it (measured: ~85 us
-#: of per-run numpy overhead); either side leaves the same table state.
-_BATCH_MIN_BLOCKS = 128
+#: Blocks a run needs before batching beats walking it: classify + flush
+#: cost ~110 us a run plus ~0.6 us a block, an all-hot walk ~2.5 us a
+#: block (2-core x86 box; batching lost at 44 blocks and won at 48).
+#: Either side leaves the same table state.
+_BATCH_MIN_BLOCKS = 48
 
 
 def mix64_array(values: np.ndarray) -> np.ndarray:
@@ -341,10 +345,10 @@ class SieveStoreCKernel:
         Covers block positions from the previous flush up to ``upto``
         (default: the run's end).  Cold slots take no scalar recording
         during their run, and each deferred recording touches only its
-        own slot, so the table ends exactly as if every one had been
-        recorded at its turn.  By the cold bound each recording is a
-        tier-1 rejection, and the policy's ``imct_rejections`` counts it
-        as one.
+        own slot's cell of the run's subwindow, so the table ends
+        exactly as if every one had been recorded at its turn.  By the
+        cold bound each recording is a tier-1 rejection, and the
+        policy's ``imct_rejections`` counts it as one.
         """
         start = self._flushed
         end = len(self._rejected) if upto is None else upto

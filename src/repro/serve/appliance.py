@@ -120,6 +120,8 @@ class ServingCache:
     else may add or remove this cache's addresses in the store while it
     is open — the rule :mod:`repro.serve.bench` already imposes so that
     each client's private sieve sees its addresses' whole miss history.
+    Its operations take non-decreasing times, as its gate does (see
+    :func:`~repro.core.admission.build_admission_gate`).
     """
 
     def __init__(

@@ -60,9 +60,11 @@ CHECKPOINT_MAGIC = b"SSCKPT\x00\n"
 #: base ladder's ``_tier2_threshold`` (no ``_t2``).  Version 6: a
 #: pickled IdealDailySieve holds one BlockCounts (address and count
 #: arrays) per day instead of a Counter, and CacheStats pickles as int64
-#: columns.  No migration — checkpoints are short-lived crash-recovery
-#: artifacts.
-CHECKPOINT_SCHEMA_VERSION = 6
+#: columns.  Version 7: the pickled ImpreciseMissCountTable holds count
+#: cells, per-slot totals and one table clock instead of per-slot
+#: last-subwindow stamps.  No migration — checkpoints are short-lived
+#: crash-recovery artifacts.
+CHECKPOINT_SCHEMA_VERSION = 7
 
 
 class CheckpointError(Exception):

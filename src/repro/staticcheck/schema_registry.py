@@ -93,7 +93,7 @@ SPECS: Tuple[SchemaSpec, ...] = (
             "appliance",
         ),
         "repro.sim.serialize",
-        (("CHECKPOINT_SCHEMA_VERSION", 6),),
+        (("CHECKPOINT_SCHEMA_VERSION", 7),),
         track_var="state",
     ),
     _spec(
@@ -114,7 +114,7 @@ SPECS: Tuple[SchemaSpec, ...] = (
             "checkpoint_every",
         ),
         "repro.sim.serialize",
-        (("CHECKPOINT_SCHEMA_VERSION", 6),),
+        (("CHECKPOINT_SCHEMA_VERSION", 7),),
         track_var="config",
     ),
     _spec(
@@ -133,7 +133,7 @@ SPECS: Tuple[SchemaSpec, ...] = (
             "bypass_seconds",
         ),
         "repro.sim.serialize",
-        (("CHECKPOINT_SCHEMA_VERSION", 6),),
+        (("CHECKPOINT_SCHEMA_VERSION", 7),),
     ),
     _spec(
         "day-stats",
@@ -155,7 +155,7 @@ SPECS: Tuple[SchemaSpec, ...] = (
         ),
         "repro.sim.serialize",
         # The stats pickle stores each day as a row in field order.
-        (("SCHEMA_VERSION", 1), ("CHECKPOINT_SCHEMA_VERSION", 6)),
+        (("SCHEMA_VERSION", 1), ("CHECKPOINT_SCHEMA_VERSION", 7)),
     ),
     _spec(
         "fault-plan",

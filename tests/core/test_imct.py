@@ -1,5 +1,6 @@
 """IMCT: the imprecise (aliased) first sieve tier."""
 
+import numpy as np
 import pytest
 
 from repro.core.imct import ImpreciseMissCountTable
@@ -114,3 +115,37 @@ class TestMemoryEstimate:
         small = make_imct(slots=100)
         large = make_imct(slots=1000)
         assert large.memory_bytes_estimate() == 10 * small.memory_bytes_estimate()
+
+
+class TestOrdering:
+    """One clock for the whole table: nothing may go behind it."""
+
+    def test_behind_the_clock_raises_even_on_a_fresh_slot(self):
+        imct = make_imct(slots=1024, window_seconds=40.0)  # 10 s subwindows
+        imct.record_miss(1, 25.0)  # the clock is at subwindow 2
+        fresh = next(
+            a for a in range(2, 10**4) if imct.slot_of(a) != imct.slot_of(1)
+        )
+        slot = np.array([imct.slot_of(fresh)])
+        for behind in (
+            lambda: imct.record_miss(fresh, 15.0),
+            lambda: imct.record(int(slot[0]), 1, fresh),
+            lambda: imct.count(fresh, 15.0),
+            lambda: imct.live_totals(slot, 1),
+            lambda: imct.record_batch(slot, 1),
+        ):
+            with pytest.raises(
+                ValueError,
+                match="time moved backwards: subwindow 1 < table clock 2",
+            ):
+                behind()
+        assert imct.recorded_misses == 1 and imct.clock == 2
+
+    def test_reads_ahead_leave_the_clock(self):
+        imct = make_imct(window_seconds=40.0)
+        imct.record_miss(1, 25.0)
+        # Subwindow 2's count is live through subwindow 5, gone at 6.
+        assert imct.count(1, 55.0) == 1
+        assert imct.count(1, 65.0) == 0
+        assert imct.clock == 2
+        assert imct.record_miss(1, 29.0) == 2

@@ -98,16 +98,25 @@ def sequential_oracle(slots, subwindows):
     return [SubwindowCounter(subwindows) for _ in range(slots)]
 
 
-def oracle_state(counters):
-    return (
-        [list(c._counts) for c in counters],
-        [c._last_subwindow for c in counters],
-    )
+def oracle_state(counters, clock):
+    """The oracle's live counts as a table clocked at ``clock`` holds
+    them: per slot the cell of each residue's subwindow in
+    ``(clock - k, clock]`` — live iff the counter's last recording is
+    no older — the cells' sum, and the clock."""
+    rows = []
+    for counter in counters:
+        k = len(counter._counts)
+        live = [clock - (clock - residue) % k for residue in range(k)]
+        rows.append([
+            counter._counts[residue] if counter._last_subwindow >= g else 0
+            for residue, g in enumerate(live)
+        ])
+    return rows, [sum(row) for row in rows], clock
 
 
 def table_state(table):
-    """The table's buffers in ``oracle_state`` form (per-slot rows)."""
-    return table.cells().T.tolist(), table.last.tolist()
+    """The table's buffers and clock in ``oracle_state`` form."""
+    return table.cells().T.tolist(), table.totals.tolist(), table.clock
 
 
 def make_table(slots, subwindows=4):
@@ -125,26 +134,38 @@ class TestArrayIMCT:
             ImpreciseMissCountTable(slots=4, window=WindowSpec(80.0, 0))
 
     def test_state_is_two_flat_buffers(self):
-        # slots * (k + 8) bytes and not one object per slot: what lets
+        # slots * (k + 2) bytes and not one object per slot: what lets
         # the paper's 1.3e9-slot table exist at all.
         slots, k = 1 << 20, 4
         before = sys.getallocatedblocks()
         table = make_table(slots, k)
         assert sys.getallocatedblocks() - before < 64
         assert isinstance(table.counts, bytearray)
-        assert isinstance(table.last, array)
-        held = len(table.counts) + table.last.itemsize * len(table.last)
-        assert held == slots * (k + 8) == table.memory_bytes_estimate()
+        assert isinstance(table.totals, array)
+        held = len(table.counts) + table.totals.itemsize * len(table.totals)
+        assert held == slots * (k + 2) == table.memory_bytes_estimate()
         # The numpy faces are views of the same memory, not copies.
         table.cells()[1, 5] = 7
-        table.last_subwindows()[5] = 3
-        assert table.counts[1 * slots + 5] == 7 and table.last[5] == 3
+        table.total_counts()[5] = 3
+        assert table.counts[1 * slots + 5] == 7 and table.totals[5] == 3
+
+    def test_totals_hold_k_saturated_cells(self):
+        # Two bytes a slot up to k = 257 (257 * 255 < 2**16), four past.
+        for k, itemsize in ((1, 2), (257, 2), (258, 4)):
+            table = make_table(3, k)
+            assert table.totals.itemsize == itemsize
+            for subwindow in range(k):
+                saturating = np.full(COUNTER_SATURATION + 1, 2, dtype=np.int64)
+                table.record_batch(saturating, subwindow)
+            assert table.live_totals(np.arange(3), k - 1).tolist() == (
+                [0, 0, k * COUNTER_SATURATION]
+            )
 
     def test_scalar_methods_match_subwindow_counter(self):
         table = make_table(5)
         oracle = sequential_oracle(5, 4)
         rng = np.random.default_rng(19)
-        subwindow = 0
+        subwindow, clock = 0, -1
         for step in range(600):
             subwindow += int(rng.choice([0, 0, 0, 1, 2, 3, 4, 7]))
             address = int(rng.integers(0, 200))
@@ -158,7 +179,8 @@ class TestArrayIMCT:
                 assert table.record_miss(address, time) == (
                     oracle[slot].record(subwindow)
                 )
-            assert table_state(table) == oracle_state(oracle)
+                clock = subwindow
+            assert table_state(table) == oracle_state(oracle, clock)
         with pytest.raises(ValueError, match="time moved backwards"):
             table.record_miss(address, 10.0 * subwindow - 15.0)
 
@@ -194,17 +216,17 @@ class TestArrayIMCT:
             for slot in batch.tolist():
                 oracle[slot].record(subwindow)
             recorded += batch.size
-            assert table_state(table) == oracle_state(oracle)
+            assert table_state(table) == oracle_state(oracle, subwindow)
         # recorded_misses counts every entry of every batch.
         assert table.recorded_misses == recorded
-        # A subwindow behind a slot's last one is refused, as by
+        # A subwindow behind the table's clock is refused, as by
         # record_miss, and leaves the table as it was.
-        behind = max(table.last) - 1
+        behind = subwindow - 1
         with pytest.raises(ValueError, match="time moved backwards"):
             table.live_totals(every_slot, behind)
         with pytest.raises(ValueError, match="time moved backwards"):
             table.record_batch(every_slot, behind)
-        assert table_state(table) == oracle_state(oracle)
+        assert table_state(table) == oracle_state(oracle, subwindow)
         assert table.recorded_misses == recorded
 
     def test_record_batch_repeated_slot_ordinals(self):
@@ -216,7 +238,7 @@ class TestArrayIMCT:
         table.record_batch(np.sort(batch), 5)
         for slot in batch.tolist():
             oracle[slot].record(5)
-        assert table_state(table) == oracle_state(oracle)
+        assert table_state(table) == oracle_state(oracle, 5)
 
     def test_record_batch_saturates_at_counter_ceiling(self):
         table = make_table(2)
@@ -226,27 +248,25 @@ class TestArrayIMCT:
         for _ in range(COUNTER_SATURATION + 45):
             oracle[0].record(3)
         assert int(table.cells().max()) == COUNTER_SATURATION
-        assert table_state(table) == oracle_state(oracle)
+        assert table_state(table) == oracle_state(oracle, 3)
 
     def test_record_batch_empty(self):
         table = make_table(4)
         table.record_batch(np.zeros(0, dtype=np.int64), 9)
         assert table.recorded_misses == 0
-        assert table.last.tolist() == [-1] * 4
+        assert table.clock == -1 and table.totals.tolist() == [0] * 4
 
     def test_row_totals_equal_stored_sums(self):
-        # Lazy advancement zeroes expired cells on record, so as of its
-        # own last subwindow a slot's live total is its stored row sum.
+        # Advancing the clock zeroes expired columns, so as of the clock
+        # a slot's live total is its stored total and its row sum.
         table = make_table(5)
         rng = np.random.default_rng(17)
         for subwindow in (0, 1, 4, 5):
-            table.record_batch(
-                np.sort(rng.integers(0, 5, size=20)).astype(np.int64), subwindow
-            )
-        rows, last = table_state(table)
-        for slot in range(5):
-            total = table.live_totals(np.array([slot]), last[slot])
-            assert total.tolist() == [sum(rows[slot])]
+            table.record_batch(np.sort(rng.integers(0, 5, size=20)), subwindow)
+        rows, totals, clock = table_state(table)
+        assert clock == 5
+        live = table.live_totals(np.arange(5), clock).tolist()
+        assert live == totals == [sum(row) for row in rows]
 
 
 class TestKernelDispatch:
@@ -264,7 +284,8 @@ def sieve_state(table):
     tracked = table._last_address
     return (
         bytes(table.counts),
-        table.last.tobytes(),
+        table.totals.tobytes(),
+        table.clock,
         None if tracked is None else tracked.tobytes(),
         table.alias_collisions,
         table.recorded_misses,
@@ -405,12 +426,13 @@ def kernel_scripts(draw):
     # 0 batches every run, 1000 none; between, short runs fuse into
     # all-hot stretches beside batched long ones.
     min_blocks = draw(st.sampled_from([0, 0, 4, 8, 1000]))
-    preload = draw(st.lists(
-        st.tuples(st.integers(0, slots - 1), st.integers(0, 6),
-                  st.lists(st.integers(0, COUNTER_SATURATION),
-                           min_size=k, max_size=k)),
+    # Recordings before the window: (subwindow, slot, misses), up to
+    # past the saturation ceiling.
+    preload = sorted(draw(st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, slots - 1),
+                  st.integers(1, COUNTER_SATURATION + 20)),
         max_size=4,
-    ))
+    )))
     addresses = st.integers(0, 35)
     resident = draw(st.lists(addresses, unique=True, max_size=8))
     tracked = draw(st.lists(addresses, unique=True, max_size=4))
@@ -440,10 +462,9 @@ class TestClassifyFlushProperty:
         config = SieveStoreCConfig(imct_slots=slots, t1=t1, window=window)
         policy, reference = SieveStoreC(config), SieveStoreC(config)
         table, oracle = policy.imct, reference.imct
-        for slot, last, cells in preload:
+        for subwindow, slot, misses in preload:
             for each in (table, oracle):
-                each.counts[slot::slots] = bytes(cells)
-                each.last[slot] = last
+                each.record_batch(np.full(misses, slot), subwindow)
         if tracking:
             table.enable_collision_tracking()
             oracle.enable_collision_tracking()

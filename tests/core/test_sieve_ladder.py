@@ -40,7 +40,8 @@ def sieve_state(policy):
     shadow = imct._last_address
     return {
         "counts": bytes(imct.counts),
-        "last": imct.last.tolist(),
+        "totals": imct.totals.tolist(),
+        "clock": imct.clock,
         "shadow": None if shadow is None else shadow.tolist(),
         "recorded_misses": imct.recorded_misses,
         "alias_collisions": imct.alias_collisions,

@@ -7,7 +7,7 @@ vectorized pass and walks only its events
 ladder about every miss.  Over generated traces — small, cold-heavy, on
 tiny caches and tables, short windows, the single-tier ablation, small
 chunks and a kill/resume at a drawn cursor — both must end in the same
-*full* state: statistics, the LRU order, the IMCT cells and stamps, the
+*full* state: statistics, the LRU order, the IMCT cells, totals and clock, the
 MCT's counters and accounting, and every sieve counter.  Two hand-built
 traces pin the rewrite a mid-run eviction makes of a resident block's
 later accesses, on a cold slot and on a hot one.
@@ -54,7 +54,7 @@ def end_state(result):
         "lru": list(result.cache.replacement._order),
         "resident": sorted(result.cache.residents()),
         "imct": (
-            bytes(table.counts), table.last.tobytes(),
+            bytes(table.counts), table.totals.tobytes(), table.clock,
             None if tracked is None else tracked.tobytes(),
             table.alias_collisions, table.recorded_misses,
         ),

@@ -79,8 +79,9 @@ def run_pair(ctx, config=None, collision_tracking=False, **kwargs):
 
 
 def imct_matrix(policy):
-    """The full per-slot IMCT state (counts + last subwindow)."""
-    return policy.imct.cells().T.tolist(), policy.imct.last.tolist()
+    """The full IMCT state (per-slot counts and totals, the clock)."""
+    imct = policy.imct
+    return imct.cells().T.tolist(), imct.totals.tolist(), imct.clock
 
 
 def assert_same_sieve_state(expected, actual):
@@ -191,7 +192,7 @@ class TestEngineEquivalence:
         )
         obj, fast = run_pair(tiny_context, config)
         assert_sieve_identical(obj, fast)
-        counts, _last = imct_matrix(obj.policy)
+        counts, _totals, _clock = imct_matrix(obj.policy)
         assert max(counts[0]) == COUNTER_SATURATION
 
     def test_single_tier_ablation(self, tiny_context):
