@@ -7,8 +7,8 @@ self-contained Python library:
 * :mod:`repro.traces` — block-trace model and a synthetic 13-server
   ensemble workload calibrated to the paper's published trace
   characteristics (observations O1/O2);
-* :mod:`repro.cache` — the fully-associative block-cache substrate with
-  pluggable allocation (who gets in) and replacement (who gets out);
+* :mod:`repro.cache` — the fully-associative LRU block-cache substrate
+  with pluggable allocation (who gets in);
 * :mod:`repro.core` — the contribution: SieveStore-D (discrete,
   access-count batch allocation), SieveStore-C (continuous two-tier
   IMCT/MCT lazy allocation), ideal/random sieves, Belady analysis, and

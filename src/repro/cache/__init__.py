@@ -1,21 +1,13 @@
-"""Cache substrate: fully-associative block cache, replacement, allocation.
+"""Cache substrate: fully-associative LRU block cache and allocation.
 
-The split between :mod:`~repro.cache.allocation` (who gets in) and
-:mod:`~repro.cache.replacement` (who gets evicted) mirrors the paper's
-Section 3: sieving is an *allocation* mechanism, and no replacement
-policy can substitute for it.
+The split between :mod:`~repro.cache.allocation` (who gets in) and the
+cache's one replacement policy, LRU (who gets evicted; the paper's for
+every continuous configuration), mirrors the paper's Section 3: sieving
+is an *allocation* mechanism, and no replacement policy can substitute
+for it.
 """
 
 from repro.cache.block_cache import BlockCache
-from repro.cache.replacement import (
-    ClockReplacement,
-    FIFOReplacement,
-    LFUReplacement,
-    LRUReplacement,
-    RandomReplacement,
-    ReplacementPolicy,
-    make_replacement,
-)
 from repro.cache.allocation import (
     AllocateOnDemand,
     AllocationPolicy,
@@ -28,13 +20,6 @@ from repro.cache.write_policy import DirtyTracker, WriteMode
 
 __all__ = [
     "BlockCache",
-    "ClockReplacement",
-    "FIFOReplacement",
-    "LFUReplacement",
-    "LRUReplacement",
-    "RandomReplacement",
-    "ReplacementPolicy",
-    "make_replacement",
     "AllocateOnDemand",
     "AllocationPolicy",
     "NeverAllocate",

@@ -1,4 +1,4 @@
-"""Fully-associative 512-byte block cache with pluggable replacement.
+"""Fully-associative 512-byte block cache with LRU replacement.
 
 This models the disk-cache metastate the paper simulates: "the
 data-structures ... for the metastate of a fully-associative, 16GB
@@ -9,85 +9,76 @@ what a trace-driven cache simulation needs.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Iterable, Iterator, Optional, Set
-
-from repro.cache.replacement import LRUReplacement, ReplacementPolicy
 
 
 class BlockCache:
-    """A set of resident block addresses bounded by a frame capacity.
+    """Resident block addresses bounded by a frame capacity, in LRU order.
 
-    The cache never allocates on its own: callers decide *whether* to
-    insert (the allocation policy / sieve) and the cache decides *whom*
-    to evict (the replacement policy).  This separation mirrors the
-    paper's central distinction between allocation and replacement
-    (Section 3).
+    One ``OrderedDict`` (``_order``) is both the resident set and the
+    recency order, least-recently used first; the fast loop and the
+    sieve kernel drive it directly.  The cache never allocates on its
+    own: callers decide *whether* to insert (the allocation policy /
+    sieve) and the cache decides *whom* to evict (the least recently
+    used block).  This separation mirrors the paper's central
+    distinction between allocation and replacement (Section 3).
     """
 
-    def __init__(
-        self,
-        capacity_blocks: int,
-        replacement: Optional[ReplacementPolicy] = None,
-    ):
+    def __init__(self, capacity_blocks: int):
         if capacity_blocks <= 0:
             raise ValueError(f"capacity must be positive, got {capacity_blocks}")
         self.capacity_blocks = capacity_blocks
-        self.replacement = replacement if replacement is not None else LRUReplacement()
-        self._resident: Set[int] = set()
+        self._order: "OrderedDict[int, None]" = OrderedDict()
 
     def __len__(self) -> int:
-        return len(self._resident)
+        return len(self._order)
 
     def __contains__(self, address: int) -> bool:
-        return address in self._resident
+        return address in self._order
 
     @property
     def is_full(self) -> bool:
         """Whether every frame is occupied."""
-        return len(self._resident) >= self.capacity_blocks
+        return len(self._order) >= self.capacity_blocks
 
     def access(self, address: int) -> bool:
         """Look up a block; returns True on hit and updates recency."""
-        if address in self._resident:
-            self.replacement.on_access(address)
+        if address in self._order:
+            self._order.move_to_end(address)
             return True
         return False
 
     def peek(self, address: int) -> bool:
-        """Look up a block without updating replacement state."""
-        return address in self._resident
+        """Look up a block without updating recency."""
+        return address in self._order
 
     def insert(self, address: int) -> Optional[int]:
-        """Insert a block, evicting if needed; returns the victim or None.
+        """Insert a block, evicting the least recently used if needed;
+        returns the victim or None.
 
         Inserting a resident block is an error — callers must check with
         :meth:`access`/:meth:`peek` first, because a real cache would
         have served that access as a hit.
         """
-        if address in self._resident:
+        if address in self._order:
             raise ValueError(f"block {address} is already resident")
         victim = None
-        if len(self._resident) >= self.capacity_blocks:
-            victim = self.replacement.choose_victim()
-            self._evict(victim)
-        self._resident.add(address)
-        self.replacement.on_insert(address)
+        if len(self._order) >= self.capacity_blocks:
+            victim = self._order.popitem(last=False)[0]
+        self._order[address] = None
         return victim
 
-    def _evict(self, address: int) -> None:
-        self._resident.remove(address)
-        self.replacement.on_remove(address)
-
     def remove(self, address: int) -> None:
-        """Remove a resident block (used by batch replacement)."""
-        if address not in self._resident:
+        """Remove a resident block; a non-resident one is an error."""
+        if address not in self._order:
             raise KeyError(f"block {address} is not resident")
-        self._evict(address)
+        del self._order[address]
 
     def discard(self, address: int) -> bool:
         """Remove a block if resident; returns whether it was."""
-        if address in self._resident:
-            self._evict(address)
+        if address in self._order:
+            del self._order[address]
             return True
         return False
 
@@ -98,18 +89,17 @@ class BlockCache:
         survive but their contents do not, so a recovered device starts
         cold and the sieve must re-earn every allocation.
         """
-        dropped = len(self._resident)
-        for address in list(self._resident):
-            self._evict(address)
+        dropped = len(self._order)
+        self._order.clear()
         return dropped
 
     def residents(self) -> Iterator[int]:
-        """Iterate over resident addresses (unspecified order)."""
-        return iter(self._resident)
+        """Iterate over resident addresses, least recently used first."""
+        return iter(self._order)
 
     def resident_set(self) -> Set[int]:
         """A copy of the resident address set."""
-        return set(self._resident)
+        return set(self._order)
 
     def replace_contents(self, addresses: Iterable[int]) -> tuple:
         """Batch-replace the cache contents (SieveStore-D epochs).
@@ -117,7 +107,8 @@ class BlockCache:
         Blocks present in both the old and the new set stay resident
         without being counted as moved — the paper's optimization that
         "the replacement and allocation cancel each other to eliminate
-        unnecessary block moves" (Section 3.2).
+        unnecessary block moves" (Section 3.2).  They keep their recency
+        order; the new blocks follow them, most recently used.
 
         Returns ``(inserted, removed)`` counts; ``inserted`` is the
         number of allocation-writes the batch implies.
@@ -128,24 +119,18 @@ class BlockCache:
                 f"batch of {len(new_set)} blocks exceeds capacity "
                 f"{self.capacity_blocks}"
             )
-        to_remove = self._resident - new_set
-        to_insert = new_set - self._resident
+        resident = set(self._order)
+        to_remove = resident - new_set
+        to_insert = new_set - resident
         for address in to_remove:
-            self._evict(address)
-        for address in to_insert:
-            self._resident.add(address)
-            self.replacement.on_insert(address)
+            del self._order[address]
+        self._order.update(dict.fromkeys(to_insert))
         return len(to_insert), len(to_remove)
 
     def check_invariants(self) -> None:
         """Verify the cache's internal consistency (used by tests)."""
-        if len(self._resident) > self.capacity_blocks:
+        if len(self._order) > self.capacity_blocks:
             raise AssertionError(
-                f"resident {len(self._resident)} exceeds capacity "
+                f"resident {len(self._order)} exceeds capacity "
                 f"{self.capacity_blocks}"
-            )
-        if len(self.replacement) != len(self._resident):
-            raise AssertionError(
-                f"replacement tracks {len(self.replacement)} blocks but "
-                f"{len(self._resident)} are resident"
             )

@@ -1,80 +1,21 @@
-"""Replacement policies for the fully-associative block cache.
+"""LRU replacement, decided for a whole block stream at once.
 
 The paper uses LRU for every continuously-allocated configuration
 ("LRU replacement was common for all the continuous configurations",
-Section 4).  FIFO, Random, and LFU are provided for ablation studies;
-Belady's MIN, which needs future knowledge, lives in
-:mod:`repro.core.belady`.
+Section 4); :class:`~repro.cache.block_cache.BlockCache` is that cache,
+one access at a time, and :func:`lru_pass` replays a stream through it
+in a few sorts when every miss is allocated.  Belady's MIN, which needs
+future knowledge, lives in :mod:`repro.core.belady`.
 """
 
 from __future__ import annotations
 
-import abc
 import math
-import random
-from collections import OrderedDict
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.traces.columnar import expand_blocks
-
-
-class ReplacementPolicy(abc.ABC):
-    """Tracks resident blocks and chooses eviction victims.
-
-    The owning :class:`~repro.cache.block_cache.BlockCache` guarantees
-    that ``on_insert`` is never called for a resident block, and that
-    ``on_access``/``on_remove`` are only called for resident blocks.
-    """
-
-    @abc.abstractmethod
-    def on_insert(self, address: int) -> None:
-        """A block was inserted into the cache."""
-
-    @abc.abstractmethod
-    def on_access(self, address: int) -> None:
-        """A resident block was accessed (hit)."""
-
-    @abc.abstractmethod
-    def on_remove(self, address: int) -> None:
-        """A resident block was removed without going through evict()."""
-
-    @abc.abstractmethod
-    def choose_victim(self) -> int:
-        """Return the address to evict next (must be resident)."""
-
-    @abc.abstractmethod
-    def __len__(self) -> int:
-        """Number of tracked resident blocks."""
-
-
-class LRUReplacement(ReplacementPolicy):
-    """Least-recently-used replacement (the paper's default)."""
-
-    def __init__(self) -> None:
-        self._order: "OrderedDict[int, None]" = OrderedDict()
-
-    def on_insert(self, address: int) -> None:
-        self._order[address] = None
-
-    def on_access(self, address: int) -> None:
-        self._order.move_to_end(address)
-
-    def on_remove(self, address: int) -> None:
-        del self._order[address]
-
-    def choose_victim(self) -> int:
-        if not self._order:
-            raise LookupError("cannot choose a victim from an empty cache")
-        return next(iter(self._order))
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def recency_order(self) -> Iterator[int]:
-        """Resident addresses from least- to most-recently used."""
-        return iter(self._order)
 
 
 #: Upper bound on the index ranges the exact count of :func:`lru_pass`
@@ -99,9 +40,10 @@ def lru_pass(
     recently used (at most ``capacity``, distinct), ``blocks`` the
     addresses accessed, in order.  Returns ``(hits, new_order)``: per
     access whether it hit, and the resident addresses afterwards, in
-    recency order — exactly what :class:`LRUReplacement` driven one
-    access at a time (``move_to_end`` on a hit; on a miss evict the
-    head when full, then insert) would report and leave.
+    recency order — exactly what a
+    :class:`~repro.cache.block_cache.BlockCache` driven one access at a
+    time (``access`` on a hit; ``insert`` on a miss, evicting the head
+    when full) would report and leave.
 
     LRU is a stack algorithm: an access hits iff fewer than
     ``capacity`` distinct blocks were accessed since the same block's
@@ -206,164 +148,3 @@ def lru_pass(
             )
             hits[open_[k[exact < capacity]]] = True
     return hits, new_order
-
-
-class FIFOReplacement(ReplacementPolicy):
-    """First-in-first-out replacement (ablation)."""
-
-    def __init__(self) -> None:
-        self._order: "OrderedDict[int, None]" = OrderedDict()
-
-    def on_insert(self, address: int) -> None:
-        self._order[address] = None
-
-    def on_access(self, address: int) -> None:
-        pass  # insertion order is not disturbed by hits
-
-    def on_remove(self, address: int) -> None:
-        del self._order[address]
-
-    def choose_victim(self) -> int:
-        if not self._order:
-            raise LookupError("cannot choose a victim from an empty cache")
-        return next(iter(self._order))
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-
-class RandomReplacement(ReplacementPolicy):
-    """Uniform-random replacement (ablation); seeded for determinism."""
-
-    def __init__(self, seed: int = 0) -> None:
-        self._rng = random.Random(seed)
-        self._slots: list = []
-        self._index: Dict[int, int] = {}
-
-    def on_insert(self, address: int) -> None:
-        self._index[address] = len(self._slots)
-        self._slots.append(address)
-
-    def on_access(self, address: int) -> None:
-        pass
-
-    def on_remove(self, address: int) -> None:
-        position = self._index.pop(address)
-        last = self._slots.pop()
-        if last != address:
-            self._slots[position] = last
-            self._index[last] = position
-
-    def choose_victim(self) -> int:
-        if not self._slots:
-            raise LookupError("cannot choose a victim from an empty cache")
-        return self._slots[self._rng.randrange(len(self._slots))]
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-
-class LFUReplacement(ReplacementPolicy):
-    """Least-frequently-used replacement with LRU tie-breaking (ablation).
-
-    Frequencies count hits since insertion.  Implemented with an
-    OrderedDict per frequency class, giving O(1) amortized updates.
-    """
-
-    def __init__(self) -> None:
-        self._freq: Dict[int, int] = {}
-        self._classes: Dict[int, "OrderedDict[int, None]"] = {}
-        self._min_freq: int = 0
-
-    def _class(self, freq: int) -> "OrderedDict[int, None]":
-        return self._classes.setdefault(freq, OrderedDict())
-
-    def on_insert(self, address: int) -> None:
-        self._freq[address] = 1
-        self._class(1)[address] = None
-        self._min_freq = 1
-
-    def on_access(self, address: int) -> None:
-        freq = self._freq[address]
-        bucket = self._classes[freq]
-        del bucket[address]
-        if not bucket:
-            del self._classes[freq]
-            if self._min_freq == freq:
-                self._min_freq = freq + 1
-        self._freq[address] = freq + 1
-        self._class(freq + 1)[address] = None
-
-    def on_remove(self, address: int) -> None:
-        freq = self._freq.pop(address)
-        bucket = self._classes[freq]
-        del bucket[address]
-        if not bucket:
-            del self._classes[freq]
-            if self._min_freq == freq:
-                self._min_freq = min(self._classes, default=0)
-
-    def choose_victim(self) -> int:
-        if not self._freq:
-            raise LookupError("cannot choose a victim from an empty cache")
-        bucket = self._classes[self._min_freq]
-        return next(iter(bucket))
-
-    def __len__(self) -> int:
-        return len(self._freq)
-
-
-class ClockReplacement(ReplacementPolicy):
-    """CLOCK (second-chance) replacement (ablation).
-
-    Blocks sit on a ring with a reference bit; the hand sweeps forward,
-    clearing set bits and evicting the first unreferenced block.  A
-    cheap LRU approximation — the policy most real block caches
-    actually ship.
-    """
-
-    def __init__(self) -> None:
-        self._ring: "OrderedDict[int, bool]" = OrderedDict()
-
-    def on_insert(self, address: int) -> None:
-        self._ring[address] = False
-
-    def on_access(self, address: int) -> None:
-        self._ring[address] = True
-
-    def on_remove(self, address: int) -> None:
-        del self._ring[address]
-
-    def choose_victim(self) -> int:
-        if not self._ring:
-            raise LookupError("cannot choose a victim from an empty cache")
-        while True:
-            address, referenced = next(iter(self._ring.items()))
-            if not referenced:
-                return address
-            # Second chance: clear the bit and rotate to the back.
-            del self._ring[address]
-            self._ring[address] = False
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-
-def make_replacement(name: str, seed: int = 0) -> ReplacementPolicy:
-    """Construct a replacement policy by name
-    ('lru', 'fifo', 'random', 'lfu', 'clock')."""
-    factories = {
-        "lru": LRUReplacement,
-        "fifo": FIFOReplacement,
-        "lfu": LFUReplacement,
-        "clock": ClockReplacement,
-    }
-    lowered = name.lower()
-    if lowered == "random":
-        return RandomReplacement(seed=seed)
-    if lowered not in factories:
-        raise ValueError(
-            f"unknown replacement policy {name!r}; "
-            f"expected one of lru, fifo, random, lfu, clock"
-        )
-    return factories[lowered]()

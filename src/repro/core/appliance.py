@@ -59,12 +59,11 @@ class SieveStoreAppliance:
     Args:
         cache: the SSD block cache (metastate only).
         policy: the allocation policy / sieve.
-        stats: statistics sink (per-day and per-minute).
-        batch_moves_staggered: if True (the paper's SieveStore-D
-            assumption), epoch batch moves are counted as
-            allocation-writes in the day totals but not charged to any
-            minute's SSD occupancy, since they are scheduled into idle
-            periods.  Continuous allocation-writes are always charged.
+        stats: statistics sink (per-day and per-minute).  Epoch batch
+            moves are counted as allocation-writes in the day totals but
+            not charged to any minute's SSD occupancy: the paper's
+            SieveStore-D schedules them into idle periods.  Continuous
+            allocation-writes are always charged.
         epoch_seconds: period of the policy's batch boundaries.  The
             paper's epoch is one calendar day (the default); the
             Section 5.1 sensitivity analysis shortens it.  Epoch index
@@ -108,7 +107,6 @@ class SieveStoreAppliance:
         cache: BlockCache,
         policy: AllocationPolicy,
         stats: CacheStats,
-        batch_moves_staggered: bool = True,
         write_mode: WriteMode = WriteMode.WRITE_THROUGH,
         epoch_seconds: float = 86400.0,
         faults: Optional[FaultInjector] = None,
@@ -116,7 +114,6 @@ class SieveStoreAppliance:
         self.cache = cache
         self.policy = policy
         self.stats = stats
-        self.batch_moves_staggered = batch_moves_staggered
         self.write_mode = write_mode
         self.epoch_seconds = float(epoch_seconds)
         self.dirty = DirtyTracker()
@@ -134,20 +131,13 @@ class SieveStoreAppliance:
         state["health_observer"] = None
         return state
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        # Checkpoints written before the observability layer existed
-        # carry no observer field at all.
-        self.__dict__.setdefault("health_observer", None)
-
     def begin_day(self, day: int) -> int:
         """Apply the policy's epoch batch for epoch ``day``; returns blocks moved in.
 
         Allocation-writes for batch moves are attributed to the epoch
         boundary's instant, ``day * epoch_seconds`` — and hence to the
-        calendar day containing it (or suppressed from minute accounting
-        when staggered — the paper's assumption that moves ride idle
-        bandwidth).
+        calendar day containing it — and kept out of minute accounting
+        (the paper's assumption that moves ride idle bandwidth).
         """
         if self.faults is not None:
             self._update_health(float(day) * self.epoch_seconds)
@@ -175,10 +165,6 @@ class SieveStoreAppliance:
         inserted, _removed = self.cache.replace_contents(new_set)
         if inserted:
             self.stats.record_allocation_write(boundary_time, blocks=inserted)
-            if not self.batch_moves_staggered:
-                self.stats.record_ssd_io(
-                    boundary_time, blocks_to_io_units(inserted), is_write=True
-                )
             if self.faults is not None:
                 self.faults.record_ssd_write(boundary_time, inserted)
         return inserted

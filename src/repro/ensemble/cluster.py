@@ -66,7 +66,6 @@ def simulate_cluster(
     days: int,
     nodes: int,
     server_ids: Optional[Sequence[int]] = None,
-    replacement: str = "lru",
     track_minutes: bool = False,
 ) -> ClusterResult:
     """Run a K-node appliance cluster over one ensemble trace.
@@ -85,7 +84,6 @@ def simulate_cluster(
         nodes: appliance count.
         server_ids: servers to partition (default: those in the trace);
             requests of any other server are not replayed.
-        replacement: per-node replacement policy name.
         track_minutes: collect per-minute SSD I/O per node.
     """
     columns = as_columnar(trace)
@@ -100,7 +98,6 @@ def simulate_cluster(
             policy_factory(node),
             per_node_capacity,
             days,
-            replacement=replacement,
             track_minutes=track_minutes,
         )
         for node, partition in enumerate(partitions)

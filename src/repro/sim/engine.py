@@ -15,12 +15,12 @@ picks between them from the configuration alone:
 
 * the **fast path** replays the columns through
   :mod:`repro.sim.fast_engine`'s flat loop, several times faster.  It
-  runs every configuration it covers — LRU replacement, write-through
-  accounting, no device faults (every figure's configuration);
+  runs every configuration it covers — write-through accounting, no
+  device faults (every figure's configuration);
 * the **object path** hands the trace's rows, one request at a time, to
   the appliance and its cache / policy / statistics objects — the
   readable reference implementation, and the engine for everything
-  else (write-back, other replacement policies, fault plans).  It
+  else (write-back, fault plans).  It
   reads the same columns as the fast path in bounded row windows, and
   for a plain SieveStore-C hashes each window's blocks at once with
   the fast path's own primitives.  ``fast_path=False`` forces it, which
@@ -44,7 +44,6 @@ from typing import List, Optional, Union
 
 from repro.cache.allocation import AllocationPolicy
 from repro.cache.block_cache import BlockCache
-from repro.cache.replacement import make_replacement
 from repro.cache.stats import CacheStats
 from repro.cache.write_policy import WriteMode
 from repro.core import sieve_kernel
@@ -264,8 +263,8 @@ def _check_resume_engine(state: dict, target: str) -> None:
 
     Both loops leave bit-identical policy / cache / statistics at any
     request cursor, so a state written by one seeds the other as is —
-    except that the fast loop replays only LRU write-through without
-    device faults.
+    except that the fast loop replays only write-through without device
+    faults.
     """
     from repro.sim.serialize import CheckpointError
 
@@ -273,12 +272,11 @@ def _check_resume_engine(state: dict, target: str) -> None:
         return
     if target != "fast":
         raise CheckpointError(f"unknown resume engine {target!r}")
-    config = state["config"]
-    if config["replacement"] != "lru" or config["write_mode"] != "WRITE_THROUGH":
+    write_mode = state["config"]["write_mode"]
+    if write_mode != "WRITE_THROUGH":
         raise CheckpointError(
-            "cannot resume on the fast engine: it supports only LRU "
-            f"write-through, checkpoint has replacement="
-            f"{config['replacement']!r}, write_mode={config['write_mode']!r}"
+            "cannot resume on the fast engine: it supports only "
+            f"write-through, checkpoint has write_mode={write_mode!r}"
         )
     appliance = state["appliance"]
     if appliance is not None and appliance.faults is not None:
@@ -378,7 +376,6 @@ def _appliance(
         cache,
         policy,
         stats,
-        batch_moves_staggered=config["batch_moves_staggered"],
         write_mode=WriteMode[config["write_mode"]],
         epoch_seconds=config["epoch_seconds"],
         faults=faults,
@@ -501,7 +498,6 @@ def _drive(
             stats,
             cache,
             capacity_blocks=config["capacity_blocks"],
-            batch_moves_staggered=config["batch_moves_staggered"],
             epoch_seconds=epoch_seconds,
             total_epochs=config["total_epochs"],
             **position_and_hooks,
@@ -536,10 +532,7 @@ def simulate(
     policy: AllocationPolicy,
     capacity_blocks: int,
     days: int,
-    replacement: str = "lru",
     track_minutes: bool = True,
-    batch_moves_staggered: bool = True,
-    replacement_seed: int = 0,
     write_mode: WriteMode = WriteMode.WRITE_THROUGH,
     epoch_seconds: Optional[float] = float(SECONDS_PER_DAY),
     fast_path: bool = True,
@@ -565,13 +558,8 @@ def simulate(
         policy: the allocation policy / sieve under test.
         capacity_blocks: cache capacity in 512-byte frames.
         days: calendar days covered by the trace.
-        replacement: replacement policy name; the paper uses LRU for
-            every continuous configuration.
         track_minutes: collect per-minute SSD I/O (needed for the
             drive-occupancy figures; costs some memory).
-        batch_moves_staggered: see
-            :class:`~repro.core.appliance.SieveStoreAppliance`.
-        replacement_seed: seed for the 'random' replacement policy.
         write_mode: write-through (paper-equivalent default) or
             write-back; see
             :class:`~repro.core.appliance.SieveStoreAppliance`.  Dirty
@@ -583,7 +571,7 @@ def simulate(
             analysis.  Statistics stay calendar-day bucketed
             regardless.
         fast_path: replay on the fast loop whenever the configuration
-            allows it (LRU, write-through, no fault plan), on the object
+            allows it (write-through, no fault plan), on the object
             engine otherwise; the statistics are bit-identical either
             way.  ``False`` forces the object engine, the reference the
             equivalence tests compare against.  The engine that ran is
@@ -637,23 +625,16 @@ def simulate(
 
     use_fast = (
         fast_path
-        and replacement == "lru"
         and write_mode is WriteMode.WRITE_THROUGH
         and fault_plan is None
     )
 
     stats = CacheStats(days=days, track_minutes=track_minutes)
-    cache = BlockCache(
-        capacity_blocks,
-        replacement=make_replacement(replacement, seed=replacement_seed),
-    )
+    cache = BlockCache(capacity_blocks)
     config = {
         "capacity_blocks": capacity_blocks,
         "days": days,
-        "replacement": replacement,
-        "replacement_seed": replacement_seed,
         "track_minutes": track_minutes,
-        "batch_moves_staggered": batch_moves_staggered,
         "write_mode": write_mode.name,
         "epoch_seconds": epoch_seconds,
         "total_epochs": total_epoch_count(days, epoch_seconds),
@@ -719,8 +700,8 @@ def resume_simulation(
         engine: resume on this engine (``"fast"`` or ``"object"``)
             instead of the one that wrote the checkpoint.  Both engines
             snapshot the same logical state, so final statistics stay
-            bit-identical either way; resuming a non-LRU, write-back,
-            or fault-injected checkpoint on the fast engine raises.
+            bit-identical either way; resuming a write-back or
+            fault-injected checkpoint on the fast engine raises.
 
     Raises:
         CheckpointError: unreadable/corrupt/incompatible checkpoint, a

@@ -20,9 +20,9 @@ replays the same semantics over the columnar trace, a chunk at a time:
   from the resulting order, in place, only where the cache is read (a
   chunk's end reads only the hit column).  WMNA (whose write misses
   allocate nothing, so its block stream depends on the state) and the
-  per-miss-call modes drive that ``OrderedDict`` directly (membership
-  test + ``move_to_end`` + ``popitem(last=False)``).  Either way the cache's resident *set* is
-  resynced only at epoch boundaries, sync sites and the end of the run;
+  per-miss-call modes drive that ``OrderedDict`` — the cache's one
+  structure, resident set and recency order at once — directly
+  (membership test + ``move_to_end`` + ``popitem(last=False)``);
 * statistics are recorded from columns
   (:meth:`~repro.cache.stats.CacheStats.record_rows`: every block of a
   request shares the request's issue time, so the per-block recording
@@ -45,9 +45,9 @@ replays the same semantics over the columnar trace, a chunk at a time:
   call, while any override (including subclasses that re-define the
   method) falls back to per-miss calls in exactly the reference order.
 
-The fast path covers the configuration every figure uses — LRU
-replacement and write-through accounting.  Anything else (write-back,
-ablation replacement policies) is routed to the reference path by
+The fast path covers the configuration every figure uses —
+write-through accounting without device faults.  Write-back and fault
+plans are routed to the reference path by
 :func:`repro.sim.engine.simulate`; the equivalence suite asserts the
 two paths produce bit-identical :class:`~repro.cache.stats.CacheStats`.
 """
@@ -201,7 +201,6 @@ def simulate_fast_chunks(
     stats: CacheStats,
     cache: BlockCache,
     capacity_blocks: int,
-    batch_moves_staggered: bool,
     epoch_seconds: float,
     total_epochs: int,
     start_cursor: int = 0,
@@ -236,7 +235,7 @@ def simulate_fast_chunks(
     mid-trace; ``checkpointer(cursor, current_epoch)`` is invoked every
     ``checkpoint_every`` requests, and ``segment_hook(cursor,
     current_epoch)`` after each chunk (the per-segment checkpoint site
-    of out-of-core runs), both with the cache's resident set resynced,
+    of out-of-core runs), both with the cache brought up to the cursor,
     the statistics recorded up to the cursor and (for the sieve kernel)
     the policy object fully synced, so the callback can pickle
     ``policy``/``cache``/``stats`` as-is.  The driver for both is
@@ -250,7 +249,7 @@ def simulate_fast_chunks(
     cursor between sync sites.  The rows they fire
     at are found per chunk: they cost the request loops nothing.
     """
-    od = cache.replacement._order
+    od = cache._order
     od_move = od.move_to_end
     od_pop = od.popitem
     capacity = capacity_blocks
@@ -266,11 +265,6 @@ def simulate_fast_chunks(
     # every boundary below.
     counts = policy._epoch_counts if omode == _O_COUNTER else None
     seen = policy._seen_this_epoch if omode == _O_SET else None
-    # Discrete/constant-False policies never allocate inside an epoch,
-    # and hits do not change the resident *set* — only its recency — so
-    # their cache._resident stays valid between boundaries.  Allocating
-    # modes mutate the OrderedDict only; resync before batches/at end.
-    may_allocate = wmode != _W_FALSE
     general = wmode == _W_CALL or omode == _O_CALL
     # Every (WMNA: read) miss allocated and nothing to call per block:
     # the allocation-writes, too, are recorded from columns.
@@ -294,15 +288,12 @@ def simulate_fast_chunks(
     lru_order = None
 
     def resync() -> None:
-        """Bring the cache up to the replay: ``od`` from AOD's order,
-        the resident set from ``od``."""
+        """Bring the cache up to the replay: ``od`` from AOD's order."""
         nonlocal lru_order
         if lru_order is not None:
             od.clear()
             od.update(dict.fromkeys(lru_order.tolist()))
             lru_order = None
-        if may_allocate:
-            cache._resident = set(od)
 
     def apply_boundary(epoch: int) -> None:
         batch = policy.epoch_boundary(epoch)
@@ -317,8 +308,6 @@ def simulate_fast_chunks(
             # k * epoch_seconds): the reference path's begin_day calls.
             boundary_time = float(epoch) * epoch_seconds
             stats.record_allocation_write(boundary_time, inserted)
-            if not batch_moves_staggered:
-                stats.record_ssd_io(boundary_time, (inserted + 7) >> 3, True)
 
     current_epoch = start_epoch
     cursor = start_cursor

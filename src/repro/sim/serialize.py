@@ -62,9 +62,12 @@ CHECKPOINT_MAGIC = b"SSCKPT\x00\n"
 #: arrays) per day instead of a Counter, and CacheStats pickles as int64
 #: columns.  Version 7: the pickled ImpreciseMissCountTable holds count
 #: cells, per-slot totals and one table clock instead of per-slot
-#: last-subwindow stamps.  No migration — checkpoints are short-lived
-#: crash-recovery artifacts.
-CHECKPOINT_SCHEMA_VERSION = 7
+#: last-subwindow stamps.  Version 8: the pickled BlockCache is one
+#: LRU-ordered dict (no resident set, no replacement object), and the
+#: run config has no ``replacement`` / ``replacement_seed`` /
+#: ``batch_moves_staggered``.  No migration — checkpoints are
+#: short-lived crash-recovery artifacts.
+CHECKPOINT_SCHEMA_VERSION = 8
 
 
 class CheckpointError(Exception):

@@ -93,7 +93,7 @@ SPECS: Tuple[SchemaSpec, ...] = (
             "appliance",
         ),
         "repro.sim.serialize",
-        (("CHECKPOINT_SCHEMA_VERSION", 7),),
+        (("CHECKPOINT_SCHEMA_VERSION", 8),),
         track_var="state",
     ),
     _spec(
@@ -104,17 +104,14 @@ SPECS: Tuple[SchemaSpec, ...] = (
         (
             "capacity_blocks",
             "days",
-            "replacement",
-            "replacement_seed",
             "track_minutes",
-            "batch_moves_staggered",
             "write_mode",
             "epoch_seconds",
             "total_epochs",
             "checkpoint_every",
         ),
         "repro.sim.serialize",
-        (("CHECKPOINT_SCHEMA_VERSION", 7),),
+        (("CHECKPOINT_SCHEMA_VERSION", 8),),
         track_var="config",
     ),
     _spec(
@@ -133,7 +130,7 @@ SPECS: Tuple[SchemaSpec, ...] = (
             "bypass_seconds",
         ),
         "repro.sim.serialize",
-        (("CHECKPOINT_SCHEMA_VERSION", 7),),
+        (("CHECKPOINT_SCHEMA_VERSION", 8),),
     ),
     _spec(
         "day-stats",
@@ -155,7 +152,7 @@ SPECS: Tuple[SchemaSpec, ...] = (
         ),
         "repro.sim.serialize",
         # The stats pickle stores each day as a row in field order.
-        (("SCHEMA_VERSION", 1), ("CHECKPOINT_SCHEMA_VERSION", 7)),
+        (("SCHEMA_VERSION", 1), ("CHECKPOINT_SCHEMA_VERSION", 8)),
     ),
     _spec(
         "fault-plan",

@@ -1,9 +1,11 @@
-"""Fully-associative block cache: insertion, eviction, batch replace."""
+"""Fully-associative LRU block cache: insertion, eviction, batch replace."""
+
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache import BlockCache, FIFOReplacement
+from repro.cache import BlockCache
 
 
 class TestBasicOperations:
@@ -68,6 +70,49 @@ class TestEviction:
         assert cache.insert(2) is None
 
 
+class TestLRU:
+    """The cache's one replacement policy, least recently used."""
+
+    def test_victim_is_least_recent(self):
+        cache = BlockCache(3)
+        for a in (1, 2, 3):
+            cache.insert(a)
+        assert cache.insert(4) == 1
+
+    def test_access_refreshes(self):
+        cache = BlockCache(3)
+        for a in (1, 2, 3):
+            cache.insert(a)
+        cache.access(1)
+        assert cache.insert(4) == 2
+
+    def test_recency_order(self):
+        cache = BlockCache(3)
+        for a in (1, 2, 3):
+            cache.insert(a)
+        cache.access(2)
+        assert list(cache.residents()) == [1, 3, 2]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=100))
+    def test_matches_reference_model(self, accesses):
+        """The LRU victim always equals a brute-force recency list's head."""
+        cache = BlockCache(10)
+        reference = []
+        for a in accesses:
+            if cache.access(a):
+                reference.remove(a)
+            else:
+                cache.insert(a)
+            reference.append(a)
+        assert list(cache.residents()) == reference
+        for a in range(10):
+            if a not in cache:
+                cache.insert(a)
+                reference.append(a)
+        assert cache.insert(10) == reference[0]
+
+
 class TestRemoveDiscard:
     def test_remove(self):
         cache = BlockCache(4)
@@ -118,11 +163,11 @@ class TestBatchReplace:
         cache.replace_contents({1, 2, 3})
         cache.replace_contents({3, 4})
         cache.check_invariants()
-        # Fill to capacity and force an eviction through the policy.
+        # Fill to capacity and force an eviction: the block the batch
+        # kept is older than the one it brought in.
         cache.insert(10)
         cache.insert(11)
-        victim = cache.insert(12)
-        assert victim in {3, 4, 10, 11}
+        assert cache.insert(12) == 3
 
 
 class TestInvariants:
@@ -137,28 +182,63 @@ class TestInvariants:
     @settings(max_examples=50, deadline=None)
     @given(
         ops=st.lists(
-            st.tuples(st.sampled_from(["insert", "access", "discard"]),
-                      st.integers(min_value=0, max_value=30)),
+            st.tuples(
+                st.sampled_from(
+                    ["insert", "access", "discard", "remove", "replace", "clear"]
+                ),
+                st.integers(min_value=0, max_value=30),
+            ),
             max_size=200,
         ),
         capacity=st.integers(min_value=1, max_value=8),
     )
     def test_random_operations_preserve_invariants(self, ops, capacity):
+        """Residency and recency order match an ``OrderedDict`` model
+        after every operation."""
         cache = BlockCache(capacity)
+        model = OrderedDict()
         for op, address in ops:
             if op == "insert":
                 if address not in cache:
-                    cache.insert(address)
+                    victim = cache.insert(address)
+                    expected = None
+                    if len(model) >= capacity:
+                        expected = model.popitem(last=False)[0]
+                    assert victim == expected
+                    model[address] = None
             elif op == "access":
-                cache.access(address)
+                assert cache.access(address) == (address in model)
+                if address in model:
+                    model.move_to_end(address)
+            elif op == "discard":
+                assert cache.discard(address) == (address in model)
+                model.pop(address, None)
+            elif op == "remove":
+                if address in model:
+                    cache.remove(address)
+                    del model[address]
+                else:
+                    with pytest.raises(KeyError):
+                        cache.remove(address)
+            elif op == "replace":
+                # A batch of up to `capacity` blocks around the address.
+                batch = set(range(address, address + capacity, 2))
+                kept = [a for a in model if a in batch]
+                fresh = batch.difference(model)
+                assert cache.replace_contents(batch) == (
+                    len(fresh), len(model) - len(kept)
+                )
+                model = OrderedDict.fromkeys(kept)
+                # Incoming blocks follow the kept ones, most recently
+                # used; their mutual order (set order) is read back.
+                assert list(cache.residents())[:len(kept)] == kept
+                model.update(
+                    dict.fromkeys(list(cache.residents())[len(kept):])
+                )
+                assert set(model) == batch
             else:
-                cache.discard(address)
-        cache.check_invariants()
-        assert len(cache) <= capacity
-
-    def test_works_with_fifo(self):
-        cache = BlockCache(2, replacement=FIFOReplacement())
-        cache.insert(1)
-        cache.insert(2)
-        cache.access(1)  # FIFO ignores recency
-        assert cache.insert(3) == 1
+                assert cache.clear() == len(model)
+                model.clear()
+            assert list(cache.residents()) == list(model)
+            assert len(cache) == len(model) <= capacity
+            cache.check_invariants()

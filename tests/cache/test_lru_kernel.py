@@ -2,7 +2,7 @@
 
 :func:`repro.cache.replacement.lru_pass` decides a whole block stream's
 hits from reuse distances; the reference below walks it one access at a
-time the way :class:`~repro.cache.replacement.LRUReplacement` does.
+time the way :class:`~repro.cache.block_cache.BlockCache` does.
 Generated cases cover capacities from 1 to 64, requests shorter and
 longer than the capacity, blocks re-accessed inside one request and
 across requests (evicted blocks come back within the same pass), a

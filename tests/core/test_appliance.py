@@ -7,13 +7,11 @@ from repro.core.appliance import SieveStoreAppliance
 from repro.traces.model import IOKind, IORequest
 
 
-def make_appliance(policy=None, capacity=64, days=1, staggered=True,
-                   epoch_seconds=86400.0):
+def make_appliance(policy=None, capacity=64, days=1, epoch_seconds=86400.0):
     stats = CacheStats(days=days)
     cache = BlockCache(capacity)
     appliance = SieveStoreAppliance(
         cache, policy or AllocateOnDemand(), stats,
-        batch_moves_staggered=staggered,
         epoch_seconds=epoch_seconds,
     )
     return appliance, stats, cache
@@ -101,15 +99,9 @@ class TestEpochBatches:
     def test_staggered_moves_skip_minute_accounting(self):
         # The paper assumes SieveStore-D's batch moves ride idle periods.
         policy = StaticSet(set(range(10)))
-        appliance, stats, _ = make_appliance(policy=policy, staggered=True)
+        appliance, stats, _ = make_appliance(policy=policy)
         appliance.begin_day(0)
         assert stats.per_minute == {}
-
-    def test_unstaggered_moves_are_charged(self):
-        policy = StaticSet(set(range(10)))
-        appliance, stats, _ = make_appliance(policy=policy, staggered=False)
-        appliance.begin_day(0)
-        assert stats.per_minute[0].writes == 2  # ceil(10 blocks / 8)
 
     def test_continuous_policy_day_is_noop(self):
         appliance, stats, cache = make_appliance()
@@ -126,12 +118,3 @@ class TestEpochBatches:
         appliance.begin_day(1)
         assert stats.per_day[0].allocation_writes == 4
         assert stats.per_day[1].allocation_writes == 0
-
-    def test_sub_day_epoch_minute_charge_at_boundary_time(self):
-        policy = StaticSet(set(range(8)))
-        appliance, stats, _ = make_appliance(
-            policy=policy, days=2, staggered=False,
-            epoch_seconds=12 * 3600.0,
-        )
-        appliance.begin_day(1)
-        assert stats.per_minute[12 * 60].writes == 1

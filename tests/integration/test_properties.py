@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache import AllocateOnDemand, WriteMissNoAllocate
 from repro.cache.stats import CacheStats
+from repro.cache.write_policy import WriteMode
 from repro.core.sievestore_c import SieveStoreC, SieveStoreCConfig
 from repro.core.sievestore_d import SieveStoreD, SieveStoreDConfig
 from repro.core.windows import WindowSpec
@@ -250,16 +251,20 @@ class TestCapacitySafety:
     @given(
         trace=random_traces(max_offset=100),
         capacity=st.integers(min_value=1, max_value=6),
-        replacement=st.sampled_from(["lru", "fifo", "lfu", "random"]),
+        write_mode=st.sampled_from(list(WriteMode)),
     )
-    def test_capacity_never_exceeded(self, trace, capacity, replacement):
+    def test_capacity_never_exceeded(self, trace, capacity, write_mode):
+        # Write-through runs the fast loop, write-back the object engine.
         result = simulate(
             trace,
             AllocateOnDemand(),
             capacity,
             days=1,
-            replacement=replacement,
+            write_mode=write_mode,
             track_minutes=False,
+        )
+        assert result.engine == (
+            "fast" if write_mode is WriteMode.WRITE_THROUGH else "object"
         )
         assert len(result.cache) <= capacity
         result.cache.check_invariants()

@@ -34,7 +34,7 @@ def end_state(result):
     """Everything an AOD replay leaves behind, in comparable form."""
     return {
         "stats": stats_to_dict(result.stats),
-        "lru": list(result.cache.replacement._order),
+        "lru": list(result.cache._order),
         "resident": sorted(result.cache.residents()),
     }
 

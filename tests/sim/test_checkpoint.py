@@ -75,7 +75,7 @@ class TestCheckpointFileFormat:
     # threshold, two per-engine payload layouts), which are not migrated.
     def test_refuses_unknown_schema_version(self, tmp_path):
         path = tmp_path / "c.ckpt"
-        for version in (CHECKPOINT_SCHEMA_VERSION + 1, 6, 5, 4, 3, 2):
+        for version in (CHECKPOINT_SCHEMA_VERSION + 1, 7, 6, 5, 4, 3, 2):
             save_checkpoint({"cursor": 1}, path)
             raw = bytearray(path.read_bytes())
             struct.pack_into(">I", raw, len(CHECKPOINT_MAGIC), version)

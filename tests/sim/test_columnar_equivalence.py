@@ -124,11 +124,8 @@ def test_object_path_accepts_columnar_trace(tiny_context):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [
-        {"replacement": "fifo"},
-        {"write_mode": WriteMode.WRITE_BACK},
-    ],
-    ids=["fifo", "write-back"],
+    [{"write_mode": WriteMode.WRITE_BACK}],
+    ids=["write-back"],
 )
 def test_unsupported_configs_fall_back(kwargs, tiny_context):
     # Configurations the fast loop does not cover run on the reference

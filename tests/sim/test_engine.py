@@ -204,7 +204,6 @@ class TestEngineField:
         for kwargs in (
             {"fault_plan": FaultPlan(outages=(OutageWindow(0.0, 10.0),))},
             {"write_mode": WriteMode.WRITE_BACK},
-            {"replacement": "fifo"},
         ):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -220,15 +219,6 @@ class TestDailyCapture:
         result = simulate(trace, AllocateOnDemand(), 16, days=2)
         assert len(result.daily_capture()) == 2
         assert len(result.daily_allocation_writes()) == 2
-
-    def test_replacement_choice_respected(self):
-        trace = Trace([req(0, float(i), block_offset=i * 2) for i in range(10)])
-        lru = simulate(trace, AllocateOnDemand(), 4, days=1, replacement="lru")
-        fifo = simulate(trace, AllocateOnDemand(), 4, days=1, replacement="fifo")
-        # Disjoint single-touch blocks: same results either way, but both
-        # must run and keep the cache at capacity.
-        assert len(lru.cache) == 4
-        assert len(fifo.cache) == 4
 
     def test_minutes_tracked_when_enabled(self):
         trace = Trace([req(0, 1.0), req(0, 2.0)])

@@ -51,7 +51,7 @@ def end_state(result):
     tracked = table._last_address
     return {
         "stats": stats_to_dict(result.stats),
-        "lru": list(result.cache.replacement._order),
+        "lru": list(result.cache._order),
         "resident": sorted(result.cache.residents()),
         "imct": (
             bytes(table.counts), table.totals.tobytes(), table.clock,

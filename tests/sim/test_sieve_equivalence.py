@@ -423,13 +423,13 @@ class TestCheckpointResume:
             baseline.policy.metastate_entries()
         )
 
-    # The fast loop replays only LRU write-through without faults; an
+    # The fast loop replays only write-through without faults; an
     # object-engine checkpoint of anything else must refuse to move
     # (fault plans: test_fast_resume_refuses_fault_checkpoints below).
     @pytest.mark.parametrize(
         "config",
-        [{"replacement": "fifo"}, {"write_mode": WriteMode.WRITE_BACK}],
-        ids=["non-lru", "write-back"],
+        [{"write_mode": WriteMode.WRITE_BACK}],
+        ids=["write-back"],
     )
     def test_illegal_cross_engine_cells_raise(self, tiny_context, tmp_path,
                                               store, config):
