@@ -10,7 +10,7 @@ what a trace-driven cache simulation needs.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterable, Iterator, Optional, Set
+from typing import Iterable, Iterator, Optional
 
 
 class BlockCache:
@@ -36,11 +36,6 @@ class BlockCache:
 
     def __contains__(self, address: int) -> bool:
         return address in self._order
-
-    @property
-    def is_full(self) -> bool:
-        """Whether every frame is occupied."""
-        return len(self._order) >= self.capacity_blocks
 
     def access(self, address: int) -> bool:
         """Look up a block; returns True on hit and updates recency."""
@@ -96,10 +91,6 @@ class BlockCache:
     def residents(self) -> Iterator[int]:
         """Iterate over resident addresses, least recently used first."""
         return iter(self._order)
-
-    def resident_set(self) -> Set[int]:
-        """A copy of the resident address set."""
-        return set(self._order)
 
     def replace_contents(self, addresses: Iterable[int]) -> tuple:
         """Batch-replace the cache contents (SieveStore-D epochs).

@@ -416,8 +416,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_trace(args):
     """Returns ``(columns, days)``: the trace as a ``ColumnarTrace``.
 
-    Synthetic traces go through the on-disk trace cache (columnar
-    ``.npz`` keyed by a config content hash) unless ``--no-trace-cache``
+    Synthetic traces go through the on-disk trace cache (a segment
+    store keyed by a config content hash) unless ``--no-trace-cache``
     or the ``SIEVESTORE_TRACE_CACHE`` environment variable disables it.
     """
     if args.msr_csv:
@@ -698,6 +698,7 @@ def _save_result_json(result, path: str) -> None:
 
 def _segment_store_for(args):
     """Open/generate the config's segment store; ``(store, exit_code)``."""
+    from repro.traces.segments import SegmentError
     from repro.traces.store import load_or_generate_segments
 
     if args.no_trace_cache and args.segments_dir is None:
@@ -716,7 +717,7 @@ def _segment_store_for(args):
             directory=args.segments_dir,
             rows_per_segment=args.rows_per_segment,
         )
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, SegmentError) as exc:
         print(f"error: cannot open segment store: {exc}", file=sys.stderr)
         return None, 2
     return store, None

@@ -34,7 +34,6 @@ from repro.traces.servers import (
 from repro.traces.synthetic import (
     EnsembleTraceGenerator,
     SyntheticTraceConfig,
-    generate_columnar_trace,
     generate_ensemble_trace,
     small_config,
     tiny_config,
@@ -66,7 +65,6 @@ __all__ = [
     "load_or_generate_columnar",
     "load_or_generate_trace",
     "trace_cache_dir",
-    "generate_columnar_trace",
     "IOKind",
     "IORequest",
     "Trace",

@@ -29,8 +29,8 @@ simulation path consuming columns is checked for equality against the
 object path rather than for approximate agreement.
 
 Columnar traces also serialize to ``.npz`` in one call, which is what
-the on-disk trace cache (:mod:`repro.traces.store`) and the parallel
-policy-suite workers (:mod:`repro.sim.parallel`) share.
+the segment stores (:mod:`repro.traces.segments`, also the trace cache's
+entries) and the parallel policy-suite workers share.
 
 :class:`BlockCounts` is the columnar form of one day's popularity — the
 distinct block addresses touched and how often — and the only one: every

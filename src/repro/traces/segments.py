@@ -376,8 +376,10 @@ class SegmentStore(ChunkSource):
             base += entry.rows
 
     def load_all(self) -> ColumnarTrace:
-        """Materialize the whole trace in RAM (tests and small stores)."""
-        parts = [self.load_segment(i) for i in range(self.num_segments)]
+        """The whole trace in RAM, read unmapped: every member's zip CRC is
+        checked, so a damaged column byte raises :class:`SegmentError`
+        where the mapped reads of :meth:`iter_chunks` would serve it."""
+        parts = [self.load_segment(i, mmap=False) for i in range(self.num_segments)]
         return ColumnarTrace.concatenate(parts, description=self.description)
 
     def daily_block_counts(

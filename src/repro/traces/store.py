@@ -5,7 +5,10 @@ synthetic ensemble used to regenerate it from scratch — tens of seconds
 at bench scale, repeated identically across processes.  The generator
 is fully deterministic given its config, so the trace is a pure
 function of the config's field values: this module fingerprints those
-values and memoizes the generated columns as an ``.npz`` file.
+values and keeps the generated trace as one segment store per config,
+``trace-<fingerprint>.segments/`` (see :mod:`repro.traces.segments`).
+:func:`load_or_generate_segments` streams it;
+:func:`load_or_generate_columnar` reads it whole.
 
 Cache location, in precedence order:
 
@@ -14,12 +17,12 @@ Cache location, in precedence order:
 2. otherwise ``.sievestore-trace-cache/`` under the current working
    directory.
 
-Entries are written atomically and durably (temp file + fsync +
-``os.replace`` + directory fsync, via :mod:`repro.util.atomic`) so
-concurrent processes generating the same config can race harmlessly and
-a crash can never publish a truncated entry; unreadable or
-version-mismatched entries are regenerated and overwritten rather than
-trusted.
+A store publishes each segment atomically and its manifest last, so a
+crashed or concurrent writer never exposes a partial entry.  An entry
+that fails to open, was generated for another config, or fails its
+checksummed whole read is evicted with a warning and regenerated rather
+than trusted; a store at an explicit directory the cache does not own is
+refused instead, and left as it is.
 """
 
 from __future__ import annotations
@@ -30,13 +33,11 @@ import json
 import os
 import shutil
 import warnings
-import zipfile
 from pathlib import Path
 from typing import Optional, Union
 
 from repro.traces.columnar import ColumnarTrace
-from repro.traces.segments import SegmentError, SegmentStore
-from repro.util.atomic import atomic_write_path
+from repro.traces.segments import MANIFEST_NAME, SegmentError, SegmentStore
 from repro.traces.model import Trace
 from repro.traces.synthetic import EnsembleTraceGenerator, SyntheticTraceConfig
 
@@ -122,52 +123,44 @@ def _warn_if_non_directory(path: Path, origin: str) -> bool:
     return True
 
 
-def cache_path_for(
-    config: SyntheticTraceConfig,
-    cache_dir: Optional[Union[str, Path]] = None,
-) -> Optional[Path]:
-    """Cache file path for a config, or ``None`` if caching is disabled."""
-    directory = trace_cache_dir(cache_dir)
-    if directory is None:
-        return None
-    return directory / f"trace-{config_fingerprint(config)}.npz"
-
-
 def load_or_generate_columnar(
     config: SyntheticTraceConfig,
     cache_dir: Optional[Union[str, Path]] = None,
 ) -> ColumnarTrace:
     """Return the columnar ensemble trace for ``config``, cached on disk.
 
-    Falls back to plain generation when caching is disabled; a corrupt
-    or truncated cache entry (bad zip, missing arrays, version
-    mismatch, short file) is evicted with a warning naming the path and
-    regenerated rather than propagated as an unpickling/zip error.
+    The trace is the config's :func:`load_or_generate_segments` store,
+    read whole with every member's checksum verified; an entry that
+    fails that read is evicted with a warning and regenerated.  With
+    caching disabled, or the cache unwritable (warned, naming the
+    path), the trace is generated in RAM.
     """
-    path = cache_path_for(config, cache_dir)
-    if path is not None and path.exists():
-        try:
-            columns = ColumnarTrace.load_npz(path)
-        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
-            _note_cache_outcome("corrupt")
-            warnings.warn(
-                f"corrupt trace-cache entry {path} "
-                f"({type(exc).__name__}: {exc}); evicting and regenerating",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+    target = segments_path_for(config, cache_dir)
+    if target is None:
+        _note_cache_outcome("miss")
+        return EnsembleTraceGenerator(config).generate_columnar()
+    try:
+        store = _cached_store(config, target, owned=True)
+        if store is not None:
             try:
-                path.unlink()
-            except OSError:
-                pass  # eviction is best-effort; the overwrite below wins
-        else:
-            _note_cache_outcome("hit")
-            return columns
-    _note_cache_outcome("miss")
-    columns = EnsembleTraceGenerator(config).generate_columnar()
-    if path is not None:
-        _atomic_save(columns, path)
-    return columns
+                columns = store.load_all()
+            except SegmentError as exc:
+                _evict(target, exc)
+            else:
+                _note_cache_outcome("hit")
+                return columns
+        return load_or_generate_segments(config, cache_dir).load_all()
+    except OSError as exc:
+        # Caching is best-effort, but a silently dead cache means
+        # regenerating the trace every run, so say where and why.
+        warnings.warn(
+            f"trace cache write failed for {target}: {exc}; the trace will be "
+            f"regenerated on the next run (set {CACHE_ENV_VAR}=off to silence, "
+            "or point it at a writable directory)",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return EnsembleTraceGenerator(config).generate_columnar()
 
 
 def _note_cache_outcome(outcome: str) -> None:
@@ -203,20 +196,20 @@ def load_or_generate_segments(
 ) -> SegmentStore:
     """Return the config's trace as an on-disk segment store.
 
-    The out-of-core twin of :func:`load_or_generate_columnar`: the
-    generator streams one day at a time into bounded ``.npz`` segments
-    (never materializing the whole trace), and a valid existing store
-    whose recorded config fingerprint matches is reused as-is.  An
-    unreadable, truncated, version-mismatched, or wrong-fingerprint
-    store is evicted with a warning and regenerated.
+    The generator streams one day at a time into bounded ``.npz``
+    segments (never materializing the whole trace); a valid store whose
+    recorded config fingerprint matches is reused as-is.
 
     ``directory`` pins the store location explicitly (the CLI's
-    ``--segments`` flag); otherwise the store lives in the trace cache
-    keyed by the config fingerprint.  Segment stores are inherently
-    on-disk, so with caching disabled and no explicit directory this
-    raises ``ValueError``.
+    ``--segments-dir`` flag); otherwise the store lives in the trace
+    cache keyed by the config fingerprint.  A cached store that is
+    unreadable, truncated, version-mismatched, or for another config is
+    evicted with a warning and regenerated; at an explicit directory the
+    same finding raises :class:`SegmentError` naming the path, and the
+    directory's files are left alone.  Segment stores live on disk, so
+    with caching disabled and no explicit directory this raises
+    ``ValueError``.
     """
-    fingerprint = config_fingerprint(config)
     if directory is not None:
         target = Path(directory)
     else:
@@ -226,30 +219,53 @@ def load_or_generate_segments(
                 "segment stores live on disk: pass an explicit directory "
                 f"or enable the trace cache (unset {CACHE_ENV_VAR}=off)"
             )
-    if (target / "manifest.json").exists():
-        try:
-            store = SegmentStore.open(target)
-            if store.config_fingerprint != fingerprint:
-                raise SegmentError(
-                    f"segment store {target} was generated for a different "
-                    "trace config"
-                )
-        except SegmentError as exc:
-            _note_cache_outcome("corrupt")
-            warnings.warn(
-                f"unusable segment store {target} ({exc}); evicting and "
-                "regenerating",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            shutil.rmtree(target, ignore_errors=True)
-        else:
-            _note_cache_outcome("hit")
-            return store
+    store = _cached_store(config, target, owned=directory is None)
+    if store is not None:
+        _note_cache_outcome("hit")
+        return store
     _note_cache_outcome("miss")
     return EnsembleTraceGenerator(config).generate_segments(
-        target, rows_per_segment=rows_per_segment, config_fingerprint=fingerprint
+        target,
+        rows_per_segment=rows_per_segment,
+        config_fingerprint=config_fingerprint(config),
     )
+
+
+def _cached_store(
+    config: SyntheticTraceConfig, target: Path, owned: bool
+) -> Optional[SegmentStore]:
+    """This config's store at ``target``, or None to generate one.  A
+    manifest that does not open as this config's store is evicted if the
+    trace cache ``owned`` the directory, else refused (:class:`SegmentError`)."""
+    if not (target / MANIFEST_NAME).exists():
+        return None
+    try:
+        store = SegmentStore.open(target)
+        if store.config_fingerprint != config_fingerprint(config):
+            raise SegmentError(
+                f"segment store {target} was generated for a different "
+                "trace config"
+            )
+    except SegmentError as exc:
+        if not owned:
+            raise SegmentError(
+                f"{target} holds no usable segment store for this trace "
+                f"config ({exc}); remove it or pick another directory"
+            ) from exc
+        _evict(target, exc)
+        return None
+    return store
+
+
+def _evict(target: Path, exc: SegmentError) -> None:
+    """Count, warn about and delete an unusable cached store."""
+    _note_cache_outcome("corrupt")
+    warnings.warn(
+        f"unusable segment store {target} ({exc}); evicting and regenerating",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+    shutil.rmtree(target, ignore_errors=True)
 
 
 def load_or_generate_trace(
@@ -258,28 +274,3 @@ def load_or_generate_trace(
 ) -> Trace:
     """Object-trace convenience over :func:`load_or_generate_columnar`."""
     return load_or_generate_columnar(config, cache_dir).to_trace()
-
-
-def _atomic_save(columns: ColumnarTrace, path: Path) -> None:
-    """Write the entry so concurrent writers never expose partial files.
-
-    Durability matters here, not just atomicity: a crash between the
-    rename and the page-cache flush used to be able to publish a
-    truncated ``.npz`` that only the corrupt-eviction path rescued.
-    """
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with atomic_write_path(path) as tmp_path:
-            columns.save_npz(tmp_path)
-    except OSError as exc:
-        # Caching is best-effort — the generated trace is still
-        # returned — but a silently dead cache means regenerating the
-        # trace every run, so say where and why it failed.
-        warnings.warn(
-            f"trace cache write failed for {path}: {exc}; the trace "
-            "will be regenerated on the next run (set "
-            f"{CACHE_ENV_VAR}=off to silence, or point it at a "
-            "writable directory)",
-            RuntimeWarning,
-            stacklevel=2,
-        )

@@ -248,7 +248,6 @@ class _DayDraws:
         self.n_tail: List[int] = []
         self.n_top: List[int] = []
         self.n_sessions: List[int] = []
-        self.n_requests: List[int] = []
         self.floor_minute: List[float] = []
 
     def add(self, **arrays: np.ndarray) -> None:
@@ -332,14 +331,14 @@ class EnsembleTraceGenerator:
         gen = EnsembleTraceGenerator(SyntheticTraceConfig(scale=1e-4))
         trace = gen.generate()            # full chronological ensemble trace
         columns = gen.generate_columnar() # same trace as parallel arrays
-        per_server = gen.per_server_traces()  # same requests, split by server
 
     The generator produces columns natively, one trace day at a time: a
     draw step per (server, volume) makes that volume-day's seeded random
     draws, and one assembly turns the whole day's draws into the day's
-    columns, in (server, volume) order.  The object representations are
-    materialized from those columns on demand, so every view describes
-    bit-for-bit the same requests.
+    columns, in (server, volume) order, then sorts the day by issue
+    time.  Every output -- the whole trace, the day stream, a segment
+    store, the object form -- is those sorted days, so every view
+    describes bit-for-bit the same requests.
     """
 
     def __init__(self, config: SyntheticTraceConfig):
@@ -347,8 +346,6 @@ class EnsembleTraceGenerator:
         self._hot_pools: Dict[Tuple[int, int], _VolumeHotPool] = {}
         self._trace: Optional[Trace] = None
         self._columnar: Optional[ColumnarTrace] = None
-        self._per_server_columns: Optional[Dict[int, ColumnarTrace]] = None
-        self._per_server: Optional[Dict[int, Trace]] = None
         self._consumed = False
 
     # ------------------------------------------------------------------
@@ -361,44 +358,22 @@ class EnsembleTraceGenerator:
         return self._trace
 
     def generate_columnar(self) -> ColumnarTrace:
-        """Generate (and cache) the full ensemble trace as columns.
-
-        The ensemble ordering matches :func:`merge_traces` on the
-        per-server traces: per-server chunks are concatenated in server
-        order and stable-sorted by issue time, so simultaneous requests
-        keep their per-server order.
-        """
+        """Generate (and cache) the full ensemble trace as columns: the
+        days of :meth:`iter_day_columnar`, concatenated."""
         if self._columnar is None:
-            per_server = self._per_server_columnar()
-            merged = ColumnarTrace.concatenate(
-                list(per_server.values()),
-                description=(
-                    f"synthetic ensemble: {len(self.config.servers)} servers, "
-                    f"{self.config.days} days, scale={self.config.scale:g}, "
-                    f"seed={self.config.seed}"
-                ),
+            days = [columns for _, columns in self.iter_day_columnar()]
+            self._columnar = ColumnarTrace.concatenate(
+                days, description=self._description()
             )
-            self._columnar = merged.sorted_by_issue()
         return self._columnar
-
-    def per_server_traces(self) -> Dict[int, Trace]:
-        """Per-server traces (server_id -> Trace), generating if needed."""
-        if self._per_server is None:
-            self._per_server = {
-                server_id: columns.to_trace()
-                for server_id, columns in self._per_server_columnar().items()
-            }
-        return self._per_server
 
     def iter_day_columnar(self) -> "Iterator[Tuple[int, ColumnarTrace]]":
         """Yield ``(day, columns)`` per trace day without holding the week.
 
-        The streaming twin of :meth:`generate_columnar`: concatenating
-        the yielded day traces in order reproduces the full ensemble
-        trace **bit for bit**.  Per-day issue times are strictly inside
-        their day, so sorting each day independently and concatenating
-        equals the global stable sort — simultaneous requests keep the
-        same (server, volume) tie order in both pipelines.
+        Each day is stable-sorted by issue time, so simultaneous
+        requests keep their (server, volume) order.  Per-day issue times
+        are strictly inside their day, so the days concatenated in order
+        are the whole trace, issue-ordered.
 
         Generation is stateful (hot pools drift day over day), so a
         generator instance can run either this or the whole-trace path,
@@ -407,8 +382,7 @@ class EnsembleTraceGenerator:
         plans = self._consume()
         day_footprints = self._daily_footprint_blocks()
         for day in range(self.config.days):
-            columns, _ = self._day_columns(plans, day, day_footprints)
-            yield day, columns.sorted_by_issue()
+            yield day, self._day_columns(plans, day, day_footprints).sorted_by_issue()
 
     def generate_segments(
         self,
@@ -428,11 +402,7 @@ class EnsembleTraceGenerator:
 
         writer = SegmentWriter(
             directory,
-            description=(
-                f"synthetic ensemble: {len(self.config.servers)} servers, "
-                f"{self.config.days} days, scale={self.config.scale:g}, "
-                f"seed={self.config.seed}"
-            ),
+            description=self._description(),
             config_fingerprint=config_fingerprint,
         )
         for _, day_columns in self.iter_day_columnar():
@@ -442,24 +412,12 @@ class EnsembleTraceGenerator:
     # ------------------------------------------------------------------
     # generation internals
     # ------------------------------------------------------------------
-    def _per_server_columnar(self) -> Dict[int, ColumnarTrace]:
-        """Per-server columnar traces, generated exactly once."""
-        if self._per_server_columns is None:
-            plans = self._consume()
-            cfg = self.config
-            day_footprints = self._daily_footprint_blocks()
-            parts: Dict[int, List[ColumnarTrace]] = {s.server_id: [] for s in cfg.servers}
-            for day in range(cfg.days):
-                columns, bounds = self._day_columns(plans, day, day_footprints)
-                for server, lo, hi in zip(cfg.servers, bounds[:-1], bounds[1:]):
-                    parts[server.server_id].append(columns.take(slice(lo, hi)))
-            self._per_server_columns = {
-                server.server_id: ColumnarTrace.concatenate(
-                    parts[server.server_id], description=f"synthetic server {server.key}"
-                ).sorted_by_issue()
-                for server in cfg.servers
-            }
-        return self._per_server_columns
+    def _description(self) -> str:
+        cfg = self.config
+        return (
+            f"synthetic ensemble: {len(cfg.servers)} servers, {cfg.days} days, "
+            f"scale={cfg.scale:g}, seed={cfg.seed}"
+        )
 
     def _consume(self) -> List[_VolumePlan]:
         """Claim this instance's one generation; the volumes' plans.
@@ -528,17 +486,14 @@ class EnsembleTraceGenerator:
 
     def _day_columns(
         self, plans: List[_VolumePlan], day: int, day_footprints: List[float]
-    ) -> Tuple[ColumnarTrace, np.ndarray]:
+    ) -> ColumnarTrace:
         """One day's requests in (server, volume) order, not yet sorted.
 
-        Returns the columns and the row bounds of each server's rows
-        (``len(servers) + 1`` offsets).  Must be called with strictly
-        increasing ``day`` values on one instance: the hot pools drift
-        sequentially.
+        Must be called with strictly increasing ``day`` values on one
+        instance: the hot pools drift sequentially.
         """
         draws = _DayDraws()
         day_factor = self._hot_share_day_factor(day)
-        server_rows = [0]
         plan_iter = iter(plans)
         for server in self.config.servers:
             server_footprint = day_footprints[day] * server.activity_share
@@ -560,10 +515,7 @@ class EnsembleTraceGenerator:
                     minute_cdf=minute_cdf,
                 )
                 draws.floor_minute.append(floor_minute)
-            server_rows.append(len(draws.n_requests))
-        columns = self._assemble_day(plans, draws, day)
-        volume_rows = np.concatenate([[0], np.cumsum(draws.n_requests)])
-        return columns, volume_rows[server_rows]
+        return self._assemble_day(plans, draws, day)
 
     def _daily_footprint_blocks(self) -> List[float]:
         """Unique blocks accessed per day for the whole ensemble."""
@@ -796,7 +748,6 @@ class EnsembleTraceGenerator:
         draws.n_tail.append(n_tail)
         draws.n_top.append(n_top)
         draws.n_sessions.append(n_sessions)
-        draws.n_requests.append(n_requests)
 
     def _assemble_day(
         self, plans: List[_VolumePlan], draws: _DayDraws, day: int
@@ -1117,10 +1068,3 @@ class EnsembleTraceGenerator:
 def generate_ensemble_trace(config: Optional[SyntheticTraceConfig] = None) -> Trace:
     """Convenience wrapper: generate the full ensemble trace."""
     return EnsembleTraceGenerator(config or SyntheticTraceConfig()).generate()
-
-
-def generate_columnar_trace(
-    config: Optional[SyntheticTraceConfig] = None,
-) -> ColumnarTrace:
-    """Convenience wrapper: generate the full ensemble trace as columns."""
-    return EnsembleTraceGenerator(config or SyntheticTraceConfig()).generate_columnar()

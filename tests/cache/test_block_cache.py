@@ -12,7 +12,7 @@ class TestBasicOperations:
     def test_starts_empty(self):
         cache = BlockCache(4)
         assert len(cache) == 0
-        assert not cache.is_full
+        assert len(cache) < cache.capacity_blocks
 
     def test_insert_then_hit(self):
         cache = BlockCache(4)

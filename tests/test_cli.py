@@ -275,6 +275,21 @@ class TestFaultAndCheckpointFlows:
         assert payloads["streamed"] == payloads["columns"]
         assert payloads["sharded"] == payloads["columns"]
 
+    @pytest.mark.parametrize("command", ["simulate", "shard-replay"])
+    def test_foreign_segments_dir_exits_2_and_is_left_alone(
+        self, command, tmp_path, capsys
+    ):
+        target = tmp_path / "segments"
+        target.mkdir()
+        (target / "notes.txt").write_text("keep me")
+        (target / "manifest.json").write_text('{"not": "a segment store"}')
+        before = {p.name: p.read_bytes() for p in target.iterdir()}
+        assert main([command, *TINY, "--segments-dir", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot open segment store" in err and str(target) in err
+        assert "Traceback" not in err
+        assert {p.name: p.read_bytes() for p in target.iterdir()} == before
+
     @pytest.mark.parametrize("route", ["suite", "checkpoint", "segments"])
     def test_failed_policy_reports_without_traceback(self, route, tmp_path,
                                                      capsys):

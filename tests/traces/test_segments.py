@@ -195,6 +195,18 @@ class TestLoadOrGenerateSegments:
             again = load_or_generate_segments(seg_config, cache_dir=tmp_path)
         assert again.config_fingerprint == config_fingerprint(seg_config)
 
+    def test_explicit_directory_for_another_config_is_refused(
+        self, tmp_path, seg_config
+    ):
+        # A directory the caller named is not the cache's to evict.
+        store = load_or_generate_segments(seg_config, directory=tmp_path / "s")
+        other = tiny_config(days=2)
+        with pytest.raises(SegmentError, match="different trace config"):
+            load_or_generate_segments(other, directory=tmp_path / "s")
+        assert SegmentStore.open(store.directory).config_fingerprint == (
+            config_fingerprint(seg_config)
+        )
+
     def test_disabled_cache_without_directory_raises(
         self, seg_config, monkeypatch
     ):
@@ -373,7 +385,7 @@ class TestLayoutMemo:
         assert len(calls) == store.num_segments
 
     def test_a_loaded_store_still_pickles(self, store, monkeypatch):
-        store.load_all()
+        list(store.iter_chunks())
         clone = pickle.loads(pickle.dumps(store))
         calls = _count_parses(monkeypatch)
         assert _outcome(clone) == _outcome(store)

@@ -4,15 +4,16 @@ import dataclasses
 
 import pytest
 
+from repro.obs import runtime
 from repro.traces import tiny_config
-from repro.traces.columnar import ColumnarTrace
+from repro.traces.segments import SegmentStore
 from repro.traces.store import (
     CACHE_ENV_VAR,
     _reset_non_directory_warnings,
-    cache_path_for,
     config_fingerprint,
     load_or_generate_columnar,
     load_or_generate_trace,
+    segments_path_for,
     trace_cache_dir,
 )
 from repro.traces.synthetic import EnsembleTraceGenerator
@@ -54,7 +55,7 @@ class TestDirectoryResolution:
     def test_env_opt_out_disables(self, value, monkeypatch):
         monkeypatch.setenv(CACHE_ENV_VAR, value)
         assert trace_cache_dir() is None
-        assert cache_path_for(tiny_config()) is None
+        assert segments_path_for(tiny_config()) is None
 
     def test_default_is_cwd_relative(self, tmp_path, monkeypatch):
         monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
@@ -72,7 +73,7 @@ class TestDirectoryResolution:
             assert trace_cache_dir() is None
         assert CACHE_ENV_VAR in str(caught[0].message)
         assert str(stray) in str(caught[0].message)
-        assert cache_path_for(tiny_config()) is None
+        assert segments_path_for(tiny_config()) is None
 
     def test_non_directory_warning_fires_once_per_path(
         self, tmp_path, monkeypatch
@@ -103,44 +104,71 @@ class TestDirectoryResolution:
         assert stray.read_text() == "not a directory"  # untouched
 
 
+def _first_segment(config, cache_dir):
+    store = SegmentStore.open(segments_path_for(config, cache_dir))
+    return store.directory / store.segments[0].file
+
+
 class TestLoadOrGenerate:
     def test_miss_generates_and_populates(self, tmp_path):
         config = tiny_config()
         columns = load_or_generate_columnar(config, tmp_path)
-        assert cache_path_for(config, tmp_path).exists()
+        store = SegmentStore.open(segments_path_for(config, tmp_path))
+        assert store.config_fingerprint == config_fingerprint(config)
         fresh = EnsembleTraceGenerator(config).generate_columnar()
         assert columns.equals(fresh)
+        assert columns.description == fresh.description
 
     def test_hit_returns_identical_columns(self, tmp_path):
         config = tiny_config()
-        first = load_or_generate_columnar(config, tmp_path)
-        second = load_or_generate_columnar(config, tmp_path)
+        with runtime.observability() as context:
+            first = load_or_generate_columnar(config, tmp_path)
+            second = load_or_generate_columnar(config, tmp_path)
         assert second.equals(first)
+        lookups = context.registry.get("trace_cache_requests_total")
+        assert lookups.value(outcome="hit") == 1
+
+    def _recovers(self, config, tmp_path, first):
+        """The damaged entry is warned about (by path), evicted, counted
+        and regenerated into a store that reads back whole."""
+        target = segments_path_for(config, tmp_path)
+        with runtime.observability() as context:
+            with pytest.warns(RuntimeWarning, match="evicting and regenerating") as rec:
+                recovered = load_or_generate_columnar(config, tmp_path)
+        assert str(target) in str(rec.list[0].message)
+        assert recovered.equals(first)
+        assert SegmentStore.open(target).load_all().equals(first)
+        lookups = context.registry.get("trace_cache_requests_total")
+        outcomes = {o: lookups.value(outcome=o) for o in ("hit", "miss", "corrupt")}
+        assert outcomes == {"hit": 0, "miss": 1, "corrupt": 1}
 
     def test_corrupt_entry_warns_evicts_and_regenerates(self, tmp_path):
         config = tiny_config()
         first = load_or_generate_columnar(config, tmp_path)
-        path = cache_path_for(config, tmp_path)
-        path.write_bytes(b"not an npz file")
-        with pytest.warns(RuntimeWarning, match="corrupt trace-cache") as rec:
-            recovered = load_or_generate_columnar(config, tmp_path)
-        # The warning names the offending path so users can find it.
-        assert str(path) in str(rec.list[0].message)
-        assert recovered.equals(first)
-        # The bad entry was overwritten with a loadable one.
-        assert ColumnarTrace.load_npz(path).equals(first)
+        segment = _first_segment(config, tmp_path)
+        segment.write_bytes(b"\x00" * segment.stat().st_size)  # opens fine
+        self._recovers(config, tmp_path, first)
 
     def test_truncated_entry_warns_and_regenerates(self, tmp_path):
-        # A partially-written npz (valid magic, cut short) must not
-        # propagate a zip/unpickling error out of the loader.
+        # A partially-written segment (valid magic, cut short) must not
+        # propagate a zip error out of the loader.
         config = tiny_config()
         first = load_or_generate_columnar(config, tmp_path)
-        path = cache_path_for(config, tmp_path)
-        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
-        with pytest.warns(RuntimeWarning, match="evicting and regenerating"):
-            recovered = load_or_generate_columnar(config, tmp_path)
-        assert recovered.equals(first)
-        assert ColumnarTrace.load_npz(path).equals(first)
+        segment = _first_segment(config, tmp_path)
+        segment.write_bytes(segment.read_bytes()[: segment.stat().st_size // 2])
+        self._recovers(config, tmp_path, first)
+
+    def test_flipped_payload_byte_warns_and_regenerates(self, tmp_path):
+        # Same size, intact zip and npy headers: only the member's
+        # checksum shows the damage.
+        config = tiny_config()
+        first = load_or_generate_columnar(config, tmp_path)
+        segment = _first_segment(config, tmp_path)
+        raw = bytearray(segment.read_bytes())
+        raw[len(raw) // 2] ^= 0x01  # inside column data, not a header
+        segment.write_bytes(bytes(raw))
+        SegmentStore.open(segment.parent)  # the manifest checks all pass
+        self._recovers(config, tmp_path, first)
 
     def test_disabled_cache_still_generates(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_ENV_VAR, "off")
@@ -171,3 +199,15 @@ class TestLoadOrGenerate:
         assert len(columns) > 0
         fresh = EnsembleTraceGenerator(config).generate_columnar()
         assert columns.equals(fresh)
+
+    def test_unwritable_cache_directory_warns_and_generates(self, tmp_path):
+        # The cache directory cannot be created (its parent is a file):
+        # the write fails, and the trace still comes back.
+        blocker = tmp_path / "a-file"
+        blocker.write_text("in the way")
+        config = tiny_config()
+        with pytest.warns(RuntimeWarning, match="trace cache write failed") as rec:
+            columns = load_or_generate_columnar(config, blocker / "cache")
+        assert str(blocker / "cache") in str(rec.list[0].message)
+        assert columns.equals(EnsembleTraceGenerator(config).generate_columnar())
+        assert blocker.read_text() == "in the way"
