@@ -15,7 +15,7 @@ from typing import Dict, List
 
 from repro.traces.model import Trace
 from repro.util.intervals import SECONDS_PER_DAY
-from repro.util.units import BLOCK_BYTES, GIB
+from repro.util.units import BLOCK_BYTES
 
 
 @dataclass
@@ -51,13 +51,6 @@ class TraceSummary:
     def accesses_per_request(self) -> float:
         """Mean 512-byte blocks touched per request."""
         return self.block_accesses / self.requests if self.requests else 0.0
-
-    @property
-    def daily_bytes_gb(self) -> float:
-        """Mean bytes moved per active day, in GiB."""
-        if self.days == 0:
-            return 0.0
-        return self.bytes_accessed / GIB / self.days
 
 
 _SIZE_BUCKETS = ((1, "<=1"), (4, "2-4"), (8, "5-8"), (16, "9-16"),

@@ -260,22 +260,25 @@ class CacheStats:
         block_count: np.ndarray,
         is_write: np.ndarray,
         hits: np.ndarray,
+        backing: np.ndarray,
         allocating: Union[bool, np.ndarray] = False,
     ) -> None:
-        """Record write-through requests, one per row, in a few passes.
+        """Record requests, one per row, in a few passes.
 
-        Row ``i`` accessed ``block_count[i]`` blocks at ``issue_time[i]``
-        and ``hits[i]`` of them hit: :meth:`record_accesses`,
-        :meth:`record_backing_write` for a write's every block, and
+        Row ``i`` accessed ``block_count[i]`` blocks at ``issue_time[i]``,
+        ``hits[i]`` of them hit, and ``backing[i]`` of them were written
+        to the backing ensemble at issue: :meth:`record_accesses`,
+        :meth:`record_backing_write` (not an evict-time writeback), and
         :meth:`record_ssd_io` for the hits' 4-KB units.
         Where ``allocating[i]`` is set, every miss of the row was also
         allocated a frame, by a request completing within its issue day:
         :meth:`record_allocation_write`, plus the insertion's units at
         ``completion_time[i]``.  Any other allocation is the caller's to
-        record block by block.  The counters end exactly as those scalar
-        calls leave them, in however many pieces a chunk is recorded:
-        the per-day ones from a few ``bincount`` passes, the 4-KB units
-        with one ``bincount`` into the minute array.
+        record block by block (:func:`_record_allocations`).  The counters
+        end exactly as those scalar calls leave them, in however many
+        pieces a chunk is recorded: the per-day ones from a few
+        ``bincount`` passes, the 4-KB units with one ``bincount`` into
+        the minute array.
         """
         if not len(issue_time):
             return
@@ -287,9 +290,10 @@ class CacheStats:
         counted = np.column_stack([
             np.bincount(kind, blocks, 2 * days).reshape(days, 2),
             np.bincount(kind, hits, 2 * days).reshape(days, 2),
+            np.bincount(day, backing, days),
             np.bincount(day, allocated, days),
         ]).astype(np.int64)
-        for stats, (reads, writes, read_hits, write_hits, installed) in zip(
+        for stats, (reads, writes, read_hits, write_hits, backed, installed) in zip(
             self.per_day, counted.tolist()
         ):
             stats.accesses += reads + writes
@@ -297,7 +301,7 @@ class CacheStats:
             stats.write_hits += write_hits
             stats.read_misses += reads - read_hits
             stats.write_misses += writes - write_hits
-            stats.backing_writes += writes
+            stats.backing_writes += backed
             stats.allocation_writes += installed
         if not self.track_minutes:
             return
@@ -376,3 +380,17 @@ class CacheStats:
                     f"day {index}: hits({day.hits}) + misses({day.misses}) "
                     f"!= accesses({day.accesses})"
                 )
+
+
+def _record_allocations(
+    stats: CacheStats, issue: float, completion: float, blocks: int, offsets: List[int]
+) -> None:
+    """Allocation-writes of one request that installed its blocks at
+    ``offsets`` (a sieve admission, a request running past midnight, any
+    object-engine allocation): each block at its own interpolated
+    completion time, so a day-straddling request's split across the
+    boundary, and their 4-KB units at the request's completion."""
+    span = completion - issue
+    for off in offsets:
+        stats.record_allocation_write(issue + span * ((off + 1) / blocks))
+    stats.record_ssd_io(completion, (len(offsets) + 7) >> 3, True)

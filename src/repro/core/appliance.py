@@ -26,12 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+import numpy as np
+
 from repro.cache.allocation import AllocationPolicy
 from repro.cache.block_cache import BlockCache
-from repro.cache.stats import CacheStats
+from repro.cache.stats import CacheStats, _record_allocations
 from repro.cache.write_policy import DirtyTracker, WriteMode
 from repro.faults.injector import DeviceHealth, FaultInjector
-from repro.util.units import blocks_to_io_units
 
 
 @dataclass(frozen=True)
@@ -41,11 +42,6 @@ class RequestOutcome:
     hit_blocks: int
     miss_blocks: int
     allocated_blocks: int
-
-    @property
-    def total_blocks(self) -> int:
-        """Blocks the request touched (hits + misses)."""
-        return self.hit_blocks + self.miss_blocks
 
     @property
     def served_from_ssd(self) -> bool:
@@ -173,76 +169,75 @@ class SieveStoreAppliance:
         """Run one multi-block request through the cache and the sieve.
 
         Returns the per-request outcome; statistics are accumulated into
-        ``self.stats`` as a side effect.
+        ``self.stats`` as a side effect, recorded as the engines record
+        a chunk's rows (:meth:`~repro.cache.stats.CacheStats.record_rows`).
         """
-        hits, allocated = self.process_row(
-            request.first_address, request.block_count, request.is_write,
-            request.issue_time, request.completion_time, self._observe_hook(),
+        issue, completion = request.issue_time, request.completion_time
+        n, is_write = request.block_count, request.is_write
+        hits, backing, allocated = self.process_row(
+            request.first_address, n, is_write, issue, completion, self._observe_hook()
         )
-        return RequestOutcome(hits, request.block_count - hits, allocated)
+        columns = (issue, completion, n, is_write, hits, backing)
+        self.stats.record_rows(*(np.array([value]) for value in columns))
+        return RequestOutcome(hits, n - hits, allocated)
 
     def process_row(
         self, base: int, n: int, is_write: bool, issue: float,
         completion: float, observe, slots=None, first: int = 0,
         subwindow: int = 0,
-    ) -> Tuple[int, int]:
-        """:meth:`process_request` for a request given as fields: the
-        ``n`` blocks from packed address ``base``.
+    ) -> Tuple[int, int, int]:
+        """Decide one request given as fields: the ``n`` blocks from
+        packed address ``base``, issued at ``issue``.
 
         ``observe`` is :meth:`_observe_hook`'s answer, resolved once by
         the caller.  A caller that hashed the request's blocks for a
         plain SieveStore-C passes block ``i``'s IMCT slot at
         ``slots[first + i]`` and the request's ``subwindow``; each miss
         then takes the policy's ``wants_hashed`` instead of ``wants``.
-        Returns ``(hit_blocks, allocated_blocks)``.
+
+        Returns ``(hit_blocks, backing_blocks, allocated_blocks)``: the
+        caller records the first two with the request's columns
+        (:meth:`~repro.cache.stats.CacheStats.record_rows`).  Only what
+        columns cannot say is recorded here: allocation-writes at their
+        blocks' completion times, evict-time writebacks, device errors
+        and bypassed accesses.
 
         Without a fault plan the device is always healthy: nothing is
         degraded and no wear is recorded.
         """
         faults = self.faults
-        cache = self.cache
         policy = self.policy
         stats = self.stats
-        degraded = False
+        degraded = bypass = False
         if faults is not None:
             self._update_health(issue)
-            if self.health is DeviceHealth.BYPASS:
-                # Pass-through: every block misses the (empty) cache.
-                # The sieve still observes and miss-counts so blocks
-                # re-earn allocation after recovery, but nothing is
-                # installed.
-                for offset, address in enumerate(range(base, base + n)):
-                    if observe is not None:
-                        observe(address, is_write, issue, False)
-                    if slots is None:
-                        policy.wants(address, is_write, issue)
-                    else:
-                        policy.wants_hashed(
-                            address, slots[first + offset], subwindow, issue
-                        )
-                stats.record_accesses(issue, is_write, 0, n)
-                stats.record_bypass_access(issue, n)
-                if is_write:
-                    stats.record_backing_write(issue, blocks=n)
-                return 0, 0
             degraded = self.health is DeviceHealth.DEGRADED
+            # Pass-through: entering BYPASS emptied the cache, so every
+            # block misses; the sieve still observes and miss-counts so
+            # blocks re-earn allocation after recovery, but nothing is
+            # installed.
+            bypass = self.health is DeviceHealth.BYPASS
         span = completion - issue
 
+        resident = self.cache._order  # LRU order, least recent first
+        touch = resident.move_to_end
         write_back = self.write_mode is WriteMode.WRITE_BACK
         hit_blocks = 0
-        allocated = 0
         backing_writes = 0
+        admitted = []  # block offsets this request installed
         for offset, address in enumerate(range(base, base + n)):
-            hit = cache.access(address)
+            hit = address in resident
+            if hit:
+                touch(address)
             if hit and degraded:
                 # An errored resident block is not tallied as a hit, so
-                # it is recorded with the request's misses below.
+                # it is recorded with the request's misses.
                 if is_write and faults.write_fails(issue):
                     # The frame no longer holds valid data: invalidate
                     # it and let the ensemble take the write (the new
                     # data supersedes any dirty content block-wholly).
                     stats.record_write_error(issue)
-                    cache.discard(address)
+                    del resident[address]
                     if write_back:
                         self.dirty.clean(address)
                     if observe is not None:
@@ -274,7 +269,7 @@ class SieveStoreAppliance:
                 allocate = policy.wants_hashed(
                     address, slots[first + offset], subwindow, issue
                 )
-            if allocate and not cache.peek(address):
+            if allocate and not bypass and address not in resident:
                 done = issue + span * ((offset + 1) / n)
                 if degraded and faults.write_fails(done):
                     # The allocation write errored: suppress the insert;
@@ -282,9 +277,8 @@ class SieveStoreAppliance:
                     # frame again once the device behaves.
                     stats.record_write_error(done)
                 else:
-                    victim = cache.insert(address)
-                    allocated += 1
-                    stats.record_allocation_write(done)
+                    victim = self.cache.insert(address)
+                    admitted.append(offset)
                     if faults is not None:
                         faults.record_ssd_write(done, 1)
                     if victim is not None and self.dirty.clean(victim):
@@ -299,23 +293,14 @@ class SieveStoreAppliance:
                 # write-through) reach the backing ensemble directly.
                 backing_writes += 1
 
-        # Every block of a request shares its issue time: one tally.
-        stats.record_accesses(issue, is_write, hit_blocks, n - hit_blocks)
-        if backing_writes:
-            stats.record_backing_write(issue, blocks=backing_writes)
-
-        if allocated:
-            # The allocated blocks of one request are contiguous, so the
-            # insertion write coalesces into ceil(allocated/8) 4-KB units,
-            # charged when the fetched data is available (request
-            # completion).
-            stats.record_ssd_io(
-                completion, blocks_to_io_units(allocated), is_write=True
-            )
-        if hit_blocks:
-            io_units = blocks_to_io_units(hit_blocks)
-            stats.record_ssd_io(issue, io_units, is_write=is_write)
-        return hit_blocks, allocated
+        if bypass:
+            stats.record_bypass_access(issue, n)
+        if admitted:
+            # Charged when the fetched data is available: each block at
+            # its interpolated completion, the request's contiguous
+            # insertion in ceil(allocated/8) 4-KB units at completion.
+            _record_allocations(stats, issue, completion, n, admitted)
+        return hit_blocks, backing_writes, len(admitted)
 
     def _observe_hook(self):
         """``policy.observe``, or None when it is the base class's no-op

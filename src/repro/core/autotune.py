@@ -100,11 +100,6 @@ class AdmissionBudget:
             raise ValueError("turnovers_per_day must be positive")
         return cls(per_day=capacity_blocks * turnovers_per_day)
 
-    @property
-    def per_interval(self) -> float:
-        """Budget expressed per day (pro-rated by the controller)."""
-        return self.per_day
-
 
 class AdaptiveSieveStoreC(SieveStoreC):
     """SieveStore-C with closed-loop control of the exact threshold t2.

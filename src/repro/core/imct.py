@@ -48,7 +48,9 @@ from repro.util.hashing import mix64
 
 
 class ImpreciseMissCountTable:
-    """Fixed-size, hash-indexed table of windowed miss counters.
+    """Fixed-size, hash-indexed table of windowed miss counters; a scalar
+    :meth:`record` adds its slot to the clock's column offset (derived
+    state: never pickled, rebuilt on load, so checkpoints do not change).
 
     Args:
         slots: number of table entries.  The paper sizes IMCT + MCT at
@@ -80,6 +82,7 @@ class ImpreciseMissCountTable:
         self.totals = array(typecode, bytes(array(typecode).itemsize * slots))
         #: The latest subwindow recorded (-1: none yet).
         self.clock = -1
+        self._column = self.clock % k * slots  # the clock's column in counts
         self.recorded_misses = 0
         #: aliased recordings observed (only counted while collision
         #: tracking is enabled; see :meth:`enable_collision_tracking`).
@@ -87,6 +90,13 @@ class ImpreciseMissCountTable:
         #: per-slot last-recorded address (-1: none), or None when
         #: tracking is off.
         self._last_address: Optional[array] = None
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_column"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._column = self.clock % self.window.subwindows * self.slots
 
     def enable_collision_tracking(self) -> None:
         """Start counting aliased recordings (observability support).
@@ -128,7 +138,7 @@ class ImpreciseMissCountTable:
                 self.alias_collisions += 1
             tracked[slot] = address
         counts = self.counts
-        cell = subwindow % self.window.subwindows * self.slots + slot
+        cell = self._column + slot
         if counts[cell] < COUNTER_SATURATION:
             counts[cell] += 1
             self.totals[slot] += 1
@@ -174,6 +184,7 @@ class ImpreciseMissCountTable:
             totals -= column
             column[:] = 0
         self.clock = subwindow
+        self._column = subwindow % k * self.slots
 
     # -- vectorized access (same memory, no copies) ------------------------
     def cells(self) -> np.ndarray:

@@ -29,7 +29,7 @@ Metric names emitted (see the README's Observability section):
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -201,20 +201,3 @@ def make_health_observer(
             )
 
     return observer
-
-
-def combine_hooks(
-    *hooks: Optional[Callable[[int, int], None]]
-) -> Optional[Callable[[int, int], None]]:
-    """Fold several optional ``(epoch, cursor)`` hooks into one."""
-    active = [hook for hook in hooks if hook is not None]
-    if not active:
-        return None
-    if len(active) == 1:
-        return active[0]
-
-    def combined(epoch: int, cursor: int) -> None:
-        for hook in active:
-            hook(epoch, cursor)
-
-    return combined

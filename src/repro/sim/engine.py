@@ -18,13 +18,13 @@ picks between them from the configuration alone:
   runs every configuration it covers — write-through accounting, no
   device faults (every figure's configuration);
 * the **object path** hands the trace's rows, one request at a time, to
-  the appliance and its cache / policy / statistics objects — the
-  readable reference implementation, and the engine for everything
-  else (write-back, fault plans).  It
-  reads the same columns as the fast path in bounded row windows, and
-  for a plain SieveStore-C hashes each window's blocks at once with
-  the fast path's own primitives.  ``fast_path=False`` forces it, which
-  is how the equivalence tests get their reference.
+  the appliance, whose cache and policy objects make every decision —
+  the readable reference implementation, and the engine for everything
+  else (write-back, fault plans).  It reads the same columns as the
+  fast path, stops at the same rows and records the decisions the same
+  way; for a plain SieveStore-C it hashes each window's blocks at once
+  with the fast path's own primitives.  ``fast_path=False`` forces it,
+  which is how the equivalence tests get their reference.
 
 Either way the trace reaches the loop in row chunks — a segment store's
 as it streams them, an in-RAM trace's as views — so peak memory follows
@@ -36,11 +36,14 @@ from __future__ import annotations
 
 import math
 import time as _time
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import count, repeat
 from pathlib import Path
 from typing import List, Optional, Union
+
+import numpy as np
 
 from repro.cache.allocation import AllocationPolicy
 from repro.cache.block_cache import BlockCache
@@ -50,6 +53,7 @@ from repro.core import sieve_kernel
 from repro.core.appliance import SieveStoreAppliance
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
+from repro.sim.fast_engine import chunk_stops, simulate_fast_chunks
 from repro.traces.columnar import ColumnarTrace, as_columnar
 from repro.traces.model import Trace
 from repro.traces.segments import DEFAULT_CHUNK_ROWS, ChunkSource, _slice_columns
@@ -60,7 +64,7 @@ from repro.util.intervals import SECONDS_PER_DAY
 #: is given without an explicit cadence.
 DEFAULT_CHECKPOINT_EVERY = 100_000
 
-#: Rows the object loop reads, and hashes for the sieve, at once.
+#: Rows the object loop reads, hashes for the sieve and records at once.
 #: Bounded so per-block slots never exist for more than a window
 #: (hashing a whole in-RAM trace at once raised the `faulted-replay`
 #: benchmark's peak RSS from 121 to 178 MiB).
@@ -149,21 +153,26 @@ def _run_object_loop(
     """The reference request loop over ``(base_row, columns)`` chunks.
 
     Chunks come one at a time (see :func:`_chunks`), so peak memory
-    follows the chunk budget rather than the trace.  Each
-    chunk is walked in windows of :data:`_ROW_WINDOW` rows, read as
-    lists and handed to the appliance one row at a time (no request
-    object is built); for a plain SieveStore-C a window's blocks are
-    hashed at once (:func:`~repro.core.sieve_kernel.hash_requests`), so
-    each miss takes the sieve's slot-taking ladder.  The appliance
-    cannot observe where a chunk or a window ends: per-request
-    processing, epoch boundaries, and checkpoint cadence are the same
-    either way.  Rows before ``start_cursor`` within the first chunk are
+    follows the chunk budget rather than the trace.  Each chunk is
+    walked between the fast loop's stops
+    (:func:`~repro.sim.fast_engine.chunk_stops`), each stretch in
+    windows of at most :data:`_ROW_WINDOW` rows read as lists and handed
+    to the appliance one row at a time (no request object is built);
+    for a plain SieveStore-C a window's blocks are hashed at once
+    (:func:`~repro.core.sieve_kernel.hash_requests`), so each miss takes
+    the sieve's slot-taking ladder.  The appliance only decides: each
+    row's hits and backing-write blocks go into window columns, recorded
+    by :meth:`~repro.cache.stats.CacheStats.record_rows` as the fast
+    loop records its own (a window at a time: that bounds the columns
+    and the recording's scratch by the window, not the chunk).
+    The appliance cannot observe where a chunk, a stretch or a window
+    ends.  Rows before ``start_cursor`` within the first chunk are
     skipped (how a resume lands mid-chunk).  ``segment_hook(cursor,
-    current_epoch)`` fires after each chunk (the appliance pickles
-    consistently at any request boundary), giving out-of-core runs a
+    current_epoch)`` fires after each chunk, giving out-of-core runs a
     per-segment checkpoint site.
     """
     policy = appliance.policy
+    stats = appliance.stats
     hashed = sieve_kernel.supports(policy)
     observe = appliance._observe_hook()
     process = appliance.process_row
@@ -171,45 +180,55 @@ def _run_object_loop(
     cursor = start_cursor
     for base, columns in chunks:
         rows = len(columns)
-        for lo in range(min(max(cursor - base, 0), rows), rows, _ROW_WINDOW):
-            hi = min(lo + _ROW_WINDOW, rows)
-            issues = columns.issue_time[lo:hi]
-            addresses = columns.address[lo:hi]
-            counts = columns.block_count[lo:hi]
-            if hashed:
-                _, starts, slots, subs = sieve_kernel.hash_requests(
-                    policy, addresses, counts, issues
+        start = min(max(cursor - base, 0), rows)
+        epochs, stops, _ = chunk_stops(
+            columns.issue_time, epoch_seconds, base, start,
+            checkpoint_every, progress_every,
+        )
+        for lo, hi in zip(stops, stops[1:]):
+            epoch = int(epochs[lo])
+            while current_epoch < epoch:
+                current_epoch += 1
+                appliance.begin_day(current_epoch)
+                if boundary_hook is not None:
+                    boundary_hook(current_epoch, base + lo)
+            for window_lo in range(lo, hi, _ROW_WINDOW):
+                window = slice(window_lo, min(window_lo + _ROW_WINDOW, hi))
+                issues = columns.issue_time[window]
+                addresses = columns.address[window]
+                counts = columns.block_count[window]
+                if hashed:
+                    _, starts, slots, subs = sieve_kernel.hash_requests(
+                        policy, addresses, counts, issues
+                    )
+                    starts, slots, subs = starts.tolist(), slots.tolist(), subs.tolist()
+                else:
+                    starts, slots, subs = repeat(0), None, repeat(0)
+                completions = columns.completion_time[window]
+                writes = columns.is_write[window]
+                # Each row's hits and backing-write blocks, recorded once
+                # the window is decided (every stop ends a window).
+                zeros = bytes(8 * len(issues))
+                hits, backing = array("q", zeros), array("q", zeros)
+                for row, issue, completion, address, n, is_write, first, sub in zip(
+                    count(), issues.tolist(), completions.tolist(),
+                    addresses.tolist(), counts.tolist(), writes.tolist(),
+                    starts, subs,
+                ):
+                    hits[row], backing[row], _ = process(
+                        address, n, is_write, issue, completion, observe,
+                        slots, first, sub,
+                    )
+                stats.record_rows(
+                    issues, completions, counts, writes,
+                    np.frombuffer(hits, dtype=np.int64),
+                    np.frombuffer(backing, dtype=np.int64),
                 )
-                starts, slots, subs = starts.tolist(), slots.tolist(), subs.tolist()
-            else:
-                starts, slots, subs = repeat(0), None, repeat(0)
-            rows_in_window = zip(
-                range(base + lo, base + hi),
-                issues.tolist(),
-                columns.completion_time[lo:hi].tolist(),
-                addresses.tolist(),
-                counts.tolist(),
-                columns.is_write[lo:hi].tolist(),
-                starts,
-                subs,
-            )
-            for index, issue, completion, address, n, is_write, first, sub in (
-                rows_in_window
-            ):
-                request_epoch = int(issue // epoch_seconds)
-                while current_epoch < request_epoch:
-                    current_epoch += 1
-                    appliance.begin_day(current_epoch)
-                    if boundary_hook is not None:
-                        boundary_hook(current_epoch, index)
-                process(
-                    address, n, is_write, issue, completion, observe,
-                    slots, first, sub,
-                )
-                if checkpoint_every is not None and (index + 1) % checkpoint_every == 0:
-                    checkpointer(index + 1, current_epoch)
-                if progress_every is not None and (index + 1) % progress_every == 0:
-                    progress_hook(index + 1, current_epoch)
+            done = base + hi
+            if checkpoint_every is not None and done % checkpoint_every == 0:
+                checkpointer(done, current_epoch)
+            if progress_every is not None and done % progress_every == 0:
+                progress_hook(done, current_epoch)
         cursor = max(cursor, base + rows)
         if segment_hook is not None:
             segment_hook(cursor, current_epoch)
@@ -221,6 +240,11 @@ def _run_object_loop(
         if boundary_hook is not None:
             boundary_hook(current_epoch, cursor)
     appliance.flush_dirty(time=float(days) * SECONDS_PER_DAY - 1.0)
+    if appliance.faults is not None:
+        # Assigned, not accumulated, so a resumed run counts it once.
+        stats.degraded_seconds, stats.bypass_seconds = (
+            appliance.faults.time_in_states(float(days) * SECONDS_PER_DAY)
+        )
 
 
 def _chunks(
@@ -283,18 +307,6 @@ def _check_resume_engine(state: dict, target: str) -> None:
         raise CheckpointError(
             "cannot resume a fault-injected run on the fast engine"
         )
-
-
-def _finalize_faults(
-    stats: CacheStats, faults: Optional[FaultInjector], days: int
-) -> None:
-    """Assign (not accumulate) degraded/bypass wall time, so finalizing
-    after a resume cannot double-count."""
-    if faults is None:
-        return
-    degraded, bypass = faults.time_in_states(float(days) * SECONDS_PER_DAY)
-    stats.degraded_seconds = degraded
-    stats.bypass_seconds = bypass
 
 
 @dataclass
@@ -490,8 +502,6 @@ def _drive(
         segment_hook=checkpointer if isinstance(trace, ChunkSource) else None,
     )
     if engine == "fast":
-        from repro.sim.fast_engine import simulate_fast_chunks
-
         simulate_fast_chunks(
             chunks,
             policy,
@@ -511,7 +521,6 @@ def _drive(
             days,
             **position_and_hooks,
         )
-        _finalize_faults(stats, appliance.faults, days)
     wall = base_elapsed + (_time.perf_counter() - started)
 
     if obs is not None:

@@ -68,13 +68,12 @@ from repro.cache.allocation import (
 )
 from repro.cache.block_cache import BlockCache
 from repro.cache.replacement import lru_pass
-from repro.cache.stats import CacheStats
+from repro.cache.stats import CacheStats, _record_allocations
 from repro.core.ideal import IdealDailySieve
 from repro.core.random_sieve import RandSieveBlkD
 import numpy as np
 
-from repro.core.sieve_kernel import SieveStoreCKernel
-from repro.core.sieve_kernel import subwindow_indices
+from repro.core.sieve_kernel import SieveStoreCKernel, subwindow_indices
 from repro.core.sieve_kernel import supports as _sieve_supported
 from repro.core.sievestore_d import SieveStoreD
 from repro.traces.columnar import expand_blocks
@@ -94,8 +93,12 @@ _SIEVE_CHUNK = 1 << 16
 #: Floor and ceiling on the blocks one AOD LRU pass takes.  Between
 #: them a pass takes 4 times the capacity, so the cache's order put in
 #: front stays a fifth of it; the ceiling bounds the pass's scratch
-#: (~60 bytes a block) however large the cache.
-_LRU_CHUNK = 1 << 16
+#: (~60 bytes a block) however large the cache.  The floor only binds
+#: small caches, where a longer pass is slower per block: on
+#: `aod-stream` (a 335-block cache; 10 rounds on a 2-core box) floors of
+#: 1 << 13 / 14 / 15 / 16 gave 10.52M / 10.94M / 9.92M / 10.38M
+#: normalized blocks/s.
+_LRU_CHUNK = 1 << 14
 _LRU_CHUNK_MAX = 1 << 21
 
 # observe() specializations.
@@ -141,27 +144,36 @@ def _observe_mode(policy: AllocationPolicy) -> int:
     return _O_CALL
 
 
-def _record_allocations(
-    stats: CacheStats, issue: float, completion: float, blocks: int, offsets: List[int]
-) -> None:
-    """Allocation-writes of one request that installed its blocks at
-    ``offsets`` — the events too rare to batch (a sieve admission, a
-    request running past midnight) — recorded as the reference does:
-    each block at its own interpolated completion time, so the
-    insertions of a day-straddling request split across the boundary."""
-    span = completion - issue
-    for off in offsets:
-        stats.record_allocation_write(issue + span * ((off + 1) / blocks))
-    stats.record_ssd_io(completion, (len(offsets) + 7) >> 3, True)
+def chunk_stops(
+    issue_times: np.ndarray, epoch_seconds: float, base: int, start: int,
+    checkpoint_every: int, progress_every: int, extra=(),
+) -> Tuple[np.ndarray, List[int], set]:
+    """Where both replay loops stop in a chunk whose first row is trace
+    row ``base``, from chunk row ``start`` on: ``(epochs, stops, ticks)``.
 
+    ``epochs`` is each row's epoch (Python ``//`` semantics); ``stops``
+    the sorted rows in ``[start, n]`` that end a stretch of requests —
+    ``start``, ``n``, each epoch change, each row after which a multiple
+    of ``checkpoint_every`` or ``progress_every`` requests is done, and
+    ``extra``; ``ticks`` the stops that are progress ticks only (they
+    read neither the cache nor the statistics).  All elementwise, so
+    chunk edges cannot move a stop.
+    """
+    n = len(issue_times)
 
-def _every_rows(every: int, base: int, lo: int, hi: int) -> range:
-    """The chunk rows in ``(lo, hi]`` where a multiple of ``every``
-    requests (counted from the trace's start) is done; none when
-    ``every`` is None."""
-    if every is None:
-        return range(0)
-    return range(lo + every - (base + lo) % every, hi + 1, every)
+    def every(cadence):  # the rows after a multiple of cadence requests
+        if cadence is None:
+            return ()
+        return range(start + cadence - (base + start) % cadence, n + 1, cadence)
+
+    epochs = subwindow_indices(issue_times, epoch_seconds)
+    stops = {start, n}
+    stops.update((np.flatnonzero(epochs[1:] != epochs[:-1]) + 1).tolist())
+    stops.update(every(checkpoint_every))
+    stops.update(extra)
+    ticks = set(every(progress_every)).difference(stops)
+    stops = sorted(stops.union(ticks))
+    return epochs, stops[stops.index(start):], ticks
 
 
 def _replay_lru(
@@ -324,22 +336,15 @@ def simulate_fast_chunks(
         # every sync site (CacheStats.record_rows).
         hits = array("q", bytes(8 * chunk_n))
         hit_column = np.frombuffer(hits, dtype=np.int64)
+        # Write-through: every written block reaches the ensemble.
         recorded_columns = [
             issue_times, completion_times, chunk_cols.block_count,
             chunk_cols.is_write, hit_column,
+            chunk_cols.block_count * chunk_cols.is_write,
         ]
         # Rows the cursor already covers are skipped (a resume can land
         # mid-chunk when the chunk iterator is coarser than the cursor).
         recorded = local_start = min(max(cursor - base, 0), chunk_n)
-        # The rows where something other than a request happens, found
-        # in vectorized passes with Python `//` boundary semantics
-        # (subwindow_indices is that generic primitive); all elementwise,
-        # so chunk boundaries cannot move one.
-        epochs = subwindow_indices(issue_times, epoch_seconds)
-        stops = {local_start, chunk_n}
-        stops.update((np.flatnonzero(epochs[1:] != epochs[:-1]) + 1).tolist())
-        stops.update(_every_rows(checkpoint_every, base, local_start, chunk_n))
-        progress_rows = _every_rows(progress_every, base, local_start, chunk_n)
         scalar_rows = ()
         if bulk:
             # A request running past midnight spreads its allocations
@@ -351,12 +356,13 @@ def simulate_fast_chunks(
             allocates = ~chunk_cols.is_write if wmode == _W_NOT_WRITE else True
             recorded_columns.append(~straddles & allocates)
             scalar_rows = set(np.flatnonzero(straddles & allocates).tolist())
-            stops.update(scalar_rows)
-        # Every stop but a progress tick reads the cache or the hit
-        # column: AOD's rows are settled there, in one go.
-        settle_rows = set(stops)
-        stops = sorted(stops.union(progress_rows))
-        stops = stops[stops.index(local_start):]
+        # The rows where something other than a request happens; every
+        # one but a progress tick reads the cache or the hit column, so
+        # AOD's rows are settled there, in one go.
+        epochs, stops, ticks = chunk_stops(
+            issue_times, epoch_seconds, base, local_start,
+            checkpoint_every, progress_every, scalar_rows,
+        )
         lru_from = local_start
         # Sieve precompute windows and runs never span chunks: reset so
         # the first sieved request of this chunk starts new ones.
@@ -512,7 +518,7 @@ def simulate_fast_chunks(
                 # scalar row, itself a settle site, went through above).
                 if head > lo:
                     lru_from = head
-                if hi in settle_rows:
+                if hi not in ticks:
                     if lru_from < hi:
                         if lru_order is None:
                             lru_order = np.fromiter(od, np.int64, len(od))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.stats import CacheStats, DayStats, MinuteIO
+from repro.cache.stats import CacheStats, DayStats, MinuteIO, _record_allocations
 from repro.sim.serialize import stats_from_dict, stats_to_dict
 from repro.util.intervals import SECONDS_PER_DAY
 
@@ -202,54 +202,122 @@ def times_near(bucket_seconds):
     )
 
 
+#: How the appliance can have decided a request.
+ROUTES = ("write-through", "write-back", "degraded", "bypass")
+
+
 @st.composite
 def request_rows(draw):
-    """Request rows, some of them past the last day: ``(issue,
-    completion, blocks, is_write, hits, allocating)``."""
-    rows = []
+    """Request rows as the engines decide them, some past the last day
+    and some running past midnight: ``(issue, completion, blocks,
+    is_write, hits, backing, allocating)``, and per row the scalar
+    events beside it, ``(read_errors, write_errors, bypassed,
+    allocated_offsets)``."""
+    rows, events = [], []
     for _ in range(draw(st.integers(0, 12))):
         issue = draw(st.one_of(
             times_near(60), times_near(SECONDS_PER_DAY),
             st.floats(0.0, (DAYS + 2.0) * SECONDS_PER_DAY),
         ))
-        completion = issue + draw(
-            st.sampled_from([0.0, 1e-9, 0.004, 59.9999999995, 60.0, 4000.0])
-        )
+        completion = issue + draw(st.sampled_from(
+            [0.0, 1e-9, 0.004, 59.9999999995, 60.0, 4000.0,
+             SECONDS_PER_DAY / 2]
+        ))
         blocks = draw(st.integers(1, 40))
+        is_write = draw(st.booleans())
+        route = draw(st.sampled_from(ROUTES))
         hits = draw(st.sampled_from([0, blocks, draw(st.integers(0, blocks))]))
+        read_errors = write_errors = bypassed = 0
+        if route == "bypass":
+            # Every block passes through to the ensemble.
+            hits, bypassed = 0, blocks
+        misses = blocks - hits
+        if route == "write-back":
+            # Write hits and allocated write misses are absorbed.
+            backing = draw(st.integers(0, misses)) if is_write else 0
+        else:
+            backing = blocks if is_write else 0
+        if route == "degraded":
+            # Errored resident blocks are among the misses.
+            errors = draw(st.integers(0, misses))
+            read_errors, write_errors = (0, errors) if is_write else (errors, 0)
+            write_errors += draw(st.integers(0, 2))  # failed allocations
         # The columnar contract: a row is only marked when the request
-        # completes within its (capped) issue day.
+        # completes within its (capped) issue day, and every miss of it
+        # was allocated.
         same_day = min(completion // SECONDS_PER_DAY, DAYS - 1) == min(
             issue // SECONDS_PER_DAY, DAYS - 1
         )
-        rows.append((issue, completion, blocks, draw(st.booleans()), hits,
-                     same_day and draw(st.booleans())))
+        allocating = route == "write-through" and same_day and draw(st.booleans())
+        offsets = []
+        if not allocating and route != "bypass":
+            # Any other allocation goes block by block.
+            offsets = sorted(draw(st.sets(
+                st.integers(0, blocks - 1), max_size=min(misses, 6)
+            )))
+        rows.append((issue, completion, blocks, is_write, hits, backing,
+                     allocating))
+        events.append((read_errors, write_errors, bypassed, offsets))
     cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=4)))
     pieces = list(zip([0, *cuts], [*cuts, len(rows)]))
-    return rows, draw(st.permutations(pieces))
+    return rows, events, draw(st.permutations(pieces))
 
 
-def record_scalar(stats, rows):
-    """The reference: the scalar calls the engines make per request."""
-    for issue, completion, blocks, is_write, hits, allocating in rows:
+def record_events(stats, rows, events):
+    """The scalar events beside the columns, as the appliance makes
+    them: errors, bypassed accesses and block-by-block allocations."""
+    for (issue, completion, blocks, *_), (read_errors, write_errors,
+                                          bypassed, offsets) in zip(rows, events):
+        if read_errors:
+            stats.record_read_error(issue, read_errors)
+        if write_errors:
+            stats.record_write_error(issue, write_errors)
+        if bypassed:
+            stats.record_bypass_access(issue, bypassed)
+        if offsets:
+            _record_allocations(stats, issue, completion, blocks, offsets)
+
+
+def record_scalar(stats, rows, events):
+    """The reference: the scalar calls per request, block by block for
+    the allocations."""
+    for (issue, completion, blocks, is_write, hits, backing, allocating), (
+        read_errors, write_errors, bypassed, offsets
+    ) in zip(rows, events):
         misses = blocks - hits
         stats.record_hit(issue, is_write, hits)
         stats.record_miss(issue, is_write, misses)
-        if is_write:
-            stats.record_backing_write(issue, blocks)
+        if backing:
+            stats.record_backing_write(issue, backing)
         if allocating:
             stats.record_allocation_write(completion, misses)
             stats.record_ssd_io(completion, (misses + 7) >> 3, True)
         stats.record_ssd_io(issue, (hits + 7) >> 3, is_write)
+        stats.record_read_error(issue, read_errors)
+        stats.record_write_error(issue, write_errors)
+        stats.record_bypass_access(issue, bypassed)
+        span = completion - issue
+        for offset in offsets:
+            stats.record_allocation_write(
+                issue + span * ((offset + 1) / blocks)
+            )
+        if offsets:
+            stats.record_ssd_io(completion, (len(offsets) + 7) >> 3, True)
+
+
+def row_columns(rows):
+    """The rows as the engines' columns."""
+    return [
+        np.array([row[i] for row in rows], dtype=dtype)
+        for i, dtype in enumerate(
+            (np.float64, np.float64, np.int32, np.bool_, np.int64, np.int64,
+             np.bool_)
+        )
+    ]
 
 
 def record_columnar(stats, rows, pieces, with_allocations):
-    columns = [
-        np.array([row[i] for row in rows], dtype=dtype)
-        for i, dtype in enumerate(
-            (np.float64, np.float64, np.int32, np.bool_, np.int64, np.bool_)
-        )
-    ]
+    columns = row_columns(rows)
     if not with_allocations:
         columns.pop()
     for lo, hi in pieces:
@@ -259,15 +327,16 @@ def record_columnar(stats, rows, pieces, with_allocations):
 class TestRecordRows:
     """``record_rows`` against the scalar recording calls, row for row."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(request_rows(), st.booleans(), st.booleans())
     def test_matches_scalar_recording(self, drawn, track_minutes, allocations):
-        rows, pieces = drawn
+        rows, events, pieces = drawn
         if not allocations:  # the sieve's call: no allocating column
-            rows = [(*row[:5], False) for row in rows]
+            rows = [(*row[:6], False) for row in rows]
         scalar = CacheStats(DAYS, track_minutes=track_minutes)
         columnar = CacheStats(DAYS, track_minutes=track_minutes)
-        record_scalar(scalar, rows)
+        record_scalar(scalar, rows, events)
+        record_events(columnar, rows, events)
         record_columnar(columnar, rows, pieces, allocations)
         assert columnar.per_day == scalar.per_day
         assert columnar.per_minute == scalar.per_minute
@@ -279,13 +348,14 @@ class TestRecordRows:
             assert all(type(v) is int for v in vars(counters).values())
 
     def test_negative_timestamp_refused_before_anything_is_recorded(self):
-        rows = [(5.0, 5.1, 4, False, 2, False), (-1.0, 0.5, 4, False, 2, False)]
+        rows = [(5.0, 5.1, 4, False, 2, 0, False),
+                (-1.0, 0.5, 4, False, 2, 0, False)]
         stats = CacheStats(DAYS)
         with pytest.raises(ValueError, match="non-negative"):
             record_columnar(stats, rows, [(0, 2)], False)
         assert stats.total == DayStats() and stats.per_minute == {}
         with pytest.raises(ValueError, match="non-negative"):
-            record_scalar(CacheStats(DAYS), rows)
+            record_scalar(CacheStats(DAYS), rows, [(0, 0, 0, [])] * 2)
 
 
 def populated_stats():
@@ -359,7 +429,7 @@ class MinuteModel:
             entry[int(is_write)] += io_units
 
     def rows(self, rows):
-        for issue, completion, blocks, is_write, hits, allocating in rows:
+        for issue, completion, blocks, is_write, hits, _, allocating in rows:
             misses = blocks - hits
             if allocating:
                 self.ssd_io(completion, (misses + 7) >> 3, True)
@@ -381,7 +451,7 @@ def minute_parts(draw):
     scalar ``record_ssd_io`` calls, interleaved, some past the last day."""
     parts = []
     for _ in range(draw(st.integers(1, 3))):
-        rows, pieces = draw(request_rows())
+        rows, _, pieces = draw(request_rows())
         calls = draw(st.lists(
             st.tuples(
                 st.one_of(times_near(60), st.floats(0.0, (DAYS + 3.0) * SECONDS_PER_DAY)),
@@ -419,12 +489,7 @@ class TestMinuteColumns:
         for track_minutes, rows, steps in parts:
             part = CacheStats(DAYS, track_minutes=track_minutes)
             model = MinuteModel(track_minutes)
-            columns = [
-                np.array([row[i] for row in rows], dtype=dtype)
-                for i, dtype in enumerate(
-                    (np.float64, np.float64, np.int32, np.bool_, np.int64, np.bool_)
-                )
-            ]
+            columns = row_columns(rows)
             for kind, step in steps:
                 if kind == "rows":
                     lo, hi = step

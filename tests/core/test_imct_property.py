@@ -9,7 +9,8 @@ on midway, subwindow gaps from 0 to ``2k + 1`` and more than 255
 recordings on one slot in one subwindow, every slot's live total, every
 return value, ``recorded_misses``, ``alias_collisions`` and the shadow
 addresses must match a model built from one ``SubwindowCounter`` per
-slot and a per-slot last-address list.
+slot and a per-slot last-address list — and a table pickled and
+reloaded along the way must stay byte for byte the table never pickled.
 """
 
 import pickle
@@ -84,22 +85,27 @@ def test_clocked_table_matches_per_slot_counters(script):
     slots, k, operations = script
     # 10-second subwindows: subwindow g spans [10 g, 10 g + 10).
     table = ImpreciseMissCountTable(slots, WindowSpec(10.0 * k, k))
+    # The same script on a table never pickled: the reloaded one must
+    # record exactly like it (its live-column offset is rebuilt on load).
+    twin = ImpreciseMissCountTable(slots, WindowSpec(10.0 * k, k))
     model = Model(slots, k)
     subwindow = 0
     for operation in operations:
         kind = operation[0]
         time = 10.0 * subwindow + 1.0
+        tables = (table, twin)
         if kind == "advance":
             subwindow += operation[1]
         elif kind == "record":
             _, address, times, scalar = operation
             slot = table.slot_of(address)
             for _ in range(times):
-                got = (
-                    table.record(slot, subwindow, address) if scalar
-                    else table.record_miss(address, time)
-                )
-                assert got == model.record(slot, subwindow, address)
+                got = [
+                    t.record(slot, subwindow, address) if scalar
+                    else t.record_miss(address, time)
+                    for t in tables
+                ]
+                assert got == [model.record(slot, subwindow, address)] * 2
         elif kind == "batch":
             _, groups, with_addresses = operation
             recorded = np.array(
@@ -110,24 +116,29 @@ def test_clocked_table_matches_per_slot_counters(script):
             # Grouped by slot, each group in recording order.
             order = np.argsort(slot_of, kind="stable")
             recorded, slot_of = recorded[order], slot_of[order]
-            if with_addresses or model.shadow is not None:
-                table.record_batch(slot_of, subwindow, recorded)
-            else:
-                table.record_batch(slot_of, subwindow)
+            for t in tables:
+                if with_addresses or model.shadow is not None:
+                    t.record_batch(slot_of, subwindow, recorded)
+                else:
+                    t.record_batch(slot_of, subwindow)
             for slot, address in zip(slot_of.tolist(), recorded.tolist()):
                 model.record(slot, subwindow, address)
         elif kind == "reset":
             address = operation[1]
-            table.reset_slot(address)
+            for t in tables:
+                t.reset_slot(address)
             model.counters[table.slot_of(address)].reset()
         elif kind == "read":
             address = operation[1]
-            assert table.count(address, time) == (
+            assert [t.count(address, time) for t in tables] == [
                 model.counters[table.slot_of(address)].total(subwindow)
-            )
+            ] * 2
         elif kind == "pickle":
             table = pickle.loads(pickle.dumps(table))
         elif model.shadow is None:  # "track"
-            table.enable_collision_tracking()
+            for t in tables:
+                t.enable_collision_tracking()
             model.shadow = [-1] * slots
         check(table, model, subwindow)
+        assert pickle.dumps(table) == pickle.dumps(twin)
+        assert table._column == twin._column

@@ -1,10 +1,13 @@
 """The object loop's row windows: invisible to results, and object-free.
 
-``_run_object_loop`` reads each chunk in windows of ``_ROW_WINDOW`` rows
-(and, for a plain SieveStore-C, hashes each window's blocks at once), so
-a resume cursor or a checkpoint can fall anywhere inside a window.  And
-it reads fields, not request objects: no ``IORequest`` is built on the
-way from columns to the appliance.
+``_run_object_loop`` walks each chunk between the fast loop's stops, in
+windows of at most ``_ROW_WINDOW`` rows (for a plain SieveStore-C it
+hashes each window's blocks at once, and it records each window's
+statistics once decided).  A checkpointed run stops at its checkpoints,
+so its windows differ from an uninterrupted run's, and its checkpoints
+fall inside the uninterrupted run's windows.  And it reads fields, not
+request objects: no ``IORequest`` is built on the way from columns to
+the appliance.
 """
 
 import json
@@ -15,10 +18,11 @@ from repro.core import SieveStoreC, SieveStoreCConfig
 from repro.faults import ErrorWindow, FaultPlan, OutageWindow
 from repro.sim import engine
 from repro.sim.engine import resume_simulation, simulate
+from repro.sim.fast_engine import chunk_stops
 from repro.sim.experiment import context_for_trace, run_policy
 from repro.sim.serialize import load_checkpoint, stats_to_dict
 from repro.traces import columnar, model
-from repro.traces.segments import segment_columnar
+from repro.traces.segments import DEFAULT_CHUNK_ROWS, segment_columnar
 from repro.util.intervals import SECONDS_PER_DAY
 
 #: Not a multiple of the row window, and shorter than it: checkpoints
@@ -43,6 +47,18 @@ def stats_json(stats):
     return json.dumps(stats_to_dict(stats), sort_keys=True)
 
 
+def window_edges(columns):
+    """The rows where an uninterrupted one-chunk replay of ``columns``
+    starts or ends a hash window."""
+    _, stops, _ = chunk_stops(
+        columns.issue_time, float(SECONDS_PER_DAY), 0, 0, None, None
+    )
+    edges = set(stops)
+    for lo, hi in zip(stops, stops[1:]):
+        edges.update(range(lo, hi, engine._ROW_WINDOW))
+    return edges
+
+
 def replay(ctx, trace, **kwargs):
     """A SieveStore-C run on the object engine."""
     return simulate(
@@ -55,7 +71,7 @@ def replay(ctx, trace, **kwargs):
 def test_resume_inside_a_row_window_is_bit_identical(tiny_context, tmp_path,
                                                      plan):
     columns = tiny_context.columnar_trace()
-    assert EVERY < engine._ROW_WINDOW < len(columns)
+    assert EVERY < engine._ROW_WINDOW < len(columns) <= DEFAULT_CHUNK_ROWS
     baseline = replay(tiny_context, columns, fault_plan=plan)
     path = tmp_path / "window.ckpt"
     checkpointed = replay(
@@ -65,7 +81,7 @@ def test_resume_inside_a_row_window_is_bit_identical(tiny_context, tmp_path,
     assert (baseline.engine, checkpointed.engine) == ("object", "object")
     assert stats_json(checkpointed.stats) == stats_json(baseline.stats)
     cursor = load_checkpoint(path)["cursor"]
-    assert cursor % engine._ROW_WINDOW != 0
+    assert cursor not in window_edges(columns)
     resumed = resume_simulation(path, columns)
     assert resumed.engine == "object"
     assert stats_json(resumed.stats) == stats_json(baseline.stats)
