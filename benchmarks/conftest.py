@@ -68,17 +68,9 @@ def bench_columnar(bench_config):
 
 
 @pytest.fixture(scope="session")
-def bench_trace(bench_columnar):
-    return bench_columnar.to_trace()
-
-
-@pytest.fixture(scope="session")
-def bench_context(bench_trace, bench_columnar, bench_config):
+def bench_context(bench_columnar, bench_config):
     return context_for_trace(
-        bench_trace,
-        days=bench_config.days,
-        scale=bench_config.scale,
-        columnar=bench_columnar,
+        bench_columnar, days=bench_config.days, scale=bench_config.scale
     )
 
 

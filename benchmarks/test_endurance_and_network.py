@@ -100,24 +100,24 @@ def test_request_processing_throughput(benchmark, bench_context):
     simulator's per-request cost visible (the paper notes request
     processing is entirely in memory and not a concern).
     """
-    from repro.cache import BlockCache
-    from repro.cache.stats import CacheStats
-    from repro.core import SieveStoreAppliance, SieveStoreC, SieveStoreCConfig
-    from repro.traces import iter_day_requests
+    import numpy as np
 
-    requests = list(iter_day_requests(bench_context.trace, 3))[:20000]
+    from repro.core import SieveStoreC, SieveStoreCConfig
+    from repro.sim.engine import simulate
+
+    columns = bench_context.trace
+    day = columns.take(np.flatnonzero(columns.issue_days() == 3)[:20000])
 
     def run_day():
-        stats = CacheStats(days=DAYS, track_minutes=False)
-        cache = BlockCache(bench_context.sieved_capacity)
-        appliance = SieveStoreAppliance(
-            cache,
+        result = simulate(
+            day,
             SieveStoreC(SieveStoreCConfig(imct_slots=bench_context.imct_slots)),
-            stats,
+            bench_context.sieved_capacity,
+            DAYS,
+            track_minutes=False,
+            fast_path=False,
         )
-        for request in requests:
-            appliance.process_request(request)
-        return stats.total.accesses
+        return result.stats.total.accesses
 
     accesses = benchmark(run_day)
-    assert accesses == sum(r.block_count for r in requests)
+    assert accesses == day.total_blocks()

@@ -16,7 +16,8 @@ from repro.analysis.variation import (
     top_set_server_composition,
     volume_gini,
 )
-from repro.traces import PAPER_SERVERS, per_server_daily_counts
+from repro.ensemble.topology import per_server_daily_counts_from_ensemble
+from repro.traces import PAPER_SERVERS
 from benchmarks.conftest import DAYS
 
 
@@ -25,13 +26,16 @@ def server_id(key):
 
 
 @pytest.fixture(scope="module")
-def ginis(bench_trace):
-    return server_day_gini(bench_trace, days=DAYS)
+def ginis(bench_context):
+    return server_day_gini(bench_context.daily_counts)
 
 
-def test_fig3a_server_to_server(benchmark, bench_trace, ginis):
+def test_fig3a_server_to_server(benchmark, bench_context, ginis):
     per_server = benchmark.pedantic(
-        per_server_daily_counts, args=(bench_trace, DAYS), iterations=1, rounds=1
+        per_server_daily_counts_from_ensemble,
+        args=(bench_context.daily_counts,),
+        iterations=1,
+        rounds=1,
     )
     prxy, src1 = server_id("prxy"), server_id("src1")
     rows = []
@@ -56,9 +60,9 @@ def test_fig3a_server_to_server(benchmark, bench_trace, ginis):
     assert prxy_gini > src1_gini + 0.15
 
 
-def test_fig3b_volume_to_volume(benchmark, bench_trace):
+def test_fig3b_volume_to_volume(benchmark, bench_columnar):
     web = server_id("web")
-    by_volume = benchmark(lambda: volume_gini(bench_trace, web, days=DAYS))
+    by_volume = benchmark(lambda: volume_gini(bench_columnar, web, days=DAYS))
     print()
     print(
         render_table(

@@ -6,19 +6,15 @@ daily footprint), and benchmarks trace generation itself.
 """
 
 
+import numpy as np
+
 from repro.analysis.report import render_table
-from repro.traces import (
-    EnsembleTraceGenerator,
-    daily_access_totals,
-    daily_block_counts,
-    table1_rows,
-    tiny_config,
-)
+from repro.traces import EnsembleTraceGenerator, table1_rows, tiny_config
 from repro.util.units import BLOCK_BYTES, GIB
 from benchmarks.conftest import DAYS
 
 
-def test_table1_inventory(benchmark, bench_trace, bench_config):
+def test_table1_inventory(benchmark, bench_columnar, bench_context, bench_config):
     rows = benchmark(table1_rows)
     print()
     print(
@@ -28,8 +24,8 @@ def test_table1_inventory(benchmark, bench_trace, bench_config):
             title="Table 1: Trace Summary (paper inventory)",
         )
     )
-    totals = daily_access_totals(bench_trace, DAYS)
-    counts = daily_block_counts(bench_trace, DAYS)
+    counts = bench_context.daily_counts
+    requests = np.bincount(bench_columnar.issue_days(), minlength=DAYS)
     print(
         render_table(
             ["day", "requests(k)", "block accesses(k)", "unique blocks(k)",
@@ -37,9 +33,8 @@ def test_table1_inventory(benchmark, bench_trace, bench_config):
             [
                 [
                     day,
-                    round(sum(1 for r in bench_trace
-                              if day * 86400 <= r.issue_time < (day + 1) * 86400) / 1e3, 1),
-                    round(totals[day] / 1e3, 1),
+                    round(int(requests[day]) / 1e3, 1),
+                    round(counts[day].total() / 1e3, 1),
                     round(len(counts[day]) / 1e3, 1),
                     round(len(counts[day]) * BLOCK_BYTES / GIB / bench_config.scale),
                 ]
@@ -66,7 +61,7 @@ def test_trace_generation_throughput(benchmark):
     config = tiny_config(seed=7)
 
     def generate():
-        return EnsembleTraceGenerator(config).generate().total_blocks()
+        return EnsembleTraceGenerator(config).generate_columnar().total_blocks()
 
     blocks = benchmark(generate)
     assert blocks > 10_000

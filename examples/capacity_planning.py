@@ -33,7 +33,7 @@ WINDOW = 30
 def main() -> None:
     config = SyntheticTraceConfig(scale=SCALE, days=DAYS)
     print(f"simulating SieveStore-C and WMNA at scale {SCALE:g} ...")
-    trace = EnsembleTraceGenerator(config).generate()
+    trace = EnsembleTraceGenerator(config).generate_columnar()
     ctx = context_for_trace(trace, days=DAYS, scale=SCALE)
     device = INTEL_X25E.scaled(SCALE)
 

@@ -2,20 +2,18 @@
 """Quickstart: put a SieveStore-C appliance in front of a storage ensemble.
 
 Generates a scaled synthetic 13-server ensemble trace (calibrated to the
-SieveStore paper's published workload characteristics), wires up the
-continuous sieve + block cache + statistics, streams the trace through
-the appliance, and prints what happened — hit ratios, allocation-writes,
+SieveStore paper's published workload characteristics), puts the
+continuous sieve in front of a block cache, replays the trace's columns
+through them, and prints what happened — hit ratios, allocation-writes,
 and the sieve's metastate footprint.
 
 Run:
     python examples/quickstart.py
 """
 
-from repro.cache import BlockCache
-from repro.cache.stats import CacheStats
-from repro.core import SieveStoreAppliance, SieveStoreC, SieveStoreCConfig
-from repro.traces import SyntheticTraceConfig, load_or_generate_trace
-from repro.util.intervals import SECONDS_PER_DAY
+from repro.core import SieveStoreC, SieveStoreCConfig
+from repro.sim import simulate
+from repro.traces import SyntheticTraceConfig, load_or_generate_columnar
 from repro.util.units import format_bytes
 
 
@@ -24,7 +22,7 @@ def main() -> None:
     #    linear scale so this demo runs in seconds.  The generated trace
     #    is memoized on disk, so re-runs start immediately.
     config = SyntheticTraceConfig(scale=2e-5, days=8)
-    trace = load_or_generate_trace(config)
+    trace = load_or_generate_columnar(config)
     print(
         f"trace: {len(trace):,} requests, {trace.total_blocks():,} "
         f"512-byte block accesses over {config.days} days"
@@ -33,20 +31,12 @@ def main() -> None:
     # 2. The appliance: a 16 GB (scaled) SSD cache behind the two-tier
     #    sieve with the paper's tuned parameters (t1=9, t2=4, W=8h).
     capacity_blocks = int(16 * 2**30 / 512 * config.scale)
-    cache = BlockCache(capacity_blocks)
     sieve = SieveStoreC(SieveStoreCConfig(imct_slots=1 << 14))
-    stats = CacheStats(days=config.days)
-    appliance = SieveStoreAppliance(cache, sieve, stats)
 
-    # 3. Stream the trace through it (epoch boundaries are no-ops for
-    #    the continuous sieve but shown for completeness).
-    current_day = -1
-    for request in trace:
-        day = int(request.issue_time // SECONDS_PER_DAY)
-        while current_day < day:
-            current_day += 1
-            appliance.begin_day(current_day)
-        appliance.process_request(request)
+    # 3. Replay the trace through it: every 512-byte block of every
+    #    request is looked up, and a miss is allocated only if the
+    #    sieve admits it.
+    stats = simulate(trace, sieve, capacity_blocks, days=config.days).stats
 
     # 4. What happened.
     print(f"\ncache: {capacity_blocks:,} frames "

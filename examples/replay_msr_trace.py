@@ -21,11 +21,12 @@ Run:
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from repro.offline import AccessLog, compact, epoch_allocation, log_trace_day
 from repro.traces import (
     EnsembleTraceGenerator,
     SyntheticTraceConfig,
-    iter_day_requests,
     read_msr_csv,
     write_msr_csv,
 )
@@ -38,12 +39,10 @@ TRACE_CSV = None
 def demo_csv(directory: Path) -> Path:
     """Export one synthetic day in MSR format (demo stand-in)."""
     config = SyntheticTraceConfig(scale=1e-5, days=3)
-    trace = EnsembleTraceGenerator(config).generate()
-    day2 = list(iter_day_requests(trace, 2))
+    trace = EnsembleTraceGenerator(config).generate_columnar()
+    day2 = trace.take(np.flatnonzero(trace.issue_days() == 2))
     path = directory / "ensemble-day2.csv"
-    from repro.traces.model import Trace
-
-    write_msr_csv(Trace(day2), path)
+    write_msr_csv(day2, path)
     return path
 
 
@@ -55,7 +54,7 @@ def main() -> None:
               f"({format_bytes(csv_path.stat().st_size)}) ...")
         trace = read_msr_csv(csv_path)
         print(f"{len(trace):,} requests / {trace.total_blocks():,} block "
-              f"accesses from {len({r.server_id for r in trace})} hosts")
+              f"accesses from {len(np.unique(trace.server_ids))} hosts")
 
         # SieveStore-D's offline metastate pipeline (paper Section 3.2):
         # log every access as an <address, 1> tuple into R hash-selected
@@ -75,8 +74,9 @@ def main() -> None:
         print(f"next epoch's batch allocation: "
               f"{format_bytes(len(selected) * 512)} of cache, "
               f"{len(selected):,} allocation-writes")
-        share = len(selected) / max(1, len({a for r in trace
-                                            for a in r.addresses()}))
+        share = len(selected) / max(
+            1, len(np.unique(trace.expand_block_addresses()))
+        )
         print(f"that is {share:.2%} of all blocks accessed — the sieve "
               "admits only the top sliver")
 

@@ -31,7 +31,7 @@ DAYS = 8
 def main() -> None:
     config = SyntheticTraceConfig(scale=SCALE, days=DAYS)
     print(f"generating ensemble trace (scale {SCALE:g}) ...")
-    trace = EnsembleTraceGenerator(config).generate()
+    trace = EnsembleTraceGenerator(config).generate_columnar()
     ctx = context_for_trace(trace, days=DAYS, scale=SCALE)
 
     # 1. Oracle scale-out profile.

@@ -4,9 +4,10 @@ Reproduces Pritchett & Thottethodi, *SieveStore: A Highly-Selective,
 Ensemble-level Disk Cache for Cost-Performance* (ISCA 2010), as a
 self-contained Python library:
 
-* :mod:`repro.traces` — block-trace model and a synthetic 13-server
-  ensemble workload calibrated to the paper's published trace
-  characteristics (observations O1/O2);
+* :mod:`repro.traces` — columnar block traces (MSR CSV I/O, on-disk
+  segment stores) and a synthetic 13-server ensemble workload
+  calibrated to the paper's published trace characteristics
+  (observations O1/O2);
 * :mod:`repro.cache` — the fully-associative LRU block-cache substrate
   with pluggable allocation (who gets in);
 * :mod:`repro.core` — the contribution: SieveStore-D (discrete,
@@ -46,8 +47,6 @@ from repro.sim import context_for_trace, run_policy, simulate
 from repro.traces import (
     EnsembleTraceGenerator,
     SyntheticTraceConfig,
-    Trace,
-    generate_ensemble_trace,
     small_config,
     tiny_config,
 )
@@ -68,8 +67,8 @@ def quick_simulation(policy_name: str = "sievestore-c", scale: float = 1.5e-5):
         a :class:`repro.sim.SimulationResult`.
     """
     config = SyntheticTraceConfig(scale=scale)
-    trace = EnsembleTraceGenerator(config).generate()
-    ctx = context_for_trace(trace, days=config.days, scale=scale)
+    columns = EnsembleTraceGenerator(config).generate_columnar()
+    ctx = context_for_trace(columns, days=config.days, scale=scale)
     return run_policy(policy_name, ctx, track_minutes=False)
 
 
@@ -85,8 +84,6 @@ __all__ = [
     "simulate",
     "EnsembleTraceGenerator",
     "SyntheticTraceConfig",
-    "Trace",
-    "generate_ensemble_trace",
     "small_config",
     "tiny_config",
     "quick_simulation",

@@ -2,18 +2,19 @@
 
 Produces the inventory-style statistics the paper's Table 1 and
 Section 2 open with — per-server traffic, read/write mix, request
-sizes, alignment — for any :class:`~repro.traces.model.Trace`
+sizes, alignment — for any :class:`~repro.traces.columnar.ColumnarTrace`
 (synthetic or loaded from MSR CSV).  Used by the CLI's ``summarize``
 command and handy when validating a newly imported trace.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.traces.model import Trace
+import numpy as np
+
+from repro.traces.columnar import ColumnarTrace
 from repro.util.intervals import SECONDS_PER_DAY
 from repro.util.units import BLOCK_BYTES
 
@@ -53,51 +54,48 @@ class TraceSummary:
         return self.block_accesses / self.requests if self.requests else 0.0
 
 
-_SIZE_BUCKETS = ((1, "<=1"), (4, "2-4"), (8, "5-8"), (16, "9-16"),
-                 (64, "17-64"), (float("inf"), ">64"))
+#: Request-size histogram buckets: upper bounds (blocks) and labels.
+_SIZE_BOUNDS = (1, 4, 8, 16, 64)
+_SIZE_LABELS = ("<=1", "2-4", "5-8", "9-16", "17-64", ">64")
 
 
-def _size_bucket(blocks: int) -> str:
-    for bound, label in _SIZE_BUCKETS:
-        if blocks <= bound:
-            return label
-    raise AssertionError("unreachable")
+def summarize_trace(trace: ColumnarTrace) -> TraceSummary:
+    """Compute a :class:`TraceSummary` from the trace's columns.
 
-
-def summarize_trace(trace: Trace) -> TraceSummary:
-    """Compute a :class:`TraceSummary` in one pass over the trace."""
-    per_server: Dict[int, ServerTraffic] = {}
-    read_blocks = 0
-    aligned = 0
-    total_blocks = 0
-    histogram: Counter = Counter()
-    last_time = 0.0
-    for request in trace:
-        traffic = per_server.setdefault(
-            request.server_id, ServerTraffic(server_id=request.server_id)
-        )
-        traffic.requests += 1
-        traffic.blocks += request.block_count
-        total_blocks += request.block_count
-        if request.is_read:
-            traffic.read_blocks += request.block_count
-            read_blocks += request.block_count
-        if request.aligned_4k:
-            aligned += 1
-        histogram[_size_bucket(request.block_count)] += 1
-        last_time = max(last_time, request.issue_time)
-
+    ``request_size_histogram`` keeps its buckets in the order the trace
+    first reaches them.
+    """
     n = len(trace)
+    blocks = trace.block_count.astype(np.int64)
+    read_blocks = np.where(trace.is_write, 0, blocks)
+    server_ids, inverse = np.unique(trace.server_ids, return_inverse=True)
+    # float64 weights are exact below 2**53 blocks per server.
+    per_server = zip(
+        server_ids.tolist(),
+        *(
+            np.bincount(inverse, weights=w).astype(np.int64).tolist()
+            for w in (None, blocks, read_blocks)
+        ),
+    )
+    buckets = np.searchsorted(_SIZE_BOUNDS, blocks)
+    seen, first = np.unique(buckets, return_index=True)
+    sizes = np.bincount(buckets, minlength=len(_SIZE_LABELS))
+    total_blocks = int(blocks.sum())
+    total_reads = int(read_blocks.sum())
+    last_time = max(0.0, float(trace.issue_time.max())) if n else 0.0
     return TraceSummary(
         requests=n,
         block_accesses=total_blocks,
         bytes_accessed=total_blocks * BLOCK_BYTES,
         days=int(last_time // SECONDS_PER_DAY) + 1 if n else 0,
-        servers=sorted(per_server.values(), key=lambda s: s.server_id),
-        read_fraction=read_blocks / total_blocks if total_blocks else 0.0,
-        aligned_fraction=aligned / n if n else 0.0,
+        servers=[ServerTraffic(*row) for row in per_server],
+        read_fraction=total_reads / total_blocks if total_blocks else 0.0,
+        aligned_fraction=int(np.count_nonzero(trace.aligned_4k)) / n if n else 0.0,
         request_size_blocks_mean=total_blocks / n if n else 0.0,
-        request_size_histogram=dict(histogram),
+        request_size_histogram={
+            _SIZE_LABELS[bucket]: int(sizes[bucket])
+            for bucket in seen[np.argsort(first)].tolist()
+        },
     )
 
 

@@ -9,12 +9,12 @@ shifts over the week — observation O2, the case for ensemble-level
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.traces.columnar import BlockCounts, ColumnarTrace, as_columnar
-from repro.traces.model import Trace
+from repro.ensemble.topology import per_server_daily_counts_from_ensemble
+from repro.traces.columnar import BlockCounts, ColumnarTrace
 
 
 def cumulative_access_curve(counts: BlockCounts, points: int = 100) -> List[dict]:
@@ -64,22 +64,23 @@ def gini_coefficient(counts: BlockCounts) -> float:
 
 
 def server_day_gini(
-    trace: Trace, days: int
+    daily_counts: Sequence[BlockCounts],
 ) -> Dict[int, List[float]]:
-    """Per-server, per-day Gini coefficients (Figures 3(a) and 3(c))."""
-    from repro.traces.streams import per_server_daily_counts
-
-    result: Dict[int, List[float]] = {}
-    for server_id, counters in per_server_daily_counts(trace, days).items():
-        result[server_id] = [gini_coefficient(c) for c in counters]
-    return result
+    """Per-server, per-day Gini coefficients (Figures 3(a) and 3(c)),
+    from the ensemble's per-day block counts."""
+    return {
+        server_id: [gini_coefficient(c) for c in tables]
+        for server_id, tables in per_server_daily_counts_from_ensemble(
+            daily_counts
+        ).items()
+    }
 
 
 def volume_gini(
-    trace: Union[Trace, ColumnarTrace], server_id: int, days: int
+    trace: ColumnarTrace, server_id: int, days: int
 ) -> Dict[int, float]:
     """Whole-trace Gini per volume of one server (Figure 3(b))."""
-    columns = as_columnar(trace).filter(server_id=server_id)
+    columns = trace.filter(server_id=server_id)
     by_volume: Dict[int, float] = {}
     for volume in np.unique(columns.volume_ids).tolist():
         blocks = columns.filter(volume_id=volume).expand_block_addresses()

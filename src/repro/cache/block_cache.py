@@ -53,19 +53,6 @@ class BlockCache:
         self._order[address] = None
         return victim
 
-    def remove(self, address: int) -> None:
-        """Remove a resident block; a non-resident one is an error."""
-        if address not in self._order:
-            raise KeyError(f"block {address} is not resident")
-        del self._order[address]
-
-    def discard(self, address: int) -> bool:
-        """Remove a block if resident; returns whether it was."""
-        if address in self._order:
-            del self._order[address]
-            return True
-        return False
-
     def clear(self) -> int:
         """Drop every resident block; returns how many were dropped.
 

@@ -33,11 +33,7 @@ from repro.sim import (
 from repro.sim.experiment import FIGURE5_POLICIES, run_policy_suite
 from repro.ssd.device import INTEL_X25E
 from repro.ssd.occupancy import coverage_table, occupancy_from_stats
-from repro.traces import (
-    ColumnarTrace,
-    SyntheticTraceConfig,
-    read_msr_csv,
-)
+from repro.traces import SyntheticTraceConfig, read_msr_csv
 from repro.traces.store import load_or_generate_columnar
 from repro.util.atomic import atomic_write, write_json_atomic
 
@@ -419,9 +415,17 @@ def _load_trace(args):
     Synthetic traces go through the on-disk trace cache (a segment
     store keyed by a config content hash) unless ``--no-trace-cache``
     or the ``SIEVESTORE_TRACE_CACHE`` environment variable disables it.
+    An MSR CSV that cannot be read exits 2 with a one-line error.
     """
     if args.msr_csv:
-        return ColumnarTrace.from_trace(read_msr_csv(args.msr_csv)), args.days
+        try:
+            return read_msr_csv(args.msr_csv), args.days
+        except (ValueError, OSError) as exc:
+            print(
+                f"error: cannot read MSR trace {args.msr_csv}: {exc}",
+                file=sys.stderr,
+            )
+            raise SystemExit(2) from None
     config = SyntheticTraceConfig(
         scale=args.scale, days=args.days, seed=args.seed
     )
@@ -1199,7 +1203,7 @@ def _cmd_summarize(args) -> int:
     from repro.analysis.summary import summarize_trace, summary_rows
 
     columns, _days = _load_trace(args)
-    summary = summarize_trace(columns.to_trace())
+    summary = summarize_trace(columns)
     print(render_table(
         ["server", "requests", "blocks", "traffic share", "read fraction"],
         summary_rows(summary),
@@ -1220,7 +1224,7 @@ def _cmd_validate(args) -> int:
     from repro.traces.validation import validate_trace
 
     columns, days = _load_trace(args)
-    report = validate_trace(columns.to_trace(), days=days)
+    report = validate_trace(columns, days=days)
     print(render_table(
         ["check", "measured", "accepted band", "status"],
         report.rows(),

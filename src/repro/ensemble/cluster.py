@@ -11,7 +11,7 @@ and exposes per-node statistics for load analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -19,8 +19,7 @@ from repro.cache.allocation import AllocationPolicy
 from repro.cache.stats import CacheStats, DayStats
 from repro.ensemble.scaling import partition_servers
 from repro.sim.engine import simulate
-from repro.traces.columnar import ColumnarTrace, as_columnar
-from repro.traces.model import Trace
+from repro.traces.columnar import ColumnarTrace
 
 #: Builds a fresh allocation policy for one node (one per appliance —
 #: sieve metastate must not be shared across nodes).
@@ -60,7 +59,7 @@ class ClusterResult:
 
 
 def simulate_cluster(
-    trace: Union[Trace, ColumnarTrace],
+    trace: ColumnarTrace,
     policy_factory: PolicyFactory,
     total_capacity_blocks: int,
     days: int,
@@ -75,7 +74,7 @@ def simulate_cluster(
     its servers' rows.
 
     Args:
-        trace: the chronological ensemble trace (object or columnar).
+        trace: the chronological ensemble trace.
         policy_factory: called once per node (with the node index) to
             build that node's allocation policy.
         total_capacity_blocks: cluster-wide cache capacity; each node
@@ -86,15 +85,14 @@ def simulate_cluster(
             requests of any other server are not replayed.
         track_minutes: collect per-minute SSD I/O per node.
     """
-    columns = as_columnar(trace)
-    servers = columns.server_ids
+    servers = trace.server_ids
     if server_ids is None:
         server_ids = np.unique(servers).tolist()
     partitions = partition_servers(server_ids, nodes)
     per_node_capacity = max(1, total_capacity_blocks // nodes)
     runs = [
         simulate(
-            columns.take(np.flatnonzero(np.isin(servers, partition))),
+            trace.take(np.flatnonzero(np.isin(servers, partition))),
             policy_factory(node),
             per_node_capacity,
             days,

@@ -27,6 +27,7 @@ from collections import Counter
 from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.offline.logs import AccessLog
+from repro.traces.columnar import ColumnarTrace
 
 
 def _sorted_tuples(log: AccessLog, partition: int) -> List[Tuple[int, int]]:
@@ -104,15 +105,14 @@ def epoch_allocation(
     return {address for _, address in qualified}
 
 
-def log_trace_day(log: AccessLog, requests) -> int:
-    """Append every block access of an iterable of requests to the log.
+def log_trace_day(log: AccessLog, trace: ColumnarTrace) -> int:
+    """Append every block access of a trace's rows to the log, in
+    issue order.
 
     Returns the number of tuples written.  Convenience used by examples
     and the equivalence tests.
     """
-    written = 0
-    for request in requests:
-        for address in request.addresses():
-            log.append(address)
-            written += 1
-    return written
+    blocks = trace.expand_block_addresses().tolist()
+    for address in blocks:
+        log.append(address)
+    return len(blocks)

@@ -54,8 +54,7 @@ from repro.core.appliance import SieveStoreAppliance
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.sim.fast_engine import chunk_stops, simulate_fast_chunks
-from repro.traces.columnar import ColumnarTrace, as_columnar
-from repro.traces.model import Trace
+from repro.traces.columnar import ColumnarTrace
 from repro.traces.segments import DEFAULT_CHUNK_ROWS, ChunkSource, _slice_columns
 from repro.util.intervals import SECONDS_PER_DAY
 
@@ -114,24 +113,21 @@ def total_epoch_count(days: int, epoch_seconds: float) -> int:
     )
 
 
-def _trace_fingerprint(trace: Union[Trace, ColumnarTrace, ChunkSource]) -> dict:
+def _trace_fingerprint(trace: Union[ColumnarTrace, ChunkSource]) -> dict:
     """Cheap identity check tying a checkpoint to its trace.
 
-    Every trace form yields the same triple for the same requests, so a
-    checkpoint written against one form resumes against any other.
+    Columns and a chunk source yield the same triple for the same
+    requests, so a checkpoint written against one resumes against the
+    other.
     """
     if isinstance(trace, ChunkSource):
         return trace.fingerprint()
     if not len(trace):
         return {"requests": 0, "first_issue": None, "last_issue": None}
-    if isinstance(trace, ColumnarTrace):
-        first, last = trace.issue_time[0], trace.issue_time[-1]
-    else:
-        first, last = trace.requests[0].issue_time, trace.requests[-1].issue_time
     return {
         "requests": len(trace),
-        "first_issue": float(first),
-        "last_issue": float(last),
+        "first_issue": float(trace.issue_time[0]),
+        "last_issue": float(trace.issue_time[-1]),
     }
 
 
@@ -248,7 +244,7 @@ def _run_object_loop(
 
 
 def _chunks(
-    trace: Union[Trace, ColumnarTrace, ChunkSource],
+    trace: Union[ColumnarTrace, ChunkSource],
     chunk_rows: Optional[int],
     start_row: int,
 ):
@@ -261,12 +257,11 @@ def _chunks(
         raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")
     if isinstance(trace, ChunkSource):
         return trace.iter_chunks(chunk_rows, start_row=start_row)
-    columns = as_columnar(trace)
-    columns.validate()
+    trace.validate()
     budget = chunk_rows or DEFAULT_CHUNK_ROWS
-    rows = len(columns)
+    rows = len(trace)
     return (
-        (lo, _slice_columns(columns, lo, min(lo + budget, rows)))
+        (lo, _slice_columns(trace, lo, min(lo + budget, rows)))
         for lo in range(start_row, rows, budget)
     )
 
@@ -396,7 +391,7 @@ def _appliance(
 
 def _drive(
     state: dict,
-    trace: Union[Trace, ColumnarTrace, ChunkSource],
+    trace: Union[ColumnarTrace, ChunkSource],
     checkpoint_target: Optional[str],
     progress_every: Optional[int],
     progress_hook,
@@ -537,7 +532,7 @@ def _drive(
 
 
 def simulate(
-    trace: Union[Trace, ColumnarTrace, ChunkSource],
+    trace: Union[ColumnarTrace, ChunkSource],
     policy: AllocationPolicy,
     capacity_blocks: int,
     days: int,
@@ -557,11 +552,10 @@ def simulate(
     """Run one allocation policy over a trace.
 
     Args:
-        trace: chronological ensemble trace — object :class:`Trace`,
-            :class:`ColumnarTrace`, or an on-disk
-            :class:`~repro.traces.segments.SegmentStore`.  Both engines
-            read columns (an object trace is columnarized once); a
-            segment store is streamed chunk by chunk through either engine
+        trace: chronological ensemble trace — a :class:`ColumnarTrace`
+            or an on-disk :class:`~repro.traces.segments.SegmentStore`.
+            Both engines read columns; a segment store is streamed
+            chunk by chunk through either engine
             (bounded peak memory, bit-identical statistics, and a
             checkpoint after every chunk when checkpointing is on).
         policy: the allocation policy / sieve under test.
@@ -679,7 +673,7 @@ def simulate(
 
 def resume_simulation(
     path: Union[str, Path],
-    trace: Union[Trace, ColumnarTrace, ChunkSource, None] = None,
+    trace: Union[ColumnarTrace, ChunkSource, None] = None,
     checkpoint_path: Optional[Union[str, Path]] = None,
     progress_every: Optional[int] = None,
     progress_hook=None,

@@ -25,13 +25,12 @@ from repro.core.sievestore_d import SieveStoreD, SieveStoreDConfig
 from repro.core.windows import WindowSpec
 from repro.sim.engine import SimulationResult, simulate
 from repro.traces.columnar import BlockCounts, ColumnarTrace
-from repro.traces.model import Trace
 from repro.traces.segments import ChunkSource
-from repro.traces.streams import daily_block_counts
 from repro.util.units import BLOCK_BYTES, GIB
 
 if TYPE_CHECKING:
     from repro.sim.parallel import SuiteRun
+    from repro.traces.model import Trace
 
 #: Figure 5's configuration keys, in the paper's bar order.
 FIGURE5_POLICIES = (
@@ -62,61 +61,43 @@ class ExperimentContext:
     read — only ``build_policy("ideal", ...)`` and the analyses pay for
     it — unless the caller passes a list it already has.
 
-    ``trace`` may be held in either in-RAM representation, or be a
-    chunk source (segment store / shard view) for streamed replays.
-    Runs replay a chunk source as is and an in-RAM trace as
-    :meth:`columnar_trace`; :meth:`object_trace` serves callers that
-    want request objects (conversions are cached).
+    ``trace`` is an in-RAM :class:`ColumnarTrace` or a chunk source
+    (segment store / shard view) for streamed replays; runs replay it
+    as is.
     """
 
     def __init__(
         self,
-        trace: Union[Trace, ColumnarTrace, ChunkSource],
+        trace: Union[ColumnarTrace, ChunkSource],
         days: int,
         scale: float,
         daily_counts: Optional[List[BlockCounts]] = None,
         seed: int = 0,
-        columnar: Optional[ColumnarTrace] = None,
     ):
         self.trace = trace
         self.days = days
         self.scale = scale
         self.seed = seed
-        self.columnar = columnar
-        self._object_cache: Optional[Trace] = None
         if daily_counts is not None:
             self.daily_counts = daily_counts
 
     @cached_property
     def daily_counts(self) -> List[BlockCounts]:
-        """Per-day block access counts, from whichever form is at hand.
+        """Per-day block access counts of the trace.
 
-        Columns or a chunk source are counted vectorized; object-only
-        input takes the reference per-block walk — the two are asserted
-        identical by the test suite.  A chunk source is read at its
-        default chunk size; a caller with a tighter ``chunk_rows`` budget
-        counts it itself and passes the list in.
+        A chunk source is read at its default chunk size; a caller with
+        a tighter ``chunk_rows`` budget counts it itself and passes the
+        list in.
         """
-        source = self.columnar if self.columnar is not None else self.trace
-        if isinstance(source, Trace):
-            return daily_block_counts(source, self.days)
-        return source.daily_block_counts(self.days)
+        return self.trace.daily_block_counts(self.days)
 
-    def object_trace(self) -> Trace:
-        """The trace in object form (converted from columns if needed)."""
-        if isinstance(self.trace, Trace):
-            return self.trace
-        if self._object_cache is None:
-            self._object_cache = self.trace.to_trace()
-        return self._object_cache
+    def object_trace(self) -> "Trace":
+        """The in-RAM trace materialized as request objects."""
+        return self.trace.to_trace()
 
     def columnar_trace(self) -> ColumnarTrace:
-        """The trace in columnar form (converted from objects if needed)."""
-        if isinstance(self.trace, ColumnarTrace):
-            return self.trace
-        if self.columnar is None:
-            self.columnar = ColumnarTrace.from_trace(self.trace)
-        return self.columnar
+        """The in-RAM trace's columns."""
+        return self.trace
 
     def cache_blocks(self, full_scale_gib: float) -> int:
         """Scaled frame count for a full-scale cache size in GiB."""
@@ -140,23 +121,13 @@ class ExperimentContext:
 
 
 def context_for_trace(
-    trace: Union[Trace, ColumnarTrace],
+    trace: ColumnarTrace,
     days: int,
     scale: float,
     seed: int = 0,
-    columnar: Optional[ColumnarTrace] = None,
 ) -> ExperimentContext:
-    """Build the shared context for an in-RAM trace.
-
-    Accepts either trace representation; pass ``columnar`` alongside an
-    object ``trace`` when both forms already exist so neither gets
-    re-derived.
-    """
-    if isinstance(trace, ColumnarTrace):
-        columnar = trace
-    return ExperimentContext(
-        trace=trace, days=days, scale=scale, seed=seed, columnar=columnar
-    )
+    """Build the shared context for an in-RAM trace."""
+    return ExperimentContext(trace=trace, days=days, scale=scale, seed=seed)
 
 
 def build_policy(name: str, ctx: ExperimentContext) -> tuple:
@@ -202,14 +173,6 @@ def build_policy(name: str, ctx: ExperimentContext) -> tuple:
     return factories[name]()
 
 
-def _replayed(ctx: ExperimentContext) -> Union[ColumnarTrace, ChunkSource]:
-    """What a run over ``ctx`` replays: a chunk source streamed as is,
-    an in-RAM trace as columns."""
-    if isinstance(ctx.trace, ChunkSource):
-        return ctx.trace
-    return ctx.columnar_trace()
-
-
 def run_policy(
     name: str,
     ctx: ExperimentContext,
@@ -228,9 +191,8 @@ def run_policy(
 
     The one way a configuration is run: the suite, the shard workers
     and the CLI all come through here.  A chunk-source context streams
-    its store, an in-RAM one replays
-    :meth:`ExperimentContext.columnar_trace`, both in ``chunk_rows``-row
-    chunks.  ``fast_path``, ``fault_plan`` (a
+    its store, an in-RAM one cuts its columns, both into
+    ``chunk_rows``-row chunks.  ``fast_path``, ``fault_plan`` (a
     :class:`~repro.faults.plan.FaultPlan`), ``epoch_seconds``, the
     checkpoint arguments, the progress hook and ``chunk_rows`` are
     forwarded to :func:`~repro.sim.engine.simulate` unchanged; the
@@ -239,7 +201,7 @@ def run_policy(
     """
     policy, capacity = build_policy(name, ctx)
     return simulate(
-        _replayed(ctx),
+        ctx.trace,
         policy,
         capacity_blocks=capacity,
         days=ctx.days,
@@ -338,7 +300,7 @@ def sievestore_d_with_threshold(
         SieveStoreDConfig(threshold=threshold, capacity_blocks=ctx.sieved_capacity)
     )
     result = simulate(
-        _replayed(ctx), policy, ctx.sieved_capacity, ctx.days, track_minutes=False
+        ctx.trace, policy, ctx.sieved_capacity, ctx.days, track_minutes=False
     )
     result.policy_name = f"sievestore-d(t={threshold})"
     return result
@@ -360,7 +322,7 @@ def sievestore_d_with_epoch(
         )
     )
     result = simulate(
-        _replayed(ctx),
+        ctx.trace,
         policy,
         ctx.sieved_capacity,
         ctx.days,
@@ -390,7 +352,7 @@ def sievestore_c_with_window(
     )
     policy = SieveStoreC(config)
     result = simulate(
-        _replayed(ctx), policy, ctx.sieved_capacity, ctx.days, track_minutes=False
+        ctx.trace, policy, ctx.sieved_capacity, ctx.days, track_minutes=False
     )
     label = f"sievestore-c(W={window_hours}h,t1={config.t1},t2={config.t2}"
     if single_tier:

@@ -9,8 +9,8 @@ serial fallback, per-task metrics and ``SIEVESTORE_FAULT_INJECT``:
 
 * :func:`~repro.sim.experiment.run_policy_suite` — many policies over
   one trace.  The parent serializes the columnar trace once to a
-  temporary ``.npz`` file (far cheaper than pickling object traces per
-  task); each worker loads it once and rebuilds the
+  temporary ``.npz`` file (cheaper than pickling the trace per task);
+  each worker loads it once and rebuilds the
   :class:`~repro.sim.experiment.ExperimentContext` (per-day block
   counts recomputed vectorized, asserted identical to the reference by
   the test suite); each task pickles its full

@@ -1,14 +1,7 @@
-"""Columnar trace representation: the simulation hot path's substrate.
+"""Columnar trace representation: the trace form every data path reads.
 
-The object model (:class:`~repro.traces.model.Trace` holding one
-:class:`~repro.traces.model.IORequest` dataclass per request) is the
-readable reference representation, but allocating half a million frozen
-dataclasses — and re-deriving packed addresses, request kinds, and
-per-block expansions from them request by request — dominates the cost
-of replaying a trace through eight-plus allocation policies.
-
-:class:`ColumnarTrace` stores the same information as parallel numpy
-arrays, one row per request:
+:class:`ColumnarTrace` stores a chronological request trace as parallel
+numpy arrays, one row per request:
 
 =================  =========  ==========================================
 column             dtype      meaning
@@ -22,11 +15,14 @@ column             dtype      meaning
 ``aligned_4k``     bool       request starts/ends on 4-KB boundaries
 =================  =========  ==========================================
 
-The representation is **lossless**: :meth:`from_trace` /
-:meth:`to_trace` round-trip every field bit-for-bit (times are the very
-same float64 values, addresses the same packed integers), so the fast
-simulation path consuming columns is checked for equality against the
-object path rather than for approximate agreement.
+The generator, the MSR reader, the segment stores, both replay engines
+and the analyses all read and write these columns.  The object model
+(:class:`~repro.traces.model.Trace` holding one
+:class:`~repro.traces.model.IORequest` per request) is the readable
+reference the tests check against; :meth:`ColumnarTrace.to_trace`
+materializes it losslessly (times are the very same float64 values,
+addresses the same packed integers), so the columns are checked for
+equality against it rather than for approximate agreement.
 
 Columnar traces also serialize to ``.npz`` in one call, which is what
 the segment stores (:mod:`repro.traces.segments`, also the trace cache's
@@ -34,9 +30,9 @@ entries) and the parallel policy-suite workers share.
 
 :class:`BlockCounts` is the columnar form of one day's popularity — the
 distinct block addresses touched and how often — and the only one: every
-producer (the columns, a segment store or shard view, the object walk)
-returns it, and every consumer (the ideal sieve, the skew and ensemble
-analyses) reads its two arrays.
+producer (the columns, a segment store or shard view) returns it, and
+every consumer (the ideal sieve, the skew and ensemble analyses) reads
+its two arrays.
 """
 
 from __future__ import annotations
@@ -56,7 +52,6 @@ from repro.traces.model import (
     _OFFSET_MASK,
     _VOLUME_BITS,
     _VOLUME_MASK,
-    pack_address,
 )
 from repro.util.atomic import atomic_write
 from repro.util.intervals import SECONDS_PER_DAY, bucket_indices
@@ -327,11 +322,12 @@ class ColumnarTrace:
         return expand_blocks(self.address, self.block_count)[0]
 
     def daily_block_counts(self, days: int) -> List[BlockCounts]:
-        """Vectorized twin of :func:`repro.traces.streams.daily_block_counts`.
+        """Per-day block-address -> access count tables.
 
-        Returns identical per-day tables without the per-block Python
-        loop.  Requests issued past the last requested day are dropped,
-        as in the reference.
+        Every 512-byte block touched by a request contributes one
+        access, so a 16-block request adds one access to each of its 16
+        blocks.  Requests issued past the last requested day are
+        dropped.
         """
         if days <= 0:
             raise ValueError(f"days must be positive, got {days}")
@@ -368,7 +364,7 @@ class ColumnarTrace:
         server_id: Optional[int] = None,
         volume_id: Optional[int] = None,
     ) -> "ColumnarTrace":
-        """Restrict to one server and/or volume (cf. :meth:`Trace.filter`)."""
+        """Restrict to one server and/or volume."""
         mask = np.ones(len(self), dtype=np.bool_)
         if server_id is not None:
             mask &= self.server_ids == server_id
@@ -392,9 +388,8 @@ class ColumnarTrace:
     def sorted_by_issue(self) -> "ColumnarTrace":
         """Stable-sort rows by issue time (ties keep their input order).
 
-        Matches Python's stable ``sorted(key=issue_time)`` on the object
-        representation, so the two pipelines order simultaneous requests
-        identically.
+        Matches Python's stable ``sorted(key=issue_time)``, so
+        simultaneous requests keep their input order.
 
         Distinct keys have exactly one sorting permutation, so the
         (several times faster) unstable argsort gives the stable order
@@ -452,35 +447,6 @@ class ColumnarTrace:
         )
 
     # -- conversions -------------------------------------------------------
-    @classmethod
-    def from_trace(cls, trace: Trace) -> "ColumnarTrace":
-        """Columnarize an object trace (lossless)."""
-        n = len(trace)
-        issue = np.empty(n, dtype=np.float64)
-        completion = np.empty(n, dtype=np.float64)
-        address = np.empty(n, dtype=np.int64)
-        block_count = np.empty(n, dtype=np.int32)
-        is_write = np.empty(n, dtype=np.bool_)
-        aligned = np.empty(n, dtype=np.bool_)
-        for i, request in enumerate(trace.requests):
-            issue[i] = request.issue_time
-            completion[i] = request.completion_time
-            address[i] = pack_address(
-                request.server_id, request.volume_id, request.block_offset
-            )
-            block_count[i] = request.block_count
-            is_write[i] = request.is_write
-            aligned[i] = request.aligned_4k
-        return cls(
-            issue_time=issue,
-            completion_time=completion,
-            address=address,
-            block_count=block_count,
-            is_write=is_write,
-            aligned_4k=aligned,
-            description=trace.description,
-        )
-
     def to_trace(self) -> Trace:
         """Materialize the object representation (lossless inverse)."""
         issue = self.issue_time.tolist()
@@ -545,16 +511,3 @@ class ColumnarTrace:
                 description=str(payload["description"]),
             )
 
-
-def as_columnar(trace: Union[Trace, ColumnarTrace]) -> ColumnarTrace:
-    """Coerce either trace representation to columns."""
-    if isinstance(trace, ColumnarTrace):
-        return trace
-    return ColumnarTrace.from_trace(trace)
-
-
-def as_object_trace(trace: Union[Trace, ColumnarTrace]) -> Trace:
-    """Coerce either trace representation to the object model."""
-    if isinstance(trace, ColumnarTrace):
-        return trace.to_trace()
-    return trace

@@ -5,6 +5,11 @@ describing a multi-block read or write issued by one server against one
 of its volumes — the same shape as the MSR Cambridge block traces the
 paper analyses (requests to block devices *below* the buffer cache).
 
+Every data path reads the columnar form
+(:class:`~repro.traces.columnar.ColumnarTrace`); this object form is the
+readable reference the tests check the columns against, materialized
+only by :meth:`~repro.traces.columnar.ColumnarTrace.to_trace`.
+
 Block addresses are global: ``BlockAddress`` packs (server, volume,
 block-offset) into a single integer so the ensemble-level cache and the
 sieves can treat the whole ensemble as one address space, while the
@@ -15,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.util.units import BLOCK_BYTES
 
@@ -249,35 +254,3 @@ class Trace:
     def total_blocks(self) -> int:
         """Total number of 512-byte block accesses in the trace."""
         return sum(r.block_count for r in self.requests)
-
-    def filter(
-        self,
-        server_id: Optional[int] = None,
-        volume_id: Optional[int] = None,
-    ) -> "Trace":
-        """Return a new trace restricted to one server and/or volume."""
-        kept = [
-            r
-            for r in self.requests
-            if (server_id is None or r.server_id == server_id)
-            and (volume_id is None or r.volume_id == volume_id)
-        ]
-        suffix = []
-        if server_id is not None:
-            suffix.append(f"server={server_id}")
-        if volume_id is not None:
-            suffix.append(f"volume={volume_id}")
-        return Trace(kept, description=f"{self.description} [{', '.join(suffix)}]")
-
-
-def merge_traces(traces: Sequence[Trace], description: str = "") -> Trace:
-    """Merge per-server traces into one chronological ensemble trace.
-
-    Uses a stable merge by issue time, so simultaneous requests keep
-    their input order (deterministic for seeded generators).
-    """
-    merged = sorted(
-        (request for trace in traces for request in trace.requests),
-        key=lambda r: r.issue_time,
-    )
-    return Trace(merged, description=description or "merged ensemble trace")

@@ -7,9 +7,9 @@ distributed as CSV with the schema::
 
 where ``Timestamp`` is a Windows filetime (100-ns ticks), ``Offset`` and
 ``Size`` are bytes, and ``ResponseTime`` is in 100-ns ticks.  This module
-reads that format into :class:`repro.traces.model.Trace` objects (and
-writes our traces back out in the same format) so the reproduction can
-be driven by the real traces when they are available.
+reads that format into a :class:`~repro.traces.columnar.ColumnarTrace`
+(and writes columns back out in the same format) so the reproduction
+can be driven by the real traces when they are available.
 """
 
 from __future__ import annotations
@@ -19,7 +19,15 @@ import io
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.traces.model import IOKind, IORequest, Trace
+import numpy as np
+
+from repro.traces.columnar import ColumnarTrace
+from repro.traces.model import (
+    MAX_BLOCK_OFFSET,
+    MAX_VOLUME_ID,
+    pack_address,
+    unpack_address,
+)
 from repro.util.atomic import atomic_write
 from repro.util.units import BLOCK_BYTES, IO_UNIT_BYTES
 
@@ -35,8 +43,8 @@ def read_msr_csv(
     path: Union[str, Path],
     server_ids: Optional[Dict[str, int]] = None,
     epoch_ticks: Optional[int] = None,
-) -> Trace:
-    """Read an MSR-Cambridge CSV trace file.
+) -> ColumnarTrace:
+    """Read an MSR-Cambridge CSV trace file into columns.
 
     Args:
         path: the CSV file.
@@ -46,46 +54,80 @@ def read_msr_csv(
             the first record's timestamp.
 
     Returns:
-        a chronological :class:`Trace`.
+        a chronological :class:`ColumnarTrace` (rows stable-sorted by
+        issue time).
+
+    Raises:
+        ValueError: ``line N: ...`` for the first row that is short, not
+            numeric, or names a block no packed address can hold (a
+            negative offset, a volume id past ``MAX_VOLUME_ID``), or
+            that the CSV parser refuses.
     """
     path = Path(path)
     hostname_ids: Dict[str, int] = dict(server_ids or {})
-    requests: List[IORequest] = []
+    columns: List[list] = [[], [], [], [], [], []]
     with path.open(newline="") as handle:
-        for row in csv.reader(handle):
-            if not row or row[0].startswith("#"):
-                continue
-            ticks, hostname, disk, kind, offset, size, response = row[:7]
-            ticks_i = int(ticks)
-            if epoch_ticks is None:
-                epoch_ticks = ticks_i
-            if hostname not in hostname_ids:
-                hostname_ids[hostname] = len(hostname_ids)
-            offset_bytes = int(offset)
-            size_bytes = max(int(size), 1)
-            issue = (ticks_i - epoch_ticks) / TICKS_PER_SECOND
-            completion = issue + int(response) / TICKS_PER_SECOND
-            requests.append(
-                IORequest(
-                    issue_time=issue,
-                    completion_time=max(completion, issue),
-                    server_id=hostname_ids[hostname],
-                    volume_id=int(disk),
-                    block_offset=offset_bytes // BLOCK_BYTES,
-                    block_count=max(
-                        1,
-                        -(-(offset_bytes % BLOCK_BYTES + size_bytes) // BLOCK_BYTES),
-                    ),
-                    kind=IOKind.READ if kind.strip().lower() == "read" else IOKind.WRITE,
-                    aligned_4k=_is_4k_aligned(offset_bytes, size_bytes),
-                )
-            )
-    requests.sort(key=lambda r: r.issue_time)
-    return Trace(requests, description=f"MSR trace from {path.name}")
+        reader = csv.reader(handle)
+        try:
+            for row in reader:
+                if row and not row[0].startswith("#"):
+                    epoch_ticks = _read_row(row, hostname_ids, epoch_ticks, columns)
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
+    issue, completion, address, block_count, is_write, aligned = columns
+    return ColumnarTrace(
+        issue_time=np.array(issue, dtype=np.float64),
+        completion_time=np.array(completion, dtype=np.float64),
+        address=np.array(address, dtype=np.int64),
+        block_count=np.array(block_count, dtype=np.int32),
+        is_write=np.array(is_write, dtype=np.bool_),
+        aligned_4k=np.array(aligned, dtype=np.bool_),
+        description=f"MSR trace from {path.name}",
+    ).sorted_by_issue()
+
+
+def _read_row(
+    row: List[str],
+    hostname_ids: Dict[str, int],
+    epoch_ticks: Optional[int],
+    columns: List[list],
+) -> int:
+    """Append one CSV record to ``columns``; returns the trace epoch."""
+    if len(row) < 7:
+        raise ValueError(f"expected 7 fields, got {len(row)}")
+    ticks, hostname, disk, kind, offset, size, response = row[:7]
+    ticks_i = int(ticks)
+    if epoch_ticks is None:
+        epoch_ticks = ticks_i
+    offset_bytes = int(offset)
+    size_bytes = max(int(size), 1)
+    volume_id = int(disk)
+    block_offset = offset_bytes // BLOCK_BYTES
+    block_count = -(-(offset_bytes % BLOCK_BYTES + size_bytes) // BLOCK_BYTES)
+    if not 0 <= block_offset <= MAX_BLOCK_OFFSET:
+        raise ValueError(f"offset out of range: {offset_bytes}")
+    if not 0 <= volume_id <= MAX_VOLUME_ID:
+        raise ValueError(f"volume id out of range: {volume_id}")
+    if block_count <= 0:
+        raise ValueError(f"block count must be positive, got {block_count}")
+    issue = (ticks_i - epoch_ticks) / TICKS_PER_SECOND
+    completion = issue + int(response) / TICKS_PER_SECOND
+    if hostname not in hostname_ids:
+        hostname_ids[hostname] = len(hostname_ids)
+    for column, value in zip(columns, (
+        issue,
+        max(completion, issue),
+        pack_address(hostname_ids[hostname], volume_id, block_offset),
+        block_count,
+        kind.strip().lower() != "read",
+        _is_4k_aligned(offset_bytes, size_bytes),
+    )):
+        column.append(value)
+    return epoch_ticks
 
 
 def write_msr_csv(
-    trace: Trace,
+    trace: ColumnarTrace,
     path: Union[str, Path],
     hostnames: Optional[Dict[int, str]] = None,
 ) -> None:
@@ -101,21 +143,23 @@ def write_msr_csv(
         # at the end so atomic_write can still flush/fsync the file.
         wrapper = io.TextIOWrapper(handle, encoding="utf-8", newline="")
         writer = csv.writer(wrapper)
-        for request in trace:
+        for issue, completion, address, blocks, is_write in zip(
+            trace.issue_time.tolist(),
+            trace.completion_time.tolist(),
+            trace.address.tolist(),
+            trace.block_count.tolist(),
+            trace.is_write.tolist(),
+        ):
+            server, volume, block_offset = unpack_address(address)
             writer.writerow(
                 [
-                    int(round(request.issue_time * TICKS_PER_SECOND)),
-                    names.get(request.server_id, f"srv{request.server_id}"),
-                    request.volume_id,
-                    "Read" if request.is_read else "Write",
-                    request.block_offset * BLOCK_BYTES,
-                    request.block_count * BLOCK_BYTES,
-                    int(
-                        round(
-                            (request.completion_time - request.issue_time)
-                            * TICKS_PER_SECOND
-                        )
-                    ),
+                    int(round(issue * TICKS_PER_SECOND)),
+                    names.get(server, f"srv{server}"),
+                    volume,
+                    "Write" if is_write else "Read",
+                    block_offset * BLOCK_BYTES,
+                    blocks * BLOCK_BYTES,
+                    int(round((completion - issue) * TICKS_PER_SECOND)),
                 ]
             )
         wrapper.flush()

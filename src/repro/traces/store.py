@@ -38,7 +38,6 @@ from typing import Optional, Union
 
 from repro.traces.columnar import ColumnarTrace
 from repro.traces.segments import MANIFEST_NAME, SegmentError, SegmentStore
-from repro.traces.model import Trace
 from repro.traces.synthetic import EnsembleTraceGenerator, SyntheticTraceConfig
 
 #: Bump to invalidate every cached trace (e.g. when the generator's
@@ -267,10 +266,3 @@ def _evict(target: Path, exc: SegmentError) -> None:
     )
     shutil.rmtree(target, ignore_errors=True)
 
-
-def load_or_generate_trace(
-    config: SyntheticTraceConfig,
-    cache_dir: Optional[Union[str, Path]] = None,
-) -> Trace:
-    """Object-trace convenience over :func:`load_or_generate_columnar`."""
-    return load_or_generate_columnar(config, cache_dir).to_trace()

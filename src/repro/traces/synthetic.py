@@ -64,7 +64,6 @@ from repro.traces.columnar import ColumnarTrace
 from repro.traces.model import (
     MAX_BLOCK_OFFSET,
     MAX_VOLUME_ID,
-    Trace,
     _OFFSET_BITS,
     _VOLUME_BITS,
 )
@@ -329,34 +328,26 @@ class EnsembleTraceGenerator:
     Usage::
 
         gen = EnsembleTraceGenerator(SyntheticTraceConfig(scale=1e-4))
-        trace = gen.generate()            # full chronological ensemble trace
-        columns = gen.generate_columnar() # same trace as parallel arrays
+        columns = gen.generate_columnar()  # full chronological ensemble trace
 
     The generator produces columns natively, one trace day at a time: a
     draw step per (server, volume) makes that volume-day's seeded random
     draws, and one assembly turns the whole day's draws into the day's
     columns, in (server, volume) order, then sorts the day by issue
     time.  Every output -- the whole trace, the day stream, a segment
-    store, the object form -- is those sorted days, so every view
-    describes bit-for-bit the same requests.
+    store -- is those sorted days, so every view describes bit-for-bit
+    the same requests.
     """
 
     def __init__(self, config: SyntheticTraceConfig):
         self.config = config
         self._hot_pools: Dict[Tuple[int, int], _VolumeHotPool] = {}
-        self._trace: Optional[Trace] = None
         self._columnar: Optional[ColumnarTrace] = None
         self._consumed = False
 
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def generate(self) -> Trace:
-        """Generate (and cache) the full ensemble trace (object form)."""
-        if self._trace is None:
-            self._trace = self.generate_columnar().to_trace()
-        return self._trace
-
     def generate_columnar(self) -> ColumnarTrace:
         """Generate (and cache) the full ensemble trace as columns: the
         days of :meth:`iter_day_columnar`, concatenated."""
@@ -1064,7 +1055,3 @@ class EnsembleTraceGenerator:
         odd_choice = rng.integers(0, len(_ODD_LENGTHS), size=n_unaligned)
         return unaligned, length_draws, odd_choice, rng.integers(1, 8, size=n_unaligned)
 
-
-def generate_ensemble_trace(config: Optional[SyntheticTraceConfig] = None) -> Trace:
-    """Convenience wrapper: generate the full ensemble trace."""
-    return EnsembleTraceGenerator(config or SyntheticTraceConfig()).generate()

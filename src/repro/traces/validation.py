@@ -24,8 +24,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.traces.model import Trace
-from repro.traces.streams import daily_access_totals, daily_block_counts
+from repro.traces.columnar import ColumnarTrace
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,7 @@ def _mean_over_days(values: Sequence[float], skip_first: bool) -> float:
 
 
 def validate_trace(
-    trace: Trace,
+    trace: ColumnarTrace,
     days: Optional[int] = None,
     skip_first_day: bool = True,
 ) -> ValidationReport:
@@ -94,8 +93,8 @@ def validate_trace(
     """
     if days is None:
         days = max(1, int(trace.duration // 86400) + 1)
-    counts = daily_block_counts(trace, days)
-    totals = daily_access_totals(trace, days)
+    counts = trace.daily_block_counts(days)
+    totals = [table.total() for table in counts]
 
     top1_shares: List[float] = []
     le10: List[float] = []
@@ -129,9 +128,9 @@ def validate_trace(
                 shared = len(np.intersect1d(prev_hot, today_hot))
                 drift.append(1.0 - shared / max(len(today_hot), 1))
 
-    reads = sum(r.block_count for r in trace if r.is_read)
+    reads = int(trace.block_count[~trace.is_write].sum(dtype=np.int64))
     total_blocks = max(1, trace.total_blocks())
-    aligned = sum(1 for r in trace if r.aligned_4k) / max(1, len(trace))
+    aligned = int(np.count_nonzero(trace.aligned_4k)) / max(1, len(trace))
 
     checks = [
         Check(

@@ -18,8 +18,7 @@ from repro.ensemble.per_server import ensemble_ideal_shares, per_server_ideal_sh
 from repro.ensemble.scaling import scaling_profile
 from repro.sim import run_policy
 from repro.sim.serialize import stats_to_dict
-from repro.traces.columnar import ColumnarTrace
-from repro.traces.streams import daily_block_counts
+from tests.oracle import daily_block_counts
 
 ENSEMBLE_SHARES = [
     0.0610576049427585, 0.22949646417312772, 0.14504494901041112,
@@ -56,9 +55,9 @@ def digest(payload) -> str:
 def analyses(request, tiny_trace, tiny_trace_config):
     days = tiny_trace_config.days
     if request.param == "object-walk":
-        counts = daily_block_counts(tiny_trace, days)
+        counts = daily_block_counts(tiny_trace.to_trace(), days)
     else:
-        counts = ColumnarTrace.from_trace(tiny_trace).daily_block_counts(days)
+        counts = tiny_trace.daily_block_counts(days)
     return {
         "ensemble_ideal_shares": ensemble_ideal_shares(counts),
         "per_server_ideal_shares": per_server_ideal_shares(counts),

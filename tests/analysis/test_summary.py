@@ -3,7 +3,8 @@
 import pytest
 
 from repro.analysis.summary import summarize_trace, summary_rows
-from repro.traces.model import IOKind, IORequest, Trace
+from repro.traces.model import IOKind, IORequest
+from tests.oracle import columns_of
 
 
 def req(server=0, blocks=4, kind=IOKind.READ, issue=0.0, aligned=True):
@@ -21,13 +22,13 @@ def req(server=0, blocks=4, kind=IOKind.READ, issue=0.0, aligned=True):
 
 class TestSummarizeTrace:
     def test_empty_trace(self):
-        summary = summarize_trace(Trace([]))
+        summary = summarize_trace(columns_of([]))
         assert summary.requests == 0
         assert summary.days == 0
         assert summary.read_fraction == 0.0
 
     def test_counts(self):
-        trace = Trace([req(blocks=4), req(blocks=8, kind=IOKind.WRITE)])
+        trace = columns_of([req(blocks=4), req(blocks=8, kind=IOKind.WRITE)])
         summary = summarize_trace(trace)
         assert summary.requests == 2
         assert summary.block_accesses == 12
@@ -35,21 +36,21 @@ class TestSummarizeTrace:
         assert summary.read_fraction == pytest.approx(4 / 12)
 
     def test_per_server_split(self):
-        trace = Trace([req(server=1), req(server=2), req(server=1)])
+        trace = columns_of([req(server=1), req(server=2), req(server=1)])
         summary = summarize_trace(trace)
         assert [s.server_id for s in summary.servers] == [1, 2]
         assert summary.servers[0].requests == 2
 
     def test_alignment_fraction(self):
-        trace = Trace([req(aligned=True), req(aligned=False)])
+        trace = columns_of([req(aligned=True), req(aligned=False)])
         assert summarize_trace(trace).aligned_fraction == 0.5
 
     def test_days_from_last_issue(self):
-        trace = Trace([req(issue=0.0), req(issue=2 * 86400 + 5)])
+        trace = columns_of([req(issue=0.0), req(issue=2 * 86400 + 5)])
         assert summarize_trace(trace).days == 3
 
     def test_size_histogram(self):
-        trace = Trace([req(blocks=1), req(blocks=3), req(blocks=16),
+        trace = columns_of([req(blocks=1), req(blocks=3), req(blocks=16),
                        req(blocks=100)])
         histogram = summarize_trace(trace).request_size_histogram
         assert histogram == {"<=1": 1, "2-4": 1, "9-16": 1, ">64": 1}

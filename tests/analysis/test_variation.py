@@ -70,9 +70,9 @@ class TestCumulativeCurve:
 class TestFigure3OnSyntheticTrace:
     """O2 on the generated ensemble: the Figure 3 contrasts must hold."""
 
-    def test_proxy_more_skewed_than_source_control(self, tiny_trace):
+    def test_proxy_more_skewed_than_source_control(self, tiny_context):
         # Figure 3(a): Prxy extremely skewed, Src1 near-linear.
-        ginis = server_day_gini(tiny_trace, days=8)
+        ginis = server_day_gini(tiny_context.daily_counts)
         prxy = next(s.server_id for s in PAPER_SERVERS if s.key == "prxy")
         src1 = next(s.server_id for s in PAPER_SERVERS if s.key == "src1")
         prxy_mean = sum(ginis[prxy][1:]) / 7
@@ -85,10 +85,10 @@ class TestFigure3OnSyntheticTrace:
         by_volume = volume_gini(tiny_trace, web, days=8)
         assert by_volume[0] > by_volume[1]
 
-    def test_staging_varies_across_days(self, tiny_trace):
+    def test_staging_varies_across_days(self, tiny_context):
         # Figure 3(c): Stg's day-to-day skew swings.
         stg = next(s.server_id for s in PAPER_SERVERS if s.key == "stg")
-        values = server_day_gini(tiny_trace, days=8)[stg][1:]
+        values = server_day_gini(tiny_context.daily_counts)[stg][1:]
         assert max(values) - min(values) > 0.03
 
 

@@ -122,24 +122,6 @@ class TestLRU:
         assert cache.insert(10) == reference[0]
 
 
-class TestRemoveDiscard:
-    def test_remove(self):
-        cache = BlockCache(4)
-        cache.insert(5)
-        cache.remove(5)
-        assert 5 not in cache
-
-    def test_remove_missing_raises(self):
-        with pytest.raises(KeyError):
-            BlockCache(4).remove(1)
-
-    def test_discard(self):
-        cache = BlockCache(4)
-        cache.insert(5)
-        assert cache.discard(5)
-        assert not cache.discard(5)
-
-
 class TestBatchReplace:
     """SieveStore-D's epoch-boundary batch allocation semantics."""
 
@@ -193,7 +175,7 @@ class TestInvariants:
         ops=st.lists(
             st.tuples(
                 st.sampled_from(
-                    ["insert", "access", "discard", "remove", "replace", "clear"]
+                    ["insert", "access", "replace", "clear"]
                 ),
                 st.integers(min_value=0, max_value=30),
             ),
@@ -219,16 +201,6 @@ class TestInvariants:
                 assert access(cache, address) == (address in model)
                 if address in model:
                     model.move_to_end(address)
-            elif op == "discard":
-                assert cache.discard(address) == (address in model)
-                model.pop(address, None)
-            elif op == "remove":
-                if address in model:
-                    cache.remove(address)
-                    del model[address]
-                else:
-                    with pytest.raises(KeyError):
-                        cache.remove(address)
             elif op == "replace":
                 # A batch of up to `capacity` blocks around the address.
                 batch = set(range(address, address + capacity, 2))

@@ -29,8 +29,8 @@ def tiny_generator(tiny_trace_config):
 
 @pytest.fixture(scope="session")
 def tiny_trace(tiny_generator):
-    """The shared 8-day synthetic ensemble trace (read-only)."""
-    return tiny_generator.generate()
+    """The shared 8-day synthetic ensemble trace's columns (read-only)."""
+    return tiny_generator.generate_columnar()
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from repro.cache.allocation import AllocateOnDemand
@@ -95,8 +96,8 @@ class TestClusterSimulation:
             nodes=2,
             server_ids=[0, 5],
         )
-        in_scope = sum(
-            r.block_count for r in tiny_trace if r.server_id in (0, 5)
+        in_scope = int(
+            tiny_trace.block_count[np.isin(tiny_trace.server_ids, [0, 5])].sum()
         )
         assert result.total.accesses == in_scope
 

@@ -12,8 +12,9 @@ from repro.cache import AllocateOnDemand, BlockCache
 from repro.core.sievestore_c import SieveStoreC, SieveStoreCConfig
 from repro.core.sievestore_d import SieveStoreD
 from repro.sim.engine import simulate
-from repro.traces.model import IOKind, IORequest, Trace
+from repro.traces.model import IOKind, IORequest
 from repro.util.intervals import SECONDS_PER_DAY
+from tests.oracle import columns_of
 
 
 def req(day=0, offset_s=0.0, **kw):
@@ -28,31 +29,31 @@ def req(day=0, offset_s=0.0, **kw):
 
 class TestDegenerateTraces:
     def test_empty_trace_simulates(self):
-        result = simulate(Trace([]), AllocateOnDemand(), 8, days=3,
+        result = simulate(columns_of([]), AllocateOnDemand(), 8, days=3,
                           track_minutes=False)
         assert result.stats.total.accesses == 0
         assert all(d.hit_ratio == 0.0 for d in result.stats.per_day)
 
     def test_single_request(self):
-        result = simulate(Trace([req()]), AllocateOnDemand(), 8, days=1,
+        result = simulate(columns_of([req()]), AllocateOnDemand(), 8, days=1,
                           track_minutes=False)
         assert result.stats.total.accesses == 2
 
     def test_idle_middle_day(self):
-        trace = Trace([req(day=0), req(day=2)])
+        trace = columns_of([req(day=0), req(day=2)])
         result = simulate(trace, AllocateOnDemand(), 8, days=3,
                           track_minutes=False)
         assert result.stats.per_day[1].accesses == 0
 
     def test_requests_past_configured_days_clamp(self):
-        trace = Trace([req(day=9)])
+        trace = columns_of([req(day=9)])
         result = simulate(trace, AllocateOnDemand(), 8, days=3,
                           track_minutes=False)
         # Clamped into the last day rather than lost or crashing.
         assert result.stats.per_day[2].accesses == 2
 
     def test_one_frame_cache(self):
-        trace = Trace([req(offset_s=i, block_offset=i * 4) for i in range(10)])
+        trace = columns_of([req(offset_s=i, block_offset=i * 4) for i in range(10)])
         result = simulate(trace, AllocateOnDemand(), 1, days=1,
                           track_minutes=False)
         assert len(result.cache) == 1

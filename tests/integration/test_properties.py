@@ -20,7 +20,8 @@ from repro.core.windows import WindowSpec
 from repro.sim.engine import simulate
 from repro.ssd.device import INTEL_X25E
 from repro.ssd.occupancy import occupancy_from_stats
-from repro.traces.model import IOKind, IORequest, Trace
+from repro.traces.model import IOKind, IORequest
+from tests.oracle import columns_of
 
 
 # ---------------------------------------------------------------------------
@@ -45,14 +46,14 @@ def random_traces(draw, max_requests=60, max_offset=40):
                 kind=draw(st.sampled_from([IOKind.READ, IOKind.WRITE])),
             )
         )
-    return Trace(requests)
+    return columns_of(requests)
 
 
 def reference_lru_aod(trace, capacity, write_allocate=True):
     """Brute-force demand-fill LRU over the block stream."""
     lru = OrderedDict()
     hits = misses = allocs = 0
-    for request in trace:
+    for request in trace.to_trace():
         for address in request.addresses():
             if address in lru:
                 hits += 1
@@ -159,7 +160,7 @@ class TestSieveProperties:
                               window=WindowSpec(1e9, 4))
         )
         seen = set()
-        for request in trace:
+        for request in trace.to_trace():
             for address in request.addresses():
                 first_touch = address not in seen
                 seen.add(address)

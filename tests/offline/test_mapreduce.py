@@ -117,8 +117,8 @@ class TestEpochAllocation:
 
 class TestLogTraceDay:
     def test_logs_every_block(self, tmp_path, tiny_trace):
-        requests = tiny_trace.requests[:50]
+        rows = tiny_trace.take(slice(50))
         with AccessLog(tmp_path, partitions=4) as log:
-            written = log_trace_day(log, requests)
-        assert written == sum(r.block_count for r in requests)
+            written = log_trace_day(log, rows)
+        assert written == rows.total_blocks()
         assert sum(reduce_all(log).values()) == written

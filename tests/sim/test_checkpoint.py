@@ -18,7 +18,6 @@ from repro.sim.serialize import (
     save_checkpoint,
     stats_to_dict,
 )
-from repro.traces.model import Trace
 from repro.util.intervals import SECONDS_PER_DAY
 
 #: Cadence chosen so the final checkpoint of the shared tiny trace
@@ -29,7 +28,7 @@ EVERY = 997
 def run(ctx, policy_name="sievestore-d", fast=False, track_minutes=False,
         **kwargs):
     policy, capacity = build_policy(policy_name, ctx)
-    trace = ctx.columnar_trace() if fast else ctx.object_trace()
+    trace = ctx.columnar_trace()
     return simulate(
         trace, policy, capacity_blocks=capacity, days=ctx.days,
         track_minutes=track_minutes, fast_path=fast, label=policy_name,
@@ -116,12 +115,8 @@ class TestResumeEquivalence:
         # mid-trace state.  Resuming replays only the tail, yet per-day
         # AND per-minute statistics come out bit-identical.
         cursor = load_checkpoint(path)["cursor"]
-        assert 0 < cursor < len(tiny_context.object_trace().requests)
-        trace = (
-            tiny_context.columnar_trace()
-            if fast
-            else tiny_context.object_trace()
-        )
+        assert 0 < cursor < len(tiny_context.columnar_trace())
+        trace = tiny_context.columnar_trace()
         with runtime.scoped_registry() as metrics:
             resumed = resume_simulation(path, trace)
         assert resumed.engine == ("fast" if fast else "object")
@@ -150,7 +145,7 @@ class TestResumeEquivalence:
     def test_resume_rejects_mismatched_trace(self, tiny_context, tmp_path):
         path = tmp_path / "c.ckpt"
         run(tiny_context, checkpoint_path=path, checkpoint_every=EVERY)
-        wrong = Trace(tiny_context.object_trace().requests[:100])
+        wrong = tiny_context.columnar_trace().take(slice(100))
         with pytest.raises(CheckpointError, match="does not match"):
             resume_simulation(path, wrong)
 
@@ -168,7 +163,7 @@ class TestResumeEquivalence:
         path = tmp_path / "f.ckpt"
         run(tiny_context, policy_name="aod-16", fault_plan=plan,
             checkpoint_path=path, checkpoint_every=EVERY)
-        resumed = resume_simulation(path, tiny_context.object_trace())
+        resumed = resume_simulation(path, tiny_context.columnar_trace())
         # The injector's RNG stream and wear state ride inside the
         # checkpoint, so even probabilistic error draws replay exactly.
         assert stats_to_dict(resumed.stats) == stats_to_dict(baseline.stats)

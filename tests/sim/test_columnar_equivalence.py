@@ -17,8 +17,8 @@ from repro.cache.write_policy import WriteMode
 from repro.core.autotune import AdaptiveSieveStoreC, AutoThresholdSieveStoreD
 from repro.core.sievestore_c import SieveStoreCConfig
 from repro.sim.engine import simulate
-from repro.sim.experiment import build_policy, context_for_trace
-from repro.traces.columnar import ColumnarTrace
+from repro.sim.experiment import build_policy
+from tests.oracle import daily_block_counts
 
 #: One representative per policy family (plus ideal's oracle batching).
 EQUIVALENCE_POLICIES = (
@@ -58,7 +58,7 @@ def run_both(name, ctx, **kwargs):
     policy_slow, capacity = make_policy(name, ctx)
     policy_fast, _ = make_policy(name, ctx)
     slow = simulate(
-        ctx.object_trace(), policy_slow, capacity, ctx.days,
+        ctx.columnar_trace(), policy_slow, capacity, ctx.days,
         fast_path=False, **kwargs,
     )
     # Several chunks on the fast side: chunk edges must not show.
@@ -91,37 +91,6 @@ def test_fast_path_identical_with_sub_day_epochs(tiny_context):
     assert_identical(slow, fast)
 
 
-def test_fast_path_accepts_object_trace(tiny_context):
-    # Callers can pass either representation; coercion happens inside.
-    policy, capacity = build_policy("aod-16", tiny_context)
-    via_object = simulate(
-        tiny_context.object_trace(), policy, capacity, tiny_context.days,
-        fast_path=True,
-    )
-    policy2, _ = build_policy("aod-16", tiny_context)
-    via_columns = simulate(
-        tiny_context.columnar_trace(), policy2, capacity, tiny_context.days,
-        fast_path=True,
-    )
-    assert (via_object.engine, via_columns.engine) == ("fast", "fast")
-    assert via_object.stats.per_day == via_columns.stats.per_day
-
-
-def test_object_path_accepts_columnar_trace(tiny_context):
-    policy, capacity = build_policy("aod-16", tiny_context)
-    result = simulate(
-        tiny_context.columnar_trace(), policy, capacity, tiny_context.days,
-        fast_path=False,
-    )
-    policy2, _ = build_policy("aod-16", tiny_context)
-    reference = simulate(
-        tiny_context.object_trace(), policy2, capacity, tiny_context.days,
-        fast_path=False,
-    )
-    assert (result.engine, reference.engine) == ("object", "object")
-    assert result.stats.per_day == reference.stats.per_day
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [{"write_mode": WriteMode.WRITE_BACK}],
@@ -134,7 +103,7 @@ def test_unsupported_configs_fall_back(kwargs, tiny_context):
     policy_slow, capacity = build_policy("aod-16", tiny_context)
     policy_fast, _ = build_policy("aod-16", tiny_context)
     reference = simulate(
-        tiny_context.object_trace(), policy_slow, capacity,
+        tiny_context.columnar_trace(), policy_slow, capacity,
         tiny_context.days, fast_path=False, **kwargs,
     )
     fallback = simulate(
@@ -146,14 +115,8 @@ def test_unsupported_configs_fall_back(kwargs, tiny_context):
     assert fallback.stats.per_minute == reference.stats.per_minute
 
 
-def test_context_daily_counts_from_columns(tiny_trace, tiny_trace_config):
-    # A columnar-seeded context computes the oracle counts vectorized;
-    # they must equal the reference context's per-block walk.
-    columns = ColumnarTrace.from_trace(tiny_trace)
-    reference = context_for_trace(
-        tiny_trace, days=tiny_trace_config.days, scale=tiny_trace_config.scale
-    )
-    columnar = context_for_trace(
-        columns, days=tiny_trace_config.days, scale=tiny_trace_config.scale
-    )
-    assert columnar.daily_counts == reference.daily_counts
+def test_context_daily_counts_from_columns(tiny_trace, tiny_context):
+    # The context counts its columns vectorized; they must equal the
+    # oracle's per-block walk.
+    reference = daily_block_counts(tiny_trace.to_trace(), tiny_context.days)
+    assert tiny_context.daily_counts == reference

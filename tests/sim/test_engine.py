@@ -12,8 +12,9 @@ from repro.core.sievestore_d import SieveStoreD, SieveStoreDConfig
 from repro.faults.plan import FaultPlan, OutageWindow
 from repro.sim.engine import resume_simulation, simulate, total_epoch_count
 from repro.traces.columnar import ColumnarTrace
-from repro.traces.model import IOKind, IORequest, Trace
+from repro.traces.model import IOKind, IORequest
 from repro.util.intervals import SECONDS_PER_DAY
+from tests.oracle import columns_of
 
 
 def req(day, offset_s, block_offset=0, blocks=2, kind=IOKind.READ):
@@ -31,7 +32,7 @@ def req(day, offset_s, block_offset=0, blocks=2, kind=IOKind.READ):
 
 class TestBasicRuns:
     def test_aod_counts(self):
-        trace = Trace([req(0, 1.0), req(0, 2.0)])
+        trace = columns_of([req(0, 1.0), req(0, 2.0)])
         result = simulate(trace, AllocateOnDemand(), 16, days=1)
         total = result.stats.total
         assert total.accesses == 4
@@ -39,36 +40,36 @@ class TestBasicRuns:
         assert total.allocation_writes == 2
 
     def test_never_allocate_never_hits(self):
-        trace = Trace([req(0, 1.0), req(0, 2.0)])
+        trace = columns_of([req(0, 1.0), req(0, 2.0)])
         result = simulate(trace, NeverAllocate(), 16, days=1)
         assert result.stats.total.hits == 0
         assert result.stats.total.allocation_writes == 0
 
     def test_consistency_always_checked(self):
-        trace = Trace([req(0, 1.0)])
+        trace = columns_of([req(0, 1.0)])
         result = simulate(trace, AllocateOnDemand(), 16, days=1)
         result.stats.check_consistency()
 
     def test_wall_time_recorded(self):
-        trace = Trace([req(0, 1.0)])
+        trace = columns_of([req(0, 1.0)])
         assert simulate(trace, AllocateOnDemand(), 4, days=1).wall_seconds >= 0
 
 
 class TestEpochBoundaries:
     def test_static_set_installed_before_first_request(self):
-        trace = Trace([req(0, 1.0)])
+        trace = columns_of([req(0, 1.0)])
         result = simulate(trace, StaticSet({0, 1}), 16, days=1)
         assert result.stats.total.hits == 2
 
     def test_discrete_policy_sees_every_boundary(self):
         policy = SieveStoreD(SieveStoreDConfig(threshold=0))
-        trace = Trace([req(0, 1.0), req(2, 1.0)])  # day 1 idle
+        trace = columns_of([req(0, 1.0), req(2, 1.0)])  # day 1 idle
         simulate(trace, policy, 16, days=3)
         assert policy.epochs_completed == 3
 
     def test_boundaries_fire_even_after_last_request(self):
         policy = SieveStoreD()
-        trace = Trace([req(0, 1.0)])
+        trace = columns_of([req(0, 1.0)])
         simulate(trace, policy, 16, days=4)
         assert policy.epochs_completed == 4
 
@@ -77,7 +78,7 @@ class TestEpochBoundaries:
         requests = [req(0, float(i), blocks=blocks) for i in range(11)]
         requests += [req(1, 1.0, blocks=blocks)]
         policy = SieveStoreD(SieveStoreDConfig(threshold=10, capacity_blocks=16))
-        result = simulate(Trace(requests), policy, 16, days=2)
+        result = simulate(columns_of(requests), policy, 16, days=2)
         assert result.stats.per_day[0].hits == 0
         assert result.stats.per_day[1].hits == blocks
 
@@ -85,7 +86,7 @@ class TestEpochBoundaries:
 class TestCustomEpochs:
     def test_shorter_epochs_fire_more_boundaries(self):
         policy = SieveStoreD(SieveStoreDConfig(threshold=0))
-        trace = Trace([req(0, 1.0)])
+        trace = columns_of([req(0, 1.0)])
         simulate(trace, policy, 16, days=1, epoch_seconds=6 * 3600.0)
         assert policy.epochs_completed == 4
 
@@ -96,23 +97,23 @@ class TestCustomEpochs:
         requests.append(req(0, 13 * 3600.0, blocks=1))
         policy = SieveStoreD(SieveStoreDConfig(threshold=10, capacity_blocks=16))
         result = simulate(
-            Trace(requests), policy, 16, days=1, epoch_seconds=12 * 3600.0
+            columns_of(requests), policy, 16, days=1, epoch_seconds=12 * 3600.0
         )
         assert result.stats.per_day[0].hits == 1
 
     def test_rejects_bad_epoch(self):
         with pytest.raises(ValueError):
-            simulate(Trace([]), AllocateOnDemand(), 4, days=1, epoch_seconds=0)
+            simulate(columns_of([]), AllocateOnDemand(), 4, days=1, epoch_seconds=0)
 
     @pytest.mark.parametrize("fast", [False, True])
     def test_rejects_bad_chunk_budget(self, fast):
         with pytest.raises(ValueError, match="chunk_rows must be positive"):
-            simulate(Trace([req(0, 1.0)]), AllocateOnDemand(), 4, days=1,
+            simulate(columns_of([req(0, 1.0)]), AllocateOnDemand(), 4, days=1,
                      fast_path=fast, chunk_rows=0)
 
     def test_default_epoch_is_one_day(self):
         policy = SieveStoreD()
-        simulate(Trace([req(0, 1.0)]), policy, 16, days=2)
+        simulate(columns_of([req(0, 1.0)]), policy, 16, days=2)
         assert policy.epochs_completed == 2
 
 
@@ -133,7 +134,7 @@ class TestProgressCadence:
     @pytest.mark.parametrize("fast", [False, True], ids=["object", "fast"])
     @pytest.mark.parametrize(("kwargs", "message"), BAD)
     def test_simulate_rejects_bad_cadence(self, fast, kwargs, message):
-        trace = Trace([req(0, float(i)) for i in range(20)])
+        trace = columns_of([req(0, float(i)) for i in range(20)])
         with pytest.raises(ValueError, match=message):
             simulate(trace, AllocateOnDemand(), 16, days=1, fast_path=fast,
                      **kwargs)
@@ -141,7 +142,7 @@ class TestProgressCadence:
     @pytest.mark.parametrize("fast", [False, True], ids=["object", "fast"])
     @pytest.mark.parametrize(("kwargs", "message"), BAD)
     def test_resume_rejects_bad_cadence(self, tmp_path, fast, kwargs, message):
-        trace = Trace([req(0, float(i)) for i in range(20)])
+        trace = columns_of([req(0, float(i)) for i in range(20)])
         path = tmp_path / "run.ckpt"
         simulate(trace, AllocateOnDemand(), 16, days=1, fast_path=fast,
                  checkpoint_path=path, checkpoint_every=7)
@@ -150,7 +151,7 @@ class TestProgressCadence:
 
     @pytest.mark.parametrize("fast", [False, True], ids=["object", "fast"])
     def test_hook_fires_on_the_cadence(self, fast):
-        trace = Trace([req(0, float(i)) for i in range(20)])
+        trace = columns_of([req(0, float(i)) for i in range(20)])
         seen = []
         simulate(trace, AllocateOnDemand(), 16, days=1, fast_path=fast,
                  progress_every=6,
@@ -181,24 +182,24 @@ class TestEpochCount:
 
     def test_seven_hour_epochs_over_eight_days(self):
         policy = SieveStoreD(SieveStoreDConfig(threshold=0))
-        trace = Trace([req(0, 1.0), req(7, 1.0)])
+        trace = columns_of([req(0, 1.0), req(7, 1.0)])
         simulate(trace, policy, 16, days=8, epoch_seconds=7 * 3600.0)
         assert policy.epochs_completed == 28
 
 
 class TestEngineField:
     def test_fast_path_recorded(self):
-        trace = Trace([req(0, 1.0)])
+        trace = columns_of([req(0, 1.0)])
         result = simulate(trace, AllocateOnDemand(), 16, days=1, fast_path=True)
         assert result.engine == "fast"
 
     def test_object_path_recorded(self):
-        trace = Trace([req(0, 1.0)])
+        trace = columns_of([req(0, 1.0)])
         result = simulate(trace, AllocateOnDemand(), 16, days=1, fast_path=False)
         assert result.engine == "object"
 
     def test_configuration_picks_the_engine(self):
-        trace = Trace([req(0, 1.0)])
+        trace = columns_of([req(0, 1.0)])
         # What the fast loop does not cover runs on the object engine,
         # silently: the result records it.
         for kwargs in (
@@ -215,13 +216,13 @@ class TestEngineField:
 
 class TestDailyCapture:
     def test_capture_series_shape(self):
-        trace = Trace([req(0, 1.0), req(1, 1.0)])
+        trace = columns_of([req(0, 1.0), req(1, 1.0)])
         result = simulate(trace, AllocateOnDemand(), 16, days=2)
         assert len(result.daily_capture()) == 2
         assert len(result.daily_allocation_writes()) == 2
 
     def test_minutes_tracked_when_enabled(self):
-        trace = Trace([req(0, 1.0), req(0, 2.0)])
+        trace = columns_of([req(0, 1.0), req(0, 2.0)])
         with_minutes = simulate(trace, AllocateOnDemand(), 16, days=1)
         without = simulate(
             trace, AllocateOnDemand(), 16, days=1, track_minutes=False

@@ -13,9 +13,9 @@ k * 86400 == start of day k).
 from repro.core.sievestore_d import SieveStoreD, SieveStoreDConfig
 from repro.sim.engine import simulate, total_epoch_count
 from repro.sim.experiment import build_policy
-from repro.traces.columnar import ColumnarTrace
-from repro.traces.model import IOKind, IORequest, Trace
+from repro.traces.model import IOKind, IORequest
 from repro.util.intervals import SECONDS_PER_DAY
+from tests.oracle import columns_of
 
 SEVEN_HOURS = 7 * 3600.0
 
@@ -52,7 +52,7 @@ class TestSevenHourEpochsOverEightDays:
             one_block_read(epoch * SEVEN_HOURS + 60.0, 1000 + epoch)
             for epoch in range(epochs - 1)
         ]
-        return Trace(requests)
+        return columns_of(requests)
 
     def expected_per_day(self):
         """Each boundary's single install, bucketed by calendar day."""
@@ -66,7 +66,7 @@ class TestSevenHourEpochsOverEightDays:
     def run(self, fast_path):
         trace = self.build_trace()
         result = simulate(
-            trace if not fast_path else ColumnarTrace.from_trace(trace),
+            trace,
             admit_everything(),
             1 << 20,
             days=self.DAYS,
@@ -102,7 +102,7 @@ class TestMidDayBoundary:
     def test_noon_boundary_attributed_to_day_zero(self):
         # A 12 h epoch's first boundary (noon of day 0) must charge its
         # batch to day 0; the epoch-index rule charged day 1.
-        trace = Trace([one_block_read(60.0, 5)])
+        trace = columns_of([one_block_read(60.0, 5)])
         result = simulate(
             trace, admit_everything(), 16, days=2,
             epoch_seconds=12 * 3600.0,
@@ -115,7 +115,7 @@ class TestEnginesAgreeOnSharedTrace:
         policy_slow, capacity = build_policy("sievestore-d", tiny_context)
         policy_fast, _ = build_policy("sievestore-d", tiny_context)
         slow = simulate(
-            tiny_context.object_trace(), policy_slow, capacity,
+            tiny_context.columnar_trace(), policy_slow, capacity,
             tiny_context.days, epoch_seconds=SEVEN_HOURS, fast_path=False,
         )
         fast = simulate(
@@ -140,11 +140,11 @@ class TestDailyEpochUnchanged:
         policy_default, capacity = build_policy("sievestore-d", tiny_context)
         policy_explicit, _ = build_policy("sievestore-d", tiny_context)
         default = simulate(
-            tiny_context.object_trace(), policy_default, capacity,
+            tiny_context.columnar_trace(), policy_default, capacity,
             tiny_context.days,
         )
         explicit = simulate(
-            tiny_context.object_trace(), policy_explicit, capacity,
+            tiny_context.columnar_trace(), policy_explicit, capacity,
             tiny_context.days, epoch_seconds=float(SECONDS_PER_DAY),
         )
         assert default.stats.per_day == explicit.stats.per_day

@@ -88,7 +88,7 @@ class TestEnabledCollectsMetrics:
     def test_blocks_total_matches_the_trace(self, tiny_trace, tiny_context):
         runtime.enable()
         run = run_suite(tiny_context)
-        total_blocks = sum(r.block_count for r in tiny_trace.requests)
+        total_blocks = tiny_trace.total_blocks()
         for row in run.manifest["metrics"]["sim_blocks_total"]["samples"]:
             assert row["value"] == total_blocks
 
@@ -118,7 +118,7 @@ class TestEnabledCollectsMetrics:
         assert result.engine == "fast"
         counter = runtime.get_registry().get("sim_requests_total")
         assert counter.value(policy="aod-32", engine="fast") == len(
-            tiny_context.trace.requests
+            tiny_context.trace
         )
 
     def test_object_engine_labels_engine_dimension(self, tiny_context):
@@ -141,7 +141,7 @@ class TestEventLog:
         events = read_events(events_path)
         assert [e["event"] for e in events] == ["run_start", "run_end"]
         assert events[0]["policy"] == "aod-16"
-        assert events[1]["requests"] == len(tiny_context.trace.requests)
+        assert events[1]["requests"] == len(tiny_context.trace)
 
     def test_resume_appends_coherently_to_the_same_log(
         self, tiny_context, tmp_path

@@ -60,7 +60,7 @@ def write_killed_checkpoint(ctx, policy, fast, path, kill_at, **kwargs):
 
 
 def run_engine(ctx, policy, fast, capacity=None, **kwargs):
-    trace = ctx.columnar_trace() if fast else ctx.object_trace()
+    trace = ctx.columnar_trace()
     return simulate(
         trace, policy, capacity_blocks=capacity or ctx.sieved_capacity,
         days=ctx.days, track_minutes=True, fast_path=fast, **kwargs
@@ -348,12 +348,8 @@ class TestCheckpointResume:
             )
         # The file on disk is a genuine mid-trace snapshot.
         cursor = load_checkpoint(path)["cursor"]
-        assert 0 < cursor < len(tiny_context.object_trace().requests)
-        trace = (
-            tiny_context.columnar_trace()
-            if fast
-            else tiny_context.object_trace()
-        )
+        assert 0 < cursor < len(tiny_context.columnar_trace())
+        trace = tiny_context.columnar_trace()
         resumed = resume_simulation(path, trace)
         assert resumed.engine == ("fast" if fast else "object")
         assert stats_to_dict(resumed.stats) == stats_to_dict(baseline.stats)
@@ -412,12 +408,7 @@ class TestCheckpointResume:
         shutil.copy(killed_checkpoints[source_fast], path)
         cursor = load_checkpoint(path)["cursor"]
         assert 0 < cursor < 30_000 and cursor % CHUNK_ROWS
-        if segmented:
-            trace = store
-        elif target == "fast":
-            trace = tiny_context.columnar_trace()
-        else:
-            trace = tiny_context.object_trace()
+        trace = store if segmented else tiny_context.columnar_trace()
         resumed = resume_simulation(
             path, trace, engine=target, chunk_rows=CHUNK_ROWS
         )
@@ -466,7 +457,7 @@ class TestCheckpointResume:
         self.checkpointed(tiny_context, False, path)
         with pytest.raises(CheckpointError, match="unknown resume engine"):
             resume_simulation(
-                path, tiny_context.object_trace(), engine="quantum"
+                path, tiny_context.columnar_trace(), engine="quantum"
             )
 
     def test_fast_resume_refuses_fault_checkpoints(self, tiny_context,

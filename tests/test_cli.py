@@ -1,8 +1,11 @@
 """Command-line interface."""
 
+import hashlib
+
 import pytest
 
 from repro.cli import main
+from repro.traces import EnsembleTraceGenerator, SyntheticTraceConfig, write_msr_csv
 
 
 TINY = ["--scale", "4e-6", "--days", "3"]
@@ -563,19 +566,165 @@ class TestJsonOutput:
 
 class TestMsrReplay:
     def test_simulate_from_csv(self, tmp_path, capsys):
-        from repro.traces import (
-            EnsembleTraceGenerator,
-            write_msr_csv,
-        )
-        from repro.traces.synthetic import SyntheticTraceConfig
-
-        trace = EnsembleTraceGenerator(
-            SyntheticTraceConfig(scale=4e-6, days=2)
-        ).generate()
-        csv = tmp_path / "t.csv"
-        write_msr_csv(trace, csv)
+        csv = msr_csv(tmp_path)
         assert main([
             "simulate", "--msr-csv", str(csv), "--days", "2",
             "--policy", "aod-16",
         ]) == 0
         assert "aod-16" in capsys.readouterr().out
+
+
+def msr_csv(tmp_path):
+    """Two synthetic days written as MSR CSV."""
+    columns = EnsembleTraceGenerator(
+        SyntheticTraceConfig(scale=4e-6, days=2)
+    ).generate_columnar()
+    path = tmp_path / "t.csv"
+    write_msr_csv(columns, path)
+    return path
+
+
+SUMMARIZE_TINY = """\
+3,228 requests / 29,070 block accesses over 3 days
+server  requests  blocks  traffic share  read fraction
+------  --------  ------  -------------  -------------
+0       368       3622    0.125          0.730
+1       398       3786    0.130          0.730
+2       146       1363    0.047          0.720
+3       150       1383    0.048          0.640
+4       157       1460    0.050          0.710
+5       850       6910    0.238          0.710
+6       269       2456    0.084          0.680
+7       175       1562    0.054          0.780
+8       139       1266    0.044          0.780
+9       78        736     0.025          0.830
+10      251       2281    0.078          0.690
+11      96        836     0.029          0.780
+12      151       1409    0.048          0.760
+
+read fraction: 0.72   4K-aligned: 94.86%   mean request: 9.0 blocks
+request sizes: {'5-8': 2650, '9-16': 492, '<=1': 54, '2-4': 32}
+"""
+
+VALIDATE_TINY = """\
+Fidelity against the paper's published trace statistics
+check                               measured  accepted band  status
+----------------------------------  --------  -------------  ------
+O1: top-1% access share             0.225     [0.1, 0.6]     ok
+O1: blocks with <=10 accesses/day   0.992     [0.95, 1]      ok
+O1: blocks with <=4 accesses/day    0.972     [0.9, 1]       ok
+O1: single-access block fraction    0.472     [0.3, 0.7]     ok
+O2: next-day predictive capture     0.970     [0.4, 1.5]     ok
+O2: daily hot-set drift             0.507     [0.02, 0.8]    ok
+mix: read fraction of blocks        0.724     [0.4, 0.9]     ok
+mix: 4-KB-aligned request fraction  0.949     [0.8, 1]       ok
+
+all checks passed — the paper's conclusions should transfer
+"""
+
+SUMMARIZE_MSR = """\
+1,931 requests / 17,814 block accesses over 2 days
+server  requests  blocks  traffic share  read fraction
+------  --------  ------  -------------  -------------
+0       254       2462    0.138          0.730
+1       248       2066    0.116          0.720
+2       288       2700    0.152          0.740
+3       112       1081    0.061          0.690
+4       168       1544    0.087          0.650
+5       103       966     0.054          0.800
+6       117       972     0.055          0.760
+7       69        604     0.034          0.810
+8       193       1899    0.107          0.640
+9       114       1057    0.059          0.750
+10      103       945     0.053          0.700
+11      104       974     0.055          0.730
+12      58        544     0.031          0.910
+
+read fraction: 0.73   4K-aligned: 94.51%   mean request: 9.2 blocks
+request sizes: {'5-8': 1521, '9-16': 353, '<=1': 34, '2-4': 23}
+"""
+
+VALIDATE_MSR = """\
+Fidelity against the paper's published trace statistics
+check                               measured  accepted band  status
+----------------------------------  --------  -------------  ------
+O1: top-1% access share             0.056     [0.1, 0.6]     FAIL
+O1: blocks with <=10 accesses/day   1.000     [0.95, 1]      ok
+O1: blocks with <=4 accesses/day    0.993     [0.9, 1]       ok
+O1: single-access block fraction    0.902     [0.3, 0.7]     FAIL
+O2: next-day predictive capture     0.584     [0.4, 1.5]     ok
+O2: daily hot-set drift             nan       [0.02, 0.8]    FAIL
+mix: read fraction of blocks        0.726     [0.4, 0.9]     ok
+mix: 4-KB-aligned request fraction  0.945     [0.8, 1]       ok
+
+3 check(s) outside the published bands
+"""
+
+#: SHA-256 of each pinned stdout byte for byte (the tables pad their
+#: cells with trailing blanks the texts above leave out).
+GOLDEN_DIGESTS = {
+    "summarize-synthetic":
+        "4f312265f191465ff91fa1f0c0702643b424a964aabca07a298385bad9bb6fa1",
+    "validate-synthetic":
+        "44c0b2e9934104e7959c0e18b98373d6bb3ccdc12becf45fd43bca08f178c6f9",
+    "summarize-msr":
+        "840bdcde1833f27335dbca51c1cc55bed16b871ebc087097411a19a8942cac37",
+    "validate-msr":
+        "5291d6df4a17bd6a22bd8cec5f60b2c2ecd31cedf8aded973487f7e6fbc956be",
+}
+
+
+class TestGoldenTraceReports:
+    """``summarize`` and ``validate`` print exactly what they printed when
+    they walked request objects; the request-size histogram keeps its
+    buckets in first-seen order."""
+
+    @pytest.mark.parametrize("command, expected, code", [
+        ("summarize", SUMMARIZE_TINY, 0),
+        ("validate", VALIDATE_TINY, 0),
+    ], ids=["summarize", "validate"])
+    def test_synthetic(self, command, expected, code, capsys):
+        assert main([command, *TINY]) == code
+        assert_golden(capsys.readouterr().out, expected, f"{command}-synthetic")
+
+    @pytest.mark.parametrize("command, expected, code", [
+        ("summarize", SUMMARIZE_MSR, 0),
+        ("validate", VALIDATE_MSR, 1),
+    ], ids=["summarize", "validate"])
+    def test_msr_csv(self, command, expected, code, tmp_path, capsys):
+        csv = msr_csv(tmp_path)
+        assert main([command, "--msr-csv", str(csv), "--days", "2"]) == code
+        assert_golden(capsys.readouterr().out, expected, f"{command}-msr")
+
+
+def assert_golden(out, expected, name):
+    assert "\n".join(line.rstrip() for line in out.splitlines()) + "\n" == expected
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[name]
+
+
+class TestBadMsrCsv:
+    """A trace the reader refuses exits 2 with one line naming it."""
+
+    @pytest.mark.parametrize("row, problem", [
+        ("10,web0,0,Read,0,4096", "line 1: expected 7 fields, got 6"),
+        ("10,web0,0,Read,0,4096,abc", "line 1: invalid literal"),
+        ("10,web0,0,Read,-512,4096,100", "line 1: offset out of range"),
+        ("10,web0,256,Read,0,4096,100", "line 1: volume id out of range"),
+    ], ids=["six-fields", "bad-response-time", "negative-offset", "volume-id"])
+    def test_bad_row(self, row, problem, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text(row + "\n")
+        self.assert_refused(path, problem, capsys)
+
+    def test_missing_file(self, tmp_path, capsys):
+        self.assert_refused(tmp_path / "absent.csv", "No such file", capsys)
+
+    @staticmethod
+    def assert_refused(path, problem, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["summarize", "--msr-csv", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read MSR trace {path}: ")
+        assert problem in err
+        assert err.count("\n") == 1

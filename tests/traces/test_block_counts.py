@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.traces.columnar import BlockCounts, ColumnarTrace
 from repro.traces.model import pack_address
 from repro.traces.segments import segment_columnar
-from repro.traces.streams import daily_block_counts
+from tests.oracle import daily_block_counts
 
 DAYS = 3
 

@@ -3,15 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.traces.columnar import (
-    ColumnarTrace,
-    NPZ_FORMAT_VERSION,
-    as_columnar,
-    as_object_trace,
-)
+from repro.traces.columnar import ColumnarTrace, NPZ_FORMAT_VERSION
 from repro.traces.model import IOKind, IORequest, Trace, pack_address
-from repro.traces.streams import daily_block_counts
 from repro.util.intervals import SECONDS_PER_DAY
+from tests.oracle import daily_block_counts, from_trace
 
 
 def req(issue, server=0, volume=0, offset=0, blocks=2, kind=IOKind.READ,
@@ -46,43 +41,34 @@ def mixed_trace():
 
 class TestRoundTrip:
     def test_lossless_round_trip(self, mixed_trace):
-        columns = ColumnarTrace.from_trace(mixed_trace)
+        columns = from_trace(mixed_trace)
         back = columns.to_trace()
         assert back.requests == mixed_trace.requests
         assert back.description == mixed_trace.description
 
     def test_round_trip_from_columns(self, mixed_trace):
-        columns = ColumnarTrace.from_trace(mixed_trace)
-        again = ColumnarTrace.from_trace(columns.to_trace())
+        columns = from_trace(mixed_trace)
+        again = from_trace(columns.to_trace())
         assert columns.equals(again)
 
-    def test_coercion_helpers(self, mixed_trace):
-        columns = as_columnar(mixed_trace)
-        assert isinstance(columns, ColumnarTrace)
-        assert as_columnar(columns) is columns
-        assert as_object_trace(mixed_trace) is mixed_trace
-        assert as_object_trace(columns).requests == mixed_trace.requests
-
     def test_shared_summary_protocol(self, mixed_trace):
-        columns = ColumnarTrace.from_trace(mixed_trace)
+        columns = from_trace(mixed_trace)
         assert len(columns) == len(mixed_trace)
         assert columns.total_blocks() == mixed_trace.total_blocks()
         assert columns.duration == mixed_trace.duration
 
     def test_synthetic_trace_round_trips(self, tiny_trace):
-        columns = ColumnarTrace.from_trace(tiny_trace)
-        back = columns.to_trace()
-        assert back.requests == tiny_trace.requests
+        assert from_trace(tiny_trace.to_trace()).equals(tiny_trace)
 
 
 class TestDerivedColumns:
     def test_server_and_volume_ids(self, mixed_trace):
-        columns = ColumnarTrace.from_trace(mixed_trace)
+        columns = from_trace(mixed_trace)
         assert columns.server_ids.tolist() == [0, 1, 0, 2]
         assert columns.volume_ids.tolist() == [0, 2, 1, 0]
 
     def test_issue_days_match_scalar_reference(self, mixed_trace):
-        columns = ColumnarTrace.from_trace(mixed_trace)
+        columns = from_trace(mixed_trace)
         expected = [int(r.issue_time // SECONDS_PER_DAY)
                     for r in mixed_trace.requests]
         assert columns.issue_days().tolist() == expected
@@ -106,7 +92,7 @@ class TestDerivedColumns:
             3 * day,
         ]
         trace = Trace([req(t) for t in times])
-        columns = ColumnarTrace.from_trace(trace)
+        columns = from_trace(trace)
         expected = [int(float(t) // SECONDS_PER_DAY) for t in times]
         assert columns.issue_days().tolist() == expected
 
@@ -117,12 +103,12 @@ class TestDerivedColumns:
         times = [0.0, np.nextafter(day, 0.0), day, np.nextafter(day, np.inf),
                  2 * day, 2 * day + 1e-10]
         trace = Trace([req(t, blocks=i + 1) for i, t in enumerate(times)])
-        columns = ColumnarTrace.from_trace(trace)
+        columns = from_trace(trace)
         assert columns.daily_block_counts(4) == daily_block_counts(trace, 4)
 
     def test_expand_block_addresses(self):
         trace = Trace([req(0.0, offset=10, blocks=3), req(1.0, offset=50, blocks=2)])
-        columns = ColumnarTrace.from_trace(trace)
+        columns = from_trace(trace)
         base1 = pack_address(0, 0, 10)
         base2 = pack_address(0, 0, 50)
         assert columns.expand_block_addresses().tolist() == [
@@ -130,30 +116,28 @@ class TestDerivedColumns:
         ]
 
     def test_daily_block_counts_match_reference(self, tiny_trace):
-        columns = ColumnarTrace.from_trace(tiny_trace)
-        reference = daily_block_counts(tiny_trace, 8)
-        vectorized = columns.daily_block_counts(8)
-        assert vectorized == reference
+        reference = daily_block_counts(tiny_trace.to_trace(), 8)
+        assert tiny_trace.daily_block_counts(8) == reference
 
     def test_daily_block_counts_rejects_bad_days(self, mixed_trace):
         with pytest.raises(ValueError):
-            ColumnarTrace.from_trace(mixed_trace).daily_block_counts(0)
+            from_trace(mixed_trace).daily_block_counts(0)
 
 
 class TestStructuralOps:
     def test_filter_matches_object_filter(self, mixed_trace):
-        columns = ColumnarTrace.from_trace(mixed_trace)
+        columns = from_trace(mixed_trace)
         filtered = columns.filter(server_id=0)
-        assert filtered.to_trace().requests == mixed_trace.filter(
-            server_id=0
-        ).requests
+        assert filtered.to_trace().requests == [
+            r for r in mixed_trace.requests if r.server_id == 0
+        ]
         both = columns.filter(server_id=0, volume_id=1)
         assert len(both) == 1
 
     def test_sorted_by_issue_is_stable(self):
         # Two simultaneous requests must keep their input order.
         shuffled = Trace([req(5.0, offset=1), req(0.0), req(5.0, offset=2)])
-        columns = ColumnarTrace.from_trace(shuffled).sorted_by_issue()
+        columns = from_trace(shuffled).sorted_by_issue()
         columns.validate()
         offsets = [r.block_offset for r in columns.to_trace().requests]
         assert offsets == [0, 1, 2]
@@ -178,7 +162,7 @@ class TestStructuralOps:
         assert np.array_equal(columns.sorted_by_issue().address, order)
 
     def test_validate_flags_disorder(self):
-        columns = ColumnarTrace.from_trace(Trace([req(5.0), req(1.0)]))
+        columns = from_trace(Trace([req(5.0), req(1.0)]))
         with pytest.raises(ValueError):
             columns.validate()
 
@@ -205,7 +189,7 @@ class TestStructuralOps:
             columns.validate()
 
     def test_concatenate_and_empty(self, mixed_trace):
-        columns = ColumnarTrace.from_trace(mixed_trace)
+        columns = from_trace(mixed_trace)
         joined = ColumnarTrace.concatenate([columns, columns])
         assert len(joined) == 2 * len(columns)
         assert len(ColumnarTrace.concatenate([])) == 0
@@ -225,7 +209,7 @@ class TestStructuralOps:
 
 class TestSerialization:
     def test_npz_round_trip(self, mixed_trace, tmp_path):
-        columns = ColumnarTrace.from_trace(mixed_trace)
+        columns = from_trace(mixed_trace)
         path = tmp_path / "trace.npz"
         columns.save_npz(path)
         loaded = ColumnarTrace.load_npz(path)
@@ -234,7 +218,7 @@ class TestSerialization:
 
     def test_version_mismatch_rejected(self, mixed_trace, tmp_path):
         path = tmp_path / "trace.npz"
-        ColumnarTrace.from_trace(mixed_trace).save_npz(path)
+        from_trace(mixed_trace).save_npz(path)
         with np.load(path) as payload:
             arrays = dict(payload)
         arrays["format_version"] = np.int64(NPZ_FORMAT_VERSION + 1)

@@ -7,7 +7,6 @@ from repro.traces.model import (
     IOKind,
     IORequest,
     Trace,
-    merge_traces,
     pack_address,
     server_of_address,
     unpack_address,
@@ -149,35 +148,3 @@ class TestTrace:
 
     def test_duration_empty(self):
         assert Trace([]).duration == 0.0
-
-    def test_filter_by_server(self):
-        trace = Trace(
-            [make_request(server_id=1), make_request(server_id=2)]
-        )
-        filtered = trace.filter(server_id=1)
-        assert len(filtered) == 1
-        assert filtered.requests[0].server_id == 1
-
-    def test_filter_by_server_and_volume(self):
-        trace = Trace(
-            [
-                make_request(server_id=1, volume_id=0),
-                make_request(server_id=1, volume_id=1),
-            ]
-        )
-        assert len(trace.filter(server_id=1, volume_id=1)) == 1
-
-
-class TestMergeTraces:
-    def test_merges_chronologically(self):
-        a = Trace([make_request(issue_time=1.0, completion_time=1.1),
-                   make_request(issue_time=3.0, completion_time=3.1)])
-        b = Trace([make_request(issue_time=2.0, completion_time=2.1)])
-        merged = merge_traces([a, b])
-        merged.validate()
-        assert [r.issue_time for r in merged] == [1.0, 2.0, 3.0]
-
-    def test_preserves_request_count(self):
-        a = Trace([make_request() for _ in range(5)])
-        b = Trace([make_request() for _ in range(7)])
-        assert len(merge_traces([a, b])) == 12

@@ -2,8 +2,15 @@
 
 import pytest
 
-from repro.traces import IOKind, IORequest, Trace, read_msr_csv, write_msr_csv
+from repro.traces import read_msr_csv, write_msr_csv
+from repro.traces.model import IOKind, IORequest
 from repro.traces.msr import TICKS_PER_SECOND
+from tests.oracle import columns_of
+
+
+def requests(path, **kwargs):
+    """The rows :func:`read_msr_csv` reads, as request objects."""
+    return read_msr_csv(path, **kwargs).to_trace().requests
 
 
 @pytest.fixture
@@ -21,75 +28,72 @@ def sample_csv(tmp_path):
 
 class TestReadMsrCsv:
     def test_reads_all_rows(self, sample_csv):
-        trace = read_msr_csv(sample_csv)
-        assert len(trace) == 3
+        assert len(read_msr_csv(sample_csv)) == 3
 
     def test_time_rebased_to_first_record(self, sample_csv):
-        trace = read_msr_csv(sample_csv)
-        assert trace.requests[0].issue_time == 0.0
-        assert trace.requests[1].issue_time == pytest.approx(1.0)
+        trace = requests(sample_csv)
+        assert trace[0].issue_time == 0.0
+        assert trace[1].issue_time == pytest.approx(1.0)
 
     def test_hostnames_numbered_in_order(self, sample_csv):
-        trace = read_msr_csv(sample_csv)
-        assert trace.requests[0].server_id == 0  # web0
-        assert trace.requests[2].server_id == 1  # db1
+        trace = requests(sample_csv)
+        assert trace[0].server_id == 0  # web0
+        assert trace[2].server_id == 1  # db1
 
     def test_explicit_server_ids(self, sample_csv):
-        trace = read_msr_csv(sample_csv, server_ids={"db1": 7})
-        assert trace.requests[2].server_id == 7
+        trace = requests(sample_csv, server_ids={"db1": 7})
+        assert trace[2].server_id == 7
 
     def test_offset_and_size_in_blocks(self, sample_csv):
-        first = read_msr_csv(sample_csv).requests[0]
+        first = requests(sample_csv)[0]
         assert first.block_offset == 16  # 8192 / 512
         assert first.block_count == 8  # 4096 / 512
 
     def test_sub_block_size_rounds_up(self, sample_csv):
-        third = read_msr_csv(sample_csv).requests[2]
+        third = requests(sample_csv)[2]
         assert third.block_count == 2  # 513 bytes -> 2 blocks
 
     def test_alignment_detected(self, sample_csv):
-        trace = read_msr_csv(sample_csv)
-        assert trace.requests[0].aligned_4k
-        assert not trace.requests[1].aligned_4k
+        trace = requests(sample_csv)
+        assert trace[0].aligned_4k
+        assert not trace[1].aligned_4k
 
     def test_kinds(self, sample_csv):
-        trace = read_msr_csv(sample_csv)
-        assert trace.requests[0].is_read
-        assert trace.requests[1].is_write
+        trace = requests(sample_csv)
+        assert trace[0].is_read
+        assert trace[1].is_write
 
     def test_response_time(self, sample_csv):
-        first = read_msr_csv(sample_csv).requests[0]
+        first = requests(sample_csv)[0]
         assert first.completion_time - first.issue_time == pytest.approx(0.01)
 
 
 class TestRoundTrip:
     def test_write_then_read(self, tmp_path):
-        original = Trace(
-            [
-                IORequest(
-                    issue_time=0.0,
-                    completion_time=0.02,
-                    server_id=0,
-                    volume_id=2,
-                    block_offset=64,
-                    block_count=8,
-                    kind=IOKind.WRITE,
-                ),
-                IORequest(
-                    issue_time=5.5,
-                    completion_time=5.51,
-                    server_id=1,
-                    volume_id=0,
-                    block_offset=1,
-                    block_count=3,
-                    kind=IOKind.READ,
-                    aligned_4k=False,
-                ),
-            ]
-        )
+        original = [
+            IORequest(
+                issue_time=0.0,
+                completion_time=0.02,
+                server_id=0,
+                volume_id=2,
+                block_offset=64,
+                block_count=8,
+                kind=IOKind.WRITE,
+            ),
+            IORequest(
+                issue_time=5.5,
+                completion_time=5.51,
+                server_id=1,
+                volume_id=0,
+                block_offset=1,
+                block_count=3,
+                kind=IOKind.READ,
+                aligned_4k=False,
+            ),
+        ]
         path = tmp_path / "out.csv"
-        write_msr_csv(original, path)
-        loaded = read_msr_csv(path)
+        write_msr_csv(columns_of(original), path)
+        loaded = requests(path)
         assert len(loaded) == len(original)
         for a, b in zip(original, loaded):
             assert a.block_offset == b.block_offset

@@ -1,19 +1,16 @@
-"""Day partitioning and per-day counting."""
+"""The object-model oracle's per-day walks (``tests/oracle.py``).
+
+The columns' per-day tables are checked against these walks elsewhere;
+here the walks themselves are checked on traces small enough to count
+by hand.
+"""
 
 import pytest
 
-from repro.traces import (
-    IOKind,
-    IORequest,
-    Trace,
-    daily_access_totals,
-    daily_block_counts,
-    daily_read_write_split,
-    iter_day_requests,
-    per_server_daily_counts,
-    split_by_day,
-)
+from repro.ensemble.topology import per_server_daily_counts_from_ensemble
+from repro.traces.model import IOKind, IORequest, Trace
 from repro.util.intervals import SECONDS_PER_DAY
+from tests.oracle import daily_block_counts, per_server_daily_counts
 
 
 def request_at(day, offset_s=0.0, server=0, blocks=2, kind=IOKind.READ, block_offset=0):
@@ -41,20 +38,6 @@ def three_day_trace():
     )
 
 
-class TestSplitByDay:
-    def test_partitions_by_issue_day(self, three_day_trace):
-        days = split_by_day(three_day_trace, 3)
-        assert [len(d) for d in days] == [2, 1, 1]
-
-    def test_drops_overflow_days(self, three_day_trace):
-        days = split_by_day(three_day_trace, 2)
-        assert [len(d) for d in days] == [2, 1]
-
-    def test_rejects_nonpositive_days(self, three_day_trace):
-        with pytest.raises(ValueError):
-            split_by_day(three_day_trace, 0)
-
-
 class TestDailyBlockCounts:
     def test_counts_every_block_of_request(self):
         trace = Trace([request_at(0, blocks=4)])
@@ -72,24 +55,6 @@ class TestDailyBlockCounts:
         assert [table.total() for table in counts] == [4, 4, 1]
 
 
-class TestTotalsAndSplits:
-    def test_daily_access_totals(self, three_day_trace):
-        assert daily_access_totals(three_day_trace, 3) == [4, 4, 1]
-
-    def test_read_write_split(self, three_day_trace):
-        splits = daily_read_write_split(three_day_trace, 3)
-        assert splits[0] == (4, 0)
-        assert splits[1] == (0, 4)
-        assert splits[2] == (1, 0)
-
-
-class TestIterDayRequests:
-    def test_yields_only_that_day(self, three_day_trace):
-        day1 = list(iter_day_requests(three_day_trace, 1))
-        assert len(day1) == 1
-        assert day1[0].is_write
-
-
 class TestPerServerDailyCounts:
     def test_separates_servers(self):
         trace = Trace(
@@ -103,3 +68,10 @@ class TestPerServerDailyCounts:
         for server_id, counters in result.items():
             for address in counters[0].addresses.tolist():
                 assert address >> 48 == server_id
+
+    def test_ensemble_split_matches_the_walk(self, tiny_trace):
+        # Figure 3 splits the ensemble's per-day tables by server.
+        split = per_server_daily_counts_from_ensemble(
+            tiny_trace.daily_block_counts(8)
+        )
+        assert split == per_server_daily_counts(tiny_trace.to_trace(), 8)

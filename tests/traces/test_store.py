@@ -12,7 +12,6 @@ from repro.traces.store import (
     _reset_non_directory_warnings,
     config_fingerprint,
     load_or_generate_columnar,
-    load_or_generate_trace,
     segments_path_for,
     trace_cache_dir,
 )
@@ -176,13 +175,6 @@ class TestLoadOrGenerate:
         columns = load_or_generate_columnar(tiny_config())
         assert len(columns) > 0
         assert not (tmp_path / ".sievestore-trace-cache").exists()
-
-    def test_object_trace_convenience(self, tmp_path):
-        config = tiny_config()
-        trace = load_or_generate_trace(config, tmp_path)
-        assert trace.requests == load_or_generate_columnar(
-            config, tmp_path
-        ).to_trace().requests
 
     def test_unwritable_cache_warns_but_returns_trace(self, tmp_path):
         # The cache dir path is occupied by a *file*.  An explicit

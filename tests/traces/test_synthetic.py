@@ -11,15 +11,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.traces import (
-    EnsembleTraceGenerator,
-    SyntheticTraceConfig,
-    daily_access_totals,
-    daily_block_counts,
-    tiny_config,
-)
+from repro.traces import EnsembleTraceGenerator, SyntheticTraceConfig, tiny_config
 from repro.obs import runtime
 from repro.traces.columnar import ColumnarTrace
+from repro.traces.model import MAX_BLOCK_OFFSET
 from repro.traces.store import load_or_generate_columnar
 from repro.traces.synthetic import DAY0_INTENSITY, SLOT_BLOCKS
 from repro.util.intervals import SECONDS_PER_DAY
@@ -155,36 +150,26 @@ class TestGoldenBytes:
 
 
 @pytest.fixture(scope="module")
-def daily_counts(tiny_trace):
-    return [table.as_dict() for table in daily_block_counts(tiny_trace, DAYS)]
+def daily_counts(tiny_context):
+    return [table.as_dict() for table in tiny_context.daily_counts]
 
 
 @pytest.fixture(scope="module")
-def daily_totals(tiny_trace):
-    return daily_access_totals(tiny_trace, DAYS)
+def daily_totals(tiny_context):
+    return [table.total() for table in tiny_context.daily_counts]
 
 
 class TestDeterminism:
     def test_same_seed_same_trace(self):
         config = tiny_config(scale=2e-6)
-        a = EnsembleTraceGenerator(config).generate()
-        b = EnsembleTraceGenerator(config).generate()
-        assert len(a) == len(b)
-        assert all(
-            (
-                x.issue_time == y.issue_time
-                and x.block_offset == y.block_offset
-                and x.kind == y.kind
-            )
-            for x, y in zip(a.requests[:500], b.requests[:500])
-        )
+        a = EnsembleTraceGenerator(config).generate_columnar()
+        b = EnsembleTraceGenerator(config).generate_columnar()
+        assert a.equals(b)
 
     def test_different_seed_different_trace(self):
-        a = EnsembleTraceGenerator(tiny_config(scale=2e-6, seed=1)).generate()
-        b = EnsembleTraceGenerator(tiny_config(scale=2e-6, seed=2)).generate()
-        assert [r.block_offset for r in a.requests[:50]] != [
-            r.block_offset for r in b.requests[:50]
-        ]
+        a = EnsembleTraceGenerator(tiny_config(scale=2e-6, seed=1)).generate_columnar()
+        b = EnsembleTraceGenerator(tiny_config(scale=2e-6, seed=2)).generate_columnar()
+        assert a.address[:50].tolist() != b.address[:50].tolist()
 
 
 class TestStructure:
@@ -192,29 +177,29 @@ class TestStructure:
         tiny_trace.validate()
 
     def test_all_thirteen_servers_present(self, tiny_trace):
-        assert {r.server_id for r in tiny_trace} == set(range(13))
+        assert set(tiny_trace.server_ids.tolist()) == set(range(13))
 
     def test_spans_eight_days(self, tiny_trace):
         assert tiny_trace.duration <= DAYS * SECONDS_PER_DAY + 60
-        first = min(r.issue_time for r in tiny_trace)
+        first = tiny_trace.issue_time.min()
         # Day 0 is partial: tracing starts at 5 pm.
         assert first >= (1 - DAY0_INTENSITY) * SECONDS_PER_DAY - 3600
 
     def test_extents_do_not_cross_slots(self, tiny_trace):
-        for request in tiny_trace.requests[:2000]:
-            start_slot = request.block_offset // SLOT_BLOCKS
-            end_slot = (request.block_offset + request.block_count - 1) // SLOT_BLOCKS
-            assert start_slot == end_slot
+        offsets = tiny_trace.address & MAX_BLOCK_OFFSET
+        start_slot = offsets // SLOT_BLOCKS
+        end_slot = (offsets + tiny_trace.block_count - 1) // SLOT_BLOCKS
+        assert np.array_equal(start_slot, end_slot)
 
     def test_read_write_mix_roughly_3_to_1_for_tail(self, tiny_trace):
         # The global mix is pulled below 3:1 by write-hot blocks, but
         # must stay read-majority overall.
-        reads = sum(r.block_count for r in tiny_trace if r.is_read)
+        reads = int(tiny_trace.block_count[~tiny_trace.is_write].sum())
         total = tiny_trace.total_blocks()
         assert 0.5 < reads / total < 0.85
 
     def test_unaligned_fraction_near_six_percent(self, tiny_trace):
-        unaligned = sum(1 for r in tiny_trace if not r.aligned_4k)
+        unaligned = int(np.count_nonzero(~tiny_trace.aligned_4k))
         fraction = unaligned / len(tiny_trace)
         assert 0.02 < fraction < 0.12
 

@@ -2,8 +2,9 @@
 
 
 from repro.traces import validate_trace
-from repro.traces.model import IOKind, IORequest, Trace
+from repro.traces.model import IOKind, IORequest
 from repro.traces.validation import Check, ValidationReport
+from tests.oracle import columns_of
 
 
 class TestCheck:
@@ -57,7 +58,7 @@ class TestUnfaithfulTraceFails:
             for i in range(3000)
         ]
         requests.sort(key=lambda r: r.issue_time)
-        report = validate_trace(Trace(requests), days=3)
+        report = validate_trace(columns_of(requests), days=3)
         assert not report.passed
         failing = {c.name for c in report.failures()}
         assert any(name.startswith("O1") for name in failing)
@@ -75,7 +76,7 @@ class TestUnfaithfulTraceFails:
             )
             for i in range(200)
         ]
-        report = validate_trace(Trace(requests), days=1)
+        report = validate_trace(columns_of(requests), days=1)
         assert any(
             c.name == "mix: read fraction of blocks" and not c.passed
             for c in report.checks
