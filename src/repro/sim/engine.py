@@ -10,26 +10,31 @@ allocation-writes" (Section 4): every 512-byte block of every request
 is individually looked up, counted, and — if the sieve admits it —
 allocated at its interpolated completion time.
 
-Two execution paths produce identical results, and :func:`simulate`
-picks between them from the configuration alone:
+One walk replays every run (:func:`_walk`): it takes the trace in row
+chunks — a segment store's as it streams them, an in-RAM trace's as
+views — so peak memory follows the chunk budget; cuts each chunk at
+the rows where anything but a request happens (:func:`chunk_stops`:
+epoch changes, checkpoint and progress rows); applies the epoch
+boundaries and fires every hook there; and hands each stretch of
+requests between stops to one of two deciders with identical results,
+which :func:`simulate` picks from the configuration alone:
 
-* the **fast path** replays the columns through
-  :mod:`repro.sim.fast_engine`'s flat loop, several times faster.  It
-  runs every configuration it covers — write-through accounting, no
-  device faults (every figure's configuration);
-* the **object path** hands the trace's rows, one request at a time, to
-  the appliance, whose cache and policy objects make every decision —
-  the readable reference implementation, and the engine for everything
-  else (write-back, fault plans).  It reads the same columns as the
-  fast path, stops at the same rows and records the decisions the same
-  way; for a plain SieveStore-C it hashes each window's blocks at once
-  with the fast path's own primitives.  ``fast_path=False`` forces it,
-  which is how the equivalence tests get their reference.
+* the **fast path**, :class:`~repro.sim.fast_engine.FastStretches`,
+  decides a stretch in flat per-policy loops, several times faster.
+  It runs every configuration it covers — write-through accounting,
+  no device faults (every figure's configuration);
+* the **object path**, :class:`_ObjectStretches`, hands the rows, one
+  request's fields at a time, to the appliance, whose cache and policy
+  objects make every decision — the readable reference
+  implementation, and the decider for everything else (write-back,
+  fault plans).  For a plain SieveStore-C it hashes each window's
+  blocks at once with the fast path's own primitives.
+  ``fast_path=False`` forces it, which is how the equivalence tests
+  get their reference.
 
-Either way the trace reaches the loop in row chunks — a segment store's
-as it streams them, an in-RAM trace's as views — so peak memory follows
-the chunk budget.  The engine that ran is recorded in
-:attr:`SimulationResult.engine`.
+Both record their decisions the same way
+(:meth:`~repro.cache.stats.CacheStats.record_rows`).  The decider that
+ran is recorded in :attr:`SimulationResult.engine`.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, repeat
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -53,7 +58,7 @@ from repro.core import sieve_kernel
 from repro.core.appliance import SieveStoreAppliance
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.sim.fast_engine import chunk_stops, simulate_fast_chunks
+from repro.sim.fast_engine import FastStretches
 from repro.traces.columnar import ColumnarTrace
 from repro.traces.segments import DEFAULT_CHUNK_ROWS, ChunkSource, _slice_columns
 from repro.util.intervals import SECONDS_PER_DAY
@@ -131,116 +136,169 @@ def _trace_fingerprint(trace: Union[ColumnarTrace, ChunkSource]) -> dict:
     }
 
 
-def _run_object_loop(
-    appliance: SieveStoreAppliance,
-    chunks,
-    epoch_seconds: float,
-    total_epochs: int,
-    days: int,
-    start_cursor: int,
-    start_epoch: int,
-    checkpoint_every: Optional[int],
-    checkpointer,
-    boundary_hook,
-    progress_every: Optional[int],
-    progress_hook,
-    segment_hook,
-) -> None:
-    """The reference request loop over ``(base_row, columns)`` chunks.
+def chunk_stops(
+    issue_times: np.ndarray, epoch_seconds: float, base: int, start: int,
+    checkpoint_every: int, progress_every: int, extra=(),
+) -> Tuple[np.ndarray, List[int], set]:
+    """Where the walk stops in a chunk whose first row is trace row
+    ``base``, from chunk row ``start`` on: ``(epochs, stops, ticks)``.
 
-    Chunks come one at a time (see :func:`_chunks`), so peak memory
-    follows the chunk budget rather than the trace.  Each chunk is
-    walked between the fast loop's stops
-    (:func:`~repro.sim.fast_engine.chunk_stops`), each stretch in
-    windows of at most :data:`_ROW_WINDOW` rows read as lists and handed
-    to the appliance one row at a time (no request object is built);
-    for a plain SieveStore-C a window's blocks are hashed at once
+    ``epochs`` is each row's epoch (Python ``//`` semantics); ``stops``
+    the sorted rows in ``[start, n]`` that end a stretch of requests —
+    ``start``, ``n``, each epoch change, each row after which a multiple
+    of ``checkpoint_every`` or ``progress_every`` requests is done, and
+    ``extra``; ``ticks`` the stops that are progress ticks only (they
+    read neither the cache nor the statistics).  All elementwise, so
+    chunk edges cannot move a stop.
+    """
+    n = len(issue_times)
+
+    def every(cadence):  # the rows after a multiple of cadence requests
+        if cadence is None:
+            return ()
+        return range(start + cadence - (base + start) % cadence, n + 1, cadence)
+
+    epochs = sieve_kernel.subwindow_indices(issue_times, epoch_seconds)
+    stops = {start, n}
+    stops.update((np.flatnonzero(epochs[1:] != epochs[:-1]) + 1).tolist())
+    stops.update(every(checkpoint_every))
+    stops.update(extra)
+    ticks = set(every(progress_every)).difference(stops)
+    stops = sorted(stops.union(ticks))
+    return epochs, stops[stops.index(start):], ticks
+
+
+class _ObjectStretches:
+    """The object engine's side of the walk: the appliance decides each
+    stretch, one row of fields at a time (no request object is built),
+    in windows of at most :data:`_ROW_WINDOW` rows read as lists; for a
+    plain SieveStore-C a window's blocks are hashed at once
     (:func:`~repro.core.sieve_kernel.hash_requests`), so each miss takes
     the sieve's slot-taking ladder.  The appliance only decides: each
     row's hits and backing-write blocks go into window columns, recorded
-    by :meth:`~repro.cache.stats.CacheStats.record_rows` as the fast
-    loop records its own (a window at a time: that bounds the columns
-    and the recording's scratch by the window, not the chunk).
-    The appliance cannot observe where a chunk, a stretch or a window
-    ends.  Rows before ``start_cursor`` within the first chunk are
-    skipped (how a resume lands mid-chunk).  ``segment_hook(cursor,
-    current_epoch)`` fires after each chunk, giving out-of-core runs a
-    per-segment checkpoint site.
+    by :meth:`~repro.cache.stats.CacheStats.record_rows` once the window
+    is decided (bounding the columns and the recording's scratch by the
+    window, not the chunk).  Every stop ends a window, so this side adds
+    no stops and has nothing to settle, and the appliance cannot observe
+    where a chunk, a stretch or a window ends.
     """
-    policy = appliance.policy
-    stats = appliance.stats
-    hashed = sieve_kernel.supports(policy)
-    observe = appliance._observe_hook()
-    process = appliance.process_row
-    current_epoch = start_epoch
-    cursor = start_cursor
+
+    def __init__(self, appliance: SieveStoreAppliance, days: int):
+        self.appliance = appliance
+        self.boundary = appliance.begin_day
+        self.hashed = sieve_kernel.supports(appliance.policy)
+        self.observe = appliance._observe_hook()
+        self.end = float(days) * SECONDS_PER_DAY
+
+    def chunk(self, columns: ColumnarTrace, start: int):
+        self.columns = columns
+        return ()
+
+    def decide(self, lo: int, hi: int, tick: bool) -> None:
+        columns, policy, hashed = self.columns, self.appliance.policy, self.hashed
+        process, observe = self.appliance.process_row, self.observe
+        record = self.appliance.stats.record_rows
+        for window_lo in range(lo, hi, _ROW_WINDOW):
+            window = slice(window_lo, min(window_lo + _ROW_WINDOW, hi))
+            issues = columns.issue_time[window]
+            addresses = columns.address[window]
+            counts = columns.block_count[window]
+            if hashed:
+                _, starts, slots, subs = sieve_kernel.hash_requests(
+                    policy, addresses, counts, issues
+                )
+                starts, slots, subs = starts.tolist(), slots.tolist(), subs.tolist()
+            else:
+                starts, slots, subs = repeat(0), None, repeat(0)
+            completions = columns.completion_time[window]
+            writes = columns.is_write[window]
+            # Each row's hits and backing-write blocks, recorded once
+            # the window is decided.
+            zeros = bytes(8 * len(issues))
+            hits, backing = array("q", zeros), array("q", zeros)
+            for row, issue, completion, address, n, is_write, first, sub in zip(
+                count(), issues.tolist(), completions.tolist(),
+                addresses.tolist(), counts.tolist(), writes.tolist(),
+                starts, subs,
+            ):
+                hits[row], backing[row], _ = process(
+                    address, n, is_write, issue, completion, observe,
+                    slots, first, sub,
+                )
+            record(
+                issues, completions, counts, writes,
+                np.frombuffer(hits, dtype=np.int64),
+                np.frombuffer(backing, dtype=np.int64),
+            )
+
+    def settle(self, row: int, picklable: bool) -> None:
+        pass
+
+    def finish(self) -> None:
+        appliance = self.appliance
+        appliance.flush_dirty(time=self.end - 1.0)
+        if appliance.faults is not None:
+            # Assigned, not accumulated, so a resumed run counts it once.
+            appliance.stats.degraded_seconds, appliance.stats.bypass_seconds = (
+                appliance.faults.time_in_states(self.end)
+            )
+
+
+def _walk(
+    stretches: Union[FastStretches, _ObjectStretches], chunks,
+    epoch_seconds: float, total_epochs: int, cursor: int, current_epoch: int,
+    checkpoint_every: Optional[int], checkpointer, boundary_hook,
+    progress_every: Optional[int], progress_hook, segment_hook,
+) -> None:
+    """The one replay walk: ``stretches`` decides the requests of the
+    ``(base_row, columns)`` chunks, the walk does everything else.
+
+    Rows before ``cursor`` within the first chunk are skipped (how a
+    resume lands mid-chunk).  At each of a chunk's :func:`chunk_stops`
+    (plus the stops the decider adds) the walk applies the boundaries
+    the next stretch crosses, ``boundary_hook(epoch, cursor)`` after
+    each; after the stretch, at a multiple of ``checkpoint_every`` or
+    ``progress_every`` requests, it calls ``checkpointer`` (on a settled
+    state) or ``progress_hook`` with ``(requests_done, current_epoch)``.
+    ``segment_hook(cursor, current_epoch)`` fires after each chunk, on
+    a settled state (the per-segment checkpoint site of out-of-core
+    runs); after the last, the remaining boundaries fire, so discrete
+    policies close their books.  Hooks fire at the same rows whichever
+    decider runs; boundary and progress hooks must not mutate state.
+    """
     for base, columns in chunks:
         rows = len(columns)
         start = min(max(cursor - base, 0), rows)
-        epochs, stops, _ = chunk_stops(
+        epochs, stops, ticks = chunk_stops(
             columns.issue_time, epoch_seconds, base, start,
-            checkpoint_every, progress_every,
+            checkpoint_every, progress_every, stretches.chunk(columns, start),
         )
         for lo, hi in zip(stops, stops[1:]):
             epoch = int(epochs[lo])
             while current_epoch < epoch:
                 current_epoch += 1
-                appliance.begin_day(current_epoch)
+                stretches.boundary(current_epoch)
                 if boundary_hook is not None:
                     boundary_hook(current_epoch, base + lo)
-            for window_lo in range(lo, hi, _ROW_WINDOW):
-                window = slice(window_lo, min(window_lo + _ROW_WINDOW, hi))
-                issues = columns.issue_time[window]
-                addresses = columns.address[window]
-                counts = columns.block_count[window]
-                if hashed:
-                    _, starts, slots, subs = sieve_kernel.hash_requests(
-                        policy, addresses, counts, issues
-                    )
-                    starts, slots, subs = starts.tolist(), slots.tolist(), subs.tolist()
-                else:
-                    starts, slots, subs = repeat(0), None, repeat(0)
-                completions = columns.completion_time[window]
-                writes = columns.is_write[window]
-                # Each row's hits and backing-write blocks, recorded once
-                # the window is decided (every stop ends a window).
-                zeros = bytes(8 * len(issues))
-                hits, backing = array("q", zeros), array("q", zeros)
-                for row, issue, completion, address, n, is_write, first, sub in zip(
-                    count(), issues.tolist(), completions.tolist(),
-                    addresses.tolist(), counts.tolist(), writes.tolist(),
-                    starts, subs,
-                ):
-                    hits[row], backing[row], _ = process(
-                        address, n, is_write, issue, completion, observe,
-                        slots, first, sub,
-                    )
-                stats.record_rows(
-                    issues, completions, counts, writes,
-                    np.frombuffer(hits, dtype=np.int64),
-                    np.frombuffer(backing, dtype=np.int64),
-                )
+            stretches.decide(lo, hi, hi in ticks)
             done = base + hi
             if checkpoint_every is not None and done % checkpoint_every == 0:
+                stretches.settle(hi, True)
                 checkpointer(done, current_epoch)
             if progress_every is not None and done % progress_every == 0:
                 progress_hook(done, current_epoch)
+        # max() so a chunk wholly behind a resume cursor can never move
+        # it backwards.
         cursor = max(cursor, base + rows)
+        stretches.settle(rows, segment_hook is not None)
         if segment_hook is not None:
             segment_hook(cursor, current_epoch)
-    # Fire any remaining boundaries so discrete policies finish their
-    # final epoch bookkeeping (no accesses follow, so no hits change).
     while current_epoch < total_epochs - 1:
         current_epoch += 1
-        appliance.begin_day(current_epoch)
+        stretches.boundary(current_epoch)
         if boundary_hook is not None:
             boundary_hook(current_epoch, cursor)
-    appliance.flush_dirty(time=float(days) * SECONDS_PER_DAY - 1.0)
-    if appliance.faults is not None:
-        # Assigned, not accumulated, so a resumed run counts it once.
-        stats.degraded_seconds, stats.bypass_seconds = (
-            appliance.faults.time_in_states(float(days) * SECONDS_PER_DAY)
-        )
+    stretches.finish()
 
 
 def _chunks(
@@ -403,7 +461,10 @@ def _drive(
     layout (built by :func:`simulate`, reloaded by
     :func:`resume_simulation`), so a fresh run is simply a resume from
     cursor 0 / epoch -1, and a checkpoint is ``state`` with the cursor,
-    epoch, and elapsed time of the moment written over it.
+    epoch, and elapsed time of the moment written over it.  The driver
+    sets up the chunks, the observability hooks and the one
+    checkpointer, builds the decider ``state["engine"]`` names, and
+    runs :func:`_walk` once.
     """
     from repro.sim import serialize  # deferred: serialize imports this module
 
@@ -423,8 +484,8 @@ def _drive(
         )
 
     # Device state (dirty tracker, fault injector, health) rides on the
-    # appliance, which only the object loop drives.  A state the fast
-    # loop wrote carries none: that loop only replays write-through
+    # appliance, which only the object decider drives.  A state the fast
+    # one wrote carries none: it only replays write-through
     # without faults, which a new appliance around the same three
     # pieces represents exactly.
     if engine == "fast":
@@ -462,9 +523,8 @@ def _drive(
     if checkpoint_target is not None:
 
         def checkpointer(cursor: int, current_epoch: int) -> None:
-            # Both loops call this with policy / cache / stats already
-            # consistent (the fast loop resyncs the resident set and the
-            # sieve kernel first), so pickling them as they stand
+            # The walk calls this on a settled state (the deciders'
+            # settle), so pickling policy / cache / stats as they stand
             # captures the exact reference-equivalent state.
             serialize.save_checkpoint(
                 {
@@ -483,39 +543,20 @@ def _drive(
                     epoch=current_epoch,
                 )
 
-    position_and_hooks = dict(
-        start_cursor=cursor,
-        start_epoch=state["current_epoch"],
-        checkpoint_every=config["checkpoint_every"],
-        checkpointer=checkpointer,
-        boundary_hook=obs.boundary_hook if obs is not None else None,
-        progress_every=progress_every,
-        progress_hook=progress_hook,
-        # Out-of-core runs also checkpoint at every chunk boundary: the
-        # state is already consistent there, and a resume then reopens
-        # only the segments past the cursor.
-        segment_hook=checkpointer if isinstance(trace, ChunkSource) else None,
-    )
-    if engine == "fast":
-        simulate_fast_chunks(
-            chunks,
-            policy,
-            stats,
-            cache,
-            capacity_blocks=config["capacity_blocks"],
-            epoch_seconds=epoch_seconds,
-            total_epochs=config["total_epochs"],
-            **position_and_hooks,
-        )
+    if appliance is None:
+        stretches = FastStretches(policy, stats, cache, epoch_seconds)
     else:
-        _run_object_loop(
-            appliance,
-            chunks,
-            epoch_seconds,
-            config["total_epochs"],
-            days,
-            **position_and_hooks,
-        )
+        stretches = _ObjectStretches(appliance, days)
+    _walk(
+        stretches, chunks, epoch_seconds, config["total_epochs"], cursor,
+        state["current_epoch"], config["checkpoint_every"], checkpointer,
+        obs.boundary_hook if obs is not None else None,
+        progress_every, progress_hook,
+        # Out-of-core runs also checkpoint at every chunk boundary: the
+        # state is settled there, and a resume then reopens only the
+        # segments past the cursor.
+        checkpointer if isinstance(trace, ChunkSource) else None,
+    )
     wall = base_elapsed + (_time.perf_counter() - started)
 
     if obs is not None:

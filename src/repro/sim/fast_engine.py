@@ -4,13 +4,16 @@
 :class:`~repro.core.appliance.SieveStoreAppliance` method call per
 request, one cache/policy/stats call per 512-byte block.  That chain of
 small Python calls dominates simulation wall-clock.  This module
-replays the same semantics over the columnar trace, a chunk at a time:
+decides the same semantics over the columnar trace, as
+:class:`FastStretches`, one of the two stretch deciders the engine's
+one walk (:func:`repro.sim.engine._walk`) drives:
 
-* the rows where anything but a request happens — an epoch boundary, a
-  checkpoint or progress tick, a request running past midnight — are
-  found per chunk in a few vectorized passes, and the stretches between
-  them are replayed by per-mode block loops that contain requests and
-  nothing else: their one output is a hit count per request;
+* the walk finds per chunk, in a few vectorized passes, the rows where
+  anything but a request happens — an epoch boundary, a checkpoint or
+  progress tick, and the one kind of stop this loop adds, a request
+  running past midnight — and hands the stretches between them to
+  per-mode block loops that contain requests and nothing else: their
+  one output is a hit count per request;
 * allocate-on-demand walks no blocks: every miss is allocated, so a
   block hits iff fewer than ``capacity`` distinct blocks came between
   it and its previous access, and
@@ -144,38 +147,6 @@ def _observe_mode(policy: AllocationPolicy) -> int:
     return _O_CALL
 
 
-def chunk_stops(
-    issue_times: np.ndarray, epoch_seconds: float, base: int, start: int,
-    checkpoint_every: int, progress_every: int, extra=(),
-) -> Tuple[np.ndarray, List[int], set]:
-    """Where both replay loops stop in a chunk whose first row is trace
-    row ``base``, from chunk row ``start`` on: ``(epochs, stops, ticks)``.
-
-    ``epochs`` is each row's epoch (Python ``//`` semantics); ``stops``
-    the sorted rows in ``[start, n]`` that end a stretch of requests —
-    ``start``, ``n``, each epoch change, each row after which a multiple
-    of ``checkpoint_every`` or ``progress_every`` requests is done, and
-    ``extra``; ``ticks`` the stops that are progress ticks only (they
-    read neither the cache nor the statistics).  All elementwise, so
-    chunk edges cannot move a stop.
-    """
-    n = len(issue_times)
-
-    def every(cadence):  # the rows after a multiple of cadence requests
-        if cadence is None:
-            return ()
-        return range(start + cadence - (base + start) % cadence, n + 1, cadence)
-
-    epochs = subwindow_indices(issue_times, epoch_seconds)
-    stops = {start, n}
-    stops.update((np.flatnonzero(epochs[1:] != epochs[:-1]) + 1).tolist())
-    stops.update(every(checkpoint_every))
-    stops.update(extra)
-    ticks = set(every(progress_every)).difference(stops)
-    stops = sorted(stops.union(ticks))
-    return epochs, stops[stops.index(start):], ticks
-
-
 def _replay_lru(
     order: np.ndarray,
     capacity: int,
@@ -207,388 +178,362 @@ def _replay_lru(
     return order
 
 
-def simulate_fast_chunks(
-    chunks,
-    policy: AllocationPolicy,
-    stats: CacheStats,
-    cache: BlockCache,
-    capacity_blocks: int,
-    epoch_seconds: float,
-    total_epochs: int,
-    start_cursor: int = 0,
-    start_epoch: int = -1,
-    checkpoint_every: int = None,
-    checkpointer=None,
-    boundary_hook=None,
-    progress_every: int = None,
-    progress_hook=None,
-    segment_hook=None,
-) -> None:
-    """Replay a stream of columnar chunks through ``policy`` into
-    ``stats`` and ``cache`` (an LRU cache).
+class FastStretches:
+    """The fast loop's side of the one walk
+    (:func:`repro.sim.engine._walk`), over ``policy``, ``stats`` and
+    ``cache`` (an LRU cache).
 
-    ``chunks`` yields ``(base_row, columns)`` pieces of one trace in
-    issue order — contiguous, ascending, never overlapping (a
-    :meth:`~repro.traces.segments.SegmentStore.iter_chunks` iterator,
-    or an in-RAM trace's row views).  Rows before
-    ``start_cursor`` within the first chunk are skipped, so resuming
-    mid-chunk and resuming with a pre-trimmed iterator both work.  Only
-    one chunk's columns are materialized as Python lists at a time:
-    peak memory follows the chunk budget, not the trace.
+    The walk hands it each chunk (:meth:`chunk`, which names the rows
+    the loop adds as stops: the day-straddling requests of the bulk
+    modes), each epoch boundary (:meth:`boundary`) and each stretch of
+    requests between stops (:meth:`decide`), and asks for a state it
+    can pickle at a checkpoint or a chunk's end (:meth:`settle`): the
+    cache brought up to the cursor, the statistics recorded up to it
+    and (for the sieve kernel) the policy object fully synced.  At
+    every chunk's end the statistics are recorded; elsewhere they (for
+    allocate-on-demand, the cache too) trail the cursor.  Only one
+    chunk's columns are held as Python lists at a time, so peak memory
+    follows the chunk budget, not the trace.  Leaves ``stats`` and
+    ``cache`` exactly as the reference path would have (same counters,
+    same resident set, same LRU order), whatever the chunk edges.
 
-    Chunk boundaries are invisible in the results — bucketing,
-    ordering, and counter semantics do not depend on them, which the
-    segmented-pipeline equivalence suite asserts byte for byte.
-    Leaves ``stats`` and ``cache`` exactly as the reference path would
-    have (same counters, same resident set, same LRU order).
-
-    Checkpoint/resume: passing ``stats``/``cache``/``start_cursor``/
-    ``start_epoch`` (all restored from one checkpoint) continues a run
-    mid-trace; ``checkpointer(cursor, current_epoch)`` is invoked every
-    ``checkpoint_every`` requests, and ``segment_hook(cursor,
-    current_epoch)`` after each chunk (the per-segment checkpoint site
-    of out-of-core runs), both with the cache brought up to the cursor,
-    the statistics recorded up to the cursor and (for the sieve kernel)
-    the policy object fully synced, so the callback can pickle
-    ``policy``/``cache``/``stats`` as-is.  The driver for both is
-    :mod:`repro.sim.engine`.
-
-    Observability: ``boundary_hook(epoch, cursor)`` fires after each
-    epoch boundary is applied; ``progress_hook(requests_done,
-    current_epoch)`` fires every ``progress_every`` requests.  Both are
-    telemetry-only — they must not mutate simulation state, and the
-    statistics (for allocate-on-demand, the cache too) trail the
-    cursor between sync sites.  The rows they fire
-    at are found per chunk: they cost the request loops nothing.
+    Each block loop binds what it reads to locals once per stretch;
+    what a stretch leaves for the next (a sieve run that a checkpoint
+    cut, AOD rows a progress tick left unsettled) goes back to the
+    object at the stretch's end.
     """
-    od = cache._order
-    od_move = od.move_to_end
-    od_pop = od.popitem
-    capacity = capacity_blocks
-    day_seconds = float(SECONDS_PER_DAY)
 
-    wmode = _wants_mode(policy)
-    omode = _observe_mode(policy)
-    wants = policy.wants
-    observe = policy.observe
-    do_observe = omode != _O_NONE
-    # Specialized observe targets; these containers are *replaced* by
-    # their policies at epoch boundaries, so they are rebound after
-    # every boundary below.
-    counts = policy._epoch_counts if omode == _O_COUNTER else None
-    seen = policy._seen_this_epoch if omode == _O_SET else None
-    general = wmode == _W_CALL or omode == _O_CALL
-    # Every (WMNA: read) miss allocated and nothing to call per block:
-    # the allocation-writes, too, are recorded from columns.
-    bulk = not general and wmode in (_W_TRUE, _W_NOT_WRITE)
-    admitted: List[int] = []  # block offsets the request in hand installed
+    def __init__(self, policy: AllocationPolicy, stats: CacheStats,
+                 cache: BlockCache, epoch_seconds: float):
+        self.policy, self.stats, self.cache = policy, stats, cache
+        self.epoch_seconds = epoch_seconds
+        self.od = od = cache._order
+        self.wmode = wmode = _wants_mode(policy)
+        self.omode = omode = _observe_mode(policy)
+        self.general = wmode == _W_CALL or omode == _O_CALL
+        # Every (WMNA: read) miss allocated and nothing to call per
+        # block: the allocation-writes, too, are recorded from columns.
+        self.bulk = not self.general and wmode in (_W_TRUE, _W_NOT_WRITE)
+        self._rebind()
+        # The sieve kernel settles each run's hits and cold-slot
+        # rejections; every other decision is the policy's own
+        # tier1/tier2, so after a flush the policy object is the whole
+        # sieve state, ready to pickle.
+        self.kernel = SieveStoreCKernel(policy, od) if wmode == _W_SIEVE else None
+        self.sl_end = self.run_end = self.run_start = self.walked = self.stop = 0
+        self.c_starts = self.events = None
+        # AOD's LRU order while ``od`` lags behind it (see _replay_lru).
+        self.lru_order = None
+        self._stretch = {
+            _W_SIEVE: self._sieve, _W_FALSE: self._discrete,
+            _W_TRUE: self._aod, _W_NOT_WRITE: self._wmna,
+        }.get(wmode)
 
-    # -- sieve-kernel state (only when wmode == _W_SIEVE) -----------------
-    # The kernel settles each run's hits and cold-slot rejections; every
-    # other decision is the policy's own tier1/tier2, so after a flush the
-    # policy object is the whole sieve state, ready to pickle.
-    kernel = None
-    if wmode == _W_SIEVE:
-        kernel = SieveStoreCKernel(policy, od)
-        recency = kernel.recency
-        tier1 = policy.tier1
-        tier2 = policy.tier2
-        mct_counters = policy.mct._counters
-        installed: List[Tuple[int, int]] = []  # (row, block offset)
+    def _rebind(self) -> None:
+        """Specialized observe targets: these containers are *replaced*
+        by their policies at epoch boundaries."""
+        omode, policy = self.omode, self.policy
+        self.counts = policy._epoch_counts if omode == _O_COUNTER else None
+        self.seen = policy._seen_this_epoch if omode == _O_SET else None
 
-    # AOD's LRU order while ``od`` lags behind it (see _replay_lru).
-    lru_order = None
-
-    def resync() -> None:
+    def resync(self) -> None:
         """Bring the cache up to the replay: ``od`` from AOD's order."""
-        nonlocal lru_order
-        if lru_order is not None:
-            od.clear()
-            od.update(dict.fromkeys(lru_order.tolist()))
-            lru_order = None
+        if self.lru_order is not None:
+            self.od.clear()
+            self.od.update(dict.fromkeys(self.lru_order.tolist()))
+            self.lru_order = None
 
-    def apply_boundary(epoch: int) -> None:
-        batch = policy.epoch_boundary(epoch)
-        if batch is None:
-            return
-        resync()
-        new_set = set(batch)
-        inserted, _removed = cache.replace_contents(new_set)
-        if inserted:
-            # Batch allocation-writes belong to the calendar day
-            # containing the epoch boundary (boundary k fires at
-            # k * epoch_seconds): the reference path's begin_day calls.
-            boundary_time = float(epoch) * epoch_seconds
-            stats.record_allocation_write(boundary_time, inserted)
-
-    current_epoch = start_epoch
-    cursor = start_cursor
-    for base, chunk_cols in chunks:
-        issue_times = chunk_cols.issue_time
-        completion_times = chunk_cols.completion_time
-        issue_l = issue_times.tolist()
-        addr_l = chunk_cols.address.tolist()
-        count_l = chunk_cols.block_count.tolist()
-        write_l = chunk_cols.is_write.tolist()
-        chunk_n = len(issue_l)
+    def chunk(self, columns, start: int):
+        """Take a chunk replayed from row ``start``; returns its extra
+        stops."""
+        self.columns = columns
+        self.issue_l = columns.issue_time.tolist()
+        self.addr_l = columns.address.tolist()
+        self.count_l = columns.block_count.tolist()
+        self.write_l = columns.is_write.tolist()
         # Hits per request: all the loops below put out.  Statistics
         # are recorded from it and the columns, rows [recorded, upto) at
         # every sync site (CacheStats.record_rows).
-        hits = array("q", bytes(8 * chunk_n))
-        hit_column = np.frombuffer(hits, dtype=np.int64)
+        self.hits = array("q", bytes(8 * len(columns)))
+        self.hit_column = np.frombuffer(self.hits, dtype=np.int64)
         # Write-through: every written block reaches the ensemble.
-        recorded_columns = [
-            issue_times, completion_times, chunk_cols.block_count,
-            chunk_cols.is_write, hit_column,
-            chunk_cols.block_count * chunk_cols.is_write,
+        self.recorded_columns = [
+            columns.issue_time, columns.completion_time, columns.block_count,
+            columns.is_write, self.hit_column,
+            columns.block_count * columns.is_write,
         ]
-        # Rows the cursor already covers are skipped (a resume can land
-        # mid-chunk when the chunk iterator is coarser than the cursor).
-        recorded = local_start = min(max(cursor - base, 0), chunk_n)
-        scalar_rows = ()
-        if bulk:
+        # Sieve precompute windows and runs never span chunks: reset so
+        # the first sieved request of this chunk starts new ones.
+        self.recorded = self.lru_from = self.sl_end = self.run_end = start
+        self.scalar_rows = ()
+        if self.bulk:
             # A request running past midnight spreads its allocations
             # over two days, block by block: the scalar road (days
             # uncapped — past the last day it leads to the same sums).
+            day_seconds = float(SECONDS_PER_DAY)
             straddles = subwindow_indices(
-                issue_times, day_seconds
-            ) != subwindow_indices(completion_times, day_seconds)
-            allocates = ~chunk_cols.is_write if wmode == _W_NOT_WRITE else True
-            recorded_columns.append(~straddles & allocates)
-            scalar_rows = set(np.flatnonzero(straddles & allocates).tolist())
-        # The rows where something other than a request happens; every
-        # one but a progress tick reads the cache or the hit column, so
-        # AOD's rows are settled there, in one go.
-        epochs, stops, ticks = chunk_stops(
-            issue_times, epoch_seconds, base, local_start,
-            checkpoint_every, progress_every, scalar_rows,
-        )
-        lru_from = local_start
-        # Sieve precompute windows and runs never span chunks: reset so
-        # the first sieved request of this chunk starts new ones.
-        sl_end = run_end = local_start
-        for lo, hi in zip(stops, stops[1:]):
-            epoch = int(epochs[lo])
-            if epoch > current_epoch:
-                while current_epoch < epoch:
-                    current_epoch += 1
-                    apply_boundary(current_epoch)
-                    if boundary_hook is not None:
-                        boundary_hook(current_epoch, base + lo)
-                if omode == _O_COUNTER:
-                    counts = policy._epoch_counts
-                elif omode == _O_SET:
-                    seen = policy._seen_this_epoch
+                columns.issue_time, day_seconds
+            ) != subwindow_indices(columns.completion_time, day_seconds)
+            allocates = ~columns.is_write if self.wmode == _W_NOT_WRITE else True
+            self.recorded_columns.append(~straddles & allocates)
+            self.scalar_rows = set(np.flatnonzero(straddles & allocates).tolist())
+        return self.scalar_rows
 
-            # Reference-order general body: observe every block, ask
-            # wants() on every miss (stateful sieves consume the miss
-            # stream in exactly this order).  The bulk modes send it
-            # their day-straddling requests, for the blocks' offsets.
-            head = hi if general else lo + (lo in scalar_rows)
-            if head > lo and lru_order is not None:
-                resync()
-            for jl in range(lo, head):
-                issue = issue_l[jl]
+    def boundary(self, epoch: int) -> None:
+        batch = self.policy.epoch_boundary(epoch)
+        if batch is not None:
+            self.resync()
+            inserted, _removed = self.cache.replace_contents(set(batch))
+            if inserted:
+                # Batch allocation-writes belong to the calendar day
+                # containing the epoch boundary (boundary k fires at
+                # k * epoch_seconds): the reference path's begin_day calls.
+                self.stats.record_allocation_write(
+                    float(epoch) * self.epoch_seconds, inserted
+                )
+        self._rebind()
+
+    def decide(self, lo: int, hi: int, tick: bool) -> None:
+        """Replay rows ``[lo, hi)``; ``tick``: ``hi`` is a progress tick
+        only, where nothing reads the cache or the hit column."""
+        if self.general:
+            self._general(lo, hi)
+            return
+        if lo in self.scalar_rows:
+            # A settle site: the row goes through the general body for
+            # its blocks' offsets.
+            self._general(lo, lo + 1)
+            lo = self.lru_from = lo + 1
+        self._stretch(lo, hi, tick)
+
+    def settle(self, row: int, picklable: bool) -> None:
+        """Record the statistics up to chunk row ``row``; ``picklable``:
+        also bring the cache and the sieve's policy object up to it (the
+        cache is rebuilt only where it is read: a chunk's end under no
+        segment hook reads only the hit column)."""
+        if picklable:
+            self.resync()
+            if self.kernel is not None:
+                # Mid-run: flush only the blocks replayed so far (at a
+                # chunk's end the run ends there too).
+                self.kernel.flush(self.stop)
+        self.stats.record_rows(
+            *(c[self.recorded:row] for c in self.recorded_columns)
+        )
+        self.recorded = row
+
+    def finish(self) -> None:
+        self.resync()
+        if self.kernel is not None:
+            # The policy object must reflect the run before the caller
+            # samples sieve telemetry or pickles a final state.
+            self.kernel.sync()
+
+    def _general(self, lo: int, hi: int) -> None:
+        """Reference-order body: observe every block, ask wants() on
+        every miss (stateful sieves consume the miss stream in exactly
+        this order).  The bulk modes send it their day-straddling
+        requests, for the blocks' offsets."""
+        self.resync()
+        od, capacity, hits, stats = self.od, self.cache.capacity_blocks, self.hits, self.stats
+        od_move, od_pop = od.move_to_end, od.popitem
+        wmode, wants, observe = self.wmode, self.policy.wants, self.policy.observe
+        do_observe = self.omode != _O_NONE
+        issue_l, addr_l, count_l, write_l = self.issue_l, self.addr_l, self.count_l, self.write_l
+        completion_times = self.columns.completion_time
+        admitted: List[int] = []  # block offsets the request in hand installed
+        for jl in range(lo, hi):
+            issue = issue_l[jl]
+            addr = addr_l[jl]
+            w = write_l[jl]
+            hit = 0
+            for a in range(addr, addr + count_l[jl]):
+                if a in od:
+                    od_move(a)
+                    if do_observe:
+                        observe(a, w, issue, True)
+                    hit += 1
+                else:
+                    if do_observe:
+                        observe(a, w, issue, False)
+                    if (
+                        wmode == _W_TRUE
+                        or (wmode == _W_NOT_WRITE and not w)
+                        or (wmode == _W_CALL and wants(a, w, issue))
+                    ):
+                        if len(od) >= capacity:
+                            od_pop(False)
+                        od[a] = None
+                        admitted.append(a - addr)
+            hits[jl] = hit
+            if admitted:
+                _record_allocations(
+                    stats, issue, completion_times[jl].item(),
+                    count_l[jl], admitted,
+                )
+                admitted.clear()
+
+    def _sieve(self, lo: int, hi: int, tick: bool) -> None:
+        """SieveStore-C, one run of same-subwindow requests at a time:
+        the kernel settles its hits and cold rejections at the run's
+        head (repro.core.sieve_kernel), and only the events meet the
+        policy's ladder, in order."""
+        kernel, policy, stats = self.kernel, self.policy, self.stats
+        recency, tier1, tier2 = kernel.recency, policy.tier1, policy.tier2
+        mct_counters = policy.mct._counters
+        od, capacity = self.od, self.cache.capacity_blocks
+        od_move, od_pop = od.move_to_end, od.popitem
+        hits, hit_column = self.hits, self.hit_column
+        issue_l, addr_l, count_l = self.issue_l, self.addr_l, self.count_l
+        columns = self.columns
+        chunk_n = len(issue_l)
+        sl_end, run_end, run_start = self.sl_end, self.run_end, self.run_start
+        c_starts, events, walked = self.c_starts, self.events, self.walked
+        installed: List[Tuple[int, int]] = []  # (row, block offset)
+        jl = lo
+        while jl < hi:
+            if jl >= run_end:
+                if jl >= sl_end:
+                    sl_end = min(jl + _SIEVE_CHUNK, chunk_n)
+                    kernel.precompute_chunk(
+                        columns.address[jl:sl_end],
+                        columns.block_count[jl:sl_end],
+                        columns.issue_time[jl:sl_end],
+                    )
+                run_start = jl
+                run_len, c_starts, head_hits = kernel.begin_run()
+                run_end = jl + run_len
+                hit_column[jl:run_end] = head_hits
+                events = kernel.events()
+                walked = 0
+            jl = min(run_end, hi)
+            stop = int(c_starts[jl - run_start])
+            while walked < len(events) and events[walked][0] < stop:
+                at, a, slot, sub, r = events[walked]
+                walked += 1
+                row = run_start + r
+                # Decision order matches the reference exactly: the hits
+                # before a block move recency before it does, and every
+                # miss is counted in one tier.
+                if a in od:  # admitted earlier in the run
+                    for b in recency(at):
+                        od_move(b)
+                    od_move(a)
+                    hits[row] += 1
+                    continue
+                if a in mct_counters:
+                    if not tier2(a, issue_l[row]):
+                        continue
+                elif slot < 0:
+                    kernel.reject(at)  # tracked at the head, pruned since
+                    continue
+                elif not tier1(a, slot, sub):
+                    continue
+                # Admission (either tier): install the block.
+                for b in recency(at):
+                    od_move(b)
+                if len(od) >= capacity:
+                    lost = kernel.evict(od_pop(False)[0], at)
+                    if lost.size:
+                        np.subtract.at(hit_column, run_start + lost, 1)
+                        events = kernel.events(at)
+                        walked = 0
+                od[a] = None
+                installed.append((row, a - addr_l[row]))
+            for b in recency(stop):
+                od_move(b)
+            for row, group in groupby(installed, itemgetter(0)):
+                _record_allocations(
+                    stats, issue_l[row], columns.completion_time[row].item(),
+                    count_l[row], [offset for _, offset in group],
+                )
+            installed.clear()
+        self.sl_end, self.run_end, self.run_start = sl_end, run_end, run_start
+        self.c_starts, self.events, self.walked = c_starts, events, walked
+        self.stop = stop
+
+    def _discrete(self, lo: int, hi: int, tick: bool) -> None:
+        """Policies that never allocate on a miss: hits and observe."""
+        od, hits = self.od, self.hits
+        od_move = od.move_to_end
+        addr_l, count_l = self.addr_l, self.count_l
+        if self.omode == _O_COUNTER:
+            counts = self.counts
+            for jl in range(lo, hi):
                 addr = addr_l[jl]
-                w = write_l[jl]
+                hit = 0
+                for a in range(addr, addr + count_l[jl]):
+                    counts[a] += 1
+                    if a in od:
+                        od_move(a)
+                        hit += 1
+                hits[jl] = hit
+        elif self.omode == _O_SET:
+            seen = self.seen
+            for jl in range(lo, hi):
+                addr = addr_l[jl]
+                hit = 0
+                for a in range(addr, addr + count_l[jl]):
+                    seen.add(a)
+                    if a in od:
+                        od_move(a)
+                        hit += 1
+                hits[jl] = hit
+        else:
+            for jl in range(lo, hi):
+                addr = addr_l[jl]
                 hit = 0
                 for a in range(addr, addr + count_l[jl]):
                     if a in od:
                         od_move(a)
-                        if do_observe:
-                            observe(a, w, issue, True)
+                        hit += 1
+                hits[jl] = hit
+
+    def _aod(self, lo: int, hi: int, tick: bool) -> None:
+        """AOD: every miss allocated, so the hits follow from reuse
+        distances alone (repro.cache.replacement); the rows since the
+        last settle site go in one call (a scalar row, itself a settle
+        site, went through :meth:`_general`)."""
+        if tick:
+            return
+        lru_from = self.lru_from
+        if lru_from < hi:
+            if self.lru_order is None:
+                self.lru_order = np.fromiter(self.od, np.int64, len(self.od))
+            columns = self.columns
+            self.lru_order = _replay_lru(
+                self.lru_order, self.cache.capacity_blocks,
+                columns.address[lru_from:hi], columns.block_count[lru_from:hi],
+                self.hit_column[lru_from:hi],
+            )
+        self.lru_from = hi
+
+    def _wmna(self, lo: int, hi: int, tick: bool) -> None:
+        """WMNA (observe is the no-op): a write miss allocates nothing,
+        so the block stream depends on the state; allocated = read
+        blocks - read hits.  Free frames are counted once per stretch,
+        not on every read miss."""
+        od, hits = self.od, self.hits
+        od_move, od_pop = od.move_to_end, od.popitem
+        addr_l, count_l, write_l = self.addr_l, self.count_l, self.write_l
+        free = self.cache.capacity_blocks - len(od)
+        for jl in range(lo, hi):
+            addr = addr_l[jl]
+            hit = 0
+            if write_l[jl]:
+                for a in range(addr, addr + count_l[jl]):
+                    if a in od:
+                        od_move(a)
+                        hit += 1
+            else:
+                for a in range(addr, addr + count_l[jl]):
+                    if a in od:
+                        od_move(a)
                         hit += 1
                     else:
-                        if do_observe:
-                            observe(a, w, issue, False)
-                        if (
-                            wmode == _W_TRUE
-                            or (wmode == _W_NOT_WRITE and not w)
-                            or (wmode == _W_CALL and wants(a, w, issue))
-                        ):
-                            if len(od) >= capacity:
-                                od_pop(False)
-                            od[a] = None
-                            admitted.append(a - addr)
-                hits[jl] = hit
-                if admitted:
-                    _record_allocations(
-                        stats, issue, completion_times[jl].item(),
-                        count_l[jl], admitted,
-                    )
-                    admitted.clear()
-
-            if wmode == _W_SIEVE:
-                # SieveStore-C, one run of same-subwindow requests at a
-                # time: the kernel settles its hits and cold rejections
-                # at the run's head (repro.core.sieve_kernel), and only
-                # the events meet the policy's ladder, in order.
-                jl = lo
-                while jl < hi:
-                    if jl >= run_end:
-                        if jl >= sl_end:
-                            sl_end = min(jl + _SIEVE_CHUNK, chunk_n)
-                            kernel.precompute_chunk(
-                                chunk_cols.address[jl:sl_end],
-                                chunk_cols.block_count[jl:sl_end],
-                                issue_times[jl:sl_end],
-                            )
-                        run_start = jl
-                        run_len, c_starts, head_hits = kernel.begin_run()
-                        run_end = jl + run_len
-                        hit_column[jl:run_end] = head_hits
-                        events = kernel.events()
-                        walked = 0
-                    jl = min(run_end, hi)
-                    stop = int(c_starts[jl - run_start])
-                    while walked < len(events) and events[walked][0] < stop:
-                        at, a, slot, sub, r = events[walked]
-                        walked += 1
-                        row = run_start + r
-                        # Decision order matches the reference exactly:
-                        # the hits before a block move recency before it
-                        # does, and every miss is counted in one tier.
-                        if a in od:  # admitted earlier in the run
-                            for b in recency(at):
-                                od_move(b)
-                            od_move(a)
-                            hits[row] += 1
-                            continue
-                        if a in mct_counters:
-                            if not tier2(a, issue_l[row]):
-                                continue
-                        elif slot < 0:
-                            kernel.reject(at)  # tracked at the head, pruned since
-                            continue
-                        elif not tier1(a, slot, sub):
-                            continue
-                        # Admission (either tier): install the block.
-                        for b in recency(at):
-                            od_move(b)
-                        if len(od) >= capacity:
-                            lost = kernel.evict(od_pop(False)[0], at)
-                            if lost.size:
-                                np.subtract.at(hit_column, run_start + lost, 1)
-                                events = kernel.events(at)
-                                walked = 0
+                        if free > 0:
+                            free -= 1
+                        else:
+                            od_pop(False)
                         od[a] = None
-                        installed.append((row, a - addr_l[row]))
-                    for b in recency(stop):
-                        od_move(b)
-                    for row, group in groupby(installed, itemgetter(0)):
-                        _record_allocations(
-                            stats, issue_l[row], completion_times[row].item(),
-                            count_l[row], [offset for _, offset in group],
-                        )
-                    installed.clear()
-            elif wmode == _W_FALSE:
-                if omode == _O_COUNTER:
-                    for jl in range(head, hi):
-                        addr = addr_l[jl]
-                        hit = 0
-                        for a in range(addr, addr + count_l[jl]):
-                            counts[a] += 1
-                            if a in od:
-                                od_move(a)
-                                hit += 1
-                        hits[jl] = hit
-                elif omode == _O_SET:
-                    for jl in range(head, hi):
-                        addr = addr_l[jl]
-                        hit = 0
-                        for a in range(addr, addr + count_l[jl]):
-                            seen.add(a)
-                            if a in od:
-                                od_move(a)
-                                hit += 1
-                        hits[jl] = hit
-                else:
-                    for jl in range(head, hi):
-                        addr = addr_l[jl]
-                        hit = 0
-                        for a in range(addr, addr + count_l[jl]):
-                            if a in od:
-                                od_move(a)
-                                hit += 1
-                        hits[jl] = hit
-            elif wmode == _W_TRUE:
-                # AOD: every miss allocated, so the hits follow from
-                # reuse distances alone (repro.cache.replacement); the
-                # rows since the last settle site go in one call (a
-                # scalar row, itself a settle site, went through above).
-                if head > lo:
-                    lru_from = head
-                if hi not in ticks:
-                    if lru_from < hi:
-                        if lru_order is None:
-                            lru_order = np.fromiter(od, np.int64, len(od))
-                        lru_order = _replay_lru(
-                            lru_order, capacity,
-                            chunk_cols.address[lru_from:hi],
-                            chunk_cols.block_count[lru_from:hi],
-                            hit_column[lru_from:hi],
-                        )
-                    lru_from = hi
-            else:
-                # WMNA (observe is the no-op): a write miss allocates
-                # nothing, so the block stream depends on the state;
-                # allocated = read blocks - read hits.  Free frames are
-                # counted once per stretch, not on every read miss.
-                free = capacity - len(od)
-                for jl in range(head, hi):
-                    addr = addr_l[jl]
-                    hit = 0
-                    if write_l[jl]:
-                        for a in range(addr, addr + count_l[jl]):
-                            if a in od:
-                                od_move(a)
-                                hit += 1
-                    else:
-                        for a in range(addr, addr + count_l[jl]):
-                            if a in od:
-                                od_move(a)
-                                hit += 1
-                            else:
-                                if free > 0:
-                                    free -= 1
-                                else:
-                                    od_pop(False)
-                                od[a] = None
-                    hits[jl] = hit
-
-            done = base + hi
-            if checkpoint_every is not None and done % checkpoint_every == 0:
-                resync()
-                if kernel is not None:
-                    # Mid-run: flush only the blocks replayed so far.
-                    kernel.flush(stop)
-                stats.record_rows(*(c[recorded:hi] for c in recorded_columns))
-                recorded = hi
-                checkpointer(done, current_epoch)
-            if progress_every is not None and done % progress_every == 0:
-                progress_hook(done, current_epoch)
-
-        # End of chunk: record the rest of it, advance the cursor (max()
-        # so a chunk wholly behind a resume cursor can never move it
-        # backwards) and give the caller a consistent state to checkpoint.
-        stats.record_rows(*(c[recorded:] for c in recorded_columns))
-        chunk_end_row = base + chunk_n
-        if chunk_end_row > cursor:
-            cursor = chunk_end_row
-        if segment_hook is not None:
-            resync()
-            if kernel is not None:
-                kernel.sync()
-            segment_hook(cursor, current_epoch)
-
-    # Trailing epoch boundaries (discrete policies close their books).
-    while current_epoch < total_epochs - 1:
-        current_epoch += 1
-        apply_boundary(current_epoch)
-        if boundary_hook is not None:
-            boundary_hook(current_epoch, cursor)
-    resync()
-    if kernel is not None:
-        # The policy object must reflect the run before the caller
-        # samples sieve telemetry or pickles a final state.
-        kernel.sync()
+            hits[jl] = hit

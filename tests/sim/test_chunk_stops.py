@@ -1,8 +1,8 @@
-"""The one stop finder both replay loops walk a chunk by.
+"""The stop finder of the one walk both engines run.
 
-``chunk_stops`` finds, in a few vectorized passes, the rows where a
-replay loop must stop: epoch changes, checkpoint and progress rows,
-the chunk's end.  Over random chunk bases, resume cursors, epoch
+``chunk_stops`` finds, in a few vectorized passes, the rows where the
+walk must stop: epoch changes, checkpoint and progress rows, the
+chunk's end.  Over random chunk bases, resume cursors, epoch
 lengths and cadences, its stops must be the rows the per-row reference
 stops at: ``int(issue // epoch_seconds)`` changes, and
 ``(row + 1) % every == 0`` after trace row ``row``.
@@ -11,7 +11,7 @@ stops at: ``int(issue // epoch_seconds)`` changes, and
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.fast_engine import chunk_stops
+from repro.sim.engine import chunk_stops
 
 EPOCHS = (1.0, 60.0, 3600.0, 7 * 3600.0, 43200.5, 86400.0)
 

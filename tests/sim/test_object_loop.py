@@ -1,6 +1,6 @@
 """The object loop's row windows: invisible to results, and object-free.
 
-``_run_object_loop`` walks each chunk between the fast loop's stops, in
+The object engine decides each stretch between the walk's stops in
 windows of at most ``_ROW_WINDOW`` rows (for a plain SieveStore-C it
 hashes each window's blocks at once, and it records each window's
 statistics once decided).  A checkpointed run stops at its checkpoints,
@@ -18,7 +18,7 @@ from repro.core import SieveStoreC, SieveStoreCConfig
 from repro.faults import ErrorWindow, FaultPlan, OutageWindow
 from repro.sim import engine
 from repro.sim.engine import resume_simulation, simulate
-from repro.sim.fast_engine import chunk_stops
+from repro.sim.engine import chunk_stops
 from repro.sim.experiment import context_for_trace, run_policy
 from repro.sim.serialize import load_checkpoint, stats_to_dict
 from repro.traces import columnar, model

@@ -1,10 +1,14 @@
 """MSR-Cambridge CSV trace I/O round-tripping."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
-from repro.traces import read_msr_csv, write_msr_csv
+from repro.traces import SyntheticTraceConfig, read_msr_csv, write_msr_csv
 from repro.traces.model import IOKind, IORequest
 from repro.traces.msr import TICKS_PER_SECOND
+from repro.traces.synthetic import EnsembleTraceGenerator
 from tests.oracle import columns_of
 
 
@@ -101,3 +105,50 @@ class TestRoundTrip:
             assert a.kind == b.kind
             assert a.issue_time == pytest.approx(b.issue_time, abs=1e-6)
             assert a.completion_time == pytest.approx(b.completion_time, abs=1e-6)
+
+
+#: The writer's host names, back to the server ids they name.
+SERVER_IDS = {f"srv{server}": server for server in range(256)}
+
+
+class TestOrderAndMemory:
+    def test_rows_are_stable_sorted_by_issue(self, tmp_path):
+        path = tmp_path / "unsorted.csv"
+        rows = [
+            f"{12 * TICKS_PER_SECOND},a,0,Read,0,512,0",
+            f"{10 * TICKS_PER_SECOND},a,0,Read,512,512,0",
+            f"{11 * TICKS_PER_SECOND},a,0,Read,1024,512,0",
+            f"{11 * TICKS_PER_SECOND},a,0,Read,1536,512,0",
+        ]
+        path.write_text("\n".join(rows) + "\n")
+        loaded = requests(path)
+        # Time zero is the first record's timestamp, wherever it sorts.
+        assert [r.issue_time for r in loaded] == [-2.0, -1.0, -1.0, 0.0]
+        assert [r.block_offset for r in loaded] == [1, 2, 3, 0]
+
+    def test_a_size_past_the_block_count_column_names_its_line(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text(f"1,a,0,Read,0,512,0\n2,a,0,Read,0,{1 << 50},0\n")
+        with pytest.raises(ValueError, match="^line 2: "):
+            read_msr_csv(path)
+
+    def test_a_week_reads_in_at_most_100_bytes_a_row(self, tmp_path):
+        """Rows go into typed buffers, not lists of boxed values (which
+        took ~200 bytes a row)."""
+        week = EnsembleTraceGenerator(
+            SyntheticTraceConfig(scale=5e-5, days=7)
+        ).generate_columnar()
+        path = tmp_path / "week.csv"
+        write_msr_csv(week, path)
+        tracemalloc.start()
+        try:
+            loaded = read_msr_csv(path, server_ids=SERVER_IDS)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == len(week) > 100_000
+        assert peak <= 100 * len(loaded)
+        for name in ("address", "block_count", "is_write"):
+            assert np.array_equal(getattr(loaded, name), getattr(week, name))
+        assert np.allclose(loaded.issue_time, week.issue_time - week.issue_time[0],
+                           rtol=0, atol=1e-6)
