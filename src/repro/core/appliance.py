@@ -73,25 +73,21 @@ class SieveStoreAppliance:
             on eviction, coalescing repeated writes to hot blocks).
             Only backing-store accounting differs; the SSD-side figures
             are identical in both modes.
-        faults: optional :class:`~repro.faults.injector.FaultInjector`
-            driving the device-health state machine.  With ``None`` (the
-            default) the device stays HEALTHY: health is never
-            evaluated and no wear is recorded.
+        faults: optional :class:`~repro.faults.injector.FaultInjector`,
+            which owns the device-health machine
+            (:class:`~repro.faults.injector.DeviceHealth`).  With
+            ``None`` (the default) the device stays HEALTHY: health is
+            never evaluated and no wear is recorded.
 
-    Device-health state machine (``faults`` present):
-
-    * ``HEALTHY`` — normal operation.
-    * ``DEGRADED`` — transient errors / latency degradation: an SSD
-      read that errors falls back to the backing ensemble (counted as a
-      miss plus ``read_errors``; the block stays resident), an SSD
-      write that errors invalidates the frame and routes the write to
-      the ensemble (``write_errors``), and a failed allocation write
-      suppresses the insert.  The sieve keeps observing throughout.
-    * ``BYPASS`` — the device is gone (outage or wear-out): on entry
-      dirty blocks are force-flushed (write-back correctness) and the
-      cache contents dropped; every request passes straight through to
-      the ensemble, while the sieve keeps counting misses so blocks
-      re-earn allocation after recovery.
+    This appliance's reactions to the device's health: in DEGRADED an
+    SSD read that errors is counted as a miss plus ``read_errors`` (the
+    block stays resident), an SSD write that errors invalidates the
+    frame and routes the write to the ensemble (``write_errors``), and a
+    failed allocation write suppresses the insert.  Entering BYPASS is
+    whole-device data loss: dirty blocks are force-flushed (write-back
+    correctness) and the cache contents dropped (the serving cache,
+    :class:`~repro.serve.appliance.ServingCache`, keeps its bytes
+    instead).
 
     Epoch batch moves are background, retriable transfers, so they are
     not subject to per-operation transient errors — but they do count
@@ -114,18 +110,6 @@ class SieveStoreAppliance:
         self.epoch_seconds = float(epoch_seconds)
         self.dirty = DirtyTracker()
         self.faults = faults
-        self.health = DeviceHealth.HEALTHY
-        #: optional ``(time, old_state, new_state)`` callback fired on
-        #: device-health transitions (observability layer; transitions
-        #: are rare, so the request hot path never sees it).  Excluded
-        #: from pickling — checkpoints restore with no observer and the
-        #: resuming engine re-attaches its own.
-        self.health_observer = None
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["health_observer"] = None
-        return state
 
     def begin_day(self, day: int) -> int:
         """Apply the policy's epoch batch for epoch ``day``; returns blocks moved in.
@@ -135,18 +119,18 @@ class SieveStoreAppliance:
         calendar day containing it — and kept out of minute accounting
         (the paper's assumption that moves ride idle bandwidth).
         """
-        if self.faults is not None:
-            self._update_health(float(day) * self.epoch_seconds)
-            if self.health is DeviceHealth.BYPASS:
-                # The device is gone: the policy's epoch state must
-                # still advance, but nothing can be installed.
-                self.policy.epoch_boundary(day)
-                return 0
+        boundary_time = float(day) * self.epoch_seconds
+        if self.faults is not None and self.faults.advance(boundary_time) is DeviceHealth.BYPASS:
+            # The device is gone: the policy's epoch state must still
+            # advance, but nothing can be installed.
+            if len(self.cache):
+                self._lose_contents(boundary_time)
+            self.policy.epoch_boundary(day)
+            return 0
         batch = self.policy.epoch_boundary(day)
         if batch is None:
             return 0
         new_set = set(batch)  # materialize once; the batch may be lazy
-        boundary_time = float(day) * self.epoch_seconds
         if self.write_mode is WriteMode.WRITE_BACK and len(self.dirty):
             evicted_dirty = [
                 address
@@ -208,18 +192,20 @@ class SieveStoreAppliance:
         faults = self.faults
         policy = self.policy
         stats = self.stats
+        resident = self.cache._order  # LRU order, least recent first
         degraded = bypass = False
         if faults is not None:
-            self._update_health(issue)
-            degraded = self.health is DeviceHealth.DEGRADED
-            # Pass-through: entering BYPASS emptied the cache, so every
-            # block misses; the sieve still observes and miss-counts so
-            # blocks re-earn allocation after recovery, but nothing is
+            health = faults.advance(issue)
+            degraded = health is DeviceHealth.DEGRADED
+            # Pass-through: the cache is empty in BYPASS, so every block
+            # misses; the sieve still observes and miss-counts so blocks
+            # re-earn allocation after recovery, but nothing is
             # installed.
-            bypass = self.health is DeviceHealth.BYPASS
+            bypass = health is DeviceHealth.BYPASS
+            if bypass and resident:
+                self._lose_contents(issue)
         span = completion - issue
 
-        resident = self.cache._order  # LRU order, least recent first
         touch = resident.move_to_end
         write_back = self.write_mode is WriteMode.WRITE_BACK
         hit_blocks = 0
@@ -309,23 +295,14 @@ class SieveStoreAppliance:
             return None
         return self.policy.observe
 
-    def _update_health(self, time: float) -> None:
-        """Walk the device-health state machine at ``time``.
-
-        Entering BYPASS models whole-device data loss: dirty blocks are
-        force-flushed first (correctness-preserving under write-back; a
-        no-op under write-through) and the cache contents dropped, so a
-        recovered device starts cold and the sieve re-earns allocations.
-        """
-        new = self.faults.health_at(time)
-        if new is self.health:
-            return
-        if new is DeviceHealth.BYPASS:
-            self.flush_dirty(time)
-            self.cache.clear()
-        if self.health_observer is not None:
-            self.health_observer(time, self.health, new)
-        self.health = new
+    def _lose_contents(self, time: float) -> None:
+        """React to entering BYPASS (nothing is installed there, so only
+        the first request or boundary in it finds contents to lose):
+        dirty blocks are force-flushed, then the cache contents dropped,
+        so a recovered device starts cold and the sieve re-earns
+        allocations."""
+        self.flush_dirty(time)
+        self.cache.clear()
 
     def flush_dirty(self, time: float) -> int:
         """Write every dirty block back to the ensemble (shutdown path).

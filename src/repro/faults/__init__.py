@@ -7,10 +7,11 @@ the SSD misbehaves.  This package models that misbehaviour —
   :class:`OutageWindow`: declarative, JSON round-trippable schedules of
   transient errors, latency degradation, whole-device outages, and
   endurance wear-out;
-* :class:`FaultInjector`: the per-run stateful driver the appliance
-  queries (deterministic, picklable, checkpoint-safe);
+* :class:`FaultInjector`: the per-run stateful driver the appliances
+  query (deterministic, picklable, checkpoint-safe), and the one owner
+  of the device-health machine;
 * :class:`DeviceHealth`: the HEALTHY → DEGRADED → BYPASS state machine
-  the appliance walks.
+  itself, whose transitions the appliances only react to.
 """
 
 from repro.faults.injector import DeviceHealth, FaultInjector

@@ -175,11 +175,11 @@ def sample_sieve_metrics(
 def make_health_observer(
     registry: MetricsRegistry, policy_name: str, events=None
 ) -> Callable[[float, object, object], None]:
-    """Observer for the appliance's device-health state machine.
+    """Observer for the injector's device-health state machine.
 
-    Matches ``SieveStoreAppliance.health_observer``'s signature
-    ``(time, old_state, new_state)``; transitions are rare, so this
-    never touches the request hot path.
+    Matches ``FaultInjector.observer``'s signature ``(time, old_state,
+    new_state)``; transitions are rare, so this never touches the
+    request hot path.
     """
     transitions = registry.counter(
         "appliance_health_transitions_total",

@@ -8,10 +8,11 @@ frame-counting appliance.  It glues together the three existing layers:
 * an admission gate from :func:`repro.core.admission.build_admission_gate`
   (the paper's continuous sieve, or an unsieved baseline) consulted on
   every miss, and
-* a :class:`~repro.faults.injector.FaultInjector` driving the PR-3
-  device-health state machine — HEALTHY serves normally, DEGRADED
-  drops individual device reads/writes, BYPASS sends everything
-  straight to the backing ensemble.
+* a :class:`~repro.faults.injector.FaultInjector`, the owner of the
+  device-health machine (:class:`~repro.faults.injector.DeviceHealth`).
+  This cache reacts to its state — DEGRADED drops individual device
+  reads/writes, BYPASS sends everything straight to the backing
+  ensemble, the device keeping its bytes — and tallies its transitions.
 
 Two clocks, deliberately distinct: device health is evaluated at the
 **trace issue time** passed into every operation (so a fault plan's
@@ -136,40 +137,33 @@ class ServingCache:
         self.backend = backend
         self.injector = injector
         self.stats = ServeStats()
-        self._last_health = DeviceHealth.HEALTHY
+        if injector is not None:
+            injector.observer = self._count_transition
         #: the tag directory: every address with a value on the device.
         self._tags = set(store.keys())
 
     # -- health ------------------------------------------------------------
-    def _health(self, time: float) -> DeviceHealth:
-        """Device health at ``time``, tallying state transitions."""
-        if self.injector is None:
-            return DeviceHealth.HEALTHY
-        health = self.injector.health_at(time)
-        if health is not self._last_health:
-            key = f"{self._last_health.value}->{health.value}"
-            self.stats.health_transitions[key] = (
-                self.stats.health_transitions.get(key, 0) + 1
-            )
-            registry = runtime.get_registry()
-            if registry is not None:
-                registry.counter(
-                    "serve_health_transitions_total",
-                    "Serving-cache device-health transitions",
-                    ("from_state", "to_state"),
-                ).inc(
-                    from_state=self._last_health.value,
-                    to_state=health.value,
-                )
-            self._last_health = health
-        return health
+    def _count_transition(self, time: float, old: DeviceHealth, new: DeviceHealth) -> None:
+        """The injector's observer: tally one device-health transition."""
+        key = f"{old.value}->{new.value}"
+        self.stats.health_transitions[key] = (
+            self.stats.health_transitions.get(key, 0) + 1
+        )
+        registry = runtime.get_registry()
+        if registry is not None:
+            registry.counter(
+                "serve_health_transitions_total",
+                "Serving-cache device-health transitions",
+                ("from_state", "to_state"),
+            ).inc(from_state=old.value, to_state=new.value)
 
     # -- operations --------------------------------------------------------
     def read(self, address: int, time: float) -> bytes:
         """Serve a read: device hit, ensemble fallback, sieve on miss."""
         self.stats.requests += 1
         self.stats.reads += 1
-        health = self._health(time)
+        injector = self.injector
+        health = DeviceHealth.HEALTHY if injector is None else injector.advance(time)
         if health is DeviceHealth.BYPASS:
             self.stats.bypassed += 1
             self._observe_op("read", "bypass")
@@ -177,7 +171,7 @@ class ServingCache:
         value = None
         # The fault draw comes first, resident or not: the fault RNG is
         # stateful, so where it is consulted is part of the statistics.
-        if health is DeviceHealth.DEGRADED and self.injector.read_fails(time):
+        if health is DeviceHealth.DEGRADED and injector.read_fails(time):
             self.stats.read_faults += 1  # errored: fall back to the ensemble
         elif address in self._tags:
             value = self.store.get(address)
@@ -196,7 +190,7 @@ class ServingCache:
         # A faulted read of a resident block is no sieve miss: the block
         # is still on the device, so there is nothing to admit.
         if address not in self._tags:
-            self._maybe_admit(address, False, time, value)
+            self._maybe_admit(address, False, time, value, health)
         return value
 
     def write(self, address: int, time: float) -> bytes:
@@ -204,7 +198,8 @@ class ServingCache:
         self.stats.requests += 1
         self.stats.writes += 1
         value = self.backend.write(address)
-        health = self._health(time)
+        injector = self.injector
+        health = DeviceHealth.HEALTHY if injector is None else injector.advance(time)
         if health is DeviceHealth.BYPASS:
             self.stats.bypassed += 1
             if address in self._tags:
@@ -219,7 +214,7 @@ class ServingCache:
             # Resident block: the device copy must be refreshed or
             # dropped — a failed update may never leave stale bytes.
             self.stats.hits += 1
-            if health is DeviceHealth.DEGRADED and self.injector.write_fails(time):
+            if health is DeviceHealth.DEGRADED and injector.write_fails(time):
                 self.stats.write_faults += 1
                 self.store.delete(address)
                 self._tags.discard(address)
@@ -234,20 +229,18 @@ class ServingCache:
             return value
         self.stats.misses += 1
         self._observe_op("write", "miss")
-        self._maybe_admit(address, True, time, value)
+        self._maybe_admit(address, True, time, value, health)
         return value
 
     # -- admission ---------------------------------------------------------
     def _maybe_admit(
-        self, address: int, is_write: bool, time: float, value: bytes
+        self, address: int, is_write: bool, time: float, value: bytes,
+        health: DeviceHealth,
     ) -> None:
         """Consult the gate on a miss; allocate when it says so."""
         if not self.gate.wants(address, is_write, time):
             return
-        if (
-            self._last_health is DeviceHealth.DEGRADED
-            and self.injector.write_fails(time)
-        ):
+        if health is DeviceHealth.DEGRADED and self.injector.write_fails(time):
             # The allocation write itself errored: no frame, no wear.
             self.stats.write_faults += 1
             return

@@ -483,11 +483,11 @@ def _drive(
             f"it cannot replay with epoch_seconds={epoch_seconds}"
         )
 
-    # Device state (dirty tracker, fault injector, health) rides on the
-    # appliance, which only the object decider drives.  A state the fast
-    # one wrote carries none: it only replays write-through
-    # without faults, which a new appliance around the same three
-    # pieces represents exactly.
+    # Device state (dirty tracker, fault injector and its health
+    # machine) rides on the appliance, which only the object decider
+    # drives.  A state the fast one wrote carries none: it only replays
+    # write-through without faults, which a new appliance around the
+    # same three pieces represents exactly.
     if engine == "fast":
         state["appliance"] = None
     elif state["appliance"] is None:
@@ -498,8 +498,8 @@ def _drive(
 
     obs = _engine_obs(policy, label, engine)
     if obs is not None:
-        if appliance is not None:
-            appliance.health_observer = obs.health_observer
+        if appliance is not None and appliance.faults is not None:
+            appliance.faults.observer = obs.health_observer
         if cursor:
             obs.emit(
                 "run_resume",
@@ -624,7 +624,7 @@ def simulate(
             (:class:`~repro.faults.plan.FaultPlan`).  An empty plan is
             treated exactly like ``None`` (byte-identical output); a
             non-empty plan routes to the object engine, which drives
-            the appliance's device-health state machine.
+            the injector's device-health state machine.
         checkpoint_path: if given, crash-consistent checkpoints are
             written here every ``checkpoint_every`` requests; resume
             with :func:`resume_simulation` for bit-identical final

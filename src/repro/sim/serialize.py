@@ -65,9 +65,11 @@ CHECKPOINT_MAGIC = b"SSCKPT\x00\n"
 #: last-subwindow stamps.  Version 8: the pickled BlockCache is one
 #: LRU-ordered dict (no resident set, no replacement object), and the
 #: run config has no ``replacement`` / ``replacement_seed`` /
-#: ``batch_moves_staggered``.  No migration — checkpoints are
-#: short-lived crash-recovery artifacts.
-CHECKPOINT_SCHEMA_VERSION = 8
+#: ``batch_moves_staggered``.  Version 9: the pickled FaultInjector
+#: holds the device-health state, and the pickled SieveStoreAppliance
+#: no longer does (no ``health`` / ``health_observer``).  No migration
+#: — checkpoints are short-lived crash-recovery artifacts.
+CHECKPOINT_SCHEMA_VERSION = 9
 
 
 class CheckpointError(Exception):

@@ -93,7 +93,7 @@ SPECS: Tuple[SchemaSpec, ...] = (
             "appliance",
         ),
         "repro.sim.serialize",
-        (("CHECKPOINT_SCHEMA_VERSION", 8),),
+        (("CHECKPOINT_SCHEMA_VERSION", 9),),
         track_var="state",
     ),
     _spec(
@@ -111,7 +111,7 @@ SPECS: Tuple[SchemaSpec, ...] = (
             "checkpoint_every",
         ),
         "repro.sim.serialize",
-        (("CHECKPOINT_SCHEMA_VERSION", 8),),
+        (("CHECKPOINT_SCHEMA_VERSION", 9),),
         track_var="config",
     ),
     _spec(
@@ -130,7 +130,7 @@ SPECS: Tuple[SchemaSpec, ...] = (
             "bypass_seconds",
         ),
         "repro.sim.serialize",
-        (("CHECKPOINT_SCHEMA_VERSION", 8),),
+        (("CHECKPOINT_SCHEMA_VERSION", 9),),
     ),
     _spec(
         "day-stats",
@@ -152,7 +152,7 @@ SPECS: Tuple[SchemaSpec, ...] = (
         ),
         "repro.sim.serialize",
         # The stats pickle stores each day as a row in field order.
-        (("SCHEMA_VERSION", 1), ("CHECKPOINT_SCHEMA_VERSION", 8)),
+        (("SCHEMA_VERSION", 1), ("CHECKPOINT_SCHEMA_VERSION", 9)),
     ),
     _spec(
         "fault-plan",

@@ -124,7 +124,7 @@ class TestBypass:
         day = stats.per_day[0]
         assert day.bypass_accesses == 4
         assert len(cache) == 0  # contents dropped on bypass entry
-        assert appliance.health is DeviceHealth.BYPASS
+        assert appliance.faults.health is DeviceHealth.BYPASS
         stats.check_consistency()
 
     def test_bypass_write_goes_to_ensemble(self):
@@ -142,7 +142,7 @@ class TestBypass:
         appliance.process_request(request(issue=15.0))
         # Recovery: the device is back, AOD re-allocates on the miss.
         after = appliance.process_request(request(issue=25.0))
-        assert appliance.health is DeviceHealth.HEALTHY
+        assert appliance.faults.health is DeviceHealth.HEALTHY
         assert after.allocated_blocks == 4
         assert len(cache) == 4
         stats.check_consistency()
@@ -177,7 +177,7 @@ class TestWearOut:
         appliance.process_request(request())  # 4 allocation writes
         assert appliance.faults.worn_out
         appliance.process_request(request(offset=100, issue=5.0))
-        assert appliance.health is DeviceHealth.BYPASS
+        assert appliance.faults.health is DeviceHealth.BYPASS
         assert len(cache) == 0
         stats.check_consistency()
 

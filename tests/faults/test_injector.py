@@ -32,8 +32,6 @@ class TestHealth:
     def test_latency_window_degrades(self):
         injector = make_injector(latency=(LatencyWindow(0.0, 10.0, 4.0),))
         assert injector.health_at(5.0) is DeviceHealth.DEGRADED
-        assert injector.latency_factor(5.0) == 4.0
-        assert injector.latency_factor(50.0) == 1.0
 
     def test_outage_bypasses_and_recovers(self):
         injector = make_injector(outages=(OutageWindow(10.0, 20.0),))
@@ -54,13 +52,11 @@ class TestErrorDraws:
         assert not injector.read_fails(5.0)
         assert injector.read_fails(15.0)
         assert not injector.read_fails(25.0)
-        assert injector.read_errors == 1
 
     def test_kinds_are_independent(self):
         injector = make_injector(errors=(ErrorWindow(0.0, 10.0, "write"),))
         assert not injector.read_fails(5.0)
         assert injector.write_fails(5.0)
-        assert injector.write_errors == 1 and injector.read_errors == 0
 
     def test_probabilistic_draws_are_seeded(self):
         def draws(seed):
@@ -108,7 +104,6 @@ class TestCheckpointability:
         for _ in range(10):
             original.read_fails(1.0)
         clone = pickle.loads(pickle.dumps(original))
-        assert clone.read_errors == original.read_errors
         assert [clone.read_fails(2.0) for _ in range(32)] == [
             original.read_fails(2.0) for _ in range(32)
         ]
@@ -139,7 +134,7 @@ class TestTimeInStates:
 
 
 def brute_force_health(plan, worn_out, time):
-    """The definition ``health_at`` must keep: scan every window."""
+    """The definition ``health_at`` and ``advance`` must keep: scan every window."""
     if worn_out or any(
         w.start <= time and (w.end is None or time < w.end)
         for w in plan.outages
@@ -172,11 +167,13 @@ plans = st.builds(
 moments = st.one_of(
     st.integers(-2, 45).map(float), st.floats(-2.0, 45.0, allow_nan=False)
 )
-# Queries at non-monotone times, SSD writes that may trip wear-out
-# mid-run, and pickle round trips (the remembered span is not pickled).
+# Queries and walks at non-monotone times, SSD writes that may trip
+# wear-out mid-run, and pickle round trips (the remembered span and the
+# observer are not pickled, the machine's state is).
 operations = st.lists(
     st.one_of(
         st.tuples(st.just("query"), moments),
+        st.tuples(st.just("walk"), moments),
         st.tuples(st.just("write"), moments, st.integers(1, 4)),
         st.tuples(st.just("pickle")),
     ),
@@ -189,29 +186,45 @@ class TestHealthSpan:
     @given(plan=plans, ops=operations)
     def test_matches_the_brute_force_definition(self, plan, ops):
         injector = FaultInjector(plan)
+        calls, expected_calls = [], []
+        injector.observer = lambda *call: calls.append(call)
+        state = DeviceHealth.HEALTHY
         for op in ops:
-            if op[0] == "query":
-                assert injector.health_at(op[1]) is brute_force_health(
-                    plan, injector.worn_out, op[1]
-                )
+            if op[0] in ("query", "walk"):
+                expected = brute_force_health(plan, injector.worn_out, op[1])
+                if op[0] == "query":
+                    assert injector.health_at(op[1]) is expected
+                else:
+                    assert injector.advance(op[1]) is expected
+                    if expected is not state:
+                        expected_calls.append((op[1], state, expected))
+                        state = expected
+                assert injector.health is state
             elif op[0] == "write":
                 injector.record_ssd_write(op[1], op[2])
             else:
                 injector = pickle.loads(pickle.dumps(injector))
+                assert injector.observer is None
+                assert injector.health is state
+                injector.observer = lambda *call: calls.append(call)
+        # Every transition reported once, in order, and nothing else.
+        assert calls == expected_calls
 
     def test_wearout_drops_a_remembered_healthy_span(self):
         injector = make_injector(
             errors=(ErrorWindow(50.0, 60.0, "read"),), wearout_bytes=1.0
         )
-        assert injector.health_at(10.0) is DeviceHealth.HEALTHY
+        assert injector.advance(10.0) is DeviceHealth.HEALTHY
         injector.record_ssd_write(11.0, 1)
-        assert injector.health_at(10.0) is DeviceHealth.BYPASS
+        assert injector.advance(10.0) is DeviceHealth.BYPASS
 
     def test_remembered_span_is_not_pickled(self):
         injector = make_injector(outages=(OutageWindow(10.0, 20.0),))
-        injector.health_at(15.0)
+        injector.observer = lambda *call: None
+        injector.advance(15.0)
         state = injector.__getstate__()
         assert "_span" not in state and "_edges" not in state
-        assert pickle.loads(pickle.dumps(injector)).health_at(
+        assert "observer" not in state and state["health"] is DeviceHealth.BYPASS
+        assert pickle.loads(pickle.dumps(injector)).advance(
             15.0
         ) is DeviceHealth.BYPASS

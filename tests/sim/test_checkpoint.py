@@ -74,7 +74,7 @@ class TestCheckpointFileFormat:
     # threshold, two per-engine payload layouts), which are not migrated.
     def test_refuses_unknown_schema_version(self, tmp_path):
         path = tmp_path / "c.ckpt"
-        for version in (CHECKPOINT_SCHEMA_VERSION + 1, 7, 6, 5, 4, 3, 2):
+        for version in (CHECKPOINT_SCHEMA_VERSION + 1, 8, 7, 6, 5, 4, 3, 2):
             save_checkpoint({"cursor": 1}, path)
             raw = bytearray(path.read_bytes())
             struct.pack_into(">I", raw, len(CHECKPOINT_MAGIC), version)
@@ -83,6 +83,15 @@ class TestCheckpointFileFormat:
                 CheckpointError, match=f"schema version {version} "
             ):
                 load_checkpoint(path)
+        # The last version before the health machine moved into the
+        # injector's pickle.
+        struct.pack_into(">I", raw, len(CHECKPOINT_MAGIC), 8)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError) as refused:
+            load_checkpoint(path)
+        assert str(refused.value) == (
+            "unsupported checkpoint schema version 8 (expected 9)"
+        )
 
     def test_rejects_nonpositive_cadence(self, tiny_context, tmp_path):
         with pytest.raises(ValueError, match="checkpoint_every"):
