@@ -47,7 +47,7 @@ from repro.core.belady import (
     fixed_allocation,
     min_compulsory_allocation_bound,
 )
-from repro.core.appliance import RequestOutcome, SieveStoreAppliance
+from repro.core.appliance import SieveStoreAppliance
 from repro.core.metastate import (
     DEFAULT_BUDGET,
     MetastateBudget,
@@ -85,7 +85,6 @@ __all__ = [
     "counterexample_stream",
     "fixed_allocation",
     "min_compulsory_allocation_bound",
-    "RequestOutcome",
     "SieveStoreAppliance",
     "DEFAULT_BUDGET",
     "MetastateBudget",

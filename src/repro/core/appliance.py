@@ -23,30 +23,13 @@ paper's accounting:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
-
-import numpy as np
 
 from repro.cache.allocation import AllocationPolicy
 from repro.cache.block_cache import BlockCache
 from repro.cache.stats import CacheStats, _record_allocations
 from repro.cache.write_policy import DirtyTracker, WriteMode
 from repro.faults.injector import DeviceHealth, FaultInjector
-
-
-@dataclass(frozen=True)
-class RequestOutcome:
-    """Where one request's blocks were served from / what they cost."""
-
-    hit_blocks: int
-    miss_blocks: int
-    allocated_blocks: int
-
-    @property
-    def served_from_ssd(self) -> bool:
-        """True if every block hit (the request never touched a disk)."""
-        return self.miss_blocks == 0 and self.hit_blocks > 0
 
 
 class SieveStoreAppliance:
@@ -149,26 +132,10 @@ class SieveStoreAppliance:
                 self.faults.record_ssd_write(boundary_time, inserted)
         return inserted
 
-    def process_request(self, request) -> RequestOutcome:
-        """Run one multi-block request through the cache and the sieve.
-
-        Returns the per-request outcome; statistics are accumulated into
-        ``self.stats`` as a side effect, recorded as the engines record
-        a chunk's rows (:meth:`~repro.cache.stats.CacheStats.record_rows`).
-        """
-        issue, completion = request.issue_time, request.completion_time
-        n, is_write = request.block_count, request.is_write
-        hits, backing, allocated = self.process_row(
-            request.first_address, n, is_write, issue, completion, self._observe_hook()
-        )
-        columns = (issue, completion, n, is_write, hits, backing)
-        self.stats.record_rows(*(np.array([value]) for value in columns))
-        return RequestOutcome(hits, n - hits, allocated)
-
     def process_row(
         self, base: int, n: int, is_write: bool, issue: float,
         completion: float, observe, slots=None, first: int = 0,
-        subwindow: int = 0,
+        subwindow: int = 0, deferred=None,
     ) -> Tuple[int, int, int]:
         """Decide one request given as fields: the ``n`` blocks from
         packed address ``base``, issued at ``issue``.
@@ -177,7 +144,11 @@ class SieveStoreAppliance:
         the caller.  A caller that hashed the request's blocks for a
         plain SieveStore-C passes block ``i``'s IMCT slot at
         ``slots[first + i]`` and the request's ``subwindow``; each miss
-        then takes the policy's ``wants_hashed`` instead of ``wants``.
+        then takes the policy's ``wants_hashed`` instead of ``wants``,
+        save a cold rejection — a miss on a slot coded ``~slot`` (cold
+        for the caller's run) by a block outside the MCT — whose
+        position ``first + i`` is only appended to ``deferred``, for the
+        caller to record with its run's others.
 
         Returns ``(hit_blocks, backing_blocks, allocated_blocks)``: the
         caller records the first two with the request's columns
@@ -208,6 +179,8 @@ class SieveStoreAppliance:
 
         touch = resident.move_to_end
         write_back = self.write_mode is WriteMode.WRITE_BACK
+        if slots is not None:
+            tracked, defer = policy._mct_counters, deferred.append
         hit_blocks = 0
         backing_writes = 0
         admitted = []  # block offsets this request installed
@@ -251,6 +224,9 @@ class SieveStoreAppliance:
                 continue
             if slots is None:
                 allocate = policy.wants(address, is_write, issue)
+            elif slots[first + offset] < 0 and address not in tracked:
+                defer(first + offset)
+                allocate = False
             else:
                 allocate = policy.wants_hashed(
                     address, slots[first + offset], subwindow, issue

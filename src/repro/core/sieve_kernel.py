@@ -16,9 +16,9 @@ copied in at run start or written back at a checkpoint.
   engine's row windows (whose misses then take
   :meth:`~repro.core.sievestore_c.SieveStoreC.wants_hashed`).
 
-* :class:`SieveStoreCKernel` — splits each chunk of requests into *runs*
-  sharing one subwindow index and settles each run in one vectorized
-  pass at its head.  A touched slot is
+* :func:`cold_mask` — the cold bound, the one both engines batch by.
+  Within a *run* of requests sharing one subwindow index, a touched
+  slot is
 
   - **cold** when ``live windowed total at the run's head + the run's
     blocks hashing to the slot < t1``.  A recording adds at most one to
@@ -27,8 +27,13 @@ copied in at run start or written back at a checkpoint.
     return ``>= t1``;
   - **hot** otherwise.  A slot is hot or cold for a whole run.
 
-  and, against sorted snapshots of the cache's resident addresses and
-  the MCT's keys, every block of the run is exactly one of
+  The kernel below classifies by it, and the object engine
+  (:class:`repro.sim.engine._ObjectStretches`) records by it.
+
+* :class:`SieveStoreCKernel` — splits each chunk of requests into runs
+  and settles each run in one vectorized pass at its head: against
+  sorted snapshots of the cache's resident addresses and the MCT's
+  keys, every block of the run is exactly one of
 
   - a **hit**: resident at the run's head.  The kernel counts each
     request's hits and hands the engine their addresses, in access
@@ -63,7 +68,8 @@ sieve's — ``tests/sim/test_sieve_equivalence.py`` and
 :class:`~repro.cache.stats.CacheStats`, the LRU order and the sieve
 metastate, and ``tests/core/test_sieve_kernel.py`` property-tests
 classify + flush against sequential ``record_miss`` calls, and the
-classes against a model cache and MCT.
+classes against a model cache and MCT; ``tests/sim/test_object_oracle.py``
+holds the object engine to ``wants`` per miss.
 """
 
 from __future__ import annotations
@@ -174,6 +180,23 @@ def supports(policy: AllocationPolicy) -> bool:
     return type(policy) is SieveStoreC and policy.config.t1 <= COUNTER_SATURATION + 1
 
 
+def cold_mask(policy: SieveStoreC, slots: np.ndarray, subwindow: int,
+              tally: np.ndarray) -> np.ndarray:
+    """The cold bound at the head of a run of blocks on IMCT ``slots``, all
+    in ``subwindow``: per block, whether its slot's live total plus the
+    run's blocks on it stays below t1 (``tally``: zeroed int32 scratch)."""
+    totals = policy.imct.live_totals(slots, subwindow)
+    return totals + _run_sizes(tally, slots) < policy.config.t1
+
+
+def _run_sizes(tally: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Per block, the run's blocks on its slot (tallied, gathered, zeroed)."""
+    np.add.at(tally, slots, np.int32(1))
+    sizes = tally[slots]
+    tally[slots] = 0
+    return sizes
+
+
 def _members(values: np.ndarray, keys: Collection[int]) -> np.ndarray:
     """Per entry of ``values``, whether it is one of ``keys``: one sort
     of a snapshot of the keys, then one binary search per value."""
@@ -210,8 +233,8 @@ class SieveStoreCKernel:
             )
         self.policy = policy
         self.imct = policy.imct
-        #: Per IMCT slot, zeros outside :meth:`_run_sizes` (the kernel's
-        #: own: the table never holds it, so checkpoints do not change).
+        #: :func:`cold_mask`'s scratch (the kernel's own: the table
+        #: never holds it, so checkpoints do not change).
         self._tally = np.zeros(self.imct.slots, dtype=np.int32)
         #: The cache's resident addresses (live), snapshotted per run.
         self.resident = resident
@@ -273,10 +296,7 @@ class SieveStoreCKernel:
         if self._all_hot[run]:
             cold = np.zeros(len(slots), dtype=bool)
         else:
-            # Each block against its slot's head total plus the run's
-            # blocks on the slot.
-            totals = self.imct.live_totals(slots, int(subs[0]))
-            cold = totals + self._run_sizes(slots) < self.policy.config.t1
+            cold = cold_mask(self.policy, slots, int(subs[0]), self._tally)
         hit = _members(addresses, self.resident)
         tracked = _members(addresses, self.policy.mct._counters)
         self._rejected = cold & ~hit & ~tracked
@@ -286,13 +306,6 @@ class SieveStoreCKernel:
         self._flushed = self._moved = 0
         self._index_hits()
         return end_row - row, starts, np.diff(self._hit_at.searchsorted(starts))
-
-    def _run_sizes(self, slots: np.ndarray) -> np.ndarray:
-        """Per block, the run's blocks on its slot (tallied, gathered, zeroed)."""
-        np.add.at(self._tally, slots, np.int32(1))
-        sizes = self._tally[slots]
-        self._tally[slots] = 0
-        return sizes
 
     def _index_hits(self) -> None:
         """Positions and addresses of the run's hits."""

@@ -7,8 +7,10 @@ accumulating the paper's statistics.
 
 The engine "faithfully model[s] the cache operation including
 allocation-writes" (Section 4): every 512-byte block of every request
-is individually looked up, counted, and — if the sieve admits it —
-allocated at its interpolated completion time.
+is individually looked up, decided by the sieve and — if admitted —
+allocated at its interpolated completion time.  A SieveStore-C miss
+that cannot reach t1 within its subwindow run is still decided at its
+access, but counted with its run's others in one batch.
 
 One walk replays every run (:func:`_walk`): it takes the trace in row
 chunks — a segment store's as it streams them, an in-RAM trace's as
@@ -28,7 +30,8 @@ which :func:`simulate` picks from the configuration alone:
   objects make every decision — the readable reference
   implementation, and the decider for everything else (write-back,
   fault plans).  For a plain SieveStore-C it hashes each window's
-  blocks at once with the fast path's own primitives.
+  blocks at once and bounds each run's cold slots with the fast path's
+  own primitives.
   ``fast_path=False`` forces it, which is how the equivalence tests
   get their reference.
 
@@ -44,7 +47,6 @@ import time as _time
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, repeat
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
@@ -73,6 +75,13 @@ DEFAULT_CHECKPOINT_EVERY = 100_000
 #: (hashing a whole in-RAM trace at once raised the `faulted-replay`
 #: benchmark's peak RSS from 121 to 178 MiB).
 _ROW_WINDOW = 4096
+
+#: Blocks a run needs before the object loop batches its cold
+#: rejections: batching costs a run 62-76 us and saves ~0.7 us a
+#: rejection, so it breaks even at 88-111 blocks, not at the fast
+#: kernel's 40 (``faulted-replay``'s seed-7 trace cut into 2-16-row runs,
+#: ~1,700 runs timed both ways from their head state, min of 7; 2-core x86).
+_BATCH_MIN_BLOCKS = 100
 
 
 @dataclass
@@ -170,23 +179,23 @@ def chunk_stops(
 
 class _ObjectStretches:
     """The object engine's side of the walk: the appliance decides each
-    stretch, one row of fields at a time (no request object is built),
-    in windows of at most :data:`_ROW_WINDOW` rows read as lists; for a
-    plain SieveStore-C a window's blocks are hashed at once
-    (:func:`~repro.core.sieve_kernel.hash_requests`), so each miss takes
-    the sieve's slot-taking ladder.  The appliance only decides: each
-    row's hits and backing-write blocks go into window columns, recorded
-    by :meth:`~repro.cache.stats.CacheStats.record_rows` once the window
-    is decided (bounding the columns and the recording's scratch by the
-    window, not the chunk).  Every stop ends a window, so this side adds
-    no stops and has nothing to settle, and the appliance cannot observe
-    where a chunk, a stretch or a window ends.
+    stretch, one row of fields at a time, in windows of at most
+    :data:`_ROW_WINDOW` rows, whose hits and backing-write blocks
+    :meth:`~repro.cache.stats.CacheStats.record_rows` records once the
+    window is decided.  A plain SieveStore-C's window is hashed at once
+    and decided run by run (requests sharing a subwindow): at a run's
+    head :func:`~repro.core.sieve_kernel.cold_mask` codes each cold slot
+    ``~slot``, the appliance decides every access in order but only
+    lists the cold rejections, and one ``record_batch`` records them at
+    the run's end.  Every stop ends a window, and a window its runs, so
+    this side adds no stops and has nothing to settle.
     """
 
     def __init__(self, appliance: SieveStoreAppliance, days: int):
         self.appliance = appliance
         self.boundary = appliance.begin_day
         self.hashed = sieve_kernel.supports(appliance.policy)
+        self._tally = np.zeros(appliance.policy.imct.slots, np.int32) if self.hashed else None
         self.observe = appliance._observe_hook()
         self.end = float(days) * SECONDS_PER_DAY
 
@@ -195,41 +204,56 @@ class _ObjectStretches:
         return ()
 
     def decide(self, lo: int, hi: int, tick: bool) -> None:
-        columns, policy, hashed = self.columns, self.appliance.policy, self.hashed
-        process, observe = self.appliance.process_row, self.observe
+        columns, process = self.columns, self.appliance.process_row
         record = self.appliance.stats.record_rows
         for window_lo in range(lo, hi, _ROW_WINDOW):
             window = slice(window_lo, min(window_lo + _ROW_WINDOW, hi))
             issues = columns.issue_time[window]
             addresses = columns.address[window]
             counts = columns.block_count[window]
-            if hashed:
-                _, starts, slots, subs = sieve_kernel.hash_requests(
-                    policy, addresses, counts, issues
-                )
-                starts, slots, subs = starts.tolist(), slots.tolist(), subs.tolist()
-            else:
-                starts, slots, subs = repeat(0), None, repeat(0)
             completions = columns.completion_time[window]
             writes = columns.is_write[window]
+            rows = list(zip(
+                addresses.tolist(), counts.tolist(), writes.tolist(),
+                issues.tolist(), completions.tolist(),
+            ))
             # Each row's hits and backing-write blocks, recorded once
             # the window is decided.
-            zeros = bytes(8 * len(issues))
-            hits, backing = array("q", zeros), array("q", zeros)
-            for row, issue, completion, address, n, is_write, first, sub in zip(
-                count(), issues.tolist(), completions.tolist(),
-                addresses.tolist(), counts.tolist(), writes.tolist(),
-                starts, subs,
-            ):
-                hits[row], backing[row], _ = process(
-                    address, n, is_write, issue, completion, observe,
-                    slots, first, sub,
-                )
+            hits, backing = array("q", bytes(8 * len(rows))), array("q", bytes(8 * len(rows)))
+            if self.hashed:
+                self._sieve_window(rows, hits, backing, addresses, counts, issues)
+            else:
+                for row, fields in enumerate(rows):
+                    hits[row], backing[row], _ = process(*fields, self.observe)
             record(
                 issues, completions, counts, writes,
                 np.frombuffer(hits, dtype=np.int64),
                 np.frombuffer(backing, dtype=np.int64),
             )
+
+    def _sieve_window(self, rows, hits, backing, addresses, counts, issues) -> None:
+        """Decide a hashed window's rows run by run."""
+        policy, process = self.appliance.policy, self.appliance.process_row
+        blocks, starts, slots, subs = sieve_kernel.hash_requests(
+            policy, addresses, counts, issues
+        )
+        runs = [0, *(np.flatnonzero(subs[1:] != subs[:-1]) + 1).tolist(), len(rows)]
+        coded, starts, subs = slots.tolist(), starts.tolist(), subs.tolist()
+        for run_lo, run_hi in zip(runs, runs[1:]):
+            first, last, sub = starts[run_lo], starts[run_hi], subs[run_lo]
+            if last - first >= _BATCH_MIN_BLOCKS:
+                run_slots = slots[first:last]
+                cold = sieve_kernel.cold_mask(policy, run_slots, sub, self._tally)
+                coded[first:last] = np.where(cold, ~run_slots, run_slots).tolist()
+            deferred = []
+            for row in range(run_lo, run_hi):
+                hits[row], backing[row], _ = process(
+                    *rows[row], self.observe, coded, starts[row], sub, deferred
+                )
+            if deferred:  # in access order, as collision tracking wants
+                at = np.array(deferred)
+                policy.imct_rejections += at.size
+                policy.imct.record_batch(slots[at], sub, blocks[at])
 
     def settle(self, row: int, picklable: bool) -> None:
         pass

@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -117,14 +117,6 @@ class BlockCounts:
         return cls(addresses, counts)
 
     @classmethod
-    def from_mapping(cls, table: Mapping[int, int]) -> "BlockCounts":
-        """Columns of an ``address -> count`` mapping."""
-        addresses = np.fromiter(table.keys(), dtype=np.int64, count=len(table))
-        counts = np.fromiter(table.values(), dtype=np.int64, count=len(table))
-        order = np.argsort(addresses)
-        return cls(addresses[order], counts[order])
-
-    @classmethod
     def merge(cls, parts: Sequence["BlockCounts"]) -> "BlockCounts":
         """Sum tables of the same day counted over disjoint row ranges."""
         parts = [part for part in parts if len(part)]
@@ -156,10 +148,6 @@ class BlockCounts:
     def total(self) -> int:
         """All block accesses in the table."""
         return int(self.counts.sum())
-
-    def as_dict(self) -> Dict[int, int]:
-        """The table as an ``address -> count`` dict, ascending by address."""
-        return dict(zip(self.addresses.tolist(), self.counts.tolist()))
 
     def _rows(self, index: Union[slice, np.ndarray]) -> "BlockCounts":
         return BlockCounts(self.addresses[index], self.counts[index])

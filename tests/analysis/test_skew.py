@@ -4,13 +4,12 @@ from collections import Counter
 
 import pytest
 
-from repro.traces.columnar import BlockCounts
-
 from repro.analysis.skew import (
     access_count_quantiles,
     daily_skew_profiles,
     skew_profile,
 )
+from tests.oracle import block_counts
 
 
 def zipf_counter(n=1000, alpha=1.0):
@@ -18,7 +17,7 @@ def zipf_counter(n=1000, alpha=1.0):
 
 
 def table(mapping=()):
-    return BlockCounts.from_mapping(Counter(mapping))
+    return block_counts(Counter(mapping))
 
 
 class TestSkewProfile:
@@ -74,7 +73,7 @@ class TestQuantiles:
     def test_known_distribution(self):
         counter = Counter({0: 100})
         counter.update({i: 1 for i in range(1, 100)})
-        q = access_count_quantiles(BlockCounts.from_mapping(counter))
+        q = access_count_quantiles(block_counts(counter))
         assert q["blocks"] == 100
         assert q["fraction_le_4"] == pytest.approx(0.99)
         assert q["fraction_single"] == pytest.approx(0.99)

@@ -4,8 +4,6 @@ from collections import Counter
 
 import pytest
 
-from repro.traces.columnar import BlockCounts
-
 from repro.analysis.variation import (
     composition_variation,
     cumulative_access_curve,
@@ -15,10 +13,11 @@ from repro.analysis.variation import (
     volume_gini,
 )
 from repro.traces.servers import PAPER_SERVERS
+from tests.oracle import block_counts
 
 
 def table(mapping=()):
-    return BlockCounts.from_mapping(Counter(mapping))
+    return block_counts(Counter(mapping))
 
 
 class TestGini:
@@ -30,7 +29,7 @@ class TestGini:
     def test_concentrated_is_near_one(self):
         counter = Counter({0: 100000})
         counter.update({i: 1 for i in range(1, 1000)})
-        assert gini_coefficient(BlockCounts.from_mapping(counter)) > 0.95
+        assert gini_coefficient(block_counts(counter)) > 0.95
 
     def test_empty_is_zero(self):
         assert gini_coefficient(table()) == 0.0
@@ -55,7 +54,7 @@ class TestCumulativeCurve:
     def test_skewed_curve_above_diagonal(self):
         counter = Counter({0: 1000})
         counter.update({i: 1 for i in range(1, 100)})
-        curve = cumulative_access_curve(BlockCounts.from_mapping(counter))
+        curve = cumulative_access_curve(block_counts(counter))
         early = curve[len(curve) // 10]
         assert early["access_fraction"] > 2 * early["block_fraction"]
 

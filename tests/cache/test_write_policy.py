@@ -7,6 +7,7 @@ from repro.cache.stats import CacheStats
 from repro.cache.write_policy import DirtyTracker
 from repro.core.appliance import SieveStoreAppliance
 from repro.traces.model import IOKind, IORequest
+from tests.oracle import process_request
 
 
 def make_appliance(mode, policy=None, capacity=64):
@@ -62,16 +63,16 @@ class TestDirtyTracker:
 class TestWriteThrough:
     def test_write_hits_forwarded(self):
         appliance, stats, _ = make_appliance(WriteMode.WRITE_THROUGH)
-        appliance.process_request(write_request())           # miss + allocate
-        appliance.process_request(write_request(issue=1.0))  # 4 write hits
+        process_request(appliance, write_request())           # miss + allocate
+        process_request(appliance, write_request(issue=1.0))  # 4 write hits
         # miss-writes (4) + write-through hit forwards (4)
         assert stats.per_day[0].backing_writes == 8
         assert stats.per_day[0].writebacks == 0
 
     def test_nothing_ever_dirty(self):
         appliance, _, _ = make_appliance(WriteMode.WRITE_THROUGH)
-        appliance.process_request(write_request())
-        appliance.process_request(write_request(issue=1.0))
+        process_request(appliance, write_request())
+        process_request(appliance, write_request(issue=1.0))
         assert len(appliance.dirty) == 0
         assert appliance.flush_dirty(2.0) == 0
 
@@ -79,8 +80,8 @@ class TestWriteThrough:
 class TestWriteBack:
     def test_write_hits_absorbed(self):
         appliance, stats, _ = make_appliance(WriteMode.WRITE_BACK)
-        appliance.process_request(write_request())           # allocating write miss
-        appliance.process_request(write_request(issue=1.0))  # absorbed hits
+        process_request(appliance, write_request())           # allocating write miss
+        process_request(appliance, write_request(issue=1.0))  # absorbed hits
         # Nothing reaches the ensemble until a flush.
         assert stats.per_day[0].backing_writes == 0
         assert len(appliance.dirty) == 4
@@ -88,7 +89,7 @@ class TestWriteBack:
     def test_repeated_writes_coalesce(self):
         appliance, stats, _ = make_appliance(WriteMode.WRITE_BACK)
         for i in range(10):
-            appliance.process_request(write_request(issue=float(i)))
+            process_request(appliance, write_request(issue=float(i)))
         appliance.flush_dirty(20.0)
         # 40 block-writes arrived; 4 blocks flushed once each.
         assert stats.per_day[0].backing_writes == 4
@@ -98,7 +99,7 @@ class TestWriteBack:
         appliance, stats, _ = make_appliance(
             WriteMode.WRITE_BACK, policy=NeverAllocate()
         )
-        appliance.process_request(write_request())
+        process_request(appliance, write_request())
         assert stats.per_day[0].backing_writes == 4
         assert len(appliance.dirty) == 0
 
@@ -106,9 +107,9 @@ class TestWriteBack:
         appliance, stats, cache = make_appliance(
             WriteMode.WRITE_BACK, capacity=4
         )
-        appliance.process_request(write_request(offset=0, blocks=4))
+        process_request(appliance, write_request(offset=0, blocks=4))
         # Fill with new blocks, evicting the dirty ones.
-        appliance.process_request(write_request(offset=100, blocks=4, issue=1.0))
+        process_request(appliance, write_request(offset=100, blocks=4, issue=1.0))
         assert stats.per_day[0].writebacks == 4
         assert all(a not in appliance.dirty for a in range(4))
 
@@ -134,8 +135,8 @@ class TestWriteBack:
             issue_time=0.0, completion_time=0.01, server_id=0, volume_id=0,
             block_offset=0, block_count=4, kind=IOKind.READ,
         )
-        appliance.process_request(read)
-        appliance.process_request(
+        process_request(appliance, read)
+        process_request(appliance, 
             IORequest(issue_time=1.0, completion_time=1.01, server_id=0,
                       volume_id=0, block_offset=0, block_count=4,
                       kind=IOKind.READ)

@@ -5,6 +5,7 @@ from repro.cache import AllocateOnDemand, BlockCache, NeverAllocate, StaticSet
 from repro.cache.stats import CacheStats
 from repro.core.appliance import SieveStoreAppliance
 from repro.traces.model import IOKind, IORequest
+from tests.oracle import process_request
 
 
 def make_appliance(policy=None, capacity=64, days=1, epoch_seconds=86400.0):
@@ -32,22 +33,22 @@ def request(offset=0, blocks=4, kind=IOKind.READ, issue=0.0, span=0.4):
 class TestRequestProcessing:
     def test_cold_miss_then_hit(self):
         appliance, stats, _ = make_appliance()
-        first = appliance.process_request(request())
+        first = process_request(appliance, request())
         assert first.miss_blocks == 4 and first.hit_blocks == 0
-        second = appliance.process_request(request(issue=1.0))
+        second = process_request(appliance, request(issue=1.0))
         assert second.hit_blocks == 4 and second.served_from_ssd
 
     def test_partial_hit(self):
         appliance, _, cache = make_appliance(policy=NeverAllocate())
         base = next(request().addresses())
         cache.insert(base)
-        outcome = appliance.process_request(request())
+        outcome = process_request(appliance, request())
         assert outcome.hit_blocks == 1 and outcome.miss_blocks == 3
 
     def test_statistics_accumulate(self):
         appliance, stats, _ = make_appliance()
-        appliance.process_request(request(kind=IOKind.WRITE))
-        appliance.process_request(request(issue=1.0, kind=IOKind.READ))
+        process_request(appliance, request(kind=IOKind.WRITE))
+        process_request(appliance, request(issue=1.0, kind=IOKind.READ))
         day = stats.per_day[0]
         assert day.write_misses == 4
         assert day.read_hits == 4
@@ -56,7 +57,7 @@ class TestRequestProcessing:
 
     def test_sieved_miss_bypasses_cache(self):
         appliance, stats, cache = make_appliance(policy=NeverAllocate())
-        outcome = appliance.process_request(request())
+        outcome = process_request(appliance, request())
         assert outcome.allocated_blocks == 0
         assert len(cache) == 0
         assert stats.per_day[0].allocation_writes == 0
@@ -68,12 +69,12 @@ class TestSSDAccounting:
         appliance, stats, cache = make_appliance(policy=NeverAllocate())
         for address in request(blocks=8).addresses():
             cache.insert(address)
-        appliance.process_request(request(blocks=8, issue=60.0))
+        process_request(appliance, request(blocks=8, issue=60.0))
         assert stats.per_minute[1].reads == 1
 
     def test_allocation_units_charged_at_completion(self):
         appliance, stats, _ = make_appliance()
-        appliance.process_request(request(blocks=8, issue=59.9, span=10.0))
+        process_request(appliance, request(blocks=8, issue=59.9, span=10.0))
         # Allocation-write lands in the minute of the completion (t=69.9).
         assert stats.per_minute[1].writes == 1
         assert 0 not in stats.per_minute
@@ -82,7 +83,7 @@ class TestSSDAccounting:
         appliance, stats, cache = make_appliance(policy=NeverAllocate())
         for address in request(blocks=8).addresses():
             cache.insert(address)
-        appliance.process_request(request(blocks=8, kind=IOKind.WRITE))
+        process_request(appliance, request(blocks=8, kind=IOKind.WRITE))
         assert stats.per_minute[0].writes == 1
         assert stats.per_minute[0].reads == 0
 

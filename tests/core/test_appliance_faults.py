@@ -13,6 +13,7 @@ from repro.faults import (
 )
 from repro.traces.model import IOKind, IORequest
 from repro.util.units import BLOCK_BYTES
+from tests.oracle import process_request
 
 
 def make_appliance(plan, policy=None, capacity=64, days=1,
@@ -41,7 +42,7 @@ def request(offset=0, blocks=4, kind=IOKind.READ, issue=0.0, span=0.4):
 
 def warm(appliance, issue=0.0, blocks=4):
     """Install the request's blocks via a normal healthy-time access."""
-    appliance.process_request(request(issue=issue, blocks=blocks))
+    process_request(appliance, request(issue=issue, blocks=blocks))
 
 
 class TestDegradedReads:
@@ -49,7 +50,7 @@ class TestDegradedReads:
         plan = FaultPlan(errors=(ErrorWindow(10.0, 20.0, "read"),))
         appliance, stats, cache = make_appliance(plan)
         warm(appliance)
-        outcome = appliance.process_request(request(issue=15.0))
+        outcome = process_request(appliance, request(issue=15.0))
         # Every block errored: counted as misses, no SSD service.
         assert outcome.hit_blocks == 0 and outcome.miss_blocks == 4
         day = stats.per_day[0]
@@ -57,7 +58,7 @@ class TestDegradedReads:
         assert day.hits + day.misses == day.accesses
         # The frames stay resident and serve again after the window.
         assert len(cache) == 4
-        after = appliance.process_request(request(issue=25.0))
+        after = process_request(appliance, request(issue=25.0))
         assert after.hit_blocks == 4
         stats.check_consistency()
 
@@ -65,7 +66,7 @@ class TestDegradedReads:
         plan = FaultPlan(errors=(ErrorWindow(10.0, 20.0, "read"),))
         appliance, stats, _ = make_appliance(plan)
         warm(appliance)
-        outcome = appliance.process_request(request(issue=5.0))
+        outcome = process_request(appliance, request(issue=5.0))
         assert outcome.hit_blocks == 4
         assert stats.per_day[0].read_errors == 0
 
@@ -75,7 +76,7 @@ class TestDegradedWrites:
         plan = FaultPlan(errors=(ErrorWindow(10.0, 20.0, "write"),))
         appliance, stats, cache = make_appliance(plan)
         warm(appliance)
-        outcome = appliance.process_request(
+        outcome = process_request(appliance, 
             request(issue=15.0, kind=IOKind.WRITE)
         )
         assert outcome.hit_blocks == 0
@@ -88,7 +89,7 @@ class TestDegradedWrites:
     def test_failed_allocation_write_suppresses_insert(self):
         plan = FaultPlan(errors=(ErrorWindow(0.0, 20.0, "write"),))
         appliance, stats, cache = make_appliance(plan)
-        outcome = appliance.process_request(request(issue=5.0))
+        outcome = process_request(appliance, request(issue=5.0))
         # The read misses want allocation, but every allocation write
         # errors, so nothing lands in the cache.
         assert outcome.allocated_blocks == 0
@@ -96,7 +97,7 @@ class TestDegradedWrites:
         assert stats.per_day[0].allocation_writes == 0
         assert stats.per_day[0].write_errors == 4
         # After the window the same blocks earn frames again.
-        after = appliance.process_request(request(issue=25.0))
+        after = process_request(appliance, request(issue=25.0))
         assert after.allocated_blocks == 4
         stats.check_consistency()
 
@@ -105,9 +106,9 @@ class TestDegradedWrites:
         appliance, stats, cache = make_appliance(
             plan, write_mode=WriteMode.WRITE_BACK
         )
-        appliance.process_request(request(kind=IOKind.WRITE))
+        process_request(appliance, request(kind=IOKind.WRITE))
         assert len(appliance.dirty) == 4
-        appliance.process_request(request(issue=15.0, kind=IOKind.WRITE))
+        process_request(appliance, request(issue=15.0, kind=IOKind.WRITE))
         # The invalidated frames must not linger as dirty ghosts.
         assert len(appliance.dirty) == 0
         assert len(cache) == 0
@@ -119,7 +120,7 @@ class TestBypass:
         plan = FaultPlan(outages=(OutageWindow(10.0, 20.0),))
         appliance, stats, cache = make_appliance(plan)
         warm(appliance)
-        outcome = appliance.process_request(request(issue=15.0))
+        outcome = process_request(appliance, request(issue=15.0))
         assert outcome.hit_blocks == 0 and outcome.miss_blocks == 4
         day = stats.per_day[0]
         assert day.bypass_accesses == 4
@@ -130,7 +131,7 @@ class TestBypass:
     def test_bypass_write_goes_to_ensemble(self):
         plan = FaultPlan(outages=(OutageWindow(0.0, 20.0),))
         appliance, stats, _ = make_appliance(plan)
-        appliance.process_request(request(kind=IOKind.WRITE, issue=5.0))
+        process_request(appliance, request(kind=IOKind.WRITE, issue=5.0))
         day = stats.per_day[0]
         assert day.backing_writes == 4
         assert day.allocation_writes == 0
@@ -139,9 +140,9 @@ class TestBypass:
         plan = FaultPlan(outages=(OutageWindow(10.0, 20.0),))
         appliance, stats, cache = make_appliance(plan)
         warm(appliance)
-        appliance.process_request(request(issue=15.0))
+        process_request(appliance, request(issue=15.0))
         # Recovery: the device is back, AOD re-allocates on the miss.
-        after = appliance.process_request(request(issue=25.0))
+        after = process_request(appliance, request(issue=25.0))
         assert appliance.faults.health is DeviceHealth.HEALTHY
         assert after.allocated_blocks == 4
         assert len(cache) == 4
@@ -152,9 +153,9 @@ class TestBypass:
         appliance, stats, _ = make_appliance(
             plan, write_mode=WriteMode.WRITE_BACK
         )
-        appliance.process_request(request(kind=IOKind.WRITE))
+        process_request(appliance, request(kind=IOKind.WRITE))
         assert len(appliance.dirty) == 4
-        appliance.process_request(request(issue=15.0))
+        process_request(appliance, request(issue=15.0))
         assert len(appliance.dirty) == 0
         assert stats.per_day[0].writebacks == 4
         stats.check_consistency()
@@ -174,9 +175,9 @@ class TestWearOut:
     def test_allocation_writes_wear_the_device_out(self):
         plan = FaultPlan(wearout_bytes=4 * BLOCK_BYTES)
         appliance, stats, cache = make_appliance(plan)
-        appliance.process_request(request())  # 4 allocation writes
+        process_request(appliance, request())  # 4 allocation writes
         assert appliance.faults.worn_out
-        appliance.process_request(request(offset=100, issue=5.0))
+        process_request(appliance, request(offset=100, issue=5.0))
         assert appliance.faults.health is DeviceHealth.BYPASS
         assert len(cache) == 0
         stats.check_consistency()
@@ -195,6 +196,6 @@ class TestNoFaultEquivalence:
             request(offset=8, issue=2.0),
             request(issue=3.0),
         ]:
-            faulty.process_request(req)
-            reference.process_request(req)
+            process_request(faulty, req)
+            process_request(reference, req)
         assert faulty_stats.per_day[0] == reference.stats.per_day[0]

@@ -9,11 +9,11 @@ from repro.core.ideal import (
     ideal_capture_shares,
     top_fraction_blocks,
 )
-from repro.traces.columnar import BlockCounts
+from tests.oracle import block_counts
 
 
 def table(mapping=()):
-    return BlockCounts.from_mapping(Counter(mapping))
+    return block_counts(Counter(mapping))
 
 
 class TestTopFractionBlocks:
@@ -73,7 +73,7 @@ class TestIdealCaptureShares:
         counts = Counter({0: 99})
         counts.update({i: 1 for i in range(1, 100)})
         (share,) = ideal_capture_shares(
-            [BlockCounts.from_mapping(counts)], fraction=0.01
+            [block_counts(counts)], fraction=0.01
         )
         assert share == pytest.approx(99 / 198)
 

@@ -459,7 +459,7 @@ def test_run_tally_is_a_bincount_and_ends_zero(runs):
     kernel = SieveStoreCKernel(SieveStoreC(SieveStoreCConfig(imct_slots=64)))
     for run in runs:
         slots = np.array(run, dtype=np.int64)
-        assert kernel._run_sizes(slots).tolist() == (
+        assert sieve_kernel._run_sizes(kernel._tally, slots).tolist() == (
             np.bincount(slots)[slots].tolist()
         )
         assert not kernel._tally.any()

@@ -13,6 +13,7 @@ from repro.ensemble.per_server import (
 )
 from repro.traces.columnar import BlockCounts
 from repro.traces.model import pack_address
+from tests.oracle import block_counts
 
 
 def skewed_vs_flat_day():
@@ -29,7 +30,7 @@ def skewed_vs_flat_day():
         counts[pack_address(1, 0, i)] = 1
     for i in range(10000):
         counts[pack_address(2, 0, i)] = 1
-    return BlockCounts.from_mapping(counts)
+    return block_counts(counts)
 
 
 class TestIdealShares:
@@ -87,10 +88,10 @@ class TestWholeDriveComparison:
 
 class TestPerServerCapacity:
     def test_capacity_is_peak_top_set(self):
-        day0 = BlockCounts.from_mapping(
+        day0 = block_counts(
             {pack_address(1, 0, i): 10 for i in range(100)}
         )
-        day1 = BlockCounts.from_mapping(
+        day1 = block_counts(
             {pack_address(1, 0, i): 10 for i in range(300)}
         )
         capacities = per_server_capacity_blocks([day0, day1])

@@ -7,9 +7,9 @@ from repro.ensemble.topology import (
     daily_unique_blocks_by_server,
     per_server_daily_counts_from_ensemble,
 )
-from repro.traces.columnar import BlockCounts
 from repro.traces.model import pack_address
 from repro.traces.servers import paper_ensemble
+from tests.oracle import block_counts
 
 
 class TestEnsembleTopology:
@@ -34,7 +34,7 @@ class TestEnsembleTopology:
 
 class TestPerServerSplit:
     def test_splits_by_packed_address(self):
-        day0 = BlockCounts.from_mapping(
+        day0 = block_counts(
             {
                 pack_address(1, 0, 5): 3,
                 pack_address(2, 0, 5): 7,
@@ -52,7 +52,7 @@ class TestPerServerSplit:
             assert total == tiny_context.daily_counts[day].total()
 
     def test_daily_unique_blocks(self):
-        day0 = BlockCounts.from_mapping({pack_address(1, 0, i): 1 for i in range(10)})
-        day1 = BlockCounts.from_mapping({pack_address(1, 0, i): 1 for i in range(3)})
+        day0 = block_counts({pack_address(1, 0, i): 1 for i in range(10)})
+        day1 = block_counts({pack_address(1, 0, i): 1 for i in range(3)})
         uniques = daily_unique_blocks_by_server([day0, day1])
         assert uniques[1] == [10, 3]

@@ -26,6 +26,7 @@ from repro.serve.backend import EnsembleBackend
 from repro.serve.store import ShardedByteStore
 from repro.traces.model import IOKind, IORequest
 from repro.util.units import BLOCK_BYTES
+from tests.oracle import process_request
 
 H, D, B = DeviceHealth.HEALTHY, DeviceHealth.DEGRADED, DeviceHealth.BYPASS
 PLAN = FaultPlan(
@@ -59,7 +60,7 @@ def replay_transitions():
     calls = []
     appliance.faults.observer = recorder(calls)
     for address, time in enumerate(TIMES):
-        appliance.process_request(IORequest(
+        process_request(appliance, IORequest(
             issue_time=time, completion_time=time + 0.4, server_id=0,
             volume_id=0, block_offset=address, block_count=1,
             kind=IOKind.READ,

@@ -4,18 +4,21 @@ Every data path in ``repro`` reads a
 :class:`~repro.traces.columnar.ColumnarTrace`.  The readable reference
 for what those vectorized paths compute lives here instead: a lossless
 columnarization of an object :class:`~repro.traces.model.Trace` (so a
-test can state a small trace as ``IORequest`` records), and the
-per-block walks over request objects that the per-day popularity
-tables are checked against.
+test can state a small trace as ``IORequest`` records), the per-block
+walks over request objects that the per-day popularity tables are
+checked against, and :func:`process_requests`, requests through the
+appliance one by one with the policy's own per-miss ``wants``.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Dict, Iterable, List
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Mapping
 
 import numpy as np
 
+from repro.core.appliance import SieveStoreAppliance
 from repro.traces.columnar import BlockCounts, ColumnarTrace
 from repro.traces.model import IORequest, Trace, pack_address
 from repro.util.intervals import day_of
@@ -71,7 +74,7 @@ def daily_block_counts(trace: Trace, days: int) -> List[BlockCounts]:
         base = request.first_address
         for i in range(request.block_count):
             counter[base + i] += 1
-    return [BlockCounts.from_mapping(counter) for counter in counters]
+    return [block_counts(counter) for counter in counters]
 
 
 def per_server_daily_counts(
@@ -90,6 +93,61 @@ def per_server_daily_counts(
         for i in range(request.block_count):
             counter[base + i] += 1
     return {
-        server: [BlockCounts.from_mapping(counter) for counter in counters]
+        server: [block_counts(counter) for counter in counters]
         for server, counters in result.items()
     }
+
+
+def block_counts(table: Mapping[int, int]) -> BlockCounts:
+    """Columns of an ``address -> count`` mapping."""
+    addresses = np.fromiter(table.keys(), dtype=np.int64, count=len(table))
+    counts = np.fromiter(table.values(), dtype=np.int64, count=len(table))
+    order = np.argsort(addresses)
+    return BlockCounts(addresses[order], counts[order])
+
+
+def counts_dict(table: BlockCounts) -> Dict[int, int]:
+    """A table as an ``address -> count`` dict, ascending by address."""
+    return dict(zip(table.addresses.tolist(), table.counts.tolist()))
+
+
+@dataclass(frozen=True)
+class RequestOutcome:
+    """Where one request's blocks were served from / what they cost."""
+
+    hit_blocks: int
+    miss_blocks: int
+    allocated_blocks: int
+
+    @property
+    def served_from_ssd(self) -> bool:
+        """True if every block hit (the request never touched a disk)."""
+        return self.miss_blocks == 0 and self.hit_blocks > 0
+
+
+def process_requests(
+    appliance: SieveStoreAppliance, requests: Iterable[IORequest]
+) -> List[RequestOutcome]:
+    """Run requests one by one through the cache and the sieve, every
+    miss taking the policy's ``wants``; then record their rows at once,
+    as the engines record a window's
+    (:meth:`~repro.cache.stats.CacheStats.record_rows`)."""
+    observe, rows, outcomes = appliance._observe_hook(), [], []
+    for request in requests:
+        issue, completion = request.issue_time, request.completion_time
+        n, is_write = request.block_count, request.is_write
+        hits, backing, allocated = appliance.process_row(
+            request.first_address, n, is_write, issue, completion, observe
+        )
+        rows.append((issue, completion, n, is_write, hits, backing))
+        outcomes.append(RequestOutcome(hits, n - hits, allocated))
+    if rows:
+        appliance.stats.record_rows(*map(np.array, zip(*rows)))
+    return outcomes
+
+
+def process_request(
+    appliance: SieveStoreAppliance, request: IORequest
+) -> RequestOutcome:
+    """One request through :func:`process_requests`."""
+    return process_requests(appliance, [request])[0]

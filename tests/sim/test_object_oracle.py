@@ -1,0 +1,110 @@
+"""The object engine against the per-miss ladder, request by request.
+
+For a plain SieveStore-C the object engine records each run's cold
+rejections in one batch, by the same cold bound the fast loop uses
+(:func:`repro.core.sieve_kernel.cold_mask`), so a fast-versus-object
+comparison cannot catch a fault in that bound.  This oracle shares none
+of it: each request of the same rows goes through
+:func:`tests.oracle.process_requests`, where every miss takes the
+policy's own ``wants`` (hash, tier 1, tier 2, one recording at a time),
+with the walk's epoch boundaries and end-of-run steps spelled out here.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from repro.cache.block_cache import BlockCache
+from repro.cache.stats import CacheStats
+from repro.cache.write_policy import WriteMode
+from repro.core import SieveStoreC, SieveStoreCConfig
+from repro.core.appliance import SieveStoreAppliance
+from repro.faults.injector import FaultInjector
+from repro.sim.engine import simulate
+from repro.sim.serialize import stats_to_dict
+from repro.util.intervals import SECONDS_PER_DAY
+from tests.oracle import process_requests
+from tests.sim.test_object_loop import PLAN
+
+#: The tiny trace's first days: the plan's error windows and outage
+#: fall inside them.
+DAYS = 5
+
+
+def tracked_sieve(ctx):
+    policy = SieveStoreC(SieveStoreCConfig(imct_slots=ctx.imct_slots))
+    policy.imct.enable_collision_tracking()
+    return policy
+
+
+def scalar_replay(ctx, columns, plan, write_mode):
+    """The rows one request at a time, every miss through ``wants``."""
+    policy, stats = tracked_sieve(ctx), CacheStats(days=DAYS)
+    faults = FaultInjector(plan) if plan is not None else None
+    appliance = SieveStoreAppliance(
+        BlockCache(ctx.sieved_capacity), policy, stats,
+        write_mode=write_mode, faults=faults,
+    )
+    requests = columns.to_trace().requests
+    for day in range(DAYS):
+        appliance.begin_day(day)
+        process_requests(appliance, [
+            request for request in requests
+            if request.issue_time // SECONDS_PER_DAY == day
+        ])
+    end = DAYS * float(SECONDS_PER_DAY)
+    appliance.flush_dirty(end - 1.0)
+    if faults is not None:
+        stats.degraded_seconds, stats.bypass_seconds = faults.time_in_states(end)
+    return appliance
+
+
+def state(stats, cache, policy):
+    """Everything the two replays must agree on."""
+    imct = policy.imct
+    return {
+        "stats": json.dumps(stats_to_dict(stats), sort_keys=True),
+        "lru": list(cache._order),
+        "imct": (bytes(imct.counts), bytes(imct.totals), imct.clock),
+        "last_addresses": bytes(imct._last_address),
+        "mct": {
+            address: (list(counter._counts), counter._last_subwindow)
+            for address, counter in policy.mct._counters.items()
+        },
+        "counters": {
+            name: getattr(owner, name)
+            for owner, names in (
+                (policy, ("admissions", "imct_rejections", "promotions",
+                          "mct_rejections")),
+                (imct, ("recorded_misses", "alias_collisions")),
+            )
+            for name in names
+        },
+    }
+
+
+@pytest.mark.parametrize("write_mode", list(WriteMode), ids=lambda m: m.name)
+@pytest.mark.parametrize("plan", [None, PLAN], ids=["healthy", "faulted"])
+def test_object_engine_matches_the_per_miss_ladder(tiny_context, plan,
+                                                   write_mode):
+    columns = tiny_context.columnar_trace()
+    columns = columns.take(
+        np.flatnonzero(columns.issue_time < DAYS * SECONDS_PER_DAY)
+    )
+    engine = simulate(
+        columns, tracked_sieve(tiny_context), tiny_context.sieved_capacity,
+        DAYS, write_mode=write_mode, fast_path=False, fault_plan=plan,
+    )
+    assert engine.engine == "object"
+    oracle = scalar_replay(tiny_context, columns, plan, write_mode)
+    expected = state(oracle.stats, oracle.cache, oracle.policy)
+    assert state(engine.stats, engine.cache, engine.policy) == expected
+    # The comparison is not vacuous: the sieve rejected, promoted and
+    # admitted, aliases collided, and the plan's paths were taken.
+    counters = expected["counters"]
+    assert min(counters.values()) > 0
+    if plan is not None:
+        total = oracle.stats.total
+        assert min(total.read_errors, total.write_errors,
+                   total.bypass_accesses) > 0

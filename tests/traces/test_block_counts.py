@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.traces.columnar import BlockCounts, ColumnarTrace
 from repro.traces.model import pack_address
 from repro.traces.segments import segment_columnar
-from tests.oracle import daily_block_counts
+from tests.oracle import block_counts, counts_dict, daily_block_counts
 
 DAYS = 3
 
@@ -95,13 +95,13 @@ class TestTop:
         keep = max(1, math.ceil(len(table) * fraction)) if table else 0
         if limit is not None:
             keep = min(keep, limit)
-        top = BlockCounts.from_mapping(table).top(fraction, limit)
-        assert top.as_dict() == dict(ranked[:keep])
+        top = block_counts(table).top(fraction, limit)
+        assert counts_dict(top) == dict(ranked[:keep])
         assert is_table(top)
 
     def test_equal_counts_keep_the_lowest_addresses(self):
-        counts = BlockCounts.from_mapping({30: 5, 10: 5, 20: 5, 40: 9})
-        assert counts.top(0.5).as_dict() == {10: 5, 40: 9}
+        counts = block_counts({30: 5, 10: 5, 20: 5, 40: 9})
+        assert counts_dict(counts.top(0.5)) == {10: 5, 40: 9}
 
 
 class TestServerSplitAndMerge:
@@ -122,5 +122,5 @@ class TestServerSplitAndMerge:
         total = Counter()
         for table in tables:
             total.update(table)
-        merged = BlockCounts.merge([BlockCounts.from_mapping(t) for t in tables])
-        assert merged == BlockCounts.from_mapping(total)
+        merged = BlockCounts.merge([block_counts(t) for t in tables])
+        assert merged == block_counts(total)

@@ -18,6 +18,7 @@ from repro.traces.model import MAX_BLOCK_OFFSET
 from repro.traces.store import load_or_generate_columnar
 from repro.traces.synthetic import DAY0_INTENSITY, SLOT_BLOCKS
 from repro.util.intervals import SECONDS_PER_DAY
+from tests.oracle import counts_dict
 
 DAYS = 8
 
@@ -151,7 +152,7 @@ class TestGoldenBytes:
 
 @pytest.fixture(scope="module")
 def daily_counts(tiny_context):
-    return [table.as_dict() for table in tiny_context.daily_counts]
+    return [counts_dict(table) for table in tiny_context.daily_counts]
 
 
 @pytest.fixture(scope="module")
