@@ -7,8 +7,8 @@ simulation paths and asserts the paths produce bit-identical statistics
 * AOD at 16 GB — engine-bound: every block goes through the
   hit/miss/allocate machinery with no sieve-policy overhead.
 * SieveStore-C — sieve-bound: exercises the array-backed sieve kernel
-  (:mod:`repro.core.sieve_kernel`, the fast engine's ``_W_SIEVE``
-  branch).
+  (:mod:`repro.core.sieve_kernel`, driven by SieveStore-C's fast
+  decider, :class:`repro.sim.fast_engine.SieveStretches`).
 
 The speed-up of one engine over the other is printed, not asserted: a
 wall-clock ratio depends on the machine.  Speed is judged by the repo

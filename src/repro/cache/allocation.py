@@ -56,6 +56,25 @@ class AllocationPolicy(abc.ABC):
     def wants(self, address: int, is_write: bool, time: float) -> bool:
         """Should this missed block be allocated a frame right now?"""
 
+    def stretch_decider(self, cache, stats, epoch_seconds: float):
+        """The fast engine's decider for this policy over ``cache`` and
+        ``stats``: the base class's calls :meth:`observe` on every block
+        and :meth:`wants` on every miss.  A policy with a faster loop
+        returns its own, which its subclasses inherit: one that changes
+        what ``wants`` or ``observe`` do returns the base class's again
+        (``AllocationPolicy.stretch_decider``) or its own."""
+        from repro.sim.fast_engine import FastStretches  # repro.sim imports this module
+        return FastStretches(self, cache, stats, epoch_seconds)
+
+
+def observe_hook(policy: AllocationPolicy):
+    """``policy.observe``, or None when it is the base class's no-op, so
+    that a per-block caller can skip the call (both engines ask once a
+    run)."""
+    if type(policy).observe is AllocationPolicy.observe:
+        return None
+    return policy.observe
+
 
 class AllocateOnDemand(AllocationPolicy):
     """AOD: allocate on every miss (conventional demand-fill cache)."""
@@ -64,6 +83,10 @@ class AllocateOnDemand(AllocationPolicy):
 
     def wants(self, address: int, is_write: bool, time: float) -> bool:
         return True
+
+    def stretch_decider(self, cache, stats, epoch_seconds: float):
+        from repro.sim.fast_engine import AodStretches
+        return AodStretches(self, cache, stats, epoch_seconds)
 
 
 class WriteMissNoAllocate(AllocationPolicy):
@@ -79,12 +102,17 @@ class WriteMissNoAllocate(AllocationPolicy):
     def wants(self, address: int, is_write: bool, time: float) -> bool:
         return not is_write
 
+    def stretch_decider(self, cache, stats, epoch_seconds: float):
+        from repro.sim.fast_engine import WmnaStretches
+        return WmnaStretches(self, cache, stats, epoch_seconds)
+
 
 class NeverAllocate(AllocationPolicy):
     """Null policy: the cache contents change only via epoch batches.
 
-    Useful as the continuous-phase companion of purely discrete
-    policies and in tests.
+    Useful in tests, and the base of the batch-only family — every
+    policy that allocates only in epoch batches (the static set, the
+    discrete and ideal sieves, RandSieve-BlkD).
     """
 
     name = "never"
@@ -92,8 +120,21 @@ class NeverAllocate(AllocationPolicy):
     def wants(self, address: int, is_write: bool, time: float) -> bool:
         return False
 
+    def epoch_log(self):
+        """The container :meth:`observe` logs this epoch's accesses in,
+        or None when it logs nothing.  The fast engine logs a request's
+        blocks with one ``update(blocks)`` call instead of a call per
+        block, so that call must do what ``observe`` does (a
+        ``Counter`` counts, a ``set`` collects); it fetches the log
+        again after every epoch boundary."""
+        return None
 
-class StaticSet(AllocationPolicy):
+    def stretch_decider(self, cache, stats, epoch_seconds: float):
+        from repro.sim.fast_engine import BatchStretches
+        return BatchStretches(self, cache, stats, epoch_seconds)
+
+
+class StaticSet(NeverAllocate):
     """Installs a fixed block set on day 0 and never changes it.
 
     This is the "fixed allocation" comparison from the paper's Belady
@@ -111,6 +152,3 @@ class StaticSet(AllocationPolicy):
             self._installed = True
             return set(self._blocks)
         return None
-
-    def wants(self, address: int, is_write: bool, time: float) -> bool:
-        return False

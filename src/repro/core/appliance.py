@@ -140,9 +140,10 @@ class SieveStoreAppliance:
         """Decide one request given as fields: the ``n`` blocks from
         packed address ``base``, issued at ``issue``.
 
-        ``observe`` is :meth:`_observe_hook`'s answer, resolved once by
-        the caller.  A caller that hashed the request's blocks for a
-        plain SieveStore-C passes block ``i``'s IMCT slot at
+        ``observe`` is :func:`~repro.cache.allocation.observe_hook`'s
+        answer, resolved once by the caller.  A caller that hashed the
+        request's blocks for a SieveStore-C whose ladder the sieve
+        kernel may drive passes block ``i``'s IMCT slot at
         ``slots[first + i]`` and the request's ``subwindow``; each miss
         then takes the policy's ``wants_hashed`` instead of ``wants``,
         save a cold rejection — a miss on a slot coded ``~slot`` (cold
@@ -263,13 +264,6 @@ class SieveStoreAppliance:
             # insertion in ceil(allocated/8) 4-KB units at completion.
             _record_allocations(stats, issue, completion, n, admitted)
         return hit_blocks, backing_writes, len(admitted)
-
-    def _observe_hook(self):
-        """``policy.observe``, or None when it is the base class's no-op
-        (the identity test :mod:`repro.sim.fast_engine` dispatches on)."""
-        if type(self.policy).observe is AllocationPolicy.observe:
-            return None
-        return self.policy.observe
 
     def _lose_contents(self, time: float) -> None:
         """React to entering BYPASS (nothing is installed there, so only

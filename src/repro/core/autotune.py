@@ -147,6 +147,11 @@ class AdaptiveSieveStoreC(SieveStoreC):
             self._interval_admissions += 1
         return admitted
 
+    def kernel_drives_ladder(self) -> bool:
+        """Never: the controller steps on every :meth:`wants`, which the
+        kernel's direct ladder calls would skip."""
+        return False
+
     def _maybe_adjust(self, time: float) -> None:
         """Move the base ladder's tier-2 threshold against the budget
         once per ``adjust_interval``."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Set
 
-from repro.cache.allocation import AllocationPolicy
+from repro.cache.allocation import NeverAllocate
 from repro.traces.columnar import BlockCounts
 
 
@@ -34,7 +34,7 @@ def top_fraction_blocks(counts: BlockCounts, fraction: float = 0.01) -> Set[int]
     return set(counts.top(fraction).addresses.tolist())
 
 
-class IdealDailySieve(AllocationPolicy):
+class IdealDailySieve(NeverAllocate):
     """Oracle: installs each day's top-1% block set at the day's start.
 
     Args:
@@ -65,9 +65,6 @@ class IdealDailySieve(AllocationPolicy):
             return set()
         top = self.daily_counts[day].top(self.fraction, limit=self.capacity_blocks)
         return set(top.addresses.tolist())
-
-    def wants(self, address: int, is_write: bool, time: float) -> bool:
-        return False
 
 
 def ideal_capture_shares(

@@ -21,10 +21,10 @@ import math
 import random
 from typing import Iterable, Optional, Set
 
-from repro.cache.allocation import AllocationPolicy
+from repro.cache.allocation import AllocationPolicy, NeverAllocate
 
 
-class RandSieveBlkD(AllocationPolicy):
+class RandSieveBlkD(NeverAllocate):
     """Discrete random sieve: batch-allocate a random 1% of yesterday's blocks."""
 
     name = "randsieve-blkd"
@@ -45,8 +45,8 @@ class RandSieveBlkD(AllocationPolicy):
     def observe(self, address: int, is_write: bool, time: float, hit: bool) -> None:
         self._seen_this_epoch.add(address)
 
-    def wants(self, address: int, is_write: bool, time: float) -> bool:
-        return False
+    def epoch_log(self) -> Set[int]:
+        return self._seen_this_epoch
 
     def epoch_boundary(self, day: int) -> Optional[Iterable[int]]:
         universe = sorted(self._seen_this_epoch)  # sorted for determinism

@@ -78,7 +78,6 @@ from typing import Collection, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cache.allocation import AllocationPolicy
 from repro.core.sievestore_c import SieveStoreC
 from repro.core.windows import COUNTER_SATURATION
 from repro.traces.columnar import expand_blocks
@@ -165,21 +164,6 @@ def hash_requests(
     )
 
 
-def supports(policy: AllocationPolicy) -> bool:
-    """True if ``policy`` can be driven by :class:`SieveStoreCKernel`.
-
-    Exact-type check on purpose: a subclass may add work around the
-    ladder (:class:`~repro.core.autotune.AdaptiveSieveStoreC` runs its
-    controller on every ``wants``) that the kernel's direct
-    :meth:`~repro.core.sievestore_c.SieveStoreC.tier1` /
-    :meth:`~repro.core.sievestore_c.SieveStoreC.tier2` calls would
-    skip, so anything but a plain :class:`SieveStoreC` takes the
-    general per-miss-call path.  So does a t1 past ``COUNTER_SATURATION
-    + 1``, where a cold cell could saturate: the flush does not clamp.
-    """
-    return type(policy) is SieveStoreC and policy.config.t1 <= COUNTER_SATURATION + 1
-
-
 def cold_mask(policy: SieveStoreC, slots: np.ndarray, subwindow: int,
               tally: np.ndarray) -> np.ndarray:
     """The cold bound at the head of a run of blocks on IMCT ``slots``, all
@@ -226,9 +210,10 @@ class SieveStoreCKernel:
     """
 
     def __init__(self, policy: SieveStoreC, resident: Collection[int] = ()):
-        if not supports(policy):
+        if not policy.kernel_drives_ladder():
             raise TypeError(
-                f"kernel requires a plain SieveStoreC with t1 <= {COUNTER_SATURATION + 1}, "
+                "kernel drives only a SieveStoreC ladder that allows it, "
+                f"with t1 <= {COUNTER_SATURATION + 1}, "
                 f"got {type(policy).__name__} with t1={policy.config.t1}"
             )
         self.policy = policy

@@ -31,7 +31,7 @@ from typing import Optional
 from repro.cache.allocation import AllocationPolicy
 from repro.core.imct import ImpreciseMissCountTable
 from repro.core.mct import MissCountTable
-from repro.core.windows import WindowSpec
+from repro.core.windows import COUNTER_SATURATION, WindowSpec
 
 #: The paper's tuned tier-1 (IMCT) threshold.
 DEFAULT_T1 = 9
@@ -181,6 +181,24 @@ class SieveStoreC(AllocationPolicy):
         self.mct.forget(address)
         self.admissions += 1
         return True
+
+    def kernel_drives_ladder(self) -> bool:
+        """May the sieve kernel (:mod:`repro.core.sieve_kernel`) drive
+        this ladder: batch its cold rejections and call :meth:`tier1` /
+        :meth:`tier2` directly, never :meth:`wants`?  Both engines ask:
+        the fast one for its decider, the object one for its hashed
+        windows.  Not past t1 = ``COUNTER_SATURATION + 1``, where a cold
+        cell could saturate (the kernel's batch recording does not
+        clamp); a subclass that adds work around the ladder
+        (:class:`~repro.core.autotune.AdaptiveSieveStoreC`) answers
+        False."""
+        return self.config.t1 <= COUNTER_SATURATION + 1
+
+    def stretch_decider(self, cache, stats, epoch_seconds: float):
+        if not self.kernel_drives_ladder():
+            return super().stretch_decider(cache, stats, epoch_seconds)
+        from repro.sim.fast_engine import SieveStretches
+        return SieveStretches(self, cache, stats, epoch_seconds)
 
     # ------------------------------------------------------------------
     def metastate_entries(self) -> dict:

@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Set
 
-from repro.cache.allocation import AllocationPolicy
+from repro.cache.allocation import NeverAllocate
 
 #: The paper's epoch-access-count threshold: allocate blocks with count > 10.
 DEFAULT_THRESHOLD = 10
@@ -54,7 +54,7 @@ class SieveStoreDConfig:
             raise ValueError(f"capacity must be positive: {self.capacity_blocks}")
 
 
-class SieveStoreD(AllocationPolicy):
+class SieveStoreD(NeverAllocate):
     """The discrete SieveStore sieve as an allocation policy.
 
     Use with a :class:`~repro.cache.block_cache.BlockCache` whose
@@ -76,11 +76,10 @@ class SieveStoreD(AllocationPolicy):
         """Log one access.  SieveStore-D counts *accesses*, hit or miss."""
         self._epoch_counts[address] += 1
 
-    # -- allocation ------------------------------------------------------
-    def wants(self, address: int, is_write: bool, time: float) -> bool:
-        """Never allocates continuously; batches only."""
-        return False
+    def epoch_log(self) -> Counter:
+        return self._epoch_counts
 
+    # -- allocation (batches only) ---------------------------------------
     def epoch_boundary(self, day: int) -> Optional[Iterable[int]]:
         """Select last epoch's over-threshold blocks for the new epoch."""
         selected = self.select_allocation(self._epoch_counts)

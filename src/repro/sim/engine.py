@@ -22,16 +22,18 @@ requests between stops to one of two deciders with identical results,
 which :func:`simulate` picks from the configuration alone:
 
 * the **fast path**, :class:`~repro.sim.fast_engine.FastStretches`,
-  decides a stretch in flat per-policy loops, several times faster.
+  decides a stretch in a flat loop the policy brings
+  (:meth:`~repro.cache.allocation.AllocationPolicy.stretch_decider`),
+  several times faster.
   It runs every configuration it covers — write-through accounting,
   no device faults (every figure's configuration);
 * the **object path**, :class:`_ObjectStretches`, hands the rows, one
   request's fields at a time, to the appliance, whose cache and policy
   objects make every decision — the readable reference
   implementation, and the decider for everything else (write-back,
-  fault plans).  For a plain SieveStore-C it hashes each window's
-  blocks at once and bounds each run's cold slots with the fast path's
-  own primitives.
+  fault plans).  For a SieveStore-C whose ladder the sieve kernel may
+  drive it hashes each window's blocks at once and bounds each run's
+  cold slots with the fast path's own primitives.
   ``fast_path=False`` forces it, which is how the equivalence tests
   get their reference.
 
@@ -52,12 +54,13 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.cache.allocation import AllocationPolicy
+from repro.cache.allocation import AllocationPolicy, observe_hook
 from repro.cache.block_cache import BlockCache
 from repro.cache.stats import CacheStats
 from repro.cache.write_policy import WriteMode
 from repro.core import sieve_kernel
 from repro.core.appliance import SieveStoreAppliance
+from repro.core.sievestore_c import SieveStoreC
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.sim.fast_engine import FastStretches
@@ -182,9 +185,10 @@ class _ObjectStretches:
     stretch, one row of fields at a time, in windows of at most
     :data:`_ROW_WINDOW` rows, whose hits and backing-write blocks
     :meth:`~repro.cache.stats.CacheStats.record_rows` records once the
-    window is decided.  A plain SieveStore-C's window is hashed at once
-    and decided run by run (requests sharing a subwindow): at a run's
-    head :func:`~repro.core.sieve_kernel.cold_mask` codes each cold slot
+    window is decided.  A SieveStore-C's window, when the kernel may
+    drive its ladder, is hashed at once and decided run by run
+    (requests sharing a subwindow): at a run's head
+    :func:`~repro.core.sieve_kernel.cold_mask` codes each cold slot
     ``~slot``, the appliance decides every access in order but only
     lists the cold rejections, and one ``record_batch`` records them at
     the run's end.  Every stop ends a window, and a window its runs, so
@@ -194,9 +198,10 @@ class _ObjectStretches:
     def __init__(self, appliance: SieveStoreAppliance, days: int):
         self.appliance = appliance
         self.boundary = appliance.begin_day
-        self.hashed = sieve_kernel.supports(appliance.policy)
-        self._tally = np.zeros(appliance.policy.imct.slots, np.int32) if self.hashed else None
-        self.observe = appliance._observe_hook()
+        policy = appliance.policy
+        self.hashed = isinstance(policy, SieveStoreC) and policy.kernel_drives_ladder()
+        self._tally = np.zeros(policy.imct.slots, np.int32) if self.hashed else None
+        self.observe = observe_hook(policy)
         self.end = float(days) * SECONDS_PER_DAY
 
     def chunk(self, columns: ColumnarTrace, start: int):
@@ -568,7 +573,7 @@ def _drive(
                 )
 
     if appliance is None:
-        stretches = FastStretches(policy, stats, cache, epoch_seconds)
+        stretches = policy.stretch_decider(cache, stats, epoch_seconds)
     else:
         stretches = _ObjectStretches(appliance, days)
     _walk(

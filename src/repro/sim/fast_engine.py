@@ -5,27 +5,35 @@
 request, one cache/policy/stats call per 512-byte block.  That chain of
 small Python calls dominates simulation wall-clock.  This module
 decides the same semantics over the columnar trace, as
-:class:`FastStretches`, one of the two stretch deciders the engine's
-one walk (:func:`repro.sim.engine._walk`) drives:
+:class:`FastStretches` and its subclasses, the fast side of the two
+kinds of stretch decider the engine's one walk
+(:func:`repro.sim.engine._walk`) drives.  Each policy brings its own
+(:meth:`~repro.cache.allocation.AllocationPolicy.stretch_decider`):
 
 * the walk finds per chunk, in a few vectorized passes, the rows where
   anything but a request happens — an epoch boundary, a checkpoint or
-  progress tick, and the one kind of stop this loop adds, a request
-  running past midnight — and hands the stretches between them to
-  per-mode block loops that contain requests and nothing else: their
-  one output is a hit count per request;
-* allocate-on-demand walks no blocks: every miss is allocated, so a
-  block hits iff fewer than ``capacity`` distinct blocks came between
-  it and its previous access, and
+  progress tick, and the one kind of stop the allocating deciders add,
+  a request running past midnight — and hands the stretches between
+  them to the decider's block loop, which contains requests and
+  nothing else: its one output is a hit count per request;
+* :class:`FastStretches` itself is the general decider, any policy's
+  unless it brings a faster one: every block observed, ``wants`` asked
+  on every miss, in exactly the reference order;
+* allocate-on-demand (:class:`AodStretches`) walks no blocks: every
+  miss is allocated, so a block hits iff fewer than ``capacity``
+  distinct blocks came between it and its previous access, and
   :func:`~repro.cache.replacement.lru_pass` settles every row since
   the last stop that reads the cache or the hit column (any stop but a
   progress tick) with one sort; the cache's ``OrderedDict`` is rebuilt
   from the resulting order, in place, only where the cache is read (a
-  chunk's end reads only the hit column).  WMNA (whose write misses
-  allocate nothing, so its block stream depends on the state) and the
-  per-miss-call modes drive that ``OrderedDict`` — the cache's one
-  structure, resident set and recency order at once — directly
-  (membership test + ``move_to_end`` + ``popitem(last=False)``);
+  chunk's end reads only the hit column).  WMNA
+  (:class:`WmnaStretches`, whose write misses allocate nothing, so its
+  block stream depends on the state), the batch-only family
+  (:class:`BatchStretches`: hits, and the policy's per-epoch access log
+  updated a request at a time) and the general decider drive that
+  ``OrderedDict`` — the cache's one structure, resident set and recency
+  order at once — directly (membership test + ``move_to_end`` +
+  ``popitem(last=False)``);
 * statistics are recorded from columns
   (:meth:`~repro.cache.stats.CacheStats.record_rows`: every block of a
   request shares the request's issue time, so the per-block recording
@@ -34,19 +42,14 @@ one walk (:func:`repro.sim.engine._walk`) drives:
   Only the rare allocations stay scalar: a sieve admission, and the
   per-block interpolated completion times of a request that straddles
   a day boundary;
-* SieveStore-C walks events, not blocks: at each run's head the sieve
-  kernel (:mod:`repro.core.sieve_kernel`) settles every hit (counted
-  per request, its recency moved in bulk) and every cold rejection
-  (recorded in one batch), and only the misses it cannot decide go
-  through the policy's own ladder
+* SieveStore-C (:class:`SieveStretches`) walks events, not blocks: at
+  each run's head the sieve kernel (:mod:`repro.core.sieve_kernel`)
+  settles every hit (counted per request, its recency moved in bulk)
+  and every cold rejection (recorded in one batch), and only the misses
+  it cannot decide go through the policy's own ladder
   (:meth:`~repro.core.sievestore_c.SieveStoreC.tier1` /
   :meth:`~repro.core.sievestore_c.SieveStoreC.tier2`), the one copy
-  the object engine runs too;
-* the policy's ``wants``/``observe`` hooks are specialized by *method
-  identity*: a policy whose ``wants`` is literally
-  ``AllocateOnDemand.wants`` allocates every miss without a Python
-  call, while any override (including subclasses that re-define the
-  method) falls back to per-miss calls in exactly the reference order.
+  the object engine runs too.
 
 The fast path covers the configuration every figure uses —
 write-through accounting without device faults.  Write-back and fault
@@ -62,32 +65,15 @@ from itertools import groupby
 from operator import itemgetter
 from typing import List, Tuple
 
-from repro.cache.allocation import (
-    AllocateOnDemand,
-    AllocationPolicy,
-    NeverAllocate,
-    StaticSet,
-    WriteMissNoAllocate,
-)
+import numpy as np
+
+from repro.cache.allocation import AllocationPolicy, observe_hook
 from repro.cache.block_cache import BlockCache
 from repro.cache.replacement import lru_pass
 from repro.cache.stats import CacheStats, _record_allocations
-from repro.core.ideal import IdealDailySieve
-from repro.core.random_sieve import RandSieveBlkD
-import numpy as np
-
 from repro.core.sieve_kernel import SieveStoreCKernel, subwindow_indices
-from repro.core.sieve_kernel import supports as _sieve_supported
-from repro.core.sievestore_d import SieveStoreD
 from repro.traces.columnar import expand_blocks
 from repro.util.intervals import SECONDS_PER_DAY
-
-# wants() specializations, resolved once per run by method identity.
-_W_TRUE = 0  # allocate every miss (AOD)
-_W_FALSE = 1  # never allocate continuously (discrete sieves, oracles)
-_W_NOT_WRITE = 2  # allocate read misses only (WMNA)
-_W_CALL = 3  # stateful/unknown: call policy.wants per miss
-_W_SIEVE = 4  # plain SieveStore-C: sieve kernel + the policy's tiers
 
 #: Cap on the requests one sieve-kernel precompute pass hashes (and so
 #: on run length); the batching unit itself is the paper's subwindow.
@@ -103,48 +89,6 @@ _SIEVE_CHUNK = 1 << 16
 #: normalized blocks/s.
 _LRU_CHUNK = 1 << 14
 _LRU_CHUNK_MAX = 1 << 21
-
-# observe() specializations.
-_O_NONE = 0  # the base-class no-op
-_O_COUNTER = 1  # SieveStoreD: Counter increment per access
-_O_SET = 2  # RandSieveBlkD: set.add per access
-_O_CALL = 3  # unknown override: call policy.observe per block
-
-#: ``wants`` implementations known to return a constant.
-_CONSTANT_FALSE_WANTS = (
-    NeverAllocate.wants,
-    StaticSet.wants,
-    SieveStoreD.wants,
-    IdealDailySieve.wants,
-    RandSieveBlkD.wants,
-)
-
-
-def _wants_mode(policy: AllocationPolicy) -> int:
-    wants = type(policy).wants
-    if wants is AllocateOnDemand.wants:
-        return _W_TRUE
-    if wants is WriteMissNoAllocate.wants:
-        return _W_NOT_WRITE
-    if any(wants is known for known in _CONSTANT_FALSE_WANTS):
-        return _W_FALSE
-    if _sieve_supported(policy):
-        # Exact type only: subclasses (e.g. AdaptiveSieveStoreC) may
-        # change tier internals without redefining wants, so they take
-        # the general per-miss-call path; so does a t1 past 256.
-        return _W_SIEVE
-    return _W_CALL
-
-
-def _observe_mode(policy: AllocationPolicy) -> int:
-    observe = type(policy).observe
-    if observe is AllocationPolicy.observe:
-        return _O_NONE
-    if observe is SieveStoreD.observe:
-        return _O_COUNTER
-    if observe is RandSieveBlkD.observe:
-        return _O_SET
-    return _O_CALL
 
 
 def _replay_lru(
@@ -181,67 +125,37 @@ def _replay_lru(
 class FastStretches:
     """The fast loop's side of the one walk
     (:func:`repro.sim.engine._walk`), over ``policy``, ``stats`` and
-    ``cache`` (an LRU cache).
+    ``cache`` (an LRU cache); as is, the general decider.
 
     The walk hands it each chunk (:meth:`chunk`, which names the rows
-    the loop adds as stops: the day-straddling requests of the bulk
-    modes), each epoch boundary (:meth:`boundary`) and each stretch of
-    requests between stops (:meth:`decide`), and asks for a state it
-    can pickle at a checkpoint or a chunk's end (:meth:`settle`): the
-    cache brought up to the cursor, the statistics recorded up to it
-    and (for the sieve kernel) the policy object fully synced.  At
-    every chunk's end the statistics are recorded; elsewhere they (for
-    allocate-on-demand, the cache too) trail the cursor.  Only one
-    chunk's columns are held as Python lists at a time, so peak memory
-    follows the chunk budget, not the trace.  Leaves ``stats`` and
-    ``cache`` exactly as the reference path would have (same counters,
-    same resident set, same LRU order), whatever the chunk edges.
+    the decider adds as stops), each epoch boundary (:meth:`boundary`)
+    and each stretch of requests between stops (:meth:`decide`), and
+    asks for a state it can pickle at a checkpoint or a chunk's end
+    (:meth:`settle`): the cache brought up to the cursor
+    (:meth:`resync`), the statistics recorded up to it and the policy
+    object fully synced.  At every chunk's end the statistics are
+    recorded; elsewhere they (for allocate-on-demand, the cache too)
+    trail the cursor.  Only one chunk's columns are held as Python lists
+    at a time, so peak memory follows the chunk budget, not the trace.
+    Leaves ``stats`` and ``cache`` exactly as the reference path would
+    have (same counters, same resident set, same LRU order), whatever
+    the chunk edges.
 
-    Each block loop binds what it reads to locals once per stretch;
-    what a stretch leaves for the next (a sieve run that a checkpoint
-    cut, AOD rows a progress tick left unsettled) goes back to the
-    object at the stretch's end.
+    Subclasses replace :meth:`decide` with a loop specialized to their
+    policy family.  Each block loop binds what it reads to locals once
+    per stretch; what a stretch leaves for the next (a sieve run that a
+    checkpoint cut, AOD rows a progress tick left unsettled) goes back
+    to the object at the stretch's end.
     """
 
-    def __init__(self, policy: AllocationPolicy, stats: CacheStats,
-                 cache: BlockCache, epoch_seconds: float):
-        self.policy, self.stats, self.cache = policy, stats, cache
+    def __init__(self, policy: AllocationPolicy, cache: BlockCache,
+                 stats: CacheStats, epoch_seconds: float):
+        self.policy, self.cache, self.stats = policy, cache, stats
         self.epoch_seconds = epoch_seconds
-        self.od = od = cache._order
-        self.wmode = wmode = _wants_mode(policy)
-        self.omode = omode = _observe_mode(policy)
-        self.general = wmode == _W_CALL or omode == _O_CALL
-        # Every (WMNA: read) miss allocated and nothing to call per
-        # block: the allocation-writes, too, are recorded from columns.
-        self.bulk = not self.general and wmode in (_W_TRUE, _W_NOT_WRITE)
-        self._rebind()
-        # The sieve kernel settles each run's hits and cold-slot
-        # rejections; every other decision is the policy's own
-        # tier1/tier2, so after a flush the policy object is the whole
-        # sieve state, ready to pickle.
-        self.kernel = SieveStoreCKernel(policy, od) if wmode == _W_SIEVE else None
-        self.sl_end = self.run_end = self.run_start = self.walked = self.stop = 0
-        self.c_starts = self.events = None
-        # AOD's LRU order while ``od`` lags behind it (see _replay_lru).
-        self.lru_order = None
-        self._stretch = {
-            _W_SIEVE: self._sieve, _W_FALSE: self._discrete,
-            _W_TRUE: self._aod, _W_NOT_WRITE: self._wmna,
-        }.get(wmode)
-
-    def _rebind(self) -> None:
-        """Specialized observe targets: these containers are *replaced*
-        by their policies at epoch boundaries."""
-        omode, policy = self.omode, self.policy
-        self.counts = policy._epoch_counts if omode == _O_COUNTER else None
-        self.seen = policy._seen_this_epoch if omode == _O_SET else None
+        self.od = cache._order
 
     def resync(self) -> None:
-        """Bring the cache up to the replay: ``od`` from AOD's order."""
-        if self.lru_order is not None:
-            self.od.clear()
-            self.od.update(dict.fromkeys(self.lru_order.tolist()))
-            self.lru_order = None
+        """Bring the cache up to the replay (only AOD lets it trail)."""
 
     def chunk(self, columns, start: int):
         """Take a chunk replayed from row ``start``; returns its extra
@@ -251,8 +165,8 @@ class FastStretches:
         self.addr_l = columns.address.tolist()
         self.count_l = columns.block_count.tolist()
         self.write_l = columns.is_write.tolist()
-        # Hits per request: all the loops below put out.  Statistics
-        # are recorded from it and the columns, rows [recorded, upto) at
+        # Hits per request: all the loops put out.  Statistics are
+        # recorded from it and the columns, rows [recorded, upto) at
         # every sync site (CacheStats.record_rows).
         self.hits = array("q", bytes(8 * len(columns)))
         self.hit_column = np.frombuffer(self.hits, dtype=np.int64)
@@ -262,22 +176,8 @@ class FastStretches:
             columns.is_write, self.hit_column,
             columns.block_count * columns.is_write,
         ]
-        # Sieve precompute windows and runs never span chunks: reset so
-        # the first sieved request of this chunk starts new ones.
-        self.recorded = self.lru_from = self.sl_end = self.run_end = start
-        self.scalar_rows = ()
-        if self.bulk:
-            # A request running past midnight spreads its allocations
-            # over two days, block by block: the scalar road (days
-            # uncapped — past the last day it leads to the same sums).
-            day_seconds = float(SECONDS_PER_DAY)
-            straddles = subwindow_indices(
-                columns.issue_time, day_seconds
-            ) != subwindow_indices(columns.completion_time, day_seconds)
-            allocates = ~columns.is_write if self.wmode == _W_NOT_WRITE else True
-            self.recorded_columns.append(~straddles & allocates)
-            self.scalar_rows = set(np.flatnonzero(straddles & allocates).tolist())
-        return self.scalar_rows
+        self.recorded = start
+        return ()
 
     def boundary(self, epoch: int) -> None:
         batch = self.policy.epoch_boundary(epoch)
@@ -291,54 +191,18 @@ class FastStretches:
                 self.stats.record_allocation_write(
                     float(epoch) * self.epoch_seconds, inserted
                 )
-        self._rebind()
 
     def decide(self, lo: int, hi: int, tick: bool) -> None:
-        """Replay rows ``[lo, hi)``; ``tick``: ``hi`` is a progress tick
-        only, where nothing reads the cache or the hit column."""
-        if self.general:
-            self._general(lo, hi)
-            return
-        if lo in self.scalar_rows:
-            # A settle site: the row goes through the general body for
-            # its blocks' offsets.
-            self._general(lo, lo + 1)
-            lo = self.lru_from = lo + 1
-        self._stretch(lo, hi, tick)
-
-    def settle(self, row: int, picklable: bool) -> None:
-        """Record the statistics up to chunk row ``row``; ``picklable``:
-        also bring the cache and the sieve's policy object up to it (the
-        cache is rebuilt only where it is read: a chunk's end under no
-        segment hook reads only the hit column)."""
-        if picklable:
-            self.resync()
-            if self.kernel is not None:
-                # Mid-run: flush only the blocks replayed so far (at a
-                # chunk's end the run ends there too).
-                self.kernel.flush(self.stop)
-        self.stats.record_rows(
-            *(c[self.recorded:row] for c in self.recorded_columns)
-        )
-        self.recorded = row
-
-    def finish(self) -> None:
-        self.resync()
-        if self.kernel is not None:
-            # The policy object must reflect the run before the caller
-            # samples sieve telemetry or pickles a final state.
-            self.kernel.sync()
-
-    def _general(self, lo: int, hi: int) -> None:
-        """Reference-order body: observe every block, ask wants() on
-        every miss (stateful sieves consume the miss stream in exactly
-        this order).  The bulk modes send it their day-straddling
-        requests, for the blocks' offsets."""
+        """Replay rows ``[lo, hi)`` in reference order (``tick``: ``hi``
+        is a progress tick only, where nothing reads the cache or the
+        hit column): observe every block, ask ``wants`` on every miss
+        (stateful sieves consume the miss stream in exactly this order).
+        The bulk deciders send it their day-straddling requests, for the
+        blocks' offsets."""
         self.resync()
         od, capacity, hits, stats = self.od, self.cache.capacity_blocks, self.hits, self.stats
         od_move, od_pop = od.move_to_end, od.popitem
-        wmode, wants, observe = self.wmode, self.policy.wants, self.policy.observe
-        do_observe = self.omode != _O_NONE
+        wants, observe = self.policy.wants, observe_hook(self.policy)
         issue_l, addr_l, count_l, write_l = self.issue_l, self.addr_l, self.count_l, self.write_l
         completion_times = self.columns.completion_time
         admitted: List[int] = []  # block offsets the request in hand installed
@@ -350,17 +214,13 @@ class FastStretches:
             for a in range(addr, addr + count_l[jl]):
                 if a in od:
                     od_move(a)
-                    if do_observe:
+                    if observe is not None:
                         observe(a, w, issue, True)
                     hit += 1
                 else:
-                    if do_observe:
+                    if observe is not None:
                         observe(a, w, issue, False)
-                    if (
-                        wmode == _W_TRUE
-                        or (wmode == _W_NOT_WRITE and not w)
-                        or (wmode == _W_CALL and wants(a, w, issue))
-                    ):
+                    if wants(a, w, issue):
                         if len(od) >= capacity:
                             od_pop(False)
                         od[a] = None
@@ -373,11 +233,178 @@ class FastStretches:
                 )
                 admitted.clear()
 
-    def _sieve(self, lo: int, hi: int, tick: bool) -> None:
-        """SieveStore-C, one run of same-subwindow requests at a time:
-        the kernel settles its hits and cold rejections at the run's
-        head (repro.core.sieve_kernel), and only the events meet the
-        policy's ladder, in order."""
+    def settle(self, row: int, picklable: bool) -> None:
+        """Record the statistics up to chunk row ``row``; ``picklable``:
+        also bring the cache up to it (it is rebuilt only where it is
+        read: a chunk's end under no segment hook reads only the hit
+        column)."""
+        if picklable:
+            self.resync()
+        self.stats.record_rows(
+            *(c[self.recorded:row] for c in self.recorded_columns)
+        )
+        self.recorded = row
+
+    def finish(self) -> None:
+        self.resync()
+
+
+class BatchStretches(FastStretches):
+    """The batch-only family (:class:`~repro.cache.allocation.NeverAllocate`
+    and its subclasses): no miss allocates, so a stretch is its hits and
+    the policy's per-epoch access log
+    (:meth:`~repro.cache.allocation.NeverAllocate.epoch_log`), updated a
+    request at a time and fetched anew after every boundary, which
+    replaces it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.log = self.policy.epoch_log()
+
+    def boundary(self, epoch: int) -> None:
+        super().boundary(epoch)
+        self.log = self.policy.epoch_log()
+
+    def decide(self, lo: int, hi: int, tick: bool) -> None:
+        od, hits, log = self.od, self.hits, self.log
+        od_move = od.move_to_end
+        addr_l, count_l = self.addr_l, self.count_l
+        for jl in range(lo, hi):
+            addr = addr_l[jl]
+            blocks = range(addr, addr + count_l[jl])
+            if log is not None:
+                log.update(blocks)
+            hit = 0
+            for a in blocks:
+                if a in od:
+                    od_move(a)
+                    hit += 1
+            hits[jl] = hit
+
+
+class _BulkStretches(FastStretches):
+    """Every miss of an allocating row allocated and nothing observed,
+    so the allocation-writes, too, are recorded from columns — save a
+    request running past midnight, which spreads its allocations over
+    two days, block by block: a stop of its own, taken by the general
+    body (days uncapped — past the last day it leads to the same sums).
+    """
+
+    def allocating(self, columns):
+        """Which rows' misses allocate."""
+        return True
+
+    def chunk(self, columns, start: int):
+        super().chunk(columns, start)
+        day_seconds = float(SECONDS_PER_DAY)
+        straddles = subwindow_indices(
+            columns.issue_time, day_seconds
+        ) != subwindow_indices(columns.completion_time, day_seconds)
+        allocates = self.allocating(columns)
+        self.recorded_columns.append(~straddles & allocates)
+        self.scalar_rows = set(np.flatnonzero(straddles & allocates).tolist())
+        self.lru_from = start
+        return self.scalar_rows
+
+    def decide(self, lo: int, hi: int, tick: bool) -> None:
+        if lo in self.scalar_rows:
+            # A settle site: the row goes through the general body for
+            # its blocks' offsets.
+            super().decide(lo, lo + 1, False)
+            lo = self.lru_from = lo + 1
+        self.stretch(lo, hi, tick)
+
+
+class AodStretches(_BulkStretches):
+    """Allocate on demand: every miss allocated, so the hits follow from
+    reuse distances alone (repro.cache.replacement), and the cache's
+    order is carried as an array while the ``OrderedDict`` lags behind
+    it (see :func:`_replay_lru`)."""
+
+    lru_order = None
+
+    def resync(self) -> None:
+        """Bring the cache up to the replay: ``od`` from the order."""
+        if self.lru_order is not None:
+            self.od.clear()
+            self.od.update(dict.fromkeys(self.lru_order.tolist()))
+            self.lru_order = None
+
+    def stretch(self, lo: int, hi: int, tick: bool) -> None:
+        """The rows since the last settle site go in one call (a scalar
+        row, itself a settle site, went through the general body)."""
+        if tick:
+            return
+        lru_from = self.lru_from
+        if lru_from < hi:
+            if self.lru_order is None:
+                self.lru_order = np.fromiter(self.od, np.int64, len(self.od))
+            columns = self.columns
+            self.lru_order = _replay_lru(
+                self.lru_order, self.cache.capacity_blocks,
+                columns.address[lru_from:hi], columns.block_count[lru_from:hi],
+                self.hit_column[lru_from:hi],
+            )
+        self.lru_from = hi
+
+
+class WmnaStretches(_BulkStretches):
+    """Write-miss no-allocate: a write miss allocates nothing, so the
+    block stream depends on the state; allocated = read blocks - read
+    hits.  Free frames are counted once per stretch, not on every read
+    miss."""
+
+    def allocating(self, columns):
+        return ~columns.is_write
+
+    def stretch(self, lo: int, hi: int, tick: bool) -> None:
+        od, hits = self.od, self.hits
+        od_move, od_pop = od.move_to_end, od.popitem
+        addr_l, count_l, write_l = self.addr_l, self.count_l, self.write_l
+        free = self.cache.capacity_blocks - len(od)
+        for jl in range(lo, hi):
+            addr = addr_l[jl]
+            hit = 0
+            if write_l[jl]:
+                for a in range(addr, addr + count_l[jl]):
+                    if a in od:
+                        od_move(a)
+                        hit += 1
+            else:
+                for a in range(addr, addr + count_l[jl]):
+                    if a in od:
+                        od_move(a)
+                        hit += 1
+                    else:
+                        if free > 0:
+                            free -= 1
+                        else:
+                            od_pop(False)
+                        od[a] = None
+            hits[jl] = hit
+
+
+class SieveStretches(FastStretches):
+    """SieveStore-C, one run of same-subwindow requests at a time: the
+    kernel settles its hits and cold rejections at the run's head
+    (repro.core.sieve_kernel), and only the events meet the policy's
+    ladder, in order.  Every other decision is the policy's own
+    tier1/tier2, so after a flush the policy object is the whole sieve
+    state, ready to pickle."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.kernel = SieveStoreCKernel(self.policy, self.od)
+        self.run_start = self.walked = self.stop = 0
+        self.c_starts = self.events = None
+
+    def chunk(self, columns, start: int):
+        # Precompute windows and runs never span chunks: reset so the
+        # first request of this chunk starts new ones.
+        self.sl_end = self.run_end = start
+        return super().chunk(columns, start)
+
+    def decide(self, lo: int, hi: int, tick: bool) -> None:
         kernel, policy, stats = self.kernel, self.policy, self.stats
         recency, tier1, tier2 = kernel.recency, policy.tier1, policy.tier2
         mct_counters = policy.mct._counters
@@ -452,88 +479,14 @@ class FastStretches:
         self.c_starts, self.events, self.walked = c_starts, events, walked
         self.stop = stop
 
-    def _discrete(self, lo: int, hi: int, tick: bool) -> None:
-        """Policies that never allocate on a miss: hits and observe."""
-        od, hits = self.od, self.hits
-        od_move = od.move_to_end
-        addr_l, count_l = self.addr_l, self.count_l
-        if self.omode == _O_COUNTER:
-            counts = self.counts
-            for jl in range(lo, hi):
-                addr = addr_l[jl]
-                hit = 0
-                for a in range(addr, addr + count_l[jl]):
-                    counts[a] += 1
-                    if a in od:
-                        od_move(a)
-                        hit += 1
-                hits[jl] = hit
-        elif self.omode == _O_SET:
-            seen = self.seen
-            for jl in range(lo, hi):
-                addr = addr_l[jl]
-                hit = 0
-                for a in range(addr, addr + count_l[jl]):
-                    seen.add(a)
-                    if a in od:
-                        od_move(a)
-                        hit += 1
-                hits[jl] = hit
-        else:
-            for jl in range(lo, hi):
-                addr = addr_l[jl]
-                hit = 0
-                for a in range(addr, addr + count_l[jl]):
-                    if a in od:
-                        od_move(a)
-                        hit += 1
-                hits[jl] = hit
+    def settle(self, row: int, picklable: bool) -> None:
+        if picklable:
+            # Mid-run: flush only the blocks replayed so far (at a
+            # chunk's end the run ends there too).
+            self.kernel.flush(self.stop)
+        super().settle(row, picklable)
 
-    def _aod(self, lo: int, hi: int, tick: bool) -> None:
-        """AOD: every miss allocated, so the hits follow from reuse
-        distances alone (repro.cache.replacement); the rows since the
-        last settle site go in one call (a scalar row, itself a settle
-        site, went through :meth:`_general`)."""
-        if tick:
-            return
-        lru_from = self.lru_from
-        if lru_from < hi:
-            if self.lru_order is None:
-                self.lru_order = np.fromiter(self.od, np.int64, len(self.od))
-            columns = self.columns
-            self.lru_order = _replay_lru(
-                self.lru_order, self.cache.capacity_blocks,
-                columns.address[lru_from:hi], columns.block_count[lru_from:hi],
-                self.hit_column[lru_from:hi],
-            )
-        self.lru_from = hi
-
-    def _wmna(self, lo: int, hi: int, tick: bool) -> None:
-        """WMNA (observe is the no-op): a write miss allocates nothing,
-        so the block stream depends on the state; allocated = read
-        blocks - read hits.  Free frames are counted once per stretch,
-        not on every read miss."""
-        od, hits = self.od, self.hits
-        od_move, od_pop = od.move_to_end, od.popitem
-        addr_l, count_l, write_l = self.addr_l, self.count_l, self.write_l
-        free = self.cache.capacity_blocks - len(od)
-        for jl in range(lo, hi):
-            addr = addr_l[jl]
-            hit = 0
-            if write_l[jl]:
-                for a in range(addr, addr + count_l[jl]):
-                    if a in od:
-                        od_move(a)
-                        hit += 1
-            else:
-                for a in range(addr, addr + count_l[jl]):
-                    if a in od:
-                        od_move(a)
-                        hit += 1
-                    else:
-                        if free > 0:
-                            free -= 1
-                        else:
-                            od_pop(False)
-                        od[a] = None
-            hits[jl] = hit
+    def finish(self) -> None:
+        # The policy object must reflect the run before the caller
+        # samples sieve telemetry or pickles a final state.
+        self.kernel.sync()

@@ -38,7 +38,6 @@ from repro.core.sieve_kernel import (
     bucket_array,
     mix64_array,
     subwindow_indices,
-    supports,
 )
 from repro.core.windows import COUNTER_SATURATION
 from repro.util.hashing import mix64, stable_bucket
@@ -287,23 +286,29 @@ class TestArrayIMCT:
         assert live == totals == [sum(row) for row in rows]
 
 
+class PlainSubclass(SieveStoreC):
+    pass
+
+
 class TestKernelDispatch:
-    def test_supports_exact_type_only(self):
-        assert supports(SieveStoreC())
-        assert not supports(AdaptiveSieveStoreC())
+    def test_subclasses_inherit_the_kernel_unless_they_opt_out(self):
+        assert SieveStoreC().kernel_drives_ladder()
+        assert PlainSubclass().kernel_drives_ladder()
+        SieveStoreCKernel(PlainSubclass())
+        assert not AdaptiveSieveStoreC().kernel_drives_ladder()
 
     def test_kernel_rejects_subclass(self):
-        with pytest.raises(TypeError, match="plain SieveStoreC"):
+        with pytest.raises(TypeError, match="got AdaptiveSieveStoreC with t1=9"):
             SieveStoreCKernel(AdaptiveSieveStoreC())
 
     def test_t1_past_the_counter_ceiling_is_refused(self):
         # Up to t1 = 256 a cold slot's cell stays at most 255, so the
         # flush's scatter-adds never need the clamp; past it they would.
         ceiling = SieveStoreC(SieveStoreCConfig(t1=COUNTER_SATURATION + 1))
-        assert supports(ceiling)
+        assert ceiling.kernel_drives_ladder()
         SieveStoreCKernel(ceiling)
         past = SieveStoreC(SieveStoreCConfig(t1=COUNTER_SATURATION + 2))
-        assert not supports(past)
+        assert not past.kernel_drives_ladder()
         with pytest.raises(TypeError, match="t1 <= 256, got SieveStoreC with t1=257"):
             SieveStoreCKernel(past)
 

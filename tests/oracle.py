@@ -18,6 +18,7 @@ from typing import Dict, Iterable, List, Mapping
 
 import numpy as np
 
+from repro.cache.allocation import observe_hook
 from repro.core.appliance import SieveStoreAppliance
 from repro.traces.columnar import BlockCounts, ColumnarTrace
 from repro.traces.model import IORequest, Trace, pack_address
@@ -132,7 +133,7 @@ def process_requests(
     miss taking the policy's ``wants``; then record their rows at once,
     as the engines record a window's
     (:meth:`~repro.cache.stats.CacheStats.record_rows`)."""
-    observe, rows, outcomes = appliance._observe_hook(), [], []
+    observe, rows, outcomes = observe_hook(appliance.policy), [], []
     for request in requests:
         issue, completion = request.issue_time, request.completion_time
         n, is_write = request.block_count, request.is_write

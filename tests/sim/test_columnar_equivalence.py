@@ -13,10 +13,13 @@ allocate-on-demand baselines.
 
 import pytest
 
+from repro.cache.block_cache import BlockCache
+from repro.cache.stats import CacheStats
 from repro.cache.write_policy import WriteMode
 from repro.core.autotune import AdaptiveSieveStoreC, AutoThresholdSieveStoreD
 from repro.core.sievestore_c import SieveStoreCConfig
 from repro.sim.engine import simulate
+from repro.sim.fast_engine import BatchStretches, FastStretches
 from repro.sim.experiment import build_policy
 from tests.oracle import daily_block_counts
 
@@ -31,8 +34,7 @@ EQUIVALENCE_POLICIES = (
 )
 
 
-#: Subclasses the fast loop replays through its general per-miss-call
-#: body: built outside the Figure-5 registry, one per run.
+#: Subclasses built outside the Figure-5 registry, one per run.
 EXTENSION_POLICIES = {
     "sievestore-c-adaptive": lambda ctx: (
         AdaptiveSieveStoreC(
@@ -45,6 +47,16 @@ EXTENSION_POLICIES = {
         AutoThresholdSieveStoreD(capacity_blocks=ctx.sieved_capacity),
         ctx.sieved_capacity,
     ),
+}
+
+
+#: The fast decider each extension takes: the adaptive sieve opts out of
+#: the sieve kernel (its controller steps on every ``wants``), so it
+#: replays through the general per-miss body; the auto-threshold sieve
+#: inherits SieveStore-D's batch decider.
+EXTENSION_DECIDERS = {
+    "sievestore-c-adaptive": FastStretches,
+    "sievestore-d-auto": BatchStretches,
 }
 
 
@@ -82,6 +94,13 @@ def assert_identical(slow, fast):
 def test_fast_path_bit_identical(name, tiny_context):
     slow, fast = run_both(name, tiny_context)
     assert_identical(slow, fast)
+
+
+@pytest.mark.parametrize("name", sorted(EXTENSION_DECIDERS))
+def test_extension_takes_its_decider(name, tiny_context):
+    policy, capacity = make_policy(name, tiny_context)
+    decider = policy.stretch_decider(BlockCache(capacity), CacheStats(1), 86400.0)
+    assert type(decider) is EXTENSION_DECIDERS[name]
 
 
 def test_fast_path_identical_with_sub_day_epochs(tiny_context):

@@ -1,10 +1,10 @@
 """The object engine against the per-miss ladder, request by request.
 
-For a plain SieveStore-C the object engine records each run's cold
-rejections in one batch, by the same cold bound the fast loop uses
-(:func:`repro.core.sieve_kernel.cold_mask`), so a fast-versus-object
-comparison cannot catch a fault in that bound.  This oracle shares none
-of it: each request of the same rows goes through
+For a SieveStore-C whose ladder the kernel may drive, the object engine
+records each run's cold rejections in one batch, by the same cold bound
+the fast loop uses (:func:`repro.core.sieve_kernel.cold_mask`), so a
+fast-versus-object comparison cannot catch a fault in that bound. This
+oracle shares none of it: each request of the same rows goes through
 :func:`tests.oracle.process_requests`, where every miss takes the
 policy's own ``wants`` (hash, tier 1, tier 2, one recording at a time),
 with the walk's epoch boundaries and end-of-run steps spelled out here.

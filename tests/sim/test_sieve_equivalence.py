@@ -1,8 +1,8 @@
 """Fast-engine sieve specialization vs the object engine, bit for bit.
 
-The ``_W_SIEVE`` path in :mod:`repro.sim.fast_engine` runs SieveStore-C
-through :class:`repro.core.sieve_kernel.SieveStoreCKernel` instead of
-per-miss ``wants()`` calls.  These tests drive both engines over the
+SieveStore-C's fast decider (:class:`repro.sim.fast_engine.SieveStretches`)
+runs it through :class:`repro.core.sieve_kernel.SieveStoreCKernel`
+instead of per-miss ``wants()`` calls.  These tests drive both engines over the
 same trace and demand *complete* state equality: per-day and per-minute
 statistics, the resident set, every sieve telemetry counter, the MCT's
 insert/eviction/peak accounting, and the full per-slot IMCT counter
@@ -18,13 +18,17 @@ import shutil
 
 import pytest
 
+from repro.cache.block_cache import BlockCache
+from repro.cache.stats import CacheStats
 from repro.cache.write_policy import WriteMode
 from repro.core import SieveStoreC, SieveStoreCConfig, WindowSpec
+from repro.core.appliance import SieveStoreAppliance
 from repro.core.autotune import AdaptiveSieveStoreC
 from repro.core.windows import COUNTER_SATURATION
 from repro.sim import resume_simulation, simulate
+from repro.sim.engine import _ObjectStretches
 from repro.sim.experiment import build_policy
-from repro.sim.fast_engine import _W_CALL, _W_SIEVE, _wants_mode
+from repro.sim.fast_engine import FastStretches, SieveStretches
 from repro.sim.serialize import (
     CheckpointError,
     load_checkpoint,
@@ -159,14 +163,44 @@ def store(tiny_context, tmp_path_factory):
     )
 
 
+class PlainSubclass(SieveStoreC):
+    """Overrides nothing, so it inherits the kernel on both engines."""
+
+
+def decider_type(policy):
+    """The type of the fast engine's decider for ``policy``."""
+    return type(policy.stretch_decider(BlockCache(64), CacheStats(1), 86400.0))
+
+
+def object_hashes(policy):
+    """Whether the object engine hashes ``policy``'s windows."""
+    appliance = SieveStoreAppliance(BlockCache(64), policy, CacheStats(1))
+    return _ObjectStretches(appliance, 1).hashed
+
+
 class TestDispatch:
     def test_plain_sievestore_c_takes_the_sieve_path(self):
-        assert _wants_mode(SieveStoreC()) == _W_SIEVE
+        assert decider_type(SieveStoreC()) is SieveStretches
+        assert object_hashes(SieveStoreC())
 
     def test_adaptive_subclass_takes_the_general_path(self):
         # AdaptiveSieveStoreC mutates its t2 mid-run; the kernel must
-        # never capture it.
-        assert _wants_mode(AdaptiveSieveStoreC()) == _W_CALL
+        # never capture it, on either engine.
+        assert not AdaptiveSieveStoreC().kernel_drives_ladder()
+        assert decider_type(AdaptiveSieveStoreC()) is FastStretches
+        assert not object_hashes(AdaptiveSieveStoreC())
+
+    def test_subclass_without_overrides_inherits_the_kernel(self, tiny_context):
+        assert decider_type(PlainSubclass()) is SieveStretches
+        assert object_hashes(PlainSubclass())
+        config = SieveStoreCConfig(imct_slots=tiny_context.imct_slots)
+        parent = run_pair(tiny_context, config)
+        child = []
+        for fast in (False, True):
+            child.append(run_engine(tiny_context, PlainSubclass(config), fast))
+        assert_sieve_identical(*child)
+        for ours, theirs in zip(child, parent):
+            assert_same_sieve_state(theirs, ours)
 
 
 class TestEngineEquivalence:
@@ -203,7 +237,8 @@ class TestEngineEquivalence:
             t1=300, imct_slots=1,
             window=WindowSpec(window_seconds=20 * 86400.0, subwindows=4),
         )
-        assert _wants_mode(SieveStoreC(config)) == _W_CALL
+        assert decider_type(SieveStoreC(config)) is FastStretches
+        assert not object_hashes(SieveStoreC(config))
         obj, fast = run_pair(tiny_context, config)
         assert_sieve_identical(obj, fast)
         counts, _totals, _clock = imct_matrix(obj.policy)

@@ -22,7 +22,11 @@ from repro.traces.segments import segment_columnar
 from repro.traces.synthetic import EnsembleTraceGenerator
 from repro.util.intervals import SECONDS_PER_DAY
 
-POLICIES = ("aod-16", "wmna-16", "sievestore-c", "sievestore-d")
+#: One policy per fast decider: AOD's, WMNA's, the sieve kernel's, the
+#: batch decider with a ``Counter`` log and with a ``set`` log, and the
+#: general per-miss body.
+POLICIES = ("aod-16", "wmna-16", "sievestore-c", "sievestore-d",
+            "randsieve-blkd", "randsieve-c")
 DAYS = 3
 CHUNK_ROWS = 3000
 ROWS_PER_SEGMENT = 5000
