@@ -11,6 +11,7 @@ with the walk's epoch boundaries and end-of-run steps spelled out here.
 """
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from repro.cache.write_policy import WriteMode
 from repro.core import SieveStoreC, SieveStoreCConfig
 from repro.core.appliance import SieveStoreAppliance
 from repro.faults.injector import FaultInjector
+from repro.sim import engine
 from repro.sim.engine import simulate
 from repro.sim.serialize import stats_to_dict
 from repro.util.intervals import SECONDS_PER_DAY
@@ -87,19 +89,24 @@ def state(stats, cache, policy):
 @pytest.mark.parametrize("write_mode", list(WriteMode), ids=lambda m: m.name)
 @pytest.mark.parametrize("plan", [None, PLAN], ids=["healthy", "faulted"])
 def test_object_engine_matches_the_per_miss_ladder(tiny_context, plan,
-                                                   write_mode):
+                                                   write_mode, monkeypatch):
     columns = tiny_context.columnar_trace()
     columns = columns.take(
         np.flatnonzero(columns.issue_time < DAYS * SECONDS_PER_DAY)
     )
-    engine = simulate(
-        columns, tracked_sieve(tiny_context), tiny_context.sieved_capacity,
-        DAYS, write_mode=write_mode, fast_path=False, fault_plan=plan,
-    )
-    assert engine.engine == "object"
     oracle = scalar_replay(tiny_context, columns, plan, write_mode)
     expected = state(oracle.stats, oracle.cache, oracle.policy)
-    assert state(engine.stats, engine.cache, engine.policy) == expected
+    # The tiny trace's runs hold 1,230 to 5,682 blocks, so its length
+    # alone would never decide a run per miss: the threshold is forced
+    # both ways, every run batched and none.
+    for min_blocks in (0, sys.maxsize):
+        monkeypatch.setattr(engine, "_BATCH_MIN_BLOCKS", min_blocks)
+        result = simulate(
+            columns, tracked_sieve(tiny_context), tiny_context.sieved_capacity,
+            DAYS, write_mode=write_mode, fast_path=False, fault_plan=plan,
+        )
+        assert result.engine == "object"
+        assert state(result.stats, result.cache, result.policy) == expected, min_blocks
     # The comparison is not vacuous: the sieve rejected, promoted and
     # admitted, aliases collided, and the plan's paths were taken.
     counters = expected["counters"]

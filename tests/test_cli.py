@@ -310,24 +310,67 @@ class TestFaultAndCheckpointFlows:
         assert "FAILED ideal: ValueError: " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["simulate", "shard-replay"])
+    def test_crashed_worker_falls_back_and_exits_1(self, command, tmp_path,
+                                                   monkeypatch, capsys):
+        import json
+
+        from repro.sim.parallel import FAULT_ENV_VAR
+
+        dead, extra = {
+            "simulate": ("sievestore-d", [
+                "--policy", "ideal", "--policy", "sievestore-d",
+                "--policy", "aod-16",
+            ]),
+            "shard-replay": ("shard-2", [
+                "--policy", "sievestore-c", "--shards", "4",
+                *route_args("segments", tmp_path),
+            ]),
+        }[command]
+        monkeypatch.setenv(FAULT_ENV_VAR, f"crash:{dead}")
+        path = tmp_path / "manifest.json"
+        with pytest.warns(RuntimeWarning, match="worker pool broke"):
+            assert main([
+                command, *TINY, *extra, "--jobs", "2", "--manifest", str(path),
+            ]) == 1
+        assert f"FAILED {dead}: InjectedWorkerFault" in capsys.readouterr().err
+        manifest = json.loads(path.read_text())
+        assert manifest["pool_broken"] is True
+        tasks = {t["policy"]: t for t in manifest["tasks"]}
+        record = tasks.pop(dead)
+        assert (record["outcome"], record["executor"]) == (
+            "failed", "serial-fallback"
+        )
+        # The survivors finished, on the fast loop: write-through, no faults.
+        assert len(tasks) == {"simulate": 2, "shard-replay": 3}[command]
+        assert {(t["outcome"], t["engine"]) for t in tasks.values()} == {
+            ("ok", "fast")
+        }
+
 
 class TestObservabilityOutputs:
     def test_metrics_out_writes_parseable_prometheus(self, tmp_path, capsys):
+        import json
+
         from repro.obs import runtime
         from repro.obs.export import parse_prometheus
 
-        out = tmp_path / "metrics.prom"
+        out, path = tmp_path / "metrics.prom", tmp_path / "manifest.json"
         assert main([
-            "simulate", *TINY, "--policy", "sievestore-c",
-            "--metrics-out", str(out),
+            "simulate", *TINY, "--policy", "sievestore-c", "--policy", "aod-16",
+            "--metrics-out", str(out), "--manifest", str(path),
         ]) == 0
         assert "metrics written to" in capsys.readouterr().out
         parsed = parse_prometheus(out.read_text())
         assert parsed["sim_blocks_total"]["type"] == "counter"
-        assert any(
-            name == "sieve_admissions_total"
-            for name in parsed
-        )
+        assert parsed["sim_epoch_wall_seconds"]["type"] == "histogram"
+        assert {
+            "sim_requests_total", "sieve_admissions_total", "suite_tasks_total",
+        } <= set(parsed)
+        # A metrics-collecting run writes a schema-3 manifest.
+        manifest = json.loads(path.read_text())
+        assert manifest["schema"] == 3 and manifest["metrics"]
+        assert all(task["metrics"] for task in manifest["tasks"])
         # The CLI turns the switch off again after the run.
         assert not runtime.enabled()
 
@@ -366,14 +409,23 @@ class TestObservabilityOutputs:
         # The report itself stays on stdout, unpolluted.
         assert "[progress]" not in captured.out
 
-    def test_progress_without_metrics_leaves_observability_off(self, capsys):
+    def test_progress_without_metrics_leaves_observability_off(self, tmp_path,
+                                                               capsys):
+        import json
+
         from repro.obs import runtime
 
+        path = tmp_path / "manifest.json"
         assert main([
-            "simulate", *TINY, "--policy", "aod-16", "--progress", "60",
+            "simulate", *TINY, "--policy", "sievestore-c", "--policy", "aod-16",
+            "--progress", "60", "--manifest", str(path),
         ]) == 0
         capsys.readouterr()
         assert not runtime.enabled()
+        # The manifest stays schema 2, with no metrics anywhere.
+        manifest = json.loads(path.read_text())
+        assert manifest["schema"] == 2 and "metrics" not in manifest
+        assert not any("metrics" in task for task in manifest["tasks"])
 
     def test_output_identical_with_and_without_metrics(self, tmp_path,
                                                        capsys):
@@ -438,8 +490,10 @@ class TestServeBenchCommand:
         assert main([*SERVE_TINY, "--json", str(path)]) == 0
         payload = json.loads(path.read_text())
         assert payload["allocation_writes_saved"] > 0
-        read = payload["sieved"]["latency"]["read"]
-        assert set(read) >= {"median", "p90", "p99", "max", "count"}
+        for op in ("read", "write"):
+            latency = payload["sieved"]["latency"][op]
+            assert set(latency) >= {"median", "p90", "p99", "max", "count"}
+            assert min(latency[f] for f in ("median", "p90", "p99", "max")) >= 0
         assert (
             payload["sieved"]["allocation_writes"]
             < payload["baseline"]["allocation_writes"]
@@ -473,6 +527,58 @@ class TestServeBenchCommand:
     def test_negative_miss_latency_rejected(self):
         with pytest.raises(SystemExit):
             main(["serve-bench", "--miss-latency", "-1"])
+
+    def test_zero_clients_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve-bench", "--clients", "0"])
+        assert exc.value.code == 2
+        assert "--clients" in capsys.readouterr().err
+
+    def test_pooled_clients_share_a_group_committed_store(self, tmp_path,
+                                                          capsys):
+        import json
+
+        from repro.obs.export import parse_prometheus
+
+        report, path, out = (
+            tmp_path / name for name in ("serve.json", "manifest.json", "m.prom")
+        )
+        store_dir = tmp_path / "serve-run"
+        assert main([
+            *(arg for arg in SERVE_TINY if arg != "--serial"),
+            "--store-dir", str(store_dir), "--json", str(report),
+            "--manifest", str(path), "--metrics-out", str(out),
+        ]) == 0
+        capsys.readouterr()
+        manifest = json.loads(path.read_text())
+        for side in ("sieved", "baseline"):
+            clients = manifest[side]["clients"]
+            assert [c["executor"] for c in clients] == ["pool", "pool"]
+        samples = {
+            name: metric["samples"]
+            for name, metric in parse_prometheus(out.read_text()).items()
+        }
+        # No fault plan: the device is read for hits only, no miss reaches it.
+        gets = samples["serve_device_ops_total"][
+            ("serve_device_ops_total", (("op", "get"),))
+        ]
+        hits = samples["serve_ops_total"][
+            ("serve_ops_total", (("op", "read"), ("outcome", "hit")))
+        ]
+        assert gets == hits > 0
+        # Group commit: fewer sqlite transactions than device writes, and
+        # a clean exit leaves no intent log behind.
+        commits = samples["serve_store_commits_total"][
+            ("serve_store_commits_total", ())
+        ]
+        payload = json.loads(report.read_text())
+        writes = sum(
+            payload[side]["stats"]["allocation_writes"]
+            + payload[side]["stats"]["update_writes"]
+            for side in ("sieved", "baseline")
+        )
+        assert 0 < commits < writes
+        assert list(store_dir.rglob("intent-*.log")) == []
 
     def test_fault_plan_transition_survives(self, tmp_path, capsys):
         import json
