@@ -149,7 +149,8 @@ class SieveStoreAppliance:
         save a cold rejection — a miss on a slot coded ``~slot`` (cold
         for the caller's run) by a block outside the MCT — whose
         position ``first + i`` is only appended to ``deferred``, for the
-        caller to record with its run's others.
+        caller to record with its run's others; such a caller settles a
+        request of cold rejections only through :meth:`react` instead.
 
         Returns ``(hit_blocks, backing_blocks, allocated_blocks)``: the
         caller records the first two with the request's columns
@@ -165,17 +166,12 @@ class SieveStoreAppliance:
         policy = self.policy
         stats = self.stats
         resident = self.cache._order  # LRU order, least recent first
-        degraded = bypass = False
-        if faults is not None:
-            health = faults.advance(issue)
-            degraded = health is DeviceHealth.DEGRADED
-            # Pass-through: the cache is empty in BYPASS, so every block
-            # misses; the sieve still observes and miss-counts so blocks
-            # re-earn allocation after recovery, but nothing is
-            # installed.
-            bypass = health is DeviceHealth.BYPASS
-            if bypass and resident:
-                self._lose_contents(issue)
+        health = self.react(issue, n) if faults is not None else None
+        degraded = health is DeviceHealth.DEGRADED
+        # Pass-through: the cache is empty in BYPASS, so every block
+        # misses; the sieve still observes and miss-counts so blocks
+        # re-earn allocation after recovery, but nothing is installed.
+        bypass = health is DeviceHealth.BYPASS
         span = completion - issue
 
         touch = resident.move_to_end
@@ -256,14 +252,23 @@ class SieveStoreAppliance:
                 # write-through) reach the backing ensemble directly.
                 backing_writes += 1
 
-        if bypass:
-            stats.record_bypass_access(issue, n)
         if admitted:
             # Charged when the fetched data is available: each block at
             # its interpolated completion, the request's contiguous
             # insertion in ceil(allocated/8) 4-KB units at completion.
             _record_allocations(stats, issue, completion, n, admitted)
         return hit_blocks, backing_writes, len(admitted)
+
+    def react(self, issue: float, n: int) -> DeviceHealth:
+        """Walk the device's health (a fault plan is attached) to a request
+        of ``n`` blocks issued at ``issue`` and return it; in BYPASS count
+        its accesses, the first such request losing the cache's contents."""
+        health = self.faults.advance(issue)
+        if health is DeviceHealth.BYPASS:
+            if self.cache._order:
+                self._lose_contents(issue)
+            self.stats.record_bypass_access(issue, n)
+        return health
 
     def _lose_contents(self, time: float) -> None:
         """React to entering BYPASS (nothing is installed there, so only

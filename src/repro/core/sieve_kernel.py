@@ -27,8 +27,9 @@ copied in at run start or written back at a checkpoint.
     return ``>= t1``;
   - **hot** otherwise.  A slot is hot or cold for a whole run.
 
-  The kernel below classifies by it, and the object engine
-  (:class:`repro.sim.engine._ObjectStretches`) records by it.
+  The kernel below classifies by it and by :func:`head_classes`, and
+  the object engine (:class:`repro.sim.engine._ObjectStretches`)
+  records and settles by both.
 
 * :class:`SieveStoreCKernel` — splits each chunk of requests into runs
   and settles each run in one vectorized pass at its head: against
@@ -181,6 +182,15 @@ def _run_sizes(tally: np.ndarray, slots: np.ndarray) -> np.ndarray:
     return sizes
 
 
+def head_classes(policy: SieveStoreC, addresses: np.ndarray, cold: np.ndarray,
+                 resident: Collection[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """Per block of a run at its head (``cold``: :func:`cold_mask`), whether
+    it is ``resident`` (a hit) and whether it is a cold rejection: on a
+    cold slot, neither resident nor MCT-tracked (and never later in the run)."""
+    hit = _members(addresses, resident)
+    return hit, cold & ~hit & ~_members(addresses, policy.mct._counters)
+
+
 def _members(values: np.ndarray, keys: Collection[int]) -> np.ndarray:
     """Per entry of ``values``, whether it is one of ``keys``: one sort
     of a snapshot of the keys, then one binary search per value."""
@@ -282,9 +292,7 @@ class SieveStoreCKernel:
             cold = np.zeros(len(slots), dtype=bool)
         else:
             cold = cold_mask(self.policy, slots, int(subs[0]), self._tally)
-        hit = _members(addresses, self.resident)
-        tracked = _members(addresses, self.policy.mct._counters)
-        self._rejected = cold & ~hit & ~tracked
+        hit, self._rejected = head_classes(self.policy, addresses, cold, self.resident)
         self._event = ~(hit | self._rejected)
         self._hit, self._cold, self._starts = hit, cold, starts
         self._run_subs, self._run_slots, self._addresses = subs, slots, addresses

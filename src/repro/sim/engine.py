@@ -79,12 +79,13 @@ DEFAULT_CHECKPOINT_EVERY = 100_000
 #: benchmark's peak RSS from 121 to 178 MiB).
 _ROW_WINDOW = 4096
 
-#: Blocks a run needs before the object loop batches its cold
-#: rejections: batching costs a run 62-76 us and saves ~0.7 us a
-#: rejection, so it breaks even at 88-111 blocks, not at the fast
-#: kernel's 40 (``faulted-replay``'s seed-7 trace cut into 2-16-row runs,
-#: ~1,700 runs timed both ways from their head state, min of 7; 2-core x86).
-_BATCH_MIN_BLOCKS = 100
+#: Blocks a run needs before the object loop classifies it at its head:
+#: the head costs a run ~56 us and saves ~0.67 us a block, so it breaks
+#: even at 85-95 blocks, not at the fast kernel's 40 (at ~135 with IMCT
+#: collision tracking on, whose ``record_batch`` costs more).  Measured
+#: on ``faulted-replay``'s seed-7 trace cut into 1-24-row runs, 576 runs
+#: timed both ways from their head state, min of 7; 2-core x86.
+_BATCH_MIN_BLOCKS = 90
 
 
 @dataclass
@@ -187,12 +188,18 @@ class _ObjectStretches:
     :meth:`~repro.cache.stats.CacheStats.record_rows` records once the
     window is decided.  A SieveStore-C's window, when the kernel may
     drive its ladder, is hashed at once and decided run by run
-    (requests sharing a subwindow): at a run's head
+    (requests sharing a subwindow).  At the head of a run of at least
+    :data:`_BATCH_MIN_BLOCKS` blocks
     :func:`~repro.core.sieve_kernel.cold_mask` codes each cold slot
-    ``~slot``, the appliance decides every access in order but only
-    lists the cold rejections, and one ``record_batch`` records them at
-    the run's end.  Every stop ends a window, and a window its runs, so
-    this side adds no stops and has nothing to settle.
+    ``~slot`` and :func:`~repro.core.sieve_kernel.head_classes` finds
+    the cold rejections.  A request of cold rejections only is settled
+    there — no hit, its blocks backing writes if it writes, the device's
+    health walked (:meth:`~SieveStoreAppliance.react`) — as nothing in
+    the run can admit or track a block on a cold slot.  The appliance
+    decides the other requests' accesses in order, only listing their
+    cold rejections, and one ``record_batch`` records the run's at its
+    end.  Every stop ends a window, and a window its runs, so this side
+    adds no stops and has nothing to settle.
     """
 
     def __init__(self, appliance: SieveStoreAppliance, days: int):
@@ -238,23 +245,37 @@ class _ObjectStretches:
 
     def _sieve_window(self, rows, hits, backing, addresses, counts, issues) -> None:
         """Decide a hashed window's rows run by run."""
-        policy, process = self.appliance.policy, self.appliance.process_row
-        blocks, starts, slots, subs = sieve_kernel.hash_requests(
+        appliance = self.appliance
+        policy, process, resident = appliance.policy, appliance.process_row, appliance.cache._order
+        blocks, offsets, slots, subs = sieve_kernel.hash_requests(
             policy, addresses, counts, issues
         )
         runs = [0, *(np.flatnonzero(subs[1:] != subs[:-1]) + 1).tolist(), len(rows)]
-        coded, starts, subs = slots.tolist(), starts.tolist(), subs.tolist()
+        coded, starts, subs = slots.tolist(), offsets.tolist(), subs.tolist()
+        settled = [False] * len(rows)
         for run_lo, run_hi in zip(runs, runs[1:]):
             first, last, sub = starts[run_lo], starts[run_hi], subs[run_lo]
             if last - first >= _BATCH_MIN_BLOCKS:
                 run_slots = slots[first:last]
                 cold = sieve_kernel.cold_mask(policy, run_slots, sub, self._tally)
                 coded[first:last] = np.where(cold, ~run_slots, run_slots).tolist()
+                _, rejected = sieve_kernel.head_classes(policy, blocks[first:last], cold, resident)
+                heads = offsets[run_lo:run_hi] - first  # per request, its first block
+                settled[run_lo:run_hi] = np.logical_and.reduceat(rejected, heads).tolist()
             deferred = []
             for row in range(run_lo, run_hi):
-                hits[row], backing[row], _ = process(
-                    *rows[row], self.observe, coded, starts[row], sub, deferred
-                )
+                if not settled[row]:
+                    hits[row], backing[row], _ = process(
+                        *rows[row], self.observe, coded, starts[row], sub, deferred
+                    )
+                    continue
+                # Settled at the head: every block a cold rejection.
+                _, n, write, issue, _ = rows[row]
+                if appliance.faults is not None:
+                    appliance.react(issue, n)
+                if write:
+                    backing[row] = n
+                deferred.extend(range(starts[row], starts[row + 1]))
             if deferred:  # in access order, as collision tracking wants
                 at = np.array(deferred)
                 policy.imct_rejections += at.size

@@ -2,7 +2,8 @@
 
 For a SieveStore-C whose ladder the kernel may drive, the object engine
 records each run's cold rejections in one batch, by the same cold bound
-the fast loop uses (:func:`repro.core.sieve_kernel.cold_mask`), so a
+the fast loop uses (:func:`repro.core.sieve_kernel.cold_mask`), and
+settles a request of cold rejections only without walking it, so a
 fast-versus-object comparison cannot catch a fault in that bound. This
 oracle shares none of it: each request of the same rows goes through
 :func:`tests.oracle.process_requests`, where every miss takes the
@@ -12,6 +13,8 @@ with the walk's epoch boundaries and end-of-run steps spelled out here.
 
 import json
 import sys
+from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from repro.cache.stats import CacheStats
 from repro.cache.write_policy import WriteMode
 from repro.core import SieveStoreC, SieveStoreCConfig
 from repro.core.appliance import SieveStoreAppliance
-from repro.faults.injector import FaultInjector
+from repro.faults.injector import DeviceHealth, FaultInjector
 from repro.sim import engine
 from repro.sim.engine import simulate
 from repro.sim.serialize import stats_to_dict
@@ -86,6 +89,33 @@ def state(stats, cache, policy):
     }
 
 
+@contextmanager
+def recorded_rows(monkeypatch):
+    """Count the ``(base, n, is_write, issue)`` of each row the appliance
+    decides through ``process_row``."""
+    processed, process_row = Counter(), SieveStoreAppliance.process_row
+
+    def recording(self, base, n, is_write, issue, *args):
+        processed[base, n, is_write, issue] += 1
+        return process_row(self, base, n, is_write, issue, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SieveStoreAppliance, "process_row", recording)
+        yield processed
+
+
+def settled_rows(columns, processed):
+    """Issue times of the rows no ``process_row`` call decided."""
+    settled = []
+    for row in zip(columns.address.tolist(), columns.block_count.tolist(),
+                   columns.is_write.tolist(), columns.issue_time.tolist()):
+        if processed[row]:
+            processed[row] -= 1
+        else:
+            settled.append(row[3])
+    return settled
+
+
 @pytest.mark.parametrize("write_mode", list(WriteMode), ids=lambda m: m.name)
 @pytest.mark.parametrize("plan", [None, PLAN], ids=["healthy", "faulted"])
 def test_object_engine_matches_the_per_miss_ladder(tiny_context, plan,
@@ -101,12 +131,21 @@ def test_object_engine_matches_the_per_miss_ladder(tiny_context, plan,
     # both ways, every run batched and none.
     for min_blocks in (0, sys.maxsize):
         monkeypatch.setattr(engine, "_BATCH_MIN_BLOCKS", min_blocks)
-        result = simulate(
-            columns, tracked_sieve(tiny_context), tiny_context.sieved_capacity,
-            DAYS, write_mode=write_mode, fast_path=False, fault_plan=plan,
-        )
+        with recorded_rows(monkeypatch) as processed:
+            result = simulate(
+                columns, tracked_sieve(tiny_context), tiny_context.sieved_capacity,
+                DAYS, write_mode=write_mode, fast_path=False, fault_plan=plan,
+            )
         assert result.engine == "object"
         assert state(result.stats, result.cache, result.policy) == expected, min_blocks
+        if min_blocks == 0:
+            settled = settled_rows(columns, processed)
+    # Requests settled at their run's head never reached process_row,
+    # in every health state the plan visits.
+    assert 0 < len(settled) < len(columns)
+    if plan is not None:
+        faults = FaultInjector(plan)
+        assert {faults.health_at(issue) for issue in settled} == set(DeviceHealth)
     # The comparison is not vacuous: the sieve rejected, promoted and
     # admitted, aliases collided, and the plan's paths were taken.
     counters = expected["counters"]

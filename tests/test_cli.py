@@ -205,13 +205,19 @@ class TestInputValidation:
         err = capsys.readouterr().err
         assert "--metrics-out" in err and "directory, not a file" in err
 
-    def test_artifact_path_into_unwritable_directory(self, tmp_path, capsys):
+    def test_artifact_path_into_unwritable_directory(self, tmp_path, capsys,
+                                                     monkeypatch):
         import os
 
-        if os.geteuid() == 0:
-            pytest.skip("root ignores directory write permissions")
         locked = tmp_path / "locked"
         locked.mkdir(mode=0o555)
+        # Root ignores directory write permissions, so the CLI's
+        # ``os.access`` check is also told the directory is read-only.
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode, **kw: (
+            access(path, mode, **kw)
+            and not (mode & os.W_OK and os.path.abspath(path) == str(locked))
+        ))
         assert main([
             "simulate", *TINY, "--metrics-out", str(locked / "m.prom"),
         ]) == 2
